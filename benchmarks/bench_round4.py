@@ -1,6 +1,6 @@
-"""Benchmark — storage round 4: zone-map aggregates, merge joins, parallel scans.
+"""Benchmark — storage round 4: zone-map aggregates and merge joins.
 
-Three workloads exercise the round-4 fast paths, each A/B-verified
+Two workloads exercise the round-4 fast paths, each A/B-verified
 bit-identical against ``Database(optimize=False)`` (and each asserted, via
 ``Database.stats``, to have actually taken its fast path):
 
@@ -16,12 +16,6 @@ bit-identical against ``Database(optimize=False)`` (and each asserted, via
   baseline is the *same optimized engine* with the clustering metadata wiped,
   which forces the hash join (union dictionary + argsort) over identical
   data — the measured win is purely merge-vs-hash.
-* **parallel_scan** — a moderately selective predicate over an unclustered
-  column (zone maps cannot skip any chunk) evaluated with
-  ``Database(parallel_scan=<cores>)`` vs the same engine scanning
-  sequentially.  The floor (>1x) only applies on machines with >= 4 cores —
-  the report records the core count and ``compare_bench`` skips the floor
-  below that (``FLOOR_MIN_CORES``).
 
 Results are written to ``benchmarks/BENCH_round4.json``.  Run standalone with
 ``PYTHONPATH=src python benchmarks/bench_round4.py`` — the standalone path
@@ -54,12 +48,8 @@ MINMAX_SQL = (
     "SELECT min(value) AS lo, max(value) AS hi, count(*) AS n, "
     "count(value) AS nv FROM readings"
 )
-PARALLEL_SQL = (
-    "SELECT count(*) AS n, sum(value) AS total, avg(value) AS mean "
-    "FROM readings WHERE value < 16.0 AND flag = 1"
-)
 
-FLOORS = {"minmax_zone": 5.0, "merge_join_sid": 1.2, "parallel_scan": 1.0}
+FLOORS = {"minmax_zone": 5.0, "merge_join_sid": 1.2}
 
 
 def _readings_columns(quick: bool) -> dict:
@@ -67,13 +57,12 @@ def _readings_columns(quick: bool) -> dict:
     rng = np.random.default_rng(7)
     return {
         "order_id": np.arange(rows),
-        "value": rng.gamma(2.0, 8.0, rows),  # unclustered: no chunk skipping
-        "flag": rng.integers(0, 2, rows),
+        "value": rng.gamma(2.0, 8.0, rows),
     }
 
 
-def _build_reading_engine(columns: dict, optimize: bool, parallel: int | None = None) -> Database:
-    engine = Database(seed=0, optimize=optimize, parallel_scan=parallel)
+def _build_reading_engine(columns: dict, optimize: bool) -> Database:
+    engine = Database(seed=0, optimize=optimize)
     engine.register_table("readings", columns)
     return engine
 
@@ -174,26 +163,6 @@ def run(quick: bool = False) -> dict:
         "repeats": repeats,
     }
 
-    # -- parallel_scan: chunk-parallel filtering vs the sequential scan ------
-    parallel = _build_reading_engine(columns, optimize=True, parallel=cores)
-    serial = _build_reading_engine(columns, optimize=True)
-    par_seconds, par_result = _time_workload(parallel, PARALLEL_SQL, repeats)
-    seq_seconds, seq_result = _time_workload(serial, PARALLEL_SQL, repeats)
-    _, naive_scan = _time_workload(naive, PARALLEL_SQL, 1)
-    if not par_result.equals(naive_scan) or not seq_result.equals(naive_scan):
-        raise AssertionError("parallel_scan: fast paths changed the results")
-    if cores > 1 and not parallel.stats["parallel_scans"]:
-        raise AssertionError("parallel_scan: the chunk-parallel path never ran")
-    report["workloads"]["parallel_scan"] = {
-        "baseline": "sequential optimized scan",
-        "baseline_seconds": round(seq_seconds, 6),
-        "optimized_seconds": round(par_seconds, 6),
-        "speedup": round(seq_seconds / par_seconds, 2),
-        "floor": FLOORS["parallel_scan"],
-        "floor_min_cores": 4,
-        "repeats": repeats,
-    }
-
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -203,10 +172,8 @@ def test_round4_speedups(report):
     rows = [
         {"workload": name, **metrics} for name, metrics in records["workloads"].items()
     ]
-    report["Storage round 4 — zone-map aggregates, merge joins, parallel scans"] = rows
+    report["Storage round 4 — zone-map aggregates, merge joins"] = rows
     for name, metrics in records["workloads"].items():
-        if name == "parallel_scan" and records["cores"] < 4:
-            continue  # the parallel floor assumes >= 4 cores (FLOOR_MIN_CORES)
         assert metrics["speedup"] >= metrics["floor"], (name, metrics)
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SampleSpec, VerdictContext
+from repro import SampleSpec, VerdictSession
 from repro.connectors import BuiltinConnector
 from repro.core.sample_planner import PlannerConfig
 from repro.sqlengine import Database
@@ -85,7 +85,7 @@ WORKLOADS = {
 }
 
 
-def _build_context(optimize: bool, quick: bool = False) -> VerdictContext:
+def _build_context(optimize: bool, quick: bool = False) -> VerdictSession:
     rng = np.random.default_rng(42)
     fact_rows = FACT_ROWS // 5 if quick else FACT_ROWS
     orders = {
@@ -109,7 +109,7 @@ def _build_context(optimize: bool, quick: bool = False) -> VerdictContext:
         ),
         "name": np.array([f"customer_{i}" for i in range(DIM_ROWS)], dtype=object),
     }
-    context = VerdictContext(
+    context = VerdictSession(
         connector=BuiltinConnector(database=Database(seed=0, optimize=optimize)),
         planner_config=PlannerConfig(io_budget=0.15, large_table_rows=20_000),
     )
@@ -119,7 +119,7 @@ def _build_context(optimize: bool, quick: bool = False) -> VerdictContext:
     return context
 
 
-def _time_middleware(context: VerdictContext, sql: str, repeats: int):
+def _time_middleware(context: VerdictSession, sql: str, repeats: int):
     result = context.sql(sql)  # warmup: fills analysis/rewrite/statement caches
     if result.is_exact:
         raise AssertionError(f"workload fell back to exact execution: {sql}")
@@ -129,7 +129,7 @@ def _time_middleware(context: VerdictContext, sql: str, repeats: int):
     return (time.perf_counter() - started) / repeats, result
 
 
-def _time_exact(context: VerdictContext, sql: str, repeats: int) -> float:
+def _time_exact(context: VerdictSession, sql: str, repeats: int) -> float:
     context.execute_exact(sql)  # warmup
     started = time.perf_counter()
     for _ in range(repeats):

@@ -30,8 +30,8 @@ Flags:
   forwards it) whose fresh JSON is about to be committed as the new baseline.
 
 Floors that depend on hardware are gated: ``FLOOR_MIN_CORES`` lists the
-minimum CPU-core count a workload's floor assumes (e.g. the chunk-parallel
-scan can only win on a multi-core machine).  A report produced on a smaller
+minimum CPU-core count a workload's floor assumes (e.g. process-sharded
+aggregation can only win on a multi-core machine).  A report produced on a smaller
 machine records the measurement but skips the floor.
 """
 
@@ -67,7 +67,6 @@ FLOORS: dict[str, dict[str, float]] = {
     "BENCH_round4.json": {
         "minmax_zone": 5.0,
         "merge_join_sid": 1.2,
-        "parallel_scan": 1.0,
     },
     "BENCH_api.json": {
         "prepared_reexec": 3.0,
@@ -100,7 +99,6 @@ FLOORS: dict[str, dict[str, float]] = {
 # count they were measured on; on smaller machines the floor is skipped (the
 # measurement is still recorded and diffed).
 FLOOR_MIN_CORES: dict[str, dict[str, int]] = {
-    "BENCH_round4.json": {"parallel_scan": 4},
     "BENCH_parallel.json": {"parallel_group_agg": 4, "shm_dispatch": 2},
     "BENCH_aqp_parallel.json": {"aqp_parallel": 4},
     "BENCH_resilience.json": {"checkpoint_overhead": 2, "worker_kill_recovery": 2},

@@ -1,7 +1,7 @@
 """Run every tracked benchmark suite and gate the speedup floors.
 
 Runs the engine hot-path, middleware hot-path, storage-skipping and round-4
-(zone-map aggregates / merge joins / parallel scans) benchmarks back to back,
+(zone-map aggregates / merge joins) benchmarks back to back,
 rewrites their ``BENCH_*.json`` reports, diffs each against the committed
 baseline and exits non-zero when any asserted speedup floor regresses:
 

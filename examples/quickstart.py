@@ -9,8 +9,7 @@
 5. compare against the exact answer (``ExecutionOptions(mode="exact")``).
 
 Run with ``python examples/quickstart.py`` (set ``REPRO_EXAMPLES_QUICK=1``
-for a CI-sized run).  The pre-redesign version of this script lives on as
-``quickstart_legacy.py``.
+for a CI-sized run).
 """
 
 from __future__ import annotations

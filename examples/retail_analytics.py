@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import os
 
-from repro import SampleSpec, VerdictContext
+import repro
+from repro import SampleSpec
 from repro.core.sample_planner import PlannerConfig
 from repro.workloads import instacart
 
@@ -26,9 +27,9 @@ from repro.workloads import instacart
 def main() -> None:
     scale = 1.0 if os.environ.get("REPRO_EXAMPLES_QUICK") else 4.0
     dataset = instacart.generate(scale_factor=scale, seed=7)
-    verdict = VerdictContext(
+    verdict = repro.connect(
         planner_config=PlannerConfig(io_budget=0.1, large_table_rows=20_000)
-    )
+    ).session
     for name, columns in dataset.tables.items():
         verdict.load_table(name, columns)
 

@@ -18,9 +18,6 @@ Quick start (DB-API-shaped interface)::
     cursor = connection.cursor()
     cursor.execute("SELECT count(*) AS c FROM orders WHERE price > ?", (0.5,))
     print(cursor.fetchone(), cursor.last_result.confidence_interval("c"))
-
-The historical :class:`VerdictContext` interface remains available as a thin
-shim over the same session layer.
 """
 
 from repro.api import (
@@ -43,7 +40,6 @@ from repro import client, server  # noqa: F401  (repro.client.connect / repro.se
 from repro.core.answer import ApproximateResult
 from repro.core.hac import AccuracyContract
 from repro.core.sample_planner import PlannerConfig
-from repro.core.verdict import VerdictContext
 from repro.errors import (
     PoolTimeoutError,
     ProtocolError,
@@ -83,7 +79,6 @@ __all__ = [
     "SamplingPolicyConfig",
     "ServerBusyError",
     "VerdictConnection",
-    "VerdictContext",
     "VerdictServer",
     "VerdictSession",
     "__version__",

@@ -188,7 +188,7 @@ class VerdictConnection:
 
         Cheap — no query is issued; safe to poll from a monitoring thread.
         Returns the same typed :class:`~repro.health.HealthReport` as
-        ``Database.health()`` (legacy dict keys keep working).
+        ``Database.health()``.
         """
         self._check_open()
         return self.session.connector.health()

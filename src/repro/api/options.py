@@ -1,7 +1,6 @@
 """Per-query execution options for the session layer.
 
-Historically every knob was a keyword argument grown onto
-``VerdictContext.sql``; the session layer collects them into one immutable
+The session layer collects every per-query knob into one immutable
 :class:`ExecutionOptions` value that can be set per connection (the default
 for every cursor), per cursor, or per individual ``execute`` call.
 """
@@ -38,8 +37,8 @@ class ExecutionOptions:
         sample_hint: restrict the sample planner to sample tables whose name
             equals the hint (case-insensitive); when no sample matches, the
             query runs exactly.
-        time_budget_seconds: *soft* latency budget.  Two effects: when the
-            accuracy contract fails but the approximate attempt has already
+        time_budget_seconds: *soft* latency budget.  When the accuracy
+            contract fails but the approximate attempt has already
             consumed the budget, the exact re-run is skipped and the
             approximate answer is returned with
             ``ApproximateResult.budget_degraded`` set.

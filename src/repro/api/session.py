@@ -1,17 +1,16 @@
-"""The AQP session: the engine room behind connections and the legacy context.
+"""The AQP session: the engine room behind connections, pools and the server.
 
 A :class:`VerdictSession` owns everything one logical client needs — a
 connector to the underlying database, the sample builder/maintainer, the
-sample planner, the rewriter and four caches (parse/analysis, prepared
-rewrites, row counts, column cardinalities).  It mirrors the deployment
+sample planner, the rewriter and three caches (parsed/analysed templates,
+facts read from the backend, prepared rewrites).  It mirrors the deployment
 picture of Figure 1: the application sends SQL to the session, the session
 plans samples, rewrites the query, sends the rewritten SQL to the underlying
 database through the connector, and converts the returned result set into an
 approximate answer with error estimates.  Unsupported queries are passed
 through unchanged.
 
-Two things distinguish it from the historical ``VerdictContext`` (which now
-subclasses it as a thin compatibility shim):
+Two properties shape it:
 
 * **parameter binding below the caches** — :meth:`execute` takes a SQL
   *template* with ``?`` / ``:name`` placeholders plus a parameter set;
@@ -21,18 +20,21 @@ subclasses it as a thin compatibility shim):
   parameter values;
 * **multi-session safety** — several sessions may share one backend engine.
   Sample builds and metadata rebuilds serialize on the connector's
-  cross-session lock, and the session snapshots the backend's catalog/data
-  version to drop its derived caches when *another* session changes the
-  database (new samples, DML, schema changes).
+  cross-session lock, and everything the session derives from backend state
+  is cached under the backend's version token read at the top of
+  :meth:`VerdictSession.execute` (see :mod:`repro.cache`), so a change made
+  by *any* session — new samples, DML, schema changes — makes the old
+  entries unreachable without anyone having to clear them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from functools import partial
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 from repro.api.binding import (
     bind_parameters,
@@ -50,7 +52,6 @@ from repro.core.query_info import QueryAnalysis, analyze
 from repro.core.rewriter import (
     AqpRewriter,
     PreparedRewrite,
-    RewriteCache,
     plan_signature,
 )
 from repro.core.sample_planner import PlannerConfig, SamplePlan, SamplePlanner
@@ -148,26 +149,16 @@ class VerdictSession:
         )
         self.rewriter = AqpRewriter(include_errors=include_errors)
         self.include_errors = include_errors
-        self._cardinality_cache: dict[tuple[str, str], int] = {}
-        self._row_count_cache: dict[str, int] = {}
-        self._samples_cache: list[SampleInfo] | None = None
         # Parse/flatten/analyze results per template text.  Pure functions of
-        # the SQL, so entries never go stale; the LRU bound caps memory.
+        # the SQL, so entries carry no version token; the LRU bound caps memory.
         self._template_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
-        # Prepared rewrites keyed on (template, sample plan, include_errors);
-        # cleared whenever the sample universe changes.
-        self._rewrite_cache = RewriteCache()
-        # Guards the invalidation bookkeeping (volatile caches + backend
-        # version snapshot) so concurrent cursors over one session observe a
-        # consistent "invalidate, then re-read" sequence.  The epoch counter
-        # rises on every invalidation; cache *population* paths re-check it
-        # so a read begun before an invalidation can never write a stale
-        # value back afterwards.
-        self._invalidation_lock = threading.RLock()
-        self._invalidation_epoch = 0
-        # Last observed (schema version, data version) of the backend; None
-        # for backends that cannot report one.
-        self._backend_state = self.connector.catalog_state()
+        # Facts read from the backend — ("rows", table), ("cardinality",
+        # table, column) and ("samples",) — and prepared rewrites keyed on
+        # (template, sample plan, include_errors).  Both are filed under the
+        # connector.catalog_state() token of the execute() call that computed
+        # them, which is their whole staleness story.
+        self._fact_cache: LRUCache[tuple, Any] = LRUCache(maxsize=512)
+        self._rewrite_cache: LRUCache[tuple, PreparedRewrite] = LRUCache(maxsize=128)
         self._closed = False
         self.last_rewritten_sql: str | None = None
         self.last_plan: SamplePlan | None = None
@@ -181,11 +172,11 @@ class VerdictSession:
     def close(self, release_backend: bool = True) -> None:
         """Release backend resources (idempotent).
 
-        For the builtin engine this shuts down the ``parallel_scan`` worker
-        pool and the ``parallel_exec`` shard pool — including unlinking every
-        shared-memory column segment the shard pool published; the engine
-        object itself stays usable by other sessions (a later query simply
-        recreates the pools and republishes columns on demand).
+        For the builtin engine this shuts down the ``parallel_exec`` shard
+        pool — including unlinking every shared-memory column segment it
+        published; the engine object itself stays usable by other sessions
+        (a later query simply recreates the pool and republishes columns on
+        demand).
 
         ``release_backend=False`` closes only the session (its caches and
         cursors become unusable) while leaving the backend's worker pools
@@ -214,14 +205,12 @@ class VerdictSession:
         """Load a base table into the underlying database (ETL stand-in)."""
         self._check_open()
         self.connector.load_table(name, columns)
-        self._invalidate_caches()
 
     def create_sample(self, table: str, spec: SampleSpec) -> SampleInfo:
         """Create one sample table for ``table``."""
         self._check_open()
         with self.connector.session_lock:
             info = self.sample_builder.create_sample(table, spec)
-        self._invalidate_caches()
         return info
 
     def create_samples(
@@ -238,7 +227,6 @@ class VerdictSession:
             policy_config.default_ratio = ratio
         with self.connector.session_lock:
             infos = self.sample_builder.create_samples(table, specs, policy_config)
-        self._invalidate_caches()
         return infos
 
     def drop_samples(self, table: str) -> None:
@@ -246,7 +234,6 @@ class VerdictSession:
         self._check_open()
         with self.connector.session_lock:
             self.sample_builder.drop_samples_for(table)
-        self._invalidate_caches()
 
     def samples(self, table: str | None = None) -> list[SampleInfo]:
         """List the samples known to the metadata store."""
@@ -260,7 +247,6 @@ class VerdictSession:
         self._check_open()
         with self.connector.session_lock:
             inserted = self.sample_maintainer.append(table, columns)
-        self._invalidate_caches()
         return inserted
 
     # -- online stage: query processing -----------------------------------------------
@@ -324,7 +310,10 @@ class VerdictSession:
                 deadline.arm(options.timeout_seconds)
         template = query if isinstance(query, PreparedTemplate) else self.prepare(query)
         bound = template.bind(params)
-        self._sync_with_backend()
+        # The one staleness rule: every backend-derived value this call reads
+        # or caches is looked up and filed under the version observed here,
+        # *before* any of it is computed.
+        token = self.connector.catalog_state()
 
         statement = template.statement
         if not isinstance(statement, ast.SelectStatement):
@@ -346,7 +335,7 @@ class VerdictSession:
                 parallel=options.parallel,
             )
 
-        plan = self._plan(analysis, sample_hint=options.sample_hint)
+        plan = self._plan(analysis, token, sample_hint=options.sample_hint)
         if plan is None:
             reason = "no feasible sample plan within the I/O budget"
             if options.sample_hint is not None:
@@ -364,6 +353,7 @@ class VerdictSession:
                 analysis,
                 plan,
                 options.include_errors,
+                token,
                 query_text=template.text,
                 params=bound,
                 confidence=confidence,
@@ -492,50 +482,13 @@ class VerdictSession:
             params, deadline, parallel=options.parallel,
         )
 
-    def _sync_with_backend(self) -> None:
-        """Drop derived caches when another session changed the backend.
-
-        The builtin engine reports a (schema version, data version) pair that
-        moves on every DDL/DML — including zone-map-affecting appends — from
-        *any* session sharing it.  When it moved since our last look, every
-        cache derived from backend state (row counts, cardinalities, sample
-        metadata, prepared rewrites) is stale and dropped; the engine's own
-        plan cache re-validates against the catalog version itself.
-        """
-        state = self.connector.catalog_state()
-        if state is None:
-            return
-        with self._invalidation_lock:
-            if state != self._backend_state:
-                self._backend_state = state
-                self._invalidate_volatile()
-
-    def _invalidate_volatile(self) -> None:
-        self._invalidation_epoch += 1
-        self._cardinality_cache.clear()
-        self._row_count_cache.clear()
-        self._samples_cache = None
-        self._rewrite_cache.clear()
-
-    def _invalidate_caches(self) -> None:
-        with self._invalidation_lock:
-            self._invalidate_volatile()
-            self._backend_state = self.connector.catalog_state()
-
-    def _cached_samples_for(self, table: str) -> list[SampleInfo]:
-        """Sample metadata, cached per session (re-read after any DDL/append)."""
-        samples = self._samples_cache
-        if samples is None:
-            epoch = self._invalidation_epoch
-            samples = self.metadata.all_samples()
-            with self._invalidation_lock:
-                # Only cache if no invalidation happened during the read —
-                # a pre-invalidation list written back afterwards would
-                # otherwise survive until the next unrelated DDL/DML.
-                if epoch == self._invalidation_epoch:
-                    self._samples_cache = samples
-        lowered = table.lower()
-        return [info for info in samples if info.original_table.lower() == lowered]
+    def _fact(self, key: tuple, token: object, read: Callable[[], Any]) -> Any:
+        """One backend-derived fact, read at most once per backend version."""
+        value = self._fact_cache.get(key, token)
+        if value is None:
+            value = read()
+            self._fact_cache.put(key, value, token)
+        return value
 
     def _exact_result(self, result: ResultSet, started: float) -> ApproximateResult:
         return ApproximateResult(
@@ -561,51 +514,34 @@ class VerdictSession:
         answer.plan_description = f"exact execution ({reason})"
         return answer
 
-    def _row_count(self, table: str) -> int:
-        key = table.lower()
-        value = self._row_count_cache.get(key)
-        if value is None:
-            epoch = self._invalidation_epoch
-            value = self.connector.row_count(table)
-            with self._invalidation_lock:
-                if epoch == self._invalidation_epoch:
-                    self._row_count_cache[key] = value
-        return value
-
-    def _cardinality(self, table: str, column: str) -> int:
-        key = (table.lower(), column.lower())
-        value = self._cardinality_cache.get(key)
-        if value is None:
-            epoch = self._invalidation_epoch
-            value = self.connector.column_cardinality(table, column)
-            with self._invalidation_lock:
-                if epoch == self._invalidation_epoch:
-                    self._cardinality_cache[key] = value
-        return value
-
     def _plan(
-        self, analysis: QueryAnalysis, sample_hint: str | None = None
+        self, analysis: QueryAnalysis, token: object, sample_hint: str | None = None
     ) -> SamplePlan | None:
+        samples = self._fact(("samples",), token, self.metadata.all_samples)
         samples_by_table: dict[str, list[SampleInfo]] = {}
         table_rows: dict[str, int] = {}
         for table in analysis.base_tables:
             key = table.name.lower()
             if key in samples_by_table:
                 continue
-            candidates = self._cached_samples_for(table.name)
+            candidates = [
+                info for info in samples if info.original_table.lower() == key
+            ]
             if sample_hint is not None:
                 hinted = sample_hint.lower()
                 candidates = [
                     info for info in candidates if info.sample_table.lower() == hinted
                 ]
             samples_by_table[key] = candidates
-            table_rows[key] = self._row_count(table.name)
-        expected_groups = self._estimate_groups(analysis)
+            table_rows[key] = self._fact(
+                ("rows", key), token, partial(self.connector.row_count, table.name)
+            )
+        expected_groups = self._estimate_groups(analysis, token)
         plan = self.planner.planner.plan(analysis, samples_by_table, table_rows, expected_groups)
         self.last_plan = plan
         return plan
 
-    def _estimate_groups(self, analysis: QueryAnalysis) -> int | None:
+    def _estimate_groups(self, analysis: QueryAnalysis, token: object) -> int | None:
         """Estimate the number of output groups from column cardinalities.
 
         For nested aggregate queries the *derived table's* grouping columns
@@ -637,7 +573,12 @@ class VerdictSession:
             if owner is None:
                 continue
             try:
-                estimate *= max(1, self._cardinality(owner, expr.name))
+                cardinality = self._fact(
+                    ("cardinality", owner.lower(), expr.name.lower()),
+                    token,
+                    partial(self.connector.column_cardinality, owner, expr.name),
+                )
+                estimate *= max(1, cardinality)
             except (ReproError, KeyError):  # pragma: no cover - defensive: missing column
                 # Cardinality is a best-effort planning hint; a backend
                 # failure or a dropped column degrades to the neutral
@@ -653,6 +594,7 @@ class VerdictSession:
         analysis: QueryAnalysis,
         plan: SamplePlan,
         include_errors: bool | None,
+        token: object,
         query_text: str | None = None,
         params: dict | None = None,
         confidence: float | None = None,
@@ -661,7 +603,9 @@ class VerdictSession:
     ) -> ApproximateResult:
         include_errors = self.include_errors if include_errors is None else include_errors
         confidence = self.confidence if confidence is None else confidence
-        prepared = self._prepare_rewrite(statement, analysis, plan, include_errors, query_text)
+        prepared = self._prepare_rewrite(
+            statement, analysis, plan, include_errors, query_text, token
+        )
         if prepared is None:
             result = self.connector.execute(
                 statement, params, deadline=deadline, parallel=parallel
@@ -740,6 +684,7 @@ class VerdictSession:
         plan: SamplePlan,
         include_errors: bool,
         query_text: str | None,
+        token: object,
     ) -> PreparedRewrite | None:
         """Decompose and rewrite a query, reusing the per-plan rewrite cache.
 
@@ -750,7 +695,7 @@ class VerdictSession:
         key: tuple | None = None
         if query_text is not None:
             key = (query_text, plan_signature(plan), include_errors)
-            cached = self._rewrite_cache.get(key)
+            cached = self._rewrite_cache.get(key, token)
             if cached is not None:
                 self.connector.record_stat("rewrite_cache_hits")
                 return cached
@@ -790,7 +735,7 @@ class VerdictSession:
             prepared.rewritten_sql_parts.append(prepared.extreme_sql)
 
         if key is not None:
-            self._rewrite_cache.put(key, prepared)
+            self._rewrite_cache.put(key, prepared, token)
         return prepared
 
     def _decompose(

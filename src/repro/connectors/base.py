@@ -38,6 +38,9 @@ class Connector(abc.ABC):
         # Created eagerly: a lazily created lock could hand two racing
         # threads two different lock objects on first contended use.
         self._session_lock = threading.RLock()
+        # Statements forwarded so far that returned no result columns, i.e.
+        # DDL/DML: the default ``catalog_state()`` version token.
+        self._writes = 0
 
     # -- statement execution ---------------------------------------------------
 
@@ -80,7 +83,13 @@ class Connector(abc.ABC):
         if deadline is not None:
             deadline.check()
         self.queries_issued.append(sql)
-        return self.execute_sql(sql, params, deadline=deadline, parallel=parallel)
+        result = self.execute_sql(sql, params, deadline=deadline, parallel=parallel)
+        if not result.column_names:
+            # Counted only once the write has landed: a concurrent reader may
+            # file a post-write value under the old token (harmless, it is
+            # recomputed), never a pre-write value under the new one.
+            self._writes += 1
+        return result
 
     def health(self) -> HealthReport:
         """Cheap liveness/degradation report for this backend.
@@ -118,15 +127,19 @@ class Connector(abc.ABC):
         """
         return nullcontext()
 
-    def catalog_state(self) -> object | None:
-        """Opaque version token of the backend's schema + data, or None.
+    def catalog_state(self) -> object:
+        """Opaque version token of the backend's schema + data.
 
-        Sessions compare successive tokens to notice that *another* session
-        changed the backend (new samples, DML) and drop their derived caches.
-        ``None`` means the backend cannot report one; sessions then rely on
-        their own explicit invalidation only.
+        Sessions file everything they derive from backend state (row counts,
+        cardinalities, the sample list, prepared rewrites) under the token
+        read before computing it, and look it up with the current token — so
+        any change, from any session, makes the old entries unreachable.
+        Default: the number of DDL/DML statements (and ``load_table`` calls)
+        this connector forwarded, which is exact for a backend reached only
+        through this connector; connectors whose backend reports its own
+        version (the builtin engine) override this.
         """
-        return None
+        return self._writes
 
     def record_stat(self, key: str) -> None:
         """Record one observability event on the backend's stats, if any."""

@@ -156,6 +156,7 @@ class SqliteConnector(Connector):
             f'INSERT INTO "{name}" VALUES ({placeholders})', list(rows)
         )
         self._connection.commit()
+        self._writes += 1  # bypasses execute(); see Connector.catalog_state
 
     def close(self) -> None:
         self._connection.close()

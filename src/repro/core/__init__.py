@@ -1,4 +1,4 @@
-"""The VerdictDB middleware: planner, rewriter, answer rewriter and context."""
+"""The VerdictDB middleware: planner, rewriter and answer rewriter."""
 
 from repro.core.answer import ApproximateResult, merge_by_group
 from repro.core.flattener import flatten
@@ -6,18 +6,6 @@ from repro.core.hac import AccuracyContract
 from repro.core.query_info import QueryAnalysis, analyze
 from repro.core.rewriter import AqpRewriter, RewriteOutput
 from repro.core.sample_planner import PlannerConfig, SamplePlan, SamplePlanner
-
-
-def __getattr__(name):
-    # VerdictContext is imported lazily (PEP 562): its module subclasses the
-    # session layer in repro.api, which itself imports repro.core submodules —
-    # an eager import here would close an import cycle.
-    if name == "VerdictContext":
-        from repro.core.verdict import VerdictContext
-
-        return VerdictContext
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AccuracyContract",
@@ -28,7 +16,6 @@ __all__ = [
     "RewriteOutput",
     "SamplePlan",
     "SamplePlanner",
-    "VerdictContext",
     "analyze",
     "flatten",
     "merge_by_group",

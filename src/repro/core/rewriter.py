@@ -28,7 +28,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from repro.cache import LRUCache
 from repro.core.query_info import QueryAnalysis
 from repro.core.sample_planner import SamplePlan
 from repro.errors import RewriteError
@@ -101,9 +100,8 @@ def plan_signature(plan: SamplePlan) -> tuple:
 
     Two plans that assign the same sample table (or lack of one) to every
     base table produce the same rewritten SQL, so the assignment map is the
-    whole identity.  Sample *metadata* changes (ratios after an append) go
-    through :meth:`VerdictContext._invalidate_caches`, which drops the cache
-    outright.
+    whole identity.  Sample *metadata* changes (ratios after an append) move
+    the backend version token the cached rewrite is filed under.
     """
     return tuple(
         sorted(
@@ -111,15 +109,6 @@ def plan_signature(plan: SamplePlan) -> tuple:
             for table, info in plan.assignments.items()
         )
     )
-
-
-class RewriteCache(LRUCache):
-    """An LRU cache of :class:`PreparedRewrite` objects.
-
-    Keys are ``(query text, plan signature, include_errors)``.  The context
-    clears it whenever samples are created, dropped or appended to — the
-    events that can change which rewrite a query receives.
-    """
 
 
 class AqpRewriter:

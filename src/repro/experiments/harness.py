@@ -14,11 +14,11 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.api.session import VerdictSession
 from repro.connectors.builtin import BuiltinConnector
 from repro.connectors.dialects import Dialect, GENERIC, IMPALA_LIKE, REDSHIFT_LIKE, SPARKSQL_LIKE
 from repro.core.answer import ApproximateResult
 from repro.core.sample_planner import PlannerConfig
-from repro.core.verdict import VerdictContext
 from repro.sampling.params import SampleSpec
 from repro.sqlengine.engine import Database
 from repro.sqlengine.formatting import format_table
@@ -46,9 +46,9 @@ ENGINE_OVERHEAD_SECONDS: dict[str, float] = {
 
 @dataclass
 class Workbench:
-    """A loaded dataset plus a VerdictDB context attached to it."""
+    """A loaded dataset plus a VerdictDB session attached to it."""
 
-    verdict: VerdictContext
+    verdict: VerdictSession
     dataset_rows: dict[str, int]
     name: str
 
@@ -131,7 +131,7 @@ def _build_workbench(
         dialect=dialect,
         fixed_overhead_seconds=ENGINE_OVERHEAD_SECONDS.get(engine, 0.0),
     )
-    verdict = VerdictContext(connector=connector, planner_config=default_planner_config())
+    verdict = VerdictSession(connector=connector, planner_config=default_planner_config())
     dataset_rows: dict[str, int] = {}
     for table_name, columns in tables.items():
         verdict.load_table(table_name, columns)

@@ -1,40 +1,20 @@
 """One typed health/stats surface for every layer of the serving stack.
 
-Historically each layer reported health its own way: ``Database.health()``
-returned a flat dict, ``VerdictConnection.health_check()`` forwarded whatever
-the connector produced, and ``Database.stats`` was a third, bare counter
-dict.  :class:`HealthReport` unifies them: every health entry point —
-``Database.health()``, ``connection.health_check()``,
-``ConnectionPool.health()`` and ``VerdictServer.health()`` — now returns one
-frozen dataclass with typed *sections* (engine, circuit breaker, connection
-pool, server) plus the raw ``stats`` counters.
-
-Backward compatibility (for one release): the report also supports
-dict-style access with the **legacy flat keys** — ``report["circuit"]`` is
-still the circuit state *string*, ``report["pool_workers_alive"]`` still
-reaches into the engine section — so existing monitoring code and tests keep
-working while new code reads the typed sections.
+Every health entry point — ``Database.health()``,
+``connection.health_check()``, ``ConnectionPool.health()`` and
+``VerdictServer.health()`` — returns one frozen :class:`HealthReport` with
+typed *sections* (engine, circuit breaker, connection pool, server) plus the
+raw ``stats`` counters; :meth:`HealthReport.as_sections` is its wire form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping
 from typing import Any, cast
-
-#: Flat legacy keys that live in the ``engine`` section.
-_ENGINE_KEYS = (
-    "exec_workers",
-    "scan_workers",
-    "pool_workers_alive",
-    "pool_broken",
-    "published_tables",
-    "live_segments",
-)
 
 
 @dataclass(frozen=True)
-class HealthReport(Mapping[str, Any]):
+class HealthReport:
     """Typed liveness/degradation snapshot of one serving-stack layer.
 
     Attributes:
@@ -96,37 +76,3 @@ class HealthReport(Mapping[str, Any]):
             "server": None if self.server is None else dict(self.server),
             "stats": dict(self.stats),
         }
-
-    def as_dict(self) -> dict[str, Any]:
-        """The legacy flat-dict shape (what ``Database.health()`` used to return)."""
-        flat: dict[str, Any] = {"status": self.status}
-        if self.backend is not None:
-            flat["backend"] = self.backend
-        if self.circuit:
-            flat["circuit"] = self.circuit.get("state")
-            flat["consecutive_dispatch_failures"] = self.circuit.get(
-                "consecutive_failures"
-            )
-        flat.update(self.engine)
-        if self.pool is not None:
-            flat["pool"] = dict(self.pool)
-        if self.server is not None:
-            flat["server"] = dict(self.server)
-        flat["stats"] = dict(self.stats)
-        return flat
-
-    # -- legacy dict-style access -------------------------------------------------
-    #
-    # ``Mapping`` over the flat legacy schema: ``report["circuit"]`` returns
-    # the state string exactly as the old dicts did.  Kept for one release;
-    # new code should read the typed sections.
-
-    def __getitem__(self, key: str) -> Any:
-        flat = self.as_dict()
-        return flat[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.as_dict())
-
-    def __len__(self) -> int:
-        return len(self.as_dict())

@@ -32,7 +32,9 @@ class SampleMaintainer:
     ) -> None:
         self._connector = connector
         self._metadata = metadata
-        self._rng = rng if rng is not None else np.random.default_rng()
+        # Fixed seed by default (as SampleBuilder does): one seed, one data
+        # set and one sequence of appends must give one set of sample tables.
+        self._rng = rng if rng is not None else np.random.default_rng(0)
 
     def append(self, table: str, columns: Mapping[str, Sequence]) -> dict[str, int]:
         """Append a batch to ``table`` and update its samples.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -28,6 +27,9 @@ from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.rwlock import ReadWriteLock
 from repro.sqlengine.table import Table
 
+
+#: Capacity of the statement cache and of the plan cache (entries each).
+STATEMENT_CACHE_SIZE = 256
 
 _EMPTY_TYPES = {
     "int": np.int64,
@@ -56,17 +58,8 @@ class Database:
             statement and plan caches.  ``optimize=False`` is the naive A/B
             escape hatch: every call re-parses and executes without any
             planner advice, producing identical results.
-        statement_cache_size: maximum number of parsed statements (and their
-            plans) kept in the LRU caches.
         chunk_rows: storage chunk size (rows per chunk / zone map) for tables
             created through this engine; None uses the storage default.
-        parallel_scan: chunk-parallel scan evaluation.  ``True`` uses one
-            worker per CPU core, an integer sets the worker count explicitly,
-            and ``None``/``False``/``1`` keep scans sequential.  Pushed-down
-            predicates are then evaluated per storage chunk on a thread pool
-            (numpy releases the GIL for the bulk of the comparison work) and
-            the surviving rows reassembled in chunk order — bit-identical to
-            the sequential scan.
         parallel_exec: process-sharded aggregation.  ``True`` uses one worker
             process per CPU core, ``N >= 2`` sets the count explicitly, and
             ``None``/``False``/``0`` disable sharding.  ``1`` is the
@@ -81,14 +74,12 @@ class Database:
             Everything ineligible falls back to the serial path; see
             ``stats['parallel_exec_dispatches'/'parallel_exec_fallbacks'/
             'shard_publications']``.  ``close()`` (or context-manager exit)
-            stops the workers and unlinks every segment.
-        parallel_exec_min_shard_rows: process-mode dispatch admission floor —
+            stops the workers and unlinks every segment.  In process mode
             a query whose (pruned) input cannot fill at least two shards of
-            this many rows runs serially instead of dispatching at a loss.
-            ``None`` uses the default
-            (:data:`repro.sqlengine.executor.DEFAULT_MIN_SHARD_ROWS`); ``0``
-            disables the gate.  The in-thread ``parallel_exec=1`` mode
-            ignores it (that mode exists to exercise the merge algebra on
+            :attr:`min_shard_rows` rows
+            (:data:`repro.sqlengine.executor.DEFAULT_MIN_SHARD_ROWS`) runs
+            serially instead of dispatching at a loss; the in-thread mode
+            ignores that floor (it exists to exercise the merge algebra on
             small fixtures).
         fault_injection: optional failpoint configuration — a mapping of
             site name to :class:`repro.faults.FaultSpec` (or spec dict), or
@@ -96,35 +87,27 @@ class Database:
             production (None); the chaos suite uses it to inject worker
             deaths, segment loss, connector failures, slow scans and
             timeouts deterministically.
-        circuit_threshold: consecutive shard-dispatch failures before the
-            circuit breaker opens and queries take the serial path without
-            any dispatch overhead.
-        circuit_cooldown: seconds the circuit stays open before a single
-            half-open probe is allowed through.
+
+    Fixed, not configurable: the statement and plan caches hold
+    :data:`STATEMENT_CACHE_SIZE` entries each, and :attr:`circuit` (the
+    shard-dispatch circuit breaker) uses the defaults of
+    :class:`~repro.sqlengine.shardpool.CircuitBreaker` — open after three
+    consecutive failures, one half-open probe after five seconds.  Tests that
+    need other values assign ``min_shard_rows`` / ``circuit.threshold`` /
+    ``circuit.cooldown`` on the instance.
     """
 
     def __init__(
         self,
         seed: int | None = None,
         optimize: bool = True,
-        statement_cache_size: int = 256,
         chunk_rows: int | None = None,
-        parallel_scan: int | bool | None = None,
         parallel_exec: int | bool | None = None,
-        parallel_exec_min_shard_rows: int | None = None,
         fault_injection=None,
-        circuit_threshold: int = 3,
-        circuit_cooldown: float = 5.0,
     ) -> None:
         self.catalog = Catalog(chunk_rows=chunk_rows)
         self._rng = np.random.default_rng(seed)
         self.optimize = optimize
-        if parallel_scan is True:
-            self.scan_workers = os.cpu_count() or 1
-        elif parallel_scan in (None, False):
-            self.scan_workers = 1
-        else:
-            self.scan_workers = max(1, int(parallel_scan))
         if parallel_exec is True:
             self.exec_workers = os.cpu_count() or 1
         elif parallel_exec in (None, False):
@@ -133,26 +116,20 @@ class Database:
             self.exec_workers = max(0, int(parallel_exec))
         if self.exec_workers >= 2 and not shardpool.shared_memory_available():
             self.exec_workers = 1  # pragma: no cover - platform fallback
-        self.min_shard_rows = (
-            DEFAULT_MIN_SHARD_ROWS
-            if parallel_exec_min_shard_rows is None
-            else max(0, int(parallel_exec_min_shard_rows))
-        )
-        self._scan_pool: ThreadPoolExecutor | None = None
+        # Process-mode dispatch admission floor (rows per shard); 0 disables.
+        self.min_shard_rows = DEFAULT_MIN_SHARD_ROWS
         self._shard_pool: shardpool.ShardPool | None = None
         self._pool_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         # Fast-path observability: which round-4 paths ran (zone-map
-        # aggregate answering, sorted-merge joins, chunk-parallel scans) and
-        # how often the statement/plan caches hit.  The session layer
-        # additionally mirrors its rewrite-cache hits here (see
-        # ``Connector.record_stat``), so one dict answers "did this query
-        # re-parse / re-plan / re-rewrite?".  Consumed by tests and
-        # benchmarks; purely informational.
+        # aggregate answering, sorted-merge joins) and how often the
+        # statement/plan caches hit.  The session layer additionally mirrors
+        # its rewrite-cache hits here (see ``Connector.record_stat``), so one
+        # dict answers "did this query re-parse / re-plan / re-rewrite?".
+        # Consumed by tests and benchmarks; purely informational.
         self.stats: dict[str, int] = {
             "zone_map_aggregates": 0,
             "merge_joins": 0,
-            "parallel_scans": 0,
             "parallel_exec_dispatches": 0,
             "parallel_exec_fallbacks": 0,
             "shard_publications": 0,
@@ -183,9 +160,7 @@ class Database:
         # dispatch circuit breaker shared by every executor of this engine.
         self.fault_injector = as_injector(fault_injection, seed=seed or 0)
         self.circuit = shardpool.CircuitBreaker(
-            threshold=circuit_threshold,
-            cooldown=circuit_cooldown,
-            on_transition=self._record_circuit_transition,
+            on_transition=self._record_circuit_transition
         )
         # Reader/writer lock: SELECTs take the shared side (and still run in
         # parallel with each other), catalog-mutating statements take the
@@ -206,12 +181,13 @@ class Database:
         # SQL text -> parsed statement.  Parsing is pure syntax, so entries
         # never go stale; the LRU bound caps memory under ad-hoc traffic.
         self._statement_cache: LRUCache[str, ast.Statement] = LRUCache(
-            maxsize=statement_cache_size
+            maxsize=STATEMENT_CACHE_SIZE
         )
-        # SQL text -> (catalog schema version, plan).  Plans bake in column
-        # sets, so any CREATE/DROP/register invalidates them via the version.
-        self._plan_cache: LRUCache[str, tuple[int, SelectPlan]] = LRUCache(
-            maxsize=statement_cache_size
+        # SQL text -> plan, filed under the catalog schema version it was
+        # planned against: plans bake in column sets, so any
+        # CREATE/DROP/register makes them unreachable.
+        self._plan_cache: LRUCache[str, SelectPlan] = LRUCache(
+            maxsize=STATEMENT_CACHE_SIZE
         )
 
     # -- programmatic data loading --------------------------------------------
@@ -322,9 +298,6 @@ class Database:
             self.catalog,
             self._rng,
             optimize=self.optimize,
-            stats=self.stats,
-            scan_workers=self.scan_workers,
-            scan_pool=self._scan_pool_factory,
             params=params,
             count=self.bump_stat,
             exec_workers=0 if parallel is False else self.exec_workers,
@@ -335,30 +308,14 @@ class Database:
             min_shard_rows=self.min_shard_rows,
         )
 
-    def _scan_pool_factory(self) -> ThreadPoolExecutor | None:
-        """Lazily create the shared chunk-scan thread pool.
-
-        Guarded by a lock: concurrent sessions may fire their first
-        chunk-parallel scans simultaneously, and double-creating the pool
-        would orphan one executor's worker threads.
-        """
-        if self.scan_workers <= 1:
-            return None
-        with self._pool_lock:
-            if self._scan_pool is None:
-                self._scan_pool = ThreadPoolExecutor(
-                    max_workers=self.scan_workers, thread_name_prefix="repro-scan"
-                )
-            return self._scan_pool
-
     def _shard_pool_factory(self) -> shardpool.ShardPool | None:
         """Lazily create (or recreate) the shared-memory shard pool.
 
-        Mirrors the scan-pool factory: lock-guarded so two sessions firing
-        their first eligible queries simultaneously cannot double-spawn the
-        workers.  A pool marked broken (a worker died or a pipe failed) is
-        closed and replaced on the next dispatch, so one bad query does not
-        disable sharding for the rest of the process.
+        Lock-guarded so two sessions firing their first eligible queries
+        simultaneously cannot double-spawn the workers.  A pool marked broken
+        (a worker died or a pipe failed) is closed and replaced on the next
+        dispatch, so one bad query does not disable sharding for the rest of
+        the process.
         """
         if self.exec_workers < 2:
             return None
@@ -373,20 +330,16 @@ class Database:
             return self._shard_pool
 
     def close(self) -> None:
-        """Release worker threads, worker processes and shared memory.
+        """Release worker processes and shared memory.
 
-        Long-running processes that create many ``parallel_scan`` /
-        ``parallel_exec`` engines should close each one (or use the engine as
-        a context manager); queries issued afterwards simply recreate the
-        pools on demand.  A query in flight on another session when a pool
-        shuts down falls back to the (bit-identical) sequential path.
-        Idempotent; closing unlinks every shared-memory segment this engine
-        published.
+        Long-running processes that create many ``parallel_exec`` engines
+        should close each one (or use the engine as a context manager);
+        queries issued afterwards simply recreate the pool on demand.  A
+        query in flight on another session when the pool shuts down falls
+        back to the (bit-identical) sequential path.  Idempotent; closing
+        unlinks every shared-memory segment this engine published.
         """
         with self._pool_lock:
-            if self._scan_pool is not None:
-                self._scan_pool.shutdown(wait=True)
-                self._scan_pool = None
             if self._shard_pool is not None:
                 self._shard_pool.close()
                 self._shard_pool = None
@@ -429,8 +382,7 @@ class Database:
         layer's ``VerdictConnection.health_check()``.  ``status`` is
         ``"degraded"`` while the dispatch circuit is open (queries still
         answer correctly, via the serial path) and ``"ok"`` otherwise.
-        Returns a typed :class:`~repro.health.HealthReport`; the legacy flat
-        dict keys keep working through its mapping interface.
+        Returns a typed :class:`~repro.health.HealthReport`.
         """
         circuit_state = self.circuit.state
         with self._pool_lock:
@@ -445,7 +397,6 @@ class Database:
             backend=type(self).__name__,
             engine={
                 "exec_workers": self.exec_workers,
-                "scan_workers": self.scan_workers,
                 "pool_workers_alive": workers_alive,
                 "pool_broken": pool_broken,
                 "published_tables": published,
@@ -469,20 +420,20 @@ class Database:
         return statement
 
     def _cached_plan(self, sql: str, statement: ast.SelectStatement) -> SelectPlan:
-        entry = self._plan_cache.get(sql)
-        if entry is not None and entry[0] == self.catalog.version:
+        plan = self._plan_cache.get(sql, self.catalog.version)
+        if plan is not None:
             self.bump_stat("plan_cache_hits")
-            return entry[1]
+            return plan
         self.bump_stat("plan_cache_misses")
-        # Plan under the shared lock, and key the cache entry with the
-        # version observed inside it: a concurrent DDL/DML cannot mutate the
-        # catalog mid-walk, and a plan can never be stored under a version
-        # bumped after it was computed (which would make a stale plan pass
-        # the freshness check forever).
+        # Plan under the shared lock, and file the plan under the version
+        # observed inside it: a concurrent DDL/DML cannot mutate the catalog
+        # mid-walk, and a plan can never be stored under a version bumped
+        # after it was computed (which would make a stale plan pass the
+        # freshness check forever).
         with self._statement_lock.reading():
             version = self.catalog.version
             plan = plan_select(statement, self.catalog)
-        self._plan_cache.put(sql, (version, plan))
+        self._plan_cache.put(sql, plan, version)
         return plan
 
     # -- DDL / DML --------------------------------------------------------------

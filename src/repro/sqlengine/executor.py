@@ -50,7 +50,7 @@ from repro.sqlengine.zonemaps import (
 # Default process-mode dispatch admission threshold: below this many rows per
 # shard, fork/pipe/merge overhead exceeds the per-shard work and dispatching
 # loses to the serial path outright (the honestly-recorded 0.74x on 2-core
-# boxes).  ``Database(parallel_exec_min_shard_rows=0)`` disables the gate.
+# boxes).  Setting ``Database.min_shard_rows = 0`` disables the gate.
 DEFAULT_MIN_SHARD_ROWS = 2048
 
 # A join's build side is re-materialized (whole) per shard; past this many
@@ -137,9 +137,6 @@ class Executor:
         catalog: Catalog,
         rng: np.random.Generator,
         optimize: bool = True,
-        stats: dict[str, int] | None = None,
-        scan_workers: int = 1,
-        scan_pool: Callable[[], object] | None = None,
         params: object | None = None,
         count: Callable[[str], None] | None = None,
         exec_workers: int = 0,
@@ -152,16 +149,11 @@ class Executor:
         self._catalog = catalog
         self._rng = rng
         self._optimize = optimize
-        # Round-4 observability: the owning Database passes a counter dict so
-        # tests and benchmarks can assert which fast path actually ran, and a
-        # lock-guarded incrementer (its ``bump_stat``) so concurrent SELECTs
-        # over one shared engine never lose increments.
-        self._stats = stats
+        # Round-4 observability: the owning Database passes its lock-guarded
+        # incrementer (``bump_stat``) so tests and benchmarks can assert
+        # which fast path actually ran and concurrent SELECTs over one shared
+        # engine never lose increments.
         self._count_stat = count
-        # Chunk-parallel scan configuration (``Database(parallel_scan=...)``):
-        # worker count and a lazy thread-pool factory.
-        self._scan_workers = scan_workers
-        self._scan_pool = scan_pool
         # Process-sharded aggregation (``Database(parallel_exec=...)``):
         # 1 = in-thread sharded mode (exercises the partial-aggregation merge
         # with no processes), >= 2 = dispatch to the shared-memory worker
@@ -203,8 +195,6 @@ class Executor:
     def _count(self, key: str) -> None:
         if self._count_stat is not None:
             self._count_stat(key)
-        elif self._stats is not None:
-            self._stats[key] = self._stats.get(key, 0) + 1
 
     # -- entry points --------------------------------------------------------
 
@@ -965,18 +955,6 @@ class Executor:
             surviving = None
             if self._optimize and scan is not None and scan.zone_predicates:
                 surviving = table.prune_chunks(scan.zone_predicates)
-            if (
-                self._optimize
-                and self._scan_workers > 1
-                and scan is not None
-                and scan.predicates
-            ):
-                frame = self._parallel_scan_frame(
-                    table, relation.binding_name, wanted, surviving, scan
-                )
-                if frame is not None:
-                    return frame  # scan predicates already applied per chunk
-
             # Row indices covered by the surviving chunks, built only if an
             # object column's dictionary codes are actually resolved (an
             # all-numeric pruned scan never pays the O(selected rows) array).
@@ -1043,109 +1021,6 @@ class Executor:
         if isinstance(relation, ast.Join):
             return self._build_join(relation, plan, joins)
         raise ExecutionError(f"unsupported relation type {type(relation).__name__}")
-
-    def _parallel_scan_frame(
-        self,
-        table: Table,
-        binding: str,
-        wanted: set[str] | None,
-        surviving: np.ndarray | None,
-        scan,
-    ) -> Frame | None:
-        """Evaluate a scan's pushed-down predicates chunk-parallel, or None.
-
-        Each zone-map-surviving chunk is filtered independently on a worker
-        thread (numpy releases the GIL for the bulk of the comparison work)
-        and the surviving rows are reassembled in chunk order, so the frame
-        is bit-identical to the sequential gather-then-filter path: pushed
-        conjuncts are deterministic, scalar-subquery-free and row-local by
-        the planner's pushdown rules, making per-chunk evaluation exact.
-        Object columns reuse the table-level dictionary (resolved once, on
-        the calling thread) so coded comparisons stay coded per chunk.
-        """
-        if table.num_rows == 0:
-            return None
-        chunk_ids = (
-            surviving
-            if surviving is not None
-            else np.arange(table.num_chunks, dtype=np.int64)
-        )
-        if len(chunk_ids) < 2 or self._scan_pool is None:
-            return None
-        names = [
-            name
-            for name in table.column_names
-            if wanted is None or name.lower() in wanted
-        ]
-        if not names:
-            return None
-        predicate = ast.conjunction(scan.predicates)
-        if not _row_local(predicate):
-            return None
-        pool = self._scan_pool()
-        if pool is None:
-            return None
-        column_chunks = {name: table.column_chunks(name) for name in names}
-        encodings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for name in names:
-            if column_chunks[name][0].dtype == object:
-                encoded = table.dictionary_codes(name)
-                if encoded is not None:
-                    encodings[name] = encoded
-        size = table.chunk_rows
-
-        deadline = self._deadline
-
-        def filter_chunk(chunk_id: int) -> np.ndarray:
-            if deadline is not None:
-                deadline.check()  # per-chunk checkpoint (runs on pool threads)
-            chunk_id = int(chunk_id)
-            start = chunk_id * size
-            chunk_frame = Frame()
-            for name in names:
-                chunk = column_chunks[name][chunk_id]
-                codes = None
-                encoded = encodings.get(name)
-                if encoded is not None:
-                    codes = LazyCodes.presolved(
-                        encoded[0][start : start + len(chunk)], encoded[1]
-                    )
-                chunk_frame.add_column(binding, name, chunk, codes=codes)
-            context = self._context(chunk_frame.num_rows)
-            mask = evaluate(predicate, chunk_frame, context)
-            return np.flatnonzero(np.asarray(mask, dtype=bool))
-
-        try:
-            local_indices = list(pool.map(filter_chunk, chunk_ids))
-        except RuntimeError:
-            # The pool was shut down concurrently (another session closed the
-            # shared engine between our factory call and the submit).  The
-            # caller's sequential path computes the identical frame.
-            return None
-        frame = Frame()
-        selected = [
-            int(chunk_id) * size + local
-            for chunk_id, local in zip(chunk_ids, local_indices)
-            if len(local)
-        ]
-        selection = (
-            np.concatenate(selected) if selected else np.zeros(0, dtype=np.int64)
-        )
-        for name in names:
-            chunks = column_chunks[name]
-            parts = [
-                chunks[int(chunk_id)][local]
-                for chunk_id, local in zip(chunk_ids, local_indices)
-                if len(local)
-            ]
-            array = np.concatenate(parts) if parts else chunks[0][:0]
-            codes = None
-            encoded = encodings.get(name)
-            if encoded is not None:
-                codes = LazyCodes.presolved(encoded[0][selection], encoded[1])
-            frame.add_column(binding, name, array, codes=codes)
-        self._count("parallel_scans")
-        return frame
 
     def _apply_scan_predicates(self, frame: Frame, scan) -> Frame:
         """Filter a scan frame with its pushed-down WHERE conjuncts."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import VerdictContext, SampleSpec
+from repro import SampleSpec, VerdictSession
 from repro.connectors import BuiltinConnector, SqliteConnector
 from repro.core.sample_planner import PlannerConfig
 from repro.sqlengine import Database
@@ -34,6 +34,18 @@ from repro.sqlengine import Database
 
 ORDERS_ROWS = 40_000
 CITIES = ["ann arbor", "detroit", "chicago", "nyc"]
+
+
+def sharded_database(min_shard_rows: int = 0, **kwargs) -> Database:
+    """A ``Database(**kwargs)`` whose process-mode admission floor is lowered.
+
+    Fixture tables are far below the production floor
+    (``DEFAULT_MIN_SHARD_ROWS``); dispatch-mechanics tests set it on the
+    instance, which is the only place it can be set.
+    """
+    database = Database(**kwargs)
+    database.min_shard_rows = min_shard_rows
+    return database
 
 
 def pytest_configure(config):
@@ -88,9 +100,9 @@ def database(orders_columns) -> Database:
 
 
 @pytest.fixture(scope="session")
-def verdict(orders_columns, items_columns) -> VerdictContext:
-    """A session-scoped VerdictContext with samples prepared (read-only tests)."""
-    context = VerdictContext(
+def verdict(orders_columns, items_columns) -> VerdictSession:
+    """A session-scoped VerdictSession with samples prepared (read-only tests)."""
+    context = VerdictSession(
         planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000)
     )
     context.load_table("orders", orders_columns)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ExecutionOptions, SampleSpec, VerdictContext
+from repro import ExecutionOptions, SampleSpec, VerdictSession
 from repro.api import PreparedStatement
 from repro.connectors import BuiltinConnector, SqliteConnector
 from repro.core.sample_planner import PlannerConfig
@@ -429,7 +429,7 @@ class TestElapsedAccounting:
         approximate attempt plus the exact re-run — not just the re-run."""
         overhead = 0.03
         connector = BuiltinConnector(fixed_overhead_seconds=overhead)
-        context = VerdictContext(connector=connector, planner_config=PLANNER)
+        context = VerdictSession(connector=connector, planner_config=PLANNER)
         context.load_table("orders", build_orders_columns(num_rows=20_000))
         context.create_sample("orders", SampleSpec("uniform", (), 0.05))
         result = context.sql(
@@ -441,28 +441,28 @@ class TestElapsedAccounting:
         assert result.elapsed_seconds >= 2 * overhead
 
 
-class TestLegacyShim:
-    def test_verdict_context_close_releases_parallel_scan_pool(self, orders_columns):
-        engine = Database(seed=0, parallel_scan=2)
-        context = VerdictContext(database=engine, planner_config=PLANNER)
+class TestSessionLifecycle:
+    def test_session_close_releases_the_shard_pool(self, orders_columns):
+        engine = Database(seed=0, parallel_exec=2)
+        context = VerdictSession(database=engine, planner_config=PLANNER)
         context.load_table("orders", orders_columns)
         context.execute_exact("SELECT count(*) AS c FROM orders WHERE price > 0")
-        assert engine._scan_pool is not None
+        assert engine._shard_pool is not None
         context.close()
-        assert engine._scan_pool is None
+        assert engine._shard_pool is None
         with pytest.raises(InterfaceError):
             context.sql("SELECT count(*) AS c FROM orders")
 
-    def test_verdict_context_as_context_manager(self, orders_columns):
-        engine = Database(seed=0, parallel_scan=2)
-        with VerdictContext(database=engine, planner_config=PLANNER) as context:
+    def test_session_as_context_manager(self, orders_columns):
+        engine = Database(seed=0, parallel_exec=2)
+        with VerdictSession(database=engine, planner_config=PLANNER) as context:
             context.load_table("orders", orders_columns)
             context.execute_exact("SELECT count(*) AS c FROM orders WHERE price > 0")
-            assert engine._scan_pool is not None
-        assert engine._scan_pool is None
+            assert engine._shard_pool is not None
+        assert engine._shard_pool is None
 
-    def test_legacy_sql_accepts_params(self, orders_columns):
-        context = VerdictContext(planner_config=PLANNER)
+    def test_sql_accepts_params(self, orders_columns):
+        context = VerdictSession(planner_config=PLANNER)
         context.load_table("orders", orders_columns)
         result = context.sql(
             "SELECT count(*) AS c FROM orders WHERE price > ?", params=(30.0,)
@@ -596,13 +596,6 @@ class TestConnectRedesign:
         with pytest.raises(TypeError):
             repro.connect(None, None, ExecutionOptions())  # noqa: B026
 
-    def test_verdict_context_emits_deprecation_warning(self, orders_columns):
-        with pytest.warns(DeprecationWarning, match="VerdictContext is deprecated"):
-            context = VerdictContext()
-        context.load_table("orders", orders_columns)
-        assert context.sql("SELECT count(*) AS n FROM orders").num_rows == 1
-        context.close()
-
     def test_verdict_session_does_not_warn(self):
         import warnings as _warnings
 
@@ -613,18 +606,15 @@ class TestConnectRedesign:
 
 
 class TestHealthReport:
-    """One typed HealthReport everywhere, legacy flat keys intact."""
+    """One typed HealthReport everywhere."""
 
-    def test_database_health_is_typed_and_dict_compatible(self, database):
+    def test_database_health_is_typed(self, database):
         report = database.health()
         assert isinstance(report, repro.HealthReport)
         assert report.ok and report.status == "ok"
         assert report.circuit_state == "closed"
-        # Legacy flat keys (what monitoring scripts already read):
-        assert report["circuit"] == "closed"
-        assert report["pool_workers_alive"] == 0
-        assert "stats" in report
-        assert report["stats"] == database.stats
+        assert report.engine["pool_workers_alive"] == 0
+        assert report.stats == database.stats
 
     def test_connection_health_check_returns_report(self):
         connection = repro.connect()

@@ -21,6 +21,7 @@ from repro.sqlengine import partialagg, shardpool
 from repro.sqlengine.encoding import encode_object_array
 from repro.sqlengine.expressions import Frame, LazyCodes
 from repro.sqlengine.parser import parse_select
+from tests.conftest import sharded_database
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ def process_db():
     # min_shard_rows=0: the fixture tables are far below the production
     # admission threshold, and these tests exercise dispatch mechanics,
     # not the cost model.
-    db = Database(seed=0, parallel_exec=2, chunk_rows=64, parallel_exec_min_shard_rows=0)
+    db = sharded_database(seed=0, parallel_exec=2, chunk_rows=64)
     db.register_table("sales", sales_columns())
     yield db
     db.close()
@@ -294,9 +295,7 @@ class TestProcessSharding:
 
     def test_dml_invalidates_and_republishes(self):
         serial = Database(seed=0, optimize=False, chunk_rows=32)
-        parallel = Database(
-            seed=0, parallel_exec=2, chunk_rows=32, parallel_exec_min_shard_rows=0
-        )
+        parallel = sharded_database(seed=0, parallel_exec=2, chunk_rows=32)
         for db in (serial, parallel):
             db.register_table("sales", sales_columns(num_rows=300))
         try:
@@ -312,9 +311,7 @@ class TestProcessSharding:
             parallel.close()
 
     def test_close_releases_segments_and_pool_restarts(self):
-        db = Database(
-            seed=0, parallel_exec=2, chunk_rows=32, parallel_exec_min_shard_rows=0
-        )
+        db = sharded_database(seed=0, parallel_exec=2, chunk_rows=32)
         db.register_table("sales", sales_columns(num_rows=300))
         sql = "SELECT city, count(*) AS n FROM sales GROUP BY city ORDER BY city"
         baseline = set(shardpool.ShardPool.live_segment_names())
@@ -352,9 +349,7 @@ class TestProcessSharding:
         # Mixed-type object columns cannot round-trip through the dictionary
         # segment faithfully, so the dispatcher must defer to the serial path.
         serial = Database(seed=0, optimize=False, chunk_rows=16)
-        parallel = Database(
-            seed=0, parallel_exec=2, chunk_rows=16, parallel_exec_min_shard_rows=0
-        )
+        parallel = sharded_database(seed=0, parallel_exec=2, chunk_rows=16)
         columns = {
             "k": np.array(["a", 1, "b", None] * 25, dtype=object),
             "v": np.arange(100, dtype=np.int64),

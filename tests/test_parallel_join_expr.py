@@ -25,6 +25,7 @@ from repro.sampling.params import SampleInfo
 from repro.sqlengine import shardpool
 from repro.sqlengine.engine import Database
 from repro.sqlengine.parser import parse_select
+from tests.conftest import sharded_database
 
 JOIN_QUERIES = [
     "SELECT r.name AS name, count(*) AS n FROM orders o JOIN regions r "
@@ -105,7 +106,7 @@ def inthread_db():
 
 @pytest.fixture(scope="module")
 def process_db():
-    db = Database(seed=0, parallel_exec=2, chunk_rows=64, parallel_exec_min_shard_rows=0)
+    db = sharded_database(seed=0, parallel_exec=2, chunk_rows=64)
     register_pair(db)
     yield db
     db.close()
@@ -136,7 +137,7 @@ class TestJoinDispatch:
         )
 
     def test_join_counters_surface_in_health(self, process_db):
-        stats = process_db.health()["stats"]
+        stats = process_db.health().stats
         assert "parallel_exec_join_dispatches" in stats
         assert "parallel_exec_expr_key_dispatches" in stats
         assert "plan_cache_shm_hits" in stats
@@ -146,9 +147,7 @@ class TestJoinDispatch:
         from repro.sqlengine import executor as executor_module
 
         serial = Database(seed=0, optimize=False, chunk_rows=64)
-        parallel = Database(
-            seed=0, parallel_exec=1, chunk_rows=64, parallel_exec_min_shard_rows=0
-        )
+        parallel = sharded_database(seed=0, parallel_exec=1, chunk_rows=64)
         big = executor_module.JOIN_BUILD_ROW_BOUND + 1
         for db in (serial, parallel):
             db.register_table("orders", orders_columns(num_rows=200))
@@ -210,9 +209,7 @@ null_rates = st.sampled_from([0.0, 0.3, 0.9])
 @settings(max_examples=20, deadline=None)
 def test_join_and_expr_inthread_bitwise_serial(num_rows, seed, null_rate):
     serial = Database(seed=0, optimize=False, chunk_rows=32)
-    parallel = Database(
-        seed=0, parallel_exec=1, chunk_rows=32, parallel_exec_min_shard_rows=0
-    )
+    parallel = sharded_database(seed=0, parallel_exec=1, chunk_rows=32)
     for db in (serial, parallel):
         register_pair(db, seed=seed % 10_000, num_rows=num_rows, null_rate=null_rate)
     for sql in JOIN_QUERIES + EXPR_QUERIES[:1]:
@@ -257,7 +254,7 @@ def test_mid_run_dml_republishes_both_sides(process_db):
 
 class TestPlanCache:
     def test_prepared_reexecution_ships_no_bytes(self):
-        db = Database(seed=0, parallel_exec=2, chunk_rows=64, parallel_exec_min_shard_rows=0)
+        db = sharded_database(seed=0, parallel_exec=2, chunk_rows=64)
         register_pair(db, num_rows=400)
         serial = Database(seed=0, optimize=False, chunk_rows=64)
         register_pair(serial, num_rows=400)
@@ -282,7 +279,7 @@ class TestPlanCache:
             db.close()
 
     def test_plan_segments_unlinked_on_close(self):
-        db = Database(seed=0, parallel_exec=2, chunk_rows=64, parallel_exec_min_shard_rows=0)
+        db = sharded_database(seed=0, parallel_exec=2, chunk_rows=64)
         register_pair(db, num_rows=300)
         baseline = set(shardpool.ShardPool.live_segment_names())
         db.execute("SELECT city, count(*) AS n FROM orders GROUP BY city ORDER BY city")
@@ -295,7 +292,7 @@ class TestPlanCache:
             assert not glob.glob(f"/dev/shm/{name}"), f"segment {name} leaked"
 
     def test_dml_invalidates_plan_spec(self):
-        db = Database(seed=0, parallel_exec=2, chunk_rows=64, parallel_exec_min_shard_rows=0)
+        db = sharded_database(seed=0, parallel_exec=2, chunk_rows=64)
         register_pair(db, num_rows=300)
         serial = Database(seed=0, optimize=False, chunk_rows=64)
         register_pair(serial, num_rows=300)
@@ -356,7 +353,7 @@ class TestAqpWiring:
         assert output.sid_aligned is False
 
     def test_approximate_query_dispatches_and_matches_serial_override(self):
-        db = Database(parallel_exec=2, parallel_exec_min_shard_rows=64)
+        db = sharded_database(parallel_exec=2, min_shard_rows=64)
         conn = repro.connect(database=db)
         try:
             session = conn.session

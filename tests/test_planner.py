@@ -901,33 +901,49 @@ class TestDistinctOverCodes:
 
 
 class TestRewriteCache:
+    @staticmethod
+    def _counts(session):
+        stats = session.connector.database.stats
+        return stats.get("rewrite_cache_hits", 0), stats.get("rewrite_cache_misses", 0)
+
     def test_repeated_queries_hit_the_rewrite_cache(self, verdict):
-        verdict._rewrite_cache.clear()
-        verdict._rewrite_cache.hits = verdict._rewrite_cache.misses = 0
-        query = "SELECT city, avg(price) AS m FROM orders GROUP BY city"
+        # A text no other test sends, so the first run is this session's miss.
+        query = "SELECT city, avg(price) AS rewrite_cache_probe FROM orders GROUP BY city"
+        hits, misses = self._counts(verdict)
         first = verdict.sql(query)
+        assert self._counts(verdict) == (hits, misses + 1)
         second = verdict.sql(query)
-        assert verdict._rewrite_cache.hits >= 1
+        assert self._counts(verdict) == (hits + 1, misses + 1)
         assert first.raw.column_names == second.raw.column_names
-        assert first.column("m").tolist() == second.column("m").tolist()
+        assert (
+            first.column("rewrite_cache_probe").tolist()
+            == second.column("rewrite_cache_probe").tolist()
+        )
 
     def test_sample_changes_invalidate_the_rewrite_cache(self, orders_columns):
-        from repro import SampleSpec, VerdictContext
+        from repro import SampleSpec, VerdictSession
         from repro.core.sample_planner import PlannerConfig
 
-        context = VerdictContext(
+        context = VerdictSession(
             planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000)
         )
         context.load_table("orders", orders_columns)
-        context.create_sample("orders", SampleSpec("uniform", (), 0.05))
+        spec = SampleSpec("uniform", (), 0.05)
+        context.create_sample("orders", spec)
         query = "SELECT avg(price) AS m FROM orders"
         approx = context.sql(query)
         assert not approx.is_exact
-        assert len(context._rewrite_cache) == 1
+        assert not context.sql(query).is_exact
+        assert self._counts(context) == (1, 1)
         context.drop_samples("orders")
-        assert len(context._rewrite_cache) == 0
         exact = context.sql(query)  # falls back to exact: no samples remain
         assert exact.is_exact
+        # The rebuilt sample has the same name, hence the same plan signature
+        # and the same cache key — the rewrite prepared before the drop must
+        # still not be served.
+        context.create_sample("orders", spec)
+        assert not context.sql(query).is_exact
+        assert self._counts(context) == (1, 2)
 
     def test_scan_plan_defaults(self):
         scan = ScanPlan()

@@ -259,7 +259,7 @@ def test_health_report_carries_a_pool_section(pool):
     assert report.pool is not None
     assert report.pool["max_size"] == 3
     assert report.pool["size"] >= 1
-    assert report["pool"]["max_size"] == 3  # legacy dict-style access
+    assert report.as_sections()["pool"]["max_size"] == 3  # the wire form
     assert report.status in ("ok", "degraded")
 
 

@@ -98,9 +98,9 @@ maybe_floats = st.lists(
 )
 
 
-def _ab_engines(columns, chunk_rows=16, parallel=2):
-    """An optimized engine (tiny chunks + parallel scan) and a naive twin."""
-    optimized = Database(seed=0, chunk_rows=chunk_rows, parallel_scan=parallel)
+def _ab_engines(columns, chunk_rows=16):
+    """An optimized engine (tiny chunks) and a naive twin."""
+    optimized = Database(seed=0, chunk_rows=chunk_rows)
     naive = Database(seed=0, optimize=False, chunk_rows=chunk_rows)
     for engine in (optimized, naive):
         engine.register_table("t", columns)
@@ -125,23 +125,6 @@ def test_zone_map_aggregates_match_naive(values):
     _assert_ab(optimized, naive, sql)
     if len(values):
         assert optimized.stats["zone_map_aggregates"] == 1
-
-
-@given(maybe_floats, st.integers(min_value=-4, max_value=4))
-@settings(max_examples=60, deadline=None)
-def test_chunk_parallel_scan_matches_naive(values, threshold):
-    """Per-chunk predicate evaluation reassembles to the sequential rows."""
-    column = np.array(
-        [np.nan if value is None else value for value in values], dtype=np.float64
-    )
-    optimized, naive = _ab_engines(
-        {"v": column, "k": np.arange(len(column)) % 5}
-    )
-    sql = (
-        f"SELECT count(*) AS n, sum(v) AS x FROM t "
-        f"WHERE v > {threshold} AND k <> 2"
-    )
-    _assert_ab(optimized, naive, sql)
 
 
 @given(

@@ -74,12 +74,9 @@ def expected_rows(sql: str = GROUP_SQL) -> list[tuple]:
         engine.close()
 
 
-def parallel_engine(fault_injection=None, **kwargs) -> Database:
+def parallel_engine(fault_injection=None) -> Database:
     engine = Database(
-        seed=3 + CHAOS_SEED,
-        parallel_exec=2,
-        fault_injection=fault_injection,
-        **kwargs,
+        seed=3 + CHAOS_SEED, parallel_exec=2, fault_injection=fault_injection
     )
     engine.register_table("orders", chaos_columns())
     return engine
@@ -119,7 +116,7 @@ def test_worker_killed_mid_dispatch_is_respawned_and_answer_is_exact():
         assert engine.fault_injector.triggered["shardpool.dispatch"] == 1
         # The pool is healthy again: a second query dispatches normally.
         assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.health()["pool_workers_alive"] == 2
+        assert engine.health().engine["pool_workers_alive"] == 2
     finally:
         engine.close()
 
@@ -176,7 +173,7 @@ def test_worker_killed_mid_join_dispatch_is_respawned_and_answer_is_exact():
         assert engine.stats["worker_respawns"] >= 1
         assert engine.stats["parallel_exec_join_dispatches"] >= 1
         assert engine.execute(JOIN_SQL).fetchall() == expected_join_rows()
-        assert engine.health()["pool_workers_alive"] == 2
+        assert engine.health().engine["pool_workers_alive"] == 2
     finally:
         engine.close()
 
@@ -236,9 +233,9 @@ def test_lost_segment_opens_circuit_and_probe_closes_it():
     faults = {
         "shardpool.dispatch": {"kind": "action", "action": "unlink_segment", "times": 1}
     }
-    engine = parallel_engine(
-        fault_injection=faults, circuit_threshold=2, circuit_cooldown=0.2
-    )
+    engine = parallel_engine(fault_injection=faults)
+    engine.circuit.threshold = 2
+    engine.circuit.cooldown = 0.2
     try:
         # The published segment is deleted out from under the workers: every
         # dispatch against it fails (after the pool's own retry) and the
@@ -249,8 +246,8 @@ def test_lost_segment_opens_circuit_and_probe_closes_it():
         assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
         assert engine.stats["dispatch_failures"] == 2
         health = engine.health()
-        assert health["circuit"] == "open"
-        assert health["status"] == "degraded"
+        assert health.circuit_state == "open"
+        assert health.status == "degraded"
         assert engine.stats["circuit_opened"] == 1
 
         # Open circuit: the serial path wins without touching the pool.
@@ -271,7 +268,7 @@ def test_lost_segment_opens_circuit_and_probe_closes_it():
             "FROM orders GROUP BY city"
         )
         result = engine.execute(follow_up).fetchall()
-        assert engine.health()["circuit"] == "closed"
+        assert engine.health().circuit_state == "closed"
         assert engine.stats["circuit_half_open_probes"] == 1
         assert engine.stats["circuit_closed"] == 1
         # And the answer reflects the insert (exactness after recovery).
@@ -493,11 +490,11 @@ def test_health_check_surface():
     connection = repro.connect(database=engine)
     try:
         health = connection.health_check()
-        assert health["status"] == "ok"
-        assert health["circuit"] == "closed"
-        assert health["consecutive_dispatch_failures"] == 0
-        assert health["exec_workers"] == 2
-        assert "stats" in health and "worker_respawns" in health["stats"]
+        assert health.status == "ok"
+        assert health.circuit_state == "closed"
+        assert health.circuit["consecutive_failures"] == 0
+        assert health.engine["exec_workers"] == 2
+        assert "worker_respawns" in health.stats
     finally:
         connection.close()
 

@@ -1,4 +1,4 @@
-"""Storage round 4: zone-map aggregates, sorted-merge joins, parallel scans.
+"""Storage round 4: zone-map aggregates and sorted-merge joins.
 
 Every fast path is A/B-tested against ``Database(optimize=False)`` — the
 naive engine that scans whole columns and always hash-joins — and asserted
@@ -18,8 +18,8 @@ from repro.sqlengine.table import Table
 from repro.sqlengine.zonemaps import zone_extreme, zone_non_null_count
 
 
-def _ab_pair(columns: dict, chunk_rows: int | None = None, parallel: int | None = None):
-    optimized = Database(seed=0, chunk_rows=chunk_rows, parallel_scan=parallel)
+def _ab_pair(columns: dict, chunk_rows: int | None = None):
+    optimized = Database(seed=0, chunk_rows=chunk_rows)
     naive = Database(seed=0, optimize=False, chunk_rows=chunk_rows)
     for engine in (optimized, naive):
         engine.register_table("t", columns)
@@ -325,76 +325,3 @@ class TestSortedMergeJoin:
         assert (
             merge_join_indices(np.array([np.nan, 1.0]), right) is None
         )  # NaN not in tail
-
-
-# ---------------------------------------------------------------------------
-# chunk-parallel scans
-# ---------------------------------------------------------------------------
-
-
-class TestParallelScan:
-    @pytest.mark.parametrize(
-        "predicate",
-        [
-            "v BETWEEN -0.5 AND 0.5",
-            "s = 'b' AND v > 0",
-            "s LIKE 'b%' OR v < -1",
-            "k IN (1, 3, 5) AND s IS NOT NULL",
-            "s IS NULL",
-            "upper(s) = 'A'",
-        ],
-    )
-    def test_parallel_filter_bit_identical(self, predicate):
-        rng = np.random.default_rng(21)
-        columns = {
-            "k": np.arange(4_000) % 7,
-            "v": rng.normal(size=4_000),
-            "s": rng.choice(np.array(["a", "b", "ba", None], dtype=object), 4_000),
-        }
-        optimized, naive = _ab_pair(columns, chunk_rows=256, parallel=3)
-        sql = f"SELECT count(*) AS n, sum(v) AS x FROM t WHERE {predicate}"
-        _assert_identical(optimized, naive, sql)
-        assert optimized.stats["parallel_scans"] >= 1
-
-    def test_parallel_scan_composes_with_zone_skipping(self):
-        rng = np.random.default_rng(22)
-        columns = {"k": np.arange(8_000), "v": rng.normal(size=8_000)}
-        optimized, naive = _ab_pair(columns, chunk_rows=256, parallel=2)
-        # The clustered BETWEEN prunes most chunks; the survivors are
-        # filtered in parallel and reassembled in chunk order.
-        sql = (
-            "SELECT count(*) AS n, sum(v) AS x FROM t "
-            "WHERE k BETWEEN 1000 AND 2500 AND v > 0"
-        )
-        _assert_identical(optimized, naive, sql)
-        assert optimized.stats["parallel_scans"] == 1
-
-    def test_single_chunk_stays_sequential(self):
-        optimized, naive = _ab_pair(
-            {"v": np.arange(100.0)}, chunk_rows=1_024, parallel=4
-        )
-        _assert_identical(optimized, naive, "SELECT count(*) AS n FROM t WHERE v > 50")
-        assert optimized.stats["parallel_scans"] == 0
-
-    def test_parallel_scan_feeds_grouping_and_codes(self):
-        rng = np.random.default_rng(23)
-        columns = {
-            "g": rng.choice(np.array(["x", "y", "z"], dtype=object), 3_000),
-            "v": rng.normal(size=3_000),
-        }
-        optimized, naive = _ab_pair(columns, chunk_rows=128, parallel=3)
-        sql = (
-            "SELECT g, count(*) AS n, sum(v) AS x FROM t "
-            "WHERE v > -1 GROUP BY g ORDER BY g"
-        )
-        _assert_identical(optimized, naive, sql)
-        assert optimized.stats["parallel_scans"] == 1
-
-    def test_rand_predicate_never_parallelized(self):
-        # rand() is never pushed down, so the parallel path cannot see it;
-        # results must still match the naive engine's RNG stream exactly.
-        columns = {"v": np.arange(2_000.0)}
-        optimized, naive = _ab_pair(columns, chunk_rows=128, parallel=3)
-        sql = "SELECT count(*) AS n FROM t WHERE rand() < 0.5 AND v >= 0"
-        _assert_identical(optimized, naive, sql)
-        assert optimized.stats["parallel_scans"] == 0

@@ -148,7 +148,7 @@ def test_health_over_the_wire(client):
     assert report.status in ("ok", "degraded")
     assert report.pool is not None and report.pool["max_size"] == 2
     assert report.server is not None and report.server["connections"] >= 1
-    assert "stats" in report  # legacy dict-style access still works
+    assert "statement_cache_hits" in report.stats
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""End-to-end tests of the VerdictContext middleware."""
+"""End-to-end tests of the VerdictSession middleware."""
 
 import pytest
 
-from repro import SampleSpec, VerdictContext
+from repro import SampleSpec, VerdictSession
 from repro.connectors import SqliteConnector
 from repro.core.sample_planner import PlannerConfig
 from tests.conftest import build_orders_columns
@@ -10,7 +10,7 @@ from tests.conftest import build_orders_columns
 
 class TestOfflineStage:
     def test_samples_are_listed_and_dropped(self, orders_columns):
-        context = VerdictContext()
+        context = VerdictSession()
         context.load_table("orders", orders_columns)
         context.create_sample("orders", SampleSpec("uniform", (), 0.05))
         assert len(context.samples("orders")) == 1
@@ -18,14 +18,14 @@ class TestOfflineStage:
         assert context.samples("orders") == []
 
     def test_default_policy_via_ratio(self, orders_columns):
-        context = VerdictContext()
+        context = VerdictSession()
         context.load_table("orders", orders_columns)
         infos = context.create_samples("orders", ratio=0.05)
         types = {info.sample_type for info in infos}
         assert "uniform" in types
 
     def test_append_data_keeps_samples_fresh(self):
-        context = VerdictContext(
+        context = VerdictSession(
             planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000)
         )
         context.load_table("orders", build_orders_columns(num_rows=20_000, seed=1))
@@ -36,6 +36,34 @@ class TestOfflineStage:
         assert context.execute_exact("SELECT count(*) AS c FROM orders").scalar() == 30_000
         approx = context.sql("SELECT count(*) AS c FROM orders")
         assert abs(float(approx.column("c")[0]) - 30_000) / 30_000 < 0.15
+
+    def test_append_data_is_reproducible_across_sessions(self):
+        """Regression: SampleMaintainer drew from an unseeded generator, so
+        two runs over the same data and appends disagreed on which appended
+        rows entered the samples — and hence on every later answer."""
+
+        def run():
+            context = VerdictSession(
+                planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000)
+            )
+            context.load_table("orders", build_orders_columns(num_rows=20_000, seed=1))
+            uniform = context.create_sample("orders", SampleSpec("uniform", (), 0.05))
+            stratified = context.create_sample(
+                "orders", SampleSpec("stratified", ("city",), 0.05)
+            )
+            for seed in (2, 3):
+                context.append_data("orders", build_orders_columns(num_rows=4_000, seed=seed))
+            tables = [
+                context.execute_exact(f"SELECT * FROM {info.sample_table}").fetchall()
+                for info in (uniform, stratified)
+            ]
+            answer = context.sql(
+                "SELECT city, count(*) AS c, sum(price) AS s FROM orders GROUP BY city ORDER BY city"
+            )
+            assert not answer.is_exact
+            return tables, answer.fetchall(include_errors=True)
+
+        assert run() == run()
 
 
 class TestOnlineStage:
@@ -56,7 +84,7 @@ class TestOnlineStage:
         verdict.sql("DROP TABLE scratch_pad")
 
     def test_no_samples_means_exact(self, orders_columns):
-        context = VerdictContext()
+        context = VerdictSession()
         context.load_table("orders", orders_columns)
         result = context.sql("SELECT count(*) AS c FROM orders")
         assert result.is_exact
@@ -130,7 +158,7 @@ class TestSqliteBackend:
     def sqlite_verdict(self):
         connector = SqliteConnector(seed=9)
         connector.load_table("orders", build_orders_columns(num_rows=20_000, seed=4))
-        context = VerdictContext(
+        context = VerdictSession(
             connector=connector,
             planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000),
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.session import VerdictSession
 from repro.baselines import (
     IntegratedAqpEngine,
     exact_count_distinct,
@@ -12,7 +13,6 @@ from repro.baselines import (
 )
 from repro.connectors import BuiltinConnector
 from repro.core.sample_planner import PlannerConfig
-from repro.core.verdict import VerdictContext
 from repro.sampling.params import SampleSpec
 from repro.workloads import instacart, synthetic, tpch
 
@@ -91,7 +91,7 @@ class TestSyntheticGenerator:
 @pytest.fixture(scope="module")
 def tpch_verdict():
     dataset = tpch.generate(scale_factor=0.5, seed=1)
-    context = VerdictContext(planner_config=PlannerConfig(io_budget=0.15, large_table_rows=5_000))
+    context = VerdictSession(planner_config=PlannerConfig(io_budget=0.15, large_table_rows=5_000))
     for name, columns in dataset.tables.items():
         context.load_table(name, columns)
     context.create_sample("lineitem", SampleSpec("uniform", (), 0.05))
@@ -137,7 +137,7 @@ class TestIntegratedBaseline:
     def setup(self):
         connector = BuiltinConnector(seed=4)
         dataset = instacart.generate(scale_factor=0.5, seed=3)
-        context = VerdictContext(
+        context = VerdictSession(
             connector=connector,
             planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000),
         )
