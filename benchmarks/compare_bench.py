@@ -70,6 +70,7 @@ FLOORS: dict[str, dict[str, float]] = {
     },
     "BENCH_api.json": {
         "prepared_reexec": 3.0,
+        "adhoc_literals": 1.5,
     },
     "BENCH_parallel.json": {
         "parallel_group_agg": 2.5,

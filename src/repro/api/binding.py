@@ -14,22 +14,33 @@ The public helpers:
 * :func:`collect_placeholders` — every placeholder of a statement, in
   syntactic order, descending into derived tables and scalar subqueries;
 * :func:`canonicalize_placeholders` — validates the template's parameter
-  style (rejecting statements that mix ``?`` with ``:name``);
+  style (rejecting statements that mix ``?`` with ``:name``, or that use the
+  reserved :data:`LIFTED_PREFIX`);
+* :func:`lift_literals` — auto-parameterisation: turn the literals in a
+  declared list of predicate positions into reserved named placeholders, so
+  two texts that differ only in those literals share one *shape*;
 * :func:`bind_parameters` — validate user-supplied parameters against the
   template's placeholders and produce the mapping handed to the engine.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import dataclasses
+from collections.abc import Iterator, Mapping, Sequence
+from typing import TypeGuard
 
 import numpy as np
 
 from repro.errors import BindParameterError
 from repro.sqlengine import sqlast as ast
 
+#: Reserved name prefix of the placeholders :func:`lift_literals` creates
+#: (``:__lit0``, ``:__lit1`` … in syntactic order).  A user parameter may not
+#: start with it.
+LIFTED_PREFIX = "__lit"
 
-def iter_statement_expressions(statement: ast.Statement):
+
+def iter_statement_expressions(statement: ast.Statement) -> Iterator[ast.Expression]:
     """Yield every top-level expression of a statement, in syntactic order.
 
     Derived tables, ``INSERT ... SELECT`` and ``CREATE TABLE ... AS SELECT``
@@ -57,7 +68,7 @@ def iter_statement_expressions(statement: ast.Statement):
             yield from iter_statement_expressions(statement.as_select)
 
 
-def _iter_relation_expressions(relation: ast.Relation | None):
+def _iter_relation_expressions(relation: ast.Relation | None) -> Iterator[ast.Expression]:
     if isinstance(relation, ast.Join):
         yield from _iter_relation_expressions(relation.left)
         yield from _iter_relation_expressions(relation.right)
@@ -67,7 +78,7 @@ def _iter_relation_expressions(relation: ast.Relation | None):
         yield from iter_statement_expressions(relation.query)
 
 
-def _walk_deep(expression: ast.Expression):
+def _walk_deep(expression: ast.Expression) -> Iterator[ast.Expression]:
     """Like ``Expression.walk`` but descending into scalar subqueries."""
     yield expression
     if isinstance(expression, ast.ScalarSubquery):
@@ -93,15 +104,144 @@ def canonicalize_placeholders(statement: ast.Statement) -> ast.Statement:
 
     The parser already names positional placeholders (``?`` → ``:p<i>``);
     what remains is rejecting templates that mix positional and named
-    placeholders — the two numbering schemes cannot be combined soundly.
+    placeholders — the two numbering schemes cannot be combined soundly —
+    and user parameters named under :data:`LIFTED_PREFIX`, which would
+    collide with the placeholders :func:`lift_literals` creates.
     """
     placeholders = collect_placeholders(statement)
+    for node in placeholders:
+        if node.name is not None and node.name.startswith(LIFTED_PREFIX):
+            raise BindParameterError(
+                f"parameter :{node.name} uses the reserved prefix {LIFTED_PREFIX!r}"
+            )
     positional = [node for node in placeholders if node.index is not None]
     if positional and len(positional) != len(placeholders):
         raise BindParameterError(
             "cannot mix positional '?' and named ':name' parameters in one statement"
         )
     return statement
+
+
+# ---------------------------------------------------------------------------
+# auto-parameterisation
+# ---------------------------------------------------------------------------
+
+
+def lift_literals(
+    statement: ast.SelectStatement,
+) -> tuple[ast.SelectStatement, dict[str, object]]:
+    """Replace predicate literals with reserved placeholders; return both halves.
+
+    The supported fragment, written down: a literal is lifted iff it is a
+    number or a string (never ``NULL`` / ``TRUE`` / ``FALSE``), optionally
+    under one unary minus, and stands as
+
+    * a direct operand of ``= <> < <= > >=``,
+    * a ``BETWEEN`` bound, or
+    * an ``IN``-list member
+
+    inside a ``WHERE``, ``JOIN … ON`` or ``HAVING`` clause — reached through
+    ``AND`` / ``OR`` / ``NOT`` only — at any nesting level (derived tables,
+    and scalar subqueries that are themselves operands of the above).
+    Everything else stays literal text: the select list, ``GROUP BY`` /
+    ``ORDER BY`` / ``LIMIT`` / ``OFFSET`` (output names and ordinals depend
+    on them), function arguments, ``CASE`` branches, arithmetic
+    sub-expressions and ``LIKE`` patterns (memoised per pattern text).
+
+    Returns the lifted statement — a new tree; the input is not mutated —
+    and the constants keyed by placeholder name (``__lit0`` … numbered in
+    syntactic order), holding the values exactly as parsed.  The engine reads
+    a literal and a bound placeholder through the same code, so executing
+    the lifted statement with the constants bound is the original statement.
+    """
+    constants: dict[str, object] = {}
+    return _lift_select(statement, constants), constants
+
+
+def _lift_select(
+    statement: ast.SelectStatement, constants: dict[str, object]
+) -> ast.SelectStatement:
+    # Clause order is syntactic order, which is what numbers the placeholders.
+    relation = _lift_relation(statement.from_relation, constants)
+    where = _lift_predicate(statement.where, constants)
+    having = _lift_predicate(statement.having, constants)
+    return dataclasses.replace(
+        statement, from_relation=relation, where=where, having=having
+    )
+
+
+def _lift_relation(
+    relation: ast.Relation | None, constants: dict[str, object]
+) -> ast.Relation | None:
+    if isinstance(relation, ast.Join):
+        return dataclasses.replace(
+            relation,
+            left=_lift_relation(relation.left, constants),
+            right=_lift_relation(relation.right, constants),
+            condition=_lift_predicate(relation.condition, constants),
+        )
+    if isinstance(relation, ast.DerivedTable):
+        return dataclasses.replace(relation, query=_lift_select(relation.query, constants))
+    return relation
+
+
+def _is_liftable(expression: ast.Expression) -> TypeGuard[ast.Literal]:
+    """A number or string literal (``NULL`` and booleans stay in the text)."""
+    return (
+        isinstance(expression, ast.Literal)
+        and expression.value is not None
+        and not isinstance(expression.value, bool)
+    )
+
+
+def _lift_predicate(
+    predicate: ast.Expression | None, constants: dict[str, object]
+) -> ast.Expression | None:
+    if predicate is None:
+        return None
+
+    def lifted(literal: ast.Literal) -> ast.Placeholder:
+        name = f"{LIFTED_PREFIX}{len(constants)}"
+        constants[name] = literal.value
+        return ast.Placeholder(name=name)
+
+    def operand(expression: ast.Expression) -> ast.Expression:
+        if _is_liftable(expression):
+            return lifted(expression)
+        if (
+            isinstance(expression, ast.UnaryOp)
+            and expression.op == "-"
+            and _is_liftable(expression.operand)
+        ):
+            return ast.UnaryOp("-", lifted(expression.operand))
+        return ast.transform_expression(expression, visit)
+
+    def visit(node: ast.Expression) -> ast.Expression | None:
+        if isinstance(node, ast.BinaryOp):
+            if node.op in ast.COMPARISON_OPS:
+                return ast.BinaryOp(node.op, operand(node.left), operand(node.right))
+            # AND / OR are descended; arithmetic and || are opaque.
+            return None if node.op.upper() in ("AND", "OR") else node
+        if isinstance(node, ast.UnaryOp):
+            return None if node.op.upper() == "NOT" else node
+        if isinstance(node, ast.Between):
+            return dataclasses.replace(
+                node,
+                operand=operand(node.operand),
+                low=operand(node.low),
+                high=operand(node.high),
+            )
+        if isinstance(node, ast.InList):
+            return dataclasses.replace(
+                node,
+                operand=operand(node.operand),
+                values=[operand(value) for value in node.values],
+            )
+        if isinstance(node, ast.ScalarSubquery):
+            return ast.ScalarSubquery(_lift_select(node.query, constants))
+        return node  # opaque: functions, CASE, LIKE, IS NULL, bare literals
+
+    return ast.transform_expression(predicate, visit)
 
 
 def _bindable_value(value: object, what: str) -> object:
@@ -118,7 +258,7 @@ def _bindable_value(value: object, what: str) -> object:
 
 def bind_parameters(
     placeholders: Sequence[ast.Placeholder],
-    params: Sequence | Mapping | None,
+    params: Sequence[object] | Mapping[str, object] | None,
     style: str | None,
 ) -> dict[str, object] | None:
     """Check ``params`` against a template's placeholders; return the mapping.
@@ -137,7 +277,7 @@ def bind_parameters(
                 f"statement takes no parameters but {len(params)} were given"
             )
         return None
-    names = {node.name for node in placeholders}
+    names = {node.name for node in placeholders if node.name is not None}
     if params is None:
         raise BindParameterError(
             f"statement expects {len(names)} parameters but none were given"
@@ -147,7 +287,7 @@ def bind_parameters(
             raise BindParameterError(
                 "statement uses named ':name' parameters; pass a mapping"
             )
-        bound = {}
+        bound: dict[str, object] = {}
         for name in names:
             if name not in params:
                 raise BindParameterError(f"no value supplied for parameter :{name}")

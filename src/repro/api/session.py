@@ -2,13 +2,13 @@
 
 A :class:`VerdictSession` owns everything one logical client needs — a
 connector to the underlying database, the sample builder/maintainer, the
-sample planner, the rewriter and three caches (parsed/analysed templates,
-facts read from the backend, prepared rewrites).  It mirrors the deployment
-picture of Figure 1: the application sends SQL to the session, the session
-plans samples, rewrites the query, sends the rewritten SQL to the underlying
-database through the connector, and converts the returned result set into an
-approximate answer with error estimates.  Unsupported queries are passed
-through unchanged.
+sample planner, the rewriter and its caches (templates by text over analysed
+shapes, facts read from the backend, prepared rewrites).  It mirrors the
+deployment picture of Figure 1: the application sends SQL to the session, the
+session plans samples, rewrites the query, sends the rewritten SQL to the
+underlying database through the connector, and converts the returned result
+set into an approximate answer with error estimates.  Unsupported queries are
+passed through unchanged.
 
 Two properties shape it:
 
@@ -17,7 +17,9 @@ Two properties shape it:
   parsing, analysis, sample planning and rewriting all happen on the
   template, so every cache (and the engine's statement/plan caches, which
   see the same placeholder-preserving rewritten text each call) hits across
-  parameter values;
+  parameter values.  A text that inlines its literals instead is turned into
+  such a template on first sight (:func:`repro.api.binding.lift_literals`):
+  a query's *shape*, not its text, keys everything derived from it;
 * **multi-session safety** — several sessions may share one backend engine.
   Sample builds and metadata rebuilds serialize on the connector's
   cross-session lock, and everything the session derives from backend state
@@ -40,6 +42,7 @@ from repro.api.binding import (
     bind_parameters,
     canonicalize_placeholders,
     collect_placeholders,
+    lift_literals,
 )
 from repro.api.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.cache import LRUCache
@@ -77,13 +80,20 @@ from repro.sqlengine.resultset import ResultSet
 
 @dataclass(frozen=True)
 class PreparedTemplate:
-    """Everything derived from one SQL template's *text* alone.
+    """One SQL text, split into its *shape* and this text's constants.
 
-    Pure function of the SQL, so instances never go stale and are cached per
-    template text (and embedded in prepared statements).  ``statement`` has
-    positional placeholders canonicalized to named ones; ``param_style`` is
-    ``"qmark"``, ``"named"`` or None and ``param_count`` the number of
-    distinct parameters the template expects.
+    ``statement`` / ``flattened`` / ``analysis`` are the shape: the text with
+    its predicate literals lifted into reserved placeholders
+    (:func:`repro.api.binding.lift_literals`), parsed, flattened and analysed
+    once and shared by every text that differs only in those literals.
+    ``shape_key`` — the lifted statement's rendering — is what everything
+    derived from the shape is cached under.  ``constants`` are the lifted
+    values of *this* text, merged into the parameters at bind time.
+
+    ``text`` is the caller's text verbatim; ``placeholders``, ``param_style``
+    (``"qmark"``, ``"named"`` or None) and ``param_count`` describe only the
+    caller's own ``?`` / ``:name`` parameters.  All of it is a pure function
+    of the SQL, so instances never go stale.
     """
 
     text: str
@@ -92,6 +102,8 @@ class PreparedTemplate:
     analysis: QueryAnalysis | None
     placeholders: tuple = ()
     param_style: str | None = None
+    shape_key: str = ""
+    constants: Mapping[str, object] = dataclasses.field(default_factory=dict)
 
     @property
     def param_count(self) -> int:
@@ -101,9 +113,14 @@ class PreparedTemplate:
     def is_select(self) -> bool:
         return isinstance(self.statement, ast.SelectStatement)
 
-    def bind(self, params: Sequence | Mapping | None) -> dict | None:
+    def bind(self, params: Sequence | Mapping | None) -> Mapping[str, object] | None:
         """Validate ``params`` against this template and return the mapping."""
-        return bind_parameters(self.placeholders, params, self.param_style)
+        bound = bind_parameters(self.placeholders, params, self.param_style)
+        if not self.constants:
+            return bound
+        if bound is None:
+            return self.constants
+        return {**self.constants, **bound}
 
 
 class VerdictSession:
@@ -149,12 +166,14 @@ class VerdictSession:
         )
         self.rewriter = AqpRewriter(include_errors=include_errors)
         self.include_errors = include_errors
-        # Parse/flatten/analyze results per template text.  Pure functions of
-        # the SQL, so entries carry no version token; the LRU bound caps memory.
+        # Two levels, both pure functions of the SQL (no version token; the
+        # LRU bounds cap memory): raw text -> (shape, this text's constants),
+        # over shape key -> the parsed / flattened / analysed shape.
         self._template_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
+        self._shape_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
         # Facts read from the backend — ("rows", table), ("cardinality",
         # table, column) and ("samples",) — and prepared rewrites keyed on
-        # (template, sample plan, include_errors).  Both are filed under the
+        # (shape key, sample plan, include_errors).  Both are filed under the
         # connector.catalog_state() token of the execute() call that computed
         # them, which is their whole staleness story.
         self._fact_cache: LRUCache[tuple, Any] = LRUCache(maxsize=512)
@@ -252,13 +271,21 @@ class VerdictSession:
     # -- online stage: query processing -----------------------------------------------
 
     def prepare(self, query: str) -> PreparedTemplate:
-        """Parse, canonicalize and analyze a SQL template (memoized)."""
+        """Parse, canonicalize, lift and analyze a SQL text (memoized twice).
+
+        First by raw text: a repeated text costs one dictionary lookup.  On a
+        miss the text is parsed once and its predicate literals are lifted;
+        the lifted statement's rendering is the *shape key* under which the
+        flattened / analysed statement is filed, so a text that differs from
+        an earlier one only in those literals re-uses all of it — and, being
+        executed as the same placeholder-carrying statement, every cache
+        below (rewrites, the engine's statements and plans) as well.
+        """
         self._check_open()
         cached = self._template_cache.get(query)
         if cached is not None:
             self.connector.record_stat("analysis_cache_hits")
             return cached
-        self.connector.record_stat("analysis_cache_misses")
         statement = canonicalize_placeholders(parser.parse(query))
         placeholders = tuple(collect_placeholders(statement))
         style = None
@@ -267,13 +294,29 @@ class VerdictSession:
             # placeholder's origin decides: canonical names p<i> come from
             # positional '?' templates (index is set), others were named.
             style = "qmark" if placeholders[0].index is not None else "named"
-        if isinstance(statement, ast.SelectStatement):
-            flattened = flatten(statement)
-            template = PreparedTemplate(
-                query, statement, flattened, analyze(flattened), placeholders, style
-            )
-        else:
+        if not isinstance(statement, ast.SelectStatement):
+            # DDL/DML has no shape worth sharing: filed under its text only.
+            self.connector.record_stat("analysis_cache_misses")
             template = PreparedTemplate(query, statement, None, None, placeholders, style)
+        else:
+            statement, constants = lift_literals(statement)
+            shape_key = statement.to_sql()
+            shape = self._shape_cache.get(shape_key)
+            if shape is None:
+                self.connector.record_stat("analysis_cache_misses")
+                flattened = flatten(statement)
+                shape = PreparedTemplate(
+                    shape_key, statement, flattened, analyze(flattened), shape_key=shape_key
+                )
+                self._shape_cache.put(shape_key, shape)
+            else:
+                self.connector.record_stat("analysis_cache_hits")
+            # The caller's placeholders come from this text's own parse: two
+            # texts may share a shape yet spell a parameter ``?`` and ``:p0``.
+            template = PreparedTemplate(
+                query, shape.statement, shape.flattened, shape.analysis,
+                placeholders, style, shape_key, constants,
+            )
         self._template_cache.put(query, template)
         return template
 
@@ -354,7 +397,7 @@ class VerdictSession:
                 plan,
                 options.include_errors,
                 token,
-                query_text=template.text,
+                shape_key=template.shape_key,
                 params=bound,
                 confidence=confidence,
                 deadline=deadline,
@@ -441,7 +484,7 @@ class VerdictSession:
         statement: ast.SelectStatement,
         options: ExecutionOptions,
         started: float,
-        params: dict | None,
+        params: Mapping | None,
         confidence: float,
         deadline: QueryDeadline | None = None,
     ) -> ApproximateResult:
@@ -503,7 +546,7 @@ class VerdictSession:
         statement: ast.SelectStatement,
         started: float,
         reason: str,
-        params: dict | None = None,
+        params: Mapping | None = None,
         deadline: QueryDeadline | None = None,
         parallel: bool | None = None,
     ) -> ApproximateResult:
@@ -595,8 +638,8 @@ class VerdictSession:
         plan: SamplePlan,
         include_errors: bool | None,
         token: object,
-        query_text: str | None = None,
-        params: dict | None = None,
+        shape_key: str | None = None,
+        params: Mapping | None = None,
         confidence: float | None = None,
         deadline: QueryDeadline | None = None,
         parallel: bool | None = None,
@@ -604,7 +647,7 @@ class VerdictSession:
         include_errors = self.include_errors if include_errors is None else include_errors
         confidence = self.confidence if confidence is None else confidence
         prepared = self._prepare_rewrite(
-            statement, analysis, plan, include_errors, query_text, token
+            statement, analysis, plan, include_errors, shape_key, token
         )
         if prepared is None:
             result = self.connector.execute(
@@ -683,7 +726,7 @@ class VerdictSession:
         analysis: QueryAnalysis,
         plan: SamplePlan,
         include_errors: bool,
-        query_text: str | None,
+        shape_key: str | None,
         token: object,
     ) -> PreparedRewrite | None:
         """Decompose and rewrite a query, reusing the per-plan rewrite cache.
@@ -693,8 +736,8 @@ class VerdictSession:
         it is not cached).
         """
         key: tuple | None = None
-        if query_text is not None:
-            key = (query_text, plan_signature(plan), include_errors)
+        if shape_key is not None:
+            key = (shape_key, plan_signature(plan), include_errors)
             cached = self._rewrite_cache.get(key, token)
             if cached is not None:
                 self.connector.record_stat("rewrite_cache_hits")

@@ -21,6 +21,10 @@ from repro.sqlengine import sqlast as ast
 from repro.sqlengine.resultset import ResultSet
 
 
+#: Characters of a non-SELECT statement kept in ``Connector.queries_issued``.
+LOGGED_DML_PREFIX = 200
+
+
 class Connector(abc.ABC):
     """Abstract driver through which the middleware talks to a database."""
 
@@ -32,8 +36,9 @@ class Connector(abc.ABC):
         self.dialect = dialect
         self.syntax_changer = SyntaxChanger(dialect)
         # Recent statements sent through this connector (debug/observability).
-        # Bounded: long-lived connections issue statements indefinitely, so an
-        # unbounded log would be a slow leak.
+        # Bounded both ways: long-lived connections issue statements
+        # indefinitely, and one INSERT carries a whole batch of row literals —
+        # so at most 512 entries, and of DDL/DML only a prefix.
         self.queries_issued: deque[str] = deque(maxlen=512)
         # Created eagerly: a lazily created lock could hand two racing
         # threads two different lock objects on first contended use.
@@ -82,7 +87,8 @@ class Connector(abc.ABC):
             injector.fire("connector.execute")
         if deadline is not None:
             deadline.check()
-        self.queries_issued.append(sql)
+        is_select = sql.lstrip()[:6].upper() == "SELECT"
+        self.queries_issued.append(sql if is_select else sql[:LOGGED_DML_PREFIX])
         result = self.execute_sql(sql, params, deadline=deadline, parallel=parallel)
         if not result.column_names:
             # Counted only once the write has landed: a concurrent reader may

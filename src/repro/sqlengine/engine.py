@@ -178,7 +178,7 @@ class Database:
         # sample-metadata caches — and zone-map-derived planner advice — must
         # be re-read because *another* connection changed the data.
         self.data_version = 0
-        # SQL text -> parsed statement.  Parsing is pure syntax, so entries
+        # SELECT text -> parsed statement.  Parsing is pure syntax, so entries
         # never go stale; the LRU bound caps memory under ad-hoc traffic.
         self._statement_cache: LRUCache[str, ast.Statement] = LRUCache(
             maxsize=STATEMENT_CACHE_SIZE
@@ -227,18 +227,20 @@ class Database:
         """Parse and execute one SQL statement, returning its result set.
 
         DDL and DML statements return an empty result set.  With
-        ``optimize=True`` the parsed statement and its logical plan are
-        cached per SQL text, so repeated statements skip both the parser and
-        the planner entirely.
+        ``optimize=True`` a parsed SELECT and its logical plan are cached
+        per SQL text, so repeated statements skip both the parser and the
+        planner entirely (DDL/DML text is never cached).
 
         ``params`` binds ``?`` / ``:name`` placeholders in the statement at
         execution time: a sequence for positional, a mapping for named
         parameters.  The caches are keyed on the *template* text, so one
         parameterized statement re-uses its parsed form and plan across every
-        parameter set.  Plan-time, literal-only advice (zone-map chunk
-        skipping) is simply not generated for placeholder predicates; the
-        run-time fast paths (dictionary comparisons, IN-list probes) resolve
-        the bound value per call and stay engaged.
+        parameter set.  Nothing is given up for it: plan-time advice that
+        needs a constant (zone-map chunk skipping) is classified with the
+        placeholder in the constant's place and resolved against ``params``
+        when the chunks are checked, and the run-time fast paths (dictionary
+        comparisons, IN-list probes) resolve the bound value per call — a
+        bound predicate skips exactly the chunks its literal twin skips.
 
         ``parallel=False`` pins this one statement to the serial executor
         (the session layer uses it for ``ExecutionOptions.parallel``);
@@ -411,12 +413,16 @@ class Database:
 
     def _cached_statement(self, sql: str) -> ast.Statement:
         statement = self._statement_cache.get(sql)
-        if statement is None:
-            self.bump_stat("statement_cache_misses")
-            statement = parser.parse(sql)
-            self._statement_cache.put(sql, statement)
-        else:
+        if statement is not None:
             self.bump_stat("statement_cache_hits")
+            return statement
+        statement = parser.parse(sql)
+        if isinstance(statement, ast.SelectStatement):
+            # Only SELECTs are filed (and counted): an INSERT's text is a
+            # batch of row literals that never repeats, so caching it would
+            # only evict statements that do.
+            self.bump_stat("statement_cache_misses")
+            self._statement_cache.put(sql, statement)
         return statement
 
     def _cached_plan(self, sql: str, statement: ast.SelectStatement) -> SelectPlan:

@@ -40,6 +40,7 @@ from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.table import Table
 from repro.sqlengine.zonemaps import (
     _classify_conjunct as classify_conjunct,
+    bind_zone_predicates,
     chunk_may_match,
     chunk_must_match,
     zone_extreme,
@@ -71,11 +72,17 @@ class _ShardSpec:
     Cached on ``SelectPlan.shard_spec`` (plans are cached 1:1 with their
     statements) and keyed on catalog/table versions, so re-executions of a
     prepared statement skip the whole eligibility derivation — group-key
-    classification, aggregate classification, zone pruning, shard boundary
-    placement.  ``worker_spec`` is the statement-derived half of every task;
-    in process mode it is pickled once (``payload``) and published into the
-    pool's shared-memory plan cache, after which each dispatch ships only
-    segment names, a shard id and bound parameters.
+    classification, aggregate classification.  ``worker_spec`` is the
+    statement-derived half of every task; in process mode it is pickled once
+    (``payload``) and published into the pool's shared-memory plan cache,
+    after which each dispatch ships only segment names, the shard's row
+    ranges and bound parameters.
+
+    The row ranges are the one part that may depend on the parameters (zone
+    pruning with bound operands): ``layout`` memoises the last
+    ``(bound zone predicates, per-shard ranges)`` pair, so a statement whose
+    zone operands are all literals — or are re-bound to the same values —
+    places its shard boundaries once.
     """
 
     statement: object
@@ -84,13 +91,18 @@ class _ShardSpec:
     tables: list  # [probe Table] or [probe Table, build Table]
     specs: list
     group_sources: list  # per key: ("column", side, stored_name) | ("expr",)
-    num_shards: int
-    aligned: bool
+    zone_predicates: list  # the probe scan's, possibly with placeholder operands
+    aligned_column: str | None
     scalar: bool
     is_join: bool
     has_expr_keys: bool
     token: int = field(default_factory=lambda: next(_plan_tokens))
     payload: bytes | None = None
+    layout: tuple | None = None
+
+    @property
+    def aligned(self) -> bool:
+        return self.aligned_column is not None
 
     def payload_bytes(self) -> bytes:
         if self.payload is None:
@@ -184,6 +196,10 @@ class Executor:
             deadline=self._deadline,
             faults=self._faults,
         )
+
+    def _bound_zones(self, predicates):
+        """Zone predicates with placeholder operands resolved for this call."""
+        return bind_zone_predicates(predicates, self._context(0).param_value)
 
     def _checkpoint(self) -> None:
         """Cooperative cancellation point (hot loops call this per unit of work)."""
@@ -359,7 +375,7 @@ class Executor:
         definitely whole (every conjunct true for all of its rows).  A single
         mixed chunk makes the query row-dependent and returns None.
         """
-        classified: list[tuple] = []
+        predicates = []
         for conjunct in ast.flatten_and(where):
             for node in conjunct.walk():
                 if isinstance(node, ast.ColumnRef):
@@ -370,6 +386,9 @@ class Executor:
             predicate = classify_conjunct(conjunct)
             if predicate is None:
                 return None
+            predicates.append(predicate)
+        classified: list[tuple] = []
+        for predicate in self._bound_zones(predicates):
             column = table.resolve_column(predicate.column)
             if column is None:
                 return None
@@ -417,7 +436,7 @@ class Executor:
         Eligibility derivation is cached on ``plan.shard_spec`` keyed by
         catalog/table versions, and the frozen worker spec is published once
         into the pool's cross-process plan cache — a repeated
-        prepared-statement execution ships only segment names, shard ids and
+        prepared-statement execution ships only segment names, row ranges and
         bound parameters.  Every other shape returns None and the serial
         path computes the identical result, as does any dispatch where the
         merge raises :class:`~repro.sqlengine.partialagg.ParallelFallback`.
@@ -435,6 +454,9 @@ class Executor:
             return None
         spec = self._shard_dispatch_spec(statement, plan)
         if spec is None:
+            return None
+        shards = self._shard_ranges(spec)
+        if shards is None:
             return None
         worker = spec.worker_spec
         in_thread = self._exec_workers == 1
@@ -457,7 +479,7 @@ class Executor:
                     )
                 rng = np.random.default_rng(0)
                 states = []
-                for ranges in worker["shards"]:
+                for ranges in shards:
                     task = dict(worker)
                     task["ranges"] = ranges
                     task["params"] = self._params
@@ -503,10 +525,10 @@ class Executor:
                         {
                             "plan": plan_name,
                             "segment": published[0].key[-1],
-                            "shard": index,
+                            "ranges": ranges,
                             "params": self._params,
                         }
-                        for index in range(spec.num_shards)
+                        for ranges in shards
                     ]
                     if len(published) == 2:
                         for task in tasks:
@@ -594,11 +616,12 @@ class Executor:
     ) -> _ShardSpec | None:
         """The statement's cached dispatch spec, or None when ineligible.
 
-        The derivation — group-key classification, aggregate classification,
-        zone pruning, shard boundary placement — is a pure function of the
-        statement and the (catalog version, table versions, worker count)
-        key, so its result (including a negative one) is cached on the plan
-        and re-executions of a prepared statement skip it entirely.
+        The derivation — group-key classification, aggregate classification —
+        is a pure function of the statement and the (catalog version, table
+        versions, worker count) key, so its result (including a negative
+        one) is cached on the plan and re-executions of a prepared statement
+        skip it entirely.  Shard boundary placement, which zone pruning makes
+        parameter-dependent, is :meth:`_shard_ranges`.
         """
         relation = statement.from_relation
         if isinstance(relation, ast.TableRef):
@@ -803,13 +826,58 @@ class Executor:
                         return None
                     needed[resolved[0]].add(resolved[1])
 
+        worker_spec = {
+            "binding": bindings[0],
+            "columns": sorted(needed[0]),
+            "predicates": predicates,
+            "group_columns": group_keys,
+            "specs": specs,
+        }
+        if join_pair is not None:
+            worker_spec["join"] = {
+                "binding": bindings[1],
+                "columns": sorted(needed[1]),
+                "probe_predicate": probe_predicate,
+                "build_predicate": build_predicate,
+                "left_key": join_pair[0],
+                "right_key": join_pair[1],
+                "build_rows": tables[1].num_rows,
+            }
+        return _ShardSpec(
+            statement=statement,
+            key=(),
+            worker_spec=worker_spec,
+            tables=list(tables),
+            specs=specs,
+            group_sources=group_sources,
+            zone_predicates=scans[0].zone_predicates if scans[0] is not None else [],
+            aligned_column=aligned_column,
+            scalar=not statement.group_by,
+            is_join=join_pair is not None,
+            has_expr_keys=has_expr_keys,
+        )
+
+    def _shard_ranges(self, spec: _ShardSpec) -> list[list[tuple[int, int]]] | None:
+        """Per-shard absolute row ranges for this execution, or None.
+
+        None means the (pruned) input cannot fill two shards of
+        ``min_shard_rows`` rows and the query should run serially.
+        """
+        zones = tuple(self._bound_zones(spec.zone_predicates))
+        layout = spec.layout  # read once: concurrent executions may replace it
+        if layout is not None and layout[0] == zones:
+            return layout[1]
+        shards = self._place_shards(spec.tables[0], zones, spec.aligned_column)
+        spec.layout = (zones, shards)
+        return shards
+
+    def _place_shards(
+        self, probe_table: Table, zones: tuple, aligned_column: str | None
+    ) -> list[list[tuple[int, int]]] | None:
         # The same zone-map pruning the serial probe scan applies: shards
         # cover the surviving chunks in chunk order, so the concatenated
         # shard row order is the serial frame's row order.
-        scan = scans[0]
-        surviving = None
-        if scan is not None and scan.zone_predicates:
-            surviving = probe_table.prune_chunks(scan.zone_predicates)
+        surviving = probe_table.prune_chunks(zones) if zones else None
         chunk_rows = probe_table.chunk_rows
         if surviving is None:
             total = probe_table.num_rows
@@ -843,7 +911,11 @@ class Executor:
                 offset = virtual - prior
                 span = min(int(lengths[position]) - offset, stop - virtual)
                 absolute = chunk_id * chunk_rows + offset
-                ranges.append((absolute, absolute + span))
+                if ranges and ranges[-1][1] == absolute:
+                    # Adjacent surviving chunks: one slice instead of two.
+                    ranges[-1] = (ranges[-1][0], absolute + span)
+                else:
+                    ranges.append((absolute, absolute + span))
                 virtual += span
                 position += 1
             return ranges
@@ -862,7 +934,7 @@ class Executor:
                 num_shards = min(num_shards, total // self._min_shard_rows)
 
         bounds = [total * index // num_shards for index in range(num_shards + 1)]
-        if aligned and total:
+        if aligned_column is not None and total:
             # Place shard boundaries on key-value changes so no group spans
             # two shards; a wrong promise (duplicate key at merge time) still
             # falls back, so correctness never depends on this metadata.
@@ -891,41 +963,10 @@ class Executor:
                 adjusted.append(min(candidate, total))
             adjusted.append(total)
             bounds = adjusted
-
-        worker_spec = {
-            "binding": bindings[0],
-            "columns": sorted(needed[0]),
-            "predicates": predicates,
-            "group_columns": group_keys,
-            "specs": specs,
-            "shards": [
-                virtual_ranges(bounds[index], bounds[index + 1])
-                for index in range(num_shards)
-            ],
-        }
-        if join_pair is not None:
-            worker_spec["join"] = {
-                "binding": bindings[1],
-                "columns": sorted(needed[1]),
-                "probe_predicate": probe_predicate,
-                "build_predicate": build_predicate,
-                "left_key": join_pair[0],
-                "right_key": join_pair[1],
-                "build_rows": tables[1].num_rows,
-            }
-        return _ShardSpec(
-            statement=statement,
-            key=(),
-            worker_spec=worker_spec,
-            tables=list(tables),
-            specs=specs,
-            group_sources=group_sources,
-            num_shards=num_shards,
-            aligned=aligned,
-            scalar=not statement.group_by,
-            is_join=join_pair is not None,
-            has_expr_keys=has_expr_keys,
-        )
+        return [
+            virtual_ranges(bounds[index], bounds[index + 1])
+            for index in range(num_shards)
+        ]
 
     # -- FROM clause ----------------------------------------------------------
 
@@ -954,7 +995,7 @@ class Executor:
             # naive full-column scan.
             surviving = None
             if self._optimize and scan is not None and scan.zone_predicates:
-                surviving = table.prune_chunks(scan.zone_predicates)
+                surviving = table.prune_chunks(self._bound_zones(scan.zone_predicates))
             # Row indices covered by the surviving chunks, built only if an
             # object column's dictionary codes are actually resolved (an
             # all-numeric pruned scan never pays the O(selected rows) array).

@@ -229,10 +229,8 @@ def evaluate(
         return _broadcast_literal(expression.value, frame.num_rows)
     if isinstance(expression, ast.Placeholder):
         # Bound at execution time: the value comes from the context, so one
-        # parsed/planned statement serves every parameter set.  Placeholders
-        # deliberately take none of the Literal-only fast paths (dictionary
-        # comparisons, zone-map classification); they fall through to the
-        # generic row-level evaluation, which is value-independent.
+        # parsed/planned statement serves every parameter set; from here on
+        # it is read exactly as a literal of that value would be.
         return _broadcast_literal(context.param_value(expression), frame.num_rows)
     if isinstance(expression, ast.ColumnRef):
         return frame.resolve(expression.name, expression.table)
@@ -331,7 +329,7 @@ def _evaluate_unary(expression, frame, context, subquery_evaluator):
 
 
 _NUMERIC_OPS = {"+", "-", "*", "/", "%"}
-_COMPARISON_OPS = {"=", "<>", "<", ">", "<=", ">="}
+_COMPARISON_OPS = ast.COMPARISON_OPS
 
 
 def _evaluate_binary(expression, frame, context, subquery_evaluator):

@@ -126,9 +126,10 @@ class SelectPlan:
     # Plans are cached 1:1 with their statements, so this rides along.
     grouped_memo: object | None = None
     # Lazily filled by the executor's parallel dispatcher: the frozen shard
-    # dispatch spec (admission verdict, per-shard ranges, classified specs)
-    # keyed on catalog/table versions, so re-executions of a cached plan skip
-    # the whole eligibility derivation (see ``executor._ShardSpec``).
+    # dispatch spec (eligibility verdict, classified specs, and the memoised
+    # per-shard ranges of the last parameter binding) keyed on catalog/table
+    # versions, so re-executions of a cached plan skip the whole eligibility
+    # derivation (see ``executor._ShardSpec``).
     shard_spec: object | None = None
 
     def scan_for(self, binding: str) -> ScanPlan | None:

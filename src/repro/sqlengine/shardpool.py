@@ -12,14 +12,15 @@ shared-memory store of table columns.  The flow per eligible query is
    every DML) or the catalog's schema version moves — the same snapshots the
    session layer uses for staleness.
 2. :meth:`ShardPool.publish_plan` — the coordinator's frozen dispatch spec
-   (predicate/aggregate/group-key ASTs, per-shard row ranges, join shape) is
+   (predicate/aggregate/group-key ASTs, join shape) is
    pickled into its own tiny shared-memory segment **once per statement and
    catalog version**.  Workers attach and unpickle it on first use and cache
    the spec, so repeated executions of a prepared statement re-derive
    nothing worker-side.
 3. :meth:`ShardPool.run_tasks` — one tiny task message per worker.  With a
-   published plan the message is just ``{plan, segment, shard id, bound
-   params}``; workers map the segments, slice their shard *zero-copy*,
+   published plan the message is just ``{plan, segment, the shard's row
+   ranges, bound params}`` (the ranges follow zone pruning, which bound
+   parameters decide); workers map the segments, slice their shard *zero-copy*,
    replay the serial filter (and, for join tasks, probe the broadcast build
    side with the serial hash-join kernel), compute the partial aggregates
    (:mod:`repro.sqlengine.partialagg`) and send back the per-group states.
@@ -429,13 +430,11 @@ def _run_task(segments: dict, task: dict, rng) -> partialagg.ShardState:
     if task.get("plan") is not None:
         # Cross-process plan cache: everything statement-derived comes from
         # the published spec; the task itself carries only segment names,
-        # the shard id and this execution's bound parameter values.
+        # the shard's row ranges and this execution's bound parameter values.
         spec = _worker_plan(segments, task["plan"])
         merged = dict(spec)
         merged.update(task)
         task = merged
-        if "ranges" not in task:
-            task["ranges"] = task["shards"][task["shard"]]
     _, columns = _worker_columns(segments, task["segment"])
     build_columns = None
     if task.get("join") is not None:
@@ -783,7 +782,7 @@ class ShardPool:
 
         Returns ``(segment_name, fresh)``.  The payload crosses into shared
         memory exactly once; afterwards every dispatch of the statement ships
-        only segment names, a shard id and bound parameters.  ``key`` must
+        only segment names, row ranges and bound parameters.  ``key`` must
         already encode statement identity and catalog/table versions — the
         pool does no invalidation of its own beyond the FIFO bound.
         """

@@ -86,6 +86,11 @@ class Literal(Expression):
         return repr(self.value) if isinstance(self.value, float) else str(self.value)
 
 
+#: The comparison operators of :class:`BinaryOp` — the ones whose constant
+#: operands zone maps can check and literal lifting may parameterise.
+COMPARISON_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+
+
 def positional_parameter_name(index: int) -> str:
     """Canonical name of the ``index``-th positional placeholder (``p<i>``).
 

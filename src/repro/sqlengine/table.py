@@ -245,23 +245,23 @@ class Table:
         """
         if not predicates or not self._chunks or self._num_rows == 0:
             return None
-        mask = np.ones(self.num_chunks, dtype=bool)
-        pruned_any = False
+        num_chunks = self.num_chunks
+        alive = range(num_chunks)
         for predicate in predicates:
             name = self._column_for(predicate.column)
             if name is None:
                 continue
             is_object = self._chunks[name][0].dtype == object
             zones = self.zone_maps(name)
-            for index in np.flatnonzero(mask):
-                if not chunk_may_match(predicate, zones[index], is_object):
-                    mask[index] = False
-                    pruned_any = True
-            if not mask.any():
+            alive = [
+                index for index in alive
+                if chunk_may_match(predicate, zones[index], is_object)
+            ]
+            if not alive:
                 break
-        if not pruned_any:
+        if len(alive) == num_chunks:
             return None
-        return np.flatnonzero(mask)
+        return np.array(alive, dtype=np.int64)
 
     def resolve_column(self, name: str) -> str | None:
         """Resolve a column reference case-insensitively (None = no unique match)."""

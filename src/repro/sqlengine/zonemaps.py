@@ -3,9 +3,11 @@
 A :class:`~repro.sqlengine.table.Table` stores each column as a sequence of
 fixed-size chunks.  For every chunk a :class:`ZoneMap` records the minimum and
 maximum non-NULL value plus the NULL count; the planner classifies pushed-down
-scan conjuncts into :class:`ZonePredicate` descriptors *at plan time*, and at
-execution the executor asks the table which chunks could possibly contain a
-matching row.  A chunk is skipped only when a conjunct is **definitely false**
+scan conjuncts into :class:`ZonePredicate` descriptors *at plan time* —
+constant operands may be literals or ``?`` / ``:name`` placeholders — and at
+execution the executor resolves the placeholders against the bound
+parameters and asks the table which chunks could possibly contain a matching
+row.  A chunk is skipped only when a conjunct is **definitely false**
 for every row it holds — the surviving chunks are still filtered row by row,
 so skipping is purely an optimization and the result is bit-identical to the
 naive full-column scan.
@@ -29,6 +31,7 @@ The pruning rules mirror the executor's comparison semantics exactly:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +126,13 @@ class ZonePredicate:
     """One pushed-down scan conjunct in zone-map-checkable form.
 
     ``kind`` is ``'cmp'`` (``op`` one of ``= <> < <= > >=``, ``values`` the
-    single literal), ``'between'`` (``values = (low, high)``), ``'in'``
-    (``values`` the literal tuple) or ``'null'`` (``op`` ``'is'``/``'isnot'``).
+    single constant), ``'between'`` (``values = (low, high)``), ``'in'``
+    (``values`` the member tuple) or ``'null'`` (``op`` ``'is'``/``'isnot'``).
+
+    A constant is a literal's value or — classified at plan time, before any
+    parameter is known — the :class:`~repro.sqlengine.sqlast.Placeholder`
+    node itself; :func:`bind_zone_predicates` swaps the nodes for this
+    execution's values before any chunk is checked.
     """
 
     column: str
@@ -133,8 +141,9 @@ class ZonePredicate:
     values: tuple = ()
 
 
-_CMP_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
+# Sentinel: the operand is neither a literal nor a placeholder.
+_NOT_CONSTANT = object()
 
 
 def classify_zone_predicates(predicates: list) -> list[ZonePredicate]:
@@ -151,36 +160,35 @@ def classify_zone_predicates(predicates: list) -> list[ZonePredicate]:
     return classified
 
 
+def _constant(expression: ast.Expression) -> object:
+    """The one rule for constant operands: a literal's value, a placeholder
+    as itself (resolved at bind time), anything else :data:`_NOT_CONSTANT`."""
+    if isinstance(expression, ast.Literal):
+        return expression.value
+    if isinstance(expression, ast.Placeholder):
+        return expression
+    return _NOT_CONSTANT
+
+
 def _classify_conjunct(conjunct: ast.Expression) -> ZonePredicate | None:
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _CMP_OPS:
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in ast.COMPARISON_OPS:
         left, right, op = conjunct.left, conjunct.right, conjunct.op
-        if isinstance(left, ast.Literal) and isinstance(right, ast.ColumnRef):
+        if isinstance(right, ast.ColumnRef):
             left, right = right, left
             op = _FLIP.get(op, op)
-        if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-            return ZonePredicate(column=left.name, kind="cmp", op=op, values=(right.value,))
+        value = _constant(right)
+        if isinstance(left, ast.ColumnRef) and value is not _NOT_CONSTANT:
+            return ZonePredicate(column=left.name, kind="cmp", op=op, values=(value,))
         return None
     if isinstance(conjunct, ast.Between) and not conjunct.negated:
-        if (
-            isinstance(conjunct.operand, ast.ColumnRef)
-            and isinstance(conjunct.low, ast.Literal)
-            and isinstance(conjunct.high, ast.Literal)
-        ):
-            return ZonePredicate(
-                column=conjunct.operand.name,
-                kind="between",
-                values=(conjunct.low.value, conjunct.high.value),
-            )
+        values = (_constant(conjunct.low), _constant(conjunct.high))
+        if isinstance(conjunct.operand, ast.ColumnRef) and _NOT_CONSTANT not in values:
+            return ZonePredicate(column=conjunct.operand.name, kind="between", values=values)
         return None
     if isinstance(conjunct, ast.InList) and not conjunct.negated:
-        if isinstance(conjunct.operand, ast.ColumnRef) and all(
-            isinstance(value, ast.Literal) for value in conjunct.values
-        ):
-            return ZonePredicate(
-                column=conjunct.operand.name,
-                kind="in",
-                values=tuple(value.value for value in conjunct.values),
-            )
+        values = tuple(_constant(value) for value in conjunct.values)
+        if isinstance(conjunct.operand, ast.ColumnRef) and _NOT_CONSTANT not in values:
+            return ZonePredicate(column=conjunct.operand.name, kind="in", values=values)
         return None
     if isinstance(conjunct, ast.IsNull) and isinstance(conjunct.operand, ast.ColumnRef):
         return ZonePredicate(
@@ -189,6 +197,37 @@ def _classify_conjunct(conjunct: ast.Expression) -> ZonePredicate | None:
             op="isnot" if conjunct.negated else "is",
         )
     return None
+
+
+def bind_zone_predicates(
+    predicates: Sequence[ZonePredicate], param_value: Callable[[ast.Placeholder], object]
+) -> Sequence[ZonePredicate]:
+    """``predicates`` with placeholder operands replaced by their bound values.
+
+    ``param_value`` is the execution's
+    :meth:`~repro.sqlengine.functions.EvaluationContext.param_value` — the
+    resolver the row-level evaluation of the same conjunct uses, so a bound
+    predicate prunes exactly the chunks its literal twin prunes (and an
+    unbound placeholder raises the same :class:`BindParameterError`).
+    """
+    if not any(
+        isinstance(value, ast.Placeholder)
+        for predicate in predicates
+        for value in predicate.values
+    ):
+        return predicates
+    return [
+        ZonePredicate(
+            predicate.column,
+            predicate.kind,
+            predicate.op,
+            tuple(
+                param_value(value) if isinstance(value, ast.Placeholder) else value
+                for value in predicate.values
+            ),
+        )
+        for predicate in predicates
+    ]
 
 
 # ---------------------------------------------------------------------------

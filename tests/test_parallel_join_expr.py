@@ -269,12 +269,34 @@ class TestPlanCache:
                 assert got.equals(ref), threshold
             stats = db.stats
             # One publication of the plan spec and of the column segment;
-            # every later execution ships only a shard id + bound params.
+            # every later execution ships only row ranges + bound params.
             assert stats["plan_cache_shm_publications"] == 1
             assert stats["shard_publications"] == 1
             assert stats["parallel_exec_dispatches"] == 8
             # dispatches ≫ publications is the no-bytes-on-the-hot-path proof.
             assert stats["plan_cache_shm_hits"] >= stats["parallel_exec_dispatches"] - 1
+        finally:
+            db.close()
+
+    def test_rebound_zone_pruning_reuses_the_published_plan(self):
+        # order_id is clustered, so each binding prunes to different chunks:
+        # the shard ranges travel in the task, the plan spec is published once.
+        db = sharded_database(seed=0, parallel_exec=2, chunk_rows=64)
+        register_pair(db, num_rows=400)
+        serial = Database(seed=0, optimize=False, chunk_rows=64)
+        register_pair(serial, num_rows=400)
+        try:
+            sql = (
+                "SELECT city, count(*) AS n, sum(qty) AS s FROM orders "
+                "WHERE order_id >= ? AND order_id < ? GROUP BY city ORDER BY city"
+            )
+            for low in (0, 64, 130, 300, 390):
+                params = (low, low + 128)
+                assert db.execute(sql, params=params).equals(
+                    serial.execute(sql, params=params)
+                ), params
+            assert db.stats["plan_cache_shm_publications"] == 1
+            assert db.stats["parallel_exec_dispatches"] == 5
         finally:
             db.close()
 

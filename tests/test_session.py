@@ -37,6 +37,45 @@ class TestOfflineStage:
         approx = context.sql("SELECT count(*) AS c FROM orders")
         assert abs(float(approx.column("c")[0]) - 30_000) / 30_000 < 0.15
 
+    def test_appends_stay_out_of_the_statement_cache_and_the_query_log(self):
+        # Each append forwards INSERTs whose text is a batch of row literals.
+        # 300 of them must neither evict the dashboard's SELECTs from the
+        # engine's 256-entry statement cache nor pile up in queries_issued.
+        from repro.connectors.base import LOGGED_DML_PREFIX
+
+        context = VerdictSession(
+            planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000)
+        )
+        context.load_table("orders", build_orders_columns(num_rows=20_000, seed=1))
+        context.create_sample("orders", SampleSpec("uniform", (), 0.05))
+        context.create_sample("orders", SampleSpec("stratified", ("city",), 0.05))
+        dashboard = [
+            ("SELECT city, sum(price) AS revenue FROM orders WHERE qty > ? GROUP BY city", (2,)),
+            ("SELECT count(*) AS n, avg(price) AS p FROM orders WHERE price < ?", (30.0,)),
+            ("SELECT city, count(*) AS n FROM orders GROUP BY city ORDER BY city", None),
+        ]
+        for sql, params in dashboard:
+            assert not context.execute(sql, params).is_exact
+        batch = build_orders_columns(num_rows=40, seed=3)
+        for _ in range(300):
+            context.append_data("orders", batch)
+        assert context.execute_exact("SELECT count(*) AS c FROM orders").scalar() == 32_000
+        stats = context.connector.database.stats
+        misses = stats["statement_cache_misses"]
+        # The data version moved, so the rewrites are recomputed — into the
+        # same placeholder-carrying SQL text the engine still holds parsed.
+        for sql, params in dashboard:
+            assert not context.execute(sql, params).is_exact
+        assert stats["statement_cache_misses"] - misses == 0
+        cached = context.connector.database._statement_cache
+        assert all(sql.lstrip().upper().startswith("SELECT") for sql in cached._entries)
+        log = context.connector.queries_issued
+        assert any(sql.startswith("INSERT INTO") for sql in log)
+        assert len(max(log, key=len)) < 4_000  # the longest SELECT, not a 40-row INSERT
+        assert all(
+            len(sql) <= LOGGED_DML_PREFIX for sql in log if not sql.startswith("SELECT")
+        )
+
     def test_append_data_is_reproducible_across_sessions(self):
         """Regression: SampleMaintainer drew from an unseeded generator, so
         two runs over the same data and appends disagreed on which appended

@@ -10,12 +10,16 @@ pushdown, dictionary-broadcast scalar string functions).
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.api.binding import LIFTED_PREFIX, lift_literals
 from repro.connectors import BuiltinConnector
+from repro.errors import BindParameterError
 from repro.sampling import MetadataStore, SampleBuilder, SampleSpec
-from repro.sqlengine import Database
+from repro.sqlengine import Database, parser
 from repro.sqlengine.table import DEFAULT_CHUNK_ROWS, Table
 from repro.sqlengine.zonemaps import (
     ZonePredicate,
@@ -292,6 +296,210 @@ def test_chunk_skipping_actually_skips(monkeypatch):
     result = engine.execute("SELECT sum(v) FROM t WHERE x BETWEEN 250 AND 260")
     assert result.scalar() == 11.0
     assert calls["surviving"] == [2]
+
+
+# ---------------------------------------------------------------------------
+# bind-time zone predicates: a bound operand prunes like its literal twin
+# ---------------------------------------------------------------------------
+
+
+def _bound_twins(query: str):
+    """``(named template, mapping)`` and ``(qmark template, tuple)`` of a text.
+
+    Every predicate literal becomes a parameter (the session's own lifting
+    rule, so the twins cover exactly the positions the middleware rewrites).
+    """
+    lifted, constants = lift_literals(parser.parse(query))
+    named = lifted.to_sql()
+    values: list = []
+
+    def positional(match):
+        values.append(constants[match.group(1)])
+        return "?"
+
+    qmark = re.sub(rf":({LIFTED_PREFIX}\d+)", positional, named)
+    return (named, constants), (qmark, tuple(values))
+
+
+@pytest.fixture
+def pruned_chunks(monkeypatch):
+    """Log of every ``Table.prune_chunks`` outcome (surviving ids or None)."""
+    log: list = []
+    original = Table.prune_chunks
+
+    def spy(self, predicates):
+        result = original(self, predicates)
+        log.append(None if result is None else result.tolist())
+        return result
+
+    monkeypatch.setattr(Table, "prune_chunks", spy)
+    return log
+
+
+def _assert_prunes_like_literal(engine, naive, query, log):
+    del log[:]
+    expected = engine.execute(query)
+    literal_log = list(log)
+    assert expected.equals(naive.execute(query))
+    for template, params in _bound_twins(query):
+        del log[:]
+        bound = engine.execute(template, params)
+        assert log == literal_log, (template, params)
+        assert bound.equals(expected), (template, params)
+        assert naive.execute(template, params).equals(expected)
+    return literal_log
+
+
+@pytest.mark.parametrize("query", ZONE_AB_CORPUS)
+def test_bound_operand_prunes_like_literal(query, pruned_chunks):
+    optimized, naive = _chunked_pair()
+    _assert_prunes_like_literal(optimized, naive, query, pruned_chunks)
+
+
+def test_bound_pruning_actually_skips(pruned_chunks):
+    optimized, naive = _chunked_pair()
+    query = "SELECT count(*) AS n, sum(qty) AS s FROM orders WHERE order_id BETWEEN 300 AND 340"
+    log = _assert_prunes_like_literal(optimized, naive, query, pruned_chunks)
+    assert log == [[4, 5]]  # rows 256..383 of 1000, 64 per chunk
+
+
+def test_bound_range_on_large_clustered_table(pruned_chunks):
+    # The acceptance shape: 400 k rows clustered on k.  Wall time follows the
+    # surviving-chunk set, so that is what is asserted.
+    rows = 400_000
+    columns = {"k": np.arange(rows), "v": np.random.default_rng(3).random(rows)}
+    engine = Database(seed=0)
+    engine.register_table("t", columns)
+    literal = engine.execute("SELECT sum(v) FROM t WHERE k >= 100000 AND k < 120000")
+    for template, params in (
+        ("SELECT sum(v) FROM t WHERE k >= ? AND k < ?", (100_000, 120_000)),
+        ("SELECT sum(v) FROM t WHERE k >= :lo AND k < :hi", {"lo": 100_000, "hi": 120_000}),
+    ):
+        assert engine.execute(template, params).equals(literal)
+    expected = list(range(100_000 // DEFAULT_CHUNK_ROWS, 119_999 // DEFAULT_CHUNK_ROWS + 1))
+    assert pruned_chunks == [expected] * 3
+    assert len(expected) == 2 and engine.table("t").num_chunks == 25
+
+
+def test_bound_string_against_numeric_column_never_prunes(pruned_chunks):
+    optimized, naive = _chunked_pair()
+    # A string operand switches the row path to per-value string semantics,
+    # which the numeric bounds cannot summarize: no pruning, same rows.
+    query = "SELECT order_id FROM orders WHERE order_id = '512'"
+    log = _assert_prunes_like_literal(optimized, naive, query, pruned_chunks)
+    assert log == [None]
+    assert optimized.execute(query).fetchall() == [(512,)]
+    # ... and a numeric operand against an object column likewise.
+    log = _assert_prunes_like_literal(
+        optimized, naive, "SELECT count(*) FROM orders WHERE region = 7", pruned_chunks
+    )
+    assert log == [None]
+
+
+def test_bound_null_and_nan_rules(pruned_chunks):
+    values = np.concatenate([np.full(8, np.nan), np.arange(8.0), np.arange(100.0, 108.0)])
+    engines = []
+    for optimize in (True, False):
+        engine = Database(seed=0, optimize=optimize, chunk_rows=8)
+        engine.register_table("t", {"x": values.copy()})
+        engines.append(engine)
+    optimized, naive = engines
+    for query, surviving in [
+        # the NULL-only chunk fails every comparison but <>
+        ("SELECT sum(x) AS s FROM t WHERE x = 3", [1]),
+        ("SELECT sum(x) AS s FROM t WHERE x < 50", [1]),
+        ("SELECT sum(x) AS s FROM t WHERE x BETWEEN 101 AND 500", [2]),
+        ("SELECT sum(x) AS s FROM t WHERE x IN (2, 104)", [1, 2]),
+        # NaN <> x is True under the engine's float semantics
+        ("SELECT sum(x) AS s FROM t WHERE x <> 3", None),
+    ]:
+        log = _assert_prunes_like_literal(optimized, naive, query, pruned_chunks)
+        assert log == [surviving], query
+    # A parameter bound to NULL reads as a NULL literal does.
+    for op, survivors in (("=", []), ("<>", None)):
+        del pruned_chunks[:]
+        bound = optimized.execute(f"SELECT sum(x) AS s FROM t WHERE x {op} ?", (None,))
+        literal = optimized.execute(f"SELECT sum(x) AS s FROM t WHERE x {op} NULL")
+        assert pruned_chunks == [survivors, survivors]
+        assert bound.equals(literal)
+        assert bound.equals(naive.execute(f"SELECT sum(x) AS s FROM t WHERE x {op} ?", (None,)))
+
+
+def test_unbound_placeholder_raises_bind_error():
+    engine = Database(seed=0, chunk_rows=8)
+    engine.register_table("t", {"x": np.arange(32)})
+    with pytest.raises(BindParameterError):
+        engine.execute("SELECT count(*) FROM t WHERE x > ?")
+    with pytest.raises(BindParameterError):
+        engine.execute("SELECT count(*) FROM t WHERE x > :lo", {"hi": 3})
+
+
+def test_zone_aggregate_under_fully_prunable_bound_where():
+    engines = []
+    for optimize in (True, False):
+        engine = Database(seed=0, optimize=optimize, chunk_rows=100)
+        engine.register_table("t", {"x": np.arange(1000), "v": np.arange(1000) * 0.5})
+        engines.append(engine)
+    optimized, naive = engines
+    literal = "SELECT min(v) AS lo, max(v) AS hi, count(*) AS n FROM t WHERE x >= 200 AND x < 500"
+    expected = naive.execute(literal)
+    for template, params in _bound_twins(literal):
+        before = optimized.stats["zone_map_aggregates"]
+        assert optimized.execute(template, params).equals(expected)
+        assert optimized.stats["zone_map_aggregates"] == before + 1
+    # A bound window that cuts a chunk is row-dependent: normal path, same answer.
+    template = "SELECT min(v) AS lo, max(v) AS hi, count(*) AS n FROM t WHERE x >= ? AND x < ?"
+    before = optimized.stats["zone_map_aggregates"]
+    assert optimized.execute(template, (250, 500)).equals(naive.execute(template, (250, 500)))
+    assert optimized.stats["zone_map_aggregates"] == before
+
+
+def test_in_thread_shards_follow_the_bound_surviving_chunks(monkeypatch):
+    from repro.sqlengine import shardpool
+
+    rows = 2000
+    rng = np.random.default_rng(5)
+    columns = {
+        "k": np.arange(rows),
+        "g": rng.integers(0, 4, rows),
+        "v": rng.random(rows),
+    }
+    sharded = Database(seed=0, parallel_exec=1, chunk_rows=100)
+    serial = Database(seed=0, optimize=False, chunk_rows=100)
+    for engine in (sharded, serial):
+        engine.register_table("t", {name: array.copy() for name, array in columns.items()})
+    seen: list = []
+    original = shardpool.run_shard_task
+
+    def spy(store, task, rng, build_store=None):
+        seen.append(list(task["ranges"]))
+        return original(store, task, rng, build_store)
+
+    monkeypatch.setattr(shardpool, "run_shard_task", spy)
+    template = (
+        "SELECT g, count(*) AS n, max(v) AS hi FROM t WHERE k >= ? AND k < ? "
+        "GROUP BY g ORDER BY g"
+    )
+    for low, high, shards in [
+        # chunks 3..8 survive: two shards of three chunks each
+        (350, 850, [[(300, 600)], [(600, 900)]]),
+        # re-bound: the same cached plan places different boundaries
+        (1000, 1400, [[(1000, 1200)], [(1200, 1400)]]),
+        # nothing prunable: the whole table, halved
+        (0, 2000, [[(0, 1000)], [(1000, 2000)]]),
+    ]:
+        del seen[:]
+        before = sharded.stats["parallel_exec_dispatches"]
+        got = sharded.execute(template, (low, high))
+        assert sharded.stats["parallel_exec_dispatches"] == before + 1
+        assert seen == shards
+        assert got.equals(serial.execute(template, (low, high)))
+        literal = template.replace("?", "{}").format(low, high)
+        del seen[:]
+        assert sharded.execute(literal).equals(got)
+        assert seen == shards
+    # One plan served all three bindings of the template.
+    assert sharded.stats["plan_cache_misses"] == 1 + 3  # the template + three literal texts
 
 
 # ---------------------------------------------------------------------------
