@@ -262,7 +262,14 @@ class VerdictSession:
         return self.metadata.samples_for(table)
 
     def append_data(self, table: str, columns: Mapping[str, Sequence]) -> dict[str, int]:
-        """Append a batch of rows and incrementally maintain the samples (App. D)."""
+        """Append a batch of rows and incrementally maintain the samples (App. D).
+
+        ``columns`` maps every column of ``table`` to equally long values.
+        The batch is validated as a whole first — a
+        :class:`~repro.errors.SamplingError` means nothing changed — and then
+        travels as columns (``Connector.append_columns``), so the cost is
+        proportional to the batch.  Returns sample table → rows added to it.
+        """
         self._check_open()
         with self.connector.session_lock:
             inserted = self.sample_maintainer.append(table, columns)

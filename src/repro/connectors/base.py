@@ -2,8 +2,9 @@
 
 A connector is the paper's "thin driver": it sends SQL text to a backend and
 returns :class:`~repro.sqlengine.resultset.ResultSet` objects, plus the small
-amount of catalog introspection the middleware needs (row counts and column
-cardinalities for the default sampling policy).
+amount of catalog introspection the middleware needs (row counts, column
+types and cardinalities) and the two bulk data paths — ``load_table`` and
+``append_columns`` — through which rows travel as columns, never as SQL text.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ import abc
 import threading
 from collections import deque
 from contextlib import nullcontext
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.connectors.dialects import Dialect
 from repro.connectors.syntax_changer import SyntaxChanger
@@ -21,12 +26,37 @@ from repro.sqlengine import sqlast as ast
 from repro.sqlengine.resultset import ResultSet
 
 
+#: A columnar batch: column name -> equally long one-dimensional values.
+Columns = Mapping[str, "Sequence[Any] | NDArray[Any]"]
+
 #: Characters of a non-SELECT statement kept in ``Connector.queries_issued``.
 LOGGED_DML_PREFIX = 200
 
 
 class Connector(abc.ABC):
-    """Abstract driver through which the middleware talks to a database."""
+    """Abstract driver through which the middleware talks to a database.
+
+    Queries and DDL go to the backend as SQL text (:meth:`execute`); data
+    does not.  :meth:`append_columns` is the one ingest primitive, and its
+    contract is what ``VerdictSession.append_data`` rests on:
+
+    * **columnar** — the batch is a mapping of column name to equally long
+      one-dimensional values covering exactly the table's columns; it reaches
+      the backend through its native bulk interface, so the cost is
+      proportional to the batch and no row is rendered to, or parsed from,
+      ``INSERT`` text;
+    * **atomic per table** — the batch is validated and cast as a whole
+      before the table changes; a rejected batch raises and leaves the table
+      untouched;
+    * **typed by the stored column** (:meth:`column_dtypes`,
+      :func:`repro.sqlengine.table.coerce_column`) — values are cast to the
+      column's stored type; an integer column receiving NULLs or
+      non-integral numbers widens to ``float64`` (NULL is NaN) instead of
+      mangling them, an ``object`` batch of ``None``/numbers is a numeric
+      batch, and only a genuinely non-numeric value turns a numeric column
+      into strings;
+    * **one version step** — :meth:`catalog_state` moves once per batch.
+    """
 
     #: Fault injector firing the ``connector.execute`` site, or None.
     #: Connectors whose backend owns an injector override this as a property.
@@ -160,6 +190,11 @@ class Connector(abc.ABC):
     def column_names(self, table: str) -> list[str]:
         """Return the column names of ``table``."""
 
+    @abc.abstractmethod
+    def column_dtypes(self, table: str) -> dict[str, np.dtype]:
+        """Stored numpy dtype (``int64``/``float64``/``bool``/``object``) of
+        every column of ``table``, in column order."""
+
     def has_table(self, table: str) -> bool:
         lowered = table.lower()
         return any(name.lower() == lowered for name in self.table_names())
@@ -201,7 +236,7 @@ class Connector(abc.ABC):
     # -- data loading ------------------------------------------------------------
 
     @abc.abstractmethod
-    def load_table(self, name: str, columns: Mapping[str, Sequence]) -> None:
+    def load_table(self, name: str, columns: Columns) -> None:
         """Create (or replace) a base table from in-memory columns.
 
         This stands in for the ETL process that loads data into the
@@ -232,24 +267,9 @@ class Connector(abc.ABC):
         self.execute(ast.CreateTableStatement(table_name=target, as_select=select))
         return True
 
-    def insert_rows(self, table: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-        """Append rows to an existing table using INSERT statements."""
-        rows = list(rows)
-        if not rows:
-            return
-        statement = ast.InsertStatement(
-            table_name=table,
-            columns=list(columns),
-            rows=[[ast.Literal(_python_value(value)) for value in row] for row in rows],
-        )
-        self.execute(statement)
+    @abc.abstractmethod
+    def append_columns(self, table: str, columns: Columns) -> None:
+        """Append a columnar batch to an existing table (see the class docstring)."""
 
     def close(self) -> None:
         """Release backend resources (no-op by default)."""
-
-
-def _python_value(value: object) -> object:
-    """Convert numpy scalars to plain python values for INSERT literals."""
-    if hasattr(value, "item"):
-        return value.item()
-    return value

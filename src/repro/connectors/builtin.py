@@ -84,9 +84,20 @@ class BuiltinConnector(Connector):
     def column_names(self, table: str) -> list[str]:
         return self.database.table(table).column_names
 
+    def column_dtypes(self, table: str):
+        stored = self.database.table(table)
+        return {name: stored.column_dtype(name) for name in stored.column_names}
+
     def row_count(self, table: str) -> int:
         # The engine keeps exact row counts in its catalog; avoid a scan.
         return self.database.table(table).num_rows
+
+    def column_cardinality(self, table: str, column: str) -> int:
+        # Likewise answered from what the engine already maintains: the
+        # column's dictionary (extended in place by appends), not a scan.
+        stored = self.database.table(table)
+        with self.database.consistent_read():
+            return stored.distinct_count(stored.resolve_column(column) or column)
 
     def table_clustered_on(self, table: str) -> str | None:
         # The engine tracks clustering exactly (including survival across
@@ -95,6 +106,9 @@ class BuiltinConnector(Connector):
 
     def load_table(self, name: str, columns: Mapping[str, Sequence]) -> None:
         self.database.register_table(name, columns, replace=True)
+
+    def append_columns(self, table: str, columns: Mapping[str, Sequence]) -> None:
+        self.database.append_columns(table, columns)
 
     def close(self) -> None:
         """Release the engine's worker threads (the engine object survives)."""

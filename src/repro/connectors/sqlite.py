@@ -20,6 +20,7 @@ from repro.connectors.base import Connector
 from repro.connectors.dialects import SQLITE
 from repro.errors import ConnectorError
 from repro.sqlengine.resultset import ResultSet
+from repro.sqlengine.table import coerce_batch
 
 
 class _StddevAggregate:
@@ -76,8 +77,14 @@ class SqliteConnector(Connector):
         rng = self._rng
         connection.create_function("vdb_rand", 0, lambda: float(rng.random()))
         connection.create_function("rand", 0, lambda: float(rng.random()))
+        # The rule of ``functions.hash_unit_interval`` (NULL hashes as the
+        # empty string), so hashed samples built here keep the keys sample
+        # maintenance keeps.
         connection.create_function(
-            "vdb_hash", 1, lambda value: zlib.crc32(str(value).encode("utf-8")) / 4294967296.0
+            "vdb_hash",
+            1,
+            lambda value: zlib.crc32(("" if value is None else str(value)).encode("utf-8"))
+            / 4294967296.0,
         )
         connection.create_function("crc32", 1, lambda value: zlib.crc32(str(value).encode("utf-8")))
         connection.create_function("sqrt", 1, lambda value: None if value is None else math.sqrt(value))
@@ -140,6 +147,26 @@ class SqliteConnector(Connector):
             raise ConnectorError(f"sqlite table {table!r} does not exist")
         return names
 
+    def column_dtypes(self, table: str) -> dict[str, np.dtype]:
+        cursor = self._connection.execute(f'PRAGMA table_info("{table}")')
+        declared = {row[1]: str(row[2]).upper() for row in cursor.fetchall()}
+        if not declared:
+            raise ConnectorError(f"sqlite table {table!r} does not exist")
+        return {name: _numpy_dtype(type_name) for name, type_name in declared.items()}
+
+    def append_columns(self, table: str, columns: Mapping[str, Sequence]) -> None:
+        stored = self.column_dtypes(table)
+        arrays = coerce_batch(stored, columns)
+        names = ", ".join(f'"{name}"' for name in stored)
+        placeholders = ", ".join("?" for _ in stored)
+        # One statement, one transaction: the batch lands whole or not at all.
+        with self._connection:
+            self._connection.executemany(
+                f'INSERT INTO "{table}" ({names}) VALUES ({placeholders})',
+                zip(*[_python_list(array) for array in arrays.values()]),
+            )
+        self._writes += 1  # bypasses execute(); see Connector.catalog_state
+
     def load_table(self, name: str, columns: Mapping[str, Sequence]) -> None:
         column_names = list(columns.keys())
         arrays = [np.asarray(columns[column]) for column in column_names]
@@ -170,11 +197,23 @@ def _sqlite_type(array: np.ndarray) -> str:
     return "TEXT"
 
 
+def _numpy_dtype(declared: str) -> np.dtype:
+    """Numpy dtype a declared SQLite column type stores as (type affinity)."""
+    if "INT" in declared:
+        return np.dtype(np.int64)
+    if any(word in declared for word in ("REAL", "FLOA", "DOUB", "DEC", "NUM")):
+        return np.dtype(np.float64)
+    return np.dtype(object)
+
+
 def _python_list(array: np.ndarray) -> list:
-    if array.dtype.kind in ("i", "u"):
-        return [int(value) for value in array.tolist()]
-    if array.dtype.kind == "f":
-        return [float(value) for value in array.tolist()]
-    if array.dtype.kind == "b":
-        return [int(value) for value in array.tolist()]
-    return [None if value is None else str(value) for value in array.tolist()]
+    """Column values as sqlite3 binds them (NaN binds as NULL)."""
+    if array.dtype != object:
+        return array.tolist()
+    return [_python_scalar(value) for value in array.tolist()]
+
+
+def _python_scalar(value: object) -> object:
+    if isinstance(value, np.generic):
+        value = value.item()
+    return value if value is None or isinstance(value, (str, int, float)) else str(value)

@@ -2,23 +2,36 @@
 
 When a new batch of rows is appended to a base table, every existing sample
 of that table is updated in place: the batch is sampled with the same
-parameters the sample was built with and the selected rows are inserted into
+parameters the sample was built with and the selected rows are appended to
 the sample table.  Stratified samples reuse the per-stratum probabilities
 already stored in the sample; strata that appear for the first time are kept
 in full (probability 1) until the sample is rebuilt.
+
+The batch stays columnar from the caller to the backend
+(:meth:`~repro.connectors.base.Connector.append_columns`): each sample's
+share is a fancy-index of the batch arrays, and the cost of an append is
+proportional to the batch, not to the tables it lands in.
 """
 
 from __future__ import annotations
 
-import zlib
-from collections.abc import Mapping, Sequence
+import dataclasses
+from typing import Any
 
 import numpy as np
+from numpy.typing import NDArray
 
-from repro.connectors.base import Connector
-from repro.errors import SamplingError
+from repro.connectors.base import Columns, Connector
+from repro.errors import ExecutionError, SamplingError
 from repro.sampling.metadata import MetadataStore
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
+from repro.sqlengine import functions
+from repro.sqlengine.encoding import encode_object_array, merge_dictionaries
+from repro.sqlengine.table import coerce_batch
+
+Array = NDArray[Any]
+#: Column name -> values, as the backend will store them.
+Batch = dict[str, Array]
 
 
 class SampleMaintainer:
@@ -36,69 +49,84 @@ class SampleMaintainer:
         # set and one sequence of appends must give one set of sample tables.
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def append(self, table: str, columns: Mapping[str, Sequence]) -> dict[str, int]:
+    def append(self, table: str, columns: Columns) -> dict[str, int]:
         """Append a batch to ``table`` and update its samples.
+
+        The whole batch is validated before anything changes: a batch that
+        raises :class:`~repro.errors.SamplingError` leaves the base table,
+        its samples and the metadata as they were.
 
         Args:
             table: base table name.
-            columns: column name → values of the new batch.
+            columns: column name → values of the new batch; exactly the
+                table's columns, all of one length, each castable to the
+                stored column type.
 
         Returns:
             Mapping of sample table name → number of rows inserted into it.
         """
         if not self._connector.has_table(table):
             raise SamplingError(f"table {table!r} does not exist")
-        column_names = list(columns.keys())
-        arrays = {name: np.asarray(values) for name, values in columns.items()}
-        lengths = {len(array) for array in arrays.values()}
-        if len(lengths) != 1:
-            raise SamplingError("all appended columns must have the same length")
-        batch_size = lengths.pop()
-
-        rows = list(zip(*[arrays[name] for name in column_names]))
-        self._connector.insert_rows(table, column_names, rows)
+        batch = self._validated_batch(table, columns)
+        batch_size = len(next(iter(batch.values())))
+        self._connector.append_columns(table, batch)
 
         inserted: dict[str, int] = {}
+        changed: list[SampleInfo] = []
         for info in self._metadata.samples_for(table):
-            inserted[info.sample_table] = self._update_sample(
-                info, column_names, arrays, batch_size
-            )
+            count = self._update_sample(info, batch, batch_size)
+            inserted[info.sample_table] = count
             sid_clustered = info.sid_clustered
-            if inserted[info.sample_table] and sid_clustered:
+            if count and sid_clustered:
                 # New rows carry freshly drawn subsample ids, which almost
                 # never extend the sorted sid run.  Ask the backend whether
                 # the physical order actually survived; "unknown" (None)
                 # must be treated as lost.
                 clustered = self._connector.table_clustered_on(info.sample_table)
-                sid_clustered = (
-                    clustered is not None and clustered.lower() == SID_COLUMN
+                sid_clustered = clustered is not None and clustered.lower() == SID_COLUMN
+            changed.append(
+                dataclasses.replace(
+                    info,
+                    original_rows=info.original_rows + batch_size,
+                    sample_rows=info.sample_rows + count,
+                    sid_clustered=sid_clustered,
                 )
-            self._metadata.update_counts(
-                info.sample_table,
-                original_rows=info.original_rows + batch_size,
-                sample_rows=info.sample_rows + inserted[info.sample_table],
-                sid_clustered=sid_clustered,
             )
+        if changed:
+            self._metadata.update(changed)
         return inserted
+
+    def _validated_batch(self, table: str, columns: Columns) -> Batch:
+        """The batch as the backend will store it, or a :class:`SamplingError`.
+
+        Casting to the stored column types here, once, is also what keeps
+        maintenance consistent with the builder: hashed keys and stratum
+        keys are derived from the values the backend holds (``5``), not from
+        whatever dtype the caller happened to pass (``5.0``).
+        """
+        stored = self._connector.column_dtypes(table)
+        try:
+            batch = coerce_batch(stored, columns)
+        except ExecutionError as error:
+            raise SamplingError(f"cannot append to {table!r}: {error}") from error
+        for name, array in batch.items():
+            if array.dtype == object and stored[name] != object:
+                raise SamplingError(
+                    f"column {name!r} holds non-numeric values; {table}.{name} is {stored[name]}"
+                )
+        return batch
 
     # -- per-sample update -------------------------------------------------------
 
-    def _update_sample(
-        self,
-        info: SampleInfo,
-        column_names: list[str],
-        arrays: dict[str, np.ndarray],
-        batch_size: int,
-    ) -> int:
+    def _update_sample(self, info: SampleInfo, batch: Batch, batch_size: int) -> int:
         if info.sample_type == "uniform":
             probabilities = np.full(batch_size, info.ratio)
             keep = self._rng.random(batch_size) < info.ratio
         elif info.sample_type == "hashed":
-            keys = _hash_keys(arrays, info.columns)
             probabilities = np.full(batch_size, info.ratio)
-            keep = keys < info.ratio
+            keep = _hash_keys(batch, info.columns) < info.ratio
         elif info.sample_type == "stratified":
-            probabilities = self._stratified_probabilities(info, arrays, batch_size)
+            probabilities = self._stratified_probabilities(info, batch, batch_size)
             keep = self._rng.random(batch_size) < probabilities
         else:
             raise SamplingError(f"cannot maintain sample of type {info.sample_type!r}")
@@ -106,45 +134,61 @@ class SampleMaintainer:
         indices = np.flatnonzero(keep)
         if indices.size == 0:
             return 0
-        sids = self._rng.integers(1, info.subsample_count + 1, size=indices.size)
-        sample_columns = column_names + [PROBABILITY_COLUMN, SID_COLUMN]
-        sample_rows = []
-        for position, row_index in enumerate(indices):
-            row = [arrays[name][row_index] for name in column_names]
-            row.append(float(probabilities[row_index]))
-            row.append(int(sids[position]))
-            sample_rows.append(row)
-        self._connector.insert_rows(info.sample_table, sample_columns, sample_rows)
-        return indices.size
+        sample_batch = {name: array[indices] for name, array in batch.items()}
+        sample_batch[PROBABILITY_COLUMN] = probabilities[indices]
+        sample_batch[SID_COLUMN] = self._rng.integers(
+            1, info.subsample_count + 1, size=indices.size
+        )
+        self._connector.append_columns(info.sample_table, sample_batch)
+        return int(indices.size)
 
     def _stratified_probabilities(
-        self, info: SampleInfo, arrays: dict[str, np.ndarray], batch_size: int
-    ) -> np.ndarray:
-        """Reuse the per-stratum probabilities stored in the existing sample."""
+        self, info: SampleInfo, batch: Batch, batch_size: int
+    ) -> Array:
+        """Reuse the per-stratum probabilities stored in the existing sample.
+
+        Strata and batch rows are matched on the engine's own grouping keys
+        (each key column's normalized dictionary, merged between the two
+        sides), so a batch row joins the stratum ``GROUP BY`` put its
+        equals in; rows of an unseen stratum get probability 1.
+        """
         key_columns = ", ".join(info.columns)
         result = self._connector.execute(
             f"SELECT {key_columns}, max({PROBABILITY_COLUMN}) AS p "
             f"FROM {info.sample_table} GROUP BY {key_columns}"
         )
-        known: dict[tuple, float] = {}
-        for row in result.rows():
-            known[tuple(str(value) for value in row[:-1])] = float(row[-1])
+        strata_keys = np.zeros(result.num_rows, dtype=np.int64)
+        batch_keys = np.zeros(batch_size, dtype=np.int64)
+        for column, strata_values in zip(info.columns, result.columns()):
+            strata_codes, batch_codes, cardinality = merge_dictionaries(
+                _encode(strata_values), _encode(batch[column])
+            )
+            strata_keys = strata_keys * cardinality + strata_codes
+            batch_keys = batch_keys * cardinality + batch_codes
         probabilities = np.ones(batch_size, dtype=np.float64)
-        for index in range(batch_size):
-            key = tuple(str(arrays[column][index]) for column in info.columns)
-            probabilities[index] = known.get(key, 1.0)
+        if result.num_rows:
+            order = np.argsort(strata_keys)
+            strata_keys = strata_keys[order]
+            known = result.column("p").astype(np.float64)[order]
+            position = np.minimum(np.searchsorted(strata_keys, batch_keys), len(order) - 1)
+            seen = strata_keys[position] == batch_keys
+            probabilities[seen] = known[position[seen]]
         return probabilities
 
 
-def _hash_keys(arrays: dict[str, np.ndarray], columns: tuple[str, ...]) -> np.ndarray:
-    """Uniform [0, 1) hash of the key columns, matching the SQL ``vdb_hash``."""
+def _encode(values: Array) -> tuple[Array, Array]:
+    """Dictionary-encode a key column; numeric columns via their distinct values."""
+    if values.dtype == object:
+        return encode_object_array(values)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    codes, dictionary = encode_object_array(distinct)
+    return codes[inverse], dictionary
+
+
+def _hash_keys(batch: Batch, columns: tuple[str, ...]) -> Array:
+    """Uniform [0, 1) hash of the key columns: the builder's
+    ``vdb_hash(concat(...))``, computed by the same functions over the batch
+    as stored."""
     if len(columns) == 1:
-        keys = [str(value) for value in arrays[columns[0]]]
-    else:
-        keys = [
-            "".join(str(arrays[column][index]) for column in columns)
-            for index in range(len(next(iter(arrays.values()))))
-        ]
-    return np.array(
-        [zlib.crc32(key.encode("utf-8")) / 4294967296.0 for key in keys], dtype=np.float64
-    )
+        return functions.hash_unit_interval(batch[columns[0]])
+    return functions.hash_unit_interval(functions.concat(*[batch[name] for name in columns]))

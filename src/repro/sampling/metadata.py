@@ -2,15 +2,20 @@
 
 VerdictDB keeps everything — samples and their metadata — in the underlying
 database (Section 2.1), so that any process connecting through the middleware
-sees the same sample catalog.  The metadata lives in a regular table and is
-read and written with plain SQL through the connector.
+sees the same sample catalog.  The metadata lives in a regular table: it is
+read with plain SQL and written, like every other batch of rows, as columns
+through the connector.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Iterable, Sequence
+
+import numpy as np
+
 from repro.connectors.base import Connector
 from repro.sampling.params import SampleInfo
-from repro.sqlengine import sqlast as ast
 
 
 METADATA_TABLE = "verdictdb_metadata"
@@ -26,31 +31,33 @@ _COLUMNS = [
     ("subsample_count", "bigint"),
     ("sid_clustered", "bigint"),
 ]
+#: The array dtype each SQL type above is written as.
+_DTYPES: dict[str, type] = {"varchar": object, "double": np.float64, "bigint": np.int64}
 
 
 class MetadataStore:
     """Reads and writes the sample catalog through a connector.
 
-    Writes are read-modify-write sequences (the supported SQL subset has no
-    DELETE/UPDATE, so the table is rebuilt), so every mutation serializes on
-    the connector's cross-session :attr:`~repro.connectors.base.Connector.session_lock`
-    — two sessions sharing one backend cannot interleave their rebuilds.
+    The supported SQL subset has no DELETE/UPDATE and the table is tiny, so
+    every mutation is one read followed by **one** columnar replace of the
+    whole table (:meth:`_write`) — however many samples changed.  The pair
+    serializes on the connector's cross-session
+    :attr:`~repro.connectors.base.Connector.session_lock`, so two sessions
+    sharing one backend cannot interleave their read-modify-writes.
     """
 
     def __init__(self, connector: Connector, table_name: str = METADATA_TABLE) -> None:
         self._connector = connector
         self.table_name = table_name
 
-    # -- schema -----------------------------------------------------------------
+    # -- writes -----------------------------------------------------------------
 
     def ensure_schema(self) -> None:
         """Create the metadata table, migrating an outdated schema in place.
 
         A metadata table written by an older version may lack columns added
-        since (e.g. ``sid_clustered``); ``CREATE TABLE IF NOT EXISTS`` alone
-        would leave it stale and break the INSERTs.  The rows are re-read
-        with the tolerant reader, the table rebuilt with the current schema
-        and the rows re-recorded (metadata tables are tiny).
+        since (e.g. ``sid_clustered``).  Its rows are re-read with the
+        tolerant reader and written back under the current schema.
         """
         with self._connector.session_lock:
             if self._connector.has_table(self.table_name):
@@ -59,64 +66,31 @@ class MetadataStore:
                 }
                 if existing == {name for name, _ in _COLUMNS}:
                     return
-                rows = self.all_samples()
-                self._connector.drop_table(self.table_name, if_exists=True)
-                self._create_table()
-                for info in rows:
-                    self._insert(info)
-                return
-            self._create_table()
-
-    def _create_table(self) -> None:
-        statement = ast.CreateTableStatement(
-            table_name=self.table_name,
-            columns=[ast.ColumnDefinition(name, type_name) for name, type_name in _COLUMNS],
-            if_not_exists=True,
-        )
-        self._connector.execute(statement)
-
-    # -- writes -----------------------------------------------------------------
+            self._write(self._read_samples())
 
     def record(self, info: SampleInfo) -> None:
-        """Insert a metadata row for a newly created sample."""
+        """Add the metadata row of a newly created sample."""
         with self._connector.session_lock:
-            self.ensure_schema()
-            self._insert(info)
-
-    def _insert(self, info: SampleInfo) -> None:
-        statement = ast.InsertStatement(
-            table_name=self.table_name,
-            columns=[name for name, _ in _COLUMNS],
-            rows=[
-                [
-                    ast.Literal(info.original_table),
-                    ast.Literal(info.sample_table),
-                    ast.Literal(info.sample_type),
-                    ast.Literal(",".join(info.columns)),
-                    ast.Literal(float(info.ratio)),
-                    ast.Literal(int(info.original_rows)),
-                    ast.Literal(int(info.sample_rows)),
-                    ast.Literal(int(info.subsample_count)),
-                    ast.Literal(int(bool(info.sid_clustered))),
-                ]
-            ],
-        )
-        self._connector.execute(statement)
+            self._write([*self._read_samples(), info])
 
     def forget(self, sample_table: str) -> None:
-        """Remove the metadata rows of a dropped sample.
-
-        The supported SQL subset has no DELETE, so the table is rebuilt
-        without the forgotten rows (metadata tables are tiny).
-        """
+        """Remove the metadata rows of a dropped sample."""
         with self._connector.session_lock:
-            remaining = [
-                info for info in self.all_samples() if info.sample_table != sample_table
-            ]
-            self._connector.drop_table(self.table_name, if_exists=True)
-            self.ensure_schema()
-            for info in remaining:
-                self.record(info)
+            self._write(
+                [info for info in self._read_samples() if info.sample_table != sample_table]
+            )
+
+    def update(self, changed: Iterable[SampleInfo]) -> None:
+        """Replace the rows of the given samples (matched by sample table).
+
+        One write for any number of samples: incremental maintenance updates
+        every sample of a table with a single call.
+        """
+        replacement = {info.sample_table: info for info in changed}
+        with self._connector.session_lock:
+            self._write(
+                [replacement.get(info.sample_table, info) for info in self._read_samples()]
+            )
 
     def update_counts(
         self,
@@ -125,7 +99,7 @@ class MetadataStore:
         sample_rows: int,
         sid_clustered: bool | None = None,
     ) -> None:
-        """Update the stored row counts after incremental maintenance.
+        """Update one sample's stored row counts after incremental maintenance.
 
         ``sid_clustered`` overrides the stored clustering flag when given a
         boolean; None keeps the existing value.  Maintenance passes False once
@@ -135,38 +109,49 @@ class MetadataStore:
         tight per-sid zone maps the moment that stops being true.
         """
         with self._connector.session_lock:
-            updated = []
-            for info in self.all_samples():
-                if info.sample_table == sample_table:
-                    info = SampleInfo(
-                        original_table=info.original_table,
-                        sample_table=info.sample_table,
-                        sample_type=info.sample_type,
-                        columns=info.columns,
-                        ratio=info.ratio,
-                        original_rows=original_rows,
-                        sample_rows=sample_rows,
-                        subsample_count=info.subsample_count,
-                        sid_clustered=(
-                            info.sid_clustered if sid_clustered is None else sid_clustered
-                        ),
-                    )
-                updated.append(info)
-            self._connector.drop_table(self.table_name, if_exists=True)
-            self.ensure_schema()
-            for info in updated:
-                self.record(info)
+            self.update(
+                dataclasses.replace(
+                    info,
+                    original_rows=original_rows,
+                    sample_rows=sample_rows,
+                    sid_clustered=info.sid_clustered if sid_clustered is None else sid_clustered,
+                )
+                for info in self._read_samples()
+                if info.sample_table == sample_table
+            )
+
+    def _write(self, infos: Sequence[SampleInfo]) -> None:
+        """Replace the table's contents with ``infos``, as one columnar load."""
+        rows = [
+            (
+                info.original_table,
+                info.sample_table,
+                info.sample_type,
+                ",".join(info.columns),
+                float(info.ratio),
+                int(info.original_rows),
+                int(info.sample_rows),
+                int(info.subsample_count),
+                int(bool(info.sid_clustered)),
+            )
+            for info in infos
+        ]
+        self._connector.load_table(
+            self.table_name,
+            {
+                name: np.array([row[index] for row in rows], dtype=_DTYPES[type_name])
+                for index, (name, type_name) in enumerate(_COLUMNS)
+            },
+        )
 
     # -- reads ------------------------------------------------------------------
 
     def all_samples(self) -> list[SampleInfo]:
         """Return every recorded sample.
 
-        Reads take the same cross-session lock as the rebuild-style writes:
-        without it a concurrent ``forget``/``update_counts`` from another
-        session could be observed mid-rebuild (table briefly absent or half
-        re-inserted), making this session silently plan with a wrong sample
-        set.
+        Reads take the same cross-session lock as the writes, so a session
+        never plans with a sample set another session is midway through
+        replacing.
         """
         with self._connector.session_lock:
             return self._read_samples()

@@ -48,7 +48,8 @@ def unescape_key(entry: str) -> str:
 def normalize_object_key(array: np.ndarray) -> np.ndarray:
     """Normalize an object column into comparable strings (NULL -> sentinel)."""
     return np.array(
-        [NULL_SENTINEL if value is None else escape_key(str(value)) for value in array]
+        [NULL_SENTINEL if value is None else escape_key(str(value)) for value in array],
+        dtype=str,  # an empty column must still normalize to a string array
     )
 
 
@@ -88,6 +89,36 @@ def encode_object_array(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes.astype(np.int64, copy=False), dictionary
 
 
+def union_dictionaries(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Sorted union of two dictionaries and where each one's entries land in it.
+
+    Returns ``(union, left_map, right_map)``.  ``left_map`` is ``None`` when
+    ``right`` brings no new entry: the union *is* ``left`` and codes against
+    it stand as they are, so the common case of extending a large dictionary
+    by a small, already-known one costs ``O(len(right) log len(left))`` and
+    touches no code.  Otherwise the new entries are spliced in (no re-sort)
+    and ``left_map`` shifts each old position by the entries inserted before it.
+    """
+    positions = np.searchsorted(left, right)
+    known = np.zeros(len(right), dtype=bool)
+    inside = positions < len(left)
+    known[inside] = left[positions[inside]] == right[inside]
+    if known.all():
+        return left, None, positions
+    fresh_positions = positions[~known]
+    # Widen first: inserting into a fixed-width unicode array truncates.
+    width = np.result_type(left, right)
+    union = np.insert(left.astype(width, copy=False), fresh_positions, right[~known])
+    left_map = np.arange(len(left), dtype=np.int64)
+    left_map += np.searchsorted(fresh_positions, left_map, side="right")
+    # Entry i of ``right`` lands at its position in ``left`` plus the new
+    # entries before it (itself excluded: it is either known or the next new).
+    right_map = positions + (np.cumsum(~known) - ~known)
+    return union, left_map, right_map
+
+
 def merge_dictionaries(
     left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -99,10 +130,10 @@ def merge_dictionaries(
     """
     left_codes, left_dictionary = left
     right_codes, right_dictionary = right
-    union = np.union1d(left_dictionary, right_dictionary)
-    left_map = np.searchsorted(union, left_dictionary)
-    right_map = np.searchsorted(union, right_dictionary)
-    return left_map[left_codes], right_map[right_codes], len(union)
+    union, left_map, right_map = union_dictionaries(left_dictionary, right_dictionary)
+    if left_map is not None:
+        left_codes = left_map[left_codes]
+    return left_codes, right_map[right_codes], len(union)
 
 
 def null_code(dictionary: np.ndarray) -> int:

@@ -205,6 +205,18 @@ class Database:
             self.data_version += 1
         return table
 
+    def append_columns(self, name: str, columns: Mapping[str, Sequence]) -> None:
+        """Append a columnar batch to an existing table.
+
+        The bulk-ingest entry point (``INSERT`` reaches the same
+        :meth:`Table.append_columns`): one exclusive-lock acquisition and one
+        ``data_version`` bump per batch, atomic — a batch the table rejects
+        changes nothing.
+        """
+        with self._statement_lock.writing():
+            self.catalog.get(name).append_columns(columns)
+            self.data_version += 1
+
     def table(self, name: str) -> Table:
         """Return the named table (raises CatalogError when missing)."""
         return self.catalog.get(name)
@@ -482,7 +494,9 @@ class Database:
         column_names = statement.columns or table.column_names
         if statement.from_select is not None:
             result = self._executor(params).execute_select(statement.from_select)
-            table.append_rows(column_names, result.rows())
+            if len(result.column_names) != len(column_names):
+                raise ExecutionError("INSERT ... SELECT has the wrong number of columns")
+            table.append_columns(dict(zip(column_names, result.columns())))
             return ResultSet.empty([])
         rows = []
         for row_expressions in statement.rows:

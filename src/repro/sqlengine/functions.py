@@ -204,7 +204,8 @@ def _fn_substr(
     )
 
 
-def _fn_concat(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
+def concat(*args: np.ndarray) -> np.ndarray:
+    """``concat(a, b, ...)`` row by row; NULL parts contribute nothing."""
     string_args = [_string_array(np.asarray(arg, dtype=object)) for arg in args]
     return np.array(
         ["".join("" if part is None else part for part in parts) for parts in zip(*string_args)],
@@ -212,20 +213,35 @@ def _fn_concat(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
     )
 
 
-def _fn_crc32(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
+def _fn_concat(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
+    return concat(*args)
+
+
+def _crc32(values: np.ndarray) -> np.ndarray:
+    """CRC-32 of each value's string form; NULL hashes as the empty string."""
     strings = _string_array(values)
     return np.array(
         [zlib.crc32(("" if s is None else s).encode("utf-8")) for s in strings], dtype=np.int64
     )
 
 
+def _fn_crc32(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
+    return _crc32(values)
+
+
+def hash_unit_interval(values: np.ndarray) -> np.ndarray:
+    """Uniform hash of each value's string form into [0, 1); NULL hashes as ``""``.
+
+    The one definition of the universe-sample hash: ``vdb_hash`` and sample
+    maintenance both keep a row when this falls below the sampling ratio, so
+    a key is in or out of every hashed sample alike.
+    """
+    return _crc32(values) / 4294967296.0
+
+
 def _fn_vdb_hash(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    """Uniform hash of a value into [0, 1), used to build hashed (universe) samples."""
-    strings = _string_array(values)
-    hashes = np.array(
-        [zlib.crc32(("" if s is None else s).encode("utf-8")) for s in strings], dtype=np.float64
-    )
-    return hashes / 4294967296.0
+    """``vdb_hash(x)``: the hash hashed (universe) samples are built with."""
+    return hash_unit_interval(values)
 
 
 def _fn_cast_int(context: EvaluationContext, values: np.ndarray) -> np.ndarray:

@@ -8,10 +8,13 @@ are represented as ``NaN`` in float columns and ``None`` in object columns.
 Storage is **chunked**: each column is a sequence of fixed-size chunks
 (:data:`DEFAULT_CHUNK_ROWS` rows, configurable per table), every chunk
 carrying a lazily built :class:`~repro.sqlengine.zonemaps.ZoneMap`
-(min/max/null-count).  ``append_rows`` fills the last partial chunk and adds
-new ones without rewriting existing chunks, maintaining current zone maps
-incrementally; any other mutation invalidates them through the table's
-version counter and they are rebuilt lazily on the next pruning request.
+(min/max/null-count).  :meth:`Table.append_columns` — the one append
+implementation, which SQL ``INSERT`` and the connectors' bulk ingest both
+reach — fills the last partial chunk and adds new ones without rewriting
+existing chunks, and extends what is derived from the column (zone maps,
+the dictionary encoding) in place when it is current, at a cost
+proportional to the batch; any other mutation invalidates them through the
+table's version counter and they are rebuilt lazily on the next request.
 The executor uses :meth:`prune_chunks` / :meth:`gather_chunks` to read only
 the chunks a pushed-down predicate could match, making scan cost
 proportional to the rows a query can actually touch.
@@ -24,7 +27,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.sqlengine.encoding import encode_object_array
+from repro.sqlengine.encoding import encode_object_array, null_code, union_dictionaries
 from repro.sqlengine.zonemaps import ZoneMap, ZonePredicate, chunk_may_match, zone_map_for_chunk
 
 # Default rows per chunk.  Large enough that per-chunk bookkeeping is noise,
@@ -47,6 +50,81 @@ def normalize_column(values: Sequence | np.ndarray) -> np.ndarray:
     if array.dtype.kind in ("U", "S", "O"):
         return array.astype(object, copy=False)
     raise ExecutionError(f"unsupported column dtype: {array.dtype}")
+
+
+def coerce_column(stored: np.dtype, values: Sequence | np.ndarray) -> np.ndarray:
+    """Cast one batch column for appending to a column stored as ``stored``.
+
+    Returns the batch in the dtype the column has *after* the append: the
+    stored dtype whenever it holds every incoming value faithfully, else the
+    narrowest wider one —
+
+    * an integer (or boolean) column receiving NULLs or non-integral numbers
+      widens to ``float64`` (NULL is NaN, as at load); integral floats such
+      as ``5.0`` are stored as the integers they are;
+    * a boolean column receiving integers widens to ``int64``;
+    * an ``object`` batch holding only ``None`` and numbers is a numeric
+      batch with NULLs, not a reason to turn a numeric column into strings;
+    * anything else (a string for a numeric column) promotes to ``object``;
+    * NULL in an ``object`` column is ``None``, however it arrived.
+
+    Pure: :func:`coerce_batch` applies it to a whole batch before a chunk is
+    touched.
+    """
+    array = normalize_column(values)
+    if stored == object:
+        array = array.astype(object, copy=False)
+        nan = array != array  # a NULL that arrived as NaN (a SQL NULL literal, a float batch)
+        if nan.any():
+            array = array.copy()
+            array[nan] = None
+        return array
+    if array.dtype == object:
+        numeric = _numeric_or_none(array)
+        if numeric is None:
+            return array
+        array = numeric
+    if array.dtype == stored or stored.kind == "f":
+        return array.astype(stored, copy=False)
+    if array.dtype.kind == "f":
+        integral = (array == np.floor(array)) & (np.abs(array) < 2.0**63)
+        if not integral.all():
+            return array
+    return array.astype(np.int64, copy=False)
+
+
+def _numeric_or_none(array: np.ndarray) -> np.ndarray | None:
+    """``float64`` view of an object array of ``None``/numbers, else None."""
+    floats = np.empty(len(array), dtype=np.float64)
+    for index, value in enumerate(array.tolist()):
+        if value is None:
+            floats[index] = np.nan
+        elif isinstance(value, (int, float, np.number, np.bool_)):
+            floats[index] = value
+        else:
+            return None
+    return floats
+
+
+def coerce_batch(
+    stored: Mapping[str, np.dtype], columns: Mapping[str, Sequence | np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Validate a columnar batch against a table's stored dtypes and cast it.
+
+    The one definition of an appendable batch, shared by the engine and the
+    connectors: its column set equals the table's, every column is
+    one-dimensional with a supported dtype (:func:`coerce_column` fixes the
+    cast) and all have one length.  Returns the cast arrays in table column
+    order; raises :class:`~repro.errors.ExecutionError` and touches nothing.
+    """
+    if set(columns) != set(stored):
+        raise ExecutionError(
+            f"batch columns {sorted(columns)} do not match the table's: {sorted(stored)}"
+        )
+    arrays = {name: coerce_column(dtype, columns[name]) for name, dtype in stored.items()}
+    if len({len(array) for array in arrays.values()}) > 1:
+        raise ExecutionError("all appended columns must have the same length")
+    return arrays
 
 
 class Table:
@@ -72,6 +150,8 @@ class Table:
         # invalidates them (zone maps are rebuilt lazily on the next use).
         self._version = 0
         self._dictionary_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        # Numeric column name -> (version, distinct non-NULL values).
+        self._distinct_cache: dict[str, tuple[int, int]] = {}
         # Column name -> contiguous view of the whole column.  Invalidated
         # explicitly when that column's chunks change (chunks are immutable).
         self._flat_cache: dict[str, np.ndarray] = {}
@@ -155,21 +235,51 @@ class Table:
 
         Returns ``(codes, dictionary)`` for object-dtype columns and ``None``
         for numeric/boolean ones (which are already fast to group and join).
-        The encoding is cached per column until the table is mutated.
+        The encoding is cached per column until the table is mutated;
+        :meth:`append_columns` extends a current one instead of dropping it.
         """
-        array = self.column(name)
-        if array.dtype != object:
+        if self.column_dtype(name) != object:
             return None
         cached = self._dictionary_cache.get(name)
         if cached is not None and cached[0] == self._version:
             return cached[1], cached[2]
-        codes, dictionary = encode_object_array(array)
+        codes, dictionary = encode_object_array(self.column(name))
         self._dictionary_cache[name] = (self._version, codes, dictionary)
         return codes, dictionary
+
+    def distinct_count(self, name: str) -> int:
+        """Number of distinct non-NULL values in a column.
+
+        An object column answers from its dictionary (NULL sentinel
+        excluded) — the number of groups ``GROUP BY`` forms, since grouping
+        runs on the same codes — so after an append it costs what extending
+        the dictionary cost.  Numeric columns are counted once per table
+        version.
+        """
+        encoded = self.dictionary_codes(name)
+        if encoded is not None:
+            dictionary = encoded[1]
+            return len(dictionary) - (null_code(dictionary) >= 0)
+        cached = self._distinct_cache.get(name)
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        array = self.column(name)
+        if array.dtype.kind == "f":
+            array = array[~np.isnan(array)]
+        count = int(np.unique(array).size)
+        self._distinct_cache[name] = (self._version, count)
+        return count
 
     @property
     def column_names(self) -> list[str]:
         return list(self._chunks.keys())
+
+    def column_dtype(self, name: str) -> np.dtype:
+        """Stored dtype of a column, without materializing the flat array."""
+        chunks = self._chunks.get(name)
+        if chunks is None:
+            raise ExecutionError(f"table {self.name!r} has no column {name!r}")
+        return chunks[0].dtype
 
     def __contains__(self, column_name: str) -> bool:
         return column_name in self._chunks
@@ -311,20 +421,35 @@ class Table:
         return self.take(np.flatnonzero(np.asarray(mask, dtype=bool)))
 
     def append_rows(self, column_names: Sequence[str], rows: Iterable[Sequence]) -> None:
-        """Append rows (given in ``column_names`` order) to this table.
-
-        Only the last (possibly partial) chunk of each column is rewritten;
-        full chunks stay untouched and keep their zone maps, which are
-        extended incrementally when they are currently valid.
-        """
+        """Append row tuples (given in ``column_names`` order): a transposition
+        onto :meth:`append_columns`."""
         materialized = [tuple(row) for row in rows]
         if not materialized:
             return
-        incoming = {name: [row[i] for row in materialized] for i, name in enumerate(column_names)}
-        missing = set(self._chunks) - set(incoming)
-        if missing:
-            raise ExecutionError(f"INSERT is missing columns: {sorted(missing)}")
-        arrays = {name: _infer_array(incoming[name]) for name in self._chunks}
+        self.append_columns(
+            {
+                name: _infer_array([row[index] for row in materialized])
+                for index, name in enumerate(column_names)
+            }
+        )
+
+    def append_columns(self, columns: Mapping[str, Sequence | np.ndarray]) -> None:
+        """Append a columnar batch — the table's only append implementation.
+
+        Atomic: the whole batch is validated and cast (:func:`coerce_batch`)
+        before the first chunk changes, so a rejected batch leaves the table
+        as it was.  Only the last (possibly partial) chunk of each column is
+        rewritten; full chunks stay untouched and keep their zone maps.  A
+        column's zone maps and dictionary encoding are extended from the
+        batch when they are current, and left to their lazy rebuild when
+        they are stale or the column changes dtype.
+        """
+        arrays = coerce_batch(
+            {name: chunks[0].dtype for name, chunks in self._chunks.items()}, columns
+        )
+        count = len(next(iter(arrays.values()))) if arrays else 0
+        if count == 0:
+            return
         # Clustering survives an append whose key batch extends the sorted
         # order (checked against the pre-append bounds, before any mutation);
         # otherwise the appended rows land after the sorted prefix in
@@ -332,24 +457,22 @@ class Table:
         keep_clustering = False
         if self.clustered_on is not None:
             stored = self.resolve_column(self.clustered_on)
-            keep_clustering = (
-                stored is not None
-                and stored in arrays
-                and self._clustering_survives_append(stored, arrays[stored])
+            keep_clustering = stored is not None and self._clustering_survives_append(
+                stored, arrays[stored]
             )
-        updated_zones: dict[str, list[ZoneMap] | None] = {}
-        for column_name in self._chunks:
-            updated_zones[column_name] = self._append_column(column_name, arrays[column_name])
-            self._flat_cache.pop(column_name, None)
-        self._num_rows += len(materialized)
+        derived = {name: self._append_column(name, array) for name, array in arrays.items()}
+        self._num_rows += count
         self._version += 1
         if not keep_clustering:
             self.clustered_on = None
-        for column_name, zones in updated_zones.items():
+        for name, (zones, encoding) in derived.items():
+            self._flat_cache.pop(name, None)
             if zones is not None:
-                self._zone_cache[column_name] = (self._version, zones)
+                self._zone_cache[name] = (self._version, zones)
             else:
-                self._zone_cache.pop(column_name, None)
+                self._zone_cache.pop(name, None)
+            if encoding is not None:
+                self._dictionary_cache[name] = (self._version, *encoding)
 
     def _clustering_survives_append(self, name: str, new: np.ndarray) -> bool:
         """Whether appending ``new`` to the clustered key column keeps the
@@ -359,13 +482,12 @@ class Table:
         the pre-append zone maps, (re)building them when stale — the key
         column's maps are consumed by every pruned scan anyway, so the
         rebuild is work the next query would have paid.  An object or
-        dtype-promoting append (whose comparison domain the float bounds
+        dtype-changing append (whose comparison domain the float bounds
         cannot summarize) conservatively drops the claim, which is always
         safe: clustering is advisory and its consumers re-verify order at
         execution time.
         """
-        chunks = self._chunks[name]
-        old_dtype = chunks[0].dtype
+        old_dtype = self._chunks[name][0].dtype
         if old_dtype == object or new.dtype == object:
             return False
         zones = self.zone_maps(name)
@@ -373,7 +495,7 @@ class Table:
         nan_mask = np.isnan(floats)
         nan_count = int(nan_mask.sum())
         if nan_count and old_dtype.kind != "f":
-            return False  # the cast to the stored dtype mangles NaNs
+            return False  # NULLs widen the column: a dtype-changing append
         if nan_count == len(new):
             return True  # a pure NULL batch extends any NULLs-last tail
         if nan_count and not nan_mask[len(new) - nan_count :].all():
@@ -392,22 +514,28 @@ class Table:
             return True  # no non-NULL rows yet: any sorted batch clusters
         return bool(head[0] >= last_high)
 
-    def _append_column(self, name: str, new: np.ndarray) -> list[ZoneMap] | None:
-        """Append ``new`` values to one column; returns refreshed zone maps
-        when the column's zone maps were current (else None = rebuild lazily)."""
+    def _append_column(
+        self, name: str, new: np.ndarray
+    ) -> tuple[list[ZoneMap] | None, tuple[np.ndarray, np.ndarray] | None]:
+        """Append ``new`` (already cast by :func:`coerce_column`) to one column.
+
+        Returns the column's refreshed zone maps and dictionary encoding,
+        each None when it was not current before the append or cannot be
+        extended (= rebuild lazily).
+        """
         chunks = self._chunks[name]
         entry = self._zone_cache.get(name)
         zones = list(entry[1]) if entry is not None and entry[0] == self._version else None
-        old_dtype = chunks[0].dtype
-        if old_dtype == object or new.dtype == object:
-            if old_dtype != object:
-                # Promotion changes every chunk's representation (and the
-                # zone-map domain from floats to strings): rebuild lazily.
-                chunks = [chunk.astype(object) for chunk in chunks]
-                zones = None
-            new = new.astype(object)
-        else:
-            new = new.astype(old_dtype, copy=False)
+        encoding = None
+        if new.dtype != chunks[0].dtype:
+            # Widening changes every chunk's representation (and, towards
+            # object, the zone-map domain from floats to strings).
+            chunks = [coerce_column(new.dtype, chunk) for chunk in chunks]
+            zones = None
+        elif new.dtype == object:
+            encoded = self._dictionary_cache.get(name)
+            if encoded is not None and encoded[0] == self._version:
+                encoding = _extend_encoding(encoded[1], encoded[2], new)
         last = chunks[-1]
         first_dirty = len(chunks)
         if len(last) < self.chunk_rows:
@@ -420,15 +548,14 @@ class Table:
         for start in range(0, len(new), self.chunk_rows):
             chunks.append(new[start : start + self.chunk_rows])
         self._chunks[name] = chunks
-        if zones is None:
-            return None
-        del zones[first_dirty:]
-        zones.extend(zone_map_for_chunk(chunk) for chunk in chunks[first_dirty:])
-        return zones
+        if zones is not None:
+            del zones[first_dirty:]
+            zones.extend(zone_map_for_chunk(chunk) for chunk in chunks[first_dirty:])
+        return zones, encoding
 
     def append_table(self, other: Table) -> None:
         """Append all rows of ``other`` (columns matched by name)."""
-        self.append_rows(other.column_names, other.rows())
+        self.append_columns(other.columns())
 
     # -- sizing ---------------------------------------------------------------
 
@@ -476,3 +603,19 @@ def _infer_array(values: list) -> np.ndarray:
             [np.nan if value is None else float(value) for value in values], dtype=np.float64
         )
     return np.array(values, dtype=object)
+
+
+def _extend_encoding(
+    codes: np.ndarray, dictionary: np.ndarray, new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary encoding of a column after ``new`` is appended to it.
+
+    The batch is encoded on its own and its small dictionary merged into the
+    column's; existing codes are remapped only when the batch brought a
+    value the column had not seen.
+    """
+    batch_codes, batch_dictionary = encode_object_array(new)
+    union, old_map, batch_map = union_dictionaries(dictionary, batch_dictionary)
+    if old_map is not None:
+        codes = old_map[codes]
+    return np.concatenate([codes, batch_map[batch_codes]]), union

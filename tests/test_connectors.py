@@ -12,7 +12,7 @@ from repro.connectors import (
     SyntaxChanger,
     get_dialect,
 )
-from repro.errors import ConnectorError
+from repro.errors import ConnectorError, ExecutionError
 from repro.sqlengine.parser import parse_select
 
 
@@ -81,12 +81,39 @@ class TestBuiltinConnector:
         assert builtin_connector.column_names("orders") == ["order_id", "price", "qty", "city"]
         assert builtin_connector.column_cardinality("orders", "city") == 4
 
-    def test_insert_rows(self, builtin_connector):
+    def test_append_columns(self, builtin_connector):
         before = builtin_connector.row_count("orders")
-        builtin_connector.insert_rows(
-            "orders", ["order_id", "price", "qty", "city"], [(999_999, 1.0, 1, "nowhere")]
+        state = builtin_connector.catalog_state()
+        logged = len(builtin_connector.queries_issued)
+        builtin_connector.append_columns(
+            "orders",
+            {"order_id": [999_999, 1_000_000], "price": [1.0, None], "qty": [1, 2],
+             "city": ["nowhere", None]},
         )
-        assert builtin_connector.row_count("orders") == before + 1
+        assert builtin_connector.row_count("orders") == before + 2
+        assert builtin_connector.catalog_state() != state
+        # Rows travelled as columns: nothing was rendered to INSERT text.
+        assert len(builtin_connector.queries_issued) == logged
+        tail = builtin_connector.execute(
+            "SELECT price, city FROM orders WHERE order_id >= 999999 ORDER BY order_id"
+        ).fetchall()
+        assert tail[0] == (1.0, "nowhere")
+        assert np.isnan(tail[1][0]) and tail[1][1] is None
+
+    def test_append_columns_is_atomic(self, builtin_connector):
+        before = builtin_connector.execute("SELECT * FROM orders")
+        state = builtin_connector.catalog_state()
+        bad_batches = [
+            {"order_id": [1], "price": [1.0], "qty": [1]},  # a column missing
+            {"order_id": [1], "price": [1.0], "qty": [1], "city": ["x"], "extra": [0]},
+            {"order_id": [1, 2], "price": [1.0], "qty": [1], "city": ["x"]},  # ragged
+            {"order_id": [[1]], "price": [1.0], "qty": [1], "city": ["x"]},  # 2-D
+        ]
+        for batch in bad_batches:
+            with pytest.raises(ExecutionError):
+                builtin_connector.append_columns("orders", batch)
+        assert builtin_connector.catalog_state() == state
+        assert builtin_connector.execute("SELECT * FROM orders").equals(before)
 
     def test_queries_are_recorded(self, builtin_connector):
         builtin_connector.execute("SELECT 1 AS x")
@@ -108,6 +135,30 @@ class TestSqliteConnector:
         assert 8.0 < float(median) < 12.0
         hashes = sqlite_connector.execute("SELECT vdb_hash(order_id) AS h FROM orders LIMIT 5")
         assert all(0.0 <= float(h) < 1.0 for (h,) in hashes.rows())
+
+    def test_append_columns(self, sqlite_connector):
+        before = sqlite_connector.row_count("orders")
+        state = sqlite_connector.catalog_state()
+        logged = len(sqlite_connector.queries_issued)
+        assert [str(dtype) for dtype in sqlite_connector.column_dtypes("orders").values()] == [
+            "int64", "float64", "int64", "object",
+        ]
+        sqlite_connector.append_columns(
+            "orders",
+            {"order_id": np.array([999_999.0, 1_000_000.0]), "price": [1.0, None],
+             "qty": [1, 2], "city": ["nowhere", None]},
+        )
+        assert sqlite_connector.catalog_state() != state
+        assert len(sqlite_connector.queries_issued) == logged
+        assert sqlite_connector.row_count("orders") == before + 2
+        tail = sqlite_connector.execute(
+            "SELECT order_id, price, city FROM orders WHERE order_id >= 999999 ORDER BY order_id"
+        ).fetchall()
+        assert tail == [(999_999, 1.0, "nowhere"), (1_000_000, None, None)]
+        assert isinstance(tail[0][0], int)  # cast to the stored type, not the caller's
+        with pytest.raises(ExecutionError):  # the same batch rule on every backend
+            sqlite_connector.append_columns("orders", {"order_id": [1]})
+        assert sqlite_connector.row_count("orders") == before + 2
 
     def test_column_introspection_missing_table(self, sqlite_connector):
         with pytest.raises(ConnectorError):

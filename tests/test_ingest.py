@@ -1,0 +1,429 @@
+"""Columnar ingest: one append path from ``append_data`` down to the chunks.
+
+Covers the ``append_columns`` contract (dtype rules, atomicity), the
+consistency of sample maintenance with the sample builder, and the guarantee
+that what the engine derives from a table — dictionary codes, zone maps,
+cardinalities — is extended by an append to exactly what a rebuild gives.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro import Database, PlannerConfig, SampleSpec, VerdictSession
+from repro.connectors import BuiltinConnector, SqliteConnector
+from repro.errors import SamplingError
+from repro.sampling.metadata import METADATA_TABLE
+from repro.sqlengine import parser, sqlast as ast
+from repro.sqlengine.encoding import encode_object_array
+from repro.sqlengine.table import Table, coerce_column
+from repro.sqlengine.zonemaps import zone_map_for_chunk
+from repro.workloads import tpch
+
+from tests.conftest import build_orders_columns
+
+PLANNER = PlannerConfig(io_budget=0.2, large_table_rows=5_000)
+
+
+# ---------------------------------------------------------------------------
+# dtype rules of the single append implementation
+# ---------------------------------------------------------------------------
+
+
+class TestIntegerColumnsKeepNullsAndFractions:
+    """At the parent commit an int64 column cast every batch to int64: NULL
+    became -9223372036854775808 and 1.7 became 1, silently."""
+
+    def _database(self) -> Database:
+        database = Database(seed=0)
+        database.register_table("t", {"a": np.array([1, 2, 3])})
+        return database
+
+    def _assert_null_row(self, database: Database, expected_sum: float) -> None:
+        column = database.table("t").column("a")
+        assert column.dtype == np.float64
+        assert np.isnan(column[-1])
+        result = database.execute("SELECT sum(a) AS s, count(a) AS c, count(*) AS n FROM t")
+        total, non_null, rows = result.fetchall()[0]
+        assert float(total) == expected_sum
+        assert (float(non_null), float(rows)) == (3.0, 4.0)
+
+    def test_sql_insert_values_null(self):
+        database = self._database()
+        database.execute("INSERT INTO t (a) VALUES (NULL)")
+        self._assert_null_row(database, 6.0)
+
+    def test_sql_insert_values_fraction(self):
+        database = self._database()
+        database.execute("INSERT INTO t (a) VALUES (1.7)")
+        assert database.table("t").column("a").tolist() == [1.0, 2.0, 3.0, 1.7]
+
+    def test_sql_insert_values_integral_float_stays_integer(self):
+        database = self._database()
+        database.execute("INSERT INTO t (a) VALUES (4.0)")
+        column = database.table("t").column("a")
+        assert column.dtype == np.int64 and column.tolist() == [1, 2, 3, 4]
+
+    def test_sql_insert_select_null(self):
+        database = self._database()
+        database.register_table("src", {"x": np.array([np.nan])})
+        database.execute("INSERT INTO t (a) SELECT x FROM src")
+        self._assert_null_row(database, 6.0)
+
+    def test_append_data_null_and_fraction(self):
+        session = VerdictSession(planner_config=PLANNER)
+        session.load_table("t", {"a": np.array([1, 2, 3]), "s": np.array(["x"] * 3, dtype=object)})
+        session.append_data("t", {"a": [None], "s": ["y"]})
+        database = session.connector.database
+        self._assert_null_row(database, 6.0)
+        session.append_data("t", {"a": np.array([2.5]), "s": ["z"]})
+        assert database.table("t").column("a")[-1] == 2.5
+
+    def test_none_or_numeric_object_batch_does_not_promote_to_object(self):
+        for stored in (np.array([1, 2]), np.array([1.0, 2.0])):
+            table = Table("t", {"a": stored})
+            table.append_columns({"a": np.array([None, None], dtype=object)})
+            table.append_columns({"a": np.array([7, None, 2.5], dtype=object)})
+            column = table.column("a")
+            assert column.dtype == np.float64
+            np.testing.assert_array_equal(column, [1.0, 2.0, np.nan, np.nan, 7.0, np.nan, 2.5])
+
+    def test_coerce_column_rules(self):
+        int64, float64, boolean = np.dtype(np.int64), np.dtype(np.float64), np.dtype(bool)
+        assert coerce_column(int64, [True, False]).dtype == int64
+        assert coerce_column(int64, np.array([2**63], dtype=np.float64)).dtype == float64
+        assert coerce_column(float64, [1, 2]).dtype == float64
+        assert coerce_column(boolean, [True]).dtype == boolean
+        assert coerce_column(boolean, [2, 3]).tolist() == [2, 3]
+        assert coerce_column(int64, ["a"]).dtype == object  # only text turns a column to text
+        assert coerce_column(np.dtype(object), [1, 2]).tolist() == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# differential: three ways to append, one resulting table
+# ---------------------------------------------------------------------------
+
+
+def _differential_batches() -> list[dict[str, np.ndarray]]:
+    rng = np.random.default_rng(7)
+
+    def batch(count: int, nulls: bool = False) -> dict[str, np.ndarray]:
+        f = np.round(rng.normal(0.0, 5.0, count), 3)
+        s = rng.choice(["apple", "kiwi", "zebra", "Ant", ""], count).astype(object)
+        if nulls:
+            f[::3] = np.nan
+            s[1::4] = None
+        return {
+            "i": rng.integers(-50, 50, count),
+            "f": f,
+            "s": s,
+            "b": rng.random(count) < 0.5,
+        }
+
+    promoting = batch(20)
+    promoting["i"] = np.array(
+        [None if index % 5 == 0 else index for index in range(20)], dtype=object
+    )
+    # 100 loaded rows at chunk_rows=64, then 50 / 30 / 70 / 20 / 45: every
+    # batch straddles a chunk boundary, the fourth widens ``i`` to float64.
+    return [batch(50), batch(30, nulls=True), batch(70), promoting, batch(45, nulls=True)]
+
+
+def _as_insert(table: str, batch: dict[str, np.ndarray]) -> ast.InsertStatement:
+    def literal(value: object) -> ast.Literal:
+        if isinstance(value, np.generic):
+            value = value.item()
+        if isinstance(value, float) and np.isnan(value):
+            value = None
+        return ast.Literal(value)
+
+    names = list(batch)
+    return ast.InsertStatement(
+        table_name=table,
+        columns=names,
+        rows=[[literal(batch[name][row]) for name in names] for row in range(len(batch["i"]))],
+    )
+
+
+def _null_normalised(result):
+    """NULL reads back as NaN from the engine's numeric columns and as None
+    from SQLite: compare numeric columns with NULL as NaN on both sides."""
+    columns = []
+    for column in result.columns():
+        values = column.tolist()
+        if not any(isinstance(value, str) for value in values):
+            values = [np.nan if value is None else float(value) for value in values]
+        columns.append(np.array(values, dtype=object))
+    return type(result)(result.column_names, columns)
+
+
+def test_columnar_sql_text_and_sqlite_appends_agree():
+    initial = {
+        "i": np.arange(100),
+        "f": np.linspace(-1.0, 1.0, 100),
+        "s": np.array(["seed"] * 100, dtype=object),
+        "b": np.arange(100) % 2 == 0,
+    }
+    columnar = BuiltinConnector(database=Database(seed=0, chunk_rows=64))
+    as_text = BuiltinConnector(database=Database(seed=0, chunk_rows=64))
+    sqlite = SqliteConnector()
+    for connector in (columnar, as_text, sqlite):
+        connector.load_table("t", initial)
+    for batch in _differential_batches():
+        columnar.append_columns("t", batch)
+        as_text.execute(_as_insert("t", batch))
+        sqlite.append_columns("t", batch)
+    results = [connector.execute("SELECT * FROM t") for connector in (columnar, as_text, sqlite)]
+    assert results[0].num_rows == 315
+    assert results[0].equals(results[1])
+    assert [column.dtype for column in results[0].columns()] == [
+        column.dtype for column in results[1].columns()
+    ]
+    assert columnar.database.table("t").column("i").dtype == np.float64  # the promotion
+    assert _null_normalised(results[0]).equals(_null_normalised(results[2]))
+    sqlite.close()
+
+
+# ---------------------------------------------------------------------------
+# golden: sample tables are bit-identical to the pre-columnar implementation
+# ---------------------------------------------------------------------------
+
+#: SHA-256 per table after the load + five appends below, recorded at the
+#: parent commit (rows as INSERT text, one metadata rebuild per sample).
+GOLDEN = {
+    "lineitem_vdb_uniform_0p0200": "b2d0ffc28013f849c7083d02f40191fa98185e3cd0181eb13affab6ed6889ac0",
+    "lineitem_vdb_hashed_l_orderkey_0p0200": "b4047c0bb85adc7325933d1f47f50a2cfb9d611939f144a22062069c2361004c",
+    "lineitem_vdb_hashed_l_partkey_0p0200": "f350129741ae911d88590b01869e84eec12fb09f7923ae524536b2d2bb8dbeeb",
+    "lineitem_vdb_stratified_l_returnflag_0p0200": "a4d79bd507518d30ab700e4bb917291723738b015636af58036ee8ec07ba80dd",
+    "lineitem_vdb_stratified_l_shipmode_0p0200": "19992f0c6fb620da8e7b76be2338991b36830c076d315b4aba746af116921c85",
+    "orders_vdb_uniform_0p0200": "b2d42d151446a4f69294089428777eb649ee1e583cd82034d98fd5321888054b",
+    "orders_vdb_hashed_o_orderkey_0p0200": "dc30d2a6b72ccec36768da64eab62b7e74adb843bfd69fa7360b9e4b5f8f2dc9",
+    "orders_vdb_stratified_o_orderpriority_0p0200": "c1820aa30e986a9fe5493c9fb2568f98f980a5df22a9fb507a6b2ad32b8de893",
+    "lineitem": "b49a6ee03f15fca60a897a990cd260b02c4f3434d2e5bfb34d728945094efd8f",
+    METADATA_TABLE: "effaded81fa32140b582872e9fa619783b77edf70b4eabf2e2eafbcb02d092e3",
+}
+
+
+def _table_sha(table: Table) -> str:
+    digest = hashlib.sha256()
+    for name in table.column_names:
+        column = table.column(name)
+        digest.update(f"{name}:{column.dtype.str}:".encode())
+        digest.update(repr(column.tolist()).encode())
+    return digest.hexdigest()
+
+
+def test_sample_tables_after_appends_match_the_parent_commit():
+    """The benchmark's data shape (``benchmarks/e2e/build.py``, seed 1) at a
+    tenth of its size: same specs, same 500-row batches from a second draw."""
+    seed, scale, batch_rows = 1, 0.5, 500
+    tables = tpch.generate(scale_factor=scale, seed=seed).tables
+    source = tpch.generate(scale_factor=scale / 2, seed=seed + 1).tables["lineitem"]
+    database = Database(seed=seed)
+    connection = repro.connect(
+        database=database, planner_config=PlannerConfig(io_budget=0.1, large_table_rows=5_000)
+    )
+    session = connection.session
+    for name, columns in tables.items():
+        session.load_table(name, columns)
+    hashed = {"lineitem": ["l_orderkey", "l_partkey"], "orders": ["o_orderkey"]}
+    stratified = {"lineitem": ["l_returnflag", "l_shipmode"], "orders": ["o_orderpriority"]}
+    for table in ("lineitem", "orders"):
+        session.create_sample(table, SampleSpec("uniform", (), 0.02))
+        for column in hashed[table]:
+            session.create_sample(table, SampleSpec("hashed", (column,), 0.02))
+        for column in stratified[table]:
+            session.create_sample(table, SampleSpec("stratified", (column,), 0.02))
+    for index in range(5):
+        rows = slice(index * batch_rows, (index + 1) * batch_rows)
+        session.append_data("lineitem", {name: values[rows] for name, values in source.items()})
+    observed = {
+        name: _table_sha(database.table(name))
+        for name in [info.sample_table for info in session.samples()]
+        + ["lineitem", METADATA_TABLE]
+    }
+    connection.close()
+    database.close()
+    assert observed == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# hashed samples: maintenance keeps exactly the keys the builder keeps
+# ---------------------------------------------------------------------------
+
+
+def test_hashed_sample_appended_equals_hashed_sample_built():
+    """Built on all rows ≡ built on a prefix, then appended with the rest.
+
+    At the parent commit the batch was hashed in the caller's dtype (``5.0``
+    hashed as ``"5.0"``, the stored ``5`` as ``"5"``) and a NULL key as
+    ``"None"`` instead of the engine's ``""``, so appended rows were kept or
+    dropped inconsistently with built ones.
+    """
+    rng = np.random.default_rng(3)
+    rows = 6_000
+    code = np.array([f"c{value}" for value in rng.integers(0, 400, rows)], dtype=object)
+    code[rng.random(rows) < 0.05] = None  # NULL keys: hash("") == 0.0, always kept
+    columns = {
+        "k": rng.integers(0, 2_000, rows),
+        "code": code,
+        "v": rng.normal(size=rows),
+    }
+    prefix = 4_000
+
+    def key_sets(session: VerdictSession) -> dict[str, set]:
+        database = session.connector.database
+        found = {}
+        for info in session.samples("t"):
+            sample = database.table(info.sample_table)
+            keys = zip(*[sample.column(name).tolist() for name in info.columns])
+            found[info.sample_table] = set(keys)
+        return found
+
+    specs = [
+        SampleSpec("hashed", ("k",), 0.1),
+        SampleSpec("hashed", ("code",), 0.1),
+        SampleSpec("hashed", ("k", "code"), 0.1),
+    ]
+    built = VerdictSession(planner_config=PLANNER)
+    built.load_table("t", columns)
+    appended = VerdictSession(planner_config=PLANNER)
+    appended.load_table("t", {name: values[:prefix] for name, values in columns.items()})
+    for spec in specs:
+        built.create_sample("t", spec)
+        appended.create_sample("t", spec)
+    rest = {name: values[prefix:] for name, values in columns.items()}
+    rest["k"] = rest["k"].astype(np.float64)  # the caller's dtype is not the stored one
+    appended.append_data("t", rest)
+
+    expected, observed = key_sets(built), key_sets(appended)
+    assert observed == expected
+    assert any(key == (None,) for key in expected["t_vdb_hashed_code_0p1000"])
+    assert appended.connector.database.table("t").column("k").dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# a rejected batch changes nothing
+# ---------------------------------------------------------------------------
+
+
+def _snapshot(session: VerdictSession) -> dict[str, object]:
+    connector = session.connector
+    names = ["orders", METADATA_TABLE] + [info.sample_table for info in session.samples()]
+    return {
+        "state": connector.catalog_state(),
+        "tables": {name: connector.execute(f"SELECT * FROM {name}").fetchall() for name in names},
+        "versions": {name: connector.database.table(name).version for name in names},
+    }
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda batch: batch.pop("qty"),
+        lambda batch: batch.update(extra=np.arange(40)),
+        lambda batch: batch.update(price=batch["price"][:-1]),
+        lambda batch: batch.update(qty=np.array(["many"] * 40, dtype=object)),
+        lambda batch: batch.update(order_id=np.zeros((40, 2))),
+        lambda batch: batch.update(price=np.zeros(40, dtype=np.complex128)),
+    ],
+    ids=["missing", "extra", "ragged", "text-for-number", "two-dimensional", "unsupported-dtype"],
+)
+def test_rejected_batch_leaves_everything_unchanged(mutate):
+    session = VerdictSession(planner_config=PLANNER)
+    session.load_table("orders", build_orders_columns(num_rows=5_000, seed=1))
+    session.create_sample("orders", SampleSpec("uniform", (), 0.05))
+    session.create_sample("orders", SampleSpec("hashed", ("order_id",), 0.05))
+    session.create_sample("orders", SampleSpec("stratified", ("city",), 0.05))
+    before = _snapshot(session)
+    batch = build_orders_columns(num_rows=40, seed=2)
+    mutate(batch)
+    with pytest.raises(SamplingError):
+        session.append_data("orders", batch)
+    snapshot = _snapshot(session)
+    # NaN-free data, so plain equality is exact.
+    assert snapshot == before
+    session.close()
+
+
+# ---------------------------------------------------------------------------
+# what an append extends equals what a rebuild gives
+# ---------------------------------------------------------------------------
+
+_values = st.one_of(st.none(), st.sampled_from(["", "A", "a", "b", "m", "z", "~", "\0x", "日本"]))
+_batches = st.lists(_values, min_size=0, max_size=9)
+
+
+@given(
+    initial=st.lists(_values, min_size=0, max_size=9),
+    appends=st.lists(st.tuples(_batches, st.booleans(), st.booleans()), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_appended_dictionary_zone_maps_and_cardinality_equal_a_rebuild(initial, appends):
+    database = Database(seed=0, chunk_rows=4)
+    connector = BuiltinConnector(database=database)
+    connector.load_table(
+        "t", {"s": np.array(initial, dtype=object), "n": np.arange(len(initial)) % 3}
+    )
+    table = database.table("t")
+    for batch, warm_dictionary, warm_zones in appends:
+        # Derived state is extended only when current: exercise both.
+        if warm_dictionary:
+            table.dictionary_codes("s")
+        if warm_zones:
+            table.zone_maps("s")
+            table.zone_maps("n")
+        connector.append_columns(
+            "t", {"s": np.array(batch, dtype=object), "n": np.arange(len(batch)) % 5}
+        )
+        codes, dictionary = table.dictionary_codes("s")
+        fresh_codes, fresh_dictionary = encode_object_array(table.column("s"))
+        assert dictionary.tolist() == fresh_dictionary.tolist()
+        assert codes.tolist() == fresh_codes.tolist()
+        for name in ("s", "n"):
+            assert table.zone_maps(name) == [
+                zone_map_for_chunk(chunk) for chunk in table.column_chunks(name)
+            ]
+            counted = database.execute(f"SELECT count(DISTINCT {name}) AS d FROM t").scalar()
+            assert connector.column_cardinality("t", name) == int(counted)
+
+
+# ---------------------------------------------------------------------------
+# rows never travel as SQL text
+# ---------------------------------------------------------------------------
+
+
+def test_append_data_issues_no_insert_and_parses_almost_nothing(monkeypatch):
+    session = VerdictSession(planner_config=PLANNER)
+    session.load_table("orders", build_orders_columns(num_rows=5_000, seed=1))
+    specs = [
+        SampleSpec("uniform", (), 0.05),
+        SampleSpec("hashed", ("order_id",), 0.05),
+        SampleSpec("stratified", ("city",), 0.05),
+        SampleSpec("stratified", ("qty",), 0.05),
+    ]
+    for spec in specs:
+        session.create_sample("orders", spec)
+    parses = []
+    parse = parser.parse
+    monkeypatch.setattr(parser, "parse", lambda sql: parses.append(sql) or parse(sql))
+    log = session.connector.queries_issued
+    log.clear()
+    state = session.connector.catalog_state()
+
+    inserted = session.append_data("orders", build_orders_columns(num_rows=500, seed=2))
+
+    assert sum(inserted.values()) > 0
+    assert session.connector.catalog_state() != state
+    assert not any("INSERT" in sql.upper() for sql in log)
+    # One metadata read plus one strata read per stratified sample (66 parses
+    # at the parent commit); texts the engine already holds parsed cost none.
+    stratified = sum(spec.sample_type == "stratified" for spec in specs)
+    assert len(parses) <= 1 + stratified
+    assert all(sql.lstrip().upper().startswith("SELECT") for sql in log)
+    session.close()
