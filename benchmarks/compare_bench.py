@@ -89,9 +89,12 @@ FLOORS: dict[str, dict[str, float]] = {
         "checkpoint_overhead": 0.95,
         "worker_kill_recovery": 1.0,
     },
-    # Serving tier: sustained QPS with 16 concurrent socket clients must be
-    # at least 2x a single closed-loop client's throughput.
+    # Serving tier: one socket client's median latency may be at most twice
+    # the same statement's in-process (holds on any core count); sustained QPS
+    # with 16 concurrent socket clients at least 2x a single closed-loop
+    # client's — a hypothesis for >= 4 cores, never yet measured on such a box.
     "BENCH_serving.json": {
+        "served_vs_local": 0.5,
         "serving_concurrency": 2.0,
     },
 }

@@ -4,8 +4,9 @@
    sample built (one process owns the engine; many clients share it),
 2. connect with ``repro.client.connect(host, port)`` and per-connection
    ``ExecutionOptions`` — the familiar cursor surface over the wire,
-3. run a parameterized approximate query and fetch rows *incrementally*
-   (the result stays server-side; FETCH frames pull batches on demand),
+3. run a parameterized approximate query — one frame each way: the RESULT
+   frame brings the rows (only an answer longer than 1024 rows stays
+   server-side, FETCH frames pulling further batches on demand),
 4. check server health over the wire (engine, pool and server sections of
    one typed :class:`~repro.health.HealthReport`),
 5. cancel a slow query mid-flight from another thread — the waiting
@@ -71,8 +72,8 @@ def main() -> None:
     with repro.client.connect(
         host, port, options=ExecutionOptions(accuracy=0.05, include_errors=True)
     ) as connection:
-        # 3. Parameterized approximate query; rows stay server-side and
-        #    arrive in batches as the cursor pulls them.
+        # 3. Parameterized approximate query; a dashboard-sized answer
+        #    arrives with the RESULT frame, fetch* read the cursor's buffer.
         cursor = connection.execute(
             "SELECT region, count(*) AS n, avg(price) AS mean FROM orders "
             "WHERE qty >= ? GROUP BY region ORDER BY region",

@@ -13,29 +13,36 @@ Typed errors travel the wire: a rejected query raises
 :class:`~repro.errors.ProtocolError` — the same classes the in-process API
 uses.
 
-Rows are fetched *incrementally*: ``fetchone``/``fetchmany`` pull batches
-from the server on demand (FETCH frames), so a client can consume a large
-approximate answer without ever holding it whole.
+One statement is one frame each way: the RESULT frame carries the answer's
+first :data:`DEFAULT_FETCH_ROWS` rows, so a dashboard-sized answer never
+costs a second exchange.  Only a longer answer is fetched *incrementally* —
+``fetchone``/``fetchmany`` pull further batches on demand (FETCH frames), so
+a client can consume a large answer without ever holding it whole; a cursor
+re-executed or closed before its last row tells the server to drop the rest
+(DISCARD).
 
 Concurrency model: one request/response exchange at a time per connection
 (guarded internally), with one deliberate exception — :meth:`RemoteCursor.cancel`
 may be called from another thread while ``execute`` is waiting, because the
 CANCEL frame is fire-and-forget: the server answers it by failing the
-pending QUERY, not by replying to the CANCEL.
+pending QUERY, not by replying to the CANCEL.  DISCARD is fire-and-forget too.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
+from typing import Any
 
 from repro.api.options import ExecutionOptions
 from repro.errors import InterfaceError, ProtocolError
 from repro.health import HealthReport
 from repro.server import protocol
 
-#: Rows pulled per FETCH frame when the caller has not set a batch size.
+#: Rows pulled per FETCH frame when the caller has not set a batch size
+#: (also what the server puts in a RESULT frame).
 DEFAULT_FETCH_ROWS = 1024
 
 
@@ -43,7 +50,7 @@ def connect(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    options: ExecutionOptions | Mapping | None = None,
+    options: ExecutionOptions | Mapping[str, Any] | None = None,
     timeout: float | None = None,
 ) -> RemoteConnection:
     """Connect to a running server and perform the HELLO handshake.
@@ -67,7 +74,9 @@ def connect(
         raise
 
 
-def _options_payload(options: ExecutionOptions | Mapping | None) -> dict | None:
+def _options_payload(
+    options: ExecutionOptions | Mapping[str, Any] | None,
+) -> dict[str, Any] | None:
     """Options → wire dict: full for ExecutionOptions, sparse for mappings."""
     if options is None:
         return None
@@ -86,7 +95,7 @@ class RemoteConnection:
     def __init__(
         self,
         sock: socket.socket,
-        options: ExecutionOptions | Mapping | None = None,
+        options: ExecutionOptions | Mapping[str, Any] | None = None,
     ) -> None:
         self._sock = sock
         self._closed = False
@@ -96,7 +105,7 @@ class RemoteConnection:
         self._write_lock = threading.Lock()
         self._query_counter = 0
         self._counter_lock = threading.Lock()
-        hello: dict = {"type": "HELLO", "version": protocol.PROTOCOL_VERSION}
+        hello: dict[str, Any] = {"type": "HELLO", "version": protocol.PROTOCOL_VERSION}
         payload = _options_payload(options)
         if payload:
             hello["options"] = payload
@@ -106,11 +115,11 @@ class RemoteConnection:
 
     # -- wire helpers ------------------------------------------------------------
 
-    def _send(self, message: dict) -> None:
+    def _send(self, message: dict[str, Any]) -> None:
         with self._write_lock:
             protocol.send_frame(self._sock, message)
 
-    def _recv(self) -> dict:
+    def _recv(self) -> dict[str, Any]:
         frame = protocol.recv_frame(self._sock)
         if frame is None:
             raise InterfaceError("server closed the connection")
@@ -121,7 +130,7 @@ class RemoteConnection:
             raise protocol.decode_error(frame)
         return frame
 
-    def _exchange(self, message: dict) -> dict:
+    def _exchange(self, message: dict[str, Any]) -> dict[str, Any]:
         """One request/response round trip (the connection's unit of work)."""
         self._check_open()
         with self._io_lock:
@@ -159,7 +168,7 @@ class RemoteConnection:
     def __enter__(self) -> RemoteConnection:
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     def _check_open(self) -> None:
@@ -169,7 +178,7 @@ class RemoteConnection:
     # -- DB-API surface ------------------------------------------------------------
 
     def cursor(
-        self, options: ExecutionOptions | Mapping | None = None
+        self, options: ExecutionOptions | Mapping[str, Any] | None = None
     ) -> RemoteCursor:
         self._check_open()
         return RemoteCursor(self, options=options)
@@ -177,8 +186,8 @@ class RemoteConnection:
     def execute(
         self,
         sql: str,
-        params: Sequence | Mapping | None = None,
-        options: ExecutionOptions | Mapping | None = None,
+        params: Sequence[Any] | Mapping[str, Any] | None = None,
+        options: ExecutionOptions | Mapping[str, Any] | None = None,
     ) -> RemoteCursor:
         """Shorthand: open a cursor, execute, return the cursor."""
         cursor = self.cursor()
@@ -200,25 +209,26 @@ class RemoteConnection:
 
 
 class RemoteCursor:
-    """A cursor over one remote result, fetching rows incrementally."""
+    """A cursor over one remote result, fetching long ones incrementally."""
 
     arraysize = 1
 
     def __init__(
         self,
         connection: RemoteConnection,
-        options: ExecutionOptions | Mapping | None = None,
+        options: ExecutionOptions | Mapping[str, Any] | None = None,
     ) -> None:
         self.connection = connection
         self.options = options
         self._closed = False
-        self.description: list[tuple] | None = None
+        self.description: list[tuple[Any, ...]] | None = None
         self.rowcount = -1
         #: True when the server answered from samples (with error columns
         #: available server-side); False for exact pass-through answers.
         self.approximate: bool | None = None
         self._query_id: str | None = None
-        self._buffer: list[tuple] = []
+        self._buffer: deque[tuple[Any, ...]] = deque()
+        #: False while the server still buffers rows of this result.
         self._exhausted = True
 
     # -- lifecycle ---------------------------------------------------------------
@@ -229,14 +239,29 @@ class RemoteCursor:
 
     def close(self) -> None:
         self._closed = True
-        self._buffer = []
-        self._exhausted = True
+        self._discard()
 
     def __enter__(self) -> RemoteCursor:
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    def _discard(self) -> None:
+        """Drop the current result, here and (what is left of it) server-side."""
+        self._buffer.clear()
+        if not self._exhausted:
+            self._exhausted = True
+            self._notify("DISCARD")
+
+    def _notify(self, kind: str) -> None:
+        """A fire-and-forget frame about this cursor's statement."""
+        if self._query_id is None or self.connection.closed:
+            return
+        try:
+            self.connection._send({"type": kind, "id": self._query_id})
+        except OSError:
+            pass
 
     def _check_open(self) -> None:
         if self._closed:
@@ -253,23 +278,22 @@ class RemoteCursor:
     def execute(
         self,
         sql: str,
-        params: Sequence | Mapping | None = None,
-        options: ExecutionOptions | Mapping | None = None,
+        params: Sequence[Any] | Mapping[str, Any] | None = None,
+        options: ExecutionOptions | Mapping[str, Any] | None = None,
     ) -> RemoteCursor:
-        """Send one QUERY and wait for its RESULT (rows stay server-side).
+        """Send one QUERY and wait for its RESULT, which brings the first rows.
 
         Typed failures — :class:`ServerBusyError` on admission rejection,
         :class:`QueryCancelledError` after a cancel, ... — raise here.
         """
         self._check_open()
+        self._discard()
         self.description = None
         self.rowcount = -1
         self.approximate = None
-        self._buffer = []
-        self._exhausted = True
         query_id = self.connection._next_query_id()
         self._query_id = query_id
-        message: dict = {"type": "QUERY", "id": query_id, "sql": sql}
+        message: dict[str, Any] = {"type": "QUERY", "id": query_id, "sql": sql}
         if params is not None:
             message["params"] = list(params) if isinstance(params, Sequence) else dict(params)
         payload = _options_payload(options if options is not None else self.options)
@@ -286,7 +310,7 @@ class RemoteCursor:
         )
         self.rowcount = reply.get("rowcount", -1)
         self.approximate = reply.get("approximate")
-        self._exhausted = self.rowcount in (-1, 0)
+        self._take(reply)
         return self
 
     def cancel(self) -> None:
@@ -296,14 +320,14 @@ class RemoteCursor:
         query fail with :class:`~repro.errors.QueryCancelledError` (unless
         the cancel raced completion, in which case the result stands).
         """
-        if self._query_id is None or self.connection.closed:
-            return
-        try:
-            self.connection._send({"type": "CANCEL", "id": self._query_id})
-        except OSError:
-            pass
+        self._notify("CANCEL")
 
     # -- fetching ------------------------------------------------------------------
+
+    def _take(self, reply: dict[str, Any]) -> None:
+        """Buffer the rows a RESULT or ROWS frame carries (column-major)."""
+        self._buffer.extend(zip(*reply.get("columns", ())))
+        self._exhausted = bool(reply.get("done"))
 
     def _pull(self, count: int) -> None:
         """Ask the server for up to ``count`` more rows of this result."""
@@ -312,35 +336,33 @@ class RemoteCursor:
         )
         if reply.get("type") != "ROWS" or reply.get("id") != self._query_id:
             raise ProtocolError(f"expected ROWS for {self._query_id!r}, got {reply!r}")
-        self._buffer.extend(tuple(row) for row in reply.get("rows", []))
-        self._exhausted = bool(reply.get("done"))
+        self._take(reply)
 
-    def fetchone(self) -> tuple | None:
+    def fetchone(self) -> tuple[Any, ...] | None:
         self._check_result()
         if not self._buffer and not self._exhausted:
             self._pull(max(self.arraysize, DEFAULT_FETCH_ROWS))
         if not self._buffer:
             return None
-        return self._buffer.pop(0)
+        return self._buffer.popleft()
 
-    def fetchmany(self, size: int | None = None) -> list[tuple]:
+    def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
         self._check_result()
         count = self.arraysize if size is None else size
         while len(self._buffer) < count and not self._exhausted:
-            self._pull(max(count - len(self._buffer), 1))
-        rows = self._buffer[:count]
-        del self._buffer[:count]
-        return rows
+            self._pull(count)
+        buffer = self._buffer
+        return [buffer.popleft() for _ in range(min(count, len(buffer)))]
 
-    def fetchall(self) -> list[tuple]:
+    def fetchall(self) -> list[tuple[Any, ...]]:
         self._check_result()
         while not self._exhausted:
             self._pull(DEFAULT_FETCH_ROWS)
-        rows = self._buffer
-        self._buffer = []
+        rows = list(self._buffer)
+        self._buffer.clear()
         return rows
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[tuple[Any, ...]]:
         while True:
             row = self.fetchone()
             if row is None:

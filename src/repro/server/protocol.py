@@ -4,8 +4,13 @@ Every message is one *frame*: a 4-byte big-endian unsigned length followed
 by that many bytes of UTF-8 JSON.  The JSON object always carries a
 ``"type"`` key; everything else is per-type payload.  JSON keeps the
 protocol inspectable (``tcpdump`` readable, any language can speak it) and
-the length prefix keeps framing trivial and streaming-safe; numpy scalars in
-result rows are converted to native Python numbers on encode.
+the length prefix keeps framing trivial and streaming-safe.
+
+Result rows travel *column-major*: ``columns`` is one JSON array per
+described column (``ndarray.tolist()`` server-side, ``zip(*columns)``
+client-side), so a value is converted to a native Python number by numpy,
+not by a per-value hook here.  The hook remains for bound parameters and for
+numpy scalars boxed inside object columns.
 
 Message types
 =============
@@ -16,18 +21,25 @@ Client → server:
              connection's default :class:`ExecutionOptions`.
 ``QUERY``    ``{id, sql, params?, options?}`` — start a statement; per-query
              ``options`` override the connection defaults field-wise.
-``FETCH``    ``{id, count?}`` — pull the next ``count`` rows of a result.
+``FETCH``    ``{id, count?}`` — pull the next ``count`` rows of a result the
+             RESULT frame left unfinished.
 ``CANCEL``   ``{id}`` — cancel the running statement ``id`` (races with
              completion are fine; a finished query ignores the cancel).
+             No reply.
+``DISCARD``  ``{id}`` — drop what is still buffered of result ``id`` (a
+             cursor re-executed or closed before its last row).  No reply.
 ``HEALTH``   ``{}`` — ask for a :class:`~repro.health.HealthReport`.
 ``CLOSE``    ``{}`` — orderly goodbye.
 
 Server → client:
 
 ``WELCOME``  ``{version, server}`` — HELLO accepted.
-``RESULT``   ``{id, description, rowcount, approximate, relative_errors?}``
-             — the statement finished; rows follow via FETCH.
-``ROWS``     ``{id, rows, done}`` — one FETCH's worth of rows.
+``RESULT``   ``{id, description, rowcount, approximate, elapsed_seconds,
+             columns, done}`` — the statement finished; ``columns`` holds
+             its first rows (up to the server's ``DEFAULT_FETCH_ROWS``) and
+             ``done`` says whether those were all of them.  Only a result
+             that is not ``done`` stays buffered server-side for FETCH.
+``ROWS``     ``{id, columns, done}`` — one FETCH's worth of rows.
 ``HEALTHY``  ``{report}`` — health report sections.
 ``ERROR``    ``{id?, name, message}`` — typed failure; ``name`` is the
              exception class name from :mod:`repro.errors`, reconstructed
@@ -49,7 +61,8 @@ from repro.api.options import ExecutionOptions
 from repro.errors import OperationalError, ProtocolError
 
 #: Protocol revision; HELLO/WELCOME carry it so mismatches fail loudly.
-PROTOCOL_VERSION = 1
+#: 2: rows ride the RESULT frame, column-major; DISCARD.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame (guards against garbage length prefixes and
 #: unbounded allocation on either side).
@@ -69,14 +82,19 @@ def _jsonify(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__} on the wire")
 
 
-def send_frame(sock: socket.socket, message: dict[str, Any]) -> None:
-    """Serialize one message and write it as a single frame."""
+def encode_frame(message: dict[str, Any]) -> bytes:
+    """Serialize one message to the bytes of a single frame."""
     payload = json.dumps(message, default=_jsonify).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
         )
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
+    return _LENGTH.pack(len(payload)) + payload
+
+
+def send_frame(sock: socket.socket, message: dict[str, Any]) -> None:
+    """Serialize one message and write it as a single frame."""
+    sock.sendall(encode_frame(message))
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
@@ -186,6 +204,7 @@ __all__ = [
     "decode_error",
     "decode_options",
     "encode_error",
+    "encode_frame",
     "encode_options",
     "recv_frame",
     "send_frame",

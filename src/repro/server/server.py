@@ -3,9 +3,14 @@
 One :class:`VerdictServer` owns a
 :class:`~repro.api.pool.ConnectionPool` (and therefore one shared engine:
 samples, caches and the circuit breaker are built once and serve every
-client).  Each accepted TCP connection gets a reader thread speaking the
-frame protocol of :mod:`repro.server.protocol`; each QUERY executes on its
-own worker thread so the reader stays responsive to CANCEL mid-query.
+client).  Each accepted TCP connection gets two long-lived threads: a reader
+speaking the frame protocol of :mod:`repro.server.protocol`, and a worker the
+reader hands each QUERY to through a queue, so the reader stays responsive to
+CANCEL mid-query and no thread is created per statement.  A connection
+executes one statement at a time.  The RESULT frame carries the answer's
+first :data:`DEFAULT_FETCH_ROWS` rows; only a longer answer stays buffered
+here, paged out by FETCH and freed by its last row, a DISCARD or the
+disconnect.
 
 Operational behaviour the tests pin down:
 
@@ -24,11 +29,14 @@ Operational behaviour the tests pin down:
   :class:`~repro.errors.QueryCancelledError`.
 * **graceful drain** — :meth:`shutdown` stops accepting, rejects new
   queries, waits for in-flight work up to a timeout, then cancels whatever
-  is left and closes every client socket and the pool.
+  is left and closes every client connection (after the reply it still owes:
+  a cancelled statement's client reads a typed error, not an end of stream)
+  and the pool.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
 import time
@@ -44,7 +52,8 @@ from repro.health import HealthReport
 from repro.server import protocol
 from repro.sqlengine.engine import Database
 
-#: Default FETCH batch when the client does not say how many rows it wants.
+#: Rows carried by a RESULT frame, and the FETCH batch when the client does
+#: not say how many rows it wants.
 DEFAULT_FETCH_ROWS = 1024
 
 
@@ -291,7 +300,7 @@ class VerdictServer:
 
 
 class _ClientHandler:
-    """One connected client: a reader thread plus per-query worker threads."""
+    """One connected client: a reader thread and a worker thread."""
 
     _ids = iter(range(1, 1 << 62))
     _ids_lock = threading.Lock()
@@ -305,32 +314,47 @@ class _ClientHandler:
         self._thread = threading.Thread(
             target=self._run, name=f"repro-server-client-{self.id}", daemon=True
         )
+        # Admitted QUERYs, reader -> worker; None ends the worker.
+        self._queries: queue.SimpleQueue[tuple | None] = queue.SimpleQueue()
+        self._worker = threading.Thread(
+            target=self._work, name=f"repro-server-worker-{self.id}", daemon=True
+        )
         # Default options payload from HELLO (raw dict: merged field-wise
         # with each QUERY's payload, so per-query overrides are sparse).
         self._default_options_payload: dict = {}
-        # query_id -> {"rows": [...], "position": int} for incremental FETCH.
-        self._results: dict[str, dict] = {}
+        # query_id -> [columns, position]: what FETCH has yet to deliver of
+        # an answer longer than its RESULT frame.
+        self._results: dict[str, list] = {}
         self._results_lock = threading.Lock()
         self._closing = False
 
     def start(self) -> None:
+        self._worker.start()
         self._thread.start()
 
     def join(self, timeout: float | None = None) -> None:
-        if self._thread.is_alive():
-            self._thread.join(timeout)
+        for thread in (self._thread, self._worker):
+            if thread.is_alive():
+                thread.join(timeout)
 
     def close(self) -> None:
+        """Stop reading.  The write side stays open until the worker has
+        sent the reply it is working on (a drained statement's RESULT, a
+        cancelled one's ERROR) and hangs up."""
         self._closing = True
         try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
-            pass
+            # Wakes the reader out of recv(); closing the socket would not.
+            self.sock.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # the peer hung up first
 
     def _send(self, message: dict) -> None:
+        self._write(protocol.encode_frame(message))
+
+    def _write(self, frame: bytes) -> None:
         with self._write_lock:
             try:
-                protocol.send_frame(self.sock, message)
+                self.sock.sendall(frame)
             except OSError:
                 # Peer vanished; the reader loop will notice and clean up.
                 self._closing = True
@@ -352,6 +376,7 @@ class _ClientHandler:
                     return
         finally:
             self.close()
+            self._queries.put(None)
             self.server._forget(self)
 
     def _handshake(self) -> bool:
@@ -400,6 +425,8 @@ class _ClientHandler:
             self._on_fetch(frame)
         elif kind == "CANCEL":
             self._on_cancel(frame)
+        elif kind == "DISCARD":
+            self._on_discard(frame)
         elif kind == "HEALTH":
             report = self.server.health()
             self._send({"type": "HEALTHY", "report": report.as_sections()})
@@ -445,13 +472,16 @@ class _ClientHandler:
         except ServerBusyError as exc:
             self._send(protocol.encode_error(exc, query_id))
             return
-        worker = threading.Thread(
-            target=self._run_query,
-            args=(query_id, sql, frame.get("params"), options, queued),
-            name=f"repro-server-query-{self.id}-{query_id}",
-            daemon=True,
-        )
-        worker.start()
+        self._queries.put((query_id, sql, frame.get("params"), options, queued))
+
+    def _work(self) -> None:
+        """The worker thread: admitted QUERYs, one at a time, in order; the
+        socket's last user, so the one that closes it."""
+        try:
+            while (query := self._queries.get()) is not None:
+                self._run_query(*query)
+        finally:
+            self.sock.close()
 
     def _run_query(
         self,
@@ -475,36 +505,40 @@ class _ClientHandler:
                     result = pooled.session.execute(
                         sql, params, options, deadline=deadline
                     )
-                    rows = result.fetchall()
             names = result.column_names()
-            if rows:
-                # Zero-row results and DML need no FETCH; buffering them
-                # would leak state the client never comes back for.
-                with self._results_lock:
-                    self._results[query_id] = {"rows": rows, "position": 0}
-            served = True
-            self._send(
+            columns = [result.column(name) for name in names]
+            page = _page(columns, 0, DEFAULT_FETCH_ROWS)
+            reply = protocol.encode_frame(
                 {
                     "type": "RESULT",
                     "id": query_id,
                     "description": names,
-                    "rowcount": len(rows) if names else -1,
+                    "rowcount": result.num_rows if names else -1,
                     "approximate": not result.is_exact,
                     "elapsed_seconds": result.elapsed_seconds,
+                    **page,
                 }
             )
+            if not page["done"]:
+                # Only what the frame could not carry stays behind for FETCH;
+                # buffering more would leak state the client never asks for.
+                with self._results_lock:
+                    self._results[query_id] = [columns, DEFAULT_FETCH_ROWS]
+            served = True
         # repro: ignore[REP004] -- server boundary: every failure of a QUERY
         # must be serialized as a typed ERROR frame for the client; letting
-        # anything escape here would kill the connection handler instead.
+        # anything escape here would kill the connection's worker instead.
         except Exception as exc:
             if deadline.cancelled:
                 with self.server._admission:
                     self.server._cancelled += 1
-            self._send(protocol.encode_error(exc, query_id))
-        finally:
-            self.server._release_slot(served)
+            reply = protocol.encode_frame(protocol.encode_error(exc, query_id))
+        # The slot is free before the client can read the reply, so its next
+        # statement is never refused on account of this one.
+        self.server._release_slot(served)
+        self._write(reply)
 
-    # -- FETCH / CANCEL ------------------------------------------------------------
+    # -- FETCH / CANCEL / DISCARD --------------------------------------------------
 
     def _on_fetch(self, frame: dict) -> None:
         query_id = frame.get("id")
@@ -513,20 +547,17 @@ class _ClientHandler:
             count = DEFAULT_FETCH_ROWS
         with self._results_lock:
             state = self._results.get(query_id)
-            if state is None:
-                error = InterfaceError(f"no result buffered for query {query_id!r}")
-                state = None
-            else:
-                rows = state["rows"][state["position"] : state["position"] + count]
-                state["position"] += len(rows)
-                done = state["position"] >= len(state["rows"])
-                if done:
+            if state is not None:
+                page = _page(*state, count)
+                state[1] += count
+                if page["done"]:
                     # Free the buffer as soon as the client has everything.
                     del self._results[query_id]
         if state is None:
+            error = InterfaceError(f"no result buffered for query {query_id!r}")
             self._send(protocol.encode_error(error, query_id))
             return
-        self._send({"type": "ROWS", "id": query_id, "rows": rows, "done": done})
+        self._send({"type": "ROWS", "id": query_id, **page})
 
     def _on_cancel(self, frame: dict) -> None:
         query_id = frame.get("id")
@@ -534,6 +565,27 @@ class _ClientHandler:
         # resolves with a QueryCancelledError), a miss means the query
         # already finished — indistinguishable races, both fine.
         self.server._registry.cancel((self.id, query_id))
+
+    def _on_discard(self, frame: dict) -> None:
+        # Fire-and-forget like CANCEL: the client abandoned a result FETCH
+        # had not finished; an unknown id is a result already delivered.
+        query_id = frame.get("id")
+        if isinstance(query_id, str):
+            with self._results_lock:
+                self._results.pop(query_id, None)
+
+
+def _page(columns: list, start: int, count: int) -> dict:
+    """The ``columns`` / ``done`` payload of rows [start, start + count).
+
+    ``ndarray.tolist()`` yields native Python values at C speed, so no
+    per-value hook runs when the frame is encoded.
+    """
+    end = start + count
+    return {
+        "columns": [column[start:end].tolist() for column in columns],
+        "done": not columns or end >= len(columns[0]),
+    }
 
 
 def serve(
