@@ -24,6 +24,8 @@ trajectory is tracked from this PR onward.  Run standalone with
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -132,7 +134,13 @@ def run(quick: bool = False) -> dict:
     optimized = _build_engine(optimize=True, quick=quick)
     baseline = _build_engine(optimize=False, quick=quick)
 
-    report: dict = {"unit": "seconds_per_query", "workloads": {}}
+    report: dict = {
+        "unit": "seconds_per_query",
+        "cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "workloads": {},
+    }
     for name, spec in WORKLOADS.items():
         repeats = max(3, spec["repeats"] // 4) if quick else spec["repeats"]
         optimized_seconds, optimized_result = _time_workload(

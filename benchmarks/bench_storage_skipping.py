@@ -24,6 +24,8 @@ standalone path also diffs against the committed baseline via
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -122,7 +124,13 @@ def run(quick: bool = False) -> dict:
         f"avg(price) AS mean FROM {sample_table} WHERE vdb_sid = 17"
     )
 
-    report: dict = {"unit": "seconds_per_query", "workloads": {}}
+    report: dict = {
+        "unit": "seconds_per_query",
+        "cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "workloads": {},
+    }
     for name, spec in WORKLOADS.items():
         sql = spec["sql"] or scramble_sql
         sql = sql.format(low=reading_rows // 2, high=reading_rows // 2 + 5_999)

@@ -33,6 +33,8 @@ via ``compare_bench`` and fails on any floor regression.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -145,7 +147,13 @@ def run(quick: bool = False) -> dict:
     optimized = _build_context(optimize=True, quick=quick)
     baseline = _build_context(optimize=False, quick=quick)
 
-    report: dict = {"unit": "seconds_per_query", "workloads": {}}
+    report: dict = {
+        "unit": "seconds_per_query",
+        "cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "workloads": {},
+    }
     for name, spec in WORKLOADS.items():
         repeats = max(3, spec["repeats"] // 4) if quick else spec["repeats"]
         optimized_seconds, optimized_result = _time_middleware(

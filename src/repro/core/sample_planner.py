@@ -2,9 +2,18 @@
 
 A *sample plan* maps every base table of a query either to one of its sample
 tables or to the base table itself.  The planner enumerates candidate plans,
-discards the infeasible ones (I/O budget, join compatibility), scores the
-rest and returns the best one.  When no plan with sampling is feasible the
-planner returns ``None`` and the middleware falls back to exact execution.
+discards the infeasible ones (I/O budget, join compatibility, count-distinct
+support, rows per group), scores the rest and returns the best one.  When no
+plan with sampling is feasible the planner returns ``None`` and the
+middleware falls back to exact execution.
+
+The score alone does not pick the plan of a join.  The query's *fact table*
+— its largest base table by row count — is read from a sample whenever any
+feasible plan samples it: otherwise a slightly higher-scoring sample of a
+dimension table (e.g. ``orders``) would be joined with every row of the fact
+table (``lineitem``), reading almost all of the data for about the same
+number of joined rows.  Only when no feasible plan samples the fact table is
+the best-scoring plan kept; ``SamplePlan.notes`` records which case applied.
 """
 
 from __future__ import annotations
@@ -23,10 +32,15 @@ class PlannerConfig:
     """Tunables of the sample planner.
 
     Attributes:
-        io_budget: maximum fraction of a large table's rows a plan may touch
-            (the paper's default I/O budget is 2%).
-        large_table_rows: tables below this size are read in full and are
-            exempt from the budget (the paper uses 10M rows; scaled down here).
+        io_budget: target fraction of a large table's rows a sample may hold
+            (the paper's default I/O budget is 2%).  Only *uniform* samples
+            are held to it: one more than 1.5x over the budget is rejected.
+            Stratified and hashed samples and unsampled (base) tables are
+            exempt; what keeps a join from reading its largest table in full
+            is the planner's fact-table rule (see the module docstring), not
+            this budget.
+        large_table_rows: tables below this size are exempt from the budget
+            (the paper uses 10M rows; scaled down here).
         k_best: number of per-table candidates kept when the exhaustive
             product would be too large (Appendix E.2; default 10).
         stratified_advantage: score multiplier when a stratified sample's
@@ -69,6 +83,7 @@ class SamplePlan:
         return [info for info in self.assignments.values() if info is not None]
 
     def describe(self) -> str:
+        """The per-table assignments, then the planner's notes after ``" | "``."""
         parts = []
         for table, info in self.assignments.items():
             if info is None:
@@ -79,7 +94,7 @@ class SamplePlan:
                     f"{table}: {info.sample_type} sample ({columns}, "
                     f"ratio={info.effective_ratio:.4f})"
                 )
-        return "; ".join(parts)
+        return " | ".join(["; ".join(parts), *self.notes])
 
 
 @dataclass(frozen=True)
@@ -107,6 +122,10 @@ class SamplePlanner:
     ) -> SamplePlan | None:
         """Return the best feasible plan, or None when AQP should not be used.
 
+        For a join, "best" is the highest-scoring plan among those that
+        sample the fact table, and the highest-scoring plan overall only when
+        none of them is feasible (see the module docstring).
+
         Args:
             analysis: output of :func:`repro.core.query_info.analyze`.
             samples_by_table: available samples keyed by lower-cased table name.
@@ -132,19 +151,40 @@ class SamplePlanner:
                 candidates[table] = self._k_best(candidates[table])
             combination_count = math.prod(len(options) for options in candidates.values())
 
+        # The fact table: the largest base table of a join (ties go to the
+        # first name in sorted order).  A single-table query has none.
+        fact_table = (
+            max(tables, key=lambda table: table_rows.get(table, 0)) if len(tables) > 1 else None
+        )
         best: SamplePlan | None = None
+        best_fact: SamplePlan | None = None
+        fact_rejections: list[str] = []
         for combination in itertools.product(*(candidates[table] for table in tables)):
             assignment = dict(zip(tables, combination))
+            samples_fact = fact_table is not None and assignment[fact_table] is not None
             plan = self._evaluate(
                 assignment, table_rows, join_edges, distinct_columns, analysis, expected_groups
             )
-            if plan is None:
+            if isinstance(plan, str):
+                if samples_fact and plan not in fact_rejections:
+                    fact_rejections.append(plan)
                 continue
             plan.candidate_count = combination_count
             if not plan.uses_sampling:
                 continue
             if best is None or plan.score > best.score:
                 best = plan
+            if samples_fact and (best_fact is None or plan.score > best_fact.score):
+                best_fact = plan
+        if fact_table is None or best is None:
+            return best
+        if best_fact is not None:
+            best_fact.notes.append(f"fact table {fact_table} read from a sample")
+            return best_fact
+        reason = "; ".join(fact_rejections) or f"no sample of {fact_table}"
+        best.notes.append(
+            f"fact table {fact_table} read in full: no feasible plan samples it ({reason})"
+        )
         return best
 
     # -- candidate pruning --------------------------------------------------------
@@ -167,7 +207,8 @@ class SamplePlanner:
         distinct_columns: dict[str | None, list[str]],
         analysis: QueryAnalysis,
         expected_groups: int | None,
-    ) -> SamplePlan | None:
+    ) -> SamplePlan | str:
+        """The scored plan of one assignment, or why the assignment is infeasible."""
         plan = SamplePlan(assignments=dict(assignment))
 
         # Per-table I/O budget for large tables.
@@ -183,7 +224,7 @@ class SamplePlanner:
                     # Uniform samples far above the budget are rejected;
                     # stratified samples are allowed a larger footprint
                     # (the paper grants them up to 80% of the budget pool).
-                    return None
+                    return "uniform sample over the I/O budget"
 
         # Join compatibility (Section 5.1): when both sides of a join are
         # sampled, both must be hashed (universe) samples on the join key.
@@ -196,7 +237,7 @@ class SamplePlanner:
             left_ok = left.sample_type == "hashed" and left.matches_columns(edge.left_columns)
             right_ok = right.sample_type == "hashed" and right.matches_columns(edge.right_columns)
             if not (left_ok and right_ok):
-                return None
+                return "samples joined without a universe join"
             join_bonus *= self.config.hashed_join_advantage
             plan.notes.append(
                 f"universe join on {edge.left_table}.{','.join(edge.left_columns)}"
@@ -213,7 +254,7 @@ class SamplePlanner:
             }
             for left_name, right_name in itertools.combinations(sampled_names, 2):
                 if frozenset((left_name, right_name)) not in certified:
-                    return None
+                    return "samples joined without a universe join"
 
         # count-distinct aggregates need a hashed sample on the distinct column
         # (or the base table).
@@ -227,7 +268,7 @@ class SamplePlanner:
                     if owner == table or table is None:
                         if info.sample_type != "hashed" or not info.matches_columns((column,)):
                             if table is not None or len(assignment) == 1:
-                                return None
+                                return "count(DISTINCT) needs a hashed sample on its column"
 
         # Score: sqrt of the effective sampling ratio, with advantage factors.
         ratios = []
@@ -256,7 +297,10 @@ class SamplePlanner:
         if expected_groups is not None and plan.uses_sampling:
             sampled_rows = min(info.sample_rows for info in plan.sampled_tables)
             if expected_groups * self.config.min_rows_per_group > sampled_rows:
-                return None
+                return (
+                    f"fewer than {self.config.min_rows_per_group} sample rows "
+                    "per expected group"
+                )
         return plan
 
 
