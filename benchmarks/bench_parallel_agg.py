@@ -1,6 +1,6 @@
 """Benchmark — process-sharded aggregation over shared-memory column shards.
 
-Three workloads exercise the ``parallel_exec`` subsystem, each A/B-verified
+Two workloads exercise the ``parallel_exec`` subsystem, each A/B-verified
 bit-identical against ``Database(optimize=False)`` (and each asserted, via
 ``Database.stats``, to have actually taken its fast path):
 
@@ -15,10 +15,6 @@ bit-identical against ``Database(optimize=False)`` (and each asserted, via
   columns every time.  The workload also proves "zero per-query column
   pickling" by counters: ``shard_publications`` stays at 1 while
   ``parallel_exec_dispatches`` grows with every query.
-* **zone_agg_where** — scalar aggregates under a fully prunable ``WHERE``
-  (every chunk either entirely eliminated or entirely matching, decided from
-  zone maps alone) answered without touching row data, vs the naive engine's
-  filtered scan.
 
 Results are written to ``benchmarks/BENCH_parallel.json``.  Run standalone
 with ``PYTHONPATH=src python benchmarks/bench_parallel_agg.py`` — the
@@ -36,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.sqlengine import Database
-from repro.sqlengine.table import DEFAULT_CHUNK_ROWS
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_parallel.json"
 
@@ -49,19 +44,15 @@ GROUP_SQL = (
     "SELECT region, count(*) AS n, sum(qty) AS total, "
     "min(value) AS lo, max(value) AS hi FROM sales GROUP BY region ORDER BY region"
 )
-ZONE_SQL = (
-    "SELECT count(*) AS n, min(order_id) AS lo, max(order_id) AS hi "
-    "FROM sales WHERE order_id >= {cut}"
-)
 
-FLOORS = {"parallel_group_agg": 2.5, "shm_dispatch": 1.3, "zone_agg_where": 4.0}
+FLOORS = {"parallel_group_agg": 2.5, "shm_dispatch": 1.3}
 
 
 def _sales_columns(quick: bool) -> dict:
     rows = QUICK_ROWS if quick else ROWS
     rng = np.random.default_rng(13)
     return {
-        "order_id": np.arange(rows),  # clustered by construction: zone-prunable
+        "order_id": np.arange(rows),
         "region": rng.choice(["east", "west", "north", "south", None], rows).astype(object),
         "qty": rng.integers(-100, 100, rows),
         "value": rng.gamma(2.0, 8.0, rows),
@@ -150,28 +141,6 @@ def run(quick: bool = False) -> dict:
         }
     finally:
         warm.close()
-
-    # -- zone_agg_where: prunable-WHERE aggregates answered from zone maps --
-    zoned = _build_engine(columns)
-    # Chunk-aligned cut: every chunk is then entirely below or entirely at or
-    # above it, which is what lets the zones answer without touching rows.
-    rows = QUICK_ROWS if quick else ROWS
-    cut = (rows // 2 // DEFAULT_CHUNK_ROWS) * DEFAULT_CHUNK_ROWS
-    sql = ZONE_SQL.format(cut=cut)
-    fast_seconds, fast_result = _time_workload(zoned, sql, repeats)
-    slow_seconds, slow_result = _time_workload(naive, sql, repeats)
-    if not fast_result.equals(slow_result):
-        raise AssertionError("zone_agg_where: the zone answer changed the results")
-    if not zoned.stats["zone_map_aggregates"]:
-        raise AssertionError("zone_agg_where: the zone-map fast path never ran")
-    report["workloads"]["zone_agg_where"] = {
-        "baseline": "optimize=False filtered scan",
-        "baseline_seconds": round(slow_seconds, 6),
-        "optimized_seconds": round(fast_seconds, 6),
-        "speedup": round(slow_seconds / fast_seconds, 2),
-        "floor": FLOORS["zone_agg_where"],
-        "repeats": repeats,
-    }
 
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report

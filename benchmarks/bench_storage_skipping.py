@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.connectors import BuiltinConnector
-from repro.sampling import SampleBuilder, SampleSpec
+from repro.sampling import SID_COLUMN, SampleBuilder, SampleSpec
 from repro.sqlengine import Database
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_storage.json"
@@ -97,7 +97,7 @@ def _build_engine(optimize: bool, quick: bool = False) -> tuple[Database, str]:
     )
     builder = SampleBuilder(connector, subsample_count=100)
     info = builder.create_sample("orders", SampleSpec("uniform", (), SCRAMBLE_RATIO))
-    assert info.sid_clustered
+    assert engine.table(info.sample_table).clustered_on == SID_COLUMN
     return engine, info.sample_table
 
 

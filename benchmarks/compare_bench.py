@@ -64,10 +64,6 @@ FLOORS: dict[str, dict[str, float]] = {
         "selective_string": 3.0,
         "scramble_sid": 1.2,
     },
-    "BENCH_round4.json": {
-        "minmax_zone": 5.0,
-        "merge_join_sid": 1.2,
-    },
     "BENCH_api.json": {
         "prepared_reexec": 3.0,
         "adhoc_literals": 1.5,
@@ -75,7 +71,6 @@ FLOORS: dict[str, dict[str, float]] = {
     "BENCH_parallel.json": {
         "parallel_group_agg": 2.5,
         "shm_dispatch": 1.3,
-        "zone_agg_where": 4.0,
     },
     # End-to-end AQP: an approximate grouped query through repro.connect(),
     # sharded by the pool vs the same query pinned serial (parallel=False).

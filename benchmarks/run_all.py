@@ -1,8 +1,8 @@
 """Run every tracked benchmark suite and gate the speedup floors.
 
-Runs the engine hot-path, middleware hot-path, storage-skipping and round-4
-(zone-map aggregates / merge joins) benchmarks back to back,
-rewrites their ``BENCH_*.json`` reports, diffs each against the committed
+Runs the engine hot-path, middleware hot-path, storage-skipping, API,
+parallel, resilience and serving benchmarks back to back, rewrites their
+``BENCH_*.json`` reports, diffs each against the committed
 baseline and exits non-zero when any asserted speedup floor regresses:
 
     PYTHONPATH=src python benchmarks/run_all.py                # full run
@@ -42,7 +42,6 @@ import bench_aqp_parallel  # noqa: E402
 import bench_parallel_agg  # noqa: E402
 import bench_planner_hotpath  # noqa: E402
 import bench_resilience  # noqa: E402
-import bench_round4  # noqa: E402
 import bench_serving  # noqa: E402
 import bench_storage_skipping  # noqa: E402
 import bench_verdict_hotpath  # noqa: E402
@@ -52,7 +51,6 @@ SUITES = [
     (bench_planner_hotpath, "BENCH_planner.json"),
     (bench_verdict_hotpath, "BENCH_verdict.json"),
     (bench_storage_skipping, "BENCH_storage.json"),
-    (bench_round4, "BENCH_round4.json"),
     (bench_api_hotpath, "BENCH_api.json"),
     (bench_parallel_agg, "BENCH_parallel.json"),
     (bench_aqp_parallel, "BENCH_aqp_parallel.json"),

@@ -221,18 +221,6 @@ class Connector(abc.ABC):
             for column in self.column_names(table)
         }
 
-    def table_clustered_on(self, table: str) -> str | None:
-        """Column ``table`` is physically clustered on, or None if unknown.
-
-        Sample maintenance uses this after appending rows to a scramble: when
-        the backend reports the sid column is still clustered (the appended
-        key range stayed monotone), the sample keeps its ``sid_clustered``
-        metadata flag instead of unconditionally losing it.  The default —
-        backends without clustering introspection — is None (unknown), which
-        callers must treat as "clustering not preserved".
-        """
-        return None
-
     # -- data loading ------------------------------------------------------------
 
     @abc.abstractmethod
@@ -247,17 +235,15 @@ class Connector(abc.ABC):
         clause = "IF EXISTS " if if_exists else ""
         self.execute(f"DROP TABLE {clause}{self.dialect.quote_identifier(name)}")
 
-    def create_table_sorted_copy(self, source: str, target: str, order_column: str) -> bool:
+    def create_table_sorted_copy(self, source: str, target: str, order_column: str) -> None:
         """Materialize ``target`` as ``source`` ordered by ``order_column``.
 
         Plain ``CREATE TABLE ... AS SELECT * ... ORDER BY`` so it works on
         every backend.  The sample builder uses it to cluster scrambles by
         subsample id: with chunked storage the sid column's zone maps become
-        tight (per-sid reads skip most of the scramble) and the built-in
-        engine additionally records ``Table.clustered_on`` so the planner can
-        pick sorted-merge joins over the copy.  Returns whether the backend
-        materialized the requested physical order (True here; an override
-        may return False when its backend cannot guarantee it).
+        tight, so per-sid reads skip most of the scramble.  The built-in
+        engine records the order as ``Table.clustered_on``, which its
+        sharded aggregation reads.
         """
         select = ast.SelectStatement(
             select_items=[ast.SelectItem(ast.Star())],
@@ -265,7 +251,6 @@ class Connector(abc.ABC):
             order_by=[ast.OrderItem(ast.ColumnRef(order_column))],
         )
         self.execute(ast.CreateTableStatement(table_name=target, as_select=select))
-        return True
 
     @abc.abstractmethod
     def append_columns(self, table: str, columns: Columns) -> None:

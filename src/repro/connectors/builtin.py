@@ -99,11 +99,6 @@ class BuiltinConnector(Connector):
         with self.database.consistent_read():
             return stored.distinct_count(stored.resolve_column(column) or column)
 
-    def table_clustered_on(self, table: str) -> str | None:
-        # The engine tracks clustering exactly (including survival across
-        # monotone appends), so report its ground truth.
-        return self.database.table(table).clustered_on
-
     def load_table(self, name: str, columns: Mapping[str, Sequence]) -> None:
         self.database.register_table(name, columns, replace=True)
 

@@ -61,12 +61,6 @@ class RewriteOutput:
     estimate_columns: dict[str, str | None] = field(default_factory=dict)
     plan: SamplePlan | None = None
     subsample_count: int = 100
-    #: The rewritten inner query groups by a bare ``vdb_sid`` reference over
-    #: a scramble that is physically clustered on it — i.e. the executor's
-    #: group-aligned sharding tier admits *every* aggregate in the subsample
-    #: aggregation, so the AQP hot loop dispatches to the shard pool.
-    #: Advisory: the executor re-verifies clustering at dispatch time.
-    sid_aligned: bool = False
 
     @property
     def error_columns(self) -> list[str]:
@@ -212,7 +206,6 @@ class AqpRewriter:
             estimate_columns=builder.estimate_columns,
             plan=plan,
             subsample_count=subsample_count,
-            sid_aligned=_sid_aligned(sampled),
         )
 
     # -- nested aggregate queries (Section 5.2) -------------------------------------
@@ -247,13 +240,6 @@ class AqpRewriter:
             estimate_columns=outer_builder.estimate_columns,
             plan=plan,
             subsample_count=subsample_count,
-            sid_aligned=_sid_aligned(
-                [
-                    (table, info)
-                    for table, info in plan.assignments.items()
-                    if info is not None
-                ]
-            ),
         )
 
 
@@ -352,16 +338,6 @@ def _probability_expression(sampled: list[tuple[str, SampleInfo]]) -> ast.Expres
     if len(columns) == 1:
         return columns[0]
     return ast.func("least", *columns)
-
-
-def _sid_aligned(sampled: list[tuple[str, SampleInfo]]) -> bool:
-    """Whether the inner subsample grouping is group-aligned on ``vdb_sid``.
-
-    True exactly when one sample table supplies the subsample id (a bare
-    ``vdb_sid`` column, not a combined ``h(i, j)`` expression) and that
-    scramble is physically clustered on it.
-    """
-    return len(sampled) == 1 and bool(sampled[0][1].sid_clustered)
 
 
 def _sid_expression(sampled: list[tuple[str, SampleInfo]], subsample_count: int) -> ast.Expression:

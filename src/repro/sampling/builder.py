@@ -102,8 +102,7 @@ class SampleBuilder:
         ``vdb_sid``): the per-sid reads of variational subsampling and the
         rewritten query's selective predicates then touch contiguous runs of
         rows, which chunked storage engines can skip around via zone maps.
-        The row *multiset* is unchanged — only the physical order differs —
-        and the clustering is recorded in the sample metadata.
+        The row *multiset* is unchanged — only the physical order differs.
         """
         if not self._connector.has_table(original_table):
             raise SamplingError(f"table {original_table!r} does not exist")
@@ -132,9 +131,7 @@ class SampleBuilder:
             raise SamplingError(f"cannot build sample of type {spec.sample_type!r}")
 
         try:
-            clustered = self._connector.create_table_sorted_copy(
-                staging_table, sample_table, SID_COLUMN
-            )
+            self._connector.create_table_sorted_copy(staging_table, sample_table, SID_COLUMN)
         finally:
             self._connector.drop_table(staging_table, if_exists=True)
 
@@ -148,9 +145,6 @@ class SampleBuilder:
             original_rows=original_rows,
             sample_rows=sample_rows,
             subsample_count=subsample_count,
-            # Legacy overrides may return None from create_table_sorted_copy;
-            # only an explicit False marks the copy as unclustered.
-            sid_clustered=clustered is not False,
         )
         self.metadata.record(info)
         return info

@@ -76,20 +76,11 @@ class SampleMaintainer:
         for info in self._metadata.samples_for(table):
             count = self._update_sample(info, batch, batch_size)
             inserted[info.sample_table] = count
-            sid_clustered = info.sid_clustered
-            if count and sid_clustered:
-                # New rows carry freshly drawn subsample ids, which almost
-                # never extend the sorted sid run.  Ask the backend whether
-                # the physical order actually survived; "unknown" (None)
-                # must be treated as lost.
-                clustered = self._connector.table_clustered_on(info.sample_table)
-                sid_clustered = clustered is not None and clustered.lower() == SID_COLUMN
             changed.append(
                 dataclasses.replace(
                     info,
                     original_rows=info.original_rows + batch_size,
                     sample_rows=info.sample_rows + count,
-                    sid_clustered=sid_clustered,
                 )
             )
         if changed:

@@ -9,7 +9,6 @@ through the connector.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ _COLUMNS = [
     ("original_rows", "bigint"),
     ("sample_rows", "bigint"),
     ("subsample_count", "bigint"),
-    ("sid_clustered", "bigint"),
 ]
 #: The array dtype each SQL type above is written as.
 _DTYPES: dict[str, type] = {"varchar": object, "double": np.float64, "bigint": np.int64}
@@ -51,22 +49,6 @@ class MetadataStore:
         self.table_name = table_name
 
     # -- writes -----------------------------------------------------------------
-
-    def ensure_schema(self) -> None:
-        """Create the metadata table, migrating an outdated schema in place.
-
-        A metadata table written by an older version may lack columns added
-        since (e.g. ``sid_clustered``).  Its rows are re-read with the
-        tolerant reader and written back under the current schema.
-        """
-        with self._connector.session_lock:
-            if self._connector.has_table(self.table_name):
-                existing = {
-                    name.lower() for name in self._connector.column_names(self.table_name)
-                }
-                if existing == {name for name, _ in _COLUMNS}:
-                    return
-            self._write(self._read_samples())
 
     def record(self, info: SampleInfo) -> None:
         """Add the metadata row of a newly created sample."""
@@ -92,34 +74,6 @@ class MetadataStore:
                 [replacement.get(info.sample_table, info) for info in self._read_samples()]
             )
 
-    def update_counts(
-        self,
-        sample_table: str,
-        original_rows: int,
-        sample_rows: int,
-        sid_clustered: bool | None = None,
-    ) -> None:
-        """Update one sample's stored row counts after incremental maintenance.
-
-        ``sid_clustered`` overrides the stored clustering flag when given a
-        boolean; None keeps the existing value.  Maintenance passes False once
-        an append has interleaved new subsample ids into a previously
-        sid-clustered scramble (and True when the backend reports the physical
-        order survived), so variational-subsampling readers stop assuming
-        tight per-sid zone maps the moment that stops being true.
-        """
-        with self._connector.session_lock:
-            self.update(
-                dataclasses.replace(
-                    info,
-                    original_rows=original_rows,
-                    sample_rows=sample_rows,
-                    sid_clustered=info.sid_clustered if sid_clustered is None else sid_clustered,
-                )
-                for info in self._read_samples()
-                if info.sample_table == sample_table
-            )
-
     def _write(self, infos: Sequence[SampleInfo]) -> None:
         """Replace the table's contents with ``infos``, as one columnar load."""
         rows = [
@@ -132,7 +86,6 @@ class MetadataStore:
                 int(info.original_rows),
                 int(info.sample_rows),
                 int(info.subsample_count),
-                int(bool(info.sid_clustered)),
             )
             for info in infos
         ]
@@ -176,8 +129,6 @@ class MetadataStore:
                     original_rows=int(float(record["original_rows"])),
                     sample_rows=int(float(record["sample_rows"])),
                     subsample_count=int(float(record["subsample_count"])),
-                    # tolerate metadata rows written before the column existed
-                    sid_clustered=bool(int(float(record.get("sid_clustered") or 0))),
                 )
             )
         return infos

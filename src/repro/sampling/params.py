@@ -49,9 +49,6 @@ class SampleInfo:
     original_rows: int = 0
     sample_rows: int = 0
     subsample_count: int = 100
-    # Whether the sample table was written clustered (sorted) by its
-    # subsample id, so chunked engines can skip chunks on per-sid reads.
-    sid_clustered: bool = False
 
     @property
     def effective_ratio(self) -> float:

@@ -121,15 +121,13 @@ class Database:
         self._shard_pool: shardpool.ShardPool | None = None
         self._pool_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        # Fast-path observability: which round-4 paths ran (zone-map
-        # aggregate answering, sorted-merge joins) and how often the
-        # statement/plan caches hit.  The session layer additionally mirrors
-        # its rewrite-cache hits here (see ``Connector.record_stat``), so one
-        # dict answers "did this query re-parse / re-plan / re-rewrite?".
-        # Consumed by tests and benchmarks; purely informational.
+        # Fast-path observability: how often sharded aggregation dispatched
+        # or fell back and how often the statement/plan caches hit.  The
+        # session layer additionally mirrors its rewrite-cache hits here (see
+        # ``Connector.record_stat``), so one dict answers "did this query
+        # re-parse / re-plan / re-rewrite?".  Consumed by tests and
+        # benchmarks; purely informational.
         self.stats: dict[str, int] = {
-            "zone_map_aggregates": 0,
-            "merge_joins": 0,
             "parallel_exec_dispatches": 0,
             "parallel_exec_fallbacks": 0,
             "shard_publications": 0,
@@ -471,8 +469,9 @@ class Database:
             for column_name, array in zip(result.column_names, result.columns()):
                 table.add_column(column_name, array)
             # ``... ORDER BY col`` materializes the rows sorted by that
-            # column: record the physical clustering so the planner can pick
-            # sorted-merge joins over this table (cleared by any later DML).
+            # column: record the physical clustering so sharded aggregation
+            # can cut group-aligned shards (kept only by appends that
+            # preserve the order; cleared by any other DML).
             table.clustered_on = _clustering_from_select(
                 statement.as_select, result.column_names
             )
@@ -514,9 +513,9 @@ def _clustering_from_select(
 ) -> str | None:
     """Clustered column of a ``CREATE TABLE AS SELECT`` result, or None.
 
-    :func:`planner.ordering_target` supplies the shared shape rule; here the
-    name must additionally match exactly one *result* column (which covers
-    ``SELECT *`` expansions the planner's derived-table variant cannot see).
+    :func:`planner.ordering_target` supplies the shape rule; here the name
+    must additionally match exactly one *result* column (which covers
+    ``SELECT *`` expansions).
     The executor resolves the reference against the output alias or an
     identically valued input column — an ambiguous mismatch fails the query
     before any table is created — so the matching output column holds the

@@ -35,17 +35,10 @@ from repro.sqlengine.expressions import (
     evaluate,
     group_rows_encoded,
 )
-from repro.sqlengine.planner import MergeJoinPlan, SelectPlan
+from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.table import Table
-from repro.sqlengine.zonemaps import (
-    _classify_conjunct as classify_conjunct,
-    bind_zone_predicates,
-    chunk_may_match,
-    chunk_must_match,
-    zone_extreme,
-    zone_non_null_count,
-)
+from repro.sqlengine.zonemaps import bind_zone_predicates
 
 
 # Default process-mode dispatch admission threshold: below this many rows per
@@ -161,7 +154,7 @@ class Executor:
         self._catalog = catalog
         self._rng = rng
         self._optimize = optimize
-        # Round-4 observability: the owning Database passes its lock-guarded
+        # Observability: the owning Database passes its lock-guarded
         # incrementer (``bump_stat``) so tests and benchmarks can assert
         # which fast path actually ran and concurrent SELECTs over one shared
         # engine never lose increments.
@@ -220,14 +213,6 @@ class Executor:
         self._checkpoint()
         if self._optimize and plan is None:
             plan = logical_planner.plan_select(statement, self._catalog)
-        if self._optimize:
-            # Metadata-only aggregates: MIN/MAX/COUNT over one unfiltered
-            # base table are answered from the zone maps without touching a
-            # single row (bit-identical; see _try_zone_aggregate for the
-            # eligibility rules and fallback guarantees).
-            fast = self._try_zone_aggregate(statement)
-            if fast is not None:
-                return fast
         if self._optimize and self._exec_workers:
             # Process-sharded (or in-thread sharded) partial aggregation:
             # single-table grouped/scalar aggregation over shardable inputs
@@ -261,155 +246,6 @@ class Executor:
     def _scalar_subquery(self, statement: ast.SelectStatement) -> object:
         result = self.execute_select(statement)
         return result.scalar()
-
-    # -- metadata-only aggregates ---------------------------------------------
-
-    def _try_zone_aggregate(self, statement: ast.SelectStatement) -> ResultSet | None:
-        """Answer MIN/MAX/COUNT over one unfiltered base table from zone maps.
-
-        Eligibility (anything else returns None and takes the normal path,
-        which produces the identical result):
-
-        * the FROM clause is a single base table — no joins, no derived
-          tables, no WHERE/GROUP BY/HAVING/DISTINCT/ORDER BY (a predicate
-          means the aggregate ranges over a subset the chunk bounds cannot
-          summarize);
-        * every select item is a bare ``min(col)``, ``max(col)``,
-          ``count(col)`` or ``count(*)`` call without DISTINCT;
-        * MIN/MAX columns are numeric (int64/float64/bool) — their zone
-          bounds are exactly the float64 values ``functions._group_extreme``
-          computes, NULL-only chunks carry ``None`` bounds and are skipped,
-          and an all-NULL column yields NaN.  Object columns fall back: the
-          row path compares raw Python values, which the normalized-key
-          bounds do not mirror.
-
-        Stale zone maps are never consumed: ``Table.zone_maps`` is keyed on
-        the table's version counter, so any DML since the last build forces a
-        rebuild (cost: one pass over the aggregated columns, at most what the
-        fallback scan would pay — then memoized again).  ``count(*)`` needs
-        only the catalog row count.
-        """
-        relation = statement.from_relation
-        if not isinstance(relation, ast.TableRef):
-            return None
-        if (
-            statement.group_by
-            or statement.having is not None
-            or statement.distinct
-            or statement.order_by
-            or not statement.select_items
-        ):
-            return None
-        try:
-            table = self._catalog.get(relation.name)
-        except CatalogError:
-            return None  # the normal path raises the identical error
-        binding = relation.binding_name.lower()
-        # Fully prunable WHERE: when every chunk is either definitely empty
-        # or definitely whole under the conjunction, the aggregate ranges
-        # over exactly the surviving chunks and their zone maps still answer
-        # it.  ``surviving`` stays None for the unfiltered case (all chunks).
-        surviving: np.ndarray | None = None
-        if statement.where is not None:
-            surviving = self._fully_prunable_chunks(statement.where, table, binding)
-            if surviving is None:
-                return None
-        specs: list[tuple[str, str | None]] = []
-        for item in statement.select_items:
-            node = item.expression
-            if not isinstance(node, ast.FunctionCall) or node.distinct:
-                return None
-            name = node.name.lower()
-            if name == "count" and (
-                not node.args or (len(node.args) == 1 and isinstance(node.args[0], ast.Star))
-            ):
-                specs.append(("count_star", None))
-                continue
-            if name not in ("min", "max", "count") or len(node.args) != 1:
-                return None
-            argument = node.args[0]
-            if not isinstance(argument, ast.ColumnRef):
-                return None
-            if argument.table is not None and argument.table.lower() != binding:
-                return None
-            column = table.resolve_column(argument.name)
-            if column is None:
-                return None
-            if name in ("min", "max") and table.column_chunks(column)[0].dtype == object:
-                return None
-            specs.append((name, column))
-
-        column_names: list[str] = []
-        columns: list[np.ndarray] = []
-        for position, (item, (kind, column)) in enumerate(
-            zip(statement.select_items, specs)
-        ):
-            if kind == "count_star":
-                if surviving is None:
-                    value = float(table.num_rows)
-                else:
-                    value = float(_chunk_row_count(table, surviving))
-            else:
-                zones = table.zone_maps(column)
-                if surviving is not None:
-                    zones = [zones[int(index)] for index in surviving]
-                if kind == "count":
-                    value = float(zone_non_null_count(zones))
-                else:
-                    value = zone_extreme(zones, take_max=(kind == "max"))
-            column_names.append(item.output_name(position))
-            columns.append(np.array([value], dtype=np.float64))
-        self._count("zone_map_aggregates")
-        result = ResultSet(column_names, columns, encodings=[None] * len(columns))
-        return _apply_limit(result, statement.limit, statement.offset)
-
-    def _fully_prunable_chunks(
-        self, where: ast.Expression, table: Table, binding: str
-    ) -> np.ndarray | None:
-        """Surviving chunk ids when the WHERE splits every chunk whole, else None.
-
-        Eligibility: every conjunct classifies into a zone-checkable
-        descriptor (:func:`zonemaps._classify_conjunct`) whose column
-        references resolve unambiguously on this table, and every chunk is
-        either definitely empty (some conjunct false for all of its rows) or
-        definitely whole (every conjunct true for all of its rows).  A single
-        mixed chunk makes the query row-dependent and returns None.
-        """
-        predicates = []
-        for conjunct in ast.flatten_and(where):
-            for node in conjunct.walk():
-                if isinstance(node, ast.ColumnRef):
-                    if node.table is not None and node.table.lower() != binding:
-                        return None
-                    if table.resolve_column(node.name) is None:
-                        return None
-            predicate = classify_conjunct(conjunct)
-            if predicate is None:
-                return None
-            predicates.append(predicate)
-        classified: list[tuple] = []
-        for predicate in self._bound_zones(predicates):
-            column = table.resolve_column(predicate.column)
-            if column is None:
-                return None
-            is_object = table.column_chunks(column)[0].dtype == object
-            classified.append((predicate, table.zone_maps(column), is_object))
-        surviving: list[int] = []
-        for index in range(table.num_chunks):
-            may = all(
-                chunk_may_match(predicate, zones[index], is_object)
-                for predicate, zones, is_object in classified
-            )
-            if not may:
-                continue  # definitely empty: prune
-            must = all(
-                chunk_must_match(predicate, zones[index], is_object)
-                for predicate, zones, is_object in classified
-            )
-            if not must:
-                return None  # mixed chunk: the bounds cannot answer this
-            surviving.append(index)
-        return np.array(surviving, dtype=np.int64)
 
     # -- process-sharded aggregation ------------------------------------------
 
@@ -1086,7 +922,7 @@ class Executor:
         index = joins.next()
         left = self._build_frame(join.left, plan, joins)
         right = self._build_frame(join.right, plan, joins)
-        self._checkpoint()  # before the join build (hash table / merge)
+        self._checkpoint()  # before the join's hash-table build
         context = self._context(left.num_rows)
 
         condition = join.condition
@@ -1106,34 +942,15 @@ class Executor:
                 evaluate(expr, right, right_context, self._scalar_subquery)
                 for _, expr in equi_pairs
             ]
-            merged = None
-            if self._optimize and plan is not None:
-                merge = plan.merge_joins.get(index)
-                if (
-                    merge is not None
-                    and len(equi_pairs) == 1
-                    and _merge_pair_matches(merge, equi_pairs[0])
-                    and self._merge_sources_clustered(merge)
-                ):
-                    # Both inputs are clustered on the join key: merge them
-                    # in place of building a hash table.  merge_join_indices
-                    # re-verifies sortedness and dtype and returns None when
-                    # the metadata over-promised, so the fallback is always
-                    # bit-identical.
-                    merged = merge_join_indices(left_keys[0], right_keys[0])
-            if merged is not None:
-                left_indices, right_indices = merged
-                self._count("merge_joins")
-            else:
-                left_encodings = [_key_encoding(expr, left) for expr, _ in equi_pairs]
-                right_encodings = [_key_encoding(expr, right) for _, expr in equi_pairs]
-                left_indices, right_indices = hash_join_indices(
-                    left_keys,
-                    right_keys,
-                    left_encodings,
-                    right_encodings,
-                    prefer_smaller_build=self._optimize,
-                )
+            left_encodings = [_key_encoding(expr, left) for expr, _ in equi_pairs]
+            right_encodings = [_key_encoding(expr, right) for _, expr in equi_pairs]
+            left_indices, right_indices = hash_join_indices(
+                left_keys,
+                right_keys,
+                left_encodings,
+                right_encodings,
+                prefer_smaller_build=self._optimize,
+            )
 
         joined = Frame.concat(left.take(left_indices), right.take(right_indices))
         if residual is not None:
@@ -1141,30 +958,6 @@ class Executor:
             mask = evaluate(residual, joined, joined_context, self._scalar_subquery)
             joined = joined.filter(mask)
         return joined
-
-    def _merge_sources_clustered(self, merge: MergeJoinPlan) -> bool:
-        """Re-verify base-table clustering at execution time.
-
-        Cached plans outlive DML (the plan cache is keyed on the catalog's
-        *schema* version), but DML clears ``Table.clustered_on`` — so a plan
-        that chose a merge join may describe a table that has since lost its
-        order.  Derived inputs need no check: their ORDER BY re-executes
-        fresh every time.
-        """
-        for table_name, column in (
-            (merge.left_table, merge.left_column),
-            (merge.right_table, merge.right_column),
-        ):
-            if table_name is None:
-                continue
-            try:
-                table = self._catalog.get(table_name)
-            except CatalogError:
-                return False
-            clustered = table.clustered_on
-            if clustered is None or clustered.lower() != column:
-                return False
-        return True
 
     # -- plain (non-aggregate) SELECT -----------------------------------------
 
@@ -1650,20 +1443,6 @@ def _grouping_encoding(
     return encode_grouping_key(values)
 
 
-def _merge_pair_matches(merge: MergeJoinPlan, pair: tuple) -> bool:
-    """Whether the executor's resolved equi pair is the one the plan chose."""
-    left_ref, right_ref = pair
-    if left_ref.name.lower() != merge.left_column:
-        return False
-    if right_ref.name.lower() != merge.right_column:
-        return False
-    if left_ref.table is not None and left_ref.table.lower() != merge.left_binding:
-        return False
-    if right_ref.table is not None and right_ref.table.lower() != merge.right_binding:
-        return False
-    return True
-
-
 def _row_local(expression: ast.Expression) -> bool:
     """Whether per-chunk evaluation of ``expression`` equals whole-column
     evaluation (no subqueries, window functions or random draws)."""
@@ -1676,69 +1455,6 @@ def _row_local(expression: ast.Expression) -> bool:
         ):
             return False
     return True
-
-
-def merge_join_indices(
-    left_key: np.ndarray, right_key: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Inner equi-join of two already sorted numeric key columns, or None.
-
-    Emits exactly the pairs :func:`hash_join_indices` would — left-major,
-    right index ascending within each left row — without building a hash
-    table (no union dictionary, no argsort): equality ranges on the sorted
-    right side come straight from two ``searchsorted`` calls.
-
-    Keys compare as float64, like the hash path's ``_normalize_key``.  The
-    hash path's ``np.unique`` collapses NaNs to a single code, so NaN keys
-    *do* match each other there — the sorted inputs keep their NaNs in a
-    contiguous tail (the engine's ORDER BY places NULLs last), and the same
-    cross-matching is reproduced by pairing the two tails explicitly.
-
-    Sortedness and the NaN-tail shape are re-verified in O(n) — far cheaper
-    than the O(n log n) sort the hash build pays — and ``None`` is returned
-    when the clustering metadata over-promised (or a key is an object
-    column), letting the caller fall back bit-identically.
-    """
-    if left_key.dtype == object or right_key.dtype == object:
-        return None
-    left = left_key.astype(np.float64, copy=False)
-    right = right_key.astype(np.float64, copy=False)
-    left_valid = _sorted_non_nan_prefix(left)
-    right_valid = _sorted_non_nan_prefix(right)
-    if left_valid is None or right_valid is None:
-        return None
-    starts = np.searchsorted(right[:right_valid], left[:left_valid], side="left")
-    ends = np.searchsorted(right[:right_valid], left[:left_valid], side="right")
-    counts = ends - starts
-    matched = int(counts.sum())
-    left_indices = np.repeat(np.arange(left_valid, dtype=np.int64), counts)
-    cumulative = np.cumsum(counts) - counts
-    within = np.arange(matched, dtype=np.int64) - np.repeat(cumulative, counts)
-    right_indices = (np.repeat(starts, counts) + within).astype(np.int64, copy=False)
-    left_nan = len(left) - left_valid
-    right_nan = len(right) - right_valid
-    if left_nan and right_nan:
-        left_indices = np.concatenate(
-            [left_indices, np.repeat(np.arange(left_valid, len(left), dtype=np.int64), right_nan)]
-        )
-        right_indices = np.concatenate(
-            [right_indices, np.tile(np.arange(right_valid, len(right), dtype=np.int64), left_nan)]
-        )
-    return left_indices, right_indices
-
-
-def _sorted_non_nan_prefix(key: np.ndarray) -> int | None:
-    """Length of the sorted non-NaN prefix, or None when the array is not
-    (non-NaN-ascending + NaN tail) — the engine's ORDER BY layout."""
-    nan_mask = np.isnan(key)
-    nan_count = int(nan_mask.sum())
-    valid = len(key) - nan_count
-    if nan_count and not nan_mask[valid:].all():
-        return None
-    head = key[:valid]
-    if valid > 1 and not np.all(head[1:] >= head[:-1]):
-        return None
-    return valid
 
 
 def hash_join_indices(

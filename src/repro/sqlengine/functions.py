@@ -170,7 +170,17 @@ def _fn_coalesce(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
 
 
 def _string_array(values: np.ndarray) -> np.ndarray:
-    return np.array([None if value is None else str(value) for value in values], dtype=object)
+    """Each value's string form; NULL — ``None`` or a float NaN — stays None.
+
+    The one string-form rule behind ``vdb_hash``, ``crc32``, ``concat`` and
+    the string functions.  Numeric columns store NULL as NaN, so a NaN must
+    read as NULL, like the SQL NULL another backend passes in, never as
+    ``"nan"``.
+    """
+    return np.array(
+        [None if value is None or value != value else str(value) for value in values],
+        dtype=object,
+    )
 
 
 def _fn_upper(context: EvaluationContext, values: np.ndarray) -> np.ndarray:

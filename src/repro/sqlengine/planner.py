@@ -81,29 +81,10 @@ class DerivedPlan:
     # Precomputed plan for ``statement`` so repeated executions skip the
     # per-call planning the executor would otherwise do.
     plan: SelectPlan | None = None
-    # Diagnostics consumed by tests and EXPLAIN-style tooling.
+    # Diagnostics: how many outer conjuncts moved in and select items were
+    # dropped (asserted by the planner tests).
     pushed_conjuncts: int = 0
     pruned_columns: int = 0
-
-
-@dataclass(frozen=True)
-class MergeJoinPlan:
-    """Plan-time decision to join two clustered inputs by sorted merge.
-
-    All names are lower-cased.  ``left_table``/``right_table`` carry the base
-    table name whose :attr:`~repro.sqlengine.table.Table.clustered_on`
-    metadata justified the decision — the executor re-verifies it at run time
-    (DML clears the metadata without invalidating cached plans) and falls
-    back to the hash join.  ``None`` marks a derived input, whose ORDER BY is
-    baked into the plan and re-executed fresh every time.
-    """
-
-    left_binding: str
-    right_binding: str
-    left_column: str
-    right_column: str
-    left_table: str | None
-    right_table: str | None
 
 
 @dataclass
@@ -118,9 +99,6 @@ class SelectPlan:
     # Pre-order join-node index -> ON condition minus the pushed conjuncts.
     # None (the default) means "leave every join condition untouched".
     join_residuals: dict[int, ast.Expression | None] | None = None
-    # Pre-order join-node index -> sorted-merge decision for joins whose two
-    # leaf inputs are provably clustered on the (single) equi-join key.
-    merge_joins: dict[int, MergeJoinPlan] = field(default_factory=dict)
     # Lazily filled by the executor on the first grouped execution: the
     # statement-pure substitution memo (see ``executor._GroupedMemo``).
     # Plans are cached 1:1 with their statements, so this rides along.
@@ -161,7 +139,6 @@ def plan_select(
     for scan in plan.scans.values():
         if scan.predicates:
             scan.zone_predicates = classify_zone_predicates(scan.predicates)
-    _plan_merge_joins(statement, catalog, plan, schemas)
     return plan
 
 
@@ -635,145 +612,16 @@ def _droppable(expression: ast.Expression) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sorted-merge join selection
+# physical ordering
 # ---------------------------------------------------------------------------
-
-
-def _plan_merge_joins(
-    statement: ast.SelectStatement,
-    catalog: Catalog,
-    plan: SelectPlan,
-    schemas: dict[str, set[str] | None],
-) -> None:
-    """Mark inner joins whose two leaf inputs are clustered on the join key.
-
-    A join qualifies when both sides are *leaf* relations (a base table or a
-    derived table — a nested join's output order is probe-major, not key
-    order), the residual ON condition contains exactly one equi conjunct of
-    bare column references, each reference resolves to one side, and that
-    side is provably sorted by the referenced column: a base table whose
-    ``clustered_on`` metadata matches (set by ``CREATE TABLE ... AS SELECT
-    ... ORDER BY``, cleared by DML), or a derived table whose rewritten
-    subquery ends in a single ascending ``ORDER BY`` over one of its own
-    pass-through output columns.  Scan predicates and zone-map chunk skipping
-    both preserve row order, so pushed-down filtering never disqualifies an
-    input.  The decision is advisory: the executor re-verifies base-table
-    clustering, key dtypes and actual sortedness at run time and falls back
-    to the hash join bit-identically.
-    """
-    if schemas is _UNPLANNABLE:
-        return
-    for index, join in enumerate(_joins_preorder(statement.from_relation)):
-        if join.join_type != "INNER":
-            continue
-        left_leaf = _leaf_binding(join.left)
-        right_leaf = _leaf_binding(join.right)
-        if left_leaf is None or right_leaf is None:
-            continue
-        condition = join.condition
-        if plan.join_residuals is not None:
-            condition = plan.join_residuals.get(index, join.condition)
-        if condition is None:
-            continue
-        equi = [
-            conjunct
-            for conjunct in ast.flatten_and(condition)
-            if isinstance(conjunct, ast.BinaryOp)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-        ]
-        if len(equi) != 1:
-            continue
-        first = _ref_binding(equi[0].left, schemas)
-        second = _ref_binding(equi[0].right, schemas)
-        if first is None or second is None:
-            continue
-        if first[0] == left_leaf and second[0] == right_leaf:
-            left_ref, right_ref = first, second
-        elif first[0] == right_leaf and second[0] == left_leaf:
-            left_ref, right_ref = second, first
-        else:
-            continue
-        left_cluster = _leaf_clustering(join.left, plan, catalog)
-        right_cluster = _leaf_clustering(join.right, plan, catalog)
-        if left_cluster is None or right_cluster is None:
-            continue
-        if left_cluster[0] != left_ref[1] or right_cluster[0] != right_ref[1]:
-            continue
-        plan.merge_joins[index] = MergeJoinPlan(
-            left_binding=left_leaf,
-            right_binding=right_leaf,
-            left_column=left_ref[1],
-            right_column=right_ref[1],
-            left_table=left_cluster[1],
-            right_table=right_cluster[1],
-        )
-
-
-def _leaf_binding(relation: ast.Relation | None) -> str | None:
-    """Lower-cased binding name of a leaf (non-join) relation, or None."""
-    if isinstance(relation, (ast.TableRef, ast.DerivedTable)):
-        return relation.binding_name.lower()
-    return None
-
-
-def _ref_binding(
-    ref: ast.ColumnRef, schemas: dict[str, set[str] | None]
-) -> tuple[str, str] | None:
-    """Resolve a join-key reference to ``(binding, column)``, both lowered.
-
-    Mirrors the executor's frame resolution conservatively: a qualified
-    reference names its binding; an unqualified one resolves only when
-    exactly one relation with a known schema owns the column and no schema is
-    unknown.
-    """
-    column = ref.name.lower()
-    if ref.table is not None:
-        binding = ref.table.lower()
-        if binding not in schemas:
-            return None
-        return binding, column
-    if any(columns is None for columns in schemas.values()):
-        return None
-    owners = [
-        binding
-        for binding, columns in schemas.items()
-        if columns is not None and column in columns
-    ]
-    if len(owners) != 1:
-        return None
-    return owners[0], column
-
-
-def _leaf_clustering(
-    relation: ast.Relation, plan: SelectPlan, catalog: Catalog
-) -> tuple[str, str | None] | None:
-    """``(clustered column, base table name or None)`` for a leaf input."""
-    if isinstance(relation, ast.TableRef):
-        try:
-            table = catalog.get(relation.name)
-        except CatalogError:
-            return None
-        if table.clustered_on is None:
-            return None
-        return table.clustered_on.lower(), relation.name.lower()
-    if isinstance(relation, ast.DerivedTable):
-        derived = plan.derived_for(relation.binding_name)
-        query = derived.statement if derived is not None else relation.query
-        column = clustered_output_column(query)
-        if column is None:
-            return None
-        return column, None
-    return None
 
 
 def ordering_target(query: ast.SelectStatement) -> str | None:
     """Lower-cased name of a single ascending bare-column ``ORDER BY``.
 
-    The shared shape test behind every clustering inference (derived tables
-    here, ``CREATE TABLE AS SELECT`` in the engine): the result rows of such
-    a query are sorted by that column's values, NULLs last — DISTINCT keeps
+    The shape test behind ``CREATE TABLE AS SELECT`` clustering (see
+    ``engine._clustering_from_select``): the result rows of such a query
+    are sorted by that column's values, NULLs last — DISTINCT keeps
     first occurrences in order and LIMIT/OFFSET take a prefix, so neither
     disqualifies.  Anything else (multiple keys, DESC, expressions,
     qualified references) returns None.
@@ -787,29 +635,6 @@ def ordering_target(query: ast.SelectStatement) -> str | None:
     if not isinstance(expression, ast.ColumnRef) or expression.table is not None:
         return None
     return expression.name.lower()
-
-
-def clustered_output_column(query: ast.SelectStatement) -> str | None:
-    """Output column a subquery's result is provably sorted by, or None.
-
-    Requires :func:`ordering_target` plus an output item that is exactly the
-    same bare reference (the output column then holds the sort key's values,
-    already in sorted order).  Returns the item's lower-cased output name.
-    """
-    target = ordering_target(query)
-    if target is None:
-        return None
-    if _unambiguous_outputs(query) is None:
-        return None
-    for position, item in enumerate(query.select_items):
-        inner = item.expression
-        if (
-            isinstance(inner, ast.ColumnRef)
-            and inner.table is None
-            and inner.name.lower() == target
-        ):
-            return item.output_name(position).lower()
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,9 @@ class Table:
         self._zone_cache: dict[str, tuple[int, list[ZoneMap]]] = {}
         # Physical clustering metadata: the lower-cased name of a column the
         # rows are sorted by (ascending, NULLs last — the engine's ORDER BY
-        # order), or None.  Set by ``CREATE TABLE AS SELECT ... ORDER BY col``
-        # and cleared by any mutation; the planner uses it to choose
-        # sorted-merge joins over hash joins.
+        # order), or None.  Set by ``CREATE TABLE AS SELECT ... ORDER BY col``,
+        # kept by appends that preserve the order, cleared by any other
+        # mutation; sharded aggregation reads it to cut group-aligned shards.
         self.clustered_on: str | None = None
         if columns:
             for column_name, values in columns.items():

@@ -82,41 +82,6 @@ def zone_map_for_chunk(chunk: np.ndarray) -> ZoneMap:
 
 
 # ---------------------------------------------------------------------------
-# metadata-only aggregates
-# ---------------------------------------------------------------------------
-
-
-def zone_extreme(zones: list[ZoneMap], take_max: bool) -> float:
-    """MIN/MAX of a numeric column from its zone maps alone.
-
-    Mirrors ``functions._group_extreme`` for non-object columns exactly: the
-    bounds are the float64 values the row-level aggregate would compute
-    (including the same precision loss above 2**53 for int64 columns), NULL
-    rows are ignored, and a column with no non-NULL values yields NaN.
-    NULL-only chunks carry ``low = high = None`` and simply do not
-    participate.  ``_group_extreme`` uses ``-inf``/``+inf`` as its empty-group
-    fill sentinel and collapses a result equal to the fill to NaN — so a
-    column whose true maximum is ``-inf`` (or minimum ``+inf``) yields NaN
-    there, and must here too.
-    """
-    fill = float("-inf") if take_max else float("inf")
-    best: float | None = None
-    for zone in zones:
-        bound = zone.high if take_max else zone.low
-        if bound is None:
-            continue
-        value = float(bound)
-        if best is None or (value > best if take_max else value < best):
-            best = value
-    return float("nan") if best is None or best == fill else best
-
-
-def zone_non_null_count(zones: list[ZoneMap]) -> int:
-    """COUNT(col) — number of non-NULL rows — from the zone maps alone."""
-    return sum(zone.non_null for zone in zones)
-
-
-# ---------------------------------------------------------------------------
 # plan-time classification of zone-map-eligible conjuncts
 # ---------------------------------------------------------------------------
 
@@ -254,112 +219,6 @@ def chunk_may_match(predicate: ZonePredicate, zone: ZoneMap, is_object: bool) ->
     if predicate.kind == "in":
         return _in_may_match(predicate.values, zone, is_object)
     return True
-
-
-def chunk_must_match(predicate: ZonePredicate, zone: ZoneMap, is_object: bool) -> bool:
-    """Whether *every* row of the chunk satisfies the conjunct.
-
-    The dual of :func:`chunk_may_match`: returning False is always safe (the
-    caller treats the chunk as partially matching and gives up on the
-    metadata-only answer); returning True asserts the conjunct is true for
-    every row the chunk holds.  Together they split chunks into three
-    classes — definitely empty, definitely whole, or mixed — and a query is
-    answerable from zone maps alone only when no chunk is mixed.
-
-    The row semantics mirrored here are the same ones ``chunk_may_match``
-    documents: numeric NULLs are NaN (failing every comparison except
-    ``<>``, which they satisfy), object NULLs satisfy no comparison at all,
-    and literals outside the column's comparison domain are never provable.
-    """
-    if zone.length == 0:
-        return True  # vacuously true for every row of an empty chunk
-    if predicate.kind == "null":
-        if predicate.op == "is":
-            return zone.null_count == zone.length
-        return zone.null_count == 0
-    if predicate.kind == "cmp":
-        return _cmp_must_match(predicate.op, predicate.values[0], zone, is_object)
-    if predicate.kind == "between":
-        return _between_must_match(predicate.values[0], predicate.values[1], zone, is_object)
-    if predicate.kind == "in":
-        return _in_must_match(predicate.values, zone, is_object)
-    return False
-
-
-def _cmp_must_match(op: str, value: object, zone: ZoneMap, is_object: bool) -> bool:
-    if not is_object:
-        if value is None:
-            # Float semantics: every row (NaN included) satisfies ``<> NULL``;
-            # no row satisfies any other comparison against NULL.
-            return op == "<>"
-        if not _is_numeric_literal(value):
-            return False
-        bound = float(value)
-        if op == "<>":
-            # NaN rows satisfy ``<>``; non-NaN rows need the bound outside
-            # their value range.
-            return zone.non_null == 0 or bound < zone.low or bound > zone.high
-        # Every other comparison is false for NaN rows, so NULLs forbid
-        # a whole-chunk match outright.
-        if zone.null_count > 0:
-            return False
-        if op == "=":
-            return zone.low == zone.high == bound
-        if op == "<":
-            return zone.high < bound
-        if op == "<=":
-            return zone.high <= bound
-        if op == ">":
-            return zone.low > bound
-        return zone.low >= bound  # '>='
-    # Object columns: NULL rows satisfy no comparison (any op), and only
-    # string literals share the normalized-string order.
-    if value is None or not isinstance(value, str) or zone.null_count > 0:
-        return False
-    key = escape_key(value)
-    if op == "=":
-        return zone.low == zone.high == key
-    if op == "<>":
-        return key < zone.low or key > zone.high
-    if op == "<":
-        return zone.high < key
-    if op == "<=":
-        return zone.high <= key
-    if op == ">":
-        return zone.low > key
-    return zone.low >= key  # '>='
-
-
-def _between_must_match(low: object, high: object, zone: ZoneMap, is_object: bool) -> bool:
-    if low is None or high is None:
-        return False
-    if not is_object:
-        if not (_is_numeric_literal(low) and _is_numeric_literal(high)):
-            return False
-        if zone.null_count > 0:
-            return False
-        return zone.low >= float(low) and zone.high <= float(high)
-    if not (isinstance(low, str) and isinstance(high, str)):
-        return False
-    if zone.null_count > 0:
-        return False
-    return zone.low >= escape_key(low) and zone.high <= escape_key(high)
-
-
-def _in_must_match(values: tuple, zone: ZoneMap, is_object: bool) -> bool:
-    # Provable only for single-valued chunks: the bounds cannot certify that
-    # an interval of distinct values is covered by a finite member list.
-    if zone.null_count > 0 or zone.low != zone.high:
-        return False
-    if not is_object:
-        members = [
-            float(value)
-            for value in values
-            if value is not None and _is_numeric_literal(value)
-        ]
-        return any(zone.low == member for member in members)
-    keys = [escape_key(str(value)) for value in values if value is not None]
-    return zone.low in keys
 
 
 def _cmp_may_match(op: str, value: object, zone: ZoneMap, is_object: bool) -> bool:

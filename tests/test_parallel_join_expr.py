@@ -18,13 +18,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.options import ExecutionOptions
-from repro.core.query_info import analyze
-from repro.core.rewriter import AqpRewriter
-from repro.core.sample_planner import SamplePlan
-from repro.sampling.params import SampleInfo
 from repro.sqlengine import shardpool
 from repro.sqlengine.engine import Database
-from repro.sqlengine.parser import parse_select
 from tests.conftest import sharded_database
 
 JOIN_QUERIES = [
@@ -341,39 +336,7 @@ class TestPlanCache:
 # ---------------------------------------------------------------------------
 
 
-def _aligned_sample_info(sid_clustered=True):
-    return SampleInfo(
-        original_table="orders",
-        sample_table="orders_sample",
-        sample_type="uniform",
-        columns=(),
-        ratio=0.1,
-        original_rows=100_000,
-        sample_rows=10_000,
-        subsample_count=100,
-        sid_clustered=sid_clustered,
-    )
-
-
 class TestAqpWiring:
-    def test_rewriter_marks_single_clustered_sample_aligned(self):
-        statement = parse_select(
-            "SELECT city, count(*) AS c FROM orders GROUP BY city"
-        )
-        info = _aligned_sample_info()
-        plan = SamplePlan(assignments={"orders": info}, score=1.0)
-        output = AqpRewriter().rewrite(statement, analyze(statement), plan)
-        assert output.sid_aligned is True
-
-    def test_rewriter_leaves_unclustered_sample_unaligned(self):
-        statement = parse_select(
-            "SELECT city, count(*) AS c FROM orders GROUP BY city"
-        )
-        info = _aligned_sample_info(sid_clustered=False)
-        plan = SamplePlan(assignments={"orders": info}, score=1.0)
-        output = AqpRewriter().rewrite(statement, analyze(statement), plan)
-        assert output.sid_aligned is False
-
     def test_approximate_query_dispatches_and_matches_serial_override(self):
         db = sharded_database(parallel_exec=2, min_shard_rows=64)
         conn = repro.connect(database=db)

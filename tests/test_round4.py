@@ -1,10 +1,11 @@
-"""Storage round 4: zone-map aggregates and sorted-merge joins.
+"""MIN/MAX/COUNT edge cases and joins over clustered inputs, A/B-tested.
 
-Every fast path is A/B-tested against ``Database(optimize=False)`` — the
-naive engine that scans whole columns and always hash-joins — and asserted
-bit-identical via ``ResultSet.equals``.  ``Database.stats`` verifies which
-path actually ran, so a silently disabled fast path fails loudly instead of
-passing on the fallback.
+Each shape is executed by the optimized engine and by
+``Database(optimize=False)`` — the naive engine that scans whole columns —
+and asserted bit-identical via ``ResultSet.equals``: NaN and infinite
+extremes, NULL-only chunks, empty tables, object MIN/MAX, LIMIT/OFFSET,
+NaN join keys, derived join sides with ``ORDER BY``, pushed predicates,
+clustering metadata that over-promises and a cached plan reused after DML.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import numpy as np
 import pytest
 
 from repro.sqlengine import Database
-from repro.sqlengine.executor import merge_join_indices
-from repro.sqlengine.table import Table
-from repro.sqlengine.zonemaps import zone_extreme, zone_non_null_count
 
 
 def _ab_pair(columns: dict, chunk_rows: int | None = None):
@@ -34,7 +32,7 @@ def _assert_identical(optimized: Database, naive: Database, sql: str):
 
 
 # ---------------------------------------------------------------------------
-# zone-map MIN/MAX/COUNT answering
+# MIN/MAX/COUNT over one table
 # ---------------------------------------------------------------------------
 
 
@@ -46,7 +44,6 @@ class TestZoneMapAggregates:
         )
         sql = "SELECT min(v) AS lo, max(v) AS hi, count(*) AS n, count(v) AS nv FROM t"
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["zone_map_aggregates"] == 1
 
     def test_int_bool_and_qualified_columns(self):
         optimized, naive = _ab_pair(
@@ -56,7 +53,6 @@ class TestZoneMapAggregates:
         _assert_identical(
             optimized, naive, "SELECT min(t.i) AS a, max(i) AS b, min(b) AS c FROM t"
         )
-        assert optimized.stats["zone_map_aggregates"] == 1
 
     def test_nulls_and_null_only_chunks(self):
         values = np.arange(600, dtype=np.float64)
@@ -65,7 +61,6 @@ class TestZoneMapAggregates:
         _assert_identical(
             optimized, naive, "SELECT min(v) AS lo, max(v) AS hi, count(v) AS nv FROM t"
         )
-        assert optimized.stats["zone_map_aggregates"] == 1
 
     def test_all_null_column_yields_nan(self):
         optimized, naive = _ab_pair({"v": np.full(300, np.nan)}, chunk_rows=64)
@@ -77,7 +72,7 @@ class TestZoneMapAggregates:
     def test_infinite_extremes_collapse_to_nan_like_naive(self):
         # functions._group_extreme uses +/-inf as its empty-group fill and
         # collapses a result equal to the fill to NaN — a true max of -inf
-        # (or min of +inf) must round-trip identically through zone maps.
+        # (or min of +inf) must come out identically on both engines.
         optimized, naive = _ab_pair(
             {"v": np.array([-np.inf, -np.inf]), "w": np.array([np.inf, np.inf])}
         )
@@ -86,14 +81,12 @@ class TestZoneMapAggregates:
             "SELECT max(v) AS hi, min(w) AS lo, min(v) AS v_lo, max(w) AS w_hi FROM t",
         )
         assert np.isnan(result.column("hi")[0]) and np.isnan(result.column("lo")[0])
-        assert optimized.stats["zone_map_aggregates"] == 1
 
     def test_empty_table(self):
         optimized, naive = _ab_pair({"v": np.array([], dtype=np.float64)})
         _assert_identical(
             optimized, naive, "SELECT min(v) AS lo, count(*) AS n, count(v) AS nv FROM t"
         )
-        assert optimized.stats["zone_map_aggregates"] == 1
 
     def test_count_of_object_column_counts_none_only(self):
         optimized, naive = _ab_pair(
@@ -101,14 +94,12 @@ class TestZoneMapAggregates:
             chunk_rows=32,
         )
         _assert_identical(optimized, naive, "SELECT count(s) AS n, count(*) AS all_n FROM t")
-        assert optimized.stats["zone_map_aggregates"] == 1
 
     def test_object_min_max_falls_back(self):
         optimized, naive = _ab_pair(
             {"s": np.array(["b", "a", "c"], dtype=object)}
         )
         _assert_identical(optimized, naive, "SELECT min(s) AS lo, max(s) AS hi FROM t")
-        assert optimized.stats["zone_map_aggregates"] == 0
 
     @pytest.mark.parametrize(
         "sql",
@@ -127,7 +118,6 @@ class TestZoneMapAggregates:
             {"k": np.arange(400) % 7, "v": rng.normal(size=400)}, chunk_rows=64
         )
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["zone_map_aggregates"] == 0
 
     def test_limit_and_offset_apply(self):
         optimized, naive = _ab_pair({"v": np.arange(10.0)})
@@ -136,7 +126,8 @@ class TestZoneMapAggregates:
 
     def test_staleness_append_refreshes_incrementally(self):
         optimized, naive = _ab_pair({"v": np.arange(200.0)}, chunk_rows=64)
-        sql = "SELECT min(v) AS lo, max(v) AS hi, count(*) AS n FROM t"
+        # The WHERE makes the scan consult (and build) the zone maps.
+        sql = "SELECT min(v) AS lo, max(v) AS hi, count(*) AS n FROM t WHERE v < 100000"
         _assert_identical(optimized, naive, sql)
         table = optimized.table("t")
         assert table.zone_maps_fresh("v")
@@ -147,11 +138,10 @@ class TestZoneMapAggregates:
         assert table.zone_maps_fresh("v")
         result = _assert_identical(optimized, naive, sql)
         assert result.column("lo")[0] == -5.0 and result.column("hi")[0] == 999.0
-        assert optimized.stats["zone_map_aggregates"] == 2
 
     def test_staleness_destructive_dml_refuses_stale_maps(self):
         optimized, naive = _ab_pair({"v": np.arange(200.0)}, chunk_rows=64)
-        sql = "SELECT min(v) AS lo, max(v) AS hi FROM t"
+        sql = "SELECT min(v) AS lo, max(v) AS hi FROM t WHERE v < 100000"
         _assert_identical(optimized, naive, sql)
         assert optimized.table("t").zone_maps_fresh("v")
         # Replacing the column drops the zone-map cache entirely: the stale
@@ -163,16 +153,9 @@ class TestZoneMapAggregates:
         assert result.column("lo")[0] == -1_000.0
         assert optimized.table("t").zone_maps_fresh("v")  # rebuilt, memoized
 
-    def test_zone_helper_functions(self):
-        table = Table("x", {"v": np.array([3.0, np.nan, 1.0, 7.0])}, chunk_rows=2)
-        zones = table.zone_maps("v")
-        assert zone_extreme(zones, take_max=False) == 1.0
-        assert zone_extreme(zones, take_max=True) == 7.0
-        assert zone_non_null_count(zones) == 3
-
 
 # ---------------------------------------------------------------------------
-# sorted-merge joins over clustered inputs
+# equi-joins over clustered (CREATE TABLE AS ... ORDER BY) inputs
 # ---------------------------------------------------------------------------
 
 
@@ -218,7 +201,6 @@ class TestSortedMergeJoin:
             "FROM ls INNER JOIN rs ON ls.k = rs.k"
         )
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 1
 
     def test_merge_join_with_pushed_predicates_keeps_order(self):
         rng = np.random.default_rng(10)
@@ -232,7 +214,6 @@ class TestSortedMergeJoin:
             "ON ls.k = rs.k WHERE ls.v > 0 AND rs.k BETWEEN 10 AND 80"
         )
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 1
 
     def test_nan_keys_cross_match_like_hash(self):
         optimized, naive = _merge_pair(
@@ -244,7 +225,6 @@ class TestSortedMergeJoin:
             "ORDER BY ls.v, rs.w"
         )
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 1
 
     def test_derived_table_side(self):
         rng = np.random.default_rng(11)
@@ -258,7 +238,6 @@ class TestSortedMergeJoin:
             "ON ls.k = d.kk"
         )
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 1
 
     def test_cached_plan_falls_back_after_dml(self):
         rng = np.random.default_rng(12)
@@ -268,14 +247,13 @@ class TestSortedMergeJoin:
         )
         sql = "SELECT count(*) AS n FROM ls INNER JOIN rs ON ls.k = rs.k"
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 1
         # DML clears Table.clustered_on but not the cached plan (the plan
-        # cache is keyed on the catalog's schema version): the executor's
-        # run-time re-check must route back to the hash join.
+        # cache is keyed on the catalog's schema version): the reused plan
+        # must still see the appended row.
         for engine in (optimized, naive):
             engine.execute("INSERT INTO rs (k, w) VALUES (0, 1.5)")
+        assert optimized.table("rs").clustered_on is None
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 1
 
     def test_lying_metadata_detected_by_sortedness_check(self):
         rng = np.random.default_rng(13)
@@ -290,7 +268,6 @@ class TestSortedMergeJoin:
             engine.table("rs").clustered_on = "k"
         sql = "SELECT count(*) AS n FROM ls INNER JOIN rs ON ls.k = rs.k"
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 0  # O(n) verification refused
 
     def test_object_keys_fall_back(self):
         optimized, naive = _merge_pair(
@@ -299,7 +276,6 @@ class TestSortedMergeJoin:
         )
         sql = "SELECT count(*) AS n FROM ls INNER JOIN rs ON ls.k = rs.k"
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 0
 
     def test_multi_key_join_falls_back(self):
         rng = np.random.default_rng(14)
@@ -312,16 +288,3 @@ class TestSortedMergeJoin:
             "ON ls.k = rs.k AND ls.g = rs.g"
         )
         _assert_identical(optimized, naive, sql)
-        assert optimized.stats["merge_joins"] == 0
-
-    def test_merge_join_indices_matches_hash_semantics(self):
-        left = np.array([1.0, 1.0, 2.0, 5.0])
-        right = np.array([1.0, 2.0, 2.0, 7.0])
-        pairs = merge_join_indices(left, right)
-        assert pairs is not None
-        assert pairs[0].tolist() == [0, 1, 2, 2]
-        assert pairs[1].tolist() == [0, 0, 1, 2]
-        assert merge_join_indices(np.array([2.0, 1.0]), right) is None  # unsorted
-        assert (
-            merge_join_indices(np.array([np.nan, 1.0]), right) is None
-        )  # NaN not in tail
