@@ -119,6 +119,14 @@ class TestBuiltinConnector:
         builtin_connector.execute("SELECT 1 AS x")
         assert any("SELECT 1" in sql for sql in builtin_connector.queries_issued)
 
+    def test_sorted_copy_records_clustering(self, builtin_connector):
+        builtin_connector.create_table_sorted_copy("orders", "orders_by_price", "price")
+        prices = builtin_connector.execute("SELECT price FROM orders_by_price").column("price")
+        assert len(prices) == builtin_connector.row_count("orders")
+        assert np.all(np.diff(prices) >= 0)
+        assert builtin_connector.database.table("orders_by_price").clustered_on == "price"
+        assert builtin_connector.database.table("orders").clustered_on is None
+
 
 class TestSqliteConnector:
     def test_load_and_query(self, sqlite_connector):
@@ -159,6 +167,12 @@ class TestSqliteConnector:
         with pytest.raises(ExecutionError):  # the same batch rule on every backend
             sqlite_connector.append_columns("orders", {"order_id": [1]})
         assert sqlite_connector.row_count("orders") == before + 2
+
+    def test_sorted_copy_orders_rows(self, sqlite_connector):
+        sqlite_connector.create_table_sorted_copy("orders", "orders_by_price", "price")
+        prices = sqlite_connector.execute("SELECT price FROM orders_by_price").column("price")
+        assert len(prices) == sqlite_connector.row_count("orders")
+        assert np.all(np.diff(prices.astype(np.float64)) >= 0)
 
     def test_column_introspection_missing_table(self, sqlite_connector):
         with pytest.raises(ConnectorError):

@@ -168,6 +168,27 @@ class TestScalarFunctions:
         again = functions.call_scalar("vdb_hash", ctx, [np.arange(100).astype(object)])
         assert np.array_equal(hashes, again)
 
+    def test_nan_reads_as_null_in_string_functions(self):
+        ctx = self._context(3)
+        values = np.array([1.5, np.nan, 2.0])
+        assert functions.call_scalar("upper", ctx, [values]).tolist() == ["1.5", None, "2.0"]
+        assert functions.call_scalar("length", ctx, [values]).tolist() == [3, 0, 3]
+        bar = np.array(["|"] * 3, dtype=object)
+        assert functions.call_scalar("concat", ctx, [values, bar]).tolist() == [
+            "1.5|", "|", "2.0|",
+        ]
+
+    def test_nan_hashes_like_null(self):
+        ctx = self._context(2)
+        nan = np.array([np.nan, 4.0])
+        null = np.array([None, 4.0], dtype=object)
+        for name in ("crc32", "vdb_hash"):
+            assert functions.call_scalar(name, ctx, [nan]).tolist() == functions.call_scalar(
+                name, ctx, [null]
+            ).tolist()
+        # NULL hashes as the empty string, whose CRC-32 is 0.
+        assert functions.call_scalar("crc32", ctx, [nan])[0] == 0
+
     def test_unknown_function_raises(self):
         with pytest.raises(ExecutionError):
             functions.call_scalar("nope", self._context(), [])

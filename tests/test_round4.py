@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.sqlengine import Database
+from repro.sqlengine.table import Table
+from repro.sqlengine.zonemaps import ZoneMap, ZonePredicate, chunk_may_match, zone_map_for_chunk
 
 
 def _ab_pair(columns: dict, chunk_rows: int | None = None):
@@ -152,6 +154,19 @@ class TestZoneMapAggregates:
         result = _assert_identical(optimized, naive, sql)
         assert result.column("lo")[0] == -1_000.0
         assert optimized.table("t").zone_maps_fresh("v")  # rebuilt, memoized
+
+    def test_zone_helper_functions(self):
+        table = Table("x", {"v": np.array([3.0, np.nan, 1.0, 7.0])}, chunk_rows=2)
+        zones = table.zone_maps("v")
+        assert zones == [ZoneMap(3.0, 3.0, 1, 2), ZoneMap(1.0, 7.0, 0, 2)]
+        assert [zone.non_null for zone in zones] == [1, 2]
+        assert zone_map_for_chunk(np.array([np.nan, np.nan])) == ZoneMap(None, None, 2, 2)
+        assert zone_map_for_chunk(np.array([], dtype=np.int64)) == ZoneMap(None, None, 0, 0)
+        below_two = ZonePredicate("v", "cmp", "<", (2.0,))
+        assert [chunk_may_match(below_two, zone, False) for zone in zones] == [False, True]
+        # NaN <> x is True on the float path, so a chunk with NULLs survives.
+        not_three = ZonePredicate("v", "cmp", "<>", (3.0,))
+        assert [chunk_may_match(not_three, zone, False) for zone in zones] == [True, True]
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,29 @@ class TestSidClusteredScrambles:
         # the staging table is cleaned up
         assert not connector.has_table(f"{info.sample_table}_vdb_stage")
 
+    def test_clustering_recorded_in_metadata(self):
+        # The engine's table metadata is the one record of the sid order, for
+        # every sample type; the sample metadata round-trips without it.
+        connector = BuiltinConnector(seed=2)
+        connector.load_table("orders", build_orders_columns(num_rows=20_000, seed=5))
+        metadata = MetadataStore(connector)
+        builder = SampleBuilder(connector, metadata, subsample_count=50)
+        infos = [
+            builder.create_sample("orders", spec)
+            for spec in (
+                SampleSpec("uniform", (), 0.1),
+                SampleSpec("hashed", ("order_id",), 0.1),
+                SampleSpec("stratified", ("city",), 0.1),
+            )
+        ]
+        for info in infos:
+            assert connector.database.table(info.sample_table).clustered_on == SID_COLUMN
+        stored = {
+            record.sample_table: record
+            for record in MetadataStore(connector).samples_for("orders")
+        }
+        assert stored == {info.sample_table: info for info in infos}
+
     def test_outdated_metadata_schema_is_migrated(self):
         # A metadata table that still carries the legacy sid_clustered column
         # is rewritten to the current schema by the next write; its rows
