@@ -144,6 +144,11 @@ class Database:
             "statement_cache_misses": 0,
             "plan_cache_hits": 0,
             "plan_cache_misses": 0,
+            # Joins answered through a table's unique-key index instead of
+            # hashing both inputs, and index builds (at most one per table,
+            # column and table version; none at load).
+            "key_index_joins": 0,
+            "key_index_builds": 0,
             # Round-7 resilience counters: worker supervision, dispatch
             # retries, circuit transitions and degradation events.
             "worker_respawns": 0,

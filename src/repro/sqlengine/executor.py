@@ -6,6 +6,16 @@ tables and hash joins), filter it with WHERE, group and aggregate, evaluate
 the select list, then apply HAVING / ORDER BY / DISTINCT / LIMIT.  It exists
 so the middleware has a realistic "underlying database" that executes the
 rewritten SQL text exactly as written.
+
+Joins take one of two paths that emit the same pairs in the same order
+(left-major, right ascending).  When an equi pair has a column of a
+base-table scan on one side that is a unique numeric key
+(:meth:`Table.key_index`, cached per table version) and a numeric key on the
+other, each probe key is looked up in that sorted index — a sample joined to
+a dimension table then costs the sample, not the dimension table.  Every
+other join hashes: both sides' keys are encoded together and the smaller
+side is sorted and probed.  ``optimize=False`` and the shard workers always
+hash.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from repro.sqlengine.encoding import merge_dictionaries, normalize_object_key
 from repro.sqlengine.expressions import (
     Frame,
     LazyCodes,
+    ScanSource,
     contains_aggregate,
     encode_grouping_key,
     evaluate,
@@ -37,7 +48,7 @@ from repro.sqlengine.expressions import (
 )
 from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
-from repro.sqlengine.table import Table
+from repro.sqlengine.table import KeyIndex, Table, find_sorted
 from repro.sqlengine.zonemaps import bind_zone_predicates
 
 
@@ -132,9 +143,10 @@ class Executor:
     With ``optimize=True`` each SELECT is first analyzed by
     :mod:`repro.sqlengine.planner`: single-table WHERE conjuncts are applied
     at the scans (before joins), scans materialize only referenced columns,
-    and string key columns carry memoized dictionary codes used by grouping,
-    joining and sorting.  ``optimize=False`` executes naively; both modes
-    produce identical results.
+    string key columns carry memoized dictionary codes used by grouping,
+    joining and sorting, and joins on a unique numeric key probe the table's
+    key index.  ``optimize=False`` executes naively; both modes produce
+    identical results.
     """
 
     def __init__(
@@ -870,7 +882,11 @@ class Executor:
                     if surviving is not None
                     else table.num_rows
                 )
-            return self._apply_scan_predicates(frame, scan)
+            mask = self._scan_mask(frame, scan)
+            if mask is not None:
+                frame = frame.filter(mask)
+            frame.source = ScanSource(table, _scan_rows(surviving, chunk_selection, mask))
+            return frame
         if isinstance(relation, ast.DerivedTable):
             derived = plan.derived_for(relation.binding_name) if plan is not None else None
             if derived is not None:
@@ -894,20 +910,20 @@ class Executor:
             if not frame.entries():
                 frame.num_rows = result.num_rows
             scan = plan.scan_for(relation.binding_name) if plan is not None else None
-            return self._apply_scan_predicates(frame, scan)
+            mask = self._scan_mask(frame, scan)
+            return frame if mask is None else frame.filter(mask)
         if isinstance(relation, ast.Join):
             return self._build_join(relation, plan, joins)
         raise ExecutionError(f"unsupported relation type {type(relation).__name__}")
 
-    def _apply_scan_predicates(self, frame: Frame, scan) -> Frame:
-        """Filter a scan frame with its pushed-down WHERE conjuncts."""
+    def _scan_mask(self, frame: Frame, scan) -> np.ndarray | None:
+        """Row mask of a scan's pushed-down WHERE conjuncts (None: keep all)."""
         if scan is None or not scan.predicates:
-            return frame
+            return None
         self._checkpoint()
         predicate = ast.conjunction(scan.predicates)
         context = self._context(frame.num_rows)
-        mask = evaluate(predicate, frame, context, self._scalar_subquery)
-        return frame.filter(mask)
+        return evaluate(predicate, frame, context, self._scalar_subquery)
 
     def _build_join(
         self,
@@ -944,13 +960,22 @@ class Executor:
             ]
             left_encodings = [_key_encoding(expr, left) for expr, _ in equi_pairs]
             right_encodings = [_key_encoding(expr, right) for _, expr in equi_pairs]
-            left_indices, right_indices = hash_join_indices(
-                left_keys,
-                right_keys,
-                left_encodings,
-                right_encodings,
-                prefer_smaller_build=self._optimize,
-            )
+            matched = None
+            if self._optimize:
+                matched = self._key_index_join(
+                    equi_pairs, left, right, left_keys, right_keys,
+                    left_encodings, right_encodings,
+                )
+            if matched is not None:
+                left_indices, right_indices = matched
+            else:
+                left_indices, right_indices = hash_join_indices(
+                    left_keys,
+                    right_keys,
+                    left_encodings,
+                    right_encodings,
+                    prefer_smaller_build=self._optimize,
+                )
 
         joined = Frame.concat(left.take(left_indices), right.take(right_indices))
         if residual is not None:
@@ -958,6 +983,88 @@ class Executor:
             mask = evaluate(residual, joined, joined_context, self._scalar_subquery)
             joined = joined.filter(mask)
         return joined
+
+    def _key_index_join(
+        self,
+        equi_pairs: list[tuple[ast.ColumnRef, ast.ColumnRef]],
+        left: Frame,
+        right: Frame,
+        left_keys: list[np.ndarray],
+        right_keys: list[np.ndarray],
+        left_encodings: list,
+        right_encodings: list,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The hash join's pairs, found through a table's unique-key index.
+
+        Applies when one equi pair has, on one side, a column of a base-table
+        scan that :meth:`Table.key_index` finds unique, and a numeric key on
+        the other side; when both sides of the first such pair qualify, the
+        side with more rows is indexed.  Each probe key matches at most one
+        indexed row, so the lookup is one ``searchsorted`` instead of
+        re-encoding both inputs.  The other pairs are compared on the matched
+        rows with the hash join's own encoding, and the pairs come out in the
+        hash join's canonical order (left-major, right ascending).  Returns
+        None when no pair qualifies.
+        """
+        chosen = None
+        for position, (left_ref, right_ref) in enumerate(equi_pairs):
+            sides = [
+                (side, frame, index)
+                for side, frame, ref, probe in (
+                    (0, left, left_ref, right_keys[position]),
+                    (1, right, right_ref, left_keys[position]),
+                )
+                if probe.dtype.kind in "iufb"
+                and (index := self._scan_key_index(frame, ref)) is not None
+            ]
+            if sides:
+                chosen = position, max(sides, key=lambda entry: entry[1].num_rows)
+                break
+        if chosen is None:
+            return None
+        position, (side, indexed, index) = chosen
+        self._checkpoint()  # after a possible index build, before probing
+        probe = (right_keys if side == 0 else left_keys)[position]
+        probe_rows, table_rows = index.lookup(probe.astype(np.float64, copy=False))
+        rows = indexed.source.rows
+        if rows is None:
+            indexed_rows = table_rows
+        else:
+            # Table rows -> rows of the (pruned, filtered) scan frame.
+            kept, indexed_rows = find_sorted(rows, table_rows)
+            probe_rows = probe_rows[kept]
+        if side == 0:
+            left_indices, right_indices = indexed_rows, probe_rows
+        else:
+            left_indices, right_indices = probe_rows, indexed_rows
+        others = [other for other in range(len(equi_pairs)) if other != position]
+        if others:
+            left_codes, right_codes = _encode_key_pairs(
+                [left_keys[other][left_indices] for other in others],
+                [right_keys[other][right_indices] for other in others],
+                [_sliced_encoding(left_encodings[other], left_indices) for other in others],
+                [_sliced_encoding(right_encodings[other], right_indices) for other in others],
+            )
+            equal = left_codes == right_codes
+            left_indices, right_indices = left_indices[equal], right_indices[equal]
+        if side == 0:
+            # Probed in right order: restore left-major, right ascending within.
+            order = np.argsort(left_indices, kind="stable")
+            left_indices, right_indices = left_indices[order], right_indices[order]
+        self._count("key_index_joins")
+        return left_indices, right_indices
+
+    def _scan_key_index(self, frame: Frame, ref: ast.ColumnRef) -> KeyIndex | None:
+        """The unique-key index behind a bare base-table scan column, or None."""
+        if frame.source is None:
+            return None
+        table = frame.source.table
+        column = table.resolve_column(ref.name)
+        if column is None:
+            return None
+        return table.key_index(
+            column, on_build=lambda: self._count("key_index_builds")
+        )
 
     # -- plain (non-aggregate) SELECT -----------------------------------------
 
@@ -1320,6 +1427,25 @@ class Executor:
         return sort_indices(keys)
 
 
+def _scan_rows(
+    surviving: np.ndarray | None,
+    chunk_selection: Callable[[], np.ndarray],
+    mask: np.ndarray | None,
+) -> Callable[[], np.ndarray] | None:
+    """Resolver of a scan frame's table row ids (None: the full table)."""
+    if surviving is None and mask is None:
+        return None
+
+    def resolve() -> np.ndarray:
+        rows = chunk_selection() if surviving is not None else None
+        if mask is None:
+            return rows
+        kept = np.flatnonzero(np.asarray(mask, dtype=bool))
+        return kept if rows is None else rows[kept]
+
+    return resolve
+
+
 def _chunk_row_count(table: Table, chunk_ids: np.ndarray) -> int:
     """Rows covered by the given chunks, without materializing their indices."""
     if not len(chunk_ids):
@@ -1413,6 +1539,11 @@ def _key_encoding(expr: ast.Expression, frame: Frame):
     if not isinstance(expr, ast.ColumnRef):
         return None
     return frame.codes_for(expr.name, expr.table)
+
+
+def _sliced_encoding(encoded, rows: np.ndarray):
+    """A ``(codes, dictionary)`` pair restricted to ``rows`` (None stays None)."""
+    return None if encoded is None else (encoded[0][rows], encoded[1])
 
 
 def _lazy_key_encoding(expr: ast.Expression, frame: Frame):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools as _functools
 import re
 from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from repro.sqlengine.encoding import (
     null_code,
     unescape_key,
 )
+
+if TYPE_CHECKING:
+    from repro.sqlengine.table import Table
 
 
 class LazyCodes:
@@ -63,6 +67,31 @@ class LazyCodes:
         return wrapped
 
 
+class ScanSource:
+    """Which rows of a base table a scan frame holds, in frame order.
+
+    ``rows`` is None for a full scan, else the ascending table row ids that
+    survived chunk pruning and the pushed-down predicates — computed on first
+    read, so a scan that feeds no join never pays for it.
+    """
+
+    __slots__ = ("table", "_resolve", "_rows")
+
+    def __init__(
+        self, table: Table, resolve: Callable[[], np.ndarray] | None = None
+    ) -> None:
+        self.table = table
+        self._resolve = resolve
+        self._rows: np.ndarray | None = None
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        if self._resolve is not None:
+            self._rows = self._resolve()
+            self._resolve = None
+        return self._rows
+
+
 class Frame:
     """A set of equally sized columns addressable by (binding, column) name.
 
@@ -80,6 +109,9 @@ class Frame:
         self._qualified: dict[tuple[str, str], int] = {}
         self._unqualified: dict[str, list[int]] = {}
         self._ambiguity_checked: dict[str, bool] = {}
+        # Set only on a base-table scan's frame (the join's key-index path
+        # reads it); every derived frame — take, filter, concat — has none.
+        self.source: ScanSource | None = None
 
     def add_column(
         self,

@@ -17,12 +17,16 @@ proportional to the batch; any other mutation invalidates them through the
 table's version counter and they are rebuilt lazily on the next request.
 The executor uses :meth:`prune_chunks` / :meth:`gather_chunks` to read only
 the chunks a pushed-down predicate could match, making scan cost
-proportional to the rows a query can actually touch.
+proportional to the rows a query can actually touch, and :meth:`key_index`
+— a sorted index of a unique numeric column, built on a join's first
+request — so joining a small input to a whole table costs the small input.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import threading
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +131,43 @@ def coerce_batch(
     return arrays
 
 
+class KeyIndex(NamedTuple):
+    """Sorted unique-key index of one numeric column.
+
+    ``keys`` is the column's ``float64`` form (the hash join's key
+    normalization) sorted strictly increasing — unique and NaN-free — and
+    ``order`` the table row holding each key.
+    """
+
+    order: np.ndarray
+    keys: np.ndarray
+
+    def lookup(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe positions with a match, the table row each one matches)``.
+
+        ``probe`` must already be ``float64``.  A key is unique, so every
+        probe value matches at most one row; a NaN probe matches none.
+        """
+        probe_rows, positions = find_sorted(self.keys, probe)
+        return probe_rows, self.order[positions]
+
+
+def find_sorted(
+    sorted_values: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``values`` occur in a strictly increasing array.
+
+    Returns ``(found, positions)``: the indices into ``values`` of the
+    entries present in ``sorted_values``, and where each one stands there.
+    """
+    positions = np.searchsorted(sorted_values, values)
+    inside = positions < len(sorted_values)
+    hit = np.zeros(len(values), dtype=bool)
+    hit[inside] = sorted_values[positions[inside]] == values[inside]
+    found = np.flatnonzero(hit)
+    return found, positions[found]
+
+
 class Table:
     """A named collection of equally sized, chunked columns."""
 
@@ -146,8 +187,9 @@ class Table:
         self._chunks: dict[str, list[np.ndarray]] = {}
         self._num_rows = 0
         # Monotonic version bumped on every mutation; memoized per-column
-        # dictionary encodings and zone maps are keyed on it so DML
-        # invalidates them (zone maps are rebuilt lazily on the next use).
+        # dictionary encodings, distinct counts, zone maps and unique-key
+        # indexes are keyed on it so DML invalidates them (each is rebuilt
+        # lazily on the next use).
         self._version = 0
         self._dictionary_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         # Numeric column name -> (version, distinct non-NULL values).
@@ -157,6 +199,13 @@ class Table:
         self._flat_cache: dict[str, np.ndarray] = {}
         # Column name -> (version, per-chunk zone maps).
         self._zone_cache: dict[str, tuple[int, list[ZoneMap]]] = {}
+        # Numeric column name -> (version, unique-key index or None for "not
+        # a key").  Built on a join's first request, never at load; an append
+        # keeps a "not a key" verdict (new rows cannot make a column unique)
+        # and drops an index.  The lock keeps concurrent first requests from
+        # building one twice.
+        self._key_index_cache: dict[str, tuple[int, KeyIndex | None]] = {}
+        self._key_index_lock = threading.Lock()
         # Physical clustering metadata: the lower-cased name of a column the
         # rows are sorted by (ascending, NULLs last — the engine's ORDER BY
         # order), or None.  Set by ``CREATE TABLE AS SELECT ... ORDER BY col``,
@@ -269,6 +318,36 @@ class Table:
         count = int(np.unique(array).size)
         self._distinct_cache[name] = (self._version, count)
         return count
+
+    def key_index(
+        self, name: str, on_build: Callable[[], None] | None = None
+    ) -> KeyIndex | None:
+        """Memoized unique-key index of a numeric column, or None.
+
+        None means the column is an object column or not a key: its
+        ``float64`` form has a duplicate (``-0.0`` and ``0.0``, or two int64
+        values above 2**53 that round together, count as duplicates, as they
+        do in the hash join) or a NaN.  Built at most once per table version;
+        ``on_build`` is called when this request built it.
+        """
+        if self.column_dtype(name).kind not in "iufb":
+            return None
+        with self._key_index_lock:
+            cached = self._key_index_cache.get(name)
+            if cached is not None and cached[0] == self._version:
+                return cached[1]
+            keys = self.column(name).astype(np.float64, copy=False)
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            # NaN sorts last, and fails every comparison before it.
+            unique = not np.isnan(sorted_keys[-1:]).any() and bool(
+                np.all(sorted_keys[1:] > sorted_keys[:-1])
+            )
+            index = KeyIndex(order, sorted_keys) if unique else None
+            self._key_index_cache[name] = (self._version, index)
+            if on_build is not None:
+                on_build()
+            return index
 
     @property
     def column_names(self) -> list[str]:
@@ -461,8 +540,14 @@ class Table:
                 stored, arrays[stored]
             )
         derived = {name: self._append_column(name, array) for name, array in arrays.items()}
+        not_keys = [
+            name for name, (version, index) in self._key_index_cache.items()
+            if version == self._version and index is None
+        ]
         self._num_rows += count
         self._version += 1
+        for name in not_keys:
+            self._key_index_cache[name] = (self._version, None)
         if not keep_clustering:
             self.clustered_on = None
         for name, (zones, encoding) in derived.items():

@@ -1,0 +1,474 @@
+"""Key-index joins: a join probes a table's cached unique-key index.
+
+``Table.key_index`` sorts a numeric column once per table version and keeps
+the sort only when the column is a key (unique, NaN-free in its ``float64``
+form); ``Executor._build_join`` then finds each probe row's match with one
+``searchsorted`` instead of re-encoding both inputs.  The hash join stays the
+reference: ``Database(optimize=False)`` never takes the index path, so every
+check here is a differential against it — same rows, same pair order.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro
+from repro import ExecutionOptions
+from repro.connectors import SqliteConnector
+from repro.errors import QueryCancelledError, QueryTimeoutError
+from repro.faults import QueryDeadline
+from repro.sqlengine import Database
+from repro.sqlengine.table import Table
+
+BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
+if BENCHMARKS not in sys.path:
+    sys.path.insert(0, BENCHMARKS)
+
+from e2e import build, queries  # noqa: E402  (the benchmark's data and statements)
+
+BIG = 2**53
+
+JOIN = "SELECT f.rid AS fr, d.rid AS dr FROM f JOIN d ON f.k = d.id"
+
+
+def engines(tables: dict[str, dict[str, np.ndarray]], **kwargs) -> tuple[Database, Database]:
+    """An optimized engine and its ``optimize=False`` twin over ``tables``."""
+    pair = (Database(seed=0, **kwargs), Database(seed=0, optimize=False, **kwargs))
+    for engine in pair:
+        for name, columns in tables.items():
+            engine.register_table(name, columns)
+    return pair
+
+
+def star_tables(dim_rows: int = 500, fact_rows: int = 3000, seed: int = 4):
+    rng = np.random.default_rng(seed)
+    return {
+        "f": {
+            "rid": np.arange(fact_rows),
+            "k": rng.integers(-20, dim_rows + 20, fact_rows),
+            "x": rng.normal(size=fact_rows),
+            "j": rng.integers(0, 3, fact_rows),
+        },
+        "d": {
+            "rid": np.arange(dim_rows),
+            "id": rng.permutation(dim_rows),
+            "g": rng.integers(0, 5, dim_rows),
+            "y": rng.normal(size=dim_rows),
+            "j": rng.integers(0, 3, dim_rows),
+            "name": np.array([f"n{i % 7}" for i in range(dim_rows)], dtype=object),
+        },
+    }
+
+
+def assert_same(optimized: Database, naive: Database, sql: str):
+    fast, slow = optimized.execute(sql), naive.execute(sql)
+    assert fast.equals(slow), sql
+    return fast
+
+
+# ---------------------------------------------------------------------------
+# differential: index path vs the hash join
+# ---------------------------------------------------------------------------
+
+INT_KEYS = st.one_of(
+    st.integers(-40, 400), st.sampled_from([BIG, BIG + 1, BIG + 2, -BIG - 1])
+)
+FLOAT_KEYS = st.one_of(
+    st.integers(-40, 400).map(float),
+    st.sampled_from([0.0, -0.0, 0.5, float("nan"), float(BIG), float(BIG + 2)]),
+)
+
+
+@st.composite
+def key_column(draw, max_rows: int):
+    kind = draw(st.sampled_from(["int", "float", "bool"]))
+    unique = draw(st.booleans())
+    if kind == "bool":
+        values = draw(st.lists(st.booleans(), max_size=2 if unique else max_rows, unique=unique))
+        return np.array(values, dtype=bool)
+    elements = INT_KEYS if kind == "int" else FLOAT_KEYS
+    values = draw(st.lists(elements, max_size=max_rows, unique=unique))
+    return np.array(values, dtype=np.int64 if kind == "int" else np.float64)
+
+
+@st.composite
+def join_tables(draw):
+    dim_keys = draw(key_column(max_rows=160))
+    fact_keys = draw(key_column(max_rows=120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if len(dim_keys) and draw(st.booleans()):
+        # Probe with the dimension's own keys (as a fact table would).
+        fact_keys = rng.choice(dim_keys, len(fact_keys)) if len(fact_keys) else dim_keys[:0]
+    dims, facts = len(dim_keys), len(fact_keys)
+    return {
+        "d": {
+            "rid": np.arange(dims),
+            "id": dim_keys,
+            "y": rng.normal(size=dims),
+            "j": rng.integers(0, 3, dims),
+        },
+        "f": {
+            "rid": np.arange(facts),
+            "k": fact_keys,
+            "x": rng.normal(size=facts),
+            "j": rng.integers(0, 3, facts),
+        },
+    }
+
+
+DIFFERENTIAL = [
+    JOIN,  # base table on the right
+    "SELECT f.rid AS fr, d.rid AS dr FROM d JOIN f ON d.id = f.k",  # ... on the left
+    JOIN + " WHERE d.rid >= {cut} AND d.y > -0.5",  # chunk-pruned + filtered
+    "SELECT f.rid AS fr, d.rid AS dr FROM d JOIN f ON f.k = d.id "
+    "WHERE d.rid < {cut} AND f.rid >= {cut}",
+    "SELECT p.rid AS pr, q.rid AS qr FROM d AS p JOIN d AS q ON p.id = q.id",  # self-join
+    JOIN + " AND f.j = d.j",  # two pairs, one indexable
+    "SELECT t.fr, d.rid AS dr FROM (SELECT rid AS fr, k FROM f WHERE x > 0) AS t "
+    "JOIN d ON t.k = d.id",  # derived table probing
+    "SELECT d.j, count(*) AS n, sum(f.x) AS s FROM f JOIN d ON f.k = d.id "
+    "WHERE d.y < 1.0 GROUP BY d.j ORDER BY d.j",
+]
+
+
+@given(join_tables(), st.integers(0, 160))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_index_path_reproduces_the_hash_join(tables, cut):
+    optimized, naive = engines(tables, chunk_rows=64)
+    for template in DIFFERENTIAL:
+        assert_same(optimized, naive, template.format(cut=cut))
+    assert naive.stats["key_index_joins"] == 0
+    assert naive.stats["key_index_builds"] == 0
+
+
+@pytest.mark.parametrize("sql", [template.format(cut=200) for template in DIFFERENTIAL])
+def test_every_differential_shape_takes_the_index_path_on_a_unique_key(sql):
+    optimized, naive = engines(star_tables(), chunk_rows=64)
+    assert_same(optimized, naive, sql)
+    assert optimized.stats["key_index_joins"] == 1
+
+
+def test_index_on_the_left_emits_left_major_pairs():
+    # d (left) is the indexed side and holds more rows than f.
+    tables = star_tables(dim_rows=800, fact_rows=50)
+    optimized, naive = engines(tables)
+    sql = "SELECT d.rid AS dr, f.rid AS fr FROM d JOIN f ON d.id = f.k"
+    result = assert_same(optimized, naive, sql)
+    assert optimized.stats["key_index_joins"] == 1
+    left = result.column("dr").astype(np.int64)
+    assert np.all(np.diff(left) >= 0)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([3, 1, 3, 2]),  # duplicate
+        np.array([1.0, np.nan, 2.0]),  # NULL
+        np.array([np.nan]),
+        np.array([0.0, -0.0, 1.0]),  # equal as floats
+        np.array([BIG, BIG + 1, 5], dtype=np.int64),  # equal as float64
+        np.array([True, False, True]),
+    ],
+    ids=["duplicate", "nan", "only-nan", "signed-zero", "above-2^53", "bool-duplicate"],
+)
+def test_columns_that_are_not_keys_stay_on_the_hash_path(keys):
+    tables = {
+        "d": {"rid": np.arange(len(keys)), "id": keys},
+        "f": {"rid": np.arange(6), "k": np.array([0.0, -0.0, 1.0, 3.0, float(BIG), np.nan])},
+    }
+    optimized, naive = engines(tables)
+    assert optimized.table("d").key_index("id") is None
+    assert_same(optimized, naive, JOIN)
+    assert optimized.stats["key_index_joins"] == 0
+
+
+def test_bool_and_int_probes_match_float_keys_as_the_hash_join_does():
+    tables = {
+        "d": {"rid": np.arange(4), "id": np.array([0.0, 1.0, 2.5, float(BIG)])},
+        "f": {"rid": np.arange(5), "k": np.array([True, False, True, False, True])},
+        "g": {"rid": np.arange(4), "k": np.array([BIG + 1, 1, 0, 3], dtype=np.int64)},
+    }
+    optimized, naive = engines(tables)
+    result = assert_same(optimized, naive, JOIN)
+    assert result.num_rows == 5
+    result = assert_same(
+        optimized, naive, "SELECT g.rid AS gr, d.rid AS dr FROM g JOIN d ON g.k = d.id"
+    )
+    # 2**53 + 1 rounds to 2**53 in float64 and matches it, as on the hash path.
+    assert result.fetchall() == [(0, 3), (1, 1), (2, 0)]
+    assert optimized.stats["key_index_joins"] == 2
+
+
+def test_empty_tables_join_to_nothing():
+    empty = {"rid": np.arange(0), "id": np.array([], dtype=np.int64)}
+    tables = {"d": empty, "f": {"rid": np.arange(3), "k": np.array([1, 2, 3])}}
+    optimized, naive = engines(tables)
+    assert assert_same(optimized, naive, JOIN).num_rows == 0
+    assert optimized.stats["key_index_joins"] == 1
+
+
+def test_object_keys_and_two_column_keys_use_the_hash_path():
+    rng = np.random.default_rng(1)
+    tables = {
+        "ps": {
+            "pk": np.repeat(np.arange(50), 4),
+            "sk": np.tile(np.arange(4), 50),
+            "cost": rng.normal(size=200),
+        },
+        "l": {"pk": rng.integers(0, 50, 300), "sk": rng.integers(0, 4, 300)},
+        "names": {"id": np.array(["a", "b", "c"], dtype=object)},
+        "refs": {"id": np.array(["b", "b", "z"], dtype=object)},
+    }
+    optimized, naive = engines(tables)
+    assert_same(
+        optimized, naive,
+        "SELECT sum(ps.cost) AS c FROM l JOIN ps ON l.pk = ps.pk AND l.sk = ps.sk",
+    )
+    assert_same(optimized, naive, "SELECT refs.id FROM refs JOIN names ON refs.id = names.id")
+    assert optimized.stats["key_index_joins"] == 0
+
+
+# ---------------------------------------------------------------------------
+# index lifecycle
+# ---------------------------------------------------------------------------
+
+
+def test_index_is_lazy_and_reused_across_statements():
+    optimized, naive = engines(star_tables())
+    assert optimized.stats["key_index_builds"] == 0
+    assert_same(optimized, naive, "SELECT count(*) AS n FROM d WHERE id > 10")
+    assert optimized.stats["key_index_builds"] == 0
+    assert_same(optimized, naive, JOIN)
+    # f.k (not a key) and d.id (a key): one build each.
+    assert optimized.stats["key_index_builds"] == 2
+    for _ in range(3):
+        assert_same(optimized, naive, JOIN + " WHERE d.g = 1")
+    assert optimized.stats["key_index_builds"] == 2
+    assert optimized.stats["key_index_joins"] == 4
+
+
+def test_mutations_invalidate_the_index():
+    optimized, naive = engines(star_tables())
+    assert_same(optimized, naive, JOIN)
+    builds = optimized.stats["key_index_builds"]
+    dim_version = optimized.table("d").version
+
+    batch = {"rid": np.array([500]), "id": np.array([600]), "g": np.array([1]),
+             "y": np.array([0.5]), "j": np.array([1]), "name": np.array(["n9"], dtype=object)}
+    for engine in (optimized, naive):
+        engine.append_columns("d", batch)
+    assert optimized.table("d").version != dim_version
+    assert_same(optimized, naive, JOIN + " WHERE f.k < 0 OR d.id = 600")
+    assert optimized.stats["key_index_builds"] == builds + 1  # d.id only
+    builds += 1
+
+    # INSERT of a duplicate key: the column stops being a key.
+    for engine in (optimized, naive):
+        engine.execute("INSERT INTO d (rid, id, g, y, j, name) VALUES (501, 7, 2, 0.0, 0, 'n0')")
+    joins = optimized.stats["key_index_joins"]
+    assert_same(optimized, naive, JOIN)
+    assert optimized.stats["key_index_builds"] == builds + 1
+    assert optimized.stats["key_index_joins"] == joins
+    builds += 1
+
+    # CTAS replacement: a new table behind the same name.
+    for engine in (optimized, naive):
+        engine.execute("DROP TABLE d")
+        engine.execute("CREATE TABLE d AS SELECT rid, rid AS id, j AS g FROM f WHERE rid < 400")
+    assert_same(optimized, naive, JOIN)
+    assert optimized.stats["key_index_builds"] == builds + 1
+    assert optimized.stats["key_index_joins"] == joins + 1
+
+
+def test_not_a_key_verdict_survives_an_append():
+    table = Table("t", {"k": np.array([1, 1, 2]), "v": np.array([0.0, 1.0, 2.0])})
+    built = []
+    assert table.key_index("k", on_build=lambda: built.append("k")) is None
+    assert table.key_index("v", on_build=lambda: built.append("v")) is not None
+    table.append_columns({"k": np.array([9]), "v": np.array([9.0])})
+    assert table.key_index("k", on_build=lambda: built.append("k")) is None
+    assert table.key_index("v", on_build=lambda: built.append("v")) is not None
+    assert built == ["k", "v", "v"]  # the verdict stayed; the index was rebuilt
+    table.add_column("k", np.array([4, 3, 2, 1]))  # any other mutation drops it
+    index = table.key_index("k", on_build=lambda: built.append("k"))
+    assert built[-1] == "k"
+    assert index.order.tolist() == [3, 2, 1, 0]
+
+
+def test_concurrent_first_requests_build_once():
+    table = Table("t", {"k": np.random.default_rng(2).permutation(50_000)})
+    builds = []
+    start = threading.Barrier(8)
+    results = []
+
+    def request():
+        start.wait(timeout=10)
+        results.append(table.key_index("k", on_build=lambda: builds.append(1)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert len(results) == 8 and all(index is results[0] for index in results)
+
+
+# ---------------------------------------------------------------------------
+# cancellation, sharded execution
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("interrupt", ["cancel", "deadline"])
+def test_interrupt_during_an_index_join_raises_the_typed_error(monkeypatch, interrupt):
+    optimized, _ = engines(star_tables())
+    deadline = QueryDeadline(timeout_seconds=30.0 if interrupt == "cancel" else 0.05)
+    original = Table.key_index
+    calls = []
+
+    def interrupted(self, name, on_build=None):
+        calls.append(name)
+        if interrupt == "cancel":
+            deadline.cancel()
+        else:
+            time.sleep(0.1)
+        return original(self, name, on_build)
+
+    monkeypatch.setattr(Table, "key_index", interrupted)
+    expected = QueryCancelledError if interrupt == "cancel" else QueryTimeoutError
+    with pytest.raises(expected):
+        optimized.execute(JOIN, deadline=deadline)
+    assert calls
+    assert optimized.stats["key_index_joins"] == 0
+
+
+def test_in_thread_sharding_answers_as_the_serial_index_join():
+    tables = star_tables(dim_rows=2000, fact_rows=6000)
+    serial, _ = engines(tables)
+    sharded, _ = engines(tables, parallel_exec=1)
+    for sql in (
+        "SELECT d.g, count(*) AS n, sum(f.j) AS s FROM f JOIN d ON f.k = d.id "
+        "GROUP BY d.g ORDER BY d.g",
+        JOIN + " WHERE d.g = 2",
+    ):
+        assert serial.execute(sql).equals(sharded.execute(sql)), sql
+    assert serial.stats["key_index_joins"] == 2
+    assert sharded.stats["parallel_exec_join_dispatches"] == 1
+    assert sharded.stats["key_index_joins"] == 1  # the non-aggregate join
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's statements
+# ---------------------------------------------------------------------------
+
+
+def test_benchmark_statements_take_the_index_path_and_build_nothing_at_setup():
+    dataset = build.generate(3, 0.2)
+    database, connection = build.build_engine(dataset)
+    try:
+        assert database.stats["key_index_builds"] == 0
+        cursor = connection.cursor()
+        ops = queries.dash_ops(3)[:6] + queries.tpch_ops()
+        exact = ExecutionOptions(mode="exact")
+
+        def run_all():
+            for op in ops:
+                cursor.execute(op.text, op.params)
+                cursor.fetchall()
+                connection.execute(op.text, op.params, options=exact).fetchall()
+
+        run_all()
+        builds = database.stats["key_index_builds"]
+        joins = database.stats["key_index_joins"]
+        assert builds > 0 and joins > 0
+        run_all()
+        assert database.stats["key_index_builds"] == builds  # reused, not rebuilt
+        assert database.stats["key_index_joins"] == 2 * joins
+    finally:
+        connection.close()
+        database.close()
+
+
+# ---------------------------------------------------------------------------
+# known key-semantics bugs, pinned against SQLite (the index keeps them)
+# ---------------------------------------------------------------------------
+
+
+def both_backends(tables: dict[str, dict[str, np.ndarray]]):
+    engine = Database(seed=0)
+    sqlite = SqliteConnector(seed=0)
+    for name, columns in tables.items():
+        engine.register_table(name, columns)
+        sqlite.load_table(name, columns)
+    return engine, sqlite
+
+
+def answers(engine: Database, sqlite: SqliteConnector, sql: str):
+    ours = [tuple(value.item() for value in row) for row in engine.execute(sql).fetchall()]
+    return ours, sqlite.execute_sql(sql).fetchall()
+
+
+@pytest.mark.xfail(strict=True, reason="JOIN ... ON matches a NULL key to a NULL key")
+def test_null_keys_never_match():
+    engine, sqlite = both_backends(
+        {"a": {"k": np.array([1.0, np.nan])}, "b": {"j": np.array([1.0, np.nan])}}
+    )
+    try:
+        where = answers(engine, sqlite, "SELECT count(*) AS n FROM a, b WHERE a.k = b.j")
+        assert where[0] == where[1] == [(1,)]
+        on = answers(engine, sqlite, "SELECT count(*) AS n FROM a JOIN b ON a.k = b.j")
+        assert on[0] == on[1]
+    finally:
+        sqlite.close()
+
+
+@pytest.mark.xfail(strict=True, reason="int64 keys compare as float64 above 2**53")
+def test_int64_keys_above_2_53_compare_exactly():
+    big = np.array([BIG, BIG + 1], dtype=np.int64)
+    engine, sqlite = both_backends(
+        {"a": {"k": big, "r": np.arange(2)}, "b": {"j": np.array([BIG + 1], dtype=np.int64)}}
+    )
+    try:
+        grouped = answers(engine, sqlite, "SELECT k, count(*) AS n FROM a GROUP BY k ORDER BY k")
+        assert grouped[0] == grouped[1]  # GROUP BY already keeps them apart
+        joined = answers(engine, sqlite, "SELECT a.r FROM a JOIN b ON a.k = b.j ORDER BY a.r")
+        filtered = answers(engine, sqlite, f"SELECT r FROM a WHERE k = {BIG + 1} ORDER BY r")
+        assert joined[0] == joined[1] and filtered[0] == filtered[1]
+    finally:
+        sqlite.close()
+
+
+def test_key_index_keeps_todays_key_semantics():
+    """The two bugs above hold with and without the index path."""
+    tables = {
+        "a": {"k": np.array([1.0, np.nan, float(BIG)]), "r": np.arange(3)},
+        "b": {"j": np.array([BIG + 1, 1], dtype=np.int64)},
+        "c": {"j": np.array([np.nan, 1.0])},
+    }
+    optimized, naive = engines(tables)
+    assert assert_same(optimized, naive, "SELECT a.r FROM a JOIN b ON a.k = b.j").num_rows == 2
+    assert assert_same(optimized, naive, "SELECT a.r FROM a JOIN c ON a.k = c.j").num_rows == 2
+    assert optimized.stats["key_index_joins"] == 1  # c.j holds a NULL: not a key
+
+
+def test_connect_uses_the_key_index():
+    with repro.connect() as connection:
+        session = connection.session
+        tables = star_tables()
+        for name, columns in tables.items():
+            session.load_table(name, columns)
+        connection.execute(JOIN).fetchall()
+        assert session.connector.database.stats["key_index_joins"] == 1
