@@ -1,21 +1,13 @@
-"""Benchmark — resilience overhead and worker-supervision recovery.
+"""Benchmark — what cooperative deadline checkpoints cost.
 
-Two workloads measure what the round-7 fault-tolerance layer costs (and
-saves), both A/B-verified bit-identical against the serial engine:
+One workload, A/B-verified bit-identical against the naive engine:
 
-* **checkpoint_overhead** — per-query latency of the warm shared-memory
-  dispatch path *with* an (unexpiring) ``QueryDeadline`` threaded through
-  every cooperative checkpoint vs the same engine with no deadline at all.
-  The floor guards the tentpole's overhead promise: deadline checkpoints
-  must cost no more than ~5% on the ``shm_dispatch`` hot path (speedup =
-  no-deadline seconds / with-deadline seconds >= 0.95).
-* **worker_kill_recovery** — per-query latency after SIGKILLing one pool
-  worker (supervision: reap + respawn one process, re-publish *metadata*
-  only — the column bytes stay in shared memory) vs the pre-supervision
-  recovery story: tearing the whole pool down and rebuilding it cold
-  (respawn every worker, re-copy every column into a fresh segment).  The
-  floor asserts supervised recovery is at least as fast as a cold rebuild;
-  in practice it is several times faster because no column bytes move.
+* **checkpoint_overhead** — per-query latency of a warm grouped aggregation
+  *with* an (unexpiring) ``QueryDeadline`` threaded through every
+  cooperative checkpoint vs the same engine with no deadline at all.  The
+  floor guards the overhead promise: deadline checkpoints must cost no more
+  than ~5% of the query (speedup = no-deadline seconds / with-deadline
+  seconds >= 0.95).
 
 Results are written to ``benchmarks/BENCH_resilience.json``.  Run standalone
 with ``PYTHONPATH=src python benchmarks/bench_resilience.py`` — the
@@ -27,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import time
 from pathlib import Path
 
@@ -40,14 +31,13 @@ RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_resilience.json"
 
 ROWS = 600_000
 QUICK_ROWS = 120_000
-WORKERS = 2
 
 GROUP_SQL = (
     "SELECT region, count(*) AS n, sum(qty) AS total "
     "FROM sales GROUP BY region ORDER BY region"
 )
 
-FLOORS = {"checkpoint_overhead": 0.95, "worker_kill_recovery": 1.0}
+FLOORS = {"checkpoint_overhead": 0.95}
 
 
 def _sales_columns(quick: bool) -> dict:
@@ -61,14 +51,8 @@ def _sales_columns(quick: bool) -> dict:
     }
 
 
-def _build_engine(columns: dict, **kwargs) -> Database:
-    engine = Database(seed=0, parallel_exec=WORKERS, **kwargs)
-    engine.register_table("sales", columns)
-    return engine
-
-
 def run(quick: bool = False) -> dict:
-    """Run both workloads, A/B-verify results, and write the comparison JSON."""
+    """Run the workload, A/B-verify results, and write the comparison JSON."""
     cores = os.cpu_count() or 1
     report: dict = {"unit": "seconds_per_query", "cores": cores, "workloads": {}}
     columns = _sales_columns(quick)
@@ -77,84 +61,37 @@ def run(quick: bool = False) -> dict:
     naive = Database(seed=0, optimize=False)
     naive.register_table("sales", columns)
     expected = naive.execute(GROUP_SQL)
-    naive.close()
 
-    # -- checkpoint_overhead: deadline threading on the warm dispatch path --
-    engine = _build_engine(columns)
-    try:
-        engine.execute(GROUP_SQL)  # warmup: publish columns, spawn workers
+    engine = Database(seed=0)
+    engine.register_table("sales", columns)
+    engine.execute(GROUP_SQL)  # warmup: dictionary codes, statement and plan caches
 
-        def batch(with_deadline: bool) -> float:
-            started = time.perf_counter()
-            for _ in range(repeats):
-                deadline = QueryDeadline(3600.0) if with_deadline else None
-                batch.result = engine.execute(GROUP_SQL, deadline=deadline)
-            return (time.perf_counter() - started) / repeats
+    def batch(with_deadline: bool) -> float:
+        started = time.perf_counter()
+        for _ in range(repeats):
+            deadline = QueryDeadline(3600.0) if with_deadline else None
+            batch.result = engine.execute(GROUP_SQL, deadline=deadline)
+        return (time.perf_counter() - started) / repeats
 
-        # Alternate the arms and keep each arm's best batch: on small shared
-        # machines scheduler noise between two single back-to-back loops
-        # easily exceeds the few checkpoint calls being measured.
-        bare_seconds = guarded_seconds = float("inf")
-        for _ in range(3):
-            bare_seconds = min(bare_seconds, batch(False))
-            bare_result = batch.result
-            guarded_seconds = min(guarded_seconds, batch(True))
-            guarded_result = batch.result
-        if not bare_result.equals(expected) or not guarded_result.equals(expected):
-            raise AssertionError("checkpoint_overhead: a fast path changed the results")
-        if engine.exec_workers >= 2 and not engine.stats["parallel_exec_dispatches"]:
-            raise AssertionError("checkpoint_overhead: the sharded path never ran")
-        report["workloads"]["checkpoint_overhead"] = {
-            "baseline": "warm shm dispatch without a deadline",
-            "baseline_seconds": round(bare_seconds, 6),
-            "optimized_seconds": round(guarded_seconds, 6),
-            "speedup": round(bare_seconds / guarded_seconds, 2),
-            "floor": FLOORS["checkpoint_overhead"],
-            "floor_min_cores": 2,
-            "workers": WORKERS,
-            "repeats": repeats,
-        }
-    finally:
-        engine.close()
-
-    # -- worker_kill_recovery: supervised respawn vs cold pool rebuild ------
-    engine = _build_engine(columns)
-    try:
-        engine.execute(GROUP_SQL)  # warmup
-        kill_repeats = max(3, repeats // 3)
-        if engine.exec_workers >= 2:
-            started = time.perf_counter()
-            for _ in range(kill_repeats):
-                pool = engine._shard_pool
-                os.kill(pool._processes[0].pid, signal.SIGKILL)
-                pool._processes[0].join(timeout=5)
-                supervised_result = engine.execute(GROUP_SQL)
-            supervised_seconds = (time.perf_counter() - started) / kill_repeats
-            if not supervised_result.equals(expected):
-                raise AssertionError("worker_kill_recovery: recovery changed the results")
-            if engine.stats["worker_respawns"] < kill_repeats:
-                raise AssertionError("worker_kill_recovery: supervision never respawned")
-            started = time.perf_counter()
-            for _ in range(kill_repeats):
-                engine.close()  # kill workers, unlink segments: full cold rebuild
-                cold_result = engine.execute(GROUP_SQL)
-            cold_seconds = (time.perf_counter() - started) / kill_repeats
-            if not cold_result.equals(expected):
-                raise AssertionError("worker_kill_recovery: cold rebuild changed the results")
-        else:  # pragma: no cover - single-core fallback, floor is skipped
-            supervised_seconds = cold_seconds = float("nan")
-        report["workloads"]["worker_kill_recovery"] = {
-            "baseline": "full pool teardown + republish (cold rebuild)",
-            "baseline_seconds": round(cold_seconds, 6),
-            "optimized_seconds": round(supervised_seconds, 6),
-            "speedup": round(cold_seconds / supervised_seconds, 2),
-            "floor": FLOORS["worker_kill_recovery"],
-            "floor_min_cores": 2,
-            "workers": WORKERS,
-            "repeats": kill_repeats,
-        }
-    finally:
-        engine.close()
+    # Alternate the arms and keep each arm's best batch: on small shared
+    # machines scheduler noise between two single back-to-back loops easily
+    # exceeds the few checkpoint calls being measured.
+    bare_seconds = guarded_seconds = float("inf")
+    for _ in range(3):
+        bare_seconds = min(bare_seconds, batch(False))
+        bare_result = batch.result
+        guarded_seconds = min(guarded_seconds, batch(True))
+        guarded_result = batch.result
+    if not bare_result.equals(expected) or not guarded_result.equals(expected):
+        raise AssertionError("checkpoint_overhead: a fast path changed the results")
+    report["workloads"]["checkpoint_overhead"] = {
+        "baseline": "warm grouped aggregation without a deadline",
+        "baseline_seconds": round(bare_seconds, 6),
+        "optimized_seconds": round(guarded_seconds, 6),
+        "speedup": round(bare_seconds / guarded_seconds, 2),
+        "floor": FLOORS["checkpoint_overhead"],
+        "repeats": repeats,
+    }
 
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -165,10 +102,8 @@ def test_resilience_floors(report):
     rows = [
         {"workload": name, **metrics} for name, metrics in records["workloads"].items()
     ]
-    report["Fault tolerance — checkpoint overhead and recovery"] = rows
+    report["Fault tolerance — checkpoint overhead"] = rows
     for name, metrics in records["workloads"].items():
-        if records["cores"] < metrics.get("floor_min_cores", 0):
-            continue  # hardware-gated floor (FLOOR_MIN_CORES)
         assert metrics["speedup"] >= metrics["floor"], (name, metrics)
 
 

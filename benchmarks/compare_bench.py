@@ -30,9 +30,9 @@ Flags:
   forwards it) whose fresh JSON is about to be committed as the new baseline.
 
 Floors that depend on hardware are gated: ``FLOOR_MIN_CORES`` lists the
-minimum CPU-core count a workload's floor assumes (e.g. process-sharded
-aggregation can only win on a multi-core machine).  A report produced on a smaller
-machine records the measurement but skips the floor.
+minimum CPU-core count a workload's floor assumes (e.g. many concurrent
+socket clients can only out-serve one on a multi-core machine).  A report
+produced on a smaller machine records the measurement but skips the floor.
 """
 
 from __future__ import annotations
@@ -68,21 +68,10 @@ FLOORS: dict[str, dict[str, float]] = {
         "prepared_reexec": 3.0,
         "adhoc_literals": 1.5,
     },
-    "BENCH_parallel.json": {
-        "parallel_group_agg": 2.5,
-        "shm_dispatch": 1.3,
-    },
-    # End-to-end AQP: an approximate grouped query through repro.connect(),
-    # sharded by the pool vs the same query pinned serial (parallel=False).
-    "BENCH_aqp_parallel.json": {
-        "aqp_parallel": 1.3,
-    },
-    # Resilience guards: deadline checkpoints must stay within ~5% of the
-    # bare shm_dispatch hot path, and supervised worker recovery must beat
-    # a cold pool rebuild.
+    # Resilience guard: deadline checkpoints must cost at most ~5% of a warm
+    # grouped aggregation.
     "BENCH_resilience.json": {
         "checkpoint_overhead": 0.95,
-        "worker_kill_recovery": 1.0,
     },
     # Serving tier: one socket client's median latency may be at most twice
     # the same statement's in-process (holds on any core count); sustained QPS
@@ -98,9 +87,6 @@ FLOORS: dict[str, dict[str, float]] = {
 # count they were measured on; on smaller machines the floor is skipped (the
 # measurement is still recorded and diffed).
 FLOOR_MIN_CORES: dict[str, dict[str, int]] = {
-    "BENCH_parallel.json": {"parallel_group_agg": 4, "shm_dispatch": 2},
-    "BENCH_aqp_parallel.json": {"aqp_parallel": 4},
-    "BENCH_resilience.json": {"checkpoint_overhead": 2, "worker_kill_recovery": 2},
     "BENCH_serving.json": {"serving_concurrency": 4},
 }
 

@@ -1,7 +1,7 @@
 """Run every tracked benchmark suite and gate the speedup floors.
 
 Runs the engine hot-path, middleware hot-path, storage-skipping, API,
-parallel, resilience and serving benchmarks back to back, rewrites their
+resilience and serving benchmarks back to back, rewrites their
 ``BENCH_*.json`` reports, diffs each against the committed
 baseline and exits non-zero when any asserted speedup floor regresses:
 
@@ -38,8 +38,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR))
 
 import bench_api_hotpath  # noqa: E402
-import bench_aqp_parallel  # noqa: E402
-import bench_parallel_agg  # noqa: E402
 import bench_planner_hotpath  # noqa: E402
 import bench_resilience  # noqa: E402
 import bench_serving  # noqa: E402
@@ -52,8 +50,6 @@ SUITES = [
     (bench_verdict_hotpath, "BENCH_verdict.json"),
     (bench_storage_skipping, "BENCH_storage.json"),
     (bench_api_hotpath, "BENCH_api.json"),
-    (bench_parallel_agg, "BENCH_parallel.json"),
-    (bench_aqp_parallel, "BENCH_aqp_parallel.json"),
     (bench_resilience, "BENCH_resilience.json"),
     (bench_serving, "BENCH_serving.json"),
 ]

@@ -92,7 +92,7 @@ def main() -> None:
 
         # 4. One typed HealthReport over the wire: engine + pool + server.
         report = connection.health_check()
-        print(f"health: ok={report.ok}, circuit={report.circuit_state}, "
+        print(f"health: ok={report.ok}, status={report.status}, "
               f"pool in_use={report.pool['in_use']}/{report.pool['size']}, "
               f"served={report.server['served']}")
 

@@ -71,7 +71,7 @@ def connect(
             ``checkout_timeout``, ``max_idle_seconds``, ...) configure the
             pool.
         database_kwargs: constructor arguments for a freshly created
-            :class:`~repro.sqlengine.engine.Database` (``parallel_exec``,
+            :class:`~repro.sqlengine.engine.Database` (``seed``,
             ``chunk_rows``, ``optimize``, ...); mutually exclusive with
             ``connector`` and ``database``.
         subsample_count: number of subsamples carried by newly built samples.
@@ -142,7 +142,7 @@ class VerdictConnection:
 
         ``release_backend=False`` (used by the connection pool when recycling
         a member) closes the connection and its session but leaves the shared
-        engine's worker pools running for the pool's other connections.
+        backend open for the pool's other connections.
         """
         if self._closed:
             return
@@ -184,7 +184,7 @@ class VerdictConnection:
         return PreparedStatement(self.session, sql)
 
     def health_check(self) -> HealthReport:
-        """Backend liveness/degradation report (circuit state, worker counts).
+        """Backend liveness report (status, backend name, counters).
 
         Cheap — no query is issued; safe to poll from a monitoring thread.
         Returns the same typed :class:`~repro.health.HealthReport` as

@@ -44,20 +44,13 @@ class ExecutionOptions:
             ``ApproximateResult.budget_degraded`` set.
         timeout_seconds: *hard* deadline.  A cooperative
             :class:`~repro.faults.QueryDeadline` is threaded through the
-            whole pipeline (executor checkpoints, shard-pool collects,
-            backend drivers); expiry cancels the running query with
+            whole pipeline (executor checkpoints, backend drivers); expiry
+            cancels the running query with
             :class:`~repro.errors.QueryTimeoutError` instead of letting it
             finish.  Independent of ``time_budget_seconds``.
         on_contract_violation: ``"rerun"`` (re-run exactly, the default),
             ``"raise"`` (raise :class:`~repro.errors.AccuracyContractError`)
             or ``"keep"`` (return the approximate answer anyway).
-        parallel: per-query override of the backend's process-sharded
-            execution.  ``False`` pins every statement this query issues
-            (rewritten subsample parts included) to the serial executor —
-            the A/B escape hatch proving parallel results bit-identical.
-            ``None``/``True`` leave the engine's ``parallel_exec`` setting
-            in charge; ``True`` cannot enable sharding on an engine created
-            without workers.
     """
 
     accuracy: float | None = None
@@ -68,7 +61,6 @@ class ExecutionOptions:
     time_budget_seconds: float | None = None
     timeout_seconds: float | None = None
     on_contract_violation: str = "rerun"
-    parallel: bool | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:

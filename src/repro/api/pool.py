@@ -3,7 +3,7 @@
 ``repro.connect(pool_size=N)`` (or :class:`ConnectionPool` directly) builds a
 bounded pool of :class:`~repro.api.connection.VerdictConnection`\\ s that all
 attach to **one** backend engine: the pool members share the engine's
-catalog, samples, caches, shard workers and circuit breaker, so a service
+catalog, samples and caches, so a service
 can serve many concurrent requests without paying a session bring-up per
 request — the deployment shape the paper's "middleware in front of the
 warehouse" story implies.
@@ -144,7 +144,7 @@ class ConnectionPool:
         """Dispose every member and release the shared backend (idempotent).
 
         Members currently checked out are disposed when they are returned;
-        the backend's worker pools are shut down once, here.
+        the backend is closed once, here.
         """
         with self._condition:
             if self._closed:
@@ -157,8 +157,8 @@ class ConnectionPool:
             self._dispose(entry)
             with self._condition:
                 self._size -= 1
-        # Release the shared backend exactly once (recoverable: the engine
-        # object survives and would recreate its pools if reused).
+        # Release the shared backend exactly once (the engine object
+        # survives and stays usable).
         if self._connector is not None:
             self._connector.close()
         elif self._database is not None:

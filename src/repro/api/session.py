@@ -191,16 +191,13 @@ class VerdictSession:
     def close(self, release_backend: bool = True) -> None:
         """Release backend resources (idempotent).
 
-        For the builtin engine this shuts down the ``parallel_exec`` shard
-        pool — including unlinking every shared-memory column segment it
-        published; the engine object itself stays usable by other sessions
-        (a later query simply recreates the pool and republishes columns on
-        demand).
+        Closes the connector (for SQLite, its database connection); the
+        builtin engine object itself stays usable by other sessions.
 
         ``release_backend=False`` closes only the session (its caches and
-        cursors become unusable) while leaving the backend's worker pools
-        alive — the connection pool uses this when recycling one session
-        over an engine shared by its siblings.
+        cursors become unusable) while leaving the backend open — the
+        connection pool uses this when recycling one session over an engine
+        shared by its siblings.
         """
         if self._closed:
             return
@@ -367,22 +364,18 @@ class VerdictSession:
 
         statement = template.statement
         if not isinstance(statement, ast.SelectStatement):
-            result = self.connector.execute(
-                statement, bound, deadline=deadline, parallel=options.parallel
-            )
+            result = self.connector.execute(statement, bound, deadline=deadline)
             return self._exact_result(result, started)
 
         if options.mode == "exact":
             return self._execute_exact_select(
-                statement, started, "exact mode requested", bound, deadline,
-                parallel=options.parallel,
+                statement, started, "exact mode requested", bound, deadline
             )
 
         analysis = template.analysis
         if not analysis.supported:
             return self._execute_exact_select(
-                statement, started, analysis.unsupported_reason, bound, deadline,
-                parallel=options.parallel,
+                statement, started, analysis.unsupported_reason, bound, deadline
             )
 
         plan = self._plan(analysis, token, sample_hint=options.sample_hint)
@@ -390,9 +383,7 @@ class VerdictSession:
             reason = "no feasible sample plan within the I/O budget"
             if options.sample_hint is not None:
                 reason = f"no feasible plan using sample hint {options.sample_hint!r}"
-            return self._execute_exact_select(
-                statement, started, reason, bound, deadline, parallel=options.parallel
-            )
+            return self._execute_exact_select(statement, started, reason, bound, deadline)
 
         confidence = (
             self.confidence if options.confidence is None else options.confidence
@@ -408,11 +399,10 @@ class VerdictSession:
                 params=bound,
                 confidence=confidence,
                 deadline=deadline,
-                parallel=options.parallel,
             )
         except RewriteError as error:
             return self._execute_exact_select(
-                statement, started, str(error), bound, deadline, parallel=options.parallel
+                statement, started, str(error), bound, deadline
             )
         except (QueryTimeoutError, QueryCancelledError):
             raise  # a dead deadline must not trigger a second, exact attempt
@@ -429,7 +419,6 @@ class VerdictSession:
                 f"approximate execution failed ({error}); degraded to exact",
                 bound,
                 deadline,
-                parallel=options.parallel,
             )
         result.elapsed_seconds = time.perf_counter() - started
 
@@ -529,7 +518,7 @@ class VerdictSession:
         # experienced — not just the fallback execution.
         return self._execute_exact_select(
             statement, started, "accuracy contract violated; re-running exactly",
-            params, deadline, parallel=options.parallel,
+            params, deadline
         )
 
     def _fact(self, key: tuple, token: object, read: Callable[[], Any]) -> Any:
@@ -555,11 +544,8 @@ class VerdictSession:
         reason: str,
         params: Mapping | None = None,
         deadline: QueryDeadline | None = None,
-        parallel: bool | None = None,
     ) -> ApproximateResult:
-        result = self.connector.execute(
-            statement, params, deadline=deadline, parallel=parallel
-        )
+        result = self.connector.execute(statement, params, deadline=deadline)
         answer = self._exact_result(result, started)
         answer.plan_description = f"exact execution ({reason})"
         return answer
@@ -649,7 +635,6 @@ class VerdictSession:
         params: Mapping | None = None,
         confidence: float | None = None,
         deadline: QueryDeadline | None = None,
-        parallel: bool | None = None,
     ) -> ApproximateResult:
         include_errors = self.include_errors if include_errors is None else include_errors
         confidence = self.confidence if confidence is None else confidence
@@ -657,9 +642,7 @@ class VerdictSession:
             statement, analysis, plan, include_errors, shape_key, token
         )
         if prepared is None:
-            result = self.connector.execute(
-                statement, params, deadline=deadline, parallel=parallel
-            )
+            result = self.connector.execute(statement, params, deadline=deadline)
             answer = ApproximateResult(result, is_exact=True, confidence=confidence)
             answer.plan_description = "exact execution (mixed aggregate kinds in one item)"
             return answer
@@ -678,7 +661,7 @@ class VerdictSession:
         with self.connector.consistent_read():
             if prepared.primary is not None:
                 primary_result = self.connector.execute(
-                    prepared.primary_sql, params, deadline=deadline, parallel=parallel
+                    prepared.primary_sql, params, deadline=deadline
                 )
                 estimate_columns.update(prepared.primary.estimate_columns)
 
@@ -687,7 +670,7 @@ class VerdictSession:
                 secondary_results.append(
                     (
                         self.connector.execute(
-                            prepared.distinct_sql, params, deadline=deadline, parallel=parallel
+                            prepared.distinct_sql, params, deadline=deadline
                         ),
                         prepared.distinct.estimate_columns,
                     )
@@ -696,7 +679,7 @@ class VerdictSession:
                 secondary_results.append(
                     (
                         self.connector.execute(
-                            prepared.extreme_sql, params, deadline=deadline, parallel=parallel
+                            prepared.extreme_sql, params, deadline=deadline
                         ),
                         prepared.extreme_columns,
                     )

@@ -85,7 +85,6 @@ class Connector(abc.ABC):
         sql: str,
         params: Sequence | Mapping | None = None,
         deadline=None,
-        parallel: bool | None = None,
     ) -> ResultSet:
         """Execute raw SQL text on the backend and return its result.
 
@@ -95,9 +94,7 @@ class Connector(abc.ABC):
         ``deadline`` is an optional :class:`~repro.faults.QueryDeadline` the
         backend should honour cooperatively; drivers without a cancellation
         hook may ignore it (the deadline is still enforced at the next
-        middleware checkpoint).  ``parallel=False`` asks the backend to pin
-        this statement to its serial path; backends without a parallel
-        executor ignore it.
+        middleware checkpoint).
         """
 
     def execute(
@@ -105,7 +102,6 @@ class Connector(abc.ABC):
         statement: ast.Statement | str,
         params: Sequence | Mapping | None = None,
         deadline=None,
-        parallel: bool | None = None,
     ) -> ResultSet:
         """Execute an AST statement (rendered via the Syntax Changer) or raw SQL."""
         if isinstance(statement, str):
@@ -119,7 +115,7 @@ class Connector(abc.ABC):
             deadline.check()
         is_select = sql.lstrip()[:6].upper() == "SELECT"
         self.queries_issued.append(sql if is_select else sql[:LOGGED_DML_PREFIX])
-        result = self.execute_sql(sql, params, deadline=deadline, parallel=parallel)
+        result = self.execute_sql(sql, params, deadline=deadline)
         if not result.column_names:
             # Counted only once the write has landed: a concurrent reader may
             # file a post-write value under the old token (harmless, it is
@@ -131,8 +127,8 @@ class Connector(abc.ABC):
         """Cheap liveness/degradation report for this backend.
 
         Default: a static "ok" :class:`~repro.health.HealthReport` —
-        connectors whose backend tracks failure state (the builtin engine's
-        circuit breaker) override this.
+        connectors whose backend reports its own gauges (the builtin engine)
+        override this.
         """
         return HealthReport(status="ok", backend=type(self).__name__)
 
@@ -239,11 +235,11 @@ class Connector(abc.ABC):
         """Materialize ``target`` as ``source`` ordered by ``order_column``.
 
         Plain ``CREATE TABLE ... AS SELECT * ... ORDER BY`` so it works on
-        every backend.  The sample builder uses it to cluster scrambles by
-        subsample id: with chunked storage the sid column's zone maps become
-        tight, so per-sid reads skip most of the scramble.  The built-in
-        engine records the order as ``Table.clustered_on``, which its
-        sharded aggregation reads.
+        every backend.  The sample builder writes every scramble in
+        subsample-id order with it: that physical row order is part of the
+        sample, so answers over it are bit-identical for a fixed seed, and
+        with chunked storage the sid column's zone maps stay tight.  Nothing
+        records the order; it is only the order the rows were written in.
         """
         select = ast.SelectStatement(
             select_items=[ast.SelectItem(ast.Star())],

@@ -46,12 +46,10 @@ class BuiltinConnector(Connector):
         )
         self.fixed_overhead_seconds = fixed_overhead_seconds
 
-    def execute_sql(self, sql: str, params=None, deadline=None, parallel=None) -> ResultSet:
+    def execute_sql(self, sql: str, params=None, deadline=None) -> ResultSet:
         if self.fixed_overhead_seconds > 0:
             time.sleep(self.fixed_overhead_seconds)
-        return self.database.execute(
-            sql, params=params, deadline=deadline, parallel=parallel
-        )
+        return self.database.execute(sql, params=params, deadline=deadline)
 
     @property
     def fault_injector(self):
@@ -106,7 +104,7 @@ class BuiltinConnector(Connector):
         self.database.append_columns(table, columns)
 
     def close(self) -> None:
-        """Release the engine's worker threads (the engine object survives)."""
+        """Close the engine (the engine object survives and stays usable)."""
         self.database.close()
 
 

@@ -99,8 +99,7 @@ class SqliteConnector(Connector):
 
     # -- Connector API ----------------------------------------------------------
 
-    def execute_sql(self, sql: str, params=None, deadline=None, parallel=None) -> ResultSet:
-        # ``parallel`` is a builtin-engine hint; SQLite has no sharded path.
+    def execute_sql(self, sql: str, params=None, deadline=None) -> ResultSet:
         if deadline is not None:
             # SQLite's progress handler fires every N VM instructions; a
             # nonzero return aborts the running statement with

@@ -12,15 +12,13 @@ Two small, dependency-free building blocks shared by every layer:
   :class:`~repro.errors.QueryCancelledError`.
 
 * :class:`FaultInjector` — a registry of *named failpoints* compiled into
-  the production code paths (shard publish/dispatch/collect, connector I/O,
-  sample builds, executor checkpoints).  Sites are inert unless a
-  :class:`FaultSpec` is configured for them via
-  ``Database(fault_injection={...})``; activation is deterministic (seeded
-  probability, skip-the-first-``after`` passes, fire at most ``times``
-  times), so the chaos suite replays identical failure schedules across
-  runs.  A spec either raises :class:`InjectedFault`, sleeps (simulating a
-  slow backend), or triggers a site-supplied *action* such as killing a
-  worker process mid-dispatch.
+  the production code paths (connector I/O, sample builds, executor
+  checkpoints).  Sites are inert unless a :class:`FaultSpec` is configured
+  for them via ``Database(fault_injection={...})``; activation is
+  deterministic (seeded probability, skip-the-first-``after`` passes, fire
+  at most ``times`` times), so the chaos suite replays identical failure
+  schedules across runs.  A spec either raises :class:`InjectedFault` or
+  sleeps (simulating a slow backend).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -173,18 +171,14 @@ class DeadlineRegistry:
 #: configuration are almost always typos, so they are rejected up front.
 KNOWN_SITES = frozenset(
     {
-        "shardpool.publish",
-        "shardpool.dispatch",
-        "shardpool.collect",
         "connector.execute",
         "sample.build",
         "executor.checkpoint",
     }
 )
 
-#: Spec kinds: raise an error, sleep (simulate slowness), or run a
-#: site-supplied action callable (e.g. kill a worker, unlink a segment).
-KINDS = ("error", "sleep", "action")
+#: Spec kinds: raise an error or sleep (simulate slowness).
+KINDS = ("error", "sleep")
 
 
 @dataclass(frozen=True)
@@ -193,15 +187,11 @@ class FaultSpec:
 
     Attributes:
         kind: ``"error"`` raises :class:`InjectedFault`, ``"sleep"`` blocks
-            for ``seconds``, ``"action"`` invokes the callable the site
-            passed under ``action`` (falling back to ``"error"`` when the
-            site offers no such action).
+            for ``seconds``.
         times: maximum number of activations (None = unlimited).
         after: skip the first ``after`` passes through the site.
         probability: seeded per-pass activation probability.
         seconds: sleep duration for ``kind="sleep"``.
-        action: name of the site-supplied action for ``kind="action"``
-            (e.g. ``"kill_worker"``, ``"unlink_segment"``).
         message: text carried by the injected error.
     """
 
@@ -210,7 +200,6 @@ class FaultSpec:
     after: int = 0
     probability: float = 1.0
     seconds: float = 0.05
-    action: str | None = None
     message: str | None = None
 
     def __post_init__(self) -> None:
@@ -218,8 +207,6 @@ class FaultSpec:
             raise ConfigurationError(f"fault kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigurationError("fault probability must be within [0, 1]")
-        if self.kind == "action" and not self.action:
-            raise ConfigurationError('kind="action" requires an action name')
 
 
 class FaultInjector:
@@ -255,13 +242,10 @@ class FaultInjector:
     def spec(self, site: str) -> FaultSpec | None:
         return self._specs.get(site)
 
-    def fire(self, site: str, actions: Mapping[str, Callable[[], None]] | None = None) -> bool:
+    def fire(self, site: str) -> bool:
         """Run the site's configured fault if it activates on this pass.
 
-        Returns True when a fault fired.  ``actions`` supplies the callables
-        an ``"action"`` spec may trigger at this site; an action spec whose
-        name the site does not offer degrades to raising the error (so a
-        misconfigured action is loud, not silent).
+        Returns True when a sleep fault fired; an error fault raises.
         """
         spec = self._specs.get(site)
         if spec is None:
@@ -278,9 +262,6 @@ class FaultInjector:
             self.triggered[site] += 1
         if spec.kind == "sleep":
             time.sleep(spec.seconds)
-            return True
-        if spec.kind == "action" and actions and spec.action in actions:
-            actions[spec.action]()
             return True
         raise InjectedFault(spec.message or f"injected fault at {site}")
 

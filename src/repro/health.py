@@ -3,7 +3,7 @@
 Every health entry point — ``Database.health()``,
 ``connection.health_check()``, ``ConnectionPool.health()`` and
 ``VerdictServer.health()`` — returns one frozen :class:`HealthReport` with
-typed *sections* (engine, circuit breaker, connection pool, server) plus the
+typed *sections* (engine, connection pool, server) plus the
 raw ``stats`` counters; :meth:`HealthReport.as_sections` is its wire form.
 """
 
@@ -18,15 +18,11 @@ class HealthReport:
     """Typed liveness/degradation snapshot of one serving-stack layer.
 
     Attributes:
-        status: ``"ok"``, ``"degraded"`` (answers still correct, some
-            capability lost — e.g. the dispatch circuit is open) or
-            ``"draining"`` (a server refusing new work while in-flight
-            queries finish).
+        status: ``"ok"`` or ``"draining"`` (a server refusing new work
+            while in-flight queries finish).
         backend: class name of the reporting backend/connector.
-        engine: engine-level gauges (worker counts, pool liveness, published
-            shared-memory tables); empty for backends without an engine.
-        circuit: dispatch circuit-breaker section (``state``,
-            ``consecutive_failures``); empty when the backend has none.
+        engine: engine-level gauges; empty when the backend reports none
+            (the built-in engine's counters are all in ``stats``).
         pool: connection-pool section (sizing, checkouts, recycling) or None
             when no pool is involved.
         server: socket-server section (connections, running/queued queries,
@@ -39,7 +35,6 @@ class HealthReport:
     status: str = "ok"
     backend: str | None = None
     engine: dict[str, Any] = field(default_factory=dict)
-    circuit: dict[str, Any] = field(default_factory=dict)
     pool: dict[str, Any] | None = None
     server: dict[str, Any] | None = None
     stats: dict[str, int] = field(default_factory=dict)
@@ -50,13 +45,9 @@ class HealthReport:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    @property
-    def circuit_state(self) -> str | None:
-        return cast("str | None", self.circuit.get("state"))
-
     def section(self, name: str) -> dict[str, Any] | None:
-        """One named section (``engine`` / ``circuit`` / ``pool`` / ``server``)."""
-        if name not in ("engine", "circuit", "pool", "server", "stats"):
+        """One named section (``engine`` / ``pool`` / ``server`` / ``stats``)."""
+        if name not in ("engine", "pool", "server", "stats"):
             raise KeyError(name)
         return cast("dict[str, Any] | None", getattr(self, name))
 
@@ -71,7 +62,6 @@ class HealthReport:
             "status": self.status,
             "backend": self.backend,
             "engine": dict(self.engine),
-            "circuit": dict(self.circuit),
             "pool": None if self.pool is None else dict(self.pool),
             "server": None if self.server is None else dict(self.server),
             "stats": dict(self.stats),

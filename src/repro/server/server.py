@@ -2,7 +2,7 @@
 
 One :class:`VerdictServer` owns a
 :class:`~repro.api.pool.ConnectionPool` (and therefore one shared engine:
-samples, caches and the circuit breaker are built once and serve every
+samples and caches are built once and serve every
 client).  Each accepted TCP connection gets two long-lived threads: a reader
 speaking the frame protocol of :mod:`repro.server.protocol`, and a worker the
 reader hands each QUERY to through a queue, so the reader stays responsive to

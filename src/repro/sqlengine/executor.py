@@ -14,29 +14,20 @@ base-table scan on one side that is a unique numeric key
 other, each probe key is looked up in that sorted index — a sample joined to
 a dimension table then costs the sample, not the dimension table.  Every
 other join hashes: both sides' keys are encoded together and the smaller
-side is sorted and probed.  ``optimize=False`` and the shard workers always
-hash.
+side is sorted and probed.  ``optimize=False`` always hashes.  A NULL key
+matches nothing on either path.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from collections.abc import Callable
 
 import numpy as np
 
-from repro.errors import CatalogError, ExecutionError, QueryCancelledError, QueryTimeoutError
-from repro.faults import InjectedFault
-from repro.sqlengine import (
-    functions,
-    partialagg,
-    planner as logical_planner,
-    shardpool,
-    sqlast as ast,
-)
+from repro.errors import ExecutionError
+from repro.sqlengine import functions, planner as logical_planner, sqlast as ast
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.encoding import merge_dictionaries, normalize_object_key
+from repro.sqlengine.encoding import merge_dictionaries, normalize_object_key, null_code
 from repro.sqlengine.expressions import (
     Frame,
     LazyCodes,
@@ -50,72 +41,6 @@ from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.table import KeyIndex, Table, find_sorted
 from repro.sqlengine.zonemaps import bind_zone_predicates
-
-
-# Default process-mode dispatch admission threshold: below this many rows per
-# shard, fork/pipe/merge overhead exceeds the per-shard work and dispatching
-# loses to the serial path outright (the honestly-recorded 0.74x on 2-core
-# boxes).  Setting ``Database.min_shard_rows = 0`` disables the gate.
-DEFAULT_MIN_SHARD_ROWS = 2048
-
-# A join's build side is re-materialized (whole) per shard; past this many
-# rows the duplicated build work and memory dominate and the query stays
-# serial.
-JOIN_BUILD_ROW_BOUND = 1 << 18
-
-# Process-unique tokens keying published dispatch specs in the shard pool's
-# cross-process plan cache (never reused, so a recycled ``SelectPlan`` can
-# never alias another statement's published spec).
-_plan_tokens = itertools.count()
-
-
-@dataclass
-class _ShardSpec:
-    """Frozen parallel-dispatch spec for one statement at one data version.
-
-    Cached on ``SelectPlan.shard_spec`` (plans are cached 1:1 with their
-    statements) and keyed on catalog/table versions, so re-executions of a
-    prepared statement skip the whole eligibility derivation — group-key
-    classification, aggregate classification.  ``worker_spec`` is the
-    statement-derived half of every task; in process mode it is pickled once
-    (``payload``) and published into the pool's shared-memory plan cache,
-    after which each dispatch ships only segment names, the shard's row
-    ranges and bound parameters.
-
-    The row ranges are the one part that may depend on the parameters (zone
-    pruning with bound operands): ``layout`` memoises the last
-    ``(bound zone predicates, per-shard ranges)`` pair, so a statement whose
-    zone operands are all literals — or are re-bound to the same values —
-    places its shard boundaries once.
-    """
-
-    statement: object
-    key: tuple
-    worker_spec: dict
-    tables: list  # [probe Table] or [probe Table, build Table]
-    specs: list
-    group_sources: list  # per key: ("column", side, stored_name) | ("expr",)
-    zone_predicates: list  # the probe scan's, possibly with placeholder operands
-    aligned_column: str | None
-    scalar: bool
-    is_join: bool
-    has_expr_keys: bool
-    token: int = field(default_factory=lambda: next(_plan_tokens))
-    payload: bytes | None = None
-    layout: tuple | None = None
-
-    @property
-    def aligned(self) -> bool:
-        return self.aligned_column is not None
-
-    def payload_bytes(self) -> bytes:
-        if self.payload is None:
-            import multiprocessing.reduction
-
-            self.payload = bytes(
-                multiprocessing.reduction.ForkingPickler.dumps(self.worker_spec)
-            )
-        return self.payload
 
 
 class _JoinCounter:
@@ -156,12 +81,8 @@ class Executor:
         optimize: bool = True,
         params: object | None = None,
         count: Callable[[str], None] | None = None,
-        exec_workers: int = 0,
-        shard_pool: Callable[[], object] | None = None,
         deadline: object | None = None,
         faults: object | None = None,
-        circuit: object | None = None,
-        min_shard_rows: int = 0,
     ) -> None:
         self._catalog = catalog
         self._rng = rng
@@ -171,27 +92,15 @@ class Executor:
         # which fast path actually ran and concurrent SELECTs over one shared
         # engine never lose increments.
         self._count_stat = count
-        # Process-sharded aggregation (``Database(parallel_exec=...)``):
-        # 1 = in-thread sharded mode (exercises the partial-aggregation merge
-        # with no processes), >= 2 = dispatch to the shared-memory worker
-        # pool produced by the lazy factory.
-        self._exec_workers = exec_workers
-        self._shard_pool = shard_pool
-        # Process-mode dispatch admission floor (rows per shard); 0 disables.
-        # The in-thread sharded mode ignores it — that mode exists to
-        # exercise the merge algebra on small fixtures, not to go fast.
-        self._min_shard_rows = min_shard_rows
         # Bound query-parameter values for Placeholder expressions; threaded
         # into every evaluation context (including scalar subqueries and
         # precomputed derived-table plans) so one cached plan serves every
         # parameter set.
         self._params = params
-        # Resilience wiring (round 7): the per-query cooperative deadline,
-        # the engine's fault injector (inert unless configured) and the
-        # dispatch circuit breaker over the shard pool.
+        # Resilience wiring: the per-query cooperative deadline and the
+        # engine's fault injector (inert unless configured).
         self._deadline = deadline
         self._faults = faults
-        self._circuit = circuit
 
     def _context(self, num_rows: int) -> functions.EvaluationContext:
         return functions.EvaluationContext(
@@ -225,15 +134,6 @@ class Executor:
         self._checkpoint()
         if self._optimize and plan is None:
             plan = logical_planner.plan_select(statement, self._catalog)
-        if self._optimize and self._exec_workers:
-            # Process-sharded (or in-thread sharded) partial aggregation:
-            # single-table grouped/scalar aggregation over shardable inputs
-            # is split into per-shard states and merged bit-identically; any
-            # ineligible shape — or a merge that cannot prove exactness —
-            # returns None and the serial path below computes the result.
-            fast = self._try_parallel_aggregate(statement, plan)
-            if fast is not None:
-                return fast
         frame = self._build_frame(statement.from_relation, plan)
         context = self._context(frame.num_rows)
 
@@ -258,563 +158,6 @@ class Executor:
     def _scalar_subquery(self, statement: ast.SelectStatement) -> object:
         result = self.execute_select(statement)
         return result.scalar()
-
-    # -- process-sharded aggregation ------------------------------------------
-
-    def _try_parallel_aggregate(
-        self, statement: ast.SelectStatement, plan: SelectPlan | None
-    ) -> ResultSet | None:
-        """Answer a grouped/scalar aggregation via shard merge.
-
-        Three dispatch tiers, all provably bit-identical or refused:
-
-        * single-table aggregation over bare-column *or* deterministic
-          expression group keys (expressions are row-local, evaluated
-          per-shard and merged on the same normalized key forms the serial
-          ``encode_grouping_key`` uses);
-        * one INNER single-equi-key hash join whose build side fits
-          ``JOIN_BUILD_ROW_BOUND``: the build table is broadcast through the
-          shared-memory publish path and joined against each probe shard in
-          the serial evaluation order (``hash_join_indices`` emits canonical
-          left-major pairs, so shard concatenation reproduces the serial
-          joined row order exactly);
-        * anything group-aligned — any bare probe group key matching the
-          probe table's clustering — which admits every row-local aggregate.
-
-        Eligibility derivation is cached on ``plan.shard_spec`` keyed by
-        catalog/table versions, and the frozen worker spec is published once
-        into the pool's cross-process plan cache — a repeated
-        prepared-statement execution ships only segment names, row ranges and
-        bound parameters.  Every other shape returns None and the serial
-        path computes the identical result, as does any dispatch where the
-        merge raises :class:`~repro.sqlengine.partialagg.ParallelFallback`.
-        """
-        if plan is None:
-            return None
-        if (
-            self._circuit is not None
-            and self._exec_workers >= 2
-            and not self._circuit.allow()
-        ):
-            # Open circuit: the serial path wins before any classification,
-            # publication check or pickling work is spent on this query.
-            self._count("circuit_short_circuits")
-            return None
-        spec = self._shard_dispatch_spec(statement, plan)
-        if spec is None:
-            return None
-        shards = self._shard_ranges(spec)
-        if shards is None:
-            return None
-        worker = spec.worker_spec
-        in_thread = self._exec_workers == 1
-        pool = None
-        if not in_thread:
-            if self._shard_pool is None:
-                return None
-            pool = self._shard_pool()
-            if pool is None:
-                return None
-
-        try:
-            if in_thread:
-                store = shardpool.table_column_store(spec.tables[0], worker["columns"])
-                build_store = None
-                join = worker.get("join")
-                if join is not None:
-                    build_store = shardpool.table_column_store(
-                        spec.tables[1], join["columns"]
-                    )
-                rng = np.random.default_rng(0)
-                states = []
-                for ranges in shards:
-                    task = dict(worker)
-                    task["ranges"] = ranges
-                    task["params"] = self._params
-                    states.append(
-                        shardpool.run_shard_task(store, task, rng, build_store)
-                    )
-            else:
-                with pool.lock:
-                    published = []
-                    for side, table in enumerate(spec.tables):
-                        result, fresh = pool.ensure_published(
-                            table, self._catalog.version, faults=self._faults
-                        )
-                        if result is None:
-                            self._count("parallel_exec_fallbacks")
-                            return None
-                        if fresh:
-                            self._count("shard_publications")
-                        side_columns = (
-                            worker["columns"] if side == 0
-                            else worker["join"]["columns"]
-                        )
-                        for column in side_columns:
-                            if (
-                                table.column_chunks(column)[0].dtype == object
-                                and column not in result.faithful
-                            ):
-                                # Dictionary reconstruction would change the
-                                # raw values (non-string objects normalize
-                                # lossily).
-                                self._count("parallel_exec_fallbacks")
-                                return None
-                        published.append(result)
-                    plan_name, plan_fresh = pool.publish_plan(
-                        (spec.token,), spec.payload_bytes()
-                    )
-                    self._count(
-                        "plan_cache_shm_publications"
-                        if plan_fresh
-                        else "plan_cache_shm_hits"
-                    )
-                    tasks = [
-                        {
-                            "plan": plan_name,
-                            "segment": published[0].key[-1],
-                            "ranges": ranges,
-                            "params": self._params,
-                        }
-                        for ranges in shards
-                    ]
-                    if len(published) == 2:
-                        for task in tasks:
-                            task["join_segment"] = published[1].key[-1]
-                    states = pool.run_tasks(
-                        tasks, deadline=self._deadline, faults=self._faults
-                    )
-                if self._circuit is not None:
-                    self._circuit.record_success()
-            merged = partialagg.merge_shard_states(
-                states, spec.specs, scalar=spec.scalar, aligned=spec.aligned
-            )
-        except (QueryTimeoutError, QueryCancelledError):
-            raise  # a cancelled query must not silently continue serially
-        except partialagg.ParallelFallback:
-            self._count("parallel_exec_fallbacks")
-            return None
-        except (shardpool.ShardPoolError, InjectedFault):
-            # Dispatch infrastructure failed (after the pool's own
-            # respawn+retry): fall back serially and feed the breaker.
-            self._count("parallel_exec_fallbacks")
-            self._count("dispatch_failures")
-            if pool is not None and self._circuit is not None:
-                self._circuit.record_failure()
-            return None
-        # repro: ignore[REP004] -- a shard raised mid-evaluation (e.g.
-        # per-value semantics over a pathological column); the serial path
-        # re-runs the query and either raises the canonical typed error or
-        # computes the answer, so nothing is swallowed.
-        except Exception:
-            self._count("parallel_exec_fallbacks")
-            return None
-
-        key_dtypes = states[0].key_dtypes if states else []
-        if any(state.key_dtypes != key_dtypes for state in states):
-            # An expression key promoted to different dtypes on different
-            # shards (value-dependent promotion): the serial single-pass
-            # dtype is not reproducible from the shard states.
-            self._count("parallel_exec_fallbacks")
-            return None
-
-        num_groups = merged.num_groups
-        post_frame = Frame(num_rows=num_groups)
-        for position, source in enumerate(spec.group_sources):
-            if source[0] == "column":
-                _, side, stored = source
-                table = spec.tables[side]
-                dtype = table.column_chunks(stored)[0].dtype
-                encoded = table.dictionary_codes(stored)
-            else:
-                # Expression key: the serial path evaluates it over the full
-                # frame; the shards' (unanimous) evaluation dtype is that
-                # same dtype, and expression keys carry no dictionary codes
-                # (matching the serial ``_key_encoding`` ruling).
-                dtype = (
-                    np.dtype(key_dtypes[position])
-                    if position < len(key_dtypes)
-                    else np.dtype(object)
-                )
-                encoded = None
-            values = np.empty(num_groups, dtype=dtype)
-            for index, rep in enumerate(merged.reps):
-                values[index] = rep[position]
-            codes = None
-            if encoded is not None:
-                group_codes = np.fromiter(
-                    (rep_code[position] for rep_code in merged.rep_codes),
-                    dtype=np.int64,
-                    count=num_groups,
-                )
-                codes = LazyCodes.presolved(group_codes, encoded[1])
-            post_frame.add_column(None, f"__group_{position}", values, codes=codes)
-        for position, aggregate in enumerate(merged.aggregates):
-            post_frame.add_column(None, f"__agg_{position}", aggregate)
-        self._count("parallel_exec_dispatches")
-        if spec.is_join:
-            self._count("parallel_exec_join_dispatches")
-        if spec.has_expr_keys:
-            self._count("parallel_exec_expr_key_dispatches")
-        memo = self._grouped_memo(statement, plan)
-        return self._finish_grouped(statement, memo, post_frame, num_groups)
-
-    def _shard_dispatch_spec(
-        self, statement: ast.SelectStatement, plan: SelectPlan
-    ) -> _ShardSpec | None:
-        """The statement's cached dispatch spec, or None when ineligible.
-
-        The derivation — group-key classification, aggregate classification —
-        is a pure function of the statement and the (catalog version, table
-        versions, worker count) key, so its result (including a negative
-        one) is cached on the plan and re-executions of a prepared statement
-        skip it entirely.  Shard boundary placement, which zone pruning makes
-        parameter-dependent, is :meth:`_shard_ranges`.
-        """
-        relation = statement.from_relation
-        if isinstance(relation, ast.TableRef):
-            refs = [relation]
-        elif (
-            isinstance(relation, ast.Join)
-            and relation.join_type == "INNER"
-            and relation.condition is not None
-            and isinstance(relation.left, ast.TableRef)
-            and isinstance(relation.right, ast.TableRef)
-        ):
-            refs = [relation.left, relation.right]
-        else:
-            return None
-        try:
-            tables = [self._catalog.get(ref.name) for ref in refs]
-        except CatalogError:
-            return None
-        key = (
-            self._catalog.version,
-            self._exec_workers,
-            tuple(table.version for table in tables),
-        )
-        cached = plan.shard_spec
-        if cached is not None and cached[0] is statement and cached[1] == key:
-            return cached[2]
-        spec = self._derive_shard_spec(statement, plan, relation, refs, tables)
-        if spec is not None:
-            spec.key = key
-        plan.shard_spec = (statement, key, spec)
-        return spec
-
-    def _derive_shard_spec(
-        self,
-        statement: ast.SelectStatement,
-        plan: SelectPlan,
-        relation,
-        refs: list,
-        tables: list,
-    ) -> _ShardSpec | None:
-        for item in statement.select_items:
-            if isinstance(item.expression, ast.Star):
-                return None  # the serial path raises the canonical error
-        has_aggregates = (
-            bool(statement.group_by)
-            or statement.having is not None
-            or any(
-                contains_aggregate(item.expression)
-                for item in statement.select_items
-            )
-        )
-        if not has_aggregates:
-            return None
-
-        probe_table = tables[0]
-        bindings = [ref.binding_name for ref in refs]
-        if len(bindings) == 2 and bindings[0].lower() == bindings[1].lower():
-            return None
-
-        def resolve_ref(ref: ast.ColumnRef):
-            """(side, stored column) for one reference, or None.
-
-            Unqualified names that resolve on both sides fall back: the
-            serial frame tolerates that ambiguity only when both columns
-            hold identical data — a data-dependent ruling the workers
-            cannot replay.
-            """
-            if ref.table is not None:
-                for side, binding in enumerate(bindings):
-                    if ref.table.lower() == binding.lower():
-                        column = tables[side].resolve_column(ref.name)
-                        return None if column is None else (side, column)
-                return None
-            matches = [
-                (side, column)
-                for side, table in enumerate(tables)
-                if (column := table.resolve_column(ref.name)) is not None
-            ]
-            return matches[0] if len(matches) == 1 else None
-
-        needed: list[set] = [set() for _ in tables]
-
-        join_pair = None
-        if len(refs) == 2:
-            build_table = tables[1]
-            if build_table.num_rows > JOIN_BUILD_ROW_BOUND:
-                # The build side is re-materialized whole in every shard;
-                # past the bound that duplicated work dominates.
-                return None
-            condition = relation.condition
-            if plan.join_residuals is not None:
-                # The planner numbered this (single) join 0 in pre-order;
-                # single-side ON conjuncts were already pushed to the scans.
-                condition = plan.join_residuals.get(0, relation.condition)
-            pairs, residual = _split_join_refs(condition, tables, bindings)
-            if len(pairs) != 1 or residual is not None:
-                return None
-            join_pair = pairs[0]
-            needed[0].add(probe_table.resolve_column(join_pair[0].name))
-            needed[1].add(build_table.resolve_column(join_pair[1].name))
-
-        clustered = probe_table.clustered_on
-        group_keys: list = []
-        group_sources: list[tuple] = []
-        aligned_column = None
-        has_expr_keys = False
-        for expr in statement.group_by:
-            if isinstance(expr, ast.ColumnRef):
-                resolved = resolve_ref(expr)
-                if resolved is None:
-                    return None
-                side, column = resolved
-                group_keys.append((expr.name, expr.table or bindings[side]))
-                group_sources.append(("column", side, column))
-                needed[side].add(column)
-                if (
-                    side == 0
-                    and clustered is not None
-                    and clustered.lower() == column.lower()
-                ):
-                    # Any bare clustered probe key makes the sharding
-                    # group-aligned: boundaries sit on its value changes, so
-                    # no composite group can span two shards (and joined
-                    # rows inherit their probe row's shard).
-                    aligned_column = column
-            else:
-                if not _row_local(expr):
-                    return None
-                column_refs = [
-                    node for node in expr.walk()
-                    if isinstance(node, ast.ColumnRef)
-                ]
-                if not column_refs:
-                    return None
-                for ref in column_refs:
-                    resolved = resolve_ref(ref)
-                    if resolved is None:
-                        return None
-                    needed[resolved[0]].add(resolved[1])
-                group_keys.append(expr)
-                group_sources.append(("expr",))
-                has_expr_keys = True
-        aligned = aligned_column is not None
-
-        # The serial evaluation order is (pushed scan conjuncts, join,
-        # residual WHERE); workers replay exactly that, so a later stage can
-        # never evaluate rows an earlier one removed.  The build side skips
-        # zone pruning and re-applies its full pushed conjunction instead —
-        # zone predicates are classified *from* ``scan.predicates``, so the
-        # pruned rows are exactly rows the filter removes anyway.
-        scans = [plan.scan_for(binding) for binding in bindings]
-        predicates: list[ast.Expression] = []
-        probe_predicate = build_predicate = None
-        if join_pair is None:
-            if scans[0] is not None and scans[0].predicates:
-                predicates.append(ast.conjunction(scans[0].predicates))
-        else:
-            if scans[0] is not None and scans[0].predicates:
-                probe_predicate = ast.conjunction(scans[0].predicates)
-            if scans[1] is not None and scans[1].predicates:
-                build_predicate = ast.conjunction(scans[1].predicates)
-        if plan.residual_where is not None:
-            predicates.append(plan.residual_where)
-        stages = [
-            stage for stage in (probe_predicate, build_predicate)
-            if stage is not None
-        ]
-        stages.extend(predicates)
-        if any(not _row_local(stage) for stage in stages):
-            return None
-
-        def column_dtype(ref: ast.ColumnRef):
-            resolved = resolve_ref(ref)
-            if resolved is None:
-                return None
-            side, column = resolved
-            return tables[side].column_chunks(column)[0].dtype
-
-        memo = self._grouped_memo(statement, plan)
-        specs: list[partialagg.AggSpec] = []
-        for node in memo.aggregate_nodes.values():
-            spec = partialagg.classify_aggregate(
-                node, column_dtype, aligned, _row_local
-            )
-            if spec is None:
-                return None
-            specs.append(spec)
-
-        # Columns the shards touch; every reference must resolve here so the
-        # worker-side frame never discovers a missing column mid-task.
-        referenced: list[ast.Expression] = list(stages)
-        for spec in specs:
-            referenced.extend(
-                argument for argument in spec.args
-                if not isinstance(argument, ast.Star)
-            )
-        for expression in referenced:
-            for node in expression.walk():
-                if isinstance(node, ast.ColumnRef):
-                    resolved = resolve_ref(node)
-                    if resolved is None:
-                        return None
-                    needed[resolved[0]].add(resolved[1])
-
-        worker_spec = {
-            "binding": bindings[0],
-            "columns": sorted(needed[0]),
-            "predicates": predicates,
-            "group_columns": group_keys,
-            "specs": specs,
-        }
-        if join_pair is not None:
-            worker_spec["join"] = {
-                "binding": bindings[1],
-                "columns": sorted(needed[1]),
-                "probe_predicate": probe_predicate,
-                "build_predicate": build_predicate,
-                "left_key": join_pair[0],
-                "right_key": join_pair[1],
-                "build_rows": tables[1].num_rows,
-            }
-        return _ShardSpec(
-            statement=statement,
-            key=(),
-            worker_spec=worker_spec,
-            tables=list(tables),
-            specs=specs,
-            group_sources=group_sources,
-            zone_predicates=scans[0].zone_predicates if scans[0] is not None else [],
-            aligned_column=aligned_column,
-            scalar=not statement.group_by,
-            is_join=join_pair is not None,
-            has_expr_keys=has_expr_keys,
-        )
-
-    def _shard_ranges(self, spec: _ShardSpec) -> list[list[tuple[int, int]]] | None:
-        """Per-shard absolute row ranges for this execution, or None.
-
-        None means the (pruned) input cannot fill two shards of
-        ``min_shard_rows`` rows and the query should run serially.
-        """
-        zones = tuple(self._bound_zones(spec.zone_predicates))
-        layout = spec.layout  # read once: concurrent executions may replace it
-        if layout is not None and layout[0] == zones:
-            return layout[1]
-        shards = self._place_shards(spec.tables[0], zones, spec.aligned_column)
-        spec.layout = (zones, shards)
-        return shards
-
-    def _place_shards(
-        self, probe_table: Table, zones: tuple, aligned_column: str | None
-    ) -> list[list[tuple[int, int]]] | None:
-        # The same zone-map pruning the serial probe scan applies: shards
-        # cover the surviving chunks in chunk order, so the concatenated
-        # shard row order is the serial frame's row order.
-        surviving = probe_table.prune_chunks(zones) if zones else None
-        chunk_rows = probe_table.chunk_rows
-        if surviving is None:
-            total = probe_table.num_rows
-            lengths = cumulative = None
-        else:
-            lengths = (
-                np.minimum((surviving + 1) * chunk_rows, probe_table.num_rows)
-                - surviving * chunk_rows
-            )
-            cumulative = np.cumsum(lengths) if len(lengths) else np.zeros(0, dtype=np.int64)
-            total = int(lengths.sum()) if len(lengths) else 0
-
-        def to_absolute(virtual: int) -> int:
-            if surviving is None:
-                return virtual
-            position = int(np.searchsorted(cumulative, virtual, side="right"))
-            prior = int(cumulative[position - 1]) if position else 0
-            return int(surviving[position]) * chunk_rows + (virtual - prior)
-
-        def virtual_ranges(start: int, stop: int) -> list[tuple[int, int]]:
-            if start >= stop:
-                return []
-            if surviving is None:
-                return [(start, stop)]
-            ranges: list[tuple[int, int]] = []
-            position = int(np.searchsorted(cumulative, start, side="right"))
-            virtual = start
-            while virtual < stop:
-                prior = int(cumulative[position - 1]) if position else 0
-                chunk_id = int(surviving[position])
-                offset = virtual - prior
-                span = min(int(lengths[position]) - offset, stop - virtual)
-                absolute = chunk_id * chunk_rows + offset
-                if ranges and ranges[-1][1] == absolute:
-                    # Adjacent surviving chunks: one slice instead of two.
-                    ranges[-1] = (ranges[-1][0], absolute + span)
-                else:
-                    ranges.append((absolute, absolute + span))
-                virtual += span
-                position += 1
-            return ranges
-
-        if self._exec_workers == 1:
-            num_shards = 2
-        else:
-            # One shard per pool worker, but keep every shard above the
-            # admission threshold: below it the fork/pipe/merge overhead
-            # beats the per-shard work and dispatching loses to the serial
-            # path.
-            num_shards = max(2, self._exec_workers)
-            if self._min_shard_rows > 0:
-                if total // self._min_shard_rows < 2:
-                    return None
-                num_shards = min(num_shards, total // self._min_shard_rows)
-
-        bounds = [total * index // num_shards for index in range(num_shards + 1)]
-        if aligned_column is not None and total:
-            # Place shard boundaries on key-value changes so no group spans
-            # two shards; a wrong promise (duplicate key at merge time) still
-            # falls back, so correctness never depends on this metadata.
-            encoded_key = probe_table.dictionary_codes(aligned_column)
-            key_values = (
-                encoded_key[0] if encoded_key is not None
-                else probe_table.column(aligned_column)
-            )
-
-            def key_equal(a: int, b: int) -> bool:
-                left, right = key_values[a], key_values[b]
-                if left == right:
-                    return True
-                try:
-                    return bool(np.isnan(left)) and bool(np.isnan(right))
-                except TypeError:
-                    return False
-
-            adjusted = [0]
-            for bound in bounds[1:-1]:
-                candidate = max(bound, adjusted[-1])
-                while 0 < candidate < total and key_equal(
-                    to_absolute(candidate - 1), to_absolute(candidate)
-                ):
-                    candidate += 1
-                adjusted.append(min(candidate, total))
-            adjusted.append(total)
-            bounds = adjusted
-        return [
-            virtual_ranges(bounds[index], bounds[index + 1])
-            for index in range(num_shards)
-        ]
 
     # -- FROM clause ----------------------------------------------------------
 
@@ -1039,13 +382,25 @@ class Executor:
             left_indices, right_indices = probe_rows, indexed_rows
         others = [other for other in range(len(equi_pairs)) if other != position]
         if others:
+            sides = [
+                (
+                    [keys[other][rows] for other in others],
+                    [_sliced_encoding(encodings[other], rows) for other in others],
+                )
+                for keys, encodings, rows in (
+                    (left_keys, left_encodings, left_indices),
+                    (right_keys, right_encodings, right_indices),
+                )
+            ]
+            (left_other, left_coded), (right_other, right_coded) = sides
             left_codes, right_codes = _encode_key_pairs(
-                [left_keys[other][left_indices] for other in others],
-                [right_keys[other][right_indices] for other in others],
-                [_sliced_encoding(left_encodings[other], left_indices) for other in others],
-                [_sliced_encoding(right_encodings[other], right_indices) for other in others],
+                left_other, right_other, left_coded, right_coded
             )
             equal = left_codes == right_codes
+            for other_keys, coded in sides:
+                null = _null_key_rows(other_keys, coded)
+                if null is not None:
+                    equal &= ~null  # a NULL key matches nothing, as on the hash path
             left_indices, right_indices = left_indices[equal], right_indices[equal]
         if side == 0:
             # Probed in right order: restore left-major, right ascending within.
@@ -1231,12 +586,6 @@ class Executor:
     ) -> ResultSet:
         """Evaluate select items, HAVING, ORDER BY, DISTINCT and LIMIT over
         the per-group frame (``__group_<i>`` / ``__agg_<i>`` columns).
-
-        Shared verbatim between the serial grouped path and the parallel
-        merge path: everything downstream of the per-group arrays — alias
-        visibility, scalar subqueries, ``rand()`` draws in post-aggregation
-        expressions — runs on the coordinator in both, so the two paths can
-        only differ in how the per-group arrays were produced.
         """
         post_context = self._context(num_groups)
 
@@ -1491,43 +840,6 @@ def _resolvable(ref: ast.ColumnRef, frame: Frame) -> bool:
     return frame.has_column(ref.name, ref.table)
 
 
-def _split_join_refs(
-    condition: ast.Expression, tables: list, bindings: list[str]
-) -> tuple[list[tuple[ast.ColumnRef, ast.ColumnRef]], ast.Expression | None]:
-    """Parent-side mirror of :func:`_split_join_condition`.
-
-    Resolvability is judged against the base-table schemas instead of the
-    built frames — every ON reference is in the scans' column sets, so the
-    two rulings agree for any dispatchable statement — and the pair order
-    and orientation (probe ref first) reproduce the serial split exactly.
-    """
-
-    def resolvable(ref: ast.ColumnRef, side: int) -> bool:
-        if ref.table is not None and ref.table.lower() != bindings[side].lower():
-            return False
-        return tables[side].resolve_column(ref.name) is not None
-
-    conjuncts = ast.flatten_and(condition)
-    pairs: list[tuple[ast.ColumnRef, ast.ColumnRef]] = []
-    residual: list[ast.Expression] = []
-    for conjunct in conjuncts:
-        if (
-            isinstance(conjunct, ast.BinaryOp)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-        ):
-            left_ref, right_ref = conjunct.left, conjunct.right
-            if resolvable(left_ref, 0) and resolvable(right_ref, 1):
-                pairs.append((left_ref, right_ref))
-                continue
-            if resolvable(right_ref, 0) and resolvable(left_ref, 1):
-                pairs.append((right_ref, left_ref))
-                continue
-        residual.append(conjunct)
-    return pairs, ast.conjunction(residual)
-
-
 def _cross_join_indices(left_rows: int, right_rows: int) -> tuple[np.ndarray, np.ndarray]:
     left_indices = np.repeat(np.arange(left_rows), right_rows)
     right_indices = np.tile(np.arange(right_rows), left_rows)
@@ -1574,20 +886,6 @@ def _grouping_encoding(
     return encode_grouping_key(values)
 
 
-def _row_local(expression: ast.Expression) -> bool:
-    """Whether per-chunk evaluation of ``expression`` equals whole-column
-    evaluation (no subqueries, window functions or random draws)."""
-    for node in expression.walk():
-        if isinstance(node, (ast.ScalarSubquery, ast.WindowFunction)):
-            return False
-        if isinstance(node, ast.FunctionCall) and (
-            functions.is_nondeterministic_function(node.name)
-            or functions.is_aggregate_function(node.name)
-        ):
-            return False
-    return True
-
-
 def hash_join_indices(
     left_keys: list[np.ndarray],
     right_keys: list[np.ndarray],
@@ -1602,12 +900,18 @@ def hash_join_indices(
     are encoded, only their dictionaries are merged instead of re-encoding
     every row of both inputs.
 
+    A row whose key is NULL in any column matches nothing (as ``=`` in a
+    WHERE clause): such rows are dropped before encoding and the surviving
+    row numbers mapped back, which keeps the pair order.
+
     The build (sorted) side is the right input.  With
     ``prefer_smaller_build`` the sides are swapped internally when the left
     input is smaller — sorting the small side instead of the large one — and
     the matches are restored to the canonical (left-major, right ascending
     within) order afterwards, so the emitted pairs are identical either way.
     """
+    left_keys, left_encodings, left_rows = _drop_null_keys(left_keys, left_encodings)
+    right_keys, right_encodings, right_rows = _drop_null_keys(right_keys, right_encodings)
     left_codes, right_codes = _encode_key_pairs(
         left_keys, right_keys, left_encodings, right_encodings
     )
@@ -1617,8 +921,57 @@ def hash_join_indices(
         # index restores left-major order and keeps right ascending within
         # each left row — exactly what the unswapped pass produces.
         order = np.argsort(left_indices, kind="stable")
-        return left_indices[order], right_indices[order]
-    return _probe_build_join(left_codes, right_codes)
+        left_indices, right_indices = left_indices[order], right_indices[order]
+    else:
+        left_indices, right_indices = _probe_build_join(left_codes, right_codes)
+    if left_rows is not None:
+        left_indices = left_rows[left_indices]
+    if right_rows is not None:
+        right_indices = right_rows[right_indices]
+    return left_indices, right_indices
+
+
+def _null_key_rows(keys: list[np.ndarray], encodings: list | None) -> np.ndarray | None:
+    """Mask of the rows whose key is NULL in some column, or None.
+
+    NULL is what ``IS NULL`` tests: NaN in a float column, None in an object
+    column (the NULL sentinel of its dictionary codes).  Integer and boolean
+    keys cannot hold one and are skipped; None means no row is NULL.
+    """
+    null = None
+    for position, key in enumerate(keys):
+        if key.dtype.kind in "iub":
+            continue
+        encoded = encodings[position] if encodings else None
+        if encoded is not None:
+            sentinel = null_code(encoded[1])
+            if sentinel < 0:
+                continue
+            mask = encoded[0] == sentinel
+        elif key.dtype == object:
+            mask = np.fromiter((value is None for value in key), dtype=bool, count=len(key))
+        else:
+            mask = np.isnan(key)
+        null = mask if null is None else null | mask
+    return null if null is not None and null.any() else None
+
+
+def _drop_null_keys(
+    keys: list[np.ndarray], encodings: list | None
+) -> tuple[list[np.ndarray], list | None, np.ndarray | None]:
+    """``(keys, encodings, rows)`` restricted to rows with no NULL key.
+
+    ``rows`` maps the restricted positions back to the input's (None: every
+    row was kept and nothing changed).
+    """
+    null = _null_key_rows(keys, encodings)
+    if null is None:
+        return keys, encodings, None
+    rows = np.flatnonzero(~null)
+    kept_encodings = (
+        [_sliced_encoding(encoded, rows) for encoded in encodings] if encodings else encodings
+    )
+    return [key[rows] for key in keys], kept_encodings, rows
 
 
 def _probe_build_join(

@@ -103,12 +103,6 @@ class SelectPlan:
     # statement-pure substitution memo (see ``executor._GroupedMemo``).
     # Plans are cached 1:1 with their statements, so this rides along.
     grouped_memo: object | None = None
-    # Lazily filled by the executor's parallel dispatcher: the frozen shard
-    # dispatch spec (eligibility verdict, classified specs, and the memoised
-    # per-shard ranges of the last parameter binding) keyed on catalog/table
-    # versions, so re-executions of a cached plan skip the whole eligibility
-    # derivation (see ``executor._ShardSpec``).
-    shard_spec: object | None = None
 
     def scan_for(self, binding: str) -> ScanPlan | None:
         return self.scans.get(binding.lower())
@@ -609,32 +603,6 @@ def _droppable(expression: ast.Expression) -> bool:
         ):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# physical ordering
-# ---------------------------------------------------------------------------
-
-
-def ordering_target(query: ast.SelectStatement) -> str | None:
-    """Lower-cased name of a single ascending bare-column ``ORDER BY``.
-
-    The shape test behind ``CREATE TABLE AS SELECT`` clustering (see
-    ``engine._clustering_from_select``): the result rows of such a query
-    are sorted by that column's values, NULLs last — DISTINCT keeps
-    first occurrences in order and LIMIT/OFFSET take a prefix, so neither
-    disqualifies.  Anything else (multiple keys, DESC, expressions,
-    qualified references) returns None.
-    """
-    if len(query.order_by) != 1:
-        return None
-    order_item = query.order_by[0]
-    if not order_item.ascending:
-        return None
-    expression = order_item.expression
-    if not isinstance(expression, ast.ColumnRef) or expression.table is not None:
-        return None
-    return expression.name.lower()
 
 
 # ---------------------------------------------------------------------------

@@ -206,12 +206,6 @@ class Table:
         # building one twice.
         self._key_index_cache: dict[str, tuple[int, KeyIndex | None]] = {}
         self._key_index_lock = threading.Lock()
-        # Physical clustering metadata: the lower-cased name of a column the
-        # rows are sorted by (ascending, NULLs last — the engine's ORDER BY
-        # order), or None.  Set by ``CREATE TABLE AS SELECT ... ORDER BY col``,
-        # kept by appends that preserve the order, cleared by any other
-        # mutation; sharded aggregation reads it to cut group-aligned shards.
-        self.clustered_on: str | None = None
         if columns:
             for column_name, values in columns.items():
                 self.add_column(column_name, values)
@@ -254,7 +248,6 @@ class Table:
         self._flat_cache[name] = array
         self._zone_cache.pop(name, None)
         self._version += 1
-        self.clustered_on = None
 
     def _split_chunks(self, array: np.ndarray) -> list[np.ndarray]:
         if len(array) == 0:
@@ -529,16 +522,6 @@ class Table:
         count = len(next(iter(arrays.values()))) if arrays else 0
         if count == 0:
             return
-        # Clustering survives an append whose key batch extends the sorted
-        # order (checked against the pre-append bounds, before any mutation);
-        # otherwise the appended rows land after the sorted prefix in
-        # arbitrary key order and the claim must be dropped.
-        keep_clustering = False
-        if self.clustered_on is not None:
-            stored = self.resolve_column(self.clustered_on)
-            keep_clustering = stored is not None and self._clustering_survives_append(
-                stored, arrays[stored]
-            )
         derived = {name: self._append_column(name, array) for name, array in arrays.items()}
         not_keys = [
             name for name, (version, index) in self._key_index_cache.items()
@@ -548,8 +531,6 @@ class Table:
         self._version += 1
         for name in not_keys:
             self._key_index_cache[name] = (self._version, None)
-        if not keep_clustering:
-            self.clustered_on = None
         for name, (zones, encoding) in derived.items():
             self._flat_cache.pop(name, None)
             if zones is not None:
@@ -558,46 +539,6 @@ class Table:
                 self._zone_cache.pop(name, None)
             if encoding is not None:
                 self._dictionary_cache[name] = (self._version, *encoding)
-
-    def _clustering_survives_append(self, name: str, new: np.ndarray) -> bool:
-        """Whether appending ``new`` to the clustered key column keeps the
-        (non-decreasing values, NULLs last) order the clustering claim means.
-
-        Must run *before* the append mutates the chunks: the decision reads
-        the pre-append zone maps, (re)building them when stale — the key
-        column's maps are consumed by every pruned scan anyway, so the
-        rebuild is work the next query would have paid.  An object or
-        dtype-changing append (whose comparison domain the float bounds
-        cannot summarize) conservatively drops the claim, which is always
-        safe: clustering is advisory and its consumers re-verify order at
-        execution time.
-        """
-        old_dtype = self._chunks[name][0].dtype
-        if old_dtype == object or new.dtype == object:
-            return False
-        zones = self.zone_maps(name)
-        floats = new.astype(np.float64, copy=False)
-        nan_mask = np.isnan(floats)
-        nan_count = int(nan_mask.sum())
-        if nan_count and old_dtype.kind != "f":
-            return False  # NULLs widen the column: a dtype-changing append
-        if nan_count == len(new):
-            return True  # a pure NULL batch extends any NULLs-last tail
-        if nan_count and not nan_mask[len(new) - nan_count :].all():
-            return False  # a value after a NaN breaks the NULLs-last tail
-        head = floats[: len(new) - nan_count]
-        if len(head) > 1 and not np.all(head[1:] >= head[:-1]):
-            return False
-        if any(zone.null_count for zone in zones):
-            return False  # new values would land after the existing NULL tail
-        last_high = None
-        for zone in reversed(zones):
-            if zone.high is not None:
-                last_high = float(zone.high)
-                break
-        if last_high is None:
-            return True  # no non-NULL rows yet: any sorted batch clusters
-        return bool(head[0] >= last_high)
 
     def _append_column(
         self, name: str, new: np.ndarray
@@ -660,7 +601,6 @@ class Table:
         result = Table(name or self.name, chunk_rows=self.chunk_rows)
         for column_name in self._chunks:
             result.add_column(column_name, self.column(column_name).copy())
-        result.clustered_on = self.clustered_on  # row order is preserved
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

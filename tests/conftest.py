@@ -14,8 +14,8 @@ once per interpreter.  Run ``pytest -m bench_floor -q`` locally to check the
 committed floors in milliseconds.
 
 ``chaos`` marks the fault-injection resilience suite
-(``tests/test_resilience.py``): worker kills, segment unlinks, connector
-failures, deadlines and cancellation.  It runs in the regular tier-1 pass
+(``tests/test_resilience.py``): deadlines, cancellation, connector failures
+and sample-build failures.  It runs in the regular tier-1 pass
 and again, across several seeds, in CI's dedicated ``chaos`` job::
 
     REPRO_CHAOS_SEED=1 PYTHONPATH=src python -m pytest -m chaos -q
@@ -34,18 +34,6 @@ from repro.sqlengine import Database
 
 ORDERS_ROWS = 40_000
 CITIES = ["ann arbor", "detroit", "chicago", "nyc"]
-
-
-def sharded_database(min_shard_rows: int = 0, **kwargs) -> Database:
-    """A ``Database(**kwargs)`` whose process-mode admission floor is lowered.
-
-    Fixture tables are far below the production floor
-    (``DEFAULT_MIN_SHARD_ROWS``); dispatch-mechanics tests set it on the
-    instance, which is the only place it can be set.
-    """
-    database = Database(**kwargs)
-    database.min_shard_rows = min_shard_rows
-    return database
 
 
 def pytest_configure(config):

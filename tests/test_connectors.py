@@ -119,13 +119,13 @@ class TestBuiltinConnector:
         builtin_connector.execute("SELECT 1 AS x")
         assert any("SELECT 1" in sql for sql in builtin_connector.queries_issued)
 
-    def test_sorted_copy_records_clustering(self, builtin_connector):
+    def test_sorted_copy_writes_rows_in_order(self, builtin_connector):
         builtin_connector.create_table_sorted_copy("orders", "orders_by_price", "price")
         prices = builtin_connector.execute("SELECT price FROM orders_by_price").column("price")
         assert len(prices) == builtin_connector.row_count("orders")
         assert np.all(np.diff(prices) >= 0)
-        assert builtin_connector.database.table("orders_by_price").clustered_on == "price"
-        assert builtin_connector.database.table("orders").clustered_on is None
+        stored = builtin_connector.database.table("orders_by_price").column("price")
+        assert np.array_equal(stored, prices)  # the physical order, not a plan's
 
 
 class TestSqliteConnector:

@@ -328,7 +328,7 @@ def test_concurrent_first_requests_build_once():
 
 
 # ---------------------------------------------------------------------------
-# cancellation, sharded execution
+# cancellation
 # ---------------------------------------------------------------------------
 
 
@@ -353,21 +353,6 @@ def test_interrupt_during_an_index_join_raises_the_typed_error(monkeypatch, inte
         optimized.execute(JOIN, deadline=deadline)
     assert calls
     assert optimized.stats["key_index_joins"] == 0
-
-
-def test_in_thread_sharding_answers_as_the_serial_index_join():
-    tables = star_tables(dim_rows=2000, fact_rows=6000)
-    serial, _ = engines(tables)
-    sharded, _ = engines(tables, parallel_exec=1)
-    for sql in (
-        "SELECT d.g, count(*) AS n, sum(f.j) AS s FROM f JOIN d ON f.k = d.id "
-        "GROUP BY d.g ORDER BY d.g",
-        JOIN + " WHERE d.g = 2",
-    ):
-        assert serial.execute(sql).equals(sharded.execute(sql)), sql
-    assert serial.stats["key_index_joins"] == 2
-    assert sharded.stats["parallel_exec_join_dispatches"] == 1
-    assert sharded.stats["key_index_joins"] == 1  # the non-aggregate join
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +388,7 @@ def test_benchmark_statements_take_the_index_path_and_build_nothing_at_setup():
 
 
 # ---------------------------------------------------------------------------
-# known key-semantics bugs, pinned against SQLite (the index keeps them)
+# key semantics against SQLite (the index path keeps them)
 # ---------------------------------------------------------------------------
 
 
@@ -421,7 +406,6 @@ def answers(engine: Database, sqlite: SqliteConnector, sql: str):
     return ours, sqlite.execute_sql(sql).fetchall()
 
 
-@pytest.mark.xfail(strict=True, reason="JOIN ... ON matches a NULL key to a NULL key")
 def test_null_keys_never_match():
     engine, sqlite = both_backends(
         {"a": {"k": np.array([1.0, np.nan])}, "b": {"j": np.array([1.0, np.nan])}}
@@ -433,6 +417,35 @@ def test_null_keys_never_match():
         assert on[0] == on[1]
     finally:
         sqlite.close()
+
+
+def test_a_null_in_any_key_column_matches_nothing():
+    tables = {
+        "d": {
+            "rid": np.arange(4),
+            "id": np.arange(4),
+            "j": np.array([1.0, np.nan, 2.0, np.nan]),
+            "s": np.array(["x", None, "y", None], dtype=object),
+        },
+        "f": {
+            "rid": np.arange(5),
+            "k": np.array([0, 1, 2, 3, 3]),
+            "j": np.array([1.0, np.nan, 2.0, 5.0, np.nan]),
+            "s": np.array(["x", None, "y", "z", None], dtype=object),
+        },
+    }
+    optimized, naive = engines(tables)
+    pairs = "SELECT f.rid AS fr, d.rid AS dr FROM f JOIN d ON "
+    for condition in (
+        "f.k = d.id AND f.j = d.j",  # the index pair, then a NULL-bearing pair
+        "f.k = d.id AND f.s = d.s",
+        "f.j = d.j",  # hash path, float keys
+        "f.s = d.s",  # hash path, dictionary-coded object keys
+        "f.s = d.s AND f.j = d.j",
+    ):
+        result = assert_same(optimized, naive, pairs + condition + " ORDER BY fr")
+        assert result.fetchall() == [(0, 0), (2, 2)], condition
+    assert optimized.stats["key_index_joins"] == 2
 
 
 @pytest.mark.xfail(strict=True, reason="int64 keys compare as float64 above 2**53")
@@ -452,7 +465,8 @@ def test_int64_keys_above_2_53_compare_exactly():
 
 
 def test_key_index_keeps_todays_key_semantics():
-    """The two bugs above hold with and without the index path."""
+    """NULL keys match nothing and int64 keys above 2**53 still compare as
+    float64 (the xfail above), with and without the index path."""
     tables = {
         "a": {"k": np.array([1.0, np.nan, float(BIG)]), "r": np.arange(3)},
         "b": {"j": np.array([BIG + 1, 1], dtype=np.int64)},
@@ -460,7 +474,7 @@ def test_key_index_keeps_todays_key_semantics():
     }
     optimized, naive = engines(tables)
     assert assert_same(optimized, naive, "SELECT a.r FROM a JOIN b ON a.k = b.j").num_rows == 2
-    assert assert_same(optimized, naive, "SELECT a.r FROM a JOIN c ON a.k = c.j").num_rows == 2
+    assert assert_same(optimized, naive, "SELECT a.r FROM a JOIN c ON a.k = c.j").num_rows == 1
     assert optimized.stats["key_index_joins"] == 1  # c.j holds a NULL: not a key
 
 

@@ -11,6 +11,7 @@ and LIKE escape handling.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -59,6 +60,35 @@ def _populate(engine: Database, seed: int = 7, num_rows: int = 500) -> None:
             "city": np.array(["ann arbor", "detroit", "chicago", "nyc"], dtype=object),
             "state": np.array(["MI", "MI", "IL", "NY"], dtype=object),
         },
+    )
+    # NaN/NULL-heavy inputs: one in ten city/price values is NULL, and the
+    # dimension's name/tax columns hold NULLs too.
+    rng = np.random.default_rng(seed + 1_000)
+    cities = rng.choice(["ann arbor", "boston", "chicago", "detroit"], 600).astype(object)
+    cities[rng.random(600) < 0.1] = None
+    prices = rng.normal(10.0, 5.0, 600)
+    prices[rng.random(600) < 0.1] = np.nan
+    engine.register_table(
+        "sales",
+        {
+            "city": cities,
+            "region_id": rng.integers(0, 6, 600),
+            "qty": rng.integers(-50, 50, 600),
+            "price": prices,
+            "flag": rng.random(600) < 0.5,
+        },
+    )
+    engine.register_table(
+        "areas",
+        {
+            "id": np.arange(5),  # sparser than sales.region_id: some rows drop
+            "name": np.array(["ann arbor", "boston", None, "region-3", "chicago"], dtype=object),
+            "tax": np.array([0.1, np.nan, 0.2, 0.05, np.nan]),
+        },
+    )
+    engine.register_table(
+        "mixed",
+        {"k": np.array(["a", 1, "b", None] * 25, dtype=object), "v": np.arange(100)},
     )
 
 
@@ -264,6 +294,38 @@ AB_CORPUS = [
     "SELECT o.order_id, t.n FROM orders AS o INNER JOIN "
     "(SELECT city, count(*) AS n FROM orders GROUP BY city) AS t "
     "ON o.city = t.city AND t.city <> 'nyc' WHERE o.price > 15 ORDER BY o.order_id LIMIT 25",
+    # --- NaN/NULL-heavy aggregates ---------------------------------------------
+    "SELECT count(*) AS n FROM sales",
+    "SELECT count(price) AS n, count(*) AS total FROM sales",
+    "SELECT sum(qty) AS s, avg(qty) AS a FROM sales",
+    "SELECT min(price) AS lo, max(price) AS hi FROM sales",
+    "SELECT avg(flag) AS share FROM sales",
+    "SELECT sum(price) AS s FROM sales",
+    "SELECT count(DISTINCT city) AS n FROM sales",
+    "SELECT city, count(*) AS n FROM sales GROUP BY city",
+    "SELECT city, sum(qty) AS s, min(price) AS lo FROM sales GROUP BY city ORDER BY city",
+    "SELECT city, avg(qty) AS a FROM sales WHERE qty > 0 GROUP BY city ORDER BY a DESC",
+    "SELECT city, flag, count(*) AS n FROM sales GROUP BY city, flag ORDER BY city, flag",
+    "SELECT city, max(price) AS hi FROM sales GROUP BY city HAVING count(*) > 10 ORDER BY city",
+    "SELECT city, count(*) AS n FROM (SELECT city FROM sales) t GROUP BY city ORDER BY city",
+    "SELECT k, count(*) AS n FROM mixed GROUP BY k ORDER BY n DESC",
+    # expression group keys
+    "SELECT qty + 1 AS k, count(*) AS n FROM sales GROUP BY qty + 1 ORDER BY k",
+    "SELECT qty * 2 AS k, sum(qty) AS s FROM sales GROUP BY qty * 2 ORDER BY k",
+    "SELECT upper(city) AS k, count(*) AS n FROM sales GROUP BY upper(city) ORDER BY k",
+    # joins against a NULL-bearing dimension, NULL keys included
+    "SELECT a.name AS name, count(*) AS n FROM sales s JOIN areas a "
+    "ON s.region_id = a.id GROUP BY a.name ORDER BY a.name",
+    "SELECT a.name AS name, sum(s.qty) AS q, min(s.price) AS lo, max(s.price) AS hi "
+    "FROM sales s JOIN areas a ON s.region_id = a.id GROUP BY a.name ORDER BY a.name",
+    "SELECT a.name AS name, count(*) AS n FROM sales s JOIN areas a "
+    "ON s.region_id = a.id AND a.id > 0 WHERE s.qty > 2 GROUP BY a.name ORDER BY a.name",
+    "SELECT name, count(*) AS n FROM sales JOIN areas ON region_id = id "
+    "GROUP BY name ORDER BY name",
+    "SELECT s.city, count(*) AS n, sum(a.tax) AS t FROM sales s JOIN areas a "
+    "ON s.city = a.name GROUP BY s.city ORDER BY s.city",
+    "SELECT count(*) AS n, sum(s.qty) AS q FROM sales s JOIN areas a "
+    "ON s.region_id = a.id AND s.price > a.tax",
 ]
 
 
@@ -282,6 +344,30 @@ def test_repeated_execution_with_caches_is_stable():
     expected = naive.execute(query)
     for _ in range(3):  # second+ runs hit the statement and plan caches
         assert_identical_results(optimized.execute(query), expected)
+
+
+def test_concurrent_queries_match_naive_and_count_every_cache_hit():
+    optimized, naive = _pair()
+    query = "SELECT city, sum(qty) AS s FROM sales GROUP BY city ORDER BY city"
+    expected = naive.execute(query)
+    assert optimized.execute(query).equals(expected)  # files the plan
+    before = optimized.stats["plan_cache_hits"]
+    errors = []
+
+    def run():
+        try:
+            for _ in range(5):
+                assert optimized.execute(query).equals(expected)
+        except Exception as error:  # pragma: no cover - failure path
+            errors.append(error)
+
+    threads = [threading.Thread(target=run) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    assert optimized.stats["plan_cache_hits"] == before + 40
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Connection pool tests: sizing, exhaustion, recycling, health, chaos.
+"""Connection pool tests: sizing, exhaustion, recycling, health, lifecycle.
 
 The pool's contract (tests pin every clause): ``min_size`` members exist up
 front, at most ``max_size`` ever exist, an exhausted pool makes callers wait
@@ -260,7 +260,7 @@ def test_health_report_carries_a_pool_section(pool):
     assert report.pool["max_size"] == 3
     assert report.pool["size"] >= 1
     assert report.as_sections()["pool"]["max_size"] == 3  # the wire form
-    assert report.status in ("ok", "degraded")
+    assert report.status == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -291,43 +291,6 @@ def test_pool_over_caller_supplied_database_keeps_data():
         pool = ConnectionPool(database=engine, max_size=2)
         rows = pool.execute("SELECT count(*) AS n FROM orders")
         assert rows[0][0] == 300
-        pool.close()
-    finally:
-        engine.close()
-
-
-# ---------------------------------------------------------------------------
-# chaos: a pooled member's worker dies mid-dispatch
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.chaos
-def test_pooled_connection_survives_worker_kill_mid_dispatch():
-    engine = Database(
-        seed=3,
-        parallel_exec=2,
-        fault_injection={
-            "shardpool.dispatch": {"kind": "action", "action": "kill_worker", "times": 1}
-        },
-    )
-    engine.register_table("orders", small_columns(8_000))
-    sql = "SELECT city, count(*) AS n FROM orders GROUP BY city ORDER BY city"
-    expected = None
-    try:
-        pool = ConnectionPool(database=engine, min_size=2, max_size=2)
-        with pool.connection() as conn:
-            # The kill fires during this dispatch; supervision respawns the
-            # worker and the answer is still exact.
-            rows = conn.execute(sql).fetchall()
-            assert engine.stats["worker_respawns"] >= 1
-            expected = rows
-        # The pool (and the shared engine behind it) keeps serving: every
-        # member answers identically after the fault.
-        with pool.connection() as a, pool.connection() as b:
-            assert a.execute(sql).fetchall() == expected
-            assert b.execute(sql).fetchall() == expected
-        report = pool.health()
-        assert report.engine["pool_workers_alive"] == 2
         pool.close()
     finally:
         engine.close()

@@ -85,7 +85,7 @@ def test_group_rows_assigns_consistent_ids(first, second):
 
 
 # ---------------------------------------------------------------------------
-# round-4 fast paths vs the naive engine (A/B bit-identity)
+# the optimized engine vs the naive engine (A/B bit-identity)
 # ---------------------------------------------------------------------------
 
 maybe_floats = st.lists(
@@ -98,12 +98,14 @@ maybe_floats = st.lists(
 )
 
 
-def _ab_engines(columns, chunk_rows=16):
-    """An optimized engine (tiny chunks) and a naive twin."""
+def _ab_engines(columns, chunk_rows=16, **tables):
+    """An optimized engine (tiny chunks) and a naive twin over ``t`` (and
+    any further named tables)."""
     optimized = Database(seed=0, chunk_rows=chunk_rows)
     naive = Database(seed=0, optimize=False, chunk_rows=chunk_rows)
     for engine in (optimized, naive):
-        engine.register_table("t", columns)
+        for name, table in {"t": columns, **tables}.items():
+            engine.register_table(name, {key: array.copy() for key, array in table.items()})
     return optimized, naive
 
 
@@ -131,7 +133,7 @@ def test_zone_map_aggregates_match_naive(values):
 )
 @settings(max_examples=60, deadline=None)
 def test_sorted_merge_join_matches_naive(left_keys, right_keys):
-    """Joins over CTAS-clustered inputs == the naive engine's join,
+    """Joins over CTAS-sorted inputs == the naive engine's join,
     duplicate keys and all."""
     left = {"k": np.array(sorted(left_keys), dtype=np.int64)}
     right = {"k": np.array(sorted(right_keys), dtype=np.int64)}
@@ -150,6 +152,58 @@ def test_sorted_merge_join_matches_naive(left_keys, right_keys):
     )
     fast, slow = optimized.execute(sql), naive.execute(sql)
     assert fast.equals(slow), (fast.fetchall(), slow.fetchall())
+
+
+NULL_HEAVY_CORPUS = [
+    "SELECT count(*) AS n FROM t",
+    "SELECT sum(qty) AS s, avg(qty) AS a, count(price) AS c FROM t",
+    "SELECT city, count(*) AS n, min(price) AS lo, max(price) AS hi FROM t "
+    "GROUP BY city ORDER BY city",
+    "SELECT city, sum(qty) AS s FROM t WHERE price > 0 GROUP BY city ORDER BY s, city",
+    "SELECT qty + 1 AS k, count(*) AS n FROM t GROUP BY qty + 1 ORDER BY k",
+    "SELECT d.name AS name, count(*) AS n FROM t JOIN d ON t.region_id = d.id "
+    "GROUP BY d.name ORDER BY d.name",
+    "SELECT d.name AS name, sum(t.qty) AS s, min(t.price) AS lo, max(t.price) AS hi "
+    "FROM t JOIN d ON t.region_id = d.id GROUP BY d.name ORDER BY d.name",
+    "SELECT d.name AS name, count(*) AS n FROM t JOIN d "
+    "ON t.region_id = d.id AND d.id > 0 WHERE t.qty > 2 GROUP BY d.name ORDER BY d.name",
+    "SELECT t.city, count(*) AS n FROM t JOIN d ON t.city = d.name "
+    "GROUP BY t.city ORDER BY t.city",
+    "SELECT count(*) AS n FROM t JOIN d ON t.price = d.tax",
+]
+
+
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([0.0, 0.2, 0.9]),
+)
+@settings(max_examples=25, deadline=None)
+def test_null_heavy_corpus_matches_naive(num_rows, seed, null_rate):
+    """Scalar, grouped, expression-key and join aggregates over columns
+    that are up to 90 % NULL == the naive engine, empty tables included;
+    NULL join keys (float and string) match nothing on either path."""
+    rng = np.random.default_rng(seed)
+    cities = rng.choice(["x", "y", "z"], num_rows).astype(object)
+    cities[rng.random(num_rows) < null_rate] = None
+    prices = np.round(rng.normal(size=num_rows), 1)
+    prices[rng.random(num_rows) < null_rate] = np.nan
+    names = np.array(["x", "y", "r2", "z", "r4"], dtype=object)
+    names[rng.random(5) < null_rate] = None
+    taxes = np.round(rng.normal(size=5), 1)
+    taxes[rng.random(5) < null_rate] = np.nan
+    optimized, naive = _ab_engines(
+        {
+            "region_id": rng.integers(0, 6, num_rows),
+            "qty": rng.integers(-1_000, 1_000, num_rows),
+            "price": prices,
+            "city": cities,
+        },
+        chunk_rows=32,
+        d={"id": np.arange(5), "name": names, "tax": taxes},
+    )
+    for sql in NULL_HEAVY_CORPUS:
+        _assert_ab(optimized, naive, sql)
 
 
 # ---------------------------------------------------------------------------

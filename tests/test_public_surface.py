@@ -66,7 +66,6 @@ def test_database_parameters():
         "seed",
         "optimize",
         "chunk_rows",
-        "parallel_exec",
         "fault_injection",
     ]
 
@@ -114,5 +113,4 @@ def test_execution_options_fields():
         "time_budget_seconds",
         "timeout_seconds",
         "on_contract_violation",
-        "parallel",
     ]

@@ -21,6 +21,7 @@ suppression (the repo-gate test lints this file too).
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -62,82 +63,6 @@ def lint_one(rel_path: str, source: str, code: str):
 
 def codes(result) -> list[str]:
     return [finding.rule for finding in result.findings]
-
-
-# ---------------------------------------------------------------------------
-# REP001 — shared-memory lifecycle
-# ---------------------------------------------------------------------------
-
-
-class TestRep001SharedMemoryLifecycle:
-    def test_fires_on_unprotected_call_before_ownership_transfer(self):
-        result = lint_one(
-            "src/repro/sqlengine/fixture_pool.py",
-            """
-            from multiprocessing import shared_memory
-
-            def build(name, payload, broadcast):
-                segment = shared_memory.SharedMemory(create=True, size=len(payload), name=name)
-                broadcast(segment.name)
-                return segment
-            """,
-            "REP001",
-        )
-        assert codes(result) == ["REP001"]
-        assert "try/finally" in result.findings[0].message
-
-    def test_fires_when_segment_never_escapes_nor_is_cleaned(self):
-        result = lint_one(
-            "src/repro/sqlengine/fixture_leak.py",
-            """
-            from multiprocessing import shared_memory
-
-            def scratch(payload):
-                segment = shared_memory.SharedMemory(create=True, size=8)
-                payload.tofile(segment.buf)
-            """,
-            "REP001",
-        )
-        assert "REP001" in codes(result)
-        assert any("neither escapes" in f.message for f in result.findings)
-
-    def test_clean_when_risky_span_is_guarded_and_ownership_transfers(self):
-        result = lint_one(
-            "src/repro/sqlengine/fixture_ok.py",
-            """
-            from multiprocessing import shared_memory
-
-            def build(name, payload, broadcast):
-                segment = shared_memory.SharedMemory(create=True, size=len(payload), name=name)
-                try:
-                    broadcast(segment.name)
-                except BaseException:
-                    segment.close()
-                    segment.unlink()
-                    raise
-                return segment
-            """,
-            "REP001",
-        )
-        assert codes(result) == []
-
-    def test_clean_when_registered_in_tracked_registry(self):
-        result = lint_one(
-            "src/repro/sqlengine/fixture_registry.py",
-            """
-            from multiprocessing import shared_memory
-
-            class Pool:
-                _live_segments = set()
-
-                def publish(self, size):
-                    segment = shared_memory.SharedMemory(create=True, size=size)
-                    self._live_segments.add(segment.name)
-                    return segment
-            """,
-            "REP001",
-        )
-        assert codes(result) == []
 
 
 # ---------------------------------------------------------------------------
@@ -398,58 +323,6 @@ class TestRep004ErrorBoundary:
 
 
 # ---------------------------------------------------------------------------
-# REP005 — cross-process payload safety
-# ---------------------------------------------------------------------------
-
-
-class TestRep005PayloadSafety:
-    def test_fires_on_lambda_in_dispatch_payload(self):
-        result = lint_one(
-            "src/repro/sqlengine/fixture_payload.py",
-            """
-            def dispatch(pool, shards):
-                tasks = [
-                    {"fn": lambda shard=shard: shard + 1, "shard": shard}
-                    for shard in shards
-                ]
-                return pool.run_tasks(tasks)
-            """,
-            "REP005",
-        )
-        assert "REP005" in codes(result)
-        assert any("lambda" in f.message for f in result.findings)
-
-    def test_fires_on_engine_handle_in_payload(self):
-        result = lint_one(
-            "src/repro/sqlengine/fixture_handle.py",
-            """
-            class Runner:
-                def dispatch(self, pool, plan):
-                    return pool.run_tasks([
-                        {"plan": plan, "db": self.database}
-                    ])
-            """,
-            "REP005",
-        )
-        assert any("handle" in f.message for f in result.findings)
-
-    def test_clean_frozen_spec_payload(self):
-        result = lint_one(
-            "src/repro/sqlengine/fixture_spec.py",
-            """
-            def dispatch(pool, plan_key, shards, params):
-                tasks = [
-                    {"plan": plan_key, "shard": shard, "params": params}
-                    for shard in shards
-                ]
-                return pool.run_tasks(tasks)
-            """,
-            "REP005",
-        )
-        assert codes(result) == []
-
-
-# ---------------------------------------------------------------------------
 # REP006 — determinism in executor paths
 # ---------------------------------------------------------------------------
 
@@ -571,7 +444,7 @@ class TestSuppressions:
                 except Exception:  {comment}
                     return None
             """
-        ).format(comment=suppression("REP001", "wrong code on purpose"))
+        ).format(comment=suppression("REP002", "wrong code on purpose"))
         result = lint_sources(
             {"src/repro/sqlengine/fixture_wrongcode.py": source}, only={"REP004"}
         )
@@ -644,26 +517,27 @@ class TestBaseline:
 # ---------------------------------------------------------------------------
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "tools.repro_lint", *args],
-        cwd=REPO_ROOT,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT)},
         capture_output=True,
         text=True,
         timeout=120,
     )
 
 
-# REP001 is the only rule whose scope covers arbitrary paths, so it is the
-# one that can fire on files in a pytest tmp directory.
-_VIOLATION = """\
-from multiprocessing import shared_memory
+def violating_tree(tmp_path: Path) -> Path:
+    """A miniature repository whose one module breaks REP004.
 
-def build(name, payload, broadcast):
-    segment = shared_memory.SharedMemory(create=True, size=64, name=name)
-    broadcast(segment.name)
-    return segment
-"""
+    Rules are scoped by repo-relative path, so the CLI runs from the tree's
+    root and lints its ``src``.
+    """
+    module = tmp_path / "src" / "repro" / "bad.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(_BASELINE_FIXTURE)
+    return tmp_path
 
 
 class TestCli:
@@ -674,41 +548,39 @@ class TestCli:
         assert "OK:" in proc.stdout
 
     def test_exit_one_on_new_finding(self, tmp_path):
-        (tmp_path / "bad.py").write_text(_VIOLATION)
-        proc = run_cli(str(tmp_path))
+        proc = run_cli("src", cwd=violating_tree(tmp_path))
         assert proc.returncode == 1
-        assert "REP001" in proc.stdout
+        assert "REP004" in proc.stdout
 
     def test_json_format_is_parseable(self, tmp_path):
-        (tmp_path / "bad.py").write_text(_VIOLATION)
-        proc = run_cli(str(tmp_path), "--format", "json")
+        proc = run_cli("src", "--format", "json", cwd=violating_tree(tmp_path))
         payload = json.loads(proc.stdout)
         assert payload["ok"] is False
-        assert payload["findings"][0]["rule"] == "REP001"
+        assert payload["findings"][0]["rule"] == "REP004"
 
     def test_rules_subset_and_unknown_rule(self, tmp_path):
-        (tmp_path / "bad.py").write_text(_VIOLATION)
-        subset = run_cli(str(tmp_path), "--rules", "REP003")
-        assert subset.returncode == 0  # the REP001 violation is filtered out
-        unknown = run_cli(str(tmp_path), "--rules", "REP999")
+        root = violating_tree(tmp_path)
+        subset = run_cli("src", "--rules", "REP003", cwd=root)
+        assert subset.returncode == 0  # the REP004 violation is filtered out
+        unknown = run_cli("src", "--rules", "REP999", cwd=root)
         assert unknown.returncode == 2
 
-    def test_list_rules_names_all_six(self):
+    def test_list_rules_names_all_four(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
+        for code in ("REP002", "REP003", "REP004", "REP006"):
             assert code in proc.stdout
 
     def test_write_baseline_then_gate_passes(self, tmp_path):
-        (tmp_path / "bad.py").write_text(_VIOLATION)
+        root = violating_tree(tmp_path)
         baseline = tmp_path / "baseline.json"
-        accepted = run_cli(str(tmp_path), "--baseline", str(baseline), "--write-baseline")
+        accepted = run_cli("src", "--baseline", str(baseline), "--write-baseline", cwd=root)
         assert accepted.returncode == 0
         assert baseline.exists()
-        gated = run_cli(str(tmp_path), "--baseline", str(baseline))
+        gated = run_cli("src", "--baseline", str(baseline), cwd=root)
         assert gated.returncode == 0
         assert "1 baselined" in gated.stdout
-        fresh = run_cli(str(tmp_path), "--baseline", str(baseline), "--no-baseline")
+        fresh = run_cli("src", "--baseline", str(baseline), "--no-baseline", cwd=root)
         assert fresh.returncode == 1
 
     def test_syntax_error_fails_the_gate(self, tmp_path):
@@ -724,13 +596,11 @@ class TestCli:
 
 
 class TestRepoGate:
-    def test_all_six_rules_are_registered(self):
+    def test_all_four_rules_are_registered(self):
         assert [rule.code for rule in active_rules()] == [
-            "REP001",
             "REP002",
             "REP003",
             "REP004",
-            "REP005",
             "REP006",
         ]
 

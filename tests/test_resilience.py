@@ -3,11 +3,10 @@
 Every test drives a real engine through the fault-injection harness
 (:mod:`repro.faults`) and asserts one of the two acceptable outcomes:
 
-* the query still returns the **bit-identical** answer, through worker
-  supervision (respawn + retry) or the serial degradation path; or
+* the query still returns the correct answer, through a retry or the
+  degradation ladder (approximate -> exact); or
 * a **typed** :mod:`repro.errors` exception surfaces promptly (deadlines,
-  cancellation, exhausted sample-build retries) — never a hang, a crash or
-  a leaked worker process / shared-memory segment.
+  cancellation, exhausted sample-build retries) — never a hang or a crash.
 
 ``REPRO_CHAOS_SEED`` varies the data and injection seeds; CI's ``chaos``
 job replays the suite across several seeds::
@@ -17,9 +16,7 @@ job replays the suite across several seeds::
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
 import threading
 import time
 
@@ -38,14 +35,11 @@ from repro import (
 from repro.connectors import SqliteConnector
 from repro.errors import SamplingError
 from repro.faults import FaultInjector, FaultSpec, InjectedFault
-from repro.sqlengine import shardpool
 
 pytestmark = pytest.mark.chaos
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 ROWS = 8_000
-# Integer sum: float sums are (correctly) ineligible for shard merging on
-# unclustered tables — summation order would change the bits.
 GROUP_SQL = (
     "SELECT city, count(*) AS n, sum(qty) AS total "
     "FROM orders GROUP BY city ORDER BY city"
@@ -65,249 +59,10 @@ def chaos_columns():
 
 
 def expected_rows(sql: str = GROUP_SQL) -> list[tuple]:
-    """The serial engine's answer over the same data (the ground truth)."""
-    engine = Database(seed=3)
-    try:
-        engine.register_table("orders", chaos_columns())
-        return engine.execute(sql).fetchall()
-    finally:
-        engine.close()
-
-
-def parallel_engine(fault_injection=None) -> Database:
-    engine = Database(
-        seed=3 + CHAOS_SEED, parallel_exec=2, fault_injection=fault_injection
-    )
+    """The naive engine's answer over the same data (the ground truth)."""
+    engine = Database(seed=3, optimize=False)
     engine.register_table("orders", chaos_columns())
-    return engine
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_resources():
-    """No test may leak shm segments or worker processes it created."""
-    segments_before = shardpool.ShardPool.live_segment_names()
-    children_before = {process.pid for process in multiprocessing.active_children()}
-    yield
-    leaked_segments = shardpool.ShardPool.live_segment_names() - segments_before
-    assert not leaked_segments, f"leaked shared-memory segments: {leaked_segments}"
-    leaked_children = [
-        process
-        for process in multiprocessing.active_children()
-        if process.pid not in children_before and process.is_alive()
-    ]
-    assert not leaked_children, f"leaked worker processes: {leaked_children}"
-
-
-# ---------------------------------------------------------------------------
-# worker supervision
-# ---------------------------------------------------------------------------
-
-
-def test_worker_killed_mid_dispatch_is_respawned_and_answer_is_exact():
-    faults = {
-        "shardpool.dispatch": {"kind": "action", "action": "kill_worker", "times": 1}
-    }
-    engine = parallel_engine(fault_injection=faults)
-    try:
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.stats["worker_respawns"] >= 1
-        # Supervision recovered the dispatch; it did not fall back serially.
-        assert engine.stats["parallel_exec_dispatches"] >= 1
-        assert engine.fault_injector.triggered["shardpool.dispatch"] == 1
-        # The pool is healthy again: a second query dispatches normally.
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.health().engine["pool_workers_alive"] == 2
-    finally:
-        engine.close()
-
-
-def test_repeated_worker_kills_still_answer_correctly():
-    faults = {
-        "shardpool.dispatch": {"kind": "action", "action": "kill_worker", "times": 3}
-    }
-    engine = parallel_engine(fault_injection=faults)
-    try:
-        for _ in range(5):
-            assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.stats["worker_respawns"] >= 3
-    finally:
-        engine.close()
-
-
-JOIN_SQL = (
-    "SELECT d.label AS label, count(*) AS n, sum(o.qty) AS total "
-    "FROM orders o JOIN qty_dim d ON o.qty = d.id "
-    "GROUP BY d.label ORDER BY d.label"
-)
-
-
-def qty_dim_columns():
-    # Sparser than the probe's qty domain (1..9): some orders drop at the
-    # inner join, exercising non-trivial probe/build matching under faults.
-    return {
-        "id": np.arange(1, 8, dtype=np.int64),
-        "label": np.array([f"q{i}" for i in range(1, 8)], dtype=object),
-    }
-
-
-def expected_join_rows() -> list[tuple]:
-    engine = Database(seed=3)
-    try:
-        engine.register_table("orders", chaos_columns())
-        engine.register_table("qty_dim", qty_dim_columns())
-        return engine.execute(JOIN_SQL).fetchall()
-    finally:
-        engine.close()
-
-
-def test_worker_killed_mid_join_dispatch_is_respawned_and_answer_is_exact():
-    faults = {
-        "shardpool.dispatch": {"kind": "action", "action": "kill_worker", "times": 1}
-    }
-    engine = parallel_engine(fault_injection=faults)
-    engine.register_table("qty_dim", qty_dim_columns())
-    try:
-        # The respawned worker must recover *both* table segments and the
-        # broadcast plan spec before it can replay the join shard.
-        assert engine.execute(JOIN_SQL).fetchall() == expected_join_rows()
-        assert engine.stats["worker_respawns"] >= 1
-        assert engine.stats["parallel_exec_join_dispatches"] >= 1
-        assert engine.execute(JOIN_SQL).fetchall() == expected_join_rows()
-        assert engine.health().engine["pool_workers_alive"] == 2
-    finally:
-        engine.close()
-
-
-def test_lost_segment_mid_join_dispatch_falls_back_serially_with_circuit_count():
-    faults = {
-        "shardpool.dispatch": {"kind": "action", "action": "unlink_segment", "times": 1}
-    }
-    engine = parallel_engine(fault_injection=faults)
-    engine.register_table("qty_dim", qty_dim_columns())
-    try:
-        # The segment vanishes under the workers mid-join: the query must
-        # degrade to the serial path (same bits) and the failure must count
-        # toward the circuit breaker.
-        assert engine.execute(JOIN_SQL).fetchall() == expected_join_rows()
-        assert engine.stats["parallel_exec_fallbacks"] >= 1
-        assert engine.stats["dispatch_failures"] >= 1
-        assert engine.circuit.consecutive_failures >= 1
-        # The stale publication still points at the unlinked segment, so a
-        # DML version bump on the probe table (the unlinked side) is what
-        # makes the pool republish; after it the join dispatches again.
-        engine.execute(
-            "INSERT INTO orders (order_id, price, qty, city) "
-            "VALUES (999999, 1.5, 1, 'nyc')"
-        )
-        before = engine.stats["parallel_exec_join_dispatches"]
-        follow_up = (
-            "SELECT d.label AS label, count(*) AS n, sum(o.qty) AS total "
-            "FROM orders o JOIN qty_dim d ON o.qty = d.id GROUP BY d.label"
-        )
-        engine.execute(follow_up)
-        assert engine.stats["parallel_exec_join_dispatches"] == before + 1
-    finally:
-        engine.close()
-
-
-def test_injected_publish_failure_falls_back_serially():
-    faults = {"shardpool.publish": {"times": 1}}
-    engine = parallel_engine(fault_injection=faults)
-    try:
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.stats["parallel_exec_fallbacks"] >= 1
-        assert engine.stats["dispatch_failures"] >= 1
-        # The failpoint is exhausted; the next query publishes and dispatches.
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.stats["parallel_exec_dispatches"] >= 1
-    finally:
-        engine.close()
-
-
-# ---------------------------------------------------------------------------
-# circuit breaker
-# ---------------------------------------------------------------------------
-
-
-def test_lost_segment_opens_circuit_and_probe_closes_it():
-    faults = {
-        "shardpool.dispatch": {"kind": "action", "action": "unlink_segment", "times": 1}
-    }
-    engine = parallel_engine(fault_injection=faults)
-    engine.circuit.threshold = 2
-    engine.circuit.cooldown = 0.2
-    try:
-        # The published segment is deleted out from under the workers: every
-        # dispatch against it fails (after the pool's own retry) and the
-        # query degrades to the serial path — still the exact answer.
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.stats["parallel_exec_fallbacks"] >= 1
-        assert engine.stats["dispatch_failures"] == 1
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.stats["dispatch_failures"] == 2
-        health = engine.health()
-        assert health.circuit_state == "open"
-        assert health.status == "degraded"
-        assert engine.stats["circuit_opened"] == 1
-
-        # Open circuit: the serial path wins without touching the pool.
-        before = engine.stats["circuit_short_circuits"]
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        assert engine.stats["circuit_short_circuits"] == before + 1
-
-        # DML bumps the table version, so the next publication is fresh;
-        # after the cool-down one half-open probe crosses the circuit,
-        # succeeds against the new segment, and closes it.
-        engine.execute(
-            "INSERT INTO orders (order_id, price, qty, city) "
-            "VALUES (999999, 1.5, 1, 'nyc')"
-        )
-        time.sleep(0.25)
-        follow_up = (
-            "SELECT city, count(*) AS n, sum(qty) AS total "
-            "FROM orders GROUP BY city"
-        )
-        result = engine.execute(follow_up).fetchall()
-        assert engine.health().circuit_state == "closed"
-        assert engine.stats["circuit_half_open_probes"] == 1
-        assert engine.stats["circuit_closed"] == 1
-        # And the answer reflects the insert (exactness after recovery).
-        total_n = sum(row[1] for row in result)
-        assert total_n == ROWS + 1
-    finally:
-        engine.close()
-
-
-def test_circuit_breaker_unit_transitions():
-    transitions: list[tuple[str, str]] = []
-    breaker = shardpool.CircuitBreaker(
-        threshold=2, cooldown=0.05, on_transition=lambda a, b: transitions.append((a, b))
-    )
-    assert breaker.state == "closed"
-    assert breaker.allow()
-    breaker.record_failure()
-    assert breaker.state == "closed"  # below threshold
-    breaker.record_failure()
-    assert breaker.state == "open"
-    assert not breaker.allow()  # cool-down has not elapsed
-    time.sleep(0.06)
-    assert breaker.allow()  # the single half-open probe
-    assert breaker.state == "half_open"
-    assert not breaker.allow()  # no second probe while one is in flight
-    breaker.record_failure()
-    assert breaker.state == "open"  # failed probe re-opens
-    time.sleep(0.06)
-    assert breaker.allow()
-    breaker.record_success()
-    assert breaker.state == "closed"
-    assert breaker.consecutive_failures == 0
-    assert transitions == [
-        ("closed", "open"),
-        ("open", "half_open"),
-        ("half_open", "open"),
-        ("open", "half_open"),
-        ("half_open", "closed"),
-    ]
+    return engine.execute(sql).fetchall()
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +96,16 @@ def test_timeout_cancels_long_query_within_250ms_of_expiry():
         connection.close()
 
 
-def test_expired_deadline_stops_parallel_dispatch():
-    engine = parallel_engine()
-    try:
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()  # warm pool
-        deadline = QueryDeadline(0.001)
-        time.sleep(0.005)
-        with pytest.raises(QueryTimeoutError):
-            engine.execute(GROUP_SQL, deadline=deadline)
-        # The pool survived the aborted query.
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-    finally:
-        engine.close()
+def test_expired_deadline_stops_the_query_and_the_engine_answers_after():
+    engine = Database(seed=3 + CHAOS_SEED)
+    engine.register_table("orders", chaos_columns())
+    assert engine.execute(GROUP_SQL).fetchall() == expected_rows()  # warm caches
+    deadline = QueryDeadline(0.001)
+    time.sleep(0.005)
+    with pytest.raises(QueryTimeoutError):
+        engine.execute(GROUP_SQL, deadline=deadline)
+    # The aborted query left nothing behind.
+    assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
 
 
 def test_cursor_cancel_from_another_thread():
@@ -464,37 +217,19 @@ def test_contract_rerun_degrades_to_keep_when_budget_spent():
 
 
 # ---------------------------------------------------------------------------
-# shutdown and health
+# health
 # ---------------------------------------------------------------------------
 
 
-def test_close_escalates_to_kill_for_wedged_worker():
-    engine = parallel_engine()
-    try:
-        assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
-        pool = engine._shard_pool
-        assert pool is not None and pool.alive_workers() == 2
-        # A SIGSTOPped worker ignores the cooperative stop and SIGTERM; only
-        # the close() escalation's SIGKILL ends it.
-        wedged = pool._processes[0]
-        os.kill(wedged.pid, signal.SIGSTOP)
-    finally:
-        engine.close()
-    assert not wedged.is_alive()
-    assert engine.stats.get("worker_force_kills", 0) >= 1
-    assert engine.stats["worker_force_kills"] >= 1
-
-
 def test_health_check_surface():
-    engine = parallel_engine()
+    engine = Database(seed=3 + CHAOS_SEED)
     connection = repro.connect(database=engine)
     try:
+        connection.session.load_table("orders", chaos_columns())
         health = connection.health_check()
         assert health.status == "ok"
-        assert health.circuit_state == "closed"
-        assert health.circuit["consecutive_failures"] == 0
-        assert health.engine["exec_workers"] == 2
-        assert "worker_respawns" in health.stats
+        assert health.engine == {}
+        assert "key_index_joins" in health.stats
     finally:
         connection.close()
 

@@ -1,11 +1,11 @@
-"""MIN/MAX/COUNT edge cases and joins over clustered inputs, A/B-tested.
+"""MIN/MAX/COUNT edge cases and joins over sorted inputs, A/B-tested.
 
 Each shape is executed by the optimized engine and by
 ``Database(optimize=False)`` — the naive engine that scans whole columns —
 and asserted bit-identical via ``ResultSet.equals``: NaN and infinite
 extremes, NULL-only chunks, empty tables, object MIN/MAX, LIMIT/OFFSET,
-NaN join keys, derived join sides with ``ORDER BY``, pushed predicates,
-clustering metadata that over-promises and a cached plan reused after DML.
+NaN join keys, derived join sides with ``ORDER BY``, pushed predicates and
+a cached plan reused after DML.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class TestZoneMapAggregates:
 
 
 # ---------------------------------------------------------------------------
-# equi-joins over clustered (CREATE TABLE AS ... ORDER BY) inputs
+# equi-joins over sorted (CREATE TABLE AS ... ORDER BY) inputs
 # ---------------------------------------------------------------------------
 
 
@@ -187,22 +187,15 @@ def _merge_pair(left: dict, right: dict, chunk_rows: int | None = None):
 
 
 class TestSortedMergeJoin:
-    def test_ctas_order_by_records_clustering(self):
+    def test_ctas_order_by_writes_rows_in_order(self):
         engine = Database(seed=0)
         engine.register_table("l", {"k": np.array([3, 1, 2]), "v": np.arange(3.0)})
         engine.execute("CREATE TABLE ls AS SELECT * FROM l ORDER BY k")
-        assert engine.table("ls").clustered_on == "k"
+        assert engine.table("ls").column("k").tolist() == [1, 2, 3]
         engine.execute("CREATE TABLE ld AS SELECT * FROM l ORDER BY k DESC")
-        assert engine.table("ld").clustered_on is None
+        assert engine.table("ld").column("k").tolist() == [3, 2, 1]
         engine.execute("CREATE TABLE la AS SELECT k AS kk, v FROM l ORDER BY kk")
-        assert engine.table("la").clustered_on == "kk"
-
-    def test_dml_clears_clustering(self):
-        engine = Database(seed=0)
-        engine.register_table("l", {"k": np.arange(10), "v": np.arange(10.0)})
-        engine.execute("CREATE TABLE ls AS SELECT * FROM l ORDER BY k")
-        engine.execute("INSERT INTO ls (k, v) VALUES (0, 0.0)")
-        assert engine.table("ls").clustered_on is None
+        assert engine.table("la").column("v").tolist() == [1.0, 2.0, 0.0]
 
     def test_merge_join_bit_identical(self):
         rng = np.random.default_rng(9)
@@ -230,7 +223,7 @@ class TestSortedMergeJoin:
         )
         _assert_identical(optimized, naive, sql)
 
-    def test_nan_keys_cross_match_like_hash(self):
+    def test_nan_keys_match_nothing_on_either_path(self):
         optimized, naive = _merge_pair(
             {"k": np.array([1.0, 2.0, np.nan, np.nan]), "v": np.arange(4.0)},
             {"k": np.array([2.0, np.nan]), "w": np.array([10.0, 20.0])},
@@ -240,6 +233,7 @@ class TestSortedMergeJoin:
             "ORDER BY ls.v, rs.w"
         )
         _assert_identical(optimized, naive, sql)
+        assert optimized.execute(sql).fetchall() == [(1.0, 10.0)]
 
     def test_derived_table_side(self):
         rng = np.random.default_rng(11)
@@ -262,26 +256,11 @@ class TestSortedMergeJoin:
         )
         sql = "SELECT count(*) AS n FROM ls INNER JOIN rs ON ls.k = rs.k"
         _assert_identical(optimized, naive, sql)
-        # DML clears Table.clustered_on but not the cached plan (the plan
-        # cache is keyed on the catalog's schema version): the reused plan
-        # must still see the appended row.
+        # DML does not invalidate the cached plan (the plan cache is keyed on
+        # the catalog's schema version): the reused plan must still see the
+        # appended row.
         for engine in (optimized, naive):
             engine.execute("INSERT INTO rs (k, w) VALUES (0, 1.5)")
-        assert optimized.table("rs").clustered_on is None
-        _assert_identical(optimized, naive, sql)
-
-    def test_lying_metadata_detected_by_sortedness_check(self):
-        rng = np.random.default_rng(13)
-        left = {"k": rng.integers(0, 40, 300), "v": rng.normal(size=300)}
-        right = {"k": rng.integers(0, 40, 100), "w": rng.normal(size=100)}
-        optimized = Database(seed=0)
-        naive = Database(seed=0, optimize=False)
-        for engine in (optimized, naive):
-            engine.register_table("ls", left)  # NOT sorted
-            engine.register_table("rs", right)
-            engine.table("ls").clustered_on = "k"  # metadata over-promises
-            engine.table("rs").clustered_on = "k"
-        sql = "SELECT count(*) AS n FROM ls INNER JOIN rs ON ls.k = rs.k"
         _assert_identical(optimized, naive, sql)
 
     def test_object_keys_fall_back(self):

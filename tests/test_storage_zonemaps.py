@@ -3,7 +3,7 @@
 Covers the storage layer directly (chunk layout, incremental zone maps,
 staleness after DML), the pruning rules (NULL-only chunks, NUL-escape
 prefixes, float-NaN semantics), the executor's chunk-skipping scan path
-(A/B bit-identical against ``optimize=False``), sid-clustered scrambles,
+(A/B bit-identical against ``optimize=False``), sid-sorted scrambles,
 and the round-3 satellites (derived-column code propagation, inner-HAVING
 pushdown, dictionary-broadcast scalar string functions).
 """
@@ -450,56 +450,45 @@ def test_zone_aggregate_under_fully_prunable_bound_where():
     assert optimized.execute(template, (250, 500)).equals(naive.execute(template, (250, 500)))
 
 
-def test_in_thread_shards_follow_the_bound_surviving_chunks(monkeypatch):
-    from repro.sqlengine import shardpool
+class TestZoneAggregateWithWhere:
+    """Aggregates under chunk-aligned and chunk-cutting WHERE clauses."""
 
-    rows = 2000
-    rng = np.random.default_rng(5)
-    columns = {
-        "k": np.arange(rows),
-        "g": rng.integers(0, 4, rows),
-        "v": rng.random(rows),
-    }
-    sharded = Database(seed=0, parallel_exec=1, chunk_rows=100)
-    serial = Database(seed=0, optimize=False, chunk_rows=100)
-    for engine in (sharded, serial):
-        engine.register_table("t", {name: array.copy() for name, array in columns.items()})
-    seen: list = []
-    original = shardpool.run_shard_task
+    def _db(self, optimize=True):
+        db = Database(seed=0, optimize=optimize, chunk_rows=100)
+        rng = np.random.default_rng(3)
+        db.register_table(
+            "events",
+            {
+                "ts": np.arange(1_000, dtype=np.int64),
+                "value": rng.normal(size=1_000),
+                "kind": rng.choice(["click", "view"], 1_000).astype(object),
+            },
+        )
+        return db
 
-    def spy(store, task, rng, build_store=None):
-        seen.append(list(task["ranges"]))
-        return original(store, task, rng, build_store)
+    def test_chunk_aligned_predicate_answers_from_zones(self):
+        db, serial = self._db(), self._db(optimize=False)
+        for sql in (
+            "SELECT count(*) AS n FROM events WHERE ts >= 200",
+            "SELECT count(*) AS n FROM events WHERE ts >= 200 AND ts < 700",
+            "SELECT min(ts) AS lo, max(ts) AS hi FROM events WHERE ts >= 300",
+            "SELECT count(*) AS n FROM events WHERE ts < 0",
+        ):
+            assert db.execute(sql).equals(serial.execute(sql)), sql
 
-    monkeypatch.setattr(shardpool, "run_shard_task", spy)
-    template = (
-        "SELECT g, count(*) AS n, max(v) AS hi FROM t WHERE k >= ? AND k < ? "
-        "GROUP BY g ORDER BY g"
-    )
-    for low, high, shards in [
-        # chunks 3..8 survive: two shards of three chunks each
-        (350, 850, [[(300, 600)], [(600, 900)]]),
-        # re-bound: the same cached plan places different boundaries
-        (1000, 1400, [[(1000, 1200)], [(1200, 1400)]]),
-        # nothing prunable: the whole table, halved
-        (0, 2000, [[(0, 1000)], [(1000, 2000)]]),
-    ]:
-        del seen[:]
-        before = sharded.stats["parallel_exec_dispatches"]
-        got = sharded.execute(template, (low, high))
-        assert sharded.stats["parallel_exec_dispatches"] == before + 1
-        assert seen == shards
-        assert got.equals(serial.execute(template, (low, high)))
-        literal = template.replace("?", "{}").format(low, high)
-        del seen[:]
-        assert sharded.execute(literal).equals(got)
-        assert seen == shards
-    # One plan served all three bindings of the template.
-    assert sharded.stats["plan_cache_misses"] == 1 + 3  # the template + three literal texts
+    def test_partial_chunk_overlap_stays_on_scan_path(self):
+        db, serial = self._db(), self._db(optimize=False)
+        sql = "SELECT count(*) AS n FROM events WHERE ts >= 250"
+        assert db.execute(sql).equals(serial.execute(sql))
+
+    def test_object_predicates_never_claim_must_match(self):
+        db, serial = self._db(), self._db(optimize=False)
+        sql = "SELECT count(*) AS n FROM events WHERE kind = 'click'"
+        assert db.execute(sql).equals(serial.execute(sql))
 
 
 # ---------------------------------------------------------------------------
-# sid-clustered scrambles
+# sid-sorted scrambles
 # ---------------------------------------------------------------------------
 
 
@@ -509,15 +498,14 @@ class TestSidClusteredScrambles:
         connector.load_table("orders", build_orders_columns(num_rows=20_000, seed=5))
         builder = SampleBuilder(connector, subsample_count=50)
         info = builder.create_sample("orders", SampleSpec("uniform", (), 0.1))
-        assert connector.database.table(info.sample_table).clustered_on == SID_COLUMN
         sids = connector.execute(f"SELECT vdb_sid FROM {info.sample_table}").column("vdb_sid")
         values = sids.astype(np.float64)
-        assert np.all(np.diff(values) >= 0)  # nondecreasing = clustered
+        assert np.all(np.diff(values) >= 0)  # nondecreasing = sid-sorted
         # the staging table is cleaned up
         assert not connector.has_table(f"{info.sample_table}_vdb_stage")
 
-    def test_clustering_recorded_in_metadata(self):
-        # The engine's table metadata is the one record of the sid order, for
+    def test_every_sample_type_is_written_sid_sorted(self):
+        # The sid order is only the order the rows were written in, for
         # every sample type; the sample metadata round-trips without it.
         connector = BuiltinConnector(seed=2)
         connector.load_table("orders", build_orders_columns(num_rows=20_000, seed=5))
@@ -532,7 +520,8 @@ class TestSidClusteredScrambles:
             )
         ]
         for info in infos:
-            assert connector.database.table(info.sample_table).clustered_on == SID_COLUMN
+            sids = connector.database.table(info.sample_table).column(SID_COLUMN)
+            assert np.all(np.diff(sids) >= 0)
         stored = {
             record.sample_table: record
             for record in MetadataStore(connector).samples_for("orders")

@@ -4,7 +4,7 @@ Usage::
 
     python -m tools.repro_lint src tests benchmarks
     python -m tools.repro_lint src --format json
-    python -m tools.repro_lint src --rules REP001,REP004
+    python -m tools.repro_lint src --rules REP002,REP004
     python -m tools.repro_lint src tests benchmarks --write-baseline
 
 Exit codes: 0 clean (only suppressed/baselined findings), 1 new findings or
@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--rules",
         default=None,
-        help="comma-separated subset of rule codes to run (e.g. REP001,REP004)",
+        help="comma-separated subset of rule codes to run (e.g. REP002,REP004)",
     )
     parser.add_argument(
         "--baseline",

@@ -1,10 +1,8 @@
 """Rule registry: importing this package activates every rule module."""
 
 from tools.repro_lint.rules import (  # noqa: F401
-    rep001_shm_lifecycle,
     rep002_lock_discipline,
     rep003_async_blocking,
     rep004_error_boundary,
-    rep005_payload_safety,
     rep006_determinism,
 )

@@ -1,9 +1,9 @@
 """REP006 — determinism in the executor's hot paths.
 
-The parallel execution tiers are only admissible because shard results are
-*provably bit-identical* to the serial path; any unseeded randomness or
-wall-clock dependence inside ``executor.py`` / ``partialagg.py`` /
-``shardpool.py`` silently breaks that proof (and makes the chaos suite's
+The optimized executor is only admissible because its results are
+*provably bit-identical* to the naive path (``optimize=False``) for a fixed
+seed; any unseeded randomness or wall-clock dependence inside
+``executor.py`` silently breaks that proof (and makes the chaos suite's
 replayed schedules meaningless).  Randomness is allowed only through
 explicitly seeded generators; timing is allowed only via the monotonic
 clock (deadlines, backoff), never the wall clock.
@@ -55,14 +55,9 @@ class DeterminismRule(Rule):
     code = "REP006"
     name = "determinism"
     description = (
-        "executor/partialagg/shardpool use only seeded randomness and the "
-        "monotonic clock"
+        "the executor uses only seeded randomness and the monotonic clock"
     )
-    scope = (
-        "src/repro/sqlengine/executor.py",
-        "src/repro/sqlengine/partialagg.py",
-        "src/repro/sqlengine/shardpool.py",
-    )
+    scope = ("src/repro/sqlengine/executor.py",)
 
     def check_module(self, module: ModuleSource) -> list[Finding]:
         stdlib_random_aliases = self._stdlib_random_aliases(module)
@@ -104,8 +99,8 @@ class DeterminismRule(Rule):
                                 self.code,
                                 node,
                                 f"{chain}() without a seed is entropy-seeded "
-                                "and breaks shard-replay determinism: pass "
-                                "an explicit seed",
+                                "and breaks A/B determinism: pass an "
+                                "explicit seed",
                             )
                         )
                 else:
