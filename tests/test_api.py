@@ -461,6 +461,38 @@ class TestSessionLifecycle:
             context.execute_exact("SELECT count(*) AS c FROM orders WHERE price > 0")
         assert context.closed
 
+    def test_database_close_is_idempotent_and_the_engine_stays_usable(self, orders_columns):
+        with Database(seed=0) as engine:
+            engine.register_table("orders", orders_columns)
+            first = engine.execute("SELECT count(*) AS c FROM orders")
+        engine.close()
+        assert engine.execute("SELECT count(*) AS c FROM orders").equals(first)
+        context = VerdictSession(database=engine, planner_config=PLANNER)
+        assert context.execute_exact("SELECT count(*) AS c FROM orders").equals(first)
+        context.close()
+
+    def test_approximate_answers_repeat_and_match_across_engine_modes(self):
+        sql = (
+            "SELECT region, sum(qty) AS s, count(*) AS n FROM orders "
+            "GROUP BY region ORDER BY region"
+        )
+        answers = []
+        for optimize in (True, False):
+            context = VerdictSession(database=Database(seed=5, optimize=optimize))
+            rng = np.random.default_rng(13)
+            context.load_table(
+                "orders",
+                {"region": rng.integers(0, 8, 20_000), "qty": rng.integers(1, 50, 20_000)},
+            )
+            context.create_sample("orders", SampleSpec("uniform", (), 0.25))
+            approx = context.sql(sql)
+            assert not approx.is_exact
+            assert list(context.sql(sql).rows()) == list(approx.rows())
+            answers.append(list(approx.rows()))
+            context.close()
+        # The sample and its answers do not depend on the engine's planner.
+        assert answers[0] == answers[1]
+
     def test_sql_accepts_params(self, orders_columns):
         context = VerdictSession(planner_config=PLANNER)
         context.load_table("orders", orders_columns)

@@ -214,6 +214,35 @@ def test_empty_tables_join_to_nothing():
     assert optimized.stats["key_index_joins"] == 1
 
 
+def test_grouped_and_filtered_index_joins_answer_as_the_hash_join():
+    optimized, naive = engines(star_tables(dim_rows=2000, fact_rows=6000))
+    for sql in (
+        "SELECT d.g, count(*) AS n, sum(f.j) AS s FROM f JOIN d ON f.k = d.id "
+        "GROUP BY d.g ORDER BY d.g",
+        JOIN + " WHERE d.g = 2",
+    ):
+        assert_same(optimized, naive, sql)
+    assert optimized.stats["key_index_joins"] == 2
+
+
+def test_a_large_build_side_with_repeated_keys_hashes():
+    tables = {
+        "f": {"rid": np.arange(200), "k": np.arange(200) % 10},  # 7, 8, 9 match nothing
+        "d": {
+            "rid": np.arange(5000),
+            "id": np.arange(5000) % 7,
+            "name": np.array([f"r{i % 7}" for i in range(5000)], dtype=object),
+        },
+    }
+    optimized, naive = engines(tables, chunk_rows=64)
+    result = assert_same(
+        optimized, naive,
+        "SELECT d.name, count(*) AS n FROM f JOIN d ON f.k = d.id GROUP BY d.name ORDER BY d.name",
+    )
+    assert result.num_rows == 7
+    assert optimized.stats["key_index_joins"] == 0
+
+
 def test_object_keys_and_two_column_keys_use_the_hash_path():
     rng = np.random.default_rng(1)
     tables = {

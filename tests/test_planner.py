@@ -419,6 +419,65 @@ def test_seeded_rand_is_identical_across_modes():
     assert_identical_results(optimized.execute(query), naive.execute(query))
 
 
+def test_rand_in_a_group_key_matches_naive():
+    optimized, naive = _pair()
+    query = (
+        "SELECT floor(rand() * 0) + qty AS k, count(*) AS n FROM sales "
+        "GROUP BY floor(rand() * 0) + qty ORDER BY k"
+    )
+    result = optimized.execute(query)
+    assert_identical_results(result, naive.execute(query))
+    plain = optimized.execute("SELECT qty AS k, count(*) AS n FROM sales GROUP BY qty ORDER BY k")
+    assert result.fetchall() == plain.fetchall()
+
+
+SALES_CORPUS = [query for query in AB_CORPUS if " sales" in query or "mixed" in query]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 64, 250, 100_000])
+def test_chunk_size_never_changes_an_answer(chunk_rows):
+    # Zone maps, chunk skipping and per-chunk aggregation all follow the
+    # storage layout; the answers must not.
+    optimized = Database(seed=0, chunk_rows=chunk_rows)
+    naive = Database(seed=0, optimize=False)
+    _populate(optimized)
+    _populate(naive)
+    for query in SALES_CORPUS:
+        assert_identical_results(optimized.execute(query), naive.execute(query))
+
+
+def test_aggregates_over_no_rows():
+    # An integer sum over no rows is 0 (not NULL); the other aggregates are
+    # NULL, and count is 0 — in both modes, with and without chunk skipping.
+    for optimize in (True, False):
+        engine = Database(seed=0, optimize=optimize, chunk_rows=4)
+        engine.register_table(
+            "t", {"v": np.arange(10, dtype=np.int64), "f": np.arange(10.0)}
+        )
+        for where in ("f < 0", "v > 100"):
+            (row,) = engine.execute(
+                "SELECT sum(v) AS s, avg(v) AS a, min(f) AS lo, max(f) AS hi, "
+                f"count(f) AS c, count(*) AS n FROM t WHERE {where}"
+            ).fetchall()
+            total, average, low, high, count, rows = row
+            assert total == 0 and count == 0 and rows == 0, (optimize, where)
+            assert np.isnan(average) and np.isnan(low) and np.isnan(high), (optimize, where)
+
+
+def test_health_counts_plan_cache_and_key_index_use():
+    optimized, naive = _pair()
+    query = (
+        "SELECT a.name AS name, count(*) AS n FROM sales s JOIN areas a "
+        "ON s.region_id = a.id GROUP BY a.name ORDER BY a.name"
+    )
+    for _ in range(3):
+        assert_identical_results(optimized.execute(query), naive.execute(query))
+    stats = optimized.health().stats
+    assert stats["plan_cache_misses"] == 1 and stats["plan_cache_hits"] == 2
+    assert stats["key_index_joins"] == 3 and stats["key_index_builds"] >= 1
+    assert naive.health().stats["key_index_joins"] == 0
+
+
 # ---------------------------------------------------------------------------
 # planner analysis
 # ---------------------------------------------------------------------------
@@ -732,6 +791,51 @@ class TestCacheInvalidation:
         # replace with a table whose referenced columns have different data
         engine.register_table("t", {"a": [9, 10], "b": [5, 0]})
         assert engine.execute(query).column("a").tolist() == [9]
+
+    def test_prepared_reexecution_reuses_one_plan(self):
+        optimized, naive = _pair()
+        query = (
+            "SELECT city, count(*) AS n, sum(qty) AS s FROM sales "
+            "WHERE qty > ? GROUP BY city ORDER BY city"
+        )
+        for threshold in range(-2, 6):
+            assert optimized.execute(query, (threshold,)).equals(
+                naive.execute(query, (threshold,))
+            ), threshold
+        assert optimized.stats["plan_cache_misses"] == 1
+        assert optimized.stats["plan_cache_hits"] == 7
+
+    def test_rebound_range_reuses_one_plan(self):
+        # order_id is sorted, so each binding keeps different chunks.
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize, chunk_rows=64)
+            _populate(engine)
+            engines.append(engine)
+        optimized, naive = engines
+        query = (
+            "SELECT city, count(*) AS n, sum(qty) AS s FROM orders "
+            "WHERE order_id >= ? AND order_id < ? GROUP BY city ORDER BY city"
+        )
+        for low in (0, 64, 130, 300, 390):
+            params = (low, low + 128)
+            assert optimized.execute(query, params).equals(naive.execute(query, params)), params
+        assert optimized.stats["plan_cache_misses"] == 1
+        assert optimized.stats["plan_cache_hits"] == 4
+
+    def test_insert_between_bindings_of_a_cached_plan(self):
+        optimized, naive = _pair()
+        query = "SELECT city, count(*) AS n FROM sales WHERE qty >= ? GROUP BY city ORDER BY city"
+        assert optimized.execute(query, (0,)).equals(naive.execute(query, (0,)))
+        for engine in (optimized, naive):
+            engine.execute(
+                "INSERT INTO sales (city, region_id, qty, price, flag) "
+                "VALUES ('zzz', 1, 7, 1.5, TRUE)"
+            )
+        result = optimized.execute(query, (0,))
+        assert result.equals(naive.execute(query, (0,)))
+        assert result.fetchall()[-1] == ("zzz", 1)
+        assert optimized.stats["plan_cache_hits"] == 1  # the plan survived the insert
 
     def test_dictionary_cache_invalidated_by_append(self):
         engine = Database(optimize=True)

@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro import ConnectionPool, Database, ExecutionOptions, SampleSpec
-from repro.errors import ConfigurationError, InterfaceError, PoolTimeoutError
+from repro.errors import ConfigurationError, InterfaceError, OperationalError, PoolTimeoutError
 
 
 def small_columns(rows: int = 2_000, seed: int = 7) -> dict[str, np.ndarray]:
@@ -282,6 +282,30 @@ def test_member_returned_after_pool_close_is_disposed():
     pool.close()
     conn.close()  # must not raise; member is disposed, not re-pooled
     assert pool.stats["size"] == 0
+
+
+@pytest.mark.chaos
+def test_pooled_connection_survives_an_injected_fault_mid_query():
+    engine = Database(seed=3, fault_injection={"executor.checkpoint": {"times": 1}})
+    engine.register_table("orders", small_columns(8_000))
+    sql = "SELECT city, count(*) AS n FROM orders GROUP BY city ORDER BY city"
+    expected = Database(seed=3, optimize=False)
+    expected.register_table("orders", small_columns(8_000))
+    expected_rows = expected.execute(sql).fetchall()
+    pool = ConnectionPool(database=engine, min_size=2, max_size=2)
+    try:
+        with pool.connection() as conn:
+            with pytest.raises(OperationalError):  # the fault fires in this query
+                conn.execute(sql, options=ExecutionOptions(mode="exact"))
+            assert conn.execute(sql).fetchall() == expected_rows
+        # The member went back to the pool, and every member answers alike.
+        with pool.connection() as a, pool.connection() as b:
+            assert a.execute(sql).fetchall() == expected_rows
+            assert b.execute(sql).fetchall() == expected_rows
+        assert pool.stats["in_use"] == 0
+        assert pool.health().status == "ok"
+    finally:
+        pool.close()
 
 
 def test_pool_over_caller_supplied_database_keeps_data():

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sampling.bernoulli import guarantee_function, required_sampling_probability
@@ -204,6 +205,80 @@ def test_null_heavy_corpus_matches_naive(num_rows, seed, null_rate):
     )
     for sql in NULL_HEAVY_CORPUS:
         _assert_ab(optimized, naive, sql)
+
+
+# ---------------------------------------------------------------------------
+# one long-lived engine, tables re-registered between queries
+# ---------------------------------------------------------------------------
+
+REUSED_AGGREGATES = NULL_HEAVY_CORPUS[:4]
+REUSED_JOINS = NULL_HEAVY_CORPUS[5:8] + [
+    "SELECT name, count(*) AS n FROM t JOIN d ON region_id = id GROUP BY name ORDER BY name",
+]
+
+
+def _seeded_tables(num_rows, seed, null_rate):
+    """A fact table ``t`` and a five-row dimension ``d`` with NULLs in both."""
+    rng = np.random.default_rng(seed)
+    cities = rng.choice(["x", "y", "z"], num_rows).astype(object)
+    cities[rng.random(num_rows) < null_rate] = None
+    prices = rng.normal(size=num_rows)
+    prices[rng.random(num_rows) < null_rate] = np.nan
+    names = np.array([f"region-{i}" for i in range(5)], dtype=object)
+    names[rng.random(5) < null_rate] = None
+    return {
+        "t": {
+            "region_id": rng.integers(0, 6, num_rows),
+            "qty": rng.integers(1, 10, num_rows),
+            "price": prices,
+            "city": cities,
+        },
+        "d": {"id": np.arange(5), "name": names, "tax": rng.normal(0.1, 0.05, 5)},
+    }
+
+
+@pytest.fixture(scope="module")
+def reused_engine():
+    """One optimized engine shared by every example below: each example
+    re-registers the tables under the same names, so plans, dictionary
+    codes and key indexes cached for the previous data must not leak."""
+    return Database(seed=0, chunk_rows=64)
+
+
+def _reregister_and_compare(engine, tables, queries):
+    naive = Database(seed=0, optimize=False, chunk_rows=64)
+    for name, columns in tables.items():
+        naive.register_table(name, {key: array.copy() for key, array in columns.items()})
+        engine.register_table(name, columns)
+    for sql in queries:
+        _assert_ab(engine, naive, sql)
+    return naive
+
+
+@pytest.mark.parametrize("example", range(8))
+def test_reregistered_aggregate_examples_match_naive(reused_engine, example):
+    tables = _seeded_tables(num_rows=37 * example, seed=1_000 + example, null_rate=0.3)
+    _reregister_and_compare(reused_engine, tables, REUSED_AGGREGATES)
+
+
+@pytest.mark.parametrize("example", range(6))
+def test_reregistered_join_examples_match_naive(reused_engine, example):
+    null_rate = (0.0, 0.3, 0.9)[example % 3]
+    tables = _seeded_tables(num_rows=41 * example, seed=2_000 + example, null_rate=null_rate)
+    _reregister_and_compare(reused_engine, tables, REUSED_JOINS)
+
+
+def test_inserts_into_both_join_sides_match_naive(reused_engine):
+    tables = _seeded_tables(num_rows=240, seed=77, null_rate=0.0)
+    naive = _reregister_and_compare(reused_engine, tables, REUSED_JOINS)
+    for engine in (naive, reused_engine):
+        engine.execute("INSERT INTO t (region_id, qty, price, city) VALUES (2, 3, 1.25, 'z')")
+        engine.execute("INSERT INTO d (id, name, tax) VALUES (5, 'region-5', 0.2)")
+    for sql in REUSED_JOINS:
+        _assert_ab(reused_engine, naive, sql)
+    # region 5 exists now: the rows that carried it join too.
+    names = reused_engine.execute(REUSED_JOINS[-1]).column("name").tolist()
+    assert "region-5" in names
 
 
 # ---------------------------------------------------------------------------

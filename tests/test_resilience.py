@@ -152,6 +152,79 @@ def test_sqlite_progress_handler_aborts_in_flight_statement():
 
 
 # ---------------------------------------------------------------------------
+# injected executor faults
+# ---------------------------------------------------------------------------
+
+
+def test_injected_executor_fault_surfaces_typed_and_the_next_query_is_exact():
+    engine = Database(
+        seed=3 + CHAOS_SEED, fault_injection={"executor.checkpoint": {"times": 1}}
+    )
+    engine.register_table("orders", chaos_columns())
+    with pytest.raises(InjectedFault):
+        engine.execute(GROUP_SQL)
+    assert engine.fault_injector.triggered["executor.checkpoint"] == 1
+    assert engine.execute(GROUP_SQL).fetchall() == expected_rows()
+
+
+def test_repeated_injected_faults_fail_one_query_each_then_answers_are_exact():
+    engine = Database(
+        seed=3 + CHAOS_SEED, fault_injection={"executor.checkpoint": {"times": 3}}
+    )
+    engine.register_table("orders", chaos_columns())
+    outcomes = []
+    for _ in range(5):
+        try:
+            outcomes.append(engine.execute(GROUP_SQL).fetchall() == expected_rows())
+        except InjectedFault:
+            outcomes.append("fault")
+    assert outcomes == ["fault", "fault", "fault", True, True]
+
+
+JOIN_SQL = (
+    "SELECT d.label AS label, count(*) AS n, sum(o.qty) AS total "
+    "FROM orders o JOIN qty_dim d ON o.qty = d.id "
+    "GROUP BY d.label ORDER BY d.label"
+)
+
+
+def qty_dim_columns():
+    # Sparser than the probe's qty domain (1..9): some orders drop at the
+    # inner join.
+    return {
+        "id": np.arange(1, 8, dtype=np.int64),
+        "label": np.array([f"q{i}" for i in range(1, 8)], dtype=object),
+    }
+
+
+def join_engine(fault_injection=None) -> Database:
+    engine = Database(seed=3 + CHAOS_SEED, fault_injection=fault_injection)
+    engine.register_table("orders", chaos_columns())
+    engine.register_table("qty_dim", qty_dim_columns())
+    return engine
+
+
+def test_a_fault_at_any_point_of_an_index_join_leaves_the_engine_exact():
+    naive = Database(seed=3, optimize=False)
+    naive.register_table("orders", chaos_columns())
+    naive.register_table("qty_dim", qty_dim_columns())
+    expected = naive.execute(JOIN_SQL).fetchall()
+    counting = join_engine({"executor.checkpoint": {"kind": "sleep", "seconds": 0.0, "times": None}})
+    assert counting.execute(JOIN_SQL).fetchall() == expected
+    checkpoints = counting.fault_injector.hits["executor.checkpoint"]
+    assert checkpoints > 1
+    for after in range(checkpoints):
+        engine = join_engine({"executor.checkpoint": {"times": 1, "after": after}})
+        with pytest.raises(InjectedFault):
+            engine.execute(JOIN_SQL)
+        # Whatever the failed query had cached (plan, key index) serves the
+        # next one correctly, and nothing is built twice.
+        assert engine.execute(JOIN_SQL).fetchall() == expected, after
+        assert engine.stats["key_index_builds"] == 2, after
+        assert engine.stats["key_index_joins"] >= 1, after
+
+
+# ---------------------------------------------------------------------------
 # sample-build retries and the degradation ladder
 # ---------------------------------------------------------------------------
 
@@ -184,6 +257,30 @@ def test_sample_build_exhausted_retries_raise_typed_error_queries_still_answer()
         cursor = connection.execute("SELECT count(*) AS n FROM orders")
         assert cursor.fetchone() == (ROWS,)
         assert cursor.last_result.is_exact
+    finally:
+        connection.close()
+
+
+def test_failed_approximate_execution_degrades_to_exact():
+    engine = Database(seed=3 + CHAOS_SEED)
+    connection = repro.connect(database=engine)
+    try:
+        connection.session.load_table("orders", chaos_columns())
+        connection.session.create_sample("orders", SampleSpec("uniform", (), 0.05))
+        sql = "SELECT city, count(*) AS n FROM orders GROUP BY city ORDER BY city"
+        assert not connection.execute(sql).last_result.is_exact  # warms metadata reads
+        # The next backend statement is the rewritten sample query: it fails,
+        # and the session answers exactly from the base table instead.
+        engine.fault_injector = FaultInjector(
+            {"connector.execute": {"times": 1}}, seed=CHAOS_SEED
+        )
+        cursor = connection.execute(sql)
+        assert cursor.last_result.is_exact
+        assert "degraded to exact" in cursor.last_result.plan_description
+        assert cursor.fetchall() == expected_rows(sql)
+        assert engine.stats["approx_exec_fallbacks"] == 1
+        # The fault is spent: the sample serves again.
+        assert not connection.execute(sql).last_result.is_exact
     finally:
         connection.close()
 

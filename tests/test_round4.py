@@ -197,6 +197,35 @@ class TestSortedMergeJoin:
         engine.execute("CREATE TABLE la AS SELECT k AS kk, v FROM l ORDER BY kk")
         assert engine.table("la").column("v").tolist() == [1.0, 2.0, 0.0]
 
+    def test_insert_lands_after_the_sorted_rows(self):
+        optimized, naive = _merge_pair(
+            {"k": np.arange(10)[::-1].copy(), "v": np.arange(10.0)},
+            {"k": np.array([0, 5, 9]), "w": np.arange(3.0)},
+            chunk_rows=4,
+        )
+        for engine in (optimized, naive):
+            engine.execute("INSERT INTO ls (k, v) VALUES (0, 0.5)")
+        assert optimized.table("ls").column("k").tolist() == [*range(10), 0]
+        for sql in (
+            "SELECT ls.v, rs.w FROM ls INNER JOIN rs ON ls.k = rs.k ORDER BY ls.v",
+            "SELECT count(*) AS n, sum(v) AS s FROM ls WHERE k < 2",
+        ):
+            _assert_identical(optimized, naive, sql)
+        assert optimized.execute("SELECT count(*) AS n FROM ls WHERE k = 0").scalar() == 2
+
+    def test_unsorted_inputs_join_as_their_sorted_copies(self):
+        rng = np.random.default_rng(13)
+        left = {"k": rng.integers(0, 40, 300), "v": rng.integers(0, 9, 300)}
+        right = {"k": rng.integers(0, 40, 100), "w": rng.integers(0, 9, 100)}
+        optimized, naive = _merge_pair(left, right, chunk_rows=32)
+        unsorted = "SELECT count(*) AS n, sum(l.v * r.w) AS x FROM l INNER JOIN r ON l.k = r.k"
+        _assert_identical(optimized, naive, unsorted)
+        sorted_copies = (
+            "SELECT count(*) AS n, sum(ls.v * rs.w) AS x FROM ls INNER JOIN rs ON ls.k = rs.k"
+        )
+        _assert_identical(optimized, naive, sorted_copies)
+        assert optimized.execute(unsorted).fetchall() == optimized.execute(sorted_copies).fetchall()
+
     def test_merge_join_bit_identical(self):
         rng = np.random.default_rng(9)
         optimized, naive = _merge_pair(

@@ -18,7 +18,14 @@ import pytest
 from repro.api.binding import LIFTED_PREFIX, lift_literals
 from repro.connectors import BuiltinConnector
 from repro.errors import BindParameterError
-from repro.sampling import SID_COLUMN, MetadataStore, SampleBuilder, SampleInfo, SampleSpec
+from repro.sampling import (
+    SID_COLUMN,
+    MetadataStore,
+    SampleBuilder,
+    SampleInfo,
+    SampleMaintainer,
+    SampleSpec,
+)
 from repro.sqlengine import Database, parser
 from repro.sqlengine.table import DEFAULT_CHUNK_ROWS, Table
 from repro.sqlengine.zonemaps import (
@@ -487,6 +494,151 @@ class TestZoneAggregateWithWhere:
         assert db.execute(sql).equals(serial.execute(sql))
 
 
+def test_rebound_template_prunes_each_bindings_own_chunks(pruned_chunks):
+    rows = 2000
+    rng = np.random.default_rng(5)
+    columns = {"k": np.arange(rows), "g": rng.integers(0, 4, rows), "v": rng.random(rows)}
+    optimized = Database(seed=0, chunk_rows=100)
+    naive = Database(seed=0, optimize=False, chunk_rows=100)
+    for engine in (optimized, naive):
+        engine.register_table("t", {name: array.copy() for name, array in columns.items()})
+    template = (
+        "SELECT g, count(*) AS n, max(v) AS hi FROM t WHERE k >= ? AND k < ? "
+        "GROUP BY g ORDER BY g"
+    )
+    for low, high, surviving in [
+        (350, 850, list(range(3, 9))),
+        (1000, 1400, list(range(10, 14))),
+        (0, 2000, None),  # nothing prunable
+    ]:
+        del pruned_chunks[:]
+        got = optimized.execute(template, (low, high))
+        assert pruned_chunks == [surviving]
+        assert got.equals(naive.execute(template, (low, high)))
+        del pruned_chunks[:]
+        literal = template.replace("?", "{}").format(low, high)
+        assert optimized.execute(literal).equals(got)
+        assert pruned_chunks == [surviving]
+    # One plan served all three bindings of the template.
+    assert optimized.stats["plan_cache_misses"] == 1 + 3  # the template + three literal texts
+    assert optimized.stats["plan_cache_hits"] == 2
+
+
+# ---------------------------------------------------------------------------
+# appends to tables written in sorted order
+# ---------------------------------------------------------------------------
+
+
+class TestAppendsToSortedCopies:
+    """Rows appended to a ``CREATE TABLE AS ... ORDER BY`` copy land after
+    the sorted rows, in or out of order; zone-map skipping over the result
+    still answers as the naive scan."""
+
+    QUERIES = [
+        "SELECT count(*) AS n, sum(weight) AS w FROM sorted_copy WHERE sid >= 90",
+        "SELECT count(*) AS n FROM sorted_copy WHERE sid < 10",
+        "SELECT count(*) AS n FROM sorted_copy WHERE sid BETWEEN 40 AND 60",
+        "SELECT sid, count(*) AS n FROM sorted_copy WHERE sid <= 5 GROUP BY sid ORDER BY sid",
+        "SELECT min(sid) AS lo, max(sid) AS hi, count(*) AS n FROM sorted_copy",
+    ]
+
+    def _pair(self):
+        rng = np.random.default_rng(4)
+        columns = {
+            "sid": rng.integers(0, 100, 400),
+            "weight": rng.normal(size=400),
+            "label": rng.choice(["a", "b"], 400).astype(object),
+        }
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize, chunk_rows=50)
+            engine.register_table("raw", {name: array.copy() for name, array in columns.items()})
+            engine.execute("CREATE TABLE sorted_copy AS SELECT * FROM raw ORDER BY sid")
+            engines.append(engine)
+        return engines
+
+    def _append_and_compare(self, sids):
+        optimized, naive = self._pair()
+        for engine in (optimized, naive):
+            engine.table("sorted_copy").append_rows(
+                ["sid", "weight", "label"], [(sid, 0.5, "a") for sid in sids]
+            )
+        for sql in self.QUERIES:
+            assert optimized.execute(sql).equals(naive.execute(sql)), sql
+        stored = optimized.table("sorted_copy").column("sid")
+        assert stored[-len(sids):].tolist() == list(sids)  # appended, not merged
+        return stored
+
+    def test_in_order_append_keeps_the_column_sorted(self):
+        stored = self._append_and_compare([99, 100, 250])
+        assert np.all(stored[:-1] <= stored[1:])
+
+    def test_out_of_order_append(self):
+        stored = self._append_and_compare([5])
+        assert not np.all(stored[:-1] <= stored[1:])
+
+    def test_unsorted_batch(self):
+        self._append_and_compare([200, 150, 3])
+
+    def test_float_key_with_nan_tail(self):
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize, chunk_rows=50)
+            engine.register_table(
+                "m",
+                {"x": np.random.default_rng(1).normal(size=200), "y": np.arange(200)},
+            )
+            engine.execute("CREATE TABLE mc AS SELECT * FROM m ORDER BY x")
+            engine.table("mc").append_rows(
+                ["x", "y"], [(50.0, 0), (60.0, 1), (float("nan"), 2), (float("nan"), 4), (70.0, 5)]
+            )
+            engines.append(engine)
+        optimized, naive = engines
+        for sql in (
+            "SELECT count(*) AS n FROM mc WHERE x > 55",
+            "SELECT count(*) AS n FROM mc WHERE x IS NULL",
+            "SELECT count(*) AS n, sum(y) AS s FROM mc WHERE x <> 60",
+            "SELECT min(x) AS lo, max(x) AS hi, count(x) AS c FROM mc",
+        ):
+            assert optimized.execute(sql).equals(naive.execute(sql)), sql
+        assert optimized.execute("SELECT count(*) AS n FROM mc WHERE x > 55").scalar() == 2
+
+    def test_string_key(self):
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize, chunk_rows=50)
+            engine.register_table(
+                "s", {"name": np.array(list("dcba") * 25, dtype=object), "v": np.arange(100)}
+            )
+            engine.execute("CREATE TABLE sc AS SELECT * FROM s ORDER BY name")
+            engine.table("sc").append_rows(["name", "v"], [("zzz", 1), ("a", 2)])
+            engines.append(engine)
+        optimized, naive = engines
+        assert optimized.table("sc").column("name")[:100].tolist() == sorted(list("dcba") * 25)
+        for sql in (
+            "SELECT count(*) AS n FROM sc WHERE name = 'a'",
+            "SELECT count(*) AS n FROM sc WHERE name > 'c'",
+            "SELECT name, sum(v) AS s FROM sc GROUP BY name ORDER BY name",
+        ):
+            assert optimized.execute(sql).equals(naive.execute(sql)), sql
+
+    def test_grouped_aggregates_after_insert(self):
+        rng = np.random.default_rng(9)
+        columns = {"sid": np.sort(rng.integers(0, 20, 300)), "v": rng.normal(size=300)}
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize, chunk_rows=50)
+            engine.register_table("raw", {name: array.copy() for name, array in columns.items()})
+            engine.execute("CREATE TABLE sc AS SELECT * FROM raw ORDER BY sid")
+            engine.execute("INSERT INTO sc (sid, v) VALUES (20, 1.25), (21, -0.5), (3, 2.0)")
+            engines.append(engine)
+        optimized, naive = engines
+        sql = "SELECT sid, stddev(v) AS s, sum(v) AS t, count(*) AS n FROM sc GROUP BY sid ORDER BY sid"
+        result = optimized.execute(sql)
+        assert result.equals(naive.execute(sql))
+        assert result.num_rows == 22
+
+
 # ---------------------------------------------------------------------------
 # sid-sorted scrambles
 # ---------------------------------------------------------------------------
@@ -583,6 +735,34 @@ class TestSidClusteredScrambles:
             results.append(result.fetchall())
         assert results[0] == results[1]
         assert results[0][0][0] > 0
+
+    def test_appended_rows_interleave_sids_and_per_sid_reads_find_them(self):
+        connector = BuiltinConnector(seed=3)
+        rng = np.random.default_rng(5)
+
+        def batch(start, rows):
+            return {
+                "order_id": np.arange(start, start + rows),
+                "price": rng.normal(10.0, 10.0, rows),
+                "city": rng.choice(["a", "b", "c"], rows).astype(object),
+            }
+
+        connector.load_table("orders", batch(0, 20_000))
+        metadata = MetadataStore(connector)
+        builder = SampleBuilder(connector, metadata, subsample_count=100)
+        info = builder.create_sample("orders", SampleSpec("uniform", (), 0.05))
+        maintainer = SampleMaintainer(connector, metadata, rng=np.random.default_rng(1))
+        inserted = maintainer.append("orders", batch(20_000, 5_000))
+        assert inserted[info.sample_table] > 0
+        # Random sids land after the sorted run: the table is no longer
+        # sid-sorted, and reads by sid must still find every row.
+        sids = connector.database.table(info.sample_table).column(SID_COLUMN)
+        assert not np.all(np.diff(sids) >= 0)
+        for sid in (1, 37, 100):
+            count = connector.execute(
+                f"SELECT count(*) AS n FROM {info.sample_table} WHERE vdb_sid = {sid}"
+            ).scalar()
+            assert count == int(np.sum(sids == sid)), sid
 
 
 # ---------------------------------------------------------------------------
