@@ -90,7 +90,7 @@ def main() -> None:
         )
         print(f"exact count:      {exact.fetchone()[0]} rows\n")
 
-        # 4. One typed HealthReport over the wire: engine + pool + server.
+        # 4. One typed HealthReport over the wire: pool + server + stats.
         report = connection.health_check()
         print(f"health: ok={report.ok}, status={report.status}, "
               f"pool in_use={report.pool['in_use']}/{report.pool['size']}, "

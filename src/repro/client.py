@@ -201,11 +201,11 @@ class RemoteConnection:
         self._check_open()
 
     def health_check(self) -> HealthReport:
-        """The server's :class:`HealthReport` (engine, pool, server sections)."""
+        """The server's :class:`HealthReport` (pool, server and stats sections)."""
         reply = self._exchange({"type": "HEALTH"})
         if reply.get("type") != "HEALTHY":
             raise ProtocolError(f"expected HEALTHY, got {reply.get('type')!r}")
-        return HealthReport(**reply.get("report", {}))
+        return HealthReport.from_sections(reply.get("report", {}))
 
 
 class RemoteCursor:

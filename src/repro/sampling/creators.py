@@ -128,6 +128,10 @@ def stratified_sample_statement(
     The per-tuple sampling probability is the Lemma 1 staircase evaluated on
     the stratum size computed in the first pass; the same CASE expression is
     stored as the tuple's ``vdb_sampling_prob`` so the estimators can invert it.
+
+    The join matches NULL strata keys to each other: ``GROUP BY`` in the first
+    pass keeps a NULL stratum, and its rows must stay in the sample (as they
+    do under incremental maintenance) on every backend.
     """
     source_alias = "vdb_src"
     temp_alias = "vdb_sizes"
@@ -139,8 +143,7 @@ def stratified_sample_statement(
     )
     join_condition = ast.conjunction(
         [
-            ast.BinaryOp(
-                "=",
+            ast.null_safe_equal(
                 ast.ColumnRef(column, table=source_alias),
                 ast.ColumnRef(column, table=temp_alias),
             )

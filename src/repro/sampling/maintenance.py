@@ -27,6 +27,7 @@ from repro.sampling.metadata import MetadataStore
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import functions
 from repro.sqlengine.encoding import encode_object_array, merge_dictionaries
+from repro.sqlengine.expressions import null_mask
 from repro.sqlengine.table import coerce_batch
 
 Array = NDArray[Any]
@@ -168,11 +169,17 @@ class SampleMaintainer:
 
 
 def _encode(values: Array) -> tuple[Array, Array]:
-    """Dictionary-encode a key column; numeric columns via their distinct values."""
+    """Dictionary-encode a key column; numeric columns via their distinct values.
+
+    A NaN encodes as None does, so a NULL stratum read back as None (SQLite)
+    or as NaN (the built-in engine) matches a batch's NaN rows.
+    """
     if values.dtype == object:
         return encode_object_array(values)
     distinct, inverse = np.unique(values, return_inverse=True)
-    codes, dictionary = encode_object_array(distinct)
+    labels = distinct.astype(object)
+    labels[null_mask(distinct)] = None
+    codes, dictionary = encode_object_array(labels)
     return codes[inverse], dictionary
 
 

@@ -15,7 +15,9 @@ other, each probe key is looked up in that sorted index — a sample joined to
 a dimension table then costs the sample, not the dimension table.  Every
 other join hashes: both sides' keys are encoded together and the smaller
 side is sorted and probed.  ``optimize=False`` always hashes.  A NULL key
-matches nothing on either path.
+matches nothing on either path, except in a pair written
+``a = b OR (a IS NULL AND b IS NULL)`` (:func:`sqlast.null_safe_equal`),
+which is joined as an equi pair whose NULLs match each other.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.sqlengine.expressions import (
     encode_grouping_key,
     evaluate,
     group_rows_encoded,
+    null_mask,
 )
 from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
@@ -289,7 +292,7 @@ class Executor:
             # Single-side conjuncts were already applied at the scans; only
             # the equi-join/cross-relation residual remains here.
             condition = plan.join_residuals.get(index, join.condition)
-        equi_pairs, residual = _split_join_condition(condition, left, right)
+        equi_pairs, null_safe, residual = _split_join_condition(condition, left, right)
         if not equi_pairs:
             left_indices, right_indices = _cross_join_indices(left.num_rows, right.num_rows)
         else:
@@ -306,7 +309,7 @@ class Executor:
             matched = None
             if self._optimize:
                 matched = self._key_index_join(
-                    equi_pairs, left, right, left_keys, right_keys,
+                    equi_pairs, null_safe, left, right, left_keys, right_keys,
                     left_encodings, right_encodings,
                 )
             if matched is not None:
@@ -318,6 +321,7 @@ class Executor:
                     left_encodings,
                     right_encodings,
                     prefer_smaller_build=self._optimize,
+                    null_safe=null_safe,
                 )
 
         joined = Frame.concat(left.take(left_indices), right.take(right_indices))
@@ -330,6 +334,7 @@ class Executor:
     def _key_index_join(
         self,
         equi_pairs: list[tuple[ast.ColumnRef, ast.ColumnRef]],
+        null_safe: list[bool],
         left: Frame,
         right: Frame,
         left_keys: list[np.ndarray],
@@ -347,7 +352,8 @@ class Executor:
         re-encoding both inputs.  The other pairs are compared on the matched
         rows with the hash join's own encoding, and the pairs come out in the
         hash join's canonical order (left-major, right ascending).  Returns
-        None when no pair qualifies.
+        None when no pair qualifies.  An index holds no NULL, so the indexed
+        pair matches the same rows whether or not it is NULL-safe.
         """
         chosen = None
         for position, (left_ref, right_ref) in enumerate(equi_pairs):
@@ -397,8 +403,9 @@ class Executor:
                 left_other, right_other, left_coded, right_coded
             )
             equal = left_codes == right_codes
+            other_null_safe = [null_safe[other] for other in others]
             for other_keys, coded in sides:
-                null = _null_key_rows(other_keys, coded)
+                null = _null_key_rows(other_keys, coded, other_null_safe)
                 if null is not None:
                     equal &= ~null  # a NULL key matches nothing, as on the hash path
             left_indices, right_indices = left_indices[equal], right_indices[equal]
@@ -811,29 +818,35 @@ def _chunk_row_count(table: Table, chunk_ids: np.ndarray) -> int:
 
 def _split_join_condition(
     condition: ast.Expression | None, left: Frame, right: Frame
-) -> tuple[list[tuple[ast.Expression, ast.Expression]], ast.Expression | None]:
-    """Split an ON condition into equi-join pairs and a residual predicate."""
+) -> tuple[list[tuple[ast.Expression, ast.Expression]], list[bool], ast.Expression | None]:
+    """Split an ON condition into equi-join pairs and a residual predicate.
+
+    Returns ``(pairs, null_safe, residual)``; ``null_safe[i]`` marks a pair
+    written as :func:`~repro.sqlengine.sqlast.null_safe_equal`, whose NULL
+    keys match each other.
+    """
     if condition is None:
-        return [], None
+        return [], [], None
     conjuncts = ast.flatten_and(condition)
     pairs: list[tuple[ast.Expression, ast.Expression]] = []
+    null_safe: list[bool] = []
     residual: list[ast.Expression] = []
     for conjunct in conjuncts:
-        if (
-            isinstance(conjunct, ast.BinaryOp)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-        ):
-            left_ref, right_ref = conjunct.left, conjunct.right
-            if _resolvable(left_ref, left) and _resolvable(right_ref, right):
-                pairs.append((left_ref, right_ref))
-                continue
-            if _resolvable(right_ref, left) and _resolvable(left_ref, right):
-                pairs.append((right_ref, left_ref))
-                continue
+        operands = ast.null_safe_operands(conjunct)
+        safe = operands is not None
+        if not safe and isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+            operands = conjunct.left, conjunct.right
+        if operands is not None:
+            first, second = operands
+            if isinstance(first, ast.ColumnRef) and isinstance(second, ast.ColumnRef):
+                if not (_resolvable(first, left) and _resolvable(second, right)):
+                    first, second = second, first
+                if _resolvable(first, left) and _resolvable(second, right):
+                    pairs.append((first, second))
+                    null_safe.append(safe)
+                    continue
         residual.append(conjunct)
-    return pairs, ast.conjunction(residual)
+    return pairs, null_safe, ast.conjunction(residual)
 
 
 def _resolvable(ref: ast.ColumnRef, frame: Frame) -> bool:
@@ -892,6 +905,7 @@ def hash_join_indices(
     left_encodings: list | None = None,
     right_encodings: list | None = None,
     prefer_smaller_build: bool = False,
+    null_safe: list[bool] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return matching (left, right) row indices for an inner equi-join.
 
@@ -902,7 +916,9 @@ def hash_join_indices(
 
     A row whose key is NULL in any column matches nothing (as ``=`` in a
     WHERE clause): such rows are dropped before encoding and the surviving
-    row numbers mapped back, which keeps the pair order.
+    row numbers mapped back, which keeps the pair order.  Key columns marked
+    in ``null_safe`` are exempt: there NULL encodes like any value and
+    matches NULL.
 
     The build (sorted) side is the right input.  With
     ``prefer_smaller_build`` the sides are swapped internally when the left
@@ -910,8 +926,10 @@ def hash_join_indices(
     the matches are restored to the canonical (left-major, right ascending
     within) order afterwards, so the emitted pairs are identical either way.
     """
-    left_keys, left_encodings, left_rows = _drop_null_keys(left_keys, left_encodings)
-    right_keys, right_encodings, right_rows = _drop_null_keys(right_keys, right_encodings)
+    left_keys, left_encodings, left_rows = _drop_null_keys(left_keys, left_encodings, null_safe)
+    right_keys, right_encodings, right_rows = _drop_null_keys(
+        right_keys, right_encodings, null_safe
+    )
     left_codes, right_codes = _encode_key_pairs(
         left_keys, right_keys, left_encodings, right_encodings
     )
@@ -931,40 +949,41 @@ def hash_join_indices(
     return left_indices, right_indices
 
 
-def _null_key_rows(keys: list[np.ndarray], encodings: list | None) -> np.ndarray | None:
+def _null_key_rows(
+    keys: list[np.ndarray], encodings: list | None, null_safe: list[bool] | None = None
+) -> np.ndarray | None:
     """Mask of the rows whose key is NULL in some column, or None.
 
-    NULL is what ``IS NULL`` tests: NaN in a float column, None in an object
-    column (the NULL sentinel of its dictionary codes).  Integer and boolean
-    keys cannot hold one and are skipped; None means no row is NULL.
+    NULL is what ``IS NULL`` tests (:func:`null_mask`), read off the NULL
+    sentinel of a column's dictionary codes when it has them.  Integer and
+    boolean keys cannot hold one, and ``null_safe`` columns let NULL match,
+    so both are skipped; None means no row is NULL.
     """
     null = None
     for position, key in enumerate(keys):
-        if key.dtype.kind in "iub":
+        if key.dtype.kind in "iub" or (null_safe and null_safe[position]):
             continue
         encoded = encodings[position] if encodings else None
-        if encoded is not None:
+        if encoded is None:
+            mask = null_mask(key)
+        else:
             sentinel = null_code(encoded[1])
             if sentinel < 0:
                 continue
             mask = encoded[0] == sentinel
-        elif key.dtype == object:
-            mask = np.fromiter((value is None for value in key), dtype=bool, count=len(key))
-        else:
-            mask = np.isnan(key)
         null = mask if null is None else null | mask
     return null if null is not None and null.any() else None
 
 
 def _drop_null_keys(
-    keys: list[np.ndarray], encodings: list | None
+    keys: list[np.ndarray], encodings: list | None, null_safe: list[bool] | None
 ) -> tuple[list[np.ndarray], list | None, np.ndarray | None]:
     """``(keys, encodings, rows)`` restricted to rows with no NULL key.
 
     ``rows`` maps the restricted positions back to the input's (None: every
     row was kept and nothing changed).
     """
-    null = _null_key_rows(keys, encodings)
+    null = _null_key_rows(keys, encodings, null_safe)
     if null is None:
         return keys, encodings, None
     rows = np.flatnonzero(~null)

@@ -300,7 +300,7 @@ def evaluate(
         return _evaluate_like(expression, frame, context, subquery_evaluator)
     if isinstance(expression, ast.IsNull):
         operand = evaluate(expression.operand, frame, context, subquery_evaluator)
-        mask = _null_mask(operand)
+        mask = null_mask(operand)
         return ~mask if expression.negated else mask
     if isinstance(expression, ast.ScalarSubquery):
         if subquery_evaluator is None:
@@ -343,7 +343,8 @@ def _as_float(array: np.ndarray) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
-def _null_mask(array: np.ndarray) -> np.ndarray:
+def null_mask(array: np.ndarray) -> np.ndarray:
+    """Rows that are SQL NULL (what ``IS NULL`` tests): None or a float NaN."""
     if array.dtype == object:
         return np.array([value is None for value in array], dtype=bool)
     if array.dtype.kind == "f":

@@ -560,6 +560,39 @@ def flatten_and(expression: Expression) -> list[Expression]:
     return [expression]
 
 
+def null_safe_equal(left: Expression, right: Expression) -> Expression:
+    """``left = right OR (left IS NULL AND right IS NULL)``: NULL equals NULL.
+
+    Spelled in plain SQL so every backend runs it unchanged; the built-in
+    engine recognises the shape (:func:`null_safe_operands`) and joins on it
+    as on ``=``.
+    """
+    both_null = BinaryOp("AND", IsNull(left), IsNull(right))
+    return BinaryOp("OR", BinaryOp("=", left, right), both_null)
+
+
+def null_safe_operands(expression: Expression) -> tuple[Expression, Expression] | None:
+    """``(left, right)`` of a :func:`null_safe_equal` expression, else None."""
+    if not (isinstance(expression, BinaryOp) and expression.op.upper() == "OR"):
+        return None
+    equal, both_null = expression.left, expression.right
+    if not (
+        isinstance(equal, BinaryOp)
+        and equal.op == "="
+        and isinstance(both_null, BinaryOp)
+        and both_null.op.upper() == "AND"
+    ):
+        return None
+    tested = [
+        test.operand
+        for test in (both_null.left, both_null.right)
+        if isinstance(test, IsNull) and not test.negated
+    ]
+    if tested in ([equal.left, equal.right], [equal.right, equal.left]):
+        return equal.left, equal.right
+    return None
+
+
 def transform_expression(
     expression: Expression, visit: Callable[[Expression], Expression | None]
 ) -> Expression:

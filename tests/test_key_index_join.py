@@ -24,7 +24,7 @@ from repro import ExecutionOptions
 from repro.connectors import SqliteConnector
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.faults import QueryDeadline
-from repro.sqlengine import Database
+from repro.sqlengine import Database, executor
 from repro.sqlengine.table import Table
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
@@ -475,6 +475,50 @@ def test_a_null_in_any_key_column_matches_nothing():
         result = assert_same(optimized, naive, pairs + condition + " ORDER BY fr")
         assert result.fetchall() == [(0, 0), (2, 2)], condition
     assert optimized.stats["key_index_joins"] == 2
+
+
+def test_null_safe_pairs_match_null_to_null(monkeypatch):
+    """``a = b OR (a IS NULL AND b IS NULL)`` joins as an equi pair whose
+    NULLs match, on both paths, as the same predicate in WHERE and SQLite."""
+    tables = {
+        "d": {
+            "rid": np.arange(4),
+            "id": np.arange(4),
+            "j": np.array([1.0, np.nan, 2.0, np.nan]),
+            "s": np.array(["x", None, "y", None], dtype=object),
+        },
+        "f": {
+            "rid": np.arange(5),
+            "k": np.array([0, 1, 2, 3, 3]),
+            "j": np.array([1.0, np.nan, 2.0, 5.0, np.nan]),
+            "s": np.array(["x", None, "y", "z", None], dtype=object),
+        },
+    }
+    optimized, naive = engines(tables)
+    engine, sqlite = both_backends(tables)
+    try:
+        expected = {
+            "f.k = d.id AND (f.j = d.j OR (f.j IS NULL AND d.j IS NULL))": [
+                (0, 0), (1, 1), (2, 2), (4, 3),
+            ],
+            "(f.s = d.s OR (f.s IS NULL AND d.s IS NULL))": [
+                (0, 0), (1, 1), (1, 3), (2, 2), (4, 1), (4, 3),
+            ],
+            "(d.j = f.j OR (f.j IS NULL AND d.j IS NULL)) AND f.j = f.j": [(0, 0), (2, 2)],
+        }
+        for condition, pairs in expected.items():
+            ordered = " ORDER BY fr, dr"
+            on = f"SELECT f.rid AS fr, d.rid AS dr FROM f JOIN d ON {condition}{ordered}"
+            where = f"SELECT f.rid AS fr, d.rid AS dr FROM f, d WHERE {condition}{ordered}"
+            assert naive.execute(where).fetchall() == pairs, condition
+            with monkeypatch.context() as patch:  # an equi pair: never a cross join
+                patch.setattr(executor, "_cross_join_indices", None)
+                assert assert_same(optimized, naive, on).fetchall() == pairs, condition
+            ours, theirs = answers(engine, sqlite, on)
+            assert ours == theirs == pairs, condition
+    finally:
+        sqlite.close()
+    assert optimized.stats["key_index_joins"] == 1
 
 
 @pytest.mark.xfail(strict=True, reason="int64 keys compare as float64 above 2**53")

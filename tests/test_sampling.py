@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.session import VerdictSession
 from repro.connectors import BuiltinConnector, SqliteConnector
 from repro.errors import SamplingError
 from repro.sampling import (
@@ -227,6 +228,58 @@ class TestMaintenance:
         maintainer = SampleMaintainer(connector, MetadataStore(connector))
         with pytest.raises(SamplingError):
             maintainer.append("orders", {"order_id": np.arange(5), "price": np.arange(4)})
+
+
+def _is_null(value) -> bool:
+    return value is None or (isinstance(value, float) and np.isnan(value))
+
+
+class TestNullStratum:
+    """``GROUP BY`` keeps a NULL stratum, so the sample and its maintenance do too."""
+
+    @pytest.mark.parametrize("column", ["city", "grade"])  # None / NaN keys
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_null_stratum_is_sampled_answered_and_maintained(self, backend, column):
+        rng = np.random.default_rng(4)
+        rows = 20_000
+        columns = {
+            "id": np.arange(rows),
+            "price": rng.normal(10.0, 2.0, rows),
+            "city": rng.choice(np.array(["a", "b", None], dtype=object), rows),
+            "grade": rng.choice([1.0, 2.0, np.nan], rows),
+        }
+        connector = BuiltinConnector(seed=2) if backend == "builtin" else SqliteConnector(seed=2)
+        session = VerdictSession(connector=connector)
+        try:
+            session.load_table("t", columns)
+            info = session.create_sample("t", SampleSpec("stratified", (column,), 0.01))
+            strata = connector.execute(
+                f"SELECT {column}, count(*) AS c, max({PROBABILITY_COLUMN}) AS p "
+                f"FROM {info.sample_table} GROUP BY {column}"
+            ).fetchall()
+            null_strata = [row for row in strata if _is_null(row[0])]
+            assert len(strata) == 3 and len(null_strata) == 1
+            # Equation 1: at least 20000 * 0.01 / 3 rows in every stratum.
+            assert all(float(row[1]) >= 50 for row in strata)
+
+            answer = session.sql(f"SELECT {column}, count(*) AS c FROM t GROUP BY {column}")
+            assert not answer.is_exact
+            null_groups = [row for row in answer.fetchall() if _is_null(row[0])]
+            true_nulls = int(np.sum([_is_null(value) for value in columns[column]]))
+            assert len(null_groups) == 1
+            assert float(null_groups[0][1]) == pytest.approx(true_nulls, rel=0.3)
+
+            # Appended NULL rows join the NULL stratum at its stored probability.
+            batch = {
+                "id": np.arange(rows, rows + 1_000),
+                "price": np.ones(1_000),
+                "city": np.array([None] * 1_000, dtype=object),
+                "grade": np.full(1_000, np.nan),
+            }
+            inserted = session.append_data("t", batch)[info.sample_table]
+            assert inserted == pytest.approx(1_000 * float(null_strata[0][2]), abs=25)
+        finally:
+            session.close()
 
 
 class TestMetadataStore:

@@ -162,6 +162,23 @@ def test_health_over_the_wire(client):
     assert "statement_cache_hits" in report.stats
 
 
+def test_health_check_reads_an_older_servers_report(client, monkeypatch):
+    # Servers that ran a shard pool also sent "engine" and "circuit" sections.
+    report = {
+        "status": "ok",
+        "backend": "Database",
+        "engine": {"workers": 2},
+        "circuit": {"state": "closed", "consecutive_failures": 0},
+        "pool": {"max_size": 2},
+        "server": None,
+        "stats": {"statement_cache_hits": 1},
+    }
+    monkeypatch.setattr(client, "_exchange", lambda message: {"type": "HEALTHY", "report": report})
+    health = client.health_check()
+    assert health.ok and health.pool == {"max_size": 2}
+    assert health.stats == {"statement_cache_hits": 1}
+
+
 # ---------------------------------------------------------------------------
 # cancellation
 # ---------------------------------------------------------------------------
