@@ -661,11 +661,6 @@ class TestHealthReport:
         clone = repro.HealthReport.from_sections(report.as_sections())
         assert clone == report
 
-    def test_wire_form_ignores_unknown_sections(self, database):
-        wire = database.health().as_sections()
-        older = {**wire, "engine": {"workers": 2}, "circuit": {"state": "closed"}}
-        assert repro.HealthReport.from_sections(older) == database.health()
-
     def test_unknown_section_raises(self, database):
         for name in ("nope", "engine", "circuit"):
             with pytest.raises(KeyError):
