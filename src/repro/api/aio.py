@@ -2,10 +2,13 @@
 
 ``await repro.connect_async(...)`` returns an :class:`AsyncConnection`
 wrapping one ordinary :class:`~repro.api.connection.VerdictConnection`.
-Every blocking operation — statement execution, DML (which takes the
-engine's writer lock), row materialization, session close — runs on a small
-private thread executor via ``loop.run_in_executor``, so an asyncio service
-can interleave many in-flight approximate queries with its other I/O without
+The async classes are thin off-loop adapters: every cursor behaviour —
+buffering, ``executemany``, the cancel contract, open/closed checks — is
+the sync cursor's (:class:`~repro.api.connection.CursorCore`).  Every
+blocking operation — statement execution, DML (which takes the engine's
+writer lock), row materialization, session close — runs on a small private
+thread executor via ``loop.run_in_executor``, so an asyncio service can
+interleave many in-flight approximate queries with its other I/O without
 ever blocking the event loop on the writer lock or a long scan.
 
 The cursor is an async iterator::
@@ -34,13 +37,15 @@ from repro.api.session import VerdictSession
 from repro.errors import InterfaceError
 from repro.health import HealthReport
 
+#: Threads of each connection's private executor.
+_EXECUTOR_WORKERS = 4
+
 
 async def connect_async(
     connector=None,
     database=None,
     *,
     options: ExecutionOptions | None = None,
-    executor_workers: int = 4,
     **connect_kwargs,
 ) -> AsyncConnection:
     """Open an :class:`AsyncConnection` (the awaitable ``repro.connect``).
@@ -57,7 +62,7 @@ async def connect_async(
         )
     loop = asyncio.get_running_loop()
     executor = ThreadPoolExecutor(
-        max_workers=executor_workers, thread_name_prefix="repro-aio"
+        max_workers=_EXECUTOR_WORKERS, thread_name_prefix="repro-aio"
     )
     try:
         connection = await loop.run_in_executor(
@@ -86,6 +91,8 @@ class AsyncConnection:
         self._closed = False
 
     async def _run(self, fn, *args):
+        """One blocking call on the executor; the connection must be open."""
+        self._check_open()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, fn, *args)
 
@@ -103,10 +110,10 @@ class AsyncConnection:
         """Close the wrapped connection off-loop, then retire the executor."""
         if self._closed:
             return
-        self._closed = True
         try:
             await self._run(self._connection.close)
         finally:
+            self._closed = True
             self._executor.shutdown(wait=False)
 
     async def __aenter__(self) -> AsyncConnection:
@@ -139,11 +146,9 @@ class AsyncConnection:
 
     async def prepare(self, sql: str):
         """Prepare a statement off-loop (parsing + analysis are CPU work)."""
-        self._check_open()
         return await self._run(self._connection.prepare, sql)
 
     async def health_check(self) -> HealthReport:
-        self._check_open()
         return await self._run(self._connection.health_check)
 
     async def commit(self) -> None:
@@ -205,10 +210,7 @@ class AsyncCursor:
         slow write never stalls the event loop — other tasks keep running
         and may cancel this statement meanwhile.
         """
-        self._connection._check_open()
-        await self._connection._run(
-            lambda: self._cursor.execute(sql, params, options=options)
-        )
+        await self._connection._run(self._cursor.execute, sql, params, options)
         return self
 
     async def executemany(
@@ -217,18 +219,15 @@ class AsyncCursor:
         seq_of_params: Sequence[Sequence | Mapping],
         options: ExecutionOptions | None = None,
     ) -> AsyncCursor:
-        self._connection._check_open()
-        await self._connection._run(
-            lambda: self._cursor.executemany(sql, seq_of_params, options=options)
-        )
+        await self._connection._run(self._cursor.executemany, sql, seq_of_params, options)
         return self
 
     def cancel(self) -> None:
         """Cancel the in-flight execute (synchronous and loop-independent).
 
         Callable from any task or thread while another coroutine awaits
-        :meth:`execute`; the running statement stops at its next cooperative
-        checkpoint with :class:`~repro.errors.QueryCancelledError`.
+        :meth:`execute` or :meth:`executemany`; the sync cursor's cancel
+        contract applies unchanged.
         """
         self._cursor.cancel()
 

@@ -2,7 +2,9 @@
 
 The session layer collects every per-query knob into one immutable
 :class:`ExecutionOptions` value that can be set per connection (the default
-for every cursor), per cursor, or per individual ``execute`` call.
+for every cursor), per cursor, or per individual ``execute`` call.  It is
+the only place these knobs live: sessions and ``repro.connect`` take no
+per-query defaults of their own.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ class ExecutionOptions:
         accuracy: optional HAC minimum accuracy (e.g. ``0.99``); when the
             estimated error violates it, ``on_contract_violation`` decides
             what happens.
-        confidence: confidence level of reported error estimates; ``None``
-            uses the session-wide default.
-        include_errors: whether rewritten queries also compute error columns;
-            ``None`` uses the session-wide default.
+        confidence: confidence level of reported error estimates.
+        include_errors: whether rewritten queries also compute error columns.
         mode: ``"approximate"`` (rewrite against samples when possible, the
             default) or ``"exact"`` (always run the original query on the
             base tables).
@@ -54,8 +54,8 @@ class ExecutionOptions:
     """
 
     accuracy: float | None = None
-    confidence: float | None = None
-    include_errors: bool | None = None
+    confidence: float = 0.95
+    include_errors: bool = True
     mode: str = "approximate"
     sample_hint: str | None = None
     time_budget_seconds: float | None = None
@@ -74,13 +74,13 @@ class ExecutionOptions:
             )
         if self.accuracy is not None and not 0.0 < self.accuracy < 1.0:
             raise ConfigurationError("accuracy must be strictly between 0 and 1")
-        if self.confidence is not None and not 0.0 < self.confidence < 1.0:
+        if not 0.0 < self.confidence < 1.0:
             raise ConfigurationError("confidence must be strictly between 0 and 1")
         if self.time_budget_seconds is not None and self.time_budget_seconds <= 0:
             raise ConfigurationError("time_budget_seconds must be positive")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ConfigurationError("timeout_seconds must be positive")
-        if self.accuracy is not None and self.include_errors is False:
+        if self.accuracy is not None and not self.include_errors:
             raise ConfigurationError(
                 "an accuracy contract needs error estimates; "
                 "include_errors=False cannot be combined with accuracy"

@@ -73,8 +73,8 @@ class ConnectionPool:
             handing it out; failing members are replaced transparently.
         options: default :class:`ExecutionOptions` for every member.
         session_kwargs: forwarded to each member's
-            :class:`~repro.api.session.VerdictSession` (``io_budget``,
-            ``planner_config``, ...).
+            :class:`~repro.api.session.VerdictSession` (``subsample_count``,
+            ``planner_config``).
     """
 
     def __init__(

@@ -10,6 +10,13 @@ underlying database through the connector, and converts the returned result
 set into an approximate answer with error estimates.  Unsupported queries are
 passed through unchanged.
 
+Per-query settings — confidence, error columns, mode, accuracy contract —
+arrive as one :class:`~repro.api.options.ExecutionOptions` per call (the
+session's ``default_options`` when omitted); the session keeps no per-query
+defaults of its own.  ``session.planner`` is the
+:class:`~repro.core.sample_planner.SamplePlanner` built from
+``planner_config``, the one place the I/O budget is set.
+
 Two properties shape it:
 
 * **parameter binding below the caches** — :meth:`execute` takes a SQL
@@ -134,11 +141,9 @@ class VerdictSession:
             to share one database between connections.
         subsample_count: number of subsamples ``b`` carried by newly built
             samples (must be a perfect square so sample joins work).
-        io_budget: default fraction of a large table the planner may touch.
-        confidence: confidence level of reported error estimates.
-        planner_config: full planner configuration (overrides ``io_budget``).
-        include_errors: whether rewritten queries also compute error columns.
-        default_options: session-wide default :class:`ExecutionOptions`.
+        planner_config: sample planner configuration (``io_budget``, ...).
+        default_options: session-wide default :class:`ExecutionOptions`
+            (``confidence``, ``include_errors``, ``mode``, ...).
     """
 
     def __init__(
@@ -146,26 +151,18 @@ class VerdictSession:
         connector: Connector | None = None,
         database: Database | None = None,
         subsample_count: int = 100,
-        io_budget: float = 0.02,
-        confidence: float = 0.95,
         planner_config: PlannerConfig | None = None,
-        include_errors: bool = True,
         default_options: ExecutionOptions | None = None,
     ) -> None:
         if connector is None:
             connector = BuiltinConnector(database=database)
         self.connector = connector
-        self.confidence = confidence
         self.subsample_count = subsample_count
         self.default_options = default_options or DEFAULT_OPTIONS
         self.metadata = MetadataStore(connector)
         self.sample_builder = SampleBuilder(connector, self.metadata, subsample_count)
         self.sample_maintainer = SampleMaintainer(connector, self.metadata)
-        self.planner = SamplerFacade(
-            planner_config or PlannerConfig(io_budget=io_budget)
-        )
-        self.rewriter = AqpRewriter(include_errors=include_errors)
-        self.include_errors = include_errors
+        self.planner = SamplePlanner(planner_config)
         # Two levels, both pure functions of the SQL (no version token; the
         # LRU bounds cap memory): raw text -> (shape, this text's constants),
         # over shape key -> the parsed / flattened / analysed shape.
@@ -338,7 +335,8 @@ class VerdictSession:
                 :meth:`prepare`.
             params: values for the template's ``?`` / ``:name`` placeholders
                 (sequence / mapping respectively).
-            options: per-call execution options; defaults to the session's.
+            options: per-call execution options; defaults to the session's
+                ``default_options``.
             deadline: cooperative deadline/cancellation token; created
                 automatically from ``options.timeout_seconds`` when absent.
                 Expiry (or a cross-thread cancel) raises
@@ -385,20 +383,10 @@ class VerdictSession:
                 reason = f"no feasible plan using sample hint {options.sample_hint!r}"
             return self._execute_exact_select(statement, started, reason, bound, deadline)
 
-        confidence = (
-            self.confidence if options.confidence is None else options.confidence
-        )
         try:
             result = self._execute_approximate(
-                template.flattened,
-                analysis,
-                plan,
-                options.include_errors,
-                token,
-                shape_key=template.shape_key,
-                params=bound,
-                confidence=confidence,
-                deadline=deadline,
+                template.flattened, analysis, plan, options, token,
+                template.shape_key, bound, deadline,
             )
         except RewriteError as error:
             return self._execute_exact_select(
@@ -423,20 +411,8 @@ class VerdictSession:
         result.elapsed_seconds = time.perf_counter() - started
 
         if options.accuracy is not None:
-            result = self._enforce_contract(
-                result, statement, options, started, bound, confidence, deadline
-            )
+            result = self._enforce_contract(result, statement, options, started, bound, deadline)
         return result
-
-    def executemany(
-        self,
-        query: str | PreparedTemplate,
-        seq_of_params: Sequence[Sequence | Mapping],
-        options: ExecutionOptions | None = None,
-    ) -> list[ApproximateResult]:
-        """Run one template once per parameter set (prepared once, bound N times)."""
-        template = query if isinstance(query, PreparedTemplate) else self.prepare(query)
-        return [self.execute(template, params, options) for params in seq_of_params]
 
     def sql(
         self,
@@ -455,7 +431,7 @@ class VerdictSession:
             query: the SQL text the user would have sent to the database.
             accuracy: optional HAC minimum accuracy (e.g. 0.99); when the
                 estimated error violates it the query is re-run exactly.
-            include_errors: override the session-wide error-column setting.
+            include_errors: override the options' error-column setting.
             params: optional placeholder values (see :meth:`execute`).
             options: base execution options the shorthands are merged onto.
         """
@@ -481,11 +457,12 @@ class VerdictSession:
         options: ExecutionOptions,
         started: float,
         params: Mapping | None,
-        confidence: float,
         deadline: QueryDeadline | None = None,
     ) -> ApproximateResult:
         """Apply the accuracy contract to an approximate result."""
-        contract = AccuracyContract(min_accuracy=options.accuracy, confidence=confidence)
+        contract = AccuracyContract(
+            min_accuracy=options.accuracy, confidence=options.confidence
+        )
         if contract.is_satisfied_by(result):
             return result
         if options.on_contract_violation == "raise":
@@ -531,10 +508,7 @@ class VerdictSession:
 
     def _exact_result(self, result: ResultSet, started: float) -> ApproximateResult:
         return ApproximateResult(
-            result,
-            is_exact=True,
-            confidence=self.confidence,
-            elapsed_seconds=time.perf_counter() - started,
+            result, is_exact=True, elapsed_seconds=time.perf_counter() - started
         )
 
     def _execute_exact_select(
@@ -573,7 +547,7 @@ class VerdictSession:
                 ("rows", key), token, partial(self.connector.row_count, table.name)
             )
         expected_groups = self._estimate_groups(analysis, token)
-        plan = self.planner.planner.plan(analysis, samples_by_table, table_rows, expected_groups)
+        plan = self.planner.plan(analysis, samples_by_table, table_rows, expected_groups)
         self.last_plan = plan
         return plan
 
@@ -629,21 +603,18 @@ class VerdictSession:
         statement: ast.SelectStatement,
         analysis: QueryAnalysis,
         plan: SamplePlan,
-        include_errors: bool | None,
+        options: ExecutionOptions,
         token: object,
         shape_key: str | None = None,
         params: Mapping | None = None,
-        confidence: float | None = None,
         deadline: QueryDeadline | None = None,
     ) -> ApproximateResult:
-        include_errors = self.include_errors if include_errors is None else include_errors
-        confidence = self.confidence if confidence is None else confidence
         prepared = self._prepare_rewrite(
-            statement, analysis, plan, include_errors, shape_key, token
+            statement, analysis, plan, options.include_errors, shape_key, token
         )
         if prepared is None:
             result = self.connector.execute(statement, params, deadline=deadline)
-            answer = ApproximateResult(result, is_exact=True, confidence=confidence)
+            answer = ApproximateResult(result, is_exact=True, confidence=options.confidence)
             answer.plan_description = "exact execution (mixed aggregate kinds in one item)"
             return answer
 
@@ -704,7 +675,7 @@ class VerdictSession:
             merged,
             group_columns=group_names,
             estimate_columns=estimate_columns,
-            confidence=confidence,
+            confidence=options.confidence,
             is_exact=False,
             rewritten_sql=self.last_rewritten_sql,
             plan_description=plan.describe(),
@@ -852,11 +823,3 @@ def _reorder_columns(
         if name not in desired:
             desired.append(name)
     return ResultSet(desired, [result.column(name) for name in desired])
-
-
-class SamplerFacade:
-    """Small holder so the planner configuration stays user-adjustable."""
-
-    def __init__(self, config: PlannerConfig) -> None:
-        self.config = config
-        self.planner = SamplePlanner(config)

@@ -3,9 +3,13 @@
 ``repro.client.connect(host, port)`` speaks the frame protocol of
 :mod:`repro.server.protocol` to a :class:`~repro.server.VerdictServer` and
 exposes the familiar surface — ``connection.cursor()``, ``execute``,
-``fetchone``/``fetchmany``/``fetchall``, iteration, ``cursor.cancel()``,
-``connection.health_check()`` — so moving an application from in-process to
-client/server is a one-line change of ``connect`` call.
+``executemany``, ``fetchone``/``fetchmany``/``fetchall``, iteration,
+``cursor.cancel()``, ``connection.health_check()`` — so moving an
+application from in-process to client/server is a one-line change of
+``connect`` call.  :class:`RemoteCursor` and :class:`RemoteConnection` are
+the transport half of :class:`~repro.api.connection.CursorCore` /
+:class:`~repro.api.connection.ConnectionCore`: buffering, the fetch loop,
+open/closed checks and the cancel contract are the in-process cursor's.
 
 Typed errors travel the wire: a rejected query raises
 :class:`~repro.errors.ServerBusyError` here, a cancelled one raises
@@ -32,25 +36,23 @@ from __future__ import annotations
 
 import socket
 import threading
-from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any
 
+from repro.api.connection import ConnectionCore, CursorCore, Options, Params, Statement
 from repro.api.options import ExecutionOptions
 from repro.errors import InterfaceError, ProtocolError
+from repro.faults import QueryDeadline
 from repro.health import HealthReport
 from repro.server import protocol
-
-#: Rows pulled per FETCH frame when the caller has not set a batch size
-#: (also what the server puts in a RESULT frame).
-DEFAULT_FETCH_ROWS = 1024
+from repro.server.protocol import DEFAULT_FETCH_ROWS
 
 
 def connect(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    options: ExecutionOptions | Mapping[str, Any] | None = None,
+    options: Options = None,
     timeout: float | None = None,
 ) -> RemoteConnection:
     """Connect to a running server and perform the HELLO handshake.
@@ -74,9 +76,7 @@ def connect(
         raise
 
 
-def _options_payload(
-    options: ExecutionOptions | Mapping[str, Any] | None,
-) -> dict[str, Any] | None:
+def _options_payload(options: Options) -> dict[str, Any] | None:
     """Options → wire dict: full for ExecutionOptions, sparse for mappings."""
     if options is None:
         return None
@@ -89,16 +89,87 @@ def _options_payload(
     )
 
 
-class RemoteConnection:
+class RemoteCursor(CursorCore[bool]):
+    """A cursor over one remote result, fetching long ones incrementally.
+
+    The RESULT frame pre-fills the buffer; FETCH frames bring the rest.
+    """
+
+    connection: RemoteConnection
+    _query_id: str | None = None
+
+    @property
+    def approximate(self) -> bool | None:
+        """True when the server answered from samples, False for an exact
+        pass-through answer, None without a result."""
+        return self._result
+
+    def _run(
+        self, sql: Statement, params: Params, options: Options, deadline: QueryDeadline
+    ) -> tuple[bool, list[str], int]:
+        """Send one QUERY and wait for its RESULT, which brings the first rows.
+
+        Typed failures — :class:`ServerBusyError` on admission rejection,
+        :class:`QueryCancelledError` after a cancel, ... — raise here.
+        """
+        query_id = self.connection._next_query_id()
+        self._query_id = query_id
+        message: dict[str, Any] = {"type": "QUERY", "id": query_id, "sql": sql}
+        if params is not None:
+            message["params"] = list(params) if isinstance(params, Sequence) else dict(params)
+        payload = _options_payload(options)
+        if payload:
+            message["options"] = payload
+        reply = self.connection._exchange(message)
+        if reply.get("type") != "RESULT" or reply.get("id") != query_id:
+            raise ProtocolError(f"expected RESULT for {query_id!r}, got {reply!r}")
+        self._take(reply)
+        names = reply.get("description") or []
+        return bool(reply.get("approximate")), names, reply.get("rowcount", -1)
+
+    def _fetch_more(self, count: int | None) -> None:
+        """Ask the server for up to ``count`` more rows of this result."""
+        reply = self.connection._exchange(
+            {"type": "FETCH", "id": self._query_id, "count": count or DEFAULT_FETCH_ROWS}
+        )
+        if reply.get("type") != "ROWS" or reply.get("id") != self._query_id:
+            raise ProtocolError(f"expected ROWS for {self._query_id!r}, got {reply!r}")
+        self._take(reply)
+
+    def _take(self, reply: dict[str, Any]) -> None:
+        """Buffer the rows a RESULT or ROWS frame carries (column-major)."""
+        self._buffer.extend(zip(*reply.get("columns", ())))
+        self._more = not reply.get("done")
+
+    def _forget(self) -> None:
+        """Drop the current result, here and (what is left of it) server-side."""
+        if self._more:
+            self._notify("DISCARD")
+        super()._forget()
+
+    def cancel(self) -> None:
+        """Cancel the statement in flight; also tells the server (CANCEL)."""
+        super().cancel()
+        self._notify("CANCEL")
+
+    def _notify(self, kind: str) -> None:
+        """A fire-and-forget frame about this cursor's statement."""
+        if self._query_id is None or self.connection.closed:
+            return
+        try:
+            self.connection._send({"type": kind, "id": self._query_id})
+        except OSError:
+            pass
+
+
+class RemoteConnection(ConnectionCore[RemoteCursor]):
     """A DB-API-shaped connection to a remote middleware server."""
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        options: ExecutionOptions | Mapping[str, Any] | None = None,
-    ) -> None:
+    _cursor_type = RemoteCursor
+
+    def __init__(self, sock: socket.socket, options: Options = None) -> None:
+        super().__init__()
         self._sock = sock
-        self._closed = False
         # Serializes whole request/response exchanges; _write_lock alone
         # guards raw sends so cancel() can interleave its frame.
         self._io_lock = threading.Lock()
@@ -144,15 +215,10 @@ class RemoteConnection:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Orderly goodbye (idempotent; tolerates a vanished server)."""
-        if self._closed:
+        if not self._mark_closed():
             return
-        self._closed = True
         try:
             with self._io_lock:
                 self._send({"type": "CLOSE"})
@@ -165,209 +231,12 @@ class RemoteConnection:
             except OSError:  # pragma: no cover
                 pass
 
-    def __enter__(self) -> RemoteConnection:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-
-    # -- DB-API surface ------------------------------------------------------------
-
-    def cursor(
-        self, options: ExecutionOptions | Mapping[str, Any] | None = None
-    ) -> RemoteCursor:
-        self._check_open()
-        return RemoteCursor(self, options=options)
-
-    def execute(
-        self,
-        sql: str,
-        params: Sequence[Any] | Mapping[str, Any] | None = None,
-        options: ExecutionOptions | Mapping[str, Any] | None = None,
-    ) -> RemoteCursor:
-        """Shorthand: open a cursor, execute, return the cursor."""
-        cursor = self.cursor()
-        cursor.execute(sql, params, options=options)
-        return cursor
-
-    def commit(self) -> None:
-        self._check_open()
-
-    def rollback(self) -> None:
-        self._check_open()
-
     def health_check(self) -> HealthReport:
         """The server's :class:`HealthReport` (pool, server and stats sections)."""
         reply = self._exchange({"type": "HEALTH"})
         if reply.get("type") != "HEALTHY":
             raise ProtocolError(f"expected HEALTHY, got {reply.get('type')!r}")
         return HealthReport.from_sections(reply.get("report", {}))
-
-
-class RemoteCursor:
-    """A cursor over one remote result, fetching long ones incrementally."""
-
-    arraysize = 1
-
-    def __init__(
-        self,
-        connection: RemoteConnection,
-        options: ExecutionOptions | Mapping[str, Any] | None = None,
-    ) -> None:
-        self.connection = connection
-        self.options = options
-        self._closed = False
-        self.description: list[tuple[Any, ...]] | None = None
-        self.rowcount = -1
-        #: True when the server answered from samples (with error columns
-        #: available server-side); False for exact pass-through answers.
-        self.approximate: bool | None = None
-        self._query_id: str | None = None
-        self._buffer: deque[tuple[Any, ...]] = deque()
-        #: False while the server still buffers rows of this result.
-        self._exhausted = True
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        self._closed = True
-        self._discard()
-
-    def __enter__(self) -> RemoteCursor:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _discard(self) -> None:
-        """Drop the current result, here and (what is left of it) server-side."""
-        self._buffer.clear()
-        if not self._exhausted:
-            self._exhausted = True
-            self._notify("DISCARD")
-
-    def _notify(self, kind: str) -> None:
-        """A fire-and-forget frame about this cursor's statement."""
-        if self._query_id is None or self.connection.closed:
-            return
-        try:
-            self.connection._send({"type": kind, "id": self._query_id})
-        except OSError:
-            pass
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    def _check_result(self) -> None:
-        self._check_open()
-        if self._query_id is None:
-            raise InterfaceError("no statement has been executed on this cursor")
-
-    # -- execution ----------------------------------------------------------------
-
-    def execute(
-        self,
-        sql: str,
-        params: Sequence[Any] | Mapping[str, Any] | None = None,
-        options: ExecutionOptions | Mapping[str, Any] | None = None,
-    ) -> RemoteCursor:
-        """Send one QUERY and wait for its RESULT, which brings the first rows.
-
-        Typed failures — :class:`ServerBusyError` on admission rejection,
-        :class:`QueryCancelledError` after a cancel, ... — raise here.
-        """
-        self._check_open()
-        self._discard()
-        self.description = None
-        self.rowcount = -1
-        self.approximate = None
-        query_id = self.connection._next_query_id()
-        self._query_id = query_id
-        message: dict[str, Any] = {"type": "QUERY", "id": query_id, "sql": sql}
-        if params is not None:
-            message["params"] = list(params) if isinstance(params, Sequence) else dict(params)
-        payload = _options_payload(options if options is not None else self.options)
-        if payload:
-            message["options"] = payload
-        reply = self.connection._exchange(message)
-        if reply.get("type") != "RESULT" or reply.get("id") != query_id:
-            raise ProtocolError(f"expected RESULT for {query_id!r}, got {reply!r}")
-        names = reply.get("description") or []
-        self.description = (
-            [(name, None, None, None, None, None, None) for name in names]
-            if names
-            else None
-        )
-        self.rowcount = reply.get("rowcount", -1)
-        self.approximate = reply.get("approximate")
-        self._take(reply)
-        return self
-
-    def cancel(self) -> None:
-        """Cancel the in-flight statement (callable from another thread).
-
-        Fire-and-forget: the thread blocked in :meth:`execute` sees the
-        query fail with :class:`~repro.errors.QueryCancelledError` (unless
-        the cancel raced completion, in which case the result stands).
-        """
-        self._notify("CANCEL")
-
-    # -- fetching ------------------------------------------------------------------
-
-    def _take(self, reply: dict[str, Any]) -> None:
-        """Buffer the rows a RESULT or ROWS frame carries (column-major)."""
-        self._buffer.extend(zip(*reply.get("columns", ())))
-        self._exhausted = bool(reply.get("done"))
-
-    def _pull(self, count: int) -> None:
-        """Ask the server for up to ``count`` more rows of this result."""
-        reply = self.connection._exchange(
-            {"type": "FETCH", "id": self._query_id, "count": count}
-        )
-        if reply.get("type") != "ROWS" or reply.get("id") != self._query_id:
-            raise ProtocolError(f"expected ROWS for {self._query_id!r}, got {reply!r}")
-        self._take(reply)
-
-    def fetchone(self) -> tuple[Any, ...] | None:
-        self._check_result()
-        if not self._buffer and not self._exhausted:
-            self._pull(max(self.arraysize, DEFAULT_FETCH_ROWS))
-        if not self._buffer:
-            return None
-        return self._buffer.popleft()
-
-    def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
-        self._check_result()
-        count = self.arraysize if size is None else size
-        while len(self._buffer) < count and not self._exhausted:
-            self._pull(count)
-        buffer = self._buffer
-        return [buffer.popleft() for _ in range(min(count, len(buffer)))]
-
-    def fetchall(self) -> list[tuple[Any, ...]]:
-        self._check_result()
-        while not self._exhausted:
-            self._pull(DEFAULT_FETCH_ROWS)
-        rows = list(self._buffer)
-        self._buffer.clear()
-        return rows
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
 
 
 __all__ = ["DEFAULT_FETCH_ROWS", "RemoteConnection", "RemoteCursor", "connect"]

@@ -17,10 +17,11 @@ Message types
 
 Client → server:
 
-``HELLO``    ``{version, options?}`` — must be first; ``options`` become the
-             connection's default :class:`ExecutionOptions`.
+``HELLO``    ``{version, options?}`` — must be first; ``options`` override
+             the server's default :class:`ExecutionOptions` field-wise for
+             this connection.
 ``QUERY``    ``{id, sql, params?, options?}`` — start a statement; per-query
-             ``options`` override the connection defaults field-wise.
+             ``options`` override the connection's field-wise.
 ``FETCH``    ``{id, count?}`` — pull the next ``count`` rows of a result the
              RESULT frame left unfinished.
 ``CANCEL``   ``{id}`` — cancel the running statement ``id`` (races with
@@ -36,7 +37,7 @@ Server → client:
 ``WELCOME``  ``{version, server}`` — HELLO accepted.
 ``RESULT``   ``{id, description, rowcount, approximate, elapsed_seconds,
              columns, done}`` — the statement finished; ``columns`` holds
-             its first rows (up to the server's ``DEFAULT_FETCH_ROWS``) and
+             its first rows (up to :data:`DEFAULT_FETCH_ROWS`) and
              ``done`` says whether those were all of them.  Only a result
              that is not ``done`` stays buffered server-side for FETCH.
 ``ROWS``     ``{id, columns, done}`` — one FETCH's worth of rows.
@@ -57,7 +58,7 @@ import struct
 from typing import Any
 
 from repro import errors as _errors
-from repro.api.options import ExecutionOptions
+from repro.api.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.errors import OperationalError, ProtocolError
 
 #: Protocol revision; HELLO/WELCOME carry it so mismatches fail loudly.
@@ -67,6 +68,10 @@ PROTOCOL_VERSION = 2
 #: Upper bound on one frame (guards against garbage length prefixes and
 #: unbounded allocation on either side).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Rows a RESULT frame carries, and the FETCH batch when the client does not
+#: ask for a number of rows.
+DEFAULT_FETCH_ROWS = 1024
 
 _LENGTH = struct.Struct(">I")
 
@@ -146,20 +151,26 @@ def encode_options(options: ExecutionOptions | None) -> dict[str, Any] | None:
     return dataclasses.asdict(options)
 
 
-def decode_options(payload: dict[str, Any] | None) -> ExecutionOptions | None:
-    """Plain dict → ExecutionOptions, ignoring unknown fields.
+def decode_options(
+    payload: dict[str, Any] | None, base: ExecutionOptions | None = None
+) -> ExecutionOptions | None:
+    """Plain dict → ExecutionOptions, overriding ``base`` field-wise.
 
+    Only the keys the payload sets replace ``base``'s fields (the defaults
+    when ``base`` is None); a missing payload returns ``base`` itself.  A
+    key whose value is None counts as not set, so a client that sends every
+    field — ``"confidence": null`` included — gets the defaults for those.
     Unknown keys are dropped rather than rejected so a newer client can talk
     to an older server; a typo'd option degrades to the default, which the
     RESULT's ``approximate`` flag makes visible.
     """
     if payload is None:
-        return None
+        return base
     if not isinstance(payload, dict):
         raise ProtocolError("options payload must be an object")
-    known = {k: v for k, v in payload.items() if k in _OPTION_FIELDS}
+    known = {k: v for k, v in payload.items() if k in _OPTION_FIELDS and v is not None}
     try:
-        return ExecutionOptions(**known)
+        return (base or DEFAULT_OPTIONS).merged(**known)
     except Exception as exc:
         raise ProtocolError(f"bad options payload: {exc}") from exc
 
@@ -199,6 +210,7 @@ def decode_error(payload: dict[str, Any]) -> Exception:
 
 
 __all__ = [
+    "DEFAULT_FETCH_ROWS",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "decode_error",

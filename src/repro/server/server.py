@@ -15,9 +15,10 @@ disconnect.
 Operational behaviour the tests pin down:
 
 * **per-connection options** — HELLO may carry default
-  :class:`ExecutionOptions`; a QUERY's options override them *field-wise*
-  (the payloads are merged key-by-key before decoding, so a query that sets
-  only ``accuracy`` keeps the connection's ``mode``).
+  :class:`ExecutionOptions`; options merge *field-wise* in the order
+  server → HELLO → QUERY (each layer replaces only the fields it sets, so a
+  query that sets only ``accuracy`` keeps the connection's and the server's
+  ``mode``).
 * **admission control** — at most ``max_concurrent_queries`` execute at
   once; up to ``max_queue_depth`` more wait for a slot; anything beyond is
   rejected immediately with a typed
@@ -40,7 +41,7 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from collections.abc import Mapping
 
 from repro.api.options import ExecutionOptions
@@ -50,11 +51,8 @@ from repro.errors import InterfaceError, ProtocolError, ServerBusyError
 from repro.faults import DeadlineRegistry, QueryDeadline
 from repro.health import HealthReport
 from repro.server import protocol
+from repro.server.protocol import DEFAULT_FETCH_ROWS
 from repro.sqlengine.engine import Database
-
-#: Rows carried by a RESULT frame, and the FETCH batch when the client does
-#: not say how many rows it wants.
-DEFAULT_FETCH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -70,15 +68,7 @@ class ServerStats:
     draining: bool
 
     def as_dict(self) -> dict:
-        return {
-            "connections": self.connections,
-            "running": self.running,
-            "queued": self.queued,
-            "served": self.served,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "draining": self.draining,
-        }
+        return asdict(self)
 
 
 class VerdictServer:
@@ -319,9 +309,9 @@ class _ClientHandler:
         self._worker = threading.Thread(
             target=self._work, name=f"repro-server-worker-{self.id}", daemon=True
         )
-        # Default options payload from HELLO (raw dict: merged field-wise
-        # with each QUERY's payload, so per-query overrides are sparse).
-        self._default_options_payload: dict = {}
+        # The server's options with HELLO's merged over them; each QUERY's
+        # options are merged over these in turn.
+        self._options: ExecutionOptions | None = server.options
         # query_id -> [columns, position]: what FETCH has yet to deliver of
         # an answer longer than its RESULT frame.
         self._results: dict[str, list] = {}
@@ -400,13 +390,11 @@ class _ClientHandler:
                 )
             )
             return False
-        raw_options = frame.get("options") or {}
         try:
-            protocol.decode_options(raw_options)  # validate now, fail loudly
+            self._options = protocol.decode_options(frame.get("options"), self._options)
         except ProtocolError as exc:
             self._send(protocol.encode_error(exc))
             return False
-        self._default_options_payload = dict(raw_options)
         self._send(
             {
                 "type": "WELCOME",
@@ -444,32 +432,17 @@ class _ClientHandler:
     def _on_query(self, frame: dict) -> None:
         query_id = frame.get("id")
         sql = frame.get("sql")
-        if not isinstance(query_id, str) or not isinstance(sql, str):
-            self._send(
-                protocol.encode_error(
-                    ProtocolError("QUERY requires string 'id' and 'sql'"), query_id
-                )
-            )
-            return
-        with self._results_lock:
-            duplicate = query_id in self._results
-        if duplicate:
-            self._send(
-                protocol.encode_error(
-                    ProtocolError(f"query id {query_id!r} already has a result"),
-                    query_id,
-                )
-            )
-            return
-        merged_payload = {**self._default_options_payload, **(frame.get("options") or {})}
         try:
-            options = protocol.decode_options(merged_payload or None)
-        except ProtocolError as exc:
-            self._send(protocol.encode_error(exc, query_id))
-            return
-        try:
+            if not isinstance(query_id, str) or not isinstance(sql, str):
+                raise ProtocolError("QUERY requires string 'id' and 'sql'")
+            with self._results_lock:
+                if query_id in self._results:
+                    raise ProtocolError(f"query id {query_id!r} already has a result")
+            options = protocol.decode_options(frame.get("options"), self._options)
+            # Admission last: a statement refused for any reason above never
+            # holds a slot.
             queued = self.server._admit()
-        except ServerBusyError as exc:
+        except (ProtocolError, ServerBusyError) as exc:
             self._send(protocol.encode_error(exc, query_id))
             return
         self._queries.put((query_id, sql, frame.get("params"), options, queued))

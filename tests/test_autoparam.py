@@ -62,7 +62,7 @@ def unlifted_default_answer(session, text: str):
     plan = session._plan(analysis, token)
     if plan is None:
         return None
-    return session._execute_approximate(flattened, analysis, plan, None, token)
+    return session._execute_approximate(flattened, analysis, plan, ExecutionOptions(), token)
 
 
 def assert_same_answer(got, expected) -> None:

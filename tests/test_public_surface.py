@@ -71,6 +71,8 @@ def test_database_parameters():
 
 
 def test_connect_parameters():
+    # Per-query defaults (confidence, include_errors) live only in
+    # ExecutionOptions, the I/O budget only in PlannerConfig.
     assert _parameters(repro.connect) == [
         "connector",
         "database",
@@ -78,10 +80,7 @@ def test_connect_parameters():
         "pool_size",
         "database_kwargs",
         "subsample_count",
-        "io_budget",
-        "confidence",
         "planner_config",
-        "include_errors",
         "pool_kwargs",
     ]
 
@@ -91,11 +90,17 @@ def test_session_parameters():
         "connector",
         "database",
         "subsample_count",
-        "io_budget",
-        "confidence",
         "planner_config",
-        "include_errors",
         "default_options",
+    ]
+
+
+def test_connect_async_parameters():
+    assert _parameters(repro.connect_async) == [
+        "connector",
+        "database",
+        "options",
+        "connect_kwargs",
     ]
 
 
@@ -104,6 +109,10 @@ def test_serve_parameters():
 
 
 def test_execution_options_fields():
+    # Unchanged fields; confidence and include_errors now default to 0.95 and
+    # True instead of None ("use the session's value").
+    assert ExecutionOptions().confidence == 0.95
+    assert ExecutionOptions().include_errors is True
     assert [field.name for field in dataclasses.fields(ExecutionOptions)] == [
         "accuracy",
         "confidence",

@@ -111,6 +111,27 @@ def test_per_query_options_override_connection_defaults(server):
         assert cursor.approximate is False
 
 
+def test_server_options_survive_client_options():
+    # Field-wise merge, server -> HELLO -> QUERY: a client option that does
+    # not mention `mode` must not reset the server's exact mode.
+    engine = sampled_engine()
+    srv = repro.serve(database=engine, port=0, pool_size=1, options=ExecutionOptions(mode="exact"))
+    try:
+        with srv._pool.connection() as conn:
+            conn.session.create_sample("orders", SampleSpec("uniform", (), 0.05))
+        sql = "SELECT avg(price) AS a FROM orders"
+        with repro.client.connect(*srv.address, timeout=10.0) as conn:
+            assert conn.execute(sql).approximate is False
+            assert conn.execute(sql, options={"confidence": 0.9}).approximate is False
+            assert conn.execute(sql, options={"mode": "approximate"}).approximate is True
+        with repro.client.connect(*srv.address, timeout=10.0, options={"confidence": 0.9}) as conn:
+            assert conn.execute(sql).approximate is False
+            assert conn.execute(sql, options={"accuracy": 0.5}).approximate is False
+    finally:
+        srv.shutdown()
+        engine.close()
+
+
 def test_incremental_fetch_pulls_batches(client):
     cursor = client.cursor()
     cursor.execute("SELECT order_id FROM orders ORDER BY order_id")
@@ -217,8 +238,14 @@ def test_cancel_after_completion_is_harmless(client):
     cursor = client.execute(
         "SELECT count(*) AS n FROM orders", options={"mode": "exact"}
     )
-    cursor.cancel()  # races completion; the buffered result stands
+    cursor.cancel()  # races completion: the one cancel rule, as in-process
+    with pytest.raises(InterfaceError):
+        cursor.fetchall()
+    # The stray CANCEL is harmless: the next statement re-arms the cursor and
+    # the connection answers as before.
+    cursor.execute("SELECT count(*) AS n FROM orders", options={"mode": "exact"})
     assert cursor.fetchall() == [(20_000,)]
+    assert client.execute("SELECT count(*) AS n FROM orders").fetchone() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +456,7 @@ def test_fetch_for_unknown_query_id_is_a_typed_error(client):
     with pytest.raises(InterfaceError):
         cursor.execute("SELECT count(*) AS n FROM orders")  # buffers nothing...
         cursor._query_id = "bogus"
-        cursor._exhausted = False
-        cursor._pull(10)
+        cursor._fetch_more(10)
 
 
 def test_frame_codec_roundtrip_and_guards():
@@ -458,6 +484,19 @@ def test_options_codec_ignores_unknown_fields():
     assert protocol.decode_options(None) is None
     payload = protocol.encode_options(ExecutionOptions(accuracy=0.01))
     assert payload["accuracy"] == 0.01
+
+
+def test_options_codec_reads_none_as_not_set():
+    # A client that sends every field, unset ones as null, gets the defaults
+    # (not a ProtocolError), and a null never erases a field of the base.
+    full = {name: None for name in protocol.encode_options(ExecutionOptions())}
+    assert protocol.decode_options({**full, "mode": "exact"}) == ExecutionOptions(mode="exact")
+    base = ExecutionOptions(mode="exact", confidence=0.8)
+    decoded = protocol.decode_options({**full, "accuracy": 0.9}, base)
+    assert decoded == ExecutionOptions(mode="exact", confidence=0.8, accuracy=0.9)
+    assert protocol.decode_options(None, base) is base
+    with pytest.raises(ProtocolError):
+        protocol.decode_options({"confidence": 2.0}, base)
 
 
 def test_error_codec_reconstructs_typed_exceptions():
