@@ -26,9 +26,8 @@ from repro.errors import ExecutionError, SamplingError
 from repro.sampling.metadata import MetadataStore
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import functions
-from repro.sqlengine.encoding import encode_object_array, merge_dictionaries
-from repro.sqlengine.expressions import null_mask
-from repro.sqlengine.table import coerce_batch
+from repro.sqlengine.encoding import encode_join_keys
+from repro.sqlengine.table import coerce_batch, find_sorted
 
 Array = NDArray[Any]
 #: Column name -> values, as the backend will store them.
@@ -139,48 +138,27 @@ class SampleMaintainer:
     ) -> Array:
         """Reuse the per-stratum probabilities stored in the existing sample.
 
-        Strata and batch rows are matched on the engine's own grouping keys
-        (each key column's normalized dictionary, merged between the two
-        sides), so a batch row joins the stratum ``GROUP BY`` put its
-        equals in; rows of an unseen stratum get probability 1.
+        Strata and batch rows are matched by the engine's key codec, as a
+        join whose NULLs match NULL (a NULL stratum read back as None from
+        SQLite or as NaN from the built-in engine matches a batch's NULL
+        rows), so a batch row joins the stratum ``GROUP BY`` put its equals
+        in; rows of an unseen stratum get probability 1.
         """
         key_columns = ", ".join(info.columns)
         result = self._connector.execute(
             f"SELECT {key_columns}, max({PROBABILITY_COLUMN}) AS p "
             f"FROM {info.sample_table} GROUP BY {key_columns}"
         )
-        strata_keys = np.zeros(result.num_rows, dtype=np.int64)
-        batch_keys = np.zeros(batch_size, dtype=np.int64)
-        for column, strata_values in zip(info.columns, result.columns()):
-            strata_codes, batch_codes, cardinality = merge_dictionaries(
-                _encode(strata_values), _encode(batch[column])
-            )
-            strata_keys = strata_keys * cardinality + strata_codes
-            batch_keys = batch_keys * cardinality + batch_codes
+        strata_keys, batch_keys = encode_join_keys(
+            result.columns()[: len(info.columns)],
+            [batch[column] for column in info.columns],
+            null_safe=[True] * len(info.columns),
+        )
+        order = np.argsort(strata_keys)
+        seen, positions = find_sorted(strata_keys[order], batch_keys)
         probabilities = np.ones(batch_size, dtype=np.float64)
-        if result.num_rows:
-            order = np.argsort(strata_keys)
-            strata_keys = strata_keys[order]
-            known = result.column("p").astype(np.float64)[order]
-            position = np.minimum(np.searchsorted(strata_keys, batch_keys), len(order) - 1)
-            seen = strata_keys[position] == batch_keys
-            probabilities[seen] = known[position[seen]]
+        probabilities[seen] = result.column("p").astype(np.float64)[order[positions]]
         return probabilities
-
-
-def _encode(values: Array) -> tuple[Array, Array]:
-    """Dictionary-encode a key column; numeric columns via their distinct values.
-
-    A NaN encodes as None does, so a NULL stratum read back as None (SQLite)
-    or as NaN (the built-in engine) matches a batch's NaN rows.
-    """
-    if values.dtype == object:
-        return encode_object_array(values)
-    distinct, inverse = np.unique(values, return_inverse=True)
-    labels = distinct.astype(object)
-    labels[null_mask(distinct)] = None
-    codes, dictionary = encode_object_array(labels)
-    return codes[inverse], dictionary
 
 
 def _hash_keys(batch: Batch, columns: tuple[str, ...]) -> Array:

@@ -1,24 +1,46 @@
-"""Dictionary encoding of key columns.
+"""The engine's one key codec.
 
-String (object-dtype) columns are the engine's slowest data type: every
-GROUP BY, equi-join and ORDER BY over them used to re-run ``str()`` over the
-whole column and rebuild a fresh ``np.unique`` dictionary per call.  This
-module centralises the normalization and encoding so that
+Every operator that asks whether two keys are equal — the hash join and the
+key-index join, ``GROUP BY``, ``DISTINCT``, window ``PARTITION BY``,
+``COUNT(DISTINCT)``, ``ORDER BY`` over strings, ``IN`` lists and the
+comparisons, zone-map bounds and sample maintenance's stratum matching —
+reads keys through this module, so they cannot disagree.  The rules, per
+dtype:
 
-* every call site (grouping, joining, sorting) agrees on how NULLs are
-  normalized (a single sentinel that sorts before printable strings), and
-* :class:`~repro.sqlengine.table.Table` can memoize one ``(codes,
-  dictionary)`` pair per column and the executor can reuse it for the whole
-  query pipeline instead of recomputing it per operator.
+* int64 and bool keys stay int64: ``2**53`` and ``2**53 + 1`` are two keys.
+* float64 keys: NaN is NULL, and ``-0.0`` equals ``0.0``.
+* an int and a float are equal when they are the same number, exactly (as
+  in SQLite): ``2**53 + 1`` never equals ``2.0**53``.
+* object (string) keys go through a sorted dictionary of normalized strings
+  (``str(value)``; NULL becomes a sentinel that sorts first), so ``1`` and
+  ``1.0`` in an object column are two keys, ``"1"`` and ``"1.0"``.  An object
+  key meets a numeric one in that same string form.
+
+:func:`encode_key` turns one column (plus a scan's dictionary codes, when
+they exist) into :class:`KeyCodes`: int64 codes, equal exactly when the keys
+are, and the code NULL rows carry.  :func:`encode_key_pair` codes two columns
+jointly, :func:`pack_codes` is the one overflow-guarded packer of several
+coded columns, :func:`encode_join_keys` combines the two for an equi-join,
+and :func:`compare_numeric` applies the same exactness to ``= <> < <= > >=``.
 
 The dictionary is always sorted, so codes are rank-preserving: sorting or
 comparing codes is equivalent to sorting or comparing the normalized string
-values.
+values.  :class:`~repro.sqlengine.table.Table` memoizes one ``(codes,
+dictionary)`` pair per object column and the executor reuses it for the
+whole query pipeline instead of re-encoding the column per operator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import Any, NamedTuple
+
 import numpy as np
+from numpy.typing import NDArray
+
+Array = NDArray[Any]
+#: ``(codes, dictionary)`` of a dictionary-encoded object column.
+Encoded = tuple[Array, Array]
 
 # NULLs normalize to a sentinel that sorts before every printable string.
 # Data values that could collide with it (anything starting with a NUL byte)
@@ -26,6 +48,19 @@ import numpy as np
 # NULLs: ``"\0N"`` can only ever come from None, never from data.
 NULL_SENTINEL = "\0N"
 _ESCAPE_PREFIX = "\0S"
+
+# Packed multi-column codes stay below this bound; past it the packed prefix
+# is re-densified instead of silently wrapping around int64.
+_MAX_PACKED_CODE = 1 << 62
+
+_COMPARE = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 def escape_key(value: str) -> str:
@@ -45,15 +80,7 @@ def unescape_key(entry: str) -> str:
     return entry[len(_ESCAPE_PREFIX):] if entry.startswith(_ESCAPE_PREFIX) else entry
 
 
-def normalize_object_key(array: np.ndarray) -> np.ndarray:
-    """Normalize an object column into comparable strings (NULL -> sentinel)."""
-    return np.array(
-        [NULL_SENTINEL if value is None else escape_key(str(value)) for value in array],
-        dtype=str,  # an empty column must still normalize to a string array
-    )
-
-
-def escaped_bounds(values) -> tuple[str | None, str | None, int]:
+def escaped_bounds(values: Array) -> tuple[str | None, str | None, int]:
     """Min/max normalized key and NULL count of an object array.
 
     Zone maps store these per chunk: the bounds use the same
@@ -63,35 +90,28 @@ def escaped_bounds(values) -> tuple[str | None, str | None, int]:
     folded into the bounds — the sentinel would otherwise always be the
     minimum and comparisons could never rule a chunk out.
     """
-    low = high = None
-    null_count = 0
-    for value in values:
-        if value is None:
-            null_count += 1
-            continue
-        key = escape_key(str(value))
-        if low is None or key < low:
-            low = key
-        if high is None or key > high:
-            high = key
-    return low, high, null_count
+    keys = [escape_key(str(value)) for value in values if value is not None]
+    if not keys:
+        return None, None, len(values)
+    return min(keys), max(keys), len(values) - len(keys)
 
 
-def encode_object_array(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def encode_object_array(array: Array) -> Encoded:
     """Dictionary-encode an object column.
 
     Returns ``(codes, dictionary)`` where ``dictionary`` is the sorted array
     of distinct normalized values and ``codes[i]`` is the rank of row ``i``'s
     normalized value in it.
     """
-    normalized = normalize_object_key(array)
+    normalized = np.array(
+        [NULL_SENTINEL if value is None else escape_key(str(value)) for value in array],
+        dtype=str,  # an empty column must still normalize to a string array
+    )
     dictionary, codes = np.unique(normalized, return_inverse=True)
     return codes.astype(np.int64, copy=False), dictionary
 
 
-def union_dictionaries(
-    left: np.ndarray, right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def union_dictionaries(left: Array, right: Array) -> tuple[Array, Array | None, Array]:
     """Sorted union of two dictionaries and where each one's entries land in it.
 
     Returns ``(union, left_map, right_map)``.  ``left_map`` is ``None`` when
@@ -119,24 +139,7 @@ def union_dictionaries(
     return union, left_map, right_map
 
 
-def merge_dictionaries(
-    left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Re-code two encoded columns against the union of their dictionaries.
-
-    Used by the hash join: instead of re-running ``np.unique`` over every row
-    of both inputs, only the (much smaller) dictionaries are merged and each
-    side's codes are remapped through the merged positions.
-    """
-    left_codes, left_dictionary = left
-    right_codes, right_dictionary = right
-    union, left_map, right_map = union_dictionaries(left_dictionary, right_dictionary)
-    if left_map is not None:
-        left_codes = left_map[left_codes]
-    return left_codes, right_map[right_codes], len(union)
-
-
-def null_code(dictionary: np.ndarray) -> int:
+def null_code(dictionary: Array) -> int:
     """Position of the NULL sentinel in ``dictionary`` (-1 when absent)."""
     position = int(np.searchsorted(dictionary, NULL_SENTINEL))
     if position < len(dictionary) and dictionary[position] == NULL_SENTINEL:
@@ -144,10 +147,256 @@ def null_code(dictionary: np.ndarray) -> int:
     return -1
 
 
-def code_for_value(dictionary: np.ndarray, value: str) -> int:
+def code_for_value(dictionary: Array, value: str) -> int:
     """Position of a raw ``value`` in ``dictionary`` (-1 when absent)."""
     key = escape_key(value)
     position = int(np.searchsorted(dictionary, key))
     if position < len(dictionary) and dictionary[position] == key:
         return position
     return -1
+
+
+# ---------------------------------------------------------------------------
+# key codes
+# ---------------------------------------------------------------------------
+
+
+class KeyCodes(NamedTuple):
+    """int64 codes of one key column: two rows share a code iff their keys
+    are equal.
+
+    Codes lie in ``[0, cardinality)``; :func:`encode_key` of a whole column
+    uses every code, while a scan's dictionary codes restricted to some rows,
+    or one side of a pair, may leave some unused.  ``null_code`` is the code
+    NULL rows carry (-1: no row can be NULL).
+    """
+
+    codes: Array
+    cardinality: int
+    null_code: int = -1
+
+    def null_mask(self) -> Array | None:
+        """Rows whose key is NULL, or None when there are none."""
+        if self.null_code < 0:
+            return None
+        mask: Array = self.codes == self.null_code
+        return mask
+
+
+def encode_key(values: Array, encoded: Encoded | None = None) -> KeyCodes:
+    """The codes of one key column.
+
+    ``encoded`` is the column's ``(codes, dictionary)`` when a scan attached
+    one: those codes are used as they are, never re-encoded.
+    """
+    if encoded is None and values.dtype == object:
+        encoded = encode_object_array(values)
+    if encoded is not None:
+        codes, dictionary = encoded
+        return KeyCodes(codes, len(dictionary), null_code(dictionary))
+    return _unique_codes(numeric_key(values))
+
+
+def encode_key_pair(
+    left: Array,
+    right: Array,
+    left_encoded: Encoded | None = None,
+    right_encoded: Encoded | None = None,
+) -> tuple[KeyCodes, KeyCodes]:
+    """Joint codes of two key columns: a left row and a right row share a
+    code iff their keys are equal (the same rule holds within each side).
+
+    When either side is an object column, both go through the dictionary
+    (only the two dictionaries are merged, never the rows); otherwise the
+    keys are compared exactly as numbers.
+    """
+    if object in (left.dtype, right.dtype) or left_encoded or right_encoded:
+        left_codes, left_dictionary = left_encoded or encode_object_array(_as_object(left))
+        right_codes, right_dictionary = right_encoded or encode_object_array(_as_object(right))
+        union, left_map, right_map = union_dictionaries(left_dictionary, right_dictionary)
+        if left_map is not None:
+            left_codes = left_map[left_codes]
+        null = null_code(union)
+        return (
+            KeyCodes(left_codes, len(union), null),
+            KeyCodes(right_map[right_codes], len(union), null),
+        )
+    left_values, right_values = numeric_key(left), numeric_key(right)
+    if left_values.dtype == right_values.dtype:
+        joint = _unique_codes(np.concatenate([left_values, right_values]))
+        return _split(joint, len(left_values))
+    if left_values.dtype.kind == "f":
+        right_key, left_key = _int_float_codes(right_values, left_values)
+        return left_key, right_key
+    return _int_float_codes(left_values, right_values)
+
+
+def pack_codes(keys: Sequence[KeyCodes]) -> KeyCodes:
+    """One code per row for several coded columns, equal iff every column's
+    code is equal.
+
+    Packing is positional (``combined * cardinality + codes``); when the
+    running cardinality product would pass :data:`_MAX_PACKED_CODE` — nine
+    256-value columns already reach 2**72 — the packed prefix is re-encoded
+    to dense codes first, so distinct key tuples are never conflated by a
+    silent int64 wraparound.
+    """
+    combined, cardinality = keys[0].codes, max(1, keys[0].cardinality)
+    for key in keys[1:]:
+        width = max(1, key.cardinality)
+        if cardinality > _MAX_PACKED_CODE // width:
+            uniques, combined = np.unique(combined, return_inverse=True)
+            cardinality = max(1, len(uniques))
+        combined = combined * width + key.codes
+        cardinality *= width
+    return KeyCodes(combined.astype(np.int64, copy=False), cardinality)
+
+
+def encode_join_keys(
+    left_keys: Sequence[Array],
+    right_keys: Sequence[Array],
+    left_encodings: Sequence[Encoded | None] | None = None,
+    right_encodings: Sequence[Encoded | None] | None = None,
+    null_safe: Sequence[bool] | None = None,
+) -> tuple[Array, Array]:
+    """Packed joint codes of a multi-column equi-join key, per side.
+
+    A left and a right row share a code iff every key column is equal.  A
+    row whose key is NULL in a column not marked ``null_safe`` matches
+    nothing, as ``=`` in SQL: it gets code -1 on the left and -2 on the
+    right.  In a ``null_safe`` column NULL is a key like any other and
+    matches NULL.
+    """
+    left_rows = len(left_keys[0])
+    pairs = [
+        encode_key_pair(
+            left,
+            right,
+            left_encodings[position] if left_encodings else None,
+            right_encodings[position] if right_encodings else None,
+        )
+        for position, (left, right) in enumerate(zip(left_keys, right_keys))
+    ]
+    packed = pack_codes(
+        [
+            KeyCodes(np.concatenate([left.codes, right.codes]), left.cardinality)
+            for left, right in pairs
+        ]
+    )
+    sides: list[Array] = []
+    halves = ((0, packed.codes[:left_rows], -1), (1, packed.codes[left_rows:], -2))
+    for side, codes, unmatched in halves:
+        masks = [
+            mask
+            for position, pair in enumerate(pairs)
+            if not (null_safe and null_safe[position])
+            and (mask := pair[side].null_mask()) is not None
+        ]
+        if masks:
+            codes = np.where(np.logical_or.reduce(masks), unmatched, codes)
+        sides.append(codes)
+    return sides[0], sides[1]
+
+
+def compare_numeric(op: str, left: Array, right: Array) -> Array:
+    """``left OP right`` over two numeric columns, exact as the codec is.
+
+    int64 (and bool) against int64 compares as int64; an int against a
+    float compares their exact values, never a rounded ``float64`` copy of
+    the int.  A NaN operand follows IEEE rules: every operator is False
+    except ``<>``, which is True.
+    """
+    left, right = numeric_key(left), numeric_key(right)
+    if left.dtype != right.dtype:
+        # Python compares an int with a float by exact value.
+        dtype = np.float64 if _fits_float(left if left.dtype.kind == "i" else right) else object
+        left, right = left.astype(dtype, copy=False), right.astype(dtype, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN in an object comparison
+        result: Array = _COMPARE[op](left, right)
+    return result
+
+
+def exact_cast(values: Array, dtype: np.dtype[Any]) -> tuple[Array | None, Array]:
+    """The rows of a numeric column that can equal a value of ``dtype``,
+    and those rows' values converted to ``dtype`` exactly.
+
+    Returns ``(rows, converted)``; ``rows`` is None when every row converts.
+    Floats convert to int64 when integral and in range; ints convert to
+    float64 when the float holds them exactly.  NaN converts to nothing.
+    """
+    values = numeric_key(values)
+    if values.dtype == dtype:
+        return None, values
+    if dtype.kind == "f":
+        floats = values.astype(np.float64)
+        if _fits_float(values):
+            return None, floats
+        exact = values.astype(object) == floats.astype(object)
+    else:
+        exact = (values == np.floor(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+    return np.flatnonzero(exact), values[exact].astype(dtype)
+
+
+def numeric_key(values: Array) -> Array:
+    """A numeric key column in the dtype its keys compare in: int64 or
+    float64 (bool as int64)."""
+    return values.astype(np.int64) if values.dtype.kind == "b" else values
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+
+def _unique_codes(values: Array) -> KeyCodes:
+    """Codes of a numeric column by its sorted distinct values (NaN: NULL)."""
+    uniques, codes = np.unique(values, return_inverse=True)
+    # np.unique folds every NaN into one trailing entry and -0.0 into 0.0.
+    null = len(uniques) - 1 if values.dtype.kind == "f" and np.isnan(uniques[-1:]).any() else -1
+    return KeyCodes(codes.astype(np.int64, copy=False), len(uniques), null)
+
+
+def _split(joint: KeyCodes, left_rows: int) -> tuple[KeyCodes, KeyCodes]:
+    return (
+        joint._replace(codes=joint.codes[:left_rows]),
+        joint._replace(codes=joint.codes[left_rows:]),
+    )
+
+
+def _int_float_codes(ints: Array, floats: Array) -> tuple[KeyCodes, KeyCodes]:
+    """Joint codes of an int64 and a float64 column, equal by exact value.
+
+    Ints the float64 holds exactly share the floats' code space; the others
+    can equal no float and are coded after it.
+    """
+    rows, converted = exact_cast(ints, np.dtype(np.float64))
+    joint = _unique_codes(np.concatenate([converted, floats]))
+    exact_ints, float_codes = _split(joint, len(converted))
+    if rows is None:
+        return exact_ints, float_codes
+    inexact = np.ones(len(ints), dtype=bool)
+    inexact[rows] = False
+    rest = _unique_codes(ints[inexact])
+    codes = np.empty(len(ints), dtype=np.int64)
+    codes[rows] = exact_ints.codes
+    codes[inexact] = rest.codes + joint.cardinality
+    cardinality = joint.cardinality + rest.cardinality
+    return (
+        KeyCodes(codes, cardinality, joint.null_code),
+        float_codes._replace(cardinality=cardinality),
+    )
+
+
+def _as_object(values: Array) -> Array:
+    """A numeric column as the object column holding its values (NaN: None)."""
+    if values.dtype == object:
+        return values
+    labels = values.astype(object)
+    if values.dtype.kind == "f":
+        labels[np.isnan(values)] = None
+    return labels
+
+
+def _fits_float(ints: Array) -> bool:
+    """Whether float64 holds every value of an int64 column exactly."""
+    return not len(ints) or (int(ints.min()) >= -(2**53) and int(ints.max()) <= 2**53)

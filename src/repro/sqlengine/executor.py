@@ -13,9 +13,11 @@ base-table scan on one side that is a unique numeric key
 (:meth:`Table.key_index`, cached per table version) and a numeric key on the
 other, each probe key is looked up in that sorted index — a sample joined to
 a dimension table then costs the sample, not the dimension table.  Every
-other join hashes: both sides' keys are encoded together and the smaller
-side is sorted and probed.  ``optimize=False`` always hashes.  A NULL key
-matches nothing on either path, except in a pair written
+other join hashes: both sides' keys are coded jointly and the smaller side
+is sorted and probed.  ``optimize=False`` always hashes.  Both paths, like
+GROUP BY, DISTINCT and ORDER BY, read keys through the one key codec
+(:mod:`repro.sqlengine.encoding`), so they agree on when two keys are
+equal.  A NULL key matches nothing on either path, except in a pair written
 ``a = b OR (a IS NULL AND b IS NULL)`` (:func:`sqlast.null_safe_equal`),
 which is joined as an equi pair whose NULLs match each other.
 """
@@ -29,16 +31,15 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.sqlengine import functions, planner as logical_planner, sqlast as ast
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.encoding import merge_dictionaries, normalize_object_key, null_code
+from repro.sqlengine.encoding import encode_join_keys, encode_key
 from repro.sqlengine.expressions import (
     Frame,
     LazyCodes,
     ScanSource,
+    column_codes,
     contains_aggregate,
-    encode_grouping_key,
     evaluate,
     group_rows_encoded,
-    null_mask,
 )
 from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
@@ -304,8 +305,8 @@ class Executor:
                 evaluate(expr, right, right_context, self._scalar_subquery)
                 for _, expr in equi_pairs
             ]
-            left_encodings = [_key_encoding(expr, left) for expr, _ in equi_pairs]
-            right_encodings = [_key_encoding(expr, right) for _, expr in equi_pairs]
+            left_encodings = [column_codes(expr, left) for expr, _ in equi_pairs]
+            right_encodings = [column_codes(expr, right) for _, expr in equi_pairs]
             matched = None
             if self._optimize:
                 matched = self._key_index_join(
@@ -374,7 +375,7 @@ class Executor:
         position, (side, indexed, index) = chosen
         self._checkpoint()  # after a possible index build, before probing
         probe = (right_keys if side == 0 else left_keys)[position]
-        probe_rows, table_rows = index.lookup(probe.astype(np.float64, copy=False))
+        probe_rows, table_rows = index.lookup(probe)
         rows = indexed.source.rows
         if rows is None:
             indexed_rows = table_rows
@@ -388,26 +389,14 @@ class Executor:
             left_indices, right_indices = probe_rows, indexed_rows
         others = [other for other in range(len(equi_pairs)) if other != position]
         if others:
-            sides = [
-                (
-                    [keys[other][rows] for other in others],
-                    [_sliced_encoding(encodings[other], rows) for other in others],
-                )
-                for keys, encodings, rows in (
-                    (left_keys, left_encodings, left_indices),
-                    (right_keys, right_encodings, right_indices),
-                )
-            ]
-            (left_other, left_coded), (right_other, right_coded) = sides
-            left_codes, right_codes = _encode_key_pairs(
-                left_other, right_other, left_coded, right_coded
+            left_codes, right_codes = encode_join_keys(
+                [left_keys[other][left_indices] for other in others],
+                [right_keys[other][right_indices] for other in others],
+                [_sliced_encoding(left_encodings[other], left_indices) for other in others],
+                [_sliced_encoding(right_encodings[other], right_indices) for other in others],
+                [null_safe[other] for other in others],
             )
             equal = left_codes == right_codes
-            other_null_safe = [null_safe[other] for other in others]
-            for other_keys, coded in sides:
-                null = _null_key_rows(other_keys, coded, other_null_safe)
-                if null is not None:
-                    equal &= ~null  # a NULL key matches nothing, as on the hash path
             left_indices, right_indices = left_indices[equal], right_indices[equal]
         if side == 0:
             # Probed in right order: restore left-major, right ascending within.
@@ -531,9 +520,9 @@ class Executor:
                 # Reuse the scan's dictionary codes when present: injective
                 # over the full dictionary, so grouping on them is grouping
                 # on the normalized values without re-encoding the rows.
-                encoded = _key_encoding(expr, frame)
+                encoded = column_codes(expr, frame)
                 key_encodings.append(encoded)
-                encoded_keys.append(_grouping_encoding(key_array, encoded))
+                encoded_keys.append(encode_key(key_array, encoded))
             inverse, num_groups = group_rows_encoded(encoded_keys, frame.num_rows)
         else:
             keys = []
@@ -615,14 +604,10 @@ class Executor:
             keep_mask = evaluate(having, post_frame, post_context, self._scalar_subquery)
             keep_mask = keep_mask.astype(bool)
 
-        order_keys: list[tuple[np.ndarray, bool]] = []
-        for substituted, ascending in memo.substituted_order:
-            order_keys.append(
-                (
-                    evaluate(substituted, post_frame, post_context, self._scalar_subquery),
-                    ascending,
-                )
-            )
+        order_keys = [
+            (self._sort_key(substituted, post_frame, post_context), ascending)
+            for substituted, ascending in memo.substituted_order
+        ]
 
         if keep_mask is not None:
             columns = [column[keep_mask] for column in columns]
@@ -766,21 +751,26 @@ class Executor:
     ) -> np.ndarray | None:
         if not statement.order_by:
             return None
-        keys = []
-        for order_item in statement.order_by:
-            encoded = _key_encoding(order_item.expression, frame)
-            if encoded is not None:
-                # Dictionary codes are rank-preserving, so sorting on them is
-                # sorting on the normalized string values.
-                keys.append((encoded[0], order_item.ascending))
-                continue
-            keys.append(
-                (
-                    evaluate(order_item.expression, frame, context, self._scalar_subquery),
-                    order_item.ascending,
-                )
-            )
-        return sort_indices(keys)
+        return sort_indices(
+            [
+                (self._sort_key(item.expression, frame, context), item.ascending)
+                for item in statement.order_by
+            ]
+        )
+
+    def _sort_key(
+        self,
+        expression: ast.Expression,
+        frame: Frame,
+        context: functions.EvaluationContext,
+    ) -> np.ndarray:
+        """What ORDER BY sorts an expression's rows by: a coded column's
+        dictionary codes (rank-preserving, so sorting on them is sorting on
+        the normalized strings), else its values."""
+        encoded = column_codes(expression, frame)
+        if encoded is not None:
+            return encoded[0]
+        return evaluate(expression, frame, context, self._scalar_subquery)
 
 
 def _scan_rows(
@@ -859,20 +849,14 @@ def _cross_join_indices(left_rows: int, right_rows: int) -> tuple[np.ndarray, np
     return left_indices, right_indices
 
 
-def _key_encoding(expr: ast.Expression, frame: Frame):
-    """Scan-attached dictionary codes for a bare column key, or None."""
-    if not isinstance(expr, ast.ColumnRef):
-        return None
-    return frame.codes_for(expr.name, expr.table)
-
-
 def _sliced_encoding(encoded, rows: np.ndarray):
     """A ``(codes, dictionary)`` pair restricted to ``rows`` (None stays None)."""
     return None if encoded is None else (encoded[0][rows], encoded[1])
 
 
 def _lazy_key_encoding(expr: ast.Expression, frame: Frame):
-    """Like :func:`_key_encoding` but without forcing resolution.
+    """Like :func:`~repro.sqlengine.expressions.column_codes` but without
+    forcing resolution.
 
     Used when collecting result-set encodings: nothing is encoded unless a
     downstream consumer (an outer query over the derived table) actually
@@ -881,22 +865,6 @@ def _lazy_key_encoding(expr: ast.Expression, frame: Frame):
     if not isinstance(expr, ast.ColumnRef):
         return None
     return frame.lazy_codes_for(expr.name, expr.table)
-
-
-def _grouping_encoding(
-    values: np.ndarray, encoded: tuple[np.ndarray, np.ndarray] | None
-) -> tuple[np.ndarray, int]:
-    """``(codes, cardinality)`` for one grouping key column.
-
-    Prefers the scan-attached ``(codes, dictionary)`` pair — codes are
-    injective over the dictionary, so grouping on them partitions rows
-    exactly like grouping on the values — and falls back to encoding the
-    values.  Shared by GROUP BY and DISTINCT so both agree on key semantics.
-    """
-    if encoded is not None:
-        codes, dictionary = encoded
-        return codes, max(1, len(dictionary))
-    return encode_grouping_key(values)
 
 
 def hash_join_indices(
@@ -915,10 +883,9 @@ def hash_join_indices(
     every row of both inputs.
 
     A row whose key is NULL in any column matches nothing (as ``=`` in a
-    WHERE clause): such rows are dropped before encoding and the surviving
-    row numbers mapped back, which keeps the pair order.  Key columns marked
-    in ``null_safe`` are exempt: there NULL encodes like any value and
-    matches NULL.
+    WHERE clause), except in the key columns marked in ``null_safe``, where
+    NULL matches NULL: :func:`~repro.sqlengine.encoding.encode_join_keys`
+    gives those rows codes that match nothing, so the pair order is kept.
 
     The build (sorted) side is the right input.  With
     ``prefer_smaller_build`` the sides are swapped internally when the left
@@ -926,12 +893,8 @@ def hash_join_indices(
     the matches are restored to the canonical (left-major, right ascending
     within) order afterwards, so the emitted pairs are identical either way.
     """
-    left_keys, left_encodings, left_rows = _drop_null_keys(left_keys, left_encodings, null_safe)
-    right_keys, right_encodings, right_rows = _drop_null_keys(
-        right_keys, right_encodings, null_safe
-    )
-    left_codes, right_codes = _encode_key_pairs(
-        left_keys, right_keys, left_encodings, right_encodings
+    left_codes, right_codes = encode_join_keys(
+        left_keys, right_keys, left_encodings, right_encodings, null_safe
     )
     if prefer_smaller_build and len(left_codes) < len(right_codes):
         right_indices, left_indices = _probe_build_join(right_codes, left_codes)
@@ -939,58 +902,8 @@ def hash_join_indices(
         # index restores left-major order and keeps right ascending within
         # each left row — exactly what the unswapped pass produces.
         order = np.argsort(left_indices, kind="stable")
-        left_indices, right_indices = left_indices[order], right_indices[order]
-    else:
-        left_indices, right_indices = _probe_build_join(left_codes, right_codes)
-    if left_rows is not None:
-        left_indices = left_rows[left_indices]
-    if right_rows is not None:
-        right_indices = right_rows[right_indices]
-    return left_indices, right_indices
-
-
-def _null_key_rows(
-    keys: list[np.ndarray], encodings: list | None, null_safe: list[bool] | None = None
-) -> np.ndarray | None:
-    """Mask of the rows whose key is NULL in some column, or None.
-
-    NULL is what ``IS NULL`` tests (:func:`null_mask`), read off the NULL
-    sentinel of a column's dictionary codes when it has them.  Integer and
-    boolean keys cannot hold one, and ``null_safe`` columns let NULL match,
-    so both are skipped; None means no row is NULL.
-    """
-    null = None
-    for position, key in enumerate(keys):
-        if key.dtype.kind in "iub" or (null_safe and null_safe[position]):
-            continue
-        encoded = encodings[position] if encodings else None
-        if encoded is None:
-            mask = null_mask(key)
-        else:
-            sentinel = null_code(encoded[1])
-            if sentinel < 0:
-                continue
-            mask = encoded[0] == sentinel
-        null = mask if null is None else null | mask
-    return null if null is not None and null.any() else None
-
-
-def _drop_null_keys(
-    keys: list[np.ndarray], encodings: list | None, null_safe: list[bool] | None
-) -> tuple[list[np.ndarray], list | None, np.ndarray | None]:
-    """``(keys, encodings, rows)`` restricted to rows with no NULL key.
-
-    ``rows`` maps the restricted positions back to the input's (None: every
-    row was kept and nothing changed).
-    """
-    null = _null_key_rows(keys, encodings, null_safe)
-    if null is None:
-        return keys, encodings, None
-    rows = np.flatnonzero(~null)
-    kept_encodings = (
-        [_sliced_encoding(encoded, rows) for encoded in encodings] if encodings else encodings
-    )
-    return [key[rows] for key in keys], kept_encodings, rows
+        return left_indices[order], right_indices[order]
+    return _probe_build_join(left_codes, right_codes)
 
 
 def _probe_build_join(
@@ -1011,81 +924,6 @@ def _probe_build_join(
     positions = np.repeat(starts, counts) + within
     build_indices = build_order[positions]
     return probe_indices, build_indices
-
-
-# Packed multi-column codes must stay below this bound; past it the packing
-# is re-densified instead of silently wrapping around int64.
-_MAX_PACKED_CODE = 1 << 62
-
-
-def _encode_key_pairs(
-    left_keys: list[np.ndarray],
-    right_keys: list[np.ndarray],
-    left_encodings: list | None,
-    right_encodings: list | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode multi-column join keys into comparable int64 codes per side.
-
-    Both sides must be encoded consistently; for each key column either both
-    sides' precomputed dictionaries are merged (cheap: proportional to the
-    number of *distinct* values) or a union dictionary is built from the raw
-    rows (the pre-existing fallback).
-
-    Packing is positional (``combined * cardinality + codes``); when the
-    running cardinality product would overflow int64 — possible once several
-    high-cardinality key columns multiply past 2**63 — the packed prefix is
-    re-encoded to dense codes first, so distinct key tuples can never be
-    conflated by silent wraparound.
-    """
-    if not left_keys:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    left_rows = len(left_keys[0])
-    right_rows = len(right_keys[0])
-    left_combined = np.zeros(left_rows, dtype=np.int64)
-    right_combined = np.zeros(right_rows, dtype=np.int64)
-    current_cardinality = 1
-    for position, (left_key, right_key) in enumerate(zip(left_keys, right_keys)):
-        left_encoded = left_encodings[position] if left_encodings else None
-        right_encoded = right_encodings[position] if right_encodings else None
-        if left_encoded is not None and right_encoded is not None:
-            left_codes, right_codes, cardinality = merge_dictionaries(
-                left_encoded, right_encoded
-            )
-        else:
-            left_norm = _normalize_key(left_key)
-            right_norm = _normalize_key(right_key)
-            universe = np.concatenate([left_norm, right_norm])
-            _, codes = np.unique(universe, return_inverse=True)
-            cardinality = int(codes.max()) + 1 if len(codes) else 1
-            left_codes = codes[:left_rows]
-            right_codes = codes[left_rows:]
-        cardinality = max(1, int(cardinality))
-        if current_cardinality > _MAX_PACKED_CODE // cardinality:
-            left_combined, right_combined, current_cardinality = _densify_pair(
-                left_combined, right_combined
-            )
-        left_combined = left_combined * cardinality + left_codes
-        right_combined = right_combined * cardinality + right_codes
-        current_cardinality *= cardinality
-    return left_combined, right_combined
-
-
-def _densify_pair(
-    left_combined: np.ndarray, right_combined: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Re-encode two packed code arrays against their joint value universe."""
-    left_rows = len(left_combined)
-    universe = np.concatenate([left_combined, right_combined])
-    _, dense = np.unique(universe, return_inverse=True)
-    dense = dense.astype(np.int64, copy=False)
-    cardinality = int(dense.max()) + 1 if len(dense) else 1
-    return dense[:left_rows], dense[left_rows:], cardinality
-
-
-def _normalize_key(key: np.ndarray) -> np.ndarray:
-    if key.dtype == object:
-        return normalize_object_key(key)
-    return key.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1194,29 +1032,22 @@ def _shareable(expression: ast.Expression) -> bool:
 def sort_indices(keys: list[tuple[np.ndarray, bool]]) -> np.ndarray:
     """Stable multi-key sort; each key is (values, ascending).
 
+    Object keys sort by their key codes, which rank the normalized strings.
     Integer and boolean keys are sorted directly: casting them to float64
-    (the old behavior) loses precision above 2**53, silently reordering or
-    tying large keys.  Descending integer order uses the bitwise complement
-    ``~x`` — a strictly decreasing reflection with no overflow (negating
-    ``int64 min`` would wrap).
+    loses precision above 2**53, silently reordering or tying large keys.
+    Descending integer order uses the bitwise complement ``~x`` — a strictly
+    decreasing reflection with no overflow (negating ``int64 min`` would
+    wrap).
     """
     if not keys:
         return np.arange(0)
     sortable: list[np.ndarray] = []
     for values, ascending in keys:
         if values.dtype == object:
-            normalized = normalize_object_key(values)
-            _, codes = np.unique(normalized, return_inverse=True)
-            key_array = codes.astype(np.int64, copy=False)
-            if not ascending:
-                key_array = -key_array  # dense codes: negation cannot overflow
-        elif values.dtype.kind in "iub":
-            key_array = values if ascending else ~values
-        else:
-            key_array = values.astype(np.float64, copy=False)
-            if not ascending:
-                key_array = -key_array
-        sortable.append(key_array)
+            values = encode_key(values).codes
+        if not ascending:
+            values = ~values if values.dtype.kind in "iub" else -values
+        sortable.append(values)
     # np.lexsort sorts by the last key first, so reverse the list.
     return np.lexsort(tuple(reversed(sortable)))
 
@@ -1236,7 +1067,7 @@ def _distinct(
     if result.num_rows == 0 or not result.column_names:
         return result
     encoded_keys = [
-        _grouping_encoding(column, encodings[position] if encodings is not None else None)
+        encode_key(column, encodings[position] if encodings is not None else None)
         for position, column in enumerate(result.columns())
     ]
     inverse, num_groups = group_rows_encoded(encoded_keys, result.num_rows)

@@ -19,10 +19,13 @@ from repro.errors import ExecutionError
 from repro.sqlengine import functions, sqlast as ast
 from repro.sqlengine.encoding import (
     NULL_SENTINEL,
+    KeyCodes,
     code_for_value,
-    encode_object_array,
+    compare_numeric,
+    encode_key,
     escape_key,
     null_code,
+    pack_codes,
     unescape_key,
 )
 
@@ -63,8 +66,7 @@ class LazyCodes:
     @classmethod
     def presolved(cls, codes: np.ndarray, dictionary: np.ndarray) -> LazyCodes:
         """Wrap an already computed ``(codes, dictionary)`` pair."""
-        wrapped = cls(lambda: (codes, dictionary))
-        return wrapped
+        return cls(lambda: (codes, dictionary))
 
 
 class ScanSource:
@@ -521,19 +523,7 @@ def _compare(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.array(
             [_compare_scalar(op, a, b) for a, b in zip(left_values, right_values)], dtype=bool
         )
-    left_float = _as_float(left)
-    right_float = _as_float(right)
-    if op == "=":
-        return left_float == right_float
-    if op == "<>":
-        return left_float != right_float
-    if op == "<":
-        return left_float < right_float
-    if op == ">":
-        return left_float > right_float
-    if op == "<=":
-        return left_float <= right_float
-    return left_float >= right_float
+    return compare_numeric(op, left, right)
 
 
 def _compare_scalar(op: str, a: object, b: object) -> bool:
@@ -611,8 +601,9 @@ def _evaluate_in_list(expression, frame, context, subquery_evaluator):
             dtype=bool,
         )
     else:
-        wanted_array = np.array([float(s) for s in scalars if s is not None], dtype=np.float64)
-        mask = np.isin(_as_float(operand), wanted_array)
+        mask = np.zeros(len(operand), dtype=bool)
+        for value in values:  # a NULL member is NaN, equal to nothing
+            mask |= _compare("=", operand, value)
     return ~mask if expression.negated else mask
 
 
@@ -697,48 +688,16 @@ def _evaluate_window(expression, frame, context, subquery_evaluator):
     return per_group[inverse]
 
 
-def encode_grouping_key(key: np.ndarray) -> tuple[np.ndarray, int]:
-    """Encode one key column as ``(codes, cardinality)`` for grouping."""
-    if key.dtype == object:
-        codes, dictionary = encode_object_array(key)
-        return codes, max(1, len(dictionary))
-    _, codes = np.unique(key, return_inverse=True)
-    cardinality = int(codes.max()) + 1 if len(codes) else 1
-    return codes.astype(np.int64, copy=False), cardinality
+def group_rows_encoded(encoded_keys: list[KeyCodes], num_rows: int) -> tuple[np.ndarray, int]:
+    """Group rows by their key codes (:func:`~repro.sqlengine.encoding.encode_key`).
 
-
-# Packed multi-column codes must stay below this bound; past it the packing
-# is re-densified instead of silently wrapping around int64 (mirrors the
-# executor's join-key packing guard).
-_MAX_PACKED_CODE = 1 << 62
-
-
-def group_rows_encoded(
-    encoded_keys: list[tuple[np.ndarray, int]], num_rows: int
-) -> tuple[np.ndarray, int]:
-    """Group rows whose keys are already integer-coded.
-
-    Each key is ``(codes, cardinality)`` where codes injectively map key
-    values to ``[0, cardinality)``.  Returns ``(inverse, num_groups)`` with
-    group ids ordered by first appearance.  When the running cardinality
-    product would overflow int64 — possible once several high-cardinality
-    key columns multiply past 2**63 — the packed prefix is re-encoded to
-    dense codes first, so distinct key tuples can never be conflated by
-    silent wraparound.
+    Returns ``(inverse, num_groups)`` with group ids ordered by first
+    appearance; the columns are packed by the codec's overflow-guarded
+    :func:`~repro.sqlengine.encoding.pack_codes`.
     """
     if num_rows == 0:
         return np.zeros(0, dtype=np.int64), 0
-    combined = np.zeros(num_rows, dtype=np.int64)
-    current_cardinality = 1
-    for codes, cardinality in encoded_keys:
-        cardinality = max(1, int(cardinality))
-        if current_cardinality > _MAX_PACKED_CODE // cardinality:
-            _, combined = np.unique(combined, return_inverse=True)
-            combined = combined.astype(np.int64, copy=False)
-            current_cardinality = int(combined.max()) + 1 if len(combined) else 1
-        combined = combined * cardinality + codes
-        current_cardinality *= cardinality
-    unique_combined, inverse = np.unique(combined, return_inverse=True)
+    unique_combined, inverse = np.unique(pack_codes(encoded_keys).codes, return_inverse=True)
     # Re-number groups by first appearance so output order is deterministic
     # and matches the input ordering (useful for tests and readability).
     first_positions = np.full(len(unique_combined), num_rows, dtype=np.int64)
@@ -760,6 +719,4 @@ def group_rows(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     num_rows = len(key_arrays[0])
     if num_rows == 0:
         return np.zeros(0, dtype=np.int64), 0
-    return group_rows_encoded(
-        [encode_grouping_key(key) for key in key_arrays], num_rows
-    )
+    return group_rows_encoded([encode_key(key) for key in key_arrays], num_rows)

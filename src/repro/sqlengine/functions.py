@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import BindParameterError, ExecutionError
 from repro.sqlengine import sketches
+from repro.sqlengine.encoding import KeyCodes, encode_key, pack_codes
 
 
 class EvaluationContext:
@@ -468,15 +469,14 @@ def aggregate(
 
 
 def _count_distinct(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.ndarray:
-    groups = _group_values(values, inverse, num_groups)
-    counts = []
-    for group in groups:
-        if group.dtype == object:
-            counts.append(float(len({value for value in group.tolist() if value is not None})))
-        else:
-            non_null = group[~np.isnan(group.astype(np.float64, copy=False))]
-            counts.append(float(np.unique(non_null).size))
-    return np.array(counts, dtype=np.float64)
+    """Distinct non-NULL keys per group: the unique (group, key code) pairs
+    of the key codec, so "distinct" means what GROUP BY means."""
+    key = encode_key(values)
+    rows = np.flatnonzero(key.codes != key.null_code)
+    groups = KeyCodes(inverse[rows], num_groups)
+    packed = pack_codes([groups, key._replace(codes=key.codes[rows])])
+    _, first = np.unique(packed.codes, return_index=True)
+    return np.bincount(groups.codes[first], minlength=num_groups).astype(np.float64)
 
 
 def _group_dispersion(

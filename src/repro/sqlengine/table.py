@@ -31,7 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.sqlengine.encoding import encode_object_array, null_code, union_dictionaries
+from repro.sqlengine.encoding import (
+    encode_key,
+    encode_object_array,
+    exact_cast,
+    numeric_key,
+    union_dictionaries,
+)
 from repro.sqlengine.zonemaps import ZoneMap, ZonePredicate, chunk_may_match, zone_map_for_chunk
 
 # Default rows per chunk.  Large enough that per-chunk bookkeeping is noise,
@@ -134,9 +140,9 @@ def coerce_batch(
 class KeyIndex(NamedTuple):
     """Sorted unique-key index of one numeric column.
 
-    ``keys`` is the column's ``float64`` form (the hash join's key
-    normalization) sorted strictly increasing — unique and NaN-free — and
-    ``order`` the table row holding each key.
+    ``keys`` holds the column's values in the dtype they compare in (int64,
+    bool as int64, or float64) sorted strictly increasing — unique and
+    NaN-free — and ``order`` the table row holding each key.
     """
 
     order: np.ndarray
@@ -145,11 +151,14 @@ class KeyIndex(NamedTuple):
     def lookup(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(probe positions with a match, the table row each one matches)``.
 
-        ``probe`` must already be ``float64``.  A key is unique, so every
-        probe value matches at most one row; a NaN probe matches none.
+        ``probe`` is any numeric column; it matches by exact value, as the
+        hash join does (:func:`~repro.sqlengine.encoding.exact_cast`).  A key
+        is unique, so every probe value matches at most one row; a NaN probe
+        matches none.
         """
-        probe_rows, positions = find_sorted(self.keys, probe)
-        return probe_rows, self.order[positions]
+        rows, converted = exact_cast(probe, self.keys.dtype)
+        found, positions = find_sorted(self.keys, converted)
+        return found if rows is None else rows[found], self.order[positions]
 
 
 def find_sorted(
@@ -192,7 +201,7 @@ class Table:
         # lazily on the next use).
         self._version = 0
         self._dictionary_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
-        # Numeric column name -> (version, distinct non-NULL values).
+        # Column name -> (version, distinct non-NULL values).
         self._distinct_cache: dict[str, tuple[int, int]] = {}
         # Column name -> contiguous view of the whole column.  Invalidated
         # explicitly when that column's chunks change (chunks are immutable).
@@ -292,23 +301,17 @@ class Table:
     def distinct_count(self, name: str) -> int:
         """Number of distinct non-NULL values in a column.
 
-        An object column answers from its dictionary (NULL sentinel
-        excluded) — the number of groups ``GROUP BY`` forms, since grouping
-        runs on the same codes — so after an append it costs what extending
-        the dictionary cost.  Numeric columns are counted once per table
-        version.
+        The key codec's cardinality less its NULL code: the number of
+        non-NULL groups ``GROUP BY`` forms and what ``COUNT(DISTINCT)``
+        counts.  An object column reads its memoized dictionary, so after an
+        append it costs what extending the dictionary cost; a numeric column
+        is encoded once per table version.
         """
-        encoded = self.dictionary_codes(name)
-        if encoded is not None:
-            dictionary = encoded[1]
-            return len(dictionary) - (null_code(dictionary) >= 0)
         cached = self._distinct_cache.get(name)
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        array = self.column(name)
-        if array.dtype.kind == "f":
-            array = array[~np.isnan(array)]
-        count = int(np.unique(array).size)
+        key = encode_key(self.column(name), self.dictionary_codes(name))
+        count = key.cardinality - (key.null_code >= 0)
         self._distinct_cache[name] = (self._version, count)
         return count
 
@@ -317,11 +320,10 @@ class Table:
     ) -> KeyIndex | None:
         """Memoized unique-key index of a numeric column, or None.
 
-        None means the column is an object column or not a key: its
-        ``float64`` form has a duplicate (``-0.0`` and ``0.0``, or two int64
-        values above 2**53 that round together, count as duplicates, as they
-        do in the hash join) or a NaN.  Built at most once per table version;
-        ``on_build`` is called when this request built it.
+        None means the column is an object column or not a key: it has a
+        duplicate (``-0.0`` and ``0.0`` count as one, as in the hash join;
+        int64 values are compared exactly) or a NaN.  Built at most once per
+        table version; ``on_build`` is called when this request built it.
         """
         if self.column_dtype(name).kind not in "iufb":
             return None
@@ -329,7 +331,7 @@ class Table:
             cached = self._key_index_cache.get(name)
             if cached is not None and cached[0] == self._version:
                 return cached[1]
-            keys = self.column(name).astype(np.float64, copy=False)
+            keys = numeric_key(self.column(name))
             order = np.argsort(keys, kind="stable")
             sorted_keys = keys[order]
             # NaN sorts last, and fails every comparison before it.
@@ -430,7 +432,7 @@ class Table:
         num_chunks = self.num_chunks
         alive = range(num_chunks)
         for predicate in predicates:
-            name = self._column_for(predicate.column)
+            name = self.resolve_column(predicate.column)
             if name is None:
                 continue
             is_object = self._chunks[name][0].dtype == object
@@ -452,9 +454,6 @@ class Table:
         lowered = name.lower()
         matches = [column for column in self._chunks if column.lower() == lowered]
         return matches[0] if len(matches) == 1 else None
-
-    # Backward-compatible private alias (pre-round-4 internal name).
-    _column_for = resolve_column
 
     def chunk_row_indices(self, chunk_ids: np.ndarray) -> np.ndarray:
         """Row indices covered by the given chunks, in table order."""

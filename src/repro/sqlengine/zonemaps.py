@@ -14,8 +14,12 @@ naive full-column scan.
 
 The pruning rules mirror the executor's comparison semantics exactly:
 
-* numeric columns (int64/float64/bool) compare as float64 (the same cast
-  ``expressions._compare`` applies), so zone bounds are stored as floats;
+* numeric columns compare exactly, as the key codec does
+  (:func:`repro.sqlengine.encoding.compare_numeric`): int64 and bool chunks
+  store their bounds as Python ints, float64 chunks as floats, and a
+  literal is compared against them as the Python number it is — Python
+  compares an int with a float by exact value, so a chunk holding only
+  ``2**53 + 1`` survives ``k > 2**53``;
 * object columns compare as normalized strings — bounds are stored as
   NUL-escaped keys (:func:`repro.sqlengine.encoding.escape_key`), the same
   order-isomorphic normalization the dictionary encoding uses, so string
@@ -45,8 +49,9 @@ class ZoneMap:
     """Summary of one column chunk.
 
     ``low``/``high`` are the minimum/maximum **non-NULL** value (``None`` when
-    the chunk holds no non-NULL values): float64 for numeric chunks, the
-    NUL-escaped normalized key for object chunks.
+    the chunk holds no non-NULL values): an int for int64/bool chunks, a
+    float for float64 chunks, the NUL-escaped normalized key for object
+    chunks.
     """
 
     low: object | None
@@ -74,11 +79,9 @@ def zone_map_for_chunk(chunk: np.ndarray) -> ZoneMap:
         return ZoneMap(float(valid.min()), float(valid.max()), null_count, length)
     if length == 0:
         return ZoneMap(None, None, 0, 0)
-    # int64 / bool: comparisons cast both sides to float64, so the float
-    # bounds are exactly the values the row-level comparison sees (including
-    # the same precision loss above 2**53).
-    floats = chunk.astype(np.float64, copy=False)
-    return ZoneMap(float(floats.min()), float(floats.max()), 0, length)
+    # int64 / bool: exact int bounds, as the row-level comparison is exact
+    # (a float64 bound would round 2**53 + 1 down and prune its chunk).
+    return ZoneMap(int(chunk.min()), int(chunk.max()), 0, length)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,8 @@ class ZonePredicate:
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 # Sentinel: the operand is neither a literal nor a placeholder.
 _NOT_CONSTANT = object()
+# Sentinel: a literal whose type does not match the column's domain.
+_MISMATCH = object()
 
 
 def classify_zone_predicates(predicates: list) -> list[ZonePredicate]:
@@ -200,8 +205,19 @@ def bind_zone_predicates(
 # ---------------------------------------------------------------------------
 
 
-def _is_numeric_literal(value: object) -> bool:
-    return isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating))
+def _bound(value: object, is_object: bool) -> object:
+    """A non-NULL literal in the chunk's comparison domain, or :data:`_MISMATCH`.
+
+    An object column compares a string literal as its escaped key; a numeric
+    column compares a numeric literal as the Python number it is (a numpy
+    scalar would compare with a Python float through float64).  Any other
+    pairing takes per-value semantics the bounds cannot summarize.
+    """
+    if is_object:
+        return escape_key(value) if isinstance(value, str) else _MISMATCH
+    if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
+        return value.item() if isinstance(value, np.generic) else value
+    return _MISMATCH
 
 
 def chunk_may_match(predicate: ZonePredicate, zone: ZoneMap, is_object: bool) -> bool:
@@ -222,82 +238,46 @@ def chunk_may_match(predicate: ZonePredicate, zone: ZoneMap, is_object: bool) ->
 
 
 def _cmp_may_match(op: str, value: object, zone: ZoneMap, is_object: bool) -> bool:
-    if not is_object:
-        if value is None:
-            # Float semantics: NaN != NaN is True, every other comparison
-            # against NaN is False — so ``<>`` matches everything and the
-            # rest match nothing.
-            return op == "<>"
-        if not _is_numeric_literal(value):
-            return True  # string literal vs numeric column: per-value semantics
-        bound = float(value)
-        if op == "<>":
-            # NULL (NaN) rows satisfy ``<>`` under float semantics.
-            if zone.null_count > 0:
-                return True
-            return zone.non_null > 0 and not (zone.low == zone.high == bound)
-        if zone.non_null == 0:
-            return False
-        if op == "=":
-            return zone.low <= bound <= zone.high
-        if op == "<":
-            return zone.low < bound
-        if op == "<=":
-            return zone.low <= bound
-        if op == ">":
-            return zone.high > bound
-        return zone.high >= bound  # '>='
-    # object column: only string literals share the normalized-string order
     if value is None:
-        return False  # comparisons against NULL are false for every object row
-    if not isinstance(value, str):
+        # Float semantics: NaN != NaN is True, every other comparison
+        # against NaN is False; an object row never compares with NULL.
+        return op == "<>" and not is_object
+    bound = _bound(value, is_object)
+    if bound is _MISMATCH:
         return True
+    if op == "<>" and not is_object and zone.null_count > 0:
+        return True  # NULL (NaN) rows satisfy ``<>`` under float semantics
     if zone.non_null == 0:
-        return False  # NULL object rows never satisfy a comparison (any op)
-    key = escape_key(value)
+        return False  # NULL rows satisfy no other comparison
     if op == "=":
-        return zone.low <= key <= zone.high
+        return zone.low <= bound <= zone.high
     if op == "<>":
-        return not (zone.low == zone.high == key)
+        return not (zone.low == zone.high == bound)
     if op == "<":
-        return zone.low < key
+        return zone.low < bound
     if op == "<=":
-        return zone.low <= key
+        return zone.low <= bound
     if op == ">":
-        return zone.high > key
-    return zone.high >= key  # '>='
+        return zone.high > bound
+    return zone.high >= bound  # '>='
 
 
 def _between_may_match(low: object, high: object, zone: ZoneMap, is_object: bool) -> bool:
     if low is None or high is None:
         return False  # x >= NULL (and NaN) is false for every row, both domains
-    if not is_object:
-        if not (_is_numeric_literal(low) and _is_numeric_literal(high)):
-            return True
-        if zone.non_null == 0:
-            return False
-        return zone.high >= float(low) and zone.low <= float(high)
-    if not (isinstance(low, str) and isinstance(high, str)):
+    low, high = _bound(low, is_object), _bound(high, is_object)
+    if low is _MISMATCH or high is _MISMATCH:
         return True
-    if zone.non_null == 0:
-        return False
-    return zone.high >= escape_key(low) and zone.low <= escape_key(high)
+    return zone.non_null > 0 and zone.high >= low and zone.low <= high
 
 
 def _in_may_match(values: tuple, zone: ZoneMap, is_object: bool) -> bool:
-    if not is_object:
-        candidates = [value for value in values if value is not None]
-        if any(not _is_numeric_literal(value) for value in candidates):
-            # A string member switches the row path to string semantics.
-            return True
-        if zone.non_null == 0:
-            return False
-        return any(zone.low <= float(value) <= zone.high for value in candidates)
-    if zone.non_null == 0:
-        return False
-    # The row path stringifies every non-NULL member (str(s)) before testing
-    # membership, so numeric members participate via their text form.
-    keys = [escape_key(str(value)) for value in values if value is not None]
-    if not keys:
-        return False
-    return any(zone.low <= key <= zone.high for key in keys)
+    members = [value for value in values if value is not None]
+    if is_object:
+        # The row path stringifies every non-NULL member (str(s)) before
+        # testing membership, so numeric members participate via their text.
+        members = [str(value) for value in members]
+    bounds = [_bound(value, is_object) for value in members]
+    if any(bound is _MISMATCH for bound in bounds):
+        return True  # a string member switches the row path to string semantics
+    return zone.non_null > 0 and any(zone.low <= bound <= zone.high for bound in bounds)

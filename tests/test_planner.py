@@ -90,6 +90,12 @@ def _populate(engine: Database, seed: int = 7, num_rows: int = 500) -> None:
         "mixed",
         {"k": np.array(["a", 1, "b", None] * 25, dtype=object), "v": np.arange(100)},
     )
+    # An object column whose values are equal as Python values (1 == 1.0)
+    # but not as the engine's normalized strings ("1", "1.0").
+    engine.register_table(
+        "loose",
+        {"v": np.array([1, 1.0, "a", None] * 5, dtype=object), "n": np.arange(20)},
+    )
 
 
 def _pair(seed: int = 7) -> tuple[Database, Database]:
@@ -309,6 +315,8 @@ AB_CORPUS = [
     "SELECT city, max(price) AS hi FROM sales GROUP BY city HAVING count(*) > 10 ORDER BY city",
     "SELECT city, count(*) AS n FROM (SELECT city FROM sales) t GROUP BY city ORDER BY city",
     "SELECT k, count(*) AS n FROM mixed GROUP BY k ORDER BY n DESC",
+    "SELECT v, count(*) AS n, count(DISTINCT n) AS d FROM loose GROUP BY v ORDER BY v",
+    "SELECT DISTINCT v FROM loose ORDER BY v",
     # expression group keys
     "SELECT qty + 1 AS k, count(*) AS n FROM sales GROUP BY qty + 1 ORDER BY k",
     "SELECT qty * 2 AS k, sum(qty) AS s FROM sales GROUP BY qty * 2 ORDER BY k",
@@ -411,6 +419,26 @@ def test_null_sentinel_lookalike_grouping_and_ordering():
             )
             results.append(engine.execute(query).fetchall())
         assert results[0] == results[1], query
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_count_distinct_counts_the_groups_group_by_forms(optimize):
+    """``count(DISTINCT x)`` is the number of non-NULL groups of ``GROUP BY
+    x`` — for ``loose.v`` (1, 1.0, 'a', NULL) that is 3, not the 2 a Python
+    set makes of it — and the planner's cardinality says the same."""
+    engine = Database(seed=0, optimize=optimize)
+    _populate(engine)
+    for table, column in (
+        ("loose", "v"), ("mixed", "k"), ("sales", "city"), ("sales", "price"),
+        ("sales", "qty"), ("sales", "flag"), ("areas", "tax"),
+    ):
+        distinct = engine.execute(f"SELECT count(DISTINCT {column}) AS d FROM {table}").scalar()
+        groups = engine.execute(
+            f"SELECT {column} FROM {table} WHERE {column} IS NOT NULL GROUP BY {column}"
+        ).num_rows
+        assert distinct == groups, (table, column)
+        assert engine.table(table).distinct_count(column) == groups, (table, column)
+    assert engine.execute("SELECT count(DISTINCT v) AS d FROM loose").scalar() == 3
 
 
 def test_seeded_rand_is_identical_across_modes():
@@ -1003,18 +1031,30 @@ class TestJoinKeyPackingOverflow:
         right = {f"k{position}": np.array([0], dtype=np.int64) for position in range(9)}
         return columns, right
 
-    def test_packed_codes_do_not_conflate_distinct_tuples(self):
-        from repro.sqlengine.executor import _encode_key_pairs
+    def test_packed_join_codes_do_not_conflate_distinct_tuples(self):
+        from repro.sqlengine.encoding import encode_join_keys
 
         left_columns, right_columns = self._collision_tables()
         left_keys = [left_columns[f"k{i}"] for i in range(9)]
         right_keys = [right_columns[f"k{i}"] for i in range(9)]
-        left_codes, right_codes = _encode_key_pairs(left_keys, right_keys, None, None)
+        left_codes, right_codes = encode_join_keys(left_keys, right_keys)
         # row 0 (all zeros) must match the probe row; row 1 must not
         assert left_codes[0] == right_codes[0]
         assert left_codes[1] != right_codes[0]
         # packed codes must be injective over the distinct left tuples
         assert len(np.unique(left_codes)) == len(left_codes)
+
+    def test_packed_group_codes_do_not_conflate_distinct_tuples(self):
+        from repro.sqlengine.encoding import encode_key, pack_codes
+
+        left_columns, _ = self._collision_tables()
+        keys = [encode_key(left_columns[f"k{i}"]) for i in range(9)]
+        assert [key.cardinality for key in keys] == [256] * 9
+        packed = pack_codes(keys)
+        # 256**9 = 2**72 would wrap: the packer re-densified on the way
+        assert packed.cardinality <= 1 << 62
+        assert packed.codes[0] != packed.codes[1]
+        assert len(np.unique(packed.codes)) == len(packed.codes)
 
     def test_nine_column_join_returns_exactly_one_match(self):
         left_columns, right_columns = self._collision_tables()
@@ -1060,14 +1100,14 @@ class TestDistinctOverCodes:
             },
         )
         calls = {"object_encodes": 0}
-        original = executor_module.encode_grouping_key
+        original = executor_module.encode_key
 
-        def counting(key):
-            if key.dtype == object:
+        def counting(values, encoded=None):
+            if values.dtype == object and encoded is None:
                 calls["object_encodes"] += 1
-            return original(key)
+            return original(values, encoded)
 
-        monkeypatch.setattr(executor_module, "encode_grouping_key", counting)
+        monkeypatch.setattr(executor_module, "encode_key", counting)
         result = engine.execute("SELECT DISTINCT city, status FROM t")
         # both columns carried scan codes, so no object column was re-encoded
         assert calls["object_encodes"] == 0

@@ -785,17 +785,15 @@ class TestDerivedEncodingPropagation:
             },
         )
         calls = {"object_encodes": 0}
-        original = executor_module.encode_grouping_key
+        original = executor_module.encode_key
 
-        def counting(key):
-            if key.dtype == object:
+        def counting(values, encoded=None):
+            if values.dtype == object and encoded is None:
                 calls["object_encodes"] += 1
-            return original(key)
+            return original(values, encoded)
 
-        monkeypatch.setattr(executor_module, "encode_grouping_key", counting)
-        monkeypatch.setattr(
-            "repro.sqlengine.expressions.encode_grouping_key", counting
-        )
+        monkeypatch.setattr(executor_module, "encode_key", counting)
+        monkeypatch.setattr("repro.sqlengine.expressions.encode_key", counting)
         result = engine.execute(
             "SELECT t.city, count(*) AS groups FROM "
             "(SELECT city, status, sum(price) AS s FROM orders GROUP BY city, status) AS t "
