@@ -3,9 +3,10 @@
 Every query the middleware approximates executes as the same physical shape:
 an outer aggregation over a ``vdb_inner`` derived table that groups the
 sample by (group keys, subsample id).  This benchmark tracks that shape —
-not just the raw engine — across PRs, exercising the derived-table-aware
-optimizer round (predicate pushdown *into* subqueries, derived-output
-pruning, ON-clause pushdown, smaller-build-side joins, fused aggregation):
+not just the raw engine — across PRs, exercising the engine planner and
+executor on it (scan pushdown, projection pruning, ON-clause pushdown,
+smaller-build-side joins, fused aggregation, dictionary codes propagated
+out of a derived table):
 
 * **flat** — a grouped aggregate over the sampled fact table with selective
   predicates: the rewritten inner query's WHERE is pushed to the sample scan
@@ -15,7 +16,9 @@ pruning, ON-clause pushdown, smaller-build-side joins, fused aggregation):
   the dimension side builds the hash table.
 * **nested** — an aggregate over an aggregate derived table (Section 5.2):
   the variational-table rewrite produces a derived table inside a derived
-  table; the outer predicate travels through both levels down to the scan.
+  table.  Each level runs as written under its own plan, computed once; the
+  outer predicate filters the inner result, and the outer level groups on
+  the codes the variational table propagates.
 
 Each workload runs three ways — the full middleware over
 ``Database(optimize=True)``, the same middleware over ``optimize=False``
@@ -99,7 +102,7 @@ def _build_context(optimize: bool, quick: bool = False) -> VerdictSession:
         "status": rng.choice(
             np.array(["open", "closed", "returned"], dtype=object), fact_rows
         ),
-        # dead weight the derived-table pruning must never materialize
+        # dead weight projection pruning must never materialize
         "note_1": rng.normal(size=fact_rows),
         "note_2": rng.choice(np.array([f"n{i}" for i in range(50)], dtype=object), fact_rows),
         "note_3": rng.normal(size=fact_rows),
@@ -186,7 +189,7 @@ def test_verdict_hotpath_speedups(report):
     report["Verdict hot path — naive vs optimized vs exact"] = rows
     for name, metrics in records["workloads"].items():
         # Conservative floors (observed speedups are far higher; see
-        # BENCH_verdict.json): the derived-table round must at least double
+        # BENCH_verdict.json): the optimized engine must at least double
         # throughput on the join and nested AQP shapes.
         assert metrics["speedup"] >= metrics["floor"], (name, metrics)
 

@@ -261,9 +261,6 @@ def build_variational_derived_table(
     probability = _probability_expression(sampled)
     sid = _sid_expression(sampled, subsample_count)
 
-    group_aliases = {
-        expr.to_sql(): f"vdb_g{index}" for index, expr in enumerate(inner_statement.group_by)
-    }
     select_items: list[ast.SelectItem] = []
     for index, item in enumerate(inner_statement.select_items):
         name = item.output_name(index)
@@ -289,8 +286,6 @@ def build_variational_derived_table(
         group_by=list(inner_statement.group_by) + [sid],
         having=inner_statement.having,
     )
-    # The group aliases are unused but documented for debugging purposes.
-    del group_aliases
     return variational, subsample_count
 
 
@@ -513,7 +508,7 @@ class _TwoLevelBuilder:
         select_items: list[ast.SelectItem] = []
         for expr in self.original.group_by:
             select_items.append(ast.SelectItem(expr, alias=self.group_aliases[expr.to_sql()]))
-        select_items.append(ast.SelectItem(self.sid, alias=SID_ALIAS))
+        # The subsample id is a grouping key only: no outer query reads it.
         select_items.append(ast.SelectItem(self.sub_size_source, alias=SUB_SIZE_ALIAS))
         inverse_probability = ast.BinaryOp("/", ast.Literal(1.0), self.probability)
         for plan in self._aggregates.values():

@@ -235,14 +235,10 @@ class Executor:
             frame.source = ScanSource(table, _scan_rows(surviving, chunk_selection, mask))
             return frame
         if isinstance(relation, ast.DerivedTable):
+            # The subquery runs as written under its own plan, computed once
+            # with the outer plan (past the nesting cap it is planned per call).
             derived = plan.derived_for(relation.binding_name) if plan is not None else None
-            if derived is not None:
-                # Execute the planner's rewritten subquery (outer conjuncts
-                # folded into its WHERE, unused outputs pruned) with its
-                # precomputed plan instead of re-planning per execution.
-                result = self.execute_select(derived.statement, plan=derived.plan)
-            else:
-                result = self.execute_select(relation.query)
+            result = self.execute_select(relation.query, plan=derived)
             frame = Frame()
             # Reuse the dictionary codes the subquery propagated for its
             # output columns (round 3a): the outer aggregation then groups,

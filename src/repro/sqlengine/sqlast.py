@@ -602,7 +602,7 @@ def transform_expression(
     without recursing into it — or None to keep the node and transform its
     children.  Scalar subqueries are treated as leaves: their inner statements
     are never descended into.  Used by the executor's post-aggregation
-    substitution and by the planner's derived-table conjunct rewriting.
+    substitution and by literal lifting (``repro.api.binding``).
     """
     replaced = visit(expression)
     if replaced is not None:

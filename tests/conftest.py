@@ -23,6 +23,8 @@ and again, across several seeds, in CI's dedicated ``chaos`` job::
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,64 @@ def sqlite_connector(orders_columns):
     connector.load_table("orders", orders_columns)
     yield connector
     connector.close()
+
+
+# ---------------------------------------------------------------------------
+# SQLite as an independent oracle for the built-in engine
+# ---------------------------------------------------------------------------
+
+
+def _both_backends(
+    tables: dict[str, dict[str, np.ndarray]], **engine_options
+) -> tuple[Database, SqliteConnector]:
+    """The built-in engine and a SQLite connector holding the same tables.
+
+    The caller closes the SQLite connector.
+    """
+    engine = Database(seed=0, **engine_options)
+    sqlite = SqliteConnector(seed=0)
+    for name, columns in tables.items():
+        engine.register_table(name, columns)
+        sqlite.load_table(name, columns)
+    return engine, sqlite
+
+
+def _plain(value):
+    """One answer value as SQLite reports it: NaN is NULL, bool is 0/1."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return int(value) if isinstance(value, bool) else value
+
+
+def _answers(
+    engine: Database, sqlite: SqliteConnector, sql: str, params=None, ordered: bool = True
+):
+    """``(ours, theirs)``: the rows of ``sql`` on each backend, every value
+    as SQLite reports it.  ``ordered=False`` sorts both row lists, NULLs
+    last, for statements whose row order SQL leaves open."""
+
+    def comparable(rows):
+        rows = [tuple(_plain(value) for value in row) for row in rows]
+        if ordered:
+            return rows
+        # A NULL never meets a value of another type in the sort.
+        return sorted(rows, key=lambda row: [(True, 0) if v is None else (False, v) for v in row])
+
+    return (
+        comparable(engine.execute(sql, params).fetchall()),
+        comparable(sqlite.execute_sql(sql, params).fetchall()),
+    )
+
+
+@pytest.fixture(scope="session")
+def both_backends():
+    """``both_backends(tables, **engine_options) -> (engine, sqlite)``."""
+    return _both_backends
+
+
+@pytest.fixture(scope="session")
+def answers():
+    """``answers(engine, sqlite, sql, params=None, ordered=True) -> (ours, theirs)``."""
+    return _answers

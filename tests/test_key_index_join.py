@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro import ExecutionOptions
-from repro.connectors import SqliteConnector
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.faults import QueryDeadline
 from repro.sqlengine import Database, executor
@@ -423,24 +422,7 @@ def test_benchmark_statements_take_the_index_path_and_build_nothing_at_setup():
 # ---------------------------------------------------------------------------
 
 
-def both_backends(tables: dict[str, dict[str, np.ndarray]], **engine_options):
-    engine = Database(seed=0, **engine_options)
-    sqlite = SqliteConnector(seed=0)
-    for name, columns in tables.items():
-        engine.register_table(name, columns)
-        sqlite.load_table(name, columns)
-    return engine, sqlite
-
-
-def answers(engine: Database, sqlite: SqliteConnector, sql: str, params=None):
-    ours = [
-        tuple(value.item() if isinstance(value, np.generic) else value for value in row)
-        for row in engine.execute(sql, params).fetchall()
-    ]
-    return ours, sqlite.execute_sql(sql, params).fetchall()
-
-
-def test_null_keys_never_match():
+def test_null_keys_never_match(both_backends, answers):
     engine, sqlite = both_backends(
         {"a": {"k": np.array([1.0, np.nan])}, "b": {"j": np.array([1.0, np.nan])}}
     )
@@ -482,7 +464,7 @@ def test_a_null_in_any_key_column_matches_nothing():
     assert optimized.stats["key_index_joins"] == 2
 
 
-def test_null_safe_pairs_match_null_to_null(monkeypatch):
+def test_null_safe_pairs_match_null_to_null(monkeypatch, both_backends, answers):
     """``a = b OR (a IS NULL AND b IS NULL)`` joins as an equi pair whose
     NULLs match, on both paths, as the same predicate in WHERE and SQLite."""
     tables = {
@@ -526,7 +508,7 @@ def test_null_safe_pairs_match_null_to_null(monkeypatch):
     assert optimized.stats["key_index_joins"] == 1
 
 
-def test_int64_keys_above_2_53_compare_exactly():
+def test_int64_keys_above_2_53_compare_exactly(both_backends, answers):
     """2**53 and 2**53 + 1 are two keys on every route, as in SQLite: GROUP
     BY, JOIN, ``=``, ``>`` and ``IN`` (at two rows a chunk, so the zone maps
     prune), COUNT(DISTINCT), and an int64 = float64 join by exact value."""
@@ -563,7 +545,9 @@ def test_int64_keys_above_2_53_compare_exactly():
     assert optimized.stats["key_index_joins"] == 2
 
 
-def test_null_keys_match_nothing_and_int64_keys_compare_exactly_on_both_paths():
+def test_null_keys_match_nothing_and_int64_keys_compare_exactly_on_both_paths(
+    both_backends, answers
+):
     """A NULL key matches nothing, and an int64 key above 2**53 matches no
     float it rounds to, with and without the index path (SQLite's answers)."""
     tables = {
@@ -626,23 +610,6 @@ def semantic_tables(draw):
     return tables, [value.item() if isinstance(value, np.generic) else value for value in picked]
 
 
-def _plain(value):
-    """One answer value as SQLite reports it: NaN is NULL, bool is 0/1."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return int(value) if isinstance(value, bool) else value
-
-
-def _rows(rows, ordered: bool):
-    rows = [tuple(_plain(value) for value in row) for row in rows]
-    if ordered:
-        return rows
-    # NULLs last; a NULL never meets a value of another type in the sort.
-    return sorted(rows, key=lambda row: [(True, 0) if v is None else (False, v) for v in row])
-
-
 SEMANTIC_STATEMENTS = [
     ("SELECT t.rid AS a, u.rid AS b FROM t JOIN u ON t.k = u.j", False),
     ("SELECT t.rid AS a, u.rid AS b FROM t, u WHERE t.k = u.j", False),
@@ -663,7 +630,7 @@ SEMANTIC_STATEMENTS = [
 
 @given(semantic_tables())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_key_semantics_match_sqlite(case):
+def test_key_semantics_match_sqlite(both_backends, answers, case):
     """JOIN, GROUP BY, DISTINCT, COUNT(DISTINCT), IN, ``=``, ``<``, ``>`` and
     ORDER BY over int64 keys around ±2**53 and at int64 min/max, float64
     keys with NaN, ±0.0 and ±inf, bool keys and string keys with None, as
@@ -686,8 +653,8 @@ def test_key_semantics_match_sqlite(case):
     try:
         for sql, ordered in SEMANTIC_STATEMENTS:
             params = constants[: sql.count("?")] or None
-            ours, theirs = answers(engine, sqlite, sql, params)
-            assert _rows(ours, ordered) == _rows(theirs, ordered), (sql, params)
+            ours, theirs = answers(engine, sqlite, sql, params, ordered)
+            assert ours == theirs, (sql, params)
     finally:
         sqlite.close()
 

@@ -39,9 +39,16 @@ class TestRewriterSqlShape:
         )
         output = AqpRewriter().rewrite(statement, analyze(statement), plan_for(sample_info()))
         sql = output.statement.to_sql()
-        # Inner query scans the sample table and groups by the subsample id.
+        # Inner query scans the sample table and groups by the subsample id,
+        # which it does not select: no outer query reads it.
         assert "orders_sample" in sql
-        assert "vdb_sid" in sql
+        inner = output.statement.from_relation.query
+        assert "vdb_sid" in inner.group_by[-1].to_sql()
+        assert all(
+            item.output_name(position) != "vdb_sid"
+            and "vdb_sid" not in item.expression.to_sql()
+            for position, item in enumerate(inner.select_items)
+        )
         assert "vdb_sampling_prob" in sql
         # Outer query reports one error column per aggregate.
         assert output.estimate_columns == {"c": "c_err", "s": "s_err", "a": "a_err"}
@@ -100,6 +107,12 @@ class TestRewriterSqlShape:
         # The derived table is grouped by (city, sid) in a single scan.
         assert "vdb_sid" in sql
         assert sql.count("GROUP BY") >= 2
+        # The variational table selects its sid: the middle query groups on it.
+        inner = output.statement.from_relation.query
+        variational = inner.from_relation.query
+        names = [item.output_name(i) for i, item in enumerate(variational.select_items)]
+        assert "vdb_sid" in names
+        assert "t.vdb_sid" in inner.group_by[-1].to_sql()
         assert output.estimate_columns == {"avg_sales": "avg_sales_err"}
 
     def test_plan_without_samples_rejected(self):
