@@ -21,7 +21,17 @@ they exist) into :class:`KeyCodes`: int64 codes, equal exactly when the keys
 are, and the code NULL rows carry.  :func:`encode_key_pair` codes two columns
 jointly, :func:`pack_codes` is the one overflow-guarded packer of several
 coded columns, :func:`encode_join_keys` combines the two for an equi-join,
-and :func:`compare_numeric` applies the same exactness to ``= <> < <= > >=``.
+:func:`group_rows_encoded` numbers the groups of coded rows by first
+appearance (``GROUP BY``, ``DISTINCT``, ``PARTITION BY`` and
+``COUNT(DISTINCT)`` all group through it), and :func:`compare_numeric`
+applies the same exactness to ``= <> < <= > >=``.
+
+Coding and grouping sort only when the keys are sparse.  An int key whose
+value span (``max - min + 1``) is at most :data:`_DENSE_SPAN` times its row
+count is coded by offset, and packed codes that dense are numbered without a
+sort; float keys and sparse ones go through ``np.unique``.  Either way the
+codes are the ranks of the distinct values, so the route never shows in an
+answer.
 
 The dictionary is always sorted, so codes are rank-preserving: sorting or
 comparing codes is equivalent to sorting or comparing the normalized string
@@ -52,6 +62,11 @@ _ESCAPE_PREFIX = "\0S"
 # Packed multi-column codes stay below this bound; past it the packed prefix
 # is re-densified instead of silently wrapping around int64.
 _MAX_PACKED_CODE = 1 << 62
+
+# An int key whose value span is at most this many times its row count is
+# coded by offset, and packed codes this dense are grouped, without a sort.
+# Either route allocates arrays of at most this many times the rows.
+_DENSE_SPAN = 2
 
 _COMPARE = {
     "=": np.equal,
@@ -168,7 +183,10 @@ class KeyCodes(NamedTuple):
     Codes lie in ``[0, cardinality)``; :func:`encode_key` of a whole column
     uses every code, while a scan's dictionary codes restricted to some rows,
     or one side of a pair, may leave some unused.  ``null_code`` is the code
-    NULL rows carry (-1: no row can be NULL).
+    NULL rows carry (-1: no row can be NULL).  A code is the rank of its key
+    among the distinct keys, whether it came from a sort or, for an int
+    column whose span is at most ``_DENSE_SPAN`` times its rows, from the
+    key's offset above the minimum.
     """
 
     codes: Array
@@ -187,7 +205,11 @@ def encode_key(values: Array, encoded: Encoded | None = None) -> KeyCodes:
     """The codes of one key column.
 
     ``encoded`` is the column's ``(codes, dictionary)`` when a scan attached
-    one: those codes are used as they are, never re-encoded.
+    one: those codes are used as they are, never re-encoded.  An int64 or
+    bool column whose value span (``max - min + 1``) is at most
+    ``_DENSE_SPAN`` times its row count is coded in O(rows + span) by offset
+    and a prefix sum of the values present; any other numeric column by
+    ``np.unique``.  Both give the same codes, cardinality and NULL code.
     """
     if encoded is None and values.dtype == object:
         encoded = encode_object_array(values)
@@ -250,6 +272,34 @@ def pack_codes(keys: Sequence[KeyCodes]) -> KeyCodes:
         combined = combined * width + key.codes
         cardinality *= width
     return KeyCodes(combined.astype(np.int64, copy=False), cardinality)
+
+
+def group_rows_encoded(keys: Sequence[KeyCodes], num_rows: int) -> tuple[Array, Array]:
+    """Group rows by their key codes, numbering groups by first appearance.
+
+    Returns ``(inverse, first)``: row ``i`` is in group ``inverse[i]``, and
+    ``first[g]`` is the first row of group ``g``, so ``first`` increases and
+    ``len(first)`` is the number of groups.  The columns are packed by
+    :func:`pack_codes`.  Packed codes at most ``_DENSE_SPAN`` times the rows
+    are numbered in O(rows + cardinality) without a sort: ``np.minimum.at``
+    finds each code's first row and a cumulative sum over those rows numbers
+    them.  Sparser codes are first densified by one ``np.unique``.
+    """
+    if num_rows == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    packed = pack_codes(keys)
+    codes, cardinality = packed.codes, packed.cardinality
+    if cardinality > _DENSE_SPAN * num_rows:
+        uniques, codes = np.unique(codes, return_inverse=True)
+        cardinality = len(uniques)
+    first_of_code = np.full(cardinality, num_rows, dtype=np.int64)
+    np.minimum.at(first_of_code, codes, np.arange(num_rows))
+    starts = np.zeros(num_rows, dtype=bool)
+    starts[first_of_code[first_of_code < num_rows]] = True
+    group_at = np.cumsum(starts, dtype=np.int64) - 1
+    inverse: Array = group_at[first_of_code[codes]]
+    return inverse, np.flatnonzero(starts)
 
 
 def encode_join_keys(
@@ -350,6 +400,16 @@ def numeric_key(values: Array) -> Array:
 
 def _unique_codes(values: Array) -> KeyCodes:
     """Codes of a numeric column by its sorted distinct values (NaN: NULL)."""
+    if values.dtype.kind == "i" and len(values):
+        low, high = int(values.min()), int(values.max())
+        if high - low < _DENSE_SPAN * len(values):
+            # ``values - low`` wraps nowhere it matters: the true offsets all
+            # lie in [0, span), and int64 subtraction is exact modulo 2**64.
+            offsets = values - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[offsets] = True
+            ranks = np.cumsum(present, dtype=np.int64) - 1
+            return KeyCodes(ranks[offsets], int(ranks[-1]) + 1)
     uniques, codes = np.unique(values, return_inverse=True)
     # np.unique folds every NaN into one trailing entry and -0.0 into 0.0.
     null = len(uniques) - 1 if values.dtype.kind == "f" and np.isnan(uniques[-1:]).any() else -1

@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.sqlengine import functions, planner as logical_planner, sqlast as ast
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.encoding import encode_join_keys, encode_key
+from repro.sqlengine.encoding import encode_join_keys, encode_key, group_rows_encoded
 from repro.sqlengine.expressions import (
     Frame,
     LazyCodes,
@@ -39,7 +39,6 @@ from repro.sqlengine.expressions import (
     column_codes,
     contains_aggregate,
     evaluate,
-    group_rows_encoded,
 )
 from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
@@ -519,25 +518,21 @@ class Executor:
                 encoded = column_codes(expr, frame)
                 key_encodings.append(encoded)
                 encoded_keys.append(encode_key(key_array, encoded))
-            inverse, num_groups = group_rows_encoded(encoded_keys, frame.num_rows)
+            # ``representative`` is each group's first row.
+            inverse, representative = group_rows_encoded(encoded_keys, frame.num_rows)
+            num_groups = len(representative)
         else:
             keys = []
             key_encodings = []
             inverse = np.zeros(frame.num_rows, dtype=np.int64)
             num_groups = 1
+            representative = np.zeros(min(1, frame.num_rows), dtype=np.int64)
 
         post_frame = Frame(num_rows=num_groups)
 
-        # Representative row index for each group (first occurrence).
-        if frame.num_rows:
-            representative = np.full(num_groups, frame.num_rows, dtype=np.int64)
-            np.minimum.at(representative, inverse, np.arange(frame.num_rows))
-        else:
-            representative = np.zeros(0, dtype=np.int64)
-
         for position, (_expr, key_array) in enumerate(zip(statement.group_by, keys)):
             column_name = f"__group_{position}"
-            values = key_array[representative] if frame.num_rows else key_array[:0]
+            values = key_array[representative]
             # Carry the key's dictionary codes onto the per-group column
             # (codes of each group's representative row): HAVING/ORDER BY
             # consume them here, and they are propagated to the result set
@@ -545,8 +540,7 @@ class Executor:
             codes = None
             encoded = key_encodings[position]
             if encoded is not None and len(values) == num_groups:
-                group_codes = encoded[0][representative] if frame.num_rows else encoded[0][:0]
-                codes = LazyCodes.presolved(group_codes, encoded[1])
+                codes = LazyCodes.presolved(encoded[0][representative], encoded[1])
             if num_groups and len(values) != num_groups:
                 values = np.resize(values, num_groups)
             post_frame.add_column(None, column_name, values, codes=codes)
@@ -1066,10 +1060,7 @@ def _distinct(
         encode_key(column, encodings[position] if encodings is not None else None)
         for position, column in enumerate(result.columns())
     ]
-    inverse, num_groups = group_rows_encoded(encoded_keys, result.num_rows)
-    representative = np.full(num_groups, result.num_rows, dtype=np.int64)
-    np.minimum.at(representative, inverse, np.arange(result.num_rows))
-    representative = np.sort(representative)
+    _, representative = group_rows_encoded(encoded_keys, result.num_rows)
     return ResultSet(
         result.column_names, [column[representative] for column in result.columns()]
     )

@@ -19,13 +19,12 @@ from repro.errors import ExecutionError
 from repro.sqlengine import functions, sqlast as ast
 from repro.sqlengine.encoding import (
     NULL_SENTINEL,
-    KeyCodes,
     code_for_value,
     compare_numeric,
     encode_key,
     escape_key,
+    group_rows_encoded,
     null_code,
-    pack_codes,
     unescape_key,
 )
 
@@ -359,8 +358,19 @@ def _evaluate_unary(expression, frame, context, subquery_evaluator):
     if expression.op.upper() == "NOT":
         return ~operand.astype(bool)
     if expression.op == "-":
-        return -_as_float(operand)
+        return _negate(operand)
     raise ExecutionError(f"unknown unary operator {expression.op!r}")
+
+
+def _negate(operand: np.ndarray) -> np.ndarray:
+    """``-operand``: an int or bool negates as int64, exactly, except that
+    a column holding the int64 minimum (whose negation no int64 holds)
+    becomes float64, as SQLite returns a real for it."""
+    if operand.dtype.kind in "ib":
+        ints = operand.astype(np.int64)
+        if not (ints == np.iinfo(np.int64).min).any():
+            return -ints
+    return -_as_float(operand)
 
 
 _NUMERIC_OPS = {"+", "-", "*", "/", "%"}
@@ -688,26 +698,6 @@ def _evaluate_window(expression, frame, context, subquery_evaluator):
     return per_group[inverse]
 
 
-def group_rows_encoded(encoded_keys: list[KeyCodes], num_rows: int) -> tuple[np.ndarray, int]:
-    """Group rows by their key codes (:func:`~repro.sqlengine.encoding.encode_key`).
-
-    Returns ``(inverse, num_groups)`` with group ids ordered by first
-    appearance; the columns are packed by the codec's overflow-guarded
-    :func:`~repro.sqlengine.encoding.pack_codes`.
-    """
-    if num_rows == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    unique_combined, inverse = np.unique(pack_codes(encoded_keys).codes, return_inverse=True)
-    # Re-number groups by first appearance so output order is deterministic
-    # and matches the input ordering (useful for tests and readability).
-    first_positions = np.full(len(unique_combined), num_rows, dtype=np.int64)
-    np.minimum.at(first_positions, inverse, np.arange(num_rows))
-    order = np.argsort(first_positions, kind="stable")
-    remap = np.empty_like(order)
-    remap[order] = np.arange(len(order))
-    return remap[inverse], len(unique_combined)
-
-
 def group_rows(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """Assign a dense group id to each row based on the key arrays.
 
@@ -716,7 +706,6 @@ def group_rows(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """
     if not key_arrays:
         return np.zeros(0, dtype=np.int64), 0
-    num_rows = len(key_arrays[0])
-    if num_rows == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    return group_rows_encoded([encode_key(key) for key in key_arrays], num_rows)
+    keys = [encode_key(key) for key in key_arrays]
+    inverse, first = group_rows_encoded(keys, len(key_arrays[0]))
+    return inverse, len(first)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import BindParameterError, ExecutionError
 from repro.sqlengine import sketches
-from repro.sqlengine.encoding import KeyCodes, encode_key, pack_codes
+from repro.sqlengine.encoding import KeyCodes, encode_key, group_rows_encoded
 
 
 class EvaluationContext:
@@ -474,8 +474,7 @@ def _count_distinct(values: np.ndarray, inverse: np.ndarray, num_groups: int) ->
     key = encode_key(values)
     rows = np.flatnonzero(key.codes != key.null_code)
     groups = KeyCodes(inverse[rows], num_groups)
-    packed = pack_codes([groups, key._replace(codes=key.codes[rows])])
-    _, first = np.unique(packed.codes, return_index=True)
+    _, first = group_rows_encoded([groups, key._replace(codes=key.codes[rows])], len(rows))
     return np.bincount(groups.codes[first], minlength=num_groups).astype(np.float64)
 
 

@@ -584,13 +584,17 @@ SEMANTIC_VALUES = {
     "object": st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "B", "\x00a"])),
 }
 SEMANTIC_DTYPES = {"int": np.int64, "float": np.float64, "bool": bool, "object": object}
+# An int column drawn from one of these nine-value ranges has a span of 9:
+# coded by offset from five rows on, sorted below that.
+DENSE_INT_BASES = [-4, BIG - 4, INT64.min, INT64.max - 8]
 
 
 @st.composite
 def semantic_tables(draw):
     """Two tables ``t(k, rid)`` and ``u(j, rid)`` of up to 12 rows.  Both key
     columns are numeric (int64, float64 or bool, mixed freely) or both are
-    strings with None."""
+    strings with None.  An int column is either drawn value by value or
+    from one small range, so both sides of the codec's span rule occur."""
     kinds = draw(
         st.one_of(
             st.tuples(*[st.sampled_from(["int", "float", "bool"])] * 2),
@@ -599,7 +603,11 @@ def semantic_tables(draw):
     )
     tables, constants = {}, []
     for name, column, kind in (("t", "k", kinds[0]), ("u", "j", kinds[1])):
-        values = draw(st.lists(SEMANTIC_VALUES[kind], max_size=12))
+        strategy = SEMANTIC_VALUES[kind]
+        if kind == "int" and draw(st.booleans()):
+            low = draw(st.sampled_from(DENSE_INT_BASES))
+            strategy = st.integers(low, low + 8)
+        values = draw(st.lists(strategy, max_size=12))
         tables[name] = {
             column: np.array(values, dtype=SEMANTIC_DTYPES[kind]),
             "rid": np.arange(len(values)),
@@ -623,6 +631,7 @@ SEMANTIC_STATEMENTS = [
     ("SELECT rid FROM t WHERE k = ?", False),
     ("SELECT rid FROM t WHERE k < ?", False),
     ("SELECT rid FROM t WHERE k > ?", False),
+    (f"SELECT rid FROM t WHERE k = {-BIG - 1}", False),
     ("SELECT rid FROM t WHERE k IS NOT NULL ORDER BY k, rid", True),
     ("SELECT rid FROM t WHERE k IS NOT NULL ORDER BY k DESC, rid", True),
 ]
@@ -657,6 +666,33 @@ def test_key_semantics_match_sqlite(both_backends, answers, case):
             assert ours == theirs, (sql, params)
     finally:
         sqlite.close()
+
+
+def test_negation_matches_sqlite(both_backends, answers):
+    """Unary minus over an int or bool column is exact int64, so a negative
+    literal below -2**53 compares exactly; only the int64 minimum, whose
+    negation no int64 holds, negates to a float, as SQLite's real."""
+    tables = {
+        "a": {"k": np.array([-BIG - 1, -BIG, BIG + 1, 0, 3], dtype=np.int64)},
+        "b": {"k": np.array([INT64.min, 3], dtype=np.int64)},
+        "c": {"k": np.array([True, False])},
+    }
+    expected = {
+        f"SELECT k FROM a WHERE k = {-BIG - 1}": [(-BIG - 1,)],
+        f"SELECT k FROM a WHERE k < {-BIG}": [(-BIG - 1,)],
+        "SELECT -k AS n FROM a": [(BIG + 1,), (BIG,), (-BIG - 1,), (0,), (-3,)],
+        "SELECT -k AS n FROM b": [(2.0**63,), (-3.0,)],
+        "SELECT -k AS n FROM c": [(-1,), (0,)],
+    }
+    engine, sqlite = both_backends(tables)
+    try:
+        for sql, rows in expected.items():
+            ours, theirs = answers(engine, sqlite, sql)
+            assert ours == theirs == rows, sql
+    finally:
+        sqlite.close()
+    negated = engine.execute("SELECT -k AS n FROM b").column("n")
+    assert negated.dtype == np.float64
 
 
 def test_connect_uses_the_key_index():

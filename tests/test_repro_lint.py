@@ -380,6 +380,52 @@ class TestRep006Determinism:
 
 
 # ---------------------------------------------------------------------------
+# REP007 — grouping is the key codec's decision
+# ---------------------------------------------------------------------------
+
+
+class TestRep007GroupingCodec:
+    def test_fires_on_np_unique_outside_the_codec(self):
+        result = lint_one(
+            "src/repro/sqlengine/functions.py",
+            """
+            import numpy as np
+            from numpy import unique
+
+            def count_distinct(codes):
+                return len(np.unique(codes))
+            """,
+            "REP007",
+        )
+        assert codes(result) == ["REP007"] * 2
+
+    def test_clean_through_the_codec_and_inside_it(self):
+        clean = lint_one(
+            "src/repro/sqlengine/functions.py",
+            """
+            from repro.sqlengine.encoding import encode_key, group_rows_encoded
+
+            def count_distinct(values):
+                key = encode_key(values)
+                _, first = group_rows_encoded([key], len(values))
+                return len(first)
+            """,
+            "REP007",
+        )
+        codec = lint_one(
+            "src/repro/sqlengine/encoding.py",
+            """
+            import numpy as np
+
+            def densify(codes):
+                return np.unique(codes, return_inverse=True)
+            """,
+            "REP007",
+        )
+        assert codes(clean) == codes(codec) == []
+
+
+# ---------------------------------------------------------------------------
 # suppression mechanics
 # ---------------------------------------------------------------------------
 
@@ -568,7 +614,7 @@ class TestCli:
     def test_list_rules_names_all_four(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for code in ("REP002", "REP003", "REP004", "REP006"):
+        for code in ("REP002", "REP003", "REP004", "REP006", "REP007"):
             assert code in proc.stdout
 
     def test_write_baseline_then_gate_passes(self, tmp_path):
@@ -602,6 +648,7 @@ class TestRepoGate:
             "REP003",
             "REP004",
             "REP006",
+            "REP007",
         ]
 
     def test_repository_has_zero_unbaselined_findings(self):

@@ -2,8 +2,8 @@
 
 Run as ``python -m tools.repro_lint src tests benchmarks``.  See
 ``tools/repro_lint/__main__.py`` for the CLI and the ``rules`` package for
-the six REP rules enforcing the engine's concurrency, resource-lifecycle
-and error-boundary invariants.
+the REP rules enforcing the engine's concurrency, error-boundary,
+determinism and key-codec invariants.
 """
 
 from tools.repro_lint.core import (

@@ -5,4 +5,5 @@ from tools.repro_lint.rules import (  # noqa: F401
     rep003_async_blocking,
     rep004_error_boundary,
     rep006_determinism,
+    rep007_grouping_codec,
 )
