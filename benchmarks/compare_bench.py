@@ -59,11 +59,6 @@ FLOORS: dict[str, dict[str, float]] = {
         "join": 2.0,
         "nested": 2.0,
     },
-    "BENCH_storage.json": {
-        "selective_scan": 3.0,
-        "selective_string": 3.0,
-        "scramble_sid": 1.2,
-    },
     "BENCH_api.json": {
         "prepared_reexec": 3.0,
         "adhoc_literals": 1.5,

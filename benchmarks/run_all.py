@@ -1,7 +1,7 @@
 """Run every tracked benchmark suite and gate the speedup floors.
 
-Runs the engine hot-path, middleware hot-path, storage-skipping, API,
-resilience and serving benchmarks back to back, rewrites their
+Runs the engine hot-path, middleware hot-path, API, resilience and
+serving benchmarks back to back, rewrites their
 ``BENCH_*.json`` reports, diffs each against the committed
 baseline and exits non-zero when any asserted speedup floor regresses:
 
@@ -41,14 +41,12 @@ import bench_api_hotpath  # noqa: E402
 import bench_planner_hotpath  # noqa: E402
 import bench_resilience  # noqa: E402
 import bench_serving  # noqa: E402
-import bench_storage_skipping  # noqa: E402
 import bench_verdict_hotpath  # noqa: E402
 import compare_bench  # noqa: E402
 
 SUITES = [
     (bench_planner_hotpath, "BENCH_planner.json"),
     (bench_verdict_hotpath, "BENCH_verdict.json"),
-    (bench_storage_skipping, "BENCH_storage.json"),
     (bench_api_hotpath, "BENCH_api.json"),
     (bench_resilience, "BENCH_resilience.json"),
     (bench_serving, "BENCH_serving.json"),

@@ -96,7 +96,7 @@ def connect(
             pool.
         database_kwargs: constructor arguments for a freshly created
             :class:`~repro.sqlengine.engine.Database` (``seed``,
-            ``chunk_rows``, ``optimize``, ...); mutually exclusive with
+            ``optimize``, ``fault_injection``); mutually exclusive with
             ``connector`` and ``database``.
         subsample_count: number of subsamples carried by newly built samples.
         planner_config: sample planner configuration (``io_budget``, ...).

@@ -9,23 +9,13 @@ from repro.sqlengine.table import Table
 
 
 class Catalog:
-    """Name → table mapping with case-insensitive lookups.
+    """Name → table mapping with case-insensitive lookups."""
 
-    ``chunk_rows`` is the storage chunk size applied to tables the engine
-    creates through this catalog (``register_table``, ``CREATE TABLE``);
-    ``None`` uses :data:`repro.sqlengine.table.DEFAULT_CHUNK_ROWS`.
-    """
-
-    def __init__(self, chunk_rows: int | None = None) -> None:
+    def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self.chunk_rows = chunk_rows
         # Schema version: bumped whenever a table is registered or dropped so
         # cached query plans (which bake in column sets) can be invalidated.
         self.version = 0
-
-    def new_table(self, name: str) -> Table:
-        """Create an empty table configured with this catalog's chunk size."""
-        return Table(name, chunk_rows=self.chunk_rows)
 
     @staticmethod
     def _key(name: str) -> str:

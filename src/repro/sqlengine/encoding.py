@@ -2,8 +2,8 @@
 
 Every operator that asks whether two keys are equal — the hash join and the
 key-index join, ``GROUP BY``, ``DISTINCT``, window ``PARTITION BY``,
-``COUNT(DISTINCT)``, ``ORDER BY`` over strings, ``IN`` lists and the
-comparisons, zone-map bounds and sample maintenance's stratum matching —
+``COUNT(DISTINCT)``, ``ORDER BY`` over strings, ``IN`` lists, the
+comparisons and sample maintenance's stratum matching —
 reads keys through this module, so they cannot disagree.  The rules, per
 dtype:
 
@@ -93,22 +93,6 @@ def escape_key(value: str) -> str:
 def unescape_key(entry: str) -> str:
     """Invert :func:`escape_key` for a non-sentinel dictionary entry."""
     return entry[len(_ESCAPE_PREFIX):] if entry.startswith(_ESCAPE_PREFIX) else entry
-
-
-def escaped_bounds(values: Array) -> tuple[str | None, str | None, int]:
-    """Min/max normalized key and NULL count of an object array.
-
-    Zone maps store these per chunk: the bounds use the same
-    order-isomorphic escaping as the dictionary entries, so comparing an
-    escaped literal against them agrees with the row-level string
-    comparison (and with the sorted dictionary).  NULLs are counted, not
-    folded into the bounds — the sentinel would otherwise always be the
-    minimum and comparisons could never rule a chunk out.
-    """
-    keys = [escape_key(str(value)) for value in values if value is not None]
-    if not keys:
-        return None, None, len(values)
-    return min(keys), max(keys), len(values) - len(keys)
 
 
 def encode_object_array(array: Array) -> Encoded:

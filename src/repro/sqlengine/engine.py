@@ -53,12 +53,10 @@ class Database:
         seed: seed for the engine's random generator (``rand()``); passing a
             fixed seed makes query results involving randomness reproducible.
         optimize: enable the logical planner (predicate pushdown, projection
-            pruning, zone-map chunk skipping, dictionary-coded keys) plus the
+            pruning, dictionary-coded keys, key-index joins) plus the
             statement and plan caches.  ``optimize=False`` is the naive A/B
             escape hatch: every call re-parses and executes without any
             planner advice, producing identical results.
-        chunk_rows: storage chunk size (rows per chunk / zone map) for tables
-            created through this engine; None uses the storage default.
         fault_injection: optional failpoint configuration — a mapping of
             site name to :class:`repro.faults.FaultSpec` (or spec dict), or
             a ready :class:`repro.faults.FaultInjector`.  Inert in
@@ -77,10 +75,9 @@ class Database:
         self,
         seed: int | None = None,
         optimize: bool = True,
-        chunk_rows: int | None = None,
         fault_injection=None,
     ) -> None:
-        self.catalog = Catalog(chunk_rows=chunk_rows)
+        self.catalog = Catalog()
         self._rng = np.random.default_rng(seed)
         self.optimize = optimize
         self._stats_lock = threading.Lock()
@@ -117,8 +114,8 @@ class Database:
         # Monotonic data version: bumped by every DML/DDL statement and every
         # programmatic load.  Sessions snapshot (catalog.version,
         # data_version) to decide when their row-count / cardinality /
-        # sample-metadata caches — and zone-map-derived planner advice — must
-        # be re-read because *another* connection changed the data.
+        # sample-metadata caches must be re-read because *another*
+        # connection changed the data.
         self.data_version = 0
         # SELECT text -> parsed statement.  Parsing is pure syntax, so entries
         # never go stale; the LRU bound caps memory under ad-hoc traffic.
@@ -141,7 +138,7 @@ class Database:
         if isinstance(columns, Table):
             table = columns if columns.name == name else columns.copy(name)
         else:
-            table = Table(name, columns, chunk_rows=self.catalog.chunk_rows)
+            table = Table(name, columns)
         with self._statement_lock.writing():
             self.catalog.register(table, replace=replace)
             self.data_version += 1
@@ -188,12 +185,10 @@ class Database:
         execution time: a sequence for positional, a mapping for named
         parameters.  The caches are keyed on the *template* text, so one
         parameterized statement re-uses its parsed form and plan across every
-        parameter set.  Nothing is given up for it: plan-time advice that
-        needs a constant (zone-map chunk skipping) is classified with the
-        placeholder in the constant's place and resolved against ``params``
-        when the chunks are checked, and the run-time fast paths (dictionary
-        comparisons, IN-list probes) resolve the bound value per call — a
-        bound predicate skips exactly the chunks its literal twin skips.
+        parameter set.  Nothing is given up for it: the plan holds no
+        constant, and the run-time fast paths (dictionary comparisons,
+        IN-list probes) resolve the bound value per call, so a bound
+        predicate runs exactly as its literal twin does.
         """
         if not self.optimize:
             return self.execute_statement(parser.parse(sql), params=params, deadline=deadline)
@@ -332,12 +327,12 @@ class Database:
             raise CatalogError(f"table {statement.table_name!r} already exists")
         if statement.as_select is not None:
             result = self._executor(params).execute_select(statement.as_select)
-            table = self.catalog.new_table(statement.table_name)
+            table = Table(statement.table_name)
             for column_name, array in zip(result.column_names, result.columns()):
                 table.add_column(column_name, array)
             self.catalog.register(table)
             return ResultSet.empty([])
-        table = self.catalog.new_table(statement.table_name)
+        table = Table(statement.table_name)
         for column in statement.columns:
             dtype = _EMPTY_TYPES.get(column.type_name.lower(), object)
             table.add_column(column.name, np.array([], dtype=dtype))

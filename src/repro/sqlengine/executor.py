@@ -42,8 +42,7 @@ from repro.sqlengine.expressions import (
 )
 from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
-from repro.sqlengine.table import KeyIndex, Table, find_sorted
-from repro.sqlengine.zonemaps import bind_zone_predicates
+from repro.sqlengine.table import KeyIndex, find_sorted
 
 
 class _JoinCounter:
@@ -114,10 +113,6 @@ class Executor:
             faults=self._faults,
         )
 
-    def _bound_zones(self, predicates):
-        """Zone predicates with placeholder operands resolved for this call."""
-        return bind_zone_predicates(predicates, self._context(0).param_value)
-
     def _checkpoint(self) -> None:
         """Cooperative cancellation point (hot loops call this per unit of work)."""
         if self._faults is not None:
@@ -181,57 +176,22 @@ class Executor:
             table = self._catalog.get(relation.name)
             scan = plan.scan_for(relation.binding_name) if plan is not None else None
             wanted = scan.columns if scan is not None else None
-            # Zone-map chunk skipping: evaluate the plan-time-classified
-            # conjuncts against per-chunk min/max summaries and materialize
-            # only the chunks that could hold a matching row.  Skipped
-            # chunks provably contain no matches, so filtering the surviving
-            # rows with the full conjunction below is bit-identical to the
-            # naive full-column scan.
-            surviving = None
-            if self._optimize and scan is not None and scan.zone_predicates:
-                surviving = table.prune_chunks(self._bound_zones(scan.zone_predicates))
-            # Row indices covered by the surviving chunks, built only if an
-            # object column's dictionary codes are actually resolved (an
-            # all-numeric pruned scan never pays the O(selected rows) array).
-            selection_cache: list[np.ndarray] = []
-
-            def chunk_selection() -> np.ndarray:
-                if not selection_cache:
-                    selection_cache.append(table.chunk_row_indices(surviving))
-                return selection_cache[0]
-
             frame = Frame()
             for column_name in table.column_names:
                 if wanted is not None and column_name.lower() not in wanted:
                     continue
                 self._checkpoint()  # per-column scan materialization
-                if surviving is None:
-                    array = table.column(column_name)
-                else:
-                    array = table.gather_chunks(column_name, surviving)
+                array = table.column(column_name)
                 codes = None
                 if self._optimize and array.dtype == object:
-                    if surviving is None:
-                        codes = LazyCodes(
-                            lambda t=table, n=column_name: t.dictionary_codes(n)
-                        )
-                    else:
-                        def sliced_codes(t=table, n=column_name):
-                            full_codes, dictionary = t.dictionary_codes(n)
-                            return full_codes[chunk_selection()], dictionary
-
-                        codes = LazyCodes(sliced_codes)
+                    codes = LazyCodes(lambda t=table, n=column_name: t.dictionary_codes(n))
                 frame.add_column(relation.binding_name, column_name, array, codes=codes)
             if not frame.entries():
-                frame.num_rows = (
-                    _chunk_row_count(table, surviving)
-                    if surviving is not None
-                    else table.num_rows
-                )
+                frame.num_rows = table.num_rows
             mask = self._scan_mask(frame, scan)
             if mask is not None:
                 frame = frame.filter(mask)
-            frame.source = ScanSource(table, _scan_rows(surviving, chunk_selection, mask))
+            frame.source = ScanSource(table, _scan_rows(mask))
             return frame
         if isinstance(relation, ast.DerivedTable):
             # The subquery runs as written under its own plan, computed once
@@ -375,7 +335,7 @@ class Executor:
         if rows is None:
             indexed_rows = table_rows
         else:
-            # Table rows -> rows of the (pruned, filtered) scan frame.
+            # Table rows -> rows of the (filtered) scan frame.
             kept, indexed_rows = find_sorted(rows, table_rows)
             probe_rows = probe_rows[kept]
         if side == 0:
@@ -763,32 +723,11 @@ class Executor:
         return evaluate(expression, frame, context, self._scalar_subquery)
 
 
-def _scan_rows(
-    surviving: np.ndarray | None,
-    chunk_selection: Callable[[], np.ndarray],
-    mask: np.ndarray | None,
-) -> Callable[[], np.ndarray] | None:
+def _scan_rows(mask: np.ndarray | None) -> Callable[[], np.ndarray] | None:
     """Resolver of a scan frame's table row ids (None: the full table)."""
-    if surviving is None and mask is None:
+    if mask is None:
         return None
-
-    def resolve() -> np.ndarray:
-        rows = chunk_selection() if surviving is not None else None
-        if mask is None:
-            return rows
-        kept = np.flatnonzero(np.asarray(mask, dtype=bool))
-        return kept if rows is None else rows[kept]
-
-    return resolve
-
-
-def _chunk_row_count(table: Table, chunk_ids: np.ndarray) -> int:
-    """Rows covered by the given chunks, without materializing their indices."""
-    if not len(chunk_ids):
-        return 0
-    size = table.chunk_rows
-    counts = np.minimum((chunk_ids + 1) * size, table.num_rows) - chunk_ids * size
-    return int(counts.sum())
+    return lambda: np.flatnonzero(np.asarray(mask, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

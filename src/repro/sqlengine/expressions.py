@@ -72,8 +72,8 @@ class ScanSource:
     """Which rows of a base table a scan frame holds, in frame order.
 
     ``rows`` is None for a full scan, else the ascending table row ids that
-    survived chunk pruning and the pushed-down predicates — computed on first
-    read, so a scan that feeds no join never pays for it.
+    passed the pushed-down predicates — computed on first read, so a scan
+    that feeds no join never pays for it.
     """
 
     __slots__ = ("table", "_resolve", "_rows")

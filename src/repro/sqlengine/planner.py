@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from repro.errors import CatalogError
 from repro.sqlengine import functions, sqlast as ast
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.zonemaps import ZonePredicate, classify_zone_predicates
 
 # Derived tables nested deeper than this are planned per execution by the
 # executor; a backstop against pathological nesting.
@@ -59,10 +58,6 @@ class ScanPlan:
     # Lower-cased column names to materialize; None means "all columns"
     # (unknown schema, or a ``*`` projection that needs everything).
     columns: set[str] | None = None
-    # Zone-map-checkable forms of ``predicates``, classified once at plan
-    # time so repeated executions skip chunks with zero re-analysis.  Only
-    # meaningful for base-table scans; empty when nothing is checkable.
-    zone_predicates: list[ZonePredicate] = field(default_factory=list)
 
 
 @dataclass
@@ -105,9 +100,6 @@ def plan_select(
     if _depth < _MAX_DERIVED_DEPTH:
         for binding, node in _derived_nodes(statement.from_relation).items():
             plan.deriveds[binding] = plan_select(node.query, catalog, _depth + 1)
-    for scan in plan.scans.values():
-        if scan.predicates:
-            scan.zone_predicates = classify_zone_predicates(scan.predicates)
     return plan
 
 

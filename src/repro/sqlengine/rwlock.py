@@ -3,7 +3,7 @@
 Concurrent sessions share one :class:`~repro.sqlengine.engine.Database`.
 SELECTs may run fully in parallel (scans are read-only and numpy releases
 the GIL for the bulk of the work), but a DML/DDL statement mutates table
-chunks and the catalog in several steps — a scan overlapping an append could
+columns and the catalog in several steps — a scan overlapping an append could
 observe two columns of the same table at different lengths.  The engine
 therefore takes the read side around SELECT execution and the write side
 around every catalog-mutating statement.

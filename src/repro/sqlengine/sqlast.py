@@ -87,7 +87,7 @@ class Literal(Expression):
 
 
 #: The comparison operators of :class:`BinaryOp` — the ones whose constant
-#: operands zone maps can check and literal lifting may parameterise.
+#: operands literal lifting may parameterise.
 COMPARISON_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
 

@@ -1,25 +1,22 @@
-"""In-memory chunked columnar table used by the built-in engine.
+"""In-memory columnar table used by the built-in engine.
 
 A :class:`Table` is an ordered mapping of column name to a one-dimensional
 column; all columns have the same length.  Numeric columns are stored as
 ``float64`` or ``int64`` arrays, string columns as ``object`` arrays.  NULLs
 are represented as ``NaN`` in float columns and ``None`` in object columns.
 
-Storage is **chunked**: each column is a sequence of fixed-size chunks
-(:data:`DEFAULT_CHUNK_ROWS` rows, configurable per table), every chunk
-carrying a lazily built :class:`~repro.sqlengine.zonemaps.ZoneMap`
-(min/max/null-count).  :meth:`Table.append_columns` — the one append
-implementation, which SQL ``INSERT`` and the connectors' bulk ingest both
-reach — fills the last partial chunk and adds new ones without rewriting
-existing chunks, and extends what is derived from the column (zone maps,
-the dictionary encoding) in place when it is current, at a cost
-proportional to the batch; any other mutation invalidates them through the
-table's version counter and they are rebuilt lazily on the next request.
-The executor uses :meth:`prune_chunks` / :meth:`gather_chunks` to read only
-the chunks a pushed-down predicate could match, making scan cost
-proportional to the rows a query can actually touch, and :meth:`key_index`
-— a sorted index of a unique numeric column, built on a join's first
-request — so joining a small input to a whole table costs the small input.
+A column is a list of parts: the loaded array, then one part per appended
+batch.  :meth:`Table.append_columns` — the one append implementation, which
+SQL ``INSERT`` and the connectors' bulk ingest both reach — adds the batch
+as a part and never copies the rows already stored; :meth:`Table.column`
+joins the parts on the first read after an append and keeps the result as
+the only part.  What is derived from a column (the dictionary encoding, a
+"not a key" verdict) is extended by an append when it is current, at a cost
+proportional to the batch; any other mutation invalidates it through the
+table's version counter and it is rebuilt lazily on the next request.
+:meth:`Table.key_index` — a sorted index of a unique numeric column, built
+on a join's first request — lets joining a small input to a whole table
+cost the small input.
 """
 
 from __future__ import annotations
@@ -38,12 +35,6 @@ from repro.sqlengine.encoding import (
     numeric_key,
     union_dictionaries,
 )
-from repro.sqlengine.zonemaps import ZoneMap, ZonePredicate, chunk_may_match, zone_map_for_chunk
-
-# Default rows per chunk.  Large enough that per-chunk bookkeeping is noise,
-# small enough that a selective predicate over a clustered column skips most
-# of a million-row table.
-DEFAULT_CHUNK_ROWS = 16_384
 
 
 def normalize_column(values: Sequence | np.ndarray) -> np.ndarray:
@@ -78,8 +69,8 @@ def coerce_column(stored: np.dtype, values: Sequence | np.ndarray) -> np.ndarray
     * anything else (a string for a numeric column) promotes to ``object``;
     * NULL in an ``object`` column is ``None``, however it arrived.
 
-    Pure: :func:`coerce_batch` applies it to a whole batch before a chunk is
-    touched.
+    Pure: :func:`coerce_batch` applies it to a whole batch before a column
+    is touched.
     """
     array = normalize_column(values)
     if stored == object:
@@ -178,36 +169,24 @@ def find_sorted(
 
 
 class Table:
-    """A named collection of equally sized, chunked columns."""
+    """A named collection of equally sized columns."""
 
-    def __init__(
-        self,
-        name: str,
-        columns: Mapping[str, Sequence] | None = None,
-        chunk_rows: int | None = None,
-    ) -> None:
+    def __init__(self, name: str, columns: Mapping[str, Sequence] | None = None) -> None:
         self.name = name
-        self.chunk_rows = int(chunk_rows) if chunk_rows else DEFAULT_CHUNK_ROWS
-        if self.chunk_rows <= 0:
-            raise ExecutionError("chunk_rows must be positive")
-        # Column name -> list of chunk arrays.  Chunk ``i`` holds rows
-        # ``[i * chunk_rows, min((i + 1) * chunk_rows, num_rows))``; an empty
-        # column is a single empty chunk so the dtype survives.
-        self._chunks: dict[str, list[np.ndarray]] = {}
+        # Column name -> list of parts: the loaded array, then one part per
+        # appended batch, all of the column's current dtype.  ``column()``
+        # joins them and keeps the result as the only part; an empty column
+        # is a single empty part so the dtype survives.
+        self._parts: dict[str, list[np.ndarray]] = {}
         self._num_rows = 0
         # Monotonic version bumped on every mutation; memoized per-column
-        # dictionary encodings, distinct counts, zone maps and unique-key
-        # indexes are keyed on it so DML invalidates them (each is rebuilt
-        # lazily on the next use).
+        # dictionary encodings, distinct counts and unique-key indexes are
+        # keyed on it so DML invalidates them (each is rebuilt lazily on the
+        # next use).
         self._version = 0
         self._dictionary_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         # Column name -> (version, distinct non-NULL values).
         self._distinct_cache: dict[str, tuple[int, int]] = {}
-        # Column name -> contiguous view of the whole column.  Invalidated
-        # explicitly when that column's chunks change (chunks are immutable).
-        self._flat_cache: dict[str, np.ndarray] = {}
-        # Column name -> (version, per-chunk zone maps).
-        self._zone_cache: dict[str, tuple[int, list[ZoneMap]]] = {}
         # Numeric column name -> (version, unique-key index or None for "not
         # a key").  Built on a join's first request, never at load; an append
         # keeps a "not a key" verdict (new rows cannot make a column unique)
@@ -223,11 +202,7 @@ class Table:
 
     @classmethod
     def from_rows(
-        cls,
-        name: str,
-        column_names: Sequence[str],
-        rows: Iterable[Sequence],
-        chunk_rows: int | None = None,
+        cls, name: str, column_names: Sequence[str], rows: Iterable[Sequence]
     ) -> Table:
         """Build a table from an iterable of row tuples."""
         materialized = [tuple(row) for row in rows]
@@ -235,7 +210,7 @@ class Table:
         for index, column_name in enumerate(column_names):
             values = [row[index] for row in materialized]
             columns[column_name] = _infer_array(values)
-        table = cls(name, chunk_rows=chunk_rows)
+        table = cls(name)
         if not materialized:
             for column_name in column_names:
                 table.add_column(column_name, np.array([], dtype=object))
@@ -247,34 +222,20 @@ class Table:
     def add_column(self, name: str, values: Sequence | np.ndarray) -> None:
         """Add (or replace) a column; its length must match existing columns."""
         array = normalize_column(values)
-        if self._chunks and len(array) != self._num_rows:
+        if self._parts and len(array) != self._num_rows:
             raise ExecutionError(
                 f"column {name!r} has {len(array)} rows, expected {self._num_rows}"
             )
-        if not self._chunks:
+        if not self._parts:
             self._num_rows = len(array)
-        self._chunks[name] = self._split_chunks(array)
-        self._flat_cache[name] = array
-        self._zone_cache.pop(name, None)
+        self._parts[name] = [array]
         self._version += 1
-
-    def _split_chunks(self, array: np.ndarray) -> list[np.ndarray]:
-        if len(array) == 0:
-            return [array]
-        size = self.chunk_rows
-        return [array[start : start + size] for start in range(0, len(array), size)]
 
     # -- inspection ----------------------------------------------------------
 
     @property
     def num_rows(self) -> int:
         return self._num_rows
-
-    @property
-    def num_chunks(self) -> int:
-        if not self._chunks:
-            return 0
-        return len(next(iter(self._chunks.values())))
 
     @property
     def version(self) -> int:
@@ -346,144 +307,56 @@ class Table:
 
     @property
     def column_names(self) -> list[str]:
-        return list(self._chunks.keys())
+        return list(self._parts.keys())
+
+    def _column_parts(self, name: str) -> list[np.ndarray]:
+        parts = self._parts.get(name)
+        if parts is None:
+            raise ExecutionError(f"table {self.name!r} has no column {name!r}")
+        return parts
 
     def column_dtype(self, name: str) -> np.dtype:
-        """Stored dtype of a column, without materializing the flat array."""
-        chunks = self._chunks.get(name)
-        if chunks is None:
-            raise ExecutionError(f"table {self.name!r} has no column {name!r}")
-        return chunks[0].dtype
+        """Stored dtype of a column, without joining its parts."""
+        return self._column_parts(name)[0].dtype
 
     def __contains__(self, column_name: str) -> bool:
-        return column_name in self._chunks
+        return column_name in self._parts
 
     def column(self, name: str) -> np.ndarray:
-        """Return the whole column as one contiguous array (memoized)."""
-        chunks = self._chunks.get(name)
-        if chunks is None:
-            raise ExecutionError(f"table {self.name!r} has no column {name!r}")
-        cached = self._flat_cache.get(name)
-        if cached is not None:
-            return cached
-        if len(chunks) == 1:
-            flat = chunks[0]
-        else:
-            flat = np.concatenate(chunks)
-            # Re-point the chunks at views of the flat copy: boundaries and
-            # values are identical (so zone maps stay valid), and the
-            # standalone chunk arrays are freed instead of the column being
-            # held in memory twice.
-            self._chunks[name] = self._split_chunks(flat)
-        self._flat_cache[name] = flat
-        return flat
+        """Return the whole column as one contiguous array.
 
-    def column_chunks(self, name: str) -> list[np.ndarray]:
-        """The chunk arrays of a column (zone-map granularity)."""
-        chunks = self._chunks.get(name)
-        if chunks is None:
-            raise ExecutionError(f"table {self.name!r} has no column {name!r}")
-        return list(chunks)
+        The first read after an append joins the parts and keeps the result
+        as the column's only part, so later reads cost nothing.
+        """
+        parts = self._column_parts(name)
+        if len(parts) > 1:
+            parts[:] = [np.concatenate(parts)]
+        return parts[0]
 
     def columns(self) -> dict[str, np.ndarray]:
         """Return a name -> contiguous-array mapping of every column."""
-        return {name: self.column(name) for name in self._chunks}
+        return {name: self.column(name) for name in self._parts}
 
     def rows(self) -> Iterable[tuple]:
         """Iterate over rows as tuples (mainly for tests and small results)."""
-        arrays = [self.column(name) for name in self._chunks]
+        arrays = [self.column(name) for name in self._parts]
         for index in range(self._num_rows):
             yield tuple(array[index] for array in arrays)
 
-    # -- zone maps and chunk skipping ----------------------------------------
-
-    def zone_maps(self, name: str) -> list[ZoneMap]:
-        """Per-chunk zone maps of a column, rebuilt lazily after mutations."""
-        chunks = self._chunks.get(name)
-        if chunks is None:
-            raise ExecutionError(f"table {self.name!r} has no column {name!r}")
-        entry = self._zone_cache.get(name)
-        if entry is not None and entry[0] == self._version:
-            return entry[1]
-        zones = [zone_map_for_chunk(chunk) for chunk in chunks]
-        self._zone_cache[name] = (self._version, zones)
-        return zones
-
-    def zone_maps_fresh(self, name: str) -> bool:
-        """Whether the column's zone maps are built and match the current data.
-
-        Stale entries (a version-counter mismatch after DML) are never
-        consumed — :meth:`zone_maps` rebuilds them before returning — so this
-        only reports whether the next zone-map read is metadata-cost or pays
-        the one-off rebuild.
-        """
-        entry = self._zone_cache.get(name)
-        return entry is not None and entry[0] == self._version
-
-    def prune_chunks(self, predicates: Sequence[ZonePredicate]) -> np.ndarray | None:
-        """Chunk indices that may contain rows matching every conjunct.
-
-        Returns ``None`` when no chunk can be ruled out (the caller should
-        use the plain full-column scan), otherwise the int64 array of
-        surviving chunk indices (possibly empty).
-        """
-        if not predicates or not self._chunks or self._num_rows == 0:
-            return None
-        num_chunks = self.num_chunks
-        alive = range(num_chunks)
-        for predicate in predicates:
-            name = self.resolve_column(predicate.column)
-            if name is None:
-                continue
-            is_object = self._chunks[name][0].dtype == object
-            zones = self.zone_maps(name)
-            alive = [
-                index for index in alive
-                if chunk_may_match(predicate, zones[index], is_object)
-            ]
-            if not alive:
-                break
-        if len(alive) == num_chunks:
-            return None
-        return np.array(alive, dtype=np.int64)
-
     def resolve_column(self, name: str) -> str | None:
         """Resolve a column reference case-insensitively (None = no unique match)."""
-        if name in self._chunks:
+        if name in self._parts:
             return name
         lowered = name.lower()
-        matches = [column for column in self._chunks if column.lower() == lowered]
+        matches = [column for column in self._parts if column.lower() == lowered]
         return matches[0] if len(matches) == 1 else None
-
-    def chunk_row_indices(self, chunk_ids: np.ndarray) -> np.ndarray:
-        """Row indices covered by the given chunks, in table order."""
-        size = self.chunk_rows
-        parts = [
-            np.arange(index * size, min((index + 1) * size, self._num_rows), dtype=np.int64)
-            for index in chunk_ids
-        ]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    def gather_chunks(self, name: str, chunk_ids: np.ndarray) -> np.ndarray:
-        """Concatenate the selected chunks of a column (O(selected rows))."""
-        chunks = self._chunks.get(name)
-        if chunks is None:
-            raise ExecutionError(f"table {self.name!r} has no column {name!r}")
-        selected = [chunks[index] for index in chunk_ids]
-        if not selected:
-            return chunks[0][:0]
-        if len(selected) == 1:
-            return selected[0]
-        return np.concatenate(selected)
 
     # -- mutation -------------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> Table:
         """Return a new table containing the rows selected by ``indices``."""
-        result = Table(self.name, chunk_rows=self.chunk_rows)
-        for column_name in self._chunks:
+        result = Table(self.name)
+        for column_name in self._parts:
             result.add_column(column_name, self.column(column_name)[indices])
         return result
 
@@ -508,20 +381,19 @@ class Table:
         """Append a columnar batch — the table's only append implementation.
 
         Atomic: the whole batch is validated and cast (:func:`coerce_batch`)
-        before the first chunk changes, so a rejected batch leaves the table
-        as it was.  Only the last (possibly partial) chunk of each column is
-        rewritten; full chunks stay untouched and keep their zone maps.  A
-        column's zone maps and dictionary encoding are extended from the
-        batch when they are current, and left to their lazy rebuild when
-        they are stale or the column changes dtype.
+        before any column changes, so a rejected batch leaves the table as it
+        was.  Each column gains the batch as one more part; the rows already
+        stored are not copied (unless the column changes dtype).  A current
+        dictionary encoding is extended from the batch and a current "not a
+        key" verdict kept; anything else derived is rebuilt lazily.
         """
         arrays = coerce_batch(
-            {name: chunks[0].dtype for name, chunks in self._chunks.items()}, columns
+            {name: parts[0].dtype for name, parts in self._parts.items()}, columns
         )
         count = len(next(iter(arrays.values()))) if arrays else 0
         if count == 0:
             return
-        derived = {name: self._append_column(name, array) for name, array in arrays.items()}
+        encodings = {name: self._append_column(name, array) for name, array in arrays.items()}
         not_keys = [
             name for name, (version, index) in self._key_index_cache.items()
             if version == self._version and index is None
@@ -530,53 +402,31 @@ class Table:
         self._version += 1
         for name in not_keys:
             self._key_index_cache[name] = (self._version, None)
-        for name, (zones, encoding) in derived.items():
-            self._flat_cache.pop(name, None)
-            if zones is not None:
-                self._zone_cache[name] = (self._version, zones)
-            else:
-                self._zone_cache.pop(name, None)
+        for name, encoding in encodings.items():
             if encoding is not None:
                 self._dictionary_cache[name] = (self._version, *encoding)
 
     def _append_column(
         self, name: str, new: np.ndarray
-    ) -> tuple[list[ZoneMap] | None, tuple[np.ndarray, np.ndarray] | None]:
-        """Append ``new`` (already cast by :func:`coerce_column`) to one column.
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Add ``new`` (already cast by :func:`coerce_column`) as a part of one
+        column.
 
-        Returns the column's refreshed zone maps and dictionary encoding,
-        each None when it was not current before the append or cannot be
-        extended (= rebuild lazily).
+        Returns the column's extended dictionary encoding, or None when it
+        was not current before the append or the column changes dtype
+        (= rebuild lazily).
         """
-        chunks = self._chunks[name]
-        entry = self._zone_cache.get(name)
-        zones = list(entry[1]) if entry is not None and entry[0] == self._version else None
+        parts = self._parts[name]
         encoding = None
-        if new.dtype != chunks[0].dtype:
-            # Widening changes every chunk's representation (and, towards
-            # object, the zone-map domain from floats to strings).
-            chunks = [coerce_column(new.dtype, chunk) for chunk in chunks]
-            zones = None
+        if new.dtype != parts[0].dtype:
+            # Widening changes the representation of every stored row.
+            parts = [coerce_column(new.dtype, part) for part in parts]
         elif new.dtype == object:
             encoded = self._dictionary_cache.get(name)
             if encoded is not None and encoded[0] == self._version:
                 encoding = _extend_encoding(encoded[1], encoded[2], new)
-        last = chunks[-1]
-        first_dirty = len(chunks)
-        if len(last) < self.chunk_rows:
-            # Fill the trailing partial chunk first: appends straddle chunk
-            # boundaries instead of leaving holes.
-            first_dirty = len(chunks) - 1
-            space = self.chunk_rows - len(last)
-            head, new = new[:space], new[space:]
-            chunks[-1] = head if len(last) == 0 else np.concatenate([last, head])
-        for start in range(0, len(new), self.chunk_rows):
-            chunks.append(new[start : start + self.chunk_rows])
-        self._chunks[name] = chunks
-        if zones is not None:
-            del zones[first_dirty:]
-            zones.extend(zone_map_for_chunk(chunk) for chunk in chunks[first_dirty:])
-        return zones, encoding
+        self._parts[name] = [*parts, new]
+        return encoding
 
     def append_table(self, other: Table) -> None:
         """Append all rows of ``other`` (columns matched by name)."""
@@ -587,18 +437,18 @@ class Table:
     def estimated_bytes(self) -> int:
         """Approximate in-memory footprint, used by the experiment harness."""
         total = 0
-        for chunks in self._chunks.values():
-            for chunk in chunks:
-                if chunk.dtype == object:
-                    total += sum(len(str(value)) for value in chunk) + 8 * len(chunk)
+        for parts in self._parts.values():
+            for part in parts:
+                if part.dtype == object:
+                    total += sum(len(str(value)) for value in part) + 8 * len(part)
                 else:
-                    total += chunk.nbytes
+                    total += part.nbytes
         return total
 
     def copy(self, name: str | None = None) -> Table:
         """Return a deep copy of the table, optionally renamed."""
-        result = Table(name or self.name, chunk_rows=self.chunk_rows)
-        for column_name in self._chunks:
+        result = Table(name or self.name)
+        for column_name in self._parts:
             result.add_column(column_name, self.column(column_name).copy())
         return result
 

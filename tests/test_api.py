@@ -508,7 +508,7 @@ class TestSessionLifecycle:
 class TestConcurrentSessions:
     def test_interleaved_reads_and_dml_over_shared_engine(self):
         """Two cursors over one shared engine: interleaved reads + DML behind
-        a thread barrier; cache and zone-map invalidation must stay correct."""
+        a thread barrier; cache invalidation must stay correct."""
         engine = Database(seed=1)
         writer_connection = make_connection(database=engine)
         reader_connection = make_connection(database=engine)
@@ -548,7 +548,7 @@ class TestConcurrentSessions:
                     count, maximum = cursor.fetchone()
                     observed_counts.append(float(count))
                     # x values are dense 0..count-1 at every point in time, so
-                    # any torn read (stale zone map, half-applied append)
+                    # any torn read (stale cache, half-applied append)
                     # breaks this invariant.
                     assert float(maximum) == float(count) - 1.0
             except BaseException as error:  # pragma: no cover - surfaced below

@@ -167,7 +167,7 @@ def _property_engines():
     }
     engines = []
     for optimize in (True, False):
-        engine = Database(seed=0, optimize=optimize, chunk_rows=64)
+        engine = Database(seed=0, optimize=optimize)
         engine.register_table("t", {name: array.copy() for name, array in columns.items()})
         engines.append(engine)
     session = repro.connect(database=engines[0]).session

@@ -10,6 +10,7 @@ full (slow) re-measurement lives in ``benchmarks/run_all.py``.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -44,3 +45,27 @@ def test_committed_reports_hold_their_floors():
             continue  # absence is test_every_floor_gated_report_is_committed's job
         failures.extend(compare_bench.check_floors(name, committed))
     assert not failures, failures
+
+
+def _run_all_reports() -> set[str]:
+    """The report names in ``run_all.SUITES``, read from the source so the
+    check imports no benchmark module."""
+    tree = ast.parse((BENCH_DIR / "run_all.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "SUITES" for target in node.targets
+        ):
+            return {
+                constant.value
+                for constant in ast.walk(node.value)
+                if isinstance(constant, ast.Constant) and isinstance(constant.value, str)
+            }
+    raise AssertionError("run_all.py defines no SUITES list")
+
+
+def test_floors_suites_and_committed_reports_name_the_same_reports():
+    # Deleting a benchmark must take its floors, its run_all entry and its
+    # committed report with it: no orphan floor, no unchecked report.
+    compare_bench = _load_compare_bench()
+    committed = {path.name for path in BENCH_DIR.glob("BENCH_*.json")}
+    assert set(compare_bench.FLOORS) == _run_all_reports() == committed

@@ -99,6 +99,34 @@ class TestTable:
         clone.column("a")[0] = 99
         assert table.column("a")[0] == 0
 
+    def test_empty_table_roundtrip(self):
+        table = Table("t")
+        table.add_column("x", np.array([], dtype=np.float64))
+        assert table.num_rows == 0
+        assert table.column("x").tolist() == []
+        table.append_rows(["x"], [(1.5,), (2.5,)])
+        assert table.column("x").tolist() == [1.5, 2.5]
+
+    def test_object_promotion_on_append(self):
+        table = Table("t", {"x": np.arange(3)})
+        table.append_rows(["x"], [("mixed",)])
+        assert table.column_dtype("x") == object
+        assert table.column("x").dtype == object
+        assert table.column("x").tolist() == [0, 1, 2, "mixed"]
+        table.append_rows(["x"], [(4,)])
+        assert table.column("x").tolist() == [0, 1, 2, "mixed", 4]
+
+    def test_appends_join_on_first_read_without_copying_stored_rows(self):
+        loaded = np.arange(4)
+        table = Table("t", {"x": loaded})
+        assert table.column("x") is loaded
+        table.append_rows(["x"], [(4,)])
+        table.append_rows(["x"], [(5,), (6,)])
+        assert table.num_rows == 7
+        flat = table.column("x")
+        assert flat.tolist() == list(range(7))
+        assert table.column("x") is flat  # joined once, then kept
+
 
 class TestCatalogAndResultSet:
     def test_catalog_case_insensitive(self):
@@ -243,3 +271,113 @@ class TestSketches:
     def test_ndv_function(self):
         values = np.repeat(np.arange(1000), 3)
         assert abs(sketches.ndv(values) - 1000) / 1000 < 0.1
+
+
+class TestAppendsToSortedCopies:
+    """Rows appended to a ``CREATE TABLE AS ... ORDER BY`` copy land after
+    the sorted rows, in or out of order; scans over the result still answer
+    as the naive engine does."""
+
+    QUERIES = [
+        "SELECT count(*) AS n, sum(weight) AS w FROM sorted_copy WHERE sid >= 90",
+        "SELECT count(*) AS n FROM sorted_copy WHERE sid < 10",
+        "SELECT count(*) AS n FROM sorted_copy WHERE sid BETWEEN 40 AND 60",
+        "SELECT sid, count(*) AS n FROM sorted_copy WHERE sid <= 5 GROUP BY sid ORDER BY sid",
+        "SELECT min(sid) AS lo, max(sid) AS hi, count(*) AS n FROM sorted_copy",
+    ]
+
+    def _pair(self):
+        rng = np.random.default_rng(4)
+        columns = {
+            "sid": rng.integers(0, 100, 400),
+            "weight": rng.normal(size=400),
+            "label": rng.choice(["a", "b"], 400).astype(object),
+        }
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize)
+            engine.register_table("raw", {name: array.copy() for name, array in columns.items()})
+            engine.execute("CREATE TABLE sorted_copy AS SELECT * FROM raw ORDER BY sid")
+            engines.append(engine)
+        return engines
+
+    def _append_and_compare(self, sids):
+        optimized, naive = self._pair()
+        for engine in (optimized, naive):
+            engine.table("sorted_copy").append_rows(
+                ["sid", "weight", "label"], [(sid, 0.5, "a") for sid in sids]
+            )
+        for sql in self.QUERIES:
+            assert optimized.execute(sql).equals(naive.execute(sql)), sql
+        stored = optimized.table("sorted_copy").column("sid")
+        assert stored[-len(sids):].tolist() == list(sids)  # appended, not merged
+        return stored
+
+    def test_in_order_append_keeps_the_column_sorted(self):
+        stored = self._append_and_compare([99, 100, 250])
+        assert np.all(stored[:-1] <= stored[1:])
+
+    def test_out_of_order_append(self):
+        stored = self._append_and_compare([5])
+        assert not np.all(stored[:-1] <= stored[1:])
+
+    def test_unsorted_batch(self):
+        self._append_and_compare([200, 150, 3])
+
+    def test_float_key_with_nan_tail(self):
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize)
+            engine.register_table(
+                "m",
+                {"x": np.random.default_rng(1).normal(size=200), "y": np.arange(200)},
+            )
+            engine.execute("CREATE TABLE mc AS SELECT * FROM m ORDER BY x")
+            engine.table("mc").append_rows(
+                ["x", "y"], [(50.0, 0), (60.0, 1), (float("nan"), 2), (float("nan"), 4), (70.0, 5)]
+            )
+            engines.append(engine)
+        optimized, naive = engines
+        for sql in (
+            "SELECT count(*) AS n FROM mc WHERE x > 55",
+            "SELECT count(*) AS n FROM mc WHERE x IS NULL",
+            "SELECT count(*) AS n, sum(y) AS s FROM mc WHERE x <> 60",
+            "SELECT min(x) AS lo, max(x) AS hi, count(x) AS c FROM mc",
+        ):
+            assert optimized.execute(sql).equals(naive.execute(sql)), sql
+        assert optimized.execute("SELECT count(*) AS n FROM mc WHERE x > 55").scalar() == 2
+
+    def test_string_key(self):
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize)
+            engine.register_table(
+                "s", {"name": np.array(list("dcba") * 25, dtype=object), "v": np.arange(100)}
+            )
+            engine.execute("CREATE TABLE sc AS SELECT * FROM s ORDER BY name")
+            engine.table("sc").append_rows(["name", "v"], [("zzz", 1), ("a", 2)])
+            engines.append(engine)
+        optimized, naive = engines
+        assert optimized.table("sc").column("name")[:100].tolist() == sorted(list("dcba") * 25)
+        for sql in (
+            "SELECT count(*) AS n FROM sc WHERE name = 'a'",
+            "SELECT count(*) AS n FROM sc WHERE name > 'c'",
+            "SELECT name, sum(v) AS s FROM sc GROUP BY name ORDER BY name",
+        ):
+            assert optimized.execute(sql).equals(naive.execute(sql)), sql
+
+    def test_grouped_aggregates_after_insert(self):
+        rng = np.random.default_rng(9)
+        columns = {"sid": np.sort(rng.integers(0, 20, 300)), "v": rng.normal(size=300)}
+        engines = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize)
+            engine.register_table("raw", {name: array.copy() for name, array in columns.items()})
+            engine.execute("CREATE TABLE sc AS SELECT * FROM raw ORDER BY sid")
+            engine.execute("INSERT INTO sc (sid, v) VALUES (20, 1.25), (21, -0.5), (3, 2.0)")
+            engines.append(engine)
+        optimized, naive = engines
+        sql = "SELECT sid, stddev(v) AS s, sum(v) AS t, count(*) AS n FROM sc GROUP BY sid ORDER BY sid"
+        result = optimized.execute(sql)
+        assert result.equals(naive.execute(sql))
+        assert result.num_rows == 22

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.sqlengine import Database
+from tests.conftest import build_orders_columns
 
 
 @pytest.fixture()
@@ -193,3 +194,98 @@ class TestSubqueries:
     def test_unknown_function_raises(self, db):
         with pytest.raises(ExecutionError):
             db.execute("SELECT frobnicate(price) FROM sales")
+
+
+class TestDerivedEncodingPropagation:
+    def test_outer_group_by_reuses_inner_codes(self, monkeypatch):
+        import repro.sqlengine.executor as executor_module
+
+        engine = Database(seed=0, optimize=True)
+        rng = np.random.default_rng(3)
+        engine.register_table(
+            "orders",
+            {
+                "city": rng.choice(np.array(["a", "b", "c", None], dtype=object), 2000),
+                "status": rng.choice(np.array(["x", "y"], dtype=object), 2000),
+                "price": rng.normal(10, 2, 2000),
+            },
+        )
+        calls = {"object_encodes": 0}
+        original = executor_module.encode_key
+
+        def counting(values, encoded=None):
+            if values.dtype == object and encoded is None:
+                calls["object_encodes"] += 1
+            return original(values, encoded)
+
+        monkeypatch.setattr(executor_module, "encode_key", counting)
+        monkeypatch.setattr("repro.sqlengine.expressions.encode_key", counting)
+        result = engine.execute(
+            "SELECT t.city, count(*) AS groups FROM "
+            "(SELECT city, status, sum(price) AS s FROM orders GROUP BY city, status) AS t "
+            "GROUP BY t.city ORDER BY t.city"
+        )
+        # the outer GROUP BY consumed the propagated codes: no object column
+        # was re-encoded anywhere in the statement
+        assert calls["object_encodes"] == 0
+        assert result.num_rows == 4
+
+    def test_propagated_codes_survive_having_order_and_limit(self):
+        queries = [
+            "SELECT t.city, t.n FROM (SELECT city, count(*) AS n FROM orders "
+            "GROUP BY city HAVING count(*) > 10 ORDER BY city DESC LIMIT 3) AS t "
+            "WHERE t.city <> 'nyc' ORDER BY t.city",
+            "SELECT t.city, count(*) AS n FROM "
+            "(SELECT city, qty FROM orders ORDER BY order_id LIMIT 200 OFFSET 10) AS t "
+            "GROUP BY t.city ORDER BY t.city",
+        ]
+        for query in queries:
+            results = []
+            for optimize in (True, False):
+                engine = Database(seed=0, optimize=optimize)
+                engine.register_table("orders", build_orders_columns(num_rows=2_000, seed=9))
+                results.append(engine.execute(query).fetchall())
+            assert results[0] == results[1], query
+
+
+class TestDictionaryScalarFunctions:
+    CORPUS = [
+        "SELECT s, upper(s) AS u FROM t ORDER BY k",
+        "SELECT s, lower(s) AS l FROM t ORDER BY k",
+        "SELECT s, length(s) AS n FROM t ORDER BY k",
+        "SELECT s, substr(s, 2) AS tail FROM t ORDER BY k",
+        "SELECT s, substr(s, 1, 2) AS head FROM t ORDER BY k",
+        "SELECT count(*) FROM t WHERE upper(s) = 'APPLE'",
+        "SELECT upper(s) AS u, count(*) AS n FROM t GROUP BY upper(s) ORDER BY u",
+    ]
+
+    @pytest.mark.parametrize("query", CORPUS)
+    def test_matches_naive(self, query):
+        rows = np.array(
+            ["apple", "Banana", None, "", "\0weird", "apple", 42], dtype=object
+        )
+        results = []
+        for optimize in (True, False):
+            engine = Database(seed=0, optimize=optimize)
+            engine.register_table("t", {"s": rows.copy(), "k": np.arange(len(rows))})
+            results.append(engine.execute(query).fetchall())
+        assert results[0] == results[1], query
+
+    def test_per_row_comprehension_runs_over_dictionary(self, monkeypatch):
+        import repro.sqlengine.functions as functions_module
+
+        engine = Database(seed=0, optimize=True)
+        engine.register_table(
+            "t", {"s": np.array(["a", "b"] * 500, dtype=object)}
+        )
+        seen = {}
+        original = functions_module.SCALAR_FUNCTIONS["upper"]
+
+        def spy(context, values):
+            seen["rows"] = len(values)
+            return original(context, values)
+
+        monkeypatch.setitem(functions_module.SCALAR_FUNCTIONS, "upper", spy)
+        result = engine.execute("SELECT upper(s) AS u FROM t")
+        assert result.num_rows == 1000
+        assert seen["rows"] == 2  # dictionary entries, not rows

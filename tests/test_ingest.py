@@ -1,9 +1,10 @@
-"""Columnar ingest: one append path from ``append_data`` down to the chunks.
+"""Columnar ingest: one append path from ``append_data`` down to the columns.
 
 Covers the ``append_columns`` contract (dtype rules, atomicity), the
 consistency of sample maintenance with the sample builder, and the guarantee
-that what the engine derives from a table — dictionary codes, zone maps,
-cardinalities — is extended by an append to exactly what a rebuild gives.
+that a table built by appends equals one built at once: its columns and what
+the engine derives from them — dictionary codes, cardinalities, unique-key
+indexes and "not a key" verdicts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.sampling.metadata import METADATA_TABLE
 from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.encoding import encode_object_array
 from repro.sqlengine.table import Table, coerce_column
-from repro.sqlengine.zonemaps import zone_map_for_chunk
 from repro.workloads import tpch
 
 from tests.conftest import build_orders_columns
@@ -129,8 +129,8 @@ def _differential_batches() -> list[dict[str, np.ndarray]]:
     promoting["i"] = np.array(
         [None if index % 5 == 0 else index for index in range(20)], dtype=object
     )
-    # 100 loaded rows at chunk_rows=64, then 50 / 30 / 70 / 20 / 45: every
-    # batch straddles a chunk boundary, the fourth widens ``i`` to float64.
+    # 100 loaded rows, then 50 / 30 / 70 / 20 / 45; the fourth batch widens
+    # ``i`` to float64.
     return [batch(50), batch(30, nulls=True), batch(70), promoting, batch(45, nulls=True)]
 
 
@@ -169,8 +169,8 @@ def test_columnar_sql_text_and_sqlite_appends_agree():
         "s": np.array(["seed"] * 100, dtype=object),
         "b": np.arange(100) % 2 == 0,
     }
-    columnar = BuiltinConnector(database=Database(seed=0, chunk_rows=64))
-    as_text = BuiltinConnector(database=Database(seed=0, chunk_rows=64))
+    columnar = BuiltinConnector(database=Database(seed=0))
+    as_text = BuiltinConnector(database=Database(seed=0))
     sqlite = SqliteConnector()
     for connector in (columnar, as_text, sqlite):
         connector.load_table("t", initial)
@@ -402,41 +402,94 @@ def test_rejected_batch_leaves_everything_unchanged(mutate):
 # ---------------------------------------------------------------------------
 
 _values = st.one_of(st.none(), st.sampled_from(["", "A", "a", "b", "m", "z", "~", "\0x", "日本"]))
-_batches = st.lists(_values, min_size=0, max_size=9)
+# Ints keep an int64 column; a fraction or a NULL widens it to float64, a
+# string to object.  The two widenings are drawn apart: a column that turns
+# to text after it widened to float64 keeps its ints as floats (``0.0``),
+# while one loaded at once keeps them as ints, so only the direct paths can
+# equal a load at once.
+_widen_to_float = st.one_of(st.integers(-3, 12), st.sampled_from([0.5, 2.5]), st.none())
+_widen_to_text = st.one_of(st.integers(-3, 12), st.just("x"))
 
 
-@given(
-    initial=st.lists(_values, min_size=0, max_size=9),
-    appends=st.lists(st.tuples(_batches, st.booleans(), st.booleans()), min_size=1, max_size=6),
-)
-@settings(max_examples=150, deadline=None)
-def test_appended_dictionary_zone_maps_and_cardinality_equal_a_rebuild(initial, appends):
-    database = Database(seed=0, chunk_rows=4)
-    connector = BuiltinConnector(database=database)
-    connector.load_table(
-        "t", {"s": np.array(initial, dtype=object), "n": np.arange(len(initial)) % 3}
+@st.composite
+def _append_cases(draw):
+    """``(initial rows, [(batch rows, warm dictionary, warm key index)])``;
+    a row is ``(s, n)``."""
+    rows = st.lists(
+        st.tuples(_values, draw(st.sampled_from([_widen_to_float, _widen_to_text]))),
+        max_size=9,
     )
+    appends = st.lists(st.tuples(rows, st.booleans(), st.booleans()), min_size=1, max_size=6)
+    return draw(rows), draw(appends)
+
+
+def _number_array(values: list) -> np.ndarray:
+    """``values`` in the dtype a loader would give them at once."""
+    if all(isinstance(value, int) for value in values):
+        return np.array(values, dtype=np.int64)
+    if all(value is None or isinstance(value, (int, float)) for value in values):
+        return np.array([np.nan if value is None else value for value in values])
+    return np.array(values, dtype=object)
+
+
+def _same_column(appended: np.ndarray, at_once: np.ndarray) -> bool:
+    # repr tells 1 from 1.0 and None from NaN, and NaN equals NaN in it.
+    return appended.dtype == at_once.dtype and [repr(v) for v in appended.tolist()] == [
+        repr(v) for v in at_once.tolist()
+    ]
+
+
+def _same_key_index(appended, at_once) -> bool:
+    if appended is None or at_once is None:
+        return appended is at_once
+    return (
+        appended.keys.dtype == at_once.keys.dtype
+        and appended.keys.tolist() == at_once.keys.tolist()
+        and appended.order.tolist() == at_once.order.tolist()
+    )
+
+
+def _columns(rows: list[tuple]) -> dict[str, np.ndarray]:
+    return {
+        "s": np.array([s for s, _ in rows], dtype=object),
+        "n": _number_array([n for _, n in rows]),
+    }
+
+
+@given(_append_cases())
+@settings(max_examples=150, deadline=None)
+def test_appended_columns_dictionary_cardinality_and_key_index_equal_a_rebuild(case):
+    rows, appends = case
+    database = Database(seed=0)
+    connector = BuiltinConnector(database=database)
+    connector.load_table("t", _columns(rows))
     table = database.table("t")
-    for batch, warm_dictionary, warm_zones in appends:
-        # Derived state is extended only when current: exercise both.
+    for batch, warm_dictionary, warm_key_index in appends:
+        # Derived state is extended (or kept) only when current: exercise both.
         if warm_dictionary:
             table.dictionary_codes("s")
-        if warm_zones:
-            table.zone_maps("s")
-            table.zone_maps("n")
-        connector.append_columns(
-            "t", {"s": np.array(batch, dtype=object), "n": np.arange(len(batch)) % 5}
-        )
-        codes, dictionary = table.dictionary_codes("s")
-        fresh_codes, fresh_dictionary = encode_object_array(table.column("s"))
-        assert dictionary.tolist() == fresh_dictionary.tolist()
-        assert codes.tolist() == fresh_codes.tolist()
+            table.dictionary_codes("n")
+        if warm_key_index:
+            table.key_index("n")
+        connector.append_columns("t", _columns(batch))
+        rows = rows + batch
+        at_once = Table("t", _columns(rows))
+        assert table.num_rows == at_once.num_rows
         for name in ("s", "n"):
-            assert table.zone_maps(name) == [
-                zone_map_for_chunk(chunk) for chunk in table.column_chunks(name)
-            ]
+            # The stored dtype is right before the parts are joined.
+            assert table.column_dtype(name) == at_once.column_dtype(name), name
+            assert _same_column(table.column(name), at_once.column(name)), name
+            encoded = table.dictionary_codes(name)
+            assert (encoded is None) == (at_once.column_dtype(name) != object)
+            if encoded is not None:
+                codes, dictionary = encoded
+                fresh_codes, fresh_dictionary = encode_object_array(at_once.column(name))
+                assert dictionary.tolist() == fresh_dictionary.tolist()
+                assert codes.tolist() == fresh_codes.tolist()
             counted = database.execute(f"SELECT count(DISTINCT {name}) AS d FROM t").scalar()
             assert connector.column_cardinality("t", name) == int(counted)
+            assert table.distinct_count(name) == at_once.distinct_count(name)
+        assert _same_key_index(table.key_index("n"), at_once.key_index("n"))
 
 
 # ---------------------------------------------------------------------------

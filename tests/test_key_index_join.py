@@ -26,7 +26,6 @@ from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.faults import QueryDeadline
 from repro.sqlengine import Database, executor
 from repro.sqlengine.table import Table
-from repro.sqlengine.zonemaps import ZonePredicate
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
 if BENCHMARKS not in sys.path:
@@ -127,7 +126,7 @@ def join_tables(draw):
 DIFFERENTIAL = [
     JOIN,  # base table on the right
     "SELECT f.rid AS fr, d.rid AS dr FROM d JOIN f ON d.id = f.k",  # ... on the left
-    JOIN + " WHERE d.rid >= {cut} AND d.y > -0.5",  # chunk-pruned + filtered
+    JOIN + " WHERE d.rid >= {cut} AND d.y > -0.5",  # range + filter on the indexed side
     "SELECT f.rid AS fr, d.rid AS dr FROM d JOIN f ON f.k = d.id "
     "WHERE d.rid < {cut} AND f.rid >= {cut}",
     "SELECT p.rid AS pr, q.rid AS qr FROM d AS p JOIN d AS q ON p.id = q.id",  # self-join
@@ -142,7 +141,7 @@ DIFFERENTIAL = [
 @given(join_tables(), st.integers(0, 160))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_index_path_reproduces_the_hash_join(tables, cut):
-    optimized, naive = engines(tables, chunk_rows=64)
+    optimized, naive = engines(tables)
     for template in DIFFERENTIAL:
         assert_same(optimized, naive, template.format(cut=cut))
     assert naive.stats["key_index_joins"] == 0
@@ -151,7 +150,7 @@ def test_index_path_reproduces_the_hash_join(tables, cut):
 
 @pytest.mark.parametrize("sql", [template.format(cut=200) for template in DIFFERENTIAL])
 def test_every_differential_shape_takes_the_index_path_on_a_unique_key(sql):
-    optimized, naive = engines(star_tables(), chunk_rows=64)
+    optimized, naive = engines(star_tables())
     assert_same(optimized, naive, sql)
     assert optimized.stats["key_index_joins"] == 1
 
@@ -235,7 +234,7 @@ def test_a_large_build_side_with_repeated_keys_hashes():
             "name": np.array([f"r{i % 7}" for i in range(5000)], dtype=object),
         },
     }
-    optimized, naive = engines(tables, chunk_rows=64)
+    optimized, naive = engines(tables)
     result = assert_same(
         optimized, naive,
         "SELECT d.name, count(*) AS n FROM f JOIN d ON f.k = d.id GROUP BY d.name ORDER BY d.name",
@@ -510,8 +509,8 @@ def test_null_safe_pairs_match_null_to_null(monkeypatch, both_backends, answers)
 
 def test_int64_keys_above_2_53_compare_exactly(both_backends, answers):
     """2**53 and 2**53 + 1 are two keys on every route, as in SQLite: GROUP
-    BY, JOIN, ``=``, ``>`` and ``IN`` (at two rows a chunk, so the zone maps
-    prune), COUNT(DISTINCT), and an int64 = float64 join by exact value."""
+    BY, JOIN, ``=``, ``>`` and ``IN``, COUNT(DISTINCT), and an int64 =
+    float64 join by exact value."""
     tables = {
         "a": {"k": np.array([1, BIG, BIG + 1, BIG + 1], dtype=np.int64), "r": np.arange(4)},
         "b": {"j": np.array([BIG + 1], dtype=np.int64)},
@@ -526,8 +525,8 @@ def test_int64_keys_above_2_53_compare_exactly(both_backends, answers):
         "SELECT count(DISTINCT k) AS n FROM a": [(3,)],
         "SELECT a.r, c.x FROM a JOIN c ON a.k = c.x ORDER BY a.r": [(0, 1.0), (1, float(BIG))],
     }
-    optimized, naive = engines(tables, chunk_rows=2)
-    engine, sqlite = both_backends(tables, chunk_rows=2)
+    optimized, naive = engines(tables)
+    engine, sqlite = both_backends(tables)
     try:
         for sql, rows in expected.items():
             assert_same(optimized, naive, sql)
@@ -535,13 +534,6 @@ def test_int64_keys_above_2_53_compare_exactly(both_backends, answers):
             assert ours == theirs == rows, sql
     finally:
         sqlite.close()
-    # Chunk 0 holds 1 and 2**53, chunk 1 only 2**53 + 1: exact int bounds
-    # prune the first and keep the second.
-    table = optimized.table("a")
-    greater = ZonePredicate("k", "cmp", ">", (BIG,))
-    member = ZonePredicate("k", "in", values=(BIG + 1,))
-    assert table.prune_chunks([greater]).tolist() == [1]
-    assert table.prune_chunks([member]).tolist() == [1]
     assert optimized.stats["key_index_joins"] == 2
 
 
@@ -643,7 +635,7 @@ def test_key_semantics_match_sqlite(both_backends, answers, case):
     """JOIN, GROUP BY, DISTINCT, COUNT(DISTINCT), IN, ``=``, ``<``, ``>`` and
     ORDER BY over int64 keys around ±2**53 and at int64 min/max, float64
     keys with NaN, ±0.0 and ±inf, bool keys and string keys with None, as
-    SQLite answers them (two rows a chunk, so zone maps prune).
+    SQLite answers them.
 
     Normalisation: a float NaN is the engine's NULL and SQLite stores it as
     NULL, so NaN in an answer reads as None; bool answers read as 0/1 and
@@ -658,7 +650,7 @@ def test_key_semantics_match_sqlite(both_backends, answers, case):
     rule, while SQLite compares by storage class.
     """
     tables, constants = case
-    engine, sqlite = both_backends(tables, chunk_rows=2)
+    engine, sqlite = both_backends(tables)
     try:
         for sql, ordered in SEMANTIC_STATEMENTS:
             params = constants[: sql.count("?")] or None

@@ -509,26 +509,11 @@ def test_rand_in_a_group_key_matches_naive():
     assert result.fetchall() == plain.fetchall()
 
 
-SALES_CORPUS = [query for query in AB_CORPUS if " sales" in query or "mixed" in query]
-
-
-@pytest.mark.parametrize("chunk_rows", [1, 7, 64, 250, 100_000])
-def test_chunk_size_never_changes_an_answer(chunk_rows):
-    # Zone maps, chunk skipping and per-chunk aggregation all follow the
-    # storage layout; the answers must not.
-    optimized = Database(seed=0, chunk_rows=chunk_rows)
-    naive = Database(seed=0, optimize=False)
-    _populate(optimized)
-    _populate(naive)
-    for query in SALES_CORPUS:
-        assert_identical_results(optimized.execute(query), naive.execute(query))
-
-
 def test_aggregates_over_no_rows():
     # An integer sum over no rows is 0 (not NULL); the other aggregates are
-    # NULL, and count is 0 — in both modes, with and without chunk skipping.
+    # NULL, and count is 0 — in both modes.
     for optimize in (True, False):
-        engine = Database(seed=0, optimize=optimize, chunk_rows=4)
+        engine = Database(seed=0, optimize=optimize)
         engine.register_table(
             "t", {"v": np.arange(10, dtype=np.int64), "f": np.arange(10.0)}
         )
@@ -776,10 +761,9 @@ class TestCacheInvalidation:
         assert optimized.stats["plan_cache_hits"] == 7
 
     def test_rebound_range_reuses_one_plan(self):
-        # order_id is sorted, so each binding keeps different chunks.
         engines = []
         for optimize in (True, False):
-            engine = Database(seed=0, optimize=optimize, chunk_rows=64)
+            engine = Database(seed=0, optimize=optimize)
             _populate(engine)
             engines.append(engine)
         optimized, naive = engines

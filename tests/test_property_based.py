@@ -99,11 +99,11 @@ maybe_floats = st.lists(
 )
 
 
-def _ab_engines(columns, chunk_rows=16, **tables):
-    """An optimized engine (tiny chunks) and a naive twin over ``t`` (and
-    any further named tables)."""
-    optimized = Database(seed=0, chunk_rows=chunk_rows)
-    naive = Database(seed=0, optimize=False, chunk_rows=chunk_rows)
+def _ab_engines(columns, **tables):
+    """An optimized engine and a naive twin over ``t`` (and any further
+    named tables)."""
+    optimized = Database(seed=0)
+    naive = Database(seed=0, optimize=False)
     for engine in (optimized, naive):
         for name, table in {"t": columns, **tables}.items():
             engine.register_table(name, {key: array.copy() for key, array in table.items()})
@@ -117,9 +117,9 @@ def _assert_ab(optimized, naive, sql):
 
 @given(maybe_floats)
 @settings(max_examples=60, deadline=None)
-def test_zone_map_aggregates_match_naive(values):
-    """MIN/MAX/COUNT over chunked storage == the naive full scan,
-    including NULLs, NULL-only chunks and the empty table."""
+def test_min_max_count_match_naive(values):
+    """MIN/MAX/COUNT == the naive full scan, including NULLs, an all-NULL
+    column and the empty table."""
     column = np.array(
         [np.nan if value is None else value for value in values], dtype=np.float64
     )
@@ -140,8 +140,8 @@ def test_sorted_merge_join_matches_naive(left_keys, right_keys):
     right = {"k": np.array(sorted(right_keys), dtype=np.int64)}
     left["v"] = np.arange(len(left["k"]), dtype=np.float64)
     right["w"] = np.arange(len(right["k"]), dtype=np.float64)
-    optimized = Database(seed=0, chunk_rows=16)
-    naive = Database(seed=0, optimize=False, chunk_rows=16)
+    optimized = Database(seed=0)
+    naive = Database(seed=0, optimize=False)
     for engine in (optimized, naive):
         engine.register_table("l", left)
         engine.register_table("r", right)
@@ -200,7 +200,6 @@ def test_null_heavy_corpus_matches_naive(num_rows, seed, null_rate):
             "price": prices,
             "city": cities,
         },
-        chunk_rows=32,
         d={"id": np.arange(5), "name": names, "tax": taxes},
     )
     for sql in NULL_HEAVY_CORPUS:
@@ -242,11 +241,11 @@ def reused_engine():
     """One optimized engine shared by every example below: each example
     re-registers the tables under the same names, so plans, dictionary
     codes and key indexes cached for the previous data must not leak."""
-    return Database(seed=0, chunk_rows=64)
+    return Database(seed=0)
 
 
 def _reregister_and_compare(engine, tables, queries):
-    naive = Database(seed=0, optimize=False, chunk_rows=64)
+    naive = Database(seed=0, optimize=False)
     for name, columns in tables.items():
         naive.register_table(name, {key: array.copy() for key, array in columns.items()})
         engine.register_table(name, columns)

@@ -65,7 +65,6 @@ def test_database_parameters():
     assert _parameters(Database.__init__) == [
         "seed",
         "optimize",
-        "chunk_rows",
         "fault_injection",
     ]
 

@@ -3,7 +3,7 @@
 Each shape is executed by the optimized engine and by
 ``Database(optimize=False)`` — the naive engine that scans whole columns —
 and asserted bit-identical via ``ResultSet.equals``: NaN and infinite
-extremes, NULL-only chunks, empty tables, object MIN/MAX, LIMIT/OFFSET,
+extremes, NULL-only runs, empty tables, object MIN/MAX, LIMIT/OFFSET,
 NaN join keys, derived join sides with ``ORDER BY``, pushed predicates and
 a cached plan reused after DML.
 """
@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 
 from repro.sqlengine import Database
-from repro.sqlengine.table import Table
-from repro.sqlengine.zonemaps import ZoneMap, ZonePredicate, chunk_may_match, zone_map_for_chunk
 
 
-def _ab_pair(columns: dict, chunk_rows: int | None = None):
-    optimized = Database(seed=0, chunk_rows=chunk_rows)
-    naive = Database(seed=0, optimize=False, chunk_rows=chunk_rows)
+def _ab_pair(columns: dict):
+    optimized = Database(seed=0)
+    naive = Database(seed=0, optimize=False)
     for engine in (optimized, naive):
         engine.register_table("t", columns)
     return optimized, naive
@@ -38,34 +36,33 @@ def _assert_identical(optimized: Database, naive: Database, sql: str):
 # ---------------------------------------------------------------------------
 
 
-class TestZoneMapAggregates:
-    def test_min_max_count_answered_from_zone_maps(self):
+class TestMinMaxCount:
+    def test_min_max_count(self):
         rng = np.random.default_rng(3)
         optimized, naive = _ab_pair(
-            {"k": np.arange(5_000), "v": rng.normal(size=5_000)}, chunk_rows=512
+            {"k": np.arange(5_000), "v": rng.normal(size=5_000)}
         )
         sql = "SELECT min(v) AS lo, max(v) AS hi, count(*) AS n, count(v) AS nv FROM t"
         _assert_identical(optimized, naive, sql)
 
     def test_int_bool_and_qualified_columns(self):
         optimized, naive = _ab_pair(
-            {"i": np.arange(1_000) - 500, "b": np.arange(1_000) % 2 == 0},
-            chunk_rows=128,
+            {"i": np.arange(1_000) - 500, "b": np.arange(1_000) % 2 == 0}
         )
         _assert_identical(
             optimized, naive, "SELECT min(t.i) AS a, max(i) AS b, min(b) AS c FROM t"
         )
 
-    def test_nulls_and_null_only_chunks(self):
+    def test_nulls_and_a_null_only_run(self):
         values = np.arange(600, dtype=np.float64)
-        values[100:300] = np.nan  # chunk 1 (rows 128..256) is entirely NULL
-        optimized, naive = _ab_pair({"v": values}, chunk_rows=128)
+        values[100:300] = np.nan
+        optimized, naive = _ab_pair({"v": values})
         _assert_identical(
             optimized, naive, "SELECT min(v) AS lo, max(v) AS hi, count(v) AS nv FROM t"
         )
 
     def test_all_null_column_yields_nan(self):
-        optimized, naive = _ab_pair({"v": np.full(300, np.nan)}, chunk_rows=64)
+        optimized, naive = _ab_pair({"v": np.full(300, np.nan)})
         result = _assert_identical(
             optimized, naive, "SELECT min(v) AS lo, max(v) AS hi, count(v) AS nv FROM t"
         )
@@ -92,8 +89,7 @@ class TestZoneMapAggregates:
 
     def test_count_of_object_column_counts_none_only(self):
         optimized, naive = _ab_pair(
-            {"s": np.array(["a", None, "b", None, "c"] * 50, dtype=object)},
-            chunk_rows=32,
+            {"s": np.array(["a", None, "b", None, "c"] * 50, dtype=object)}
         )
         _assert_identical(optimized, naive, "SELECT count(s) AS n, count(*) AS all_n FROM t")
 
@@ -117,7 +113,7 @@ class TestZoneMapAggregates:
     def test_ineligible_shapes_fall_back_identically(self, sql):
         rng = np.random.default_rng(5)
         optimized, naive = _ab_pair(
-            {"k": np.arange(400) % 7, "v": rng.normal(size=400)}, chunk_rows=64
+            {"k": np.arange(400) % 7, "v": rng.normal(size=400)}
         )
         _assert_identical(optimized, naive, sql)
 
@@ -126,47 +122,23 @@ class TestZoneMapAggregates:
         _assert_identical(optimized, naive, "SELECT min(v) AS lo FROM t LIMIT 1")
         _assert_identical(optimized, naive, "SELECT min(v) AS lo FROM t LIMIT 5 OFFSET 1")
 
-    def test_staleness_append_refreshes_incrementally(self):
-        optimized, naive = _ab_pair({"v": np.arange(200.0)}, chunk_rows=64)
-        # The WHERE makes the scan consult (and build) the zone maps.
+    def test_append_is_seen_by_the_next_aggregate(self):
+        optimized, naive = _ab_pair({"v": np.arange(200.0)})
         sql = "SELECT min(v) AS lo, max(v) AS hi, count(*) AS n FROM t WHERE v < 100000"
         _assert_identical(optimized, naive, sql)
-        table = optimized.table("t")
-        assert table.zone_maps_fresh("v")
-        # append_rows bumps the version but refreshes the touched chunks in
-        # place, so the maps stay fresh and the new extremes are visible.
         for engine in (optimized, naive):
             engine.execute("INSERT INTO t (v) VALUES (-5.0), (999.0)")
-        assert table.zone_maps_fresh("v")
         result = _assert_identical(optimized, naive, sql)
         assert result.column("lo")[0] == -5.0 and result.column("hi")[0] == 999.0
 
-    def test_staleness_destructive_dml_refuses_stale_maps(self):
-        optimized, naive = _ab_pair({"v": np.arange(200.0)}, chunk_rows=64)
+    def test_replaced_column_is_seen_by_the_next_aggregate(self):
+        optimized, naive = _ab_pair({"v": np.arange(200.0)})
         sql = "SELECT min(v) AS lo, max(v) AS hi FROM t WHERE v < 100000"
         _assert_identical(optimized, naive, sql)
-        assert optimized.table("t").zone_maps_fresh("v")
-        # Replacing the column drops the zone-map cache entirely: the stale
-        # maps (version mismatch) must never be consumed.
         for engine in (optimized, naive):
             engine.table("t").add_column("v", np.arange(200.0) - 1_000.0)
-        assert not optimized.table("t").zone_maps_fresh("v")
         result = _assert_identical(optimized, naive, sql)
         assert result.column("lo")[0] == -1_000.0
-        assert optimized.table("t").zone_maps_fresh("v")  # rebuilt, memoized
-
-    def test_zone_helper_functions(self):
-        table = Table("x", {"v": np.array([3.0, np.nan, 1.0, 7.0])}, chunk_rows=2)
-        zones = table.zone_maps("v")
-        assert zones == [ZoneMap(3.0, 3.0, 1, 2), ZoneMap(1.0, 7.0, 0, 2)]
-        assert [zone.non_null for zone in zones] == [1, 2]
-        assert zone_map_for_chunk(np.array([np.nan, np.nan])) == ZoneMap(None, None, 2, 2)
-        assert zone_map_for_chunk(np.array([], dtype=np.int64)) == ZoneMap(None, None, 0, 0)
-        below_two = ZonePredicate("v", "cmp", "<", (2.0,))
-        assert [chunk_may_match(below_two, zone, False) for zone in zones] == [False, True]
-        # NaN <> x is True on the float path, so a chunk with NULLs survives.
-        not_three = ZonePredicate("v", "cmp", "<>", (3.0,))
-        assert [chunk_may_match(not_three, zone, False) for zone in zones] == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +146,10 @@ class TestZoneMapAggregates:
 # ---------------------------------------------------------------------------
 
 
-def _merge_pair(left: dict, right: dict, chunk_rows: int | None = None):
+def _merge_pair(left: dict, right: dict):
     """Two engines with ``ls``/``rs`` sorted copies of the same two tables."""
-    optimized = Database(seed=0, chunk_rows=chunk_rows)
-    naive = Database(seed=0, optimize=False, chunk_rows=chunk_rows)
+    optimized = Database(seed=0)
+    naive = Database(seed=0, optimize=False)
     for engine in (optimized, naive):
         engine.register_table("l", left)
         engine.register_table("r", right)
@@ -200,8 +172,7 @@ class TestSortedMergeJoin:
     def test_insert_lands_after_the_sorted_rows(self):
         optimized, naive = _merge_pair(
             {"k": np.arange(10)[::-1].copy(), "v": np.arange(10.0)},
-            {"k": np.array([0, 5, 9]), "w": np.arange(3.0)},
-            chunk_rows=4,
+            {"k": np.array([0, 5, 9]), "w": np.arange(3.0)}
         )
         for engine in (optimized, naive):
             engine.execute("INSERT INTO ls (k, v) VALUES (0, 0.5)")
@@ -217,7 +188,7 @@ class TestSortedMergeJoin:
         rng = np.random.default_rng(13)
         left = {"k": rng.integers(0, 40, 300), "v": rng.integers(0, 9, 300)}
         right = {"k": rng.integers(0, 40, 100), "w": rng.integers(0, 9, 100)}
-        optimized, naive = _merge_pair(left, right, chunk_rows=32)
+        optimized, naive = _merge_pair(left, right)
         unsorted = "SELECT count(*) AS n, sum(l.v * r.w) AS x FROM l INNER JOIN r ON l.k = r.k"
         _assert_identical(optimized, naive, unsorted)
         sorted_copies = (
@@ -230,8 +201,7 @@ class TestSortedMergeJoin:
         rng = np.random.default_rng(9)
         optimized, naive = _merge_pair(
             {"k": rng.integers(0, 200, 3_000), "v": rng.normal(size=3_000)},
-            {"k": rng.integers(0, 200, 500), "w": rng.normal(size=500)},
-            chunk_rows=256,
+            {"k": rng.integers(0, 200, 500), "w": rng.normal(size=500)}
         )
         sql = (
             "SELECT count(*) AS n, sum(ls.v * rs.w) AS x "
@@ -243,8 +213,7 @@ class TestSortedMergeJoin:
         rng = np.random.default_rng(10)
         optimized, naive = _merge_pair(
             {"k": rng.integers(0, 100, 2_000), "v": rng.normal(size=2_000)},
-            {"k": rng.integers(0, 100, 400), "w": rng.normal(size=400)},
-            chunk_rows=128,
+            {"k": rng.integers(0, 100, 400), "w": rng.normal(size=400)}
         )
         sql = (
             "SELECT count(*) AS n, sum(ls.v) AS x FROM ls INNER JOIN rs "
