@@ -231,23 +231,6 @@ class Connector(abc.ABC):
         clause = "IF EXISTS " if if_exists else ""
         self.execute(f"DROP TABLE {clause}{self.dialect.quote_identifier(name)}")
 
-    def create_table_sorted_copy(self, source: str, target: str, order_column: str) -> None:
-        """Materialize ``target`` as ``source`` ordered by ``order_column``.
-
-        Plain ``CREATE TABLE ... AS SELECT * ... ORDER BY`` so it works on
-        every backend.  The sample builder writes every scramble in
-        subsample-id order with it: that physical row order is part of the
-        sample, so answers over it are bit-identical for a fixed seed, and
-        with chunked storage the sid column's zone maps stay tight.  Nothing
-        records the order; it is only the order the rows were written in.
-        """
-        select = ast.SelectStatement(
-            select_items=[ast.SelectItem(ast.Star())],
-            from_relation=ast.TableRef(source),
-            order_by=[ast.OrderItem(ast.ColumnRef(order_column))],
-        )
-        self.execute(ast.CreateTableStatement(table_name=target, as_select=select))
-
     @abc.abstractmethod
     def append_columns(self, table: str, columns: Columns) -> None:
         """Append a columnar batch to an existing table (see the class docstring)."""

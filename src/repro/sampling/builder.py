@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.sampling import creators, policy
 from repro.sampling.metadata import MetadataStore
-from repro.sampling.params import SID_COLUMN, SampleInfo, SampleSpec, SamplingPolicyConfig
+from repro.sampling.params import SampleInfo, SampleSpec, SamplingPolicyConfig
 from repro.subsampling.sid import default_subsample_count
 
 
@@ -97,12 +97,9 @@ class SampleBuilder:
     def _create_sample_once(self, original_table: str, spec: SampleSpec) -> SampleInfo:
         """One build attempt (see :meth:`create_sample` for the public docs).
 
-        The raw sample is built into a staging table, then rewritten into
-        the final table **clustered by subsample id** (a stable ORDER BY on
-        ``vdb_sid``): the per-sid reads of variational subsampling and the
-        rewritten query's selective predicates then touch contiguous runs of
-        rows, which chunked storage engines can skip around via zone maps.
-        The row *multiset* is unchanged — only the physical order differs.
+        The sample is written straight into its final table by one
+        ``CREATE TABLE AS SELECT`` (two passes plus a randomized copy for a
+        stratified sample), in the order the backend produces the rows.
         """
         if not self._connector.has_table(original_table):
             raise SamplingError(f"table {original_table!r} does not exist")
@@ -111,29 +108,22 @@ class SampleBuilder:
             max(1, int(original_rows * spec.ratio))
         )
         sample_table = self.sample_table_name(original_table, spec)
-        staging_table = f"{sample_table}_vdb_stage"
         self._connector.drop_table(sample_table, if_exists=True)
-        self._connector.drop_table(staging_table, if_exists=True)
 
         if spec.sample_type == "uniform":
             statement = creators.uniform_sample_statement(
-                original_table, staging_table, spec.ratio, subsample_count
+                original_table, sample_table, spec.ratio, subsample_count
             )
             self._connector.execute(statement)
         elif spec.sample_type == "hashed":
             statement = creators.hashed_sample_statement(
-                original_table, staging_table, spec.columns, spec.ratio, subsample_count
+                original_table, sample_table, spec.columns, spec.ratio, subsample_count
             )
             self._connector.execute(statement)
         elif spec.sample_type == "stratified":
-            self._create_stratified(original_table, staging_table, spec, subsample_count)
+            self._create_stratified(original_table, sample_table, spec, subsample_count)
         else:
             raise SamplingError(f"cannot build sample of type {spec.sample_type!r}")
-
-        try:
-            self._connector.create_table_sorted_copy(staging_table, sample_table, SID_COLUMN)
-        finally:
-            self._connector.drop_table(staging_table, if_exists=True)
 
         sample_rows = self._connector.row_count(sample_table)
         info = SampleInfo(

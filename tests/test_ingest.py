@@ -190,34 +190,35 @@ def test_columnar_sql_text_and_sqlite_appends_agree():
 
 
 # ---------------------------------------------------------------------------
-# golden: sample tables are bit-identical to the pre-columnar implementation
+# golden: sample tables hold the rows the pre-columnar implementation wrote
 # ---------------------------------------------------------------------------
 
-#: SHA-256 per table after the load + five appends below, recorded at the
-#: commit before the columnar path (rows as INSERT text, one metadata rebuild
-#: per sample).  The metadata digest was re-recorded when the legacy
-#: ``sid_clustered`` column left the schema; it equals the earlier table's
-#: digest with that column projected out.
+#: SHA-256 per table after the load + five appends below, over the schema and
+#: the rows as a multiset (row order is not part of a table).  Recorded at
+#: the commit before samples stopped being rewritten in subsample-id order,
+#: where the order-sensitive digests recorded before the columnar path (the
+#: metadata one re-recorded without ``sid_clustered``) still held.
 GOLDEN = {
-    "lineitem_vdb_uniform_0p0200": "b2d0ffc28013f849c7083d02f40191fa98185e3cd0181eb13affab6ed6889ac0",
-    "lineitem_vdb_hashed_l_orderkey_0p0200": "b4047c0bb85adc7325933d1f47f50a2cfb9d611939f144a22062069c2361004c",
-    "lineitem_vdb_hashed_l_partkey_0p0200": "f350129741ae911d88590b01869e84eec12fb09f7923ae524536b2d2bb8dbeeb",
-    "lineitem_vdb_stratified_l_returnflag_0p0200": "a4d79bd507518d30ab700e4bb917291723738b015636af58036ee8ec07ba80dd",
-    "lineitem_vdb_stratified_l_shipmode_0p0200": "19992f0c6fb620da8e7b76be2338991b36830c076d315b4aba746af116921c85",
-    "orders_vdb_uniform_0p0200": "b2d42d151446a4f69294089428777eb649ee1e583cd82034d98fd5321888054b",
-    "orders_vdb_hashed_o_orderkey_0p0200": "dc30d2a6b72ccec36768da64eab62b7e74adb843bfd69fa7360b9e4b5f8f2dc9",
-    "orders_vdb_stratified_o_orderpriority_0p0200": "c1820aa30e986a9fe5493c9fb2568f98f980a5df22a9fb507a6b2ad32b8de893",
-    "lineitem": "b49a6ee03f15fca60a897a990cd260b02c4f3434d2e5bfb34d728945094efd8f",
-    METADATA_TABLE: "b1b7f66f58cf23e8771566d50e62d632e97ada0b094ef5a6a08d2553fe23fa28",
+    "lineitem_vdb_uniform_0p0200": "989f7a76e674b3ce0923dc3074ef4a93387fbd82b8d6055e6426101d8d1c9512",
+    "lineitem_vdb_hashed_l_orderkey_0p0200": "1db8bec9f2a978a7e04540e6d3e3a9ac1bc2d24025c90075d09cd0f0a7fe721a",
+    "lineitem_vdb_hashed_l_partkey_0p0200": "9cca4d6ab154b3361cfbac4cea923c7b88c717785087c86f8135b94a1a227c62",
+    "lineitem_vdb_stratified_l_returnflag_0p0200": "45571a4080841ee45323b9b80495953f0e7b9f87b8c431f39bdbb35f8b10c679",
+    "lineitem_vdb_stratified_l_shipmode_0p0200": "17084f728fe694211185fcdb83096383d748df726ae57465ea6a022f017e8dbc",
+    "orders_vdb_uniform_0p0200": "f310fecf22853054916e1cf936fba0b3f589a35ee544098a37f4a8b157cd2930",
+    "orders_vdb_hashed_o_orderkey_0p0200": "22c60cad52154f18f2a0c11fe90a86feb94f670e968f14818c7276d0345f0501",
+    "orders_vdb_stratified_o_orderpriority_0p0200": "785eed6152287bfed9b8d01bbc2376bc93d5bd3c116167202031f81d591d08ff",
+    "lineitem": "06ef4256043ed41df0234faebc2897c5a9fd51da03821ddab1603a343e523910",
+    METADATA_TABLE: "532c26586256dbb0a023f7a464b0753d44a7935a3f67521a97dc33dcbba1b914",
 }
 
 
 def _table_sha(table: Table) -> str:
     digest = hashlib.sha256()
-    for name in table.column_names:
-        column = table.column(name)
-        digest.update(f"{name}:{column.dtype.str}:".encode())
-        digest.update(repr(column.tolist()).encode())
+    names = table.column_names
+    columns = [table.column(name) for name in names]
+    digest.update(repr([(name, column.dtype.str) for name, column in zip(names, columns)]).encode())
+    for row in sorted(repr(row) for row in zip(*(column.tolist() for column in columns))):
+        digest.update(row.encode() + b"\n")
     return digest.hexdigest()
 
 
