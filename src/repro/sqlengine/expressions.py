@@ -324,12 +324,19 @@ def contains_aggregate(expression: ast.Expression) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _broadcast_literal(value: object, num_rows: int) -> np.ndarray:
+    """A constant as a column; an int no int64 holds is a float64, as SQLite
+    reads such a literal as a real."""
     if value is None:
         return np.full(num_rows, np.nan, dtype=np.float64)
     if isinstance(value, bool):
         return np.full(num_rows, value, dtype=bool)
     if isinstance(value, (int, np.integer)):
+        if not _INT64.min <= int(value) <= _INT64.max:
+            return np.full(num_rows, float(value), dtype=np.float64)
         return np.full(num_rows, int(value), dtype=np.int64)
     if isinstance(value, (float, np.floating)):
         return np.full(num_rows, float(value), dtype=np.float64)

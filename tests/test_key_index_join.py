@@ -624,6 +624,9 @@ SEMANTIC_STATEMENTS = [
     ("SELECT rid FROM t WHERE k < ?", False),
     ("SELECT rid FROM t WHERE k > ?", False),
     (f"SELECT rid FROM t WHERE k = {-BIG - 1}", False),
+    # 2**63 fits no int64: both backends read it as a real.
+    ("SELECT rid FROM t WHERE k > 9223372036854775808", False),
+    ("SELECT rid FROM t WHERE k > -9223372036854775808", False),
     ("SELECT rid FROM t WHERE k IS NOT NULL ORDER BY k, rid", True),
     ("SELECT rid FROM t WHERE k IS NOT NULL ORDER BY k DESC, rid", True),
 ]
