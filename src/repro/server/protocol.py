@@ -104,17 +104,17 @@ def send_frame(sock: socket.socket, message: dict[str, Any]) -> None:
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
     """Read exactly ``count`` bytes; None on clean EOF at a frame boundary."""
-    chunks: list[bytes] = []
+    parts: list[bytes] = []
     remaining = count
     while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
+        part = sock.recv(remaining)
+        if not part:
+            if parts:
                 raise ProtocolError("connection closed mid-frame")
             return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        parts.append(part)
+        remaining -= len(part)
+    return b"".join(parts)
 
 
 def recv_frame(sock: socket.socket) -> dict[str, Any] | None:

@@ -406,11 +406,11 @@ def _group_values(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> l
     sorted_values = values[order]
     sorted_groups = inverse[order]
     boundaries = np.flatnonzero(np.diff(sorted_groups)) + 1
-    chunks = np.split(sorted_values, boundaries)
+    pieces = np.split(sorted_values, boundaries)
     present_groups = sorted_groups[np.concatenate([[0], boundaries])] if len(sorted_groups) else []
     result: list[np.ndarray] = [np.array([]) for _ in range(num_groups)]
-    for group, chunk in zip(present_groups, chunks):
-        result[int(group)] = chunk
+    for group, piece in zip(present_groups, pieces):
+        result[int(group)] = piece
     return result
 
 
