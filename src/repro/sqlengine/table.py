@@ -330,6 +330,9 @@ class Table:
         """
         parts = self._column_parts(name)
         if len(parts) > 1:
+            # SELECTs share the engine's read lock, so two readers may both
+            # join the parts: each gets an equal array, and appends (which
+            # replace the list) hold the write lock.
             parts[:] = [np.concatenate(parts)]
         return parts[0]
 

@@ -341,7 +341,6 @@ class TestSampleTables:
         # is rewritten to the current schema by the next write; its rows
         # survive.
         from repro.sampling import metadata as metadata_module
-        from repro.sqlengine import Database, sqlast as ast
 
         connector = BuiltinConnector(seed=2)
         connector.load_table("orders", build_orders_columns(num_rows=20_000, seed=5))

@@ -142,7 +142,6 @@ def _assert_bound_answers_like_literal(engine, naive, query):
     for template, params in _bound_twins(query):
         assert engine.execute(template, params).equals(expected), (template, params)
         assert naive.execute(template, params).equals(expected), (template, params)
-    return expected
 
 
 @pytest.mark.parametrize("query", SCAN_AB_CORPUS)
