@@ -70,6 +70,19 @@ class TestSyntaxChanger:
         assert "__vdb_rand" in sql
 
 
+def _assert_ctas_writes_every_row(connector):
+    select = "SELECT order_id, price, city FROM orders WHERE price > 10"
+    connector.execute(f"CREATE TABLE orders_copy AS {select}")
+    expected = connector.execute(f"{select} ORDER BY order_id").fetchall()
+    assert 0 < len(expected) < connector.row_count("orders")
+    assert connector.row_count("orders_copy") == len(expected)
+    assert connector.column_names("orders_copy") == ["order_id", "price", "city"]
+    copied = connector.execute(
+        "SELECT order_id, price, city FROM orders_copy ORDER BY order_id"
+    ).fetchall()
+    assert copied == expected
+
+
 class TestBuiltinConnector:
     def test_load_and_query(self, builtin_connector):
         assert builtin_connector.row_count("orders") == 40_000
@@ -115,6 +128,10 @@ class TestBuiltinConnector:
         assert builtin_connector.catalog_state() == state
         assert builtin_connector.execute("SELECT * FROM orders").equals(before)
 
+    def test_create_table_as_select_writes_every_row(self, builtin_connector):
+        # The statement form a sample is written with: straight into its table.
+        _assert_ctas_writes_every_row(builtin_connector)
+
     def test_queries_are_recorded(self, builtin_connector):
         builtin_connector.execute("SELECT 1 AS x")
         assert any("SELECT 1" in sql for sql in builtin_connector.queries_issued)
@@ -159,6 +176,9 @@ class TestSqliteConnector:
         with pytest.raises(ExecutionError):  # the same batch rule on every backend
             sqlite_connector.append_columns("orders", {"order_id": [1]})
         assert sqlite_connector.row_count("orders") == before + 2
+
+    def test_create_table_as_select_writes_every_row(self, sqlite_connector):
+        _assert_ctas_writes_every_row(sqlite_connector)
 
     def test_column_introspection_missing_table(self, sqlite_connector):
         with pytest.raises(ConnectorError):

@@ -127,6 +127,57 @@ class TestTable:
         assert flat.tolist() == list(range(7))
         assert table.column("x") is flat  # joined once, then kept
 
+    def test_many_appended_parts_read_back_in_order(self):
+        table = Table("t", {"x": np.arange(5), "s": np.array(["r0"] * 5, dtype=object)})
+        start = 5
+        for size in (1, 3, 20_000, 2, 17):
+            table.append_columns({
+                "x": np.arange(start, start + size),
+                "s": np.array([f"r{start}"] * size, dtype=object),
+            })
+            start += size
+        assert table.num_rows == start
+        assert table.column("x").tolist() == list(range(start))
+        # each batch's label marks its first row
+        assert table.column("s")[[0, 5, 6, 9, 20_008, 20_009, start - 1]].tolist() == [
+            "r0", "r5", "r6", "r9", "r9", "r20009", "r20011",
+        ]
+
+    def test_append_extends_a_current_dictionary_without_joining_parts(self):
+        table = Table("t", {"s": np.array(["b", "a", None, "b"], dtype=object)})
+        table.dictionary_codes("s")  # make the encoding current
+        table.append_columns({"s": np.array(["c", "a", None], dtype=object)})
+        assert table._dictionary_cache["s"][0] == table.version  # extended, not dropped
+        assert len(table._parts["s"]) == 2  # ... without joining the parts
+        codes, dictionary = table.dictionary_codes("s")
+        rebuilt = Table("u", {"s": table.column("s").copy()})
+        rebuilt_codes, rebuilt_dictionary = rebuilt.dictionary_codes("s")
+        assert codes.tolist() == rebuilt_codes.tolist()
+        assert dictionary.tolist() == rebuilt_dictionary.tolist()
+        assert table.distinct_count("s") == rebuilt.distinct_count("s") == 3
+
+    def test_take_and_copy_read_through_unjoined_parts(self):
+        table = Table("t", {"x": np.arange(4)})
+        table.append_columns({"x": np.arange(4, 10)})
+        taken = table.take(np.array([1, 3, 5, 9]))
+        assert taken.column("x").tolist() == [1, 3, 5, 9]
+        clone = table.copy("u")
+        table.append_columns({"x": np.array([10])})
+        assert clone.num_rows == 10 and clone.column("x").tolist() == list(range(10))
+        assert table.column("x").tolist() == list(range(11))
+
+    def test_widening_append_casts_every_stored_part(self):
+        table = Table("t", {"x": np.arange(3)})
+        table.append_columns({"x": np.array([3, 4])})
+        table.append_columns({"x": np.array([np.nan, 5.5])})
+        assert table.column_dtype("x") == np.float64
+        assert all(part.dtype == np.float64 for part in table._parts["x"])
+        table.append_columns({"x": np.array([6])})
+        values = table.column("x")
+        assert values.dtype == np.float64
+        assert values[[0, 1, 2, 3, 4, 6, 7]].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.5, 6.0]
+        assert np.isnan(values[5])
+
 
 class TestCatalogAndResultSet:
     def test_catalog_case_insensitive(self):

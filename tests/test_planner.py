@@ -509,6 +509,29 @@ def test_rand_in_a_group_key_matches_naive():
     assert result.fetchall() == plain.fetchall()
 
 
+SALES_CORPUS = [query for query in AB_CORPUS if " sales" in query or "mixed" in query]
+
+
+@pytest.mark.parametrize("part_rows", [1, 7, 64, 250, 100_000])
+def test_append_batch_size_never_changes_an_answer(part_rows):
+    # A table built by appends holds one part per batch until a read joins
+    # them; scans, grouping and joins must answer as over a table loaded at
+    # once.
+    optimized = Database(seed=0)
+    naive = Database(seed=0, optimize=False)
+    _populate(naive)
+    for name, columns in _tables().items():
+        rows = len(next(iter(columns.values())))
+        optimized.register_table(name, {k: v[:part_rows] for k, v in columns.items()})
+        for start in range(part_rows, rows, part_rows):
+            optimized.append_columns(
+                name, {k: v[start:start + part_rows] for k, v in columns.items()}
+            )
+        assert optimized.table(name).num_rows == rows
+    for query in SALES_CORPUS:
+        assert_identical_results(optimized.execute(query), naive.execute(query))
+
+
 def test_aggregates_over_no_rows():
     # An integer sum over no rows is 0 (not NULL); the other aggregates are
     # NULL, and count is 0 — in both modes.

@@ -151,6 +151,25 @@ class TestSampleBuilder:
             for record in builder.metadata.samples_for("orders")
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SampleSpec("uniform", (), 0.05),
+            SampleSpec("hashed", ("order_id",), 0.05),
+            SampleSpec("stratified", ("city",), 0.05),
+        ],
+        ids=["uniform", "hashed", "stratified"],
+    )
+    def test_build_leaves_only_the_sample_table(self, any_connector, spec):
+        # Each sample is written straight into its table: no staging or
+        # helper table outlives the build.
+        before = set(any_connector.table_names())
+        builder = SampleBuilder(any_connector, subsample_count=100)
+        info = builder.create_sample("orders", spec)
+        created = set(any_connector.table_names()) - before
+        assert created == {info.sample_table, builder.metadata.table_name}
+        assert any_connector.row_count(info.sample_table) == info.sample_rows > 0
+
     def test_missing_table_raises(self, any_connector):
         builder = SampleBuilder(any_connector)
         with pytest.raises(SamplingError):

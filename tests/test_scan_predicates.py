@@ -5,11 +5,14 @@ row by row; these statements check the answers against
 ``Database(optimize=False)`` — ranges, equality and ``IN`` over int, float
 (with NaN NULLs) and string (with None NULLs) columns, contradictions,
 appends between executions — and check that a statement with its literals
-bound as parameters answers exactly as its literal twin.
+bound as parameters answers exactly as its literal twin.  Edge values
+(NULL-only columns, NaN, NUL-prefixed strings, operands of the other type,
+NULL literals) are pinned to their row counts in both modes.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -265,3 +268,159 @@ def test_rebound_template_answers_each_binding():
     # One plan served all three bindings of the template.
     assert optimized.stats["plan_cache_misses"] == 1 + 3  # the template + three literal texts
     assert optimized.stats["plan_cache_hits"] == 2
+
+
+# ---------------------------------------------------------------------------
+# edge values: NULL-only columns, NaN, NUL-prefixed strings, type mismatches
+# ---------------------------------------------------------------------------
+
+
+def _edge_pair(columns):
+    engines = []
+    for optimize in (True, False):
+        engine = Database(seed=0, optimize=optimize)
+        engine.register_table("t", {k: v.copy() for k, v in columns.items()})
+        engines.append(engine)
+    return engines
+
+
+def _assert_counts(columns, expected):
+    """Each ``WHERE`` clause in ``expected`` counts its rows in both modes."""
+    optimized, naive = _edge_pair(columns)
+    for where, count in expected.items():
+        query = f"SELECT count(*) AS n FROM t WHERE {where}"
+        assert optimized.execute(query).scalar() == count, where
+        assert naive.execute(query).scalar() == count, where
+
+
+def test_nan_rows_never_satisfy_a_range():
+    columns = {"x": np.array([np.nan, 2.0, 8.0, np.nan])}
+    _assert_counts(columns, {"x > 1": 2, "x < 100": 2, "x BETWEEN 2 AND 8": 2, "x >= 9": 0})
+    optimized, naive = _edge_pair(columns)
+    query = "SELECT min(x) AS lo, max(x) AS hi, count(x) AS c FROM t"
+    assert optimized.execute(query).fetchall() == [(2.0, 8.0, 2)]
+    assert_identical_results(optimized.execute(query), naive.execute(query))
+
+
+def test_all_null_float_column_matches_only_is_null():
+    _assert_counts(
+        {"x": np.full(6, np.nan)},
+        {
+            "x = 1": 0,
+            "x < 1": 0,
+            "x BETWEEN 0 AND 9": 0,
+            "x IN (1, 2)": 0,
+            "x IS NULL": 6,
+            "x IS NOT NULL": 0,
+            # NaN <> x is True under the engine's float semantics
+            "x <> 1": 6,
+        },
+    )
+
+
+def test_all_null_string_column_matches_only_is_null():
+    # An object NULL satisfies no comparison, <> included (unlike float NaN).
+    _assert_counts(
+        {"s": np.array([None] * 5, dtype=object)},
+        {
+            "s = 'a'": 0,
+            "s <> 'a'": 0,
+            "s < 'z'": 0,
+            "s BETWEEN 'a' AND 'z'": 0,
+            "s IN ('a', 'b')": 0,
+            "s IS NULL": 5,
+            "s IS NOT NULL": 0,
+        },
+    )
+
+
+def test_strings_starting_with_nul_compare_in_raw_order():
+    # The key codec escapes a leading NUL so it cannot pose as the NULL
+    # sentinel; comparisons and MIN/MAX still follow the raw string order.
+    columns = {"s": np.array(["\0weird", "apple", None, "b"], dtype=object)}
+    _assert_counts(columns, {"s < 'a'": 1, "s > 'a'": 2, "s = '\0weird'": 1, "s IS NULL": 1})
+    optimized, naive = _edge_pair(columns)
+    for query, expected in [
+        ("SELECT s FROM t WHERE s < 'a'", [("\0weird",)]),
+        ("SELECT min(s) AS lo, max(s) AS hi FROM t", [("\0weird", "b")]),
+    ]:
+        assert optimized.execute(query).fetchall() == expected, query
+        assert naive.execute(query).fetchall() == expected, query
+
+
+def test_operand_of_the_other_type_compares_per_value():
+    # A string operand against a numeric column (and a number against a
+    # string column) compares the values' normalized strings row by row.
+    _assert_counts(
+        {
+            "k": np.arange(4),
+            "x": np.array([1.0, 2.0, 3.0, np.nan]),
+            "s": np.array(["1", "1.0", "a", None], dtype=object),
+        },
+        {"k = '1'": 1, "k = '9'": 0, "x = '1'": 0, "x = '1.0'": 1, "s = 1": 1, "s = 1.0": 1},
+    )
+
+
+def test_comparison_with_a_null_literal():
+    columns = {
+        "x": np.array([1.0, np.nan, 3.0]),
+        "s": np.array(["a", None, "b"], dtype=object),
+    }
+    # = NULL is never true; <> NULL follows each type's NULL rule (float NaN
+    # <> anything is True, where SQLite says NULL; an object NULL is never
+    # <> anything).
+    _assert_counts(columns, {"x = NULL": 0, "s = NULL": 0, "x <> NULL": 3, "s <> NULL": 2})
+
+
+def test_predicate_column_names_resolve_case_insensitively():
+    _assert_counts(
+        {"Value": np.arange(40)},
+        {"value = 35": 1, "VALUE BETWEEN 10 AND 19": 10, "vAlUe >= 38": 2},
+    )
+
+
+def test_range_selects_exactly_the_rows_in_it():
+    optimized, naive = _edge_pair({"x": np.arange(100)})
+    for query, expected in [
+        ("SELECT x FROM t WHERE x BETWEEN 35 AND 44", list(range(35, 45))),
+        ("SELECT x FROM t WHERE x >= 0", list(range(100))),
+        ("SELECT x FROM t WHERE x = 1000", []),
+    ]:
+        for engine in (optimized, naive):
+            assert [row[0] for row in engine.execute(query).fetchall()] == expected, query
+
+
+# ---------------------------------------------------------------------------
+# ranges name their rows: literal, bound and at scale
+# ---------------------------------------------------------------------------
+
+
+def test_narrow_range_sums_exactly_the_matching_rows():
+    engine = Database(seed=0)
+    engine.register_table("t", {"x": np.arange(1000), "v": np.ones(1000)})
+    assert engine.execute("SELECT sum(v) FROM t WHERE x BETWEEN 250 AND 260").scalar() == 11.0
+    assert engine.execute("SELECT sum(v) FROM t WHERE x BETWEEN ? AND ?", (250, 260)).scalar() == 11.0
+
+
+def test_bound_range_answers_the_rows_it_names():
+    optimized, naive = _orders_pair()
+    query = "SELECT count(*) AS n, sum(qty) AS s FROM orders WHERE order_id BETWEEN 300 AND 340"
+    _assert_bound_answers_like_literal(optimized, naive, query)
+    qty = optimized.table("orders").column("qty")
+    assert optimized.execute(query).fetchall() == [(41, int(qty[300:341].sum()))]
+
+
+def test_bound_range_on_a_large_table():
+    rows = 400_000
+    values = np.random.default_rng(3).random(rows)
+    engine = Database(seed=0)
+    engine.register_table("t", {"k": np.arange(rows), "v": values})
+    literal = engine.execute("SELECT sum(v) FROM t WHERE k >= 100000 AND k < 120000")
+    for template, params in (
+        ("SELECT sum(v) FROM t WHERE k >= ? AND k < ?", (100_000, 120_000)),
+        ("SELECT sum(v) FROM t WHERE k >= :lo AND k < :hi", {"lo": 100_000, "hi": 120_000}),
+    ):
+        assert engine.execute(template, params).equals(literal)
+    assert literal.scalar() == pytest.approx(math.fsum(values[100_000:120_000]), rel=1e-12)
+    count = engine.execute("SELECT count(*) FROM t WHERE k >= ? AND k < ?", (100_000, 120_000))
+    assert count.scalar() == 20_000
