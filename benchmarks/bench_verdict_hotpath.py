@@ -1,12 +1,12 @@
 """Benchmark — the AQP middleware hot path, end to end.
 
 Every query the middleware approximates executes as the same physical shape:
-an outer aggregation over a ``vdb_inner`` derived table that groups the
-sample by (group keys, subsample id).  This benchmark tracks that shape —
-not just the raw engine — across PRs, exercising the engine planner and
-executor on it (scan pushdown, projection pruning, ON-clause pushdown,
-smaller-build-side joins, fused aggregation, dictionary codes propagated
-out of a derived table):
+one statement that groups the sample by (group keys, subsample id), whose
+rows the middleware then folds into the answer and its error bars.  This
+benchmark tracks that shape — not just the raw engine — across PRs,
+exercising the engine planner and executor on it (scan pushdown, projection
+pruning, ON-clause pushdown, smaller-build-side joins, fused aggregation,
+dictionary codes propagated out of a derived table) and the fold:
 
 * **flat** — a grouped aggregate over the sampled fact table with selective
   predicates: the rewritten inner query's WHERE is pushed to the sample scan
@@ -15,10 +15,10 @@ out of a derived table):
   single-side conjuncts move below the join, dead columns never cross it and
   the dimension side builds the hash table.
 * **nested** — an aggregate over an aggregate derived table (Section 5.2):
-  the variational-table rewrite produces a derived table inside a derived
-  table.  Each level runs as written under its own plan, computed once; the
-  outer predicate filters the inner result, and the outer level groups on
-  the codes the variational table propagates.
+  the variational-table rewrite produces a derived table, which runs as
+  written under its own plan, computed once; the outer predicate filters
+  its result, and the statement groups on the codes the variational table
+  propagates.
 
 Each workload runs three ways — the full middleware over
 ``Database(optimize=True)``, the same middleware over ``optimize=False``

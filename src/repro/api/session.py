@@ -3,11 +3,11 @@
 A :class:`VerdictSession` owns everything one logical client needs — a
 connector to the underlying database, the sample builder/maintainer, the
 sample planner, the rewriter and its caches (templates by text over analysed
-shapes, facts read from the backend, prepared rewrites).  It mirrors the
-deployment picture of Figure 1: the application sends SQL to the session, the
-session plans samples, rewrites the query, sends the rewritten SQL to the
-underlying database through the connector, and converts the returned result
-set into an approximate answer with error estimates.  Unsupported queries are
+shapes, facts read from the backend, sample plans, prepared rewrites).  It
+mirrors the deployment picture of Figure 1: the application sends SQL to the
+session, the session plans samples, rewrites the query, sends the rewritten
+SQL to the underlying database through the connector, and folds the returned
+per-subsample rows into an approximate answer with error estimates.  Unsupported queries are
 passed through unchanged.
 
 Per-query settings — confidence, error columns, mode, accuracy contract —
@@ -169,11 +169,14 @@ class VerdictSession:
         self._template_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
         self._shape_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
         # Facts read from the backend — ("rows", table), ("cardinality",
-        # table, column) and ("samples",) — and prepared rewrites keyed on
-        # (shape key, sample plan, include_errors).  Both are filed under the
-        # connector.catalog_state() token of the execute() call that computed
-        # them, which is their whole staleness story.
+        # table, column) and ("samples",) — sample plans keyed on (shape key,
+        # sample hint), held as a 1-tuple so "no feasible plan" is cached
+        # too, and prepared rewrites keyed on (shape key, sample plan,
+        # include_errors).  All are filed under the connector.catalog_state()
+        # token of the execute() call that computed them, which is their
+        # whole staleness story.
         self._fact_cache: LRUCache[tuple, Any] = LRUCache(maxsize=512)
+        self._plan_cache: LRUCache[tuple, tuple[SamplePlan | None]] = LRUCache(maxsize=128)
         self._rewrite_cache: LRUCache[tuple, PreparedRewrite] = LRUCache(maxsize=128)
         self._closed = False
         self.last_rewritten_sql: str | None = None
@@ -376,7 +379,7 @@ class VerdictSession:
                 statement, started, analysis.unsupported_reason, bound, deadline
             )
 
-        plan = self._plan(analysis, token, sample_hint=options.sample_hint)
+        plan = self._shape_plan(template, token, sample_hint=options.sample_hint)
         if plan is None:
             reason = "no feasible sample plan within the I/O budget"
             if options.sample_hint is not None:
@@ -524,6 +527,23 @@ class VerdictSession:
         answer.plan_description = f"exact execution ({reason})"
         return answer
 
+    def _shape_plan(
+        self, template: PreparedTemplate, token: object, sample_hint: str | None = None
+    ) -> SamplePlan | None:
+        """The shape's sample plan, chosen at most once per backend version.
+
+        Everything the planner reads — samples, row counts, cardinalities —
+        is a fact filed under the same token, so the plan is too; a shape
+        with no feasible plan caches that verdict as well.
+        """
+        key = (template.shape_key, sample_hint)
+        cached = self._plan_cache.get(key, token)
+        if cached is None:
+            cached = (self._plan(template.analysis, token, sample_hint),)
+            self._plan_cache.put(key, cached, token)
+        self.last_plan = cached[0]
+        return cached[0]
+
     def _plan(
         self, analysis: QueryAnalysis, token: object, sample_hint: str | None = None
     ) -> SamplePlan | None:
@@ -634,7 +654,6 @@ class VerdictSession:
                 primary_result = self.connector.execute(
                     prepared.primary_sql, params, deadline=deadline
                 )
-                estimate_columns.update(prepared.primary.estimate_columns)
 
             secondary_results: list[tuple[ResultSet, dict[str, str | None]]] = []
             if prepared.distinct is not None:
@@ -656,7 +675,12 @@ class VerdictSession:
                     )
                 )
 
-        if primary_result is None:
+        if prepared.primary is not None:
+            # The backend returned one row per (group, subsample): fold them
+            # into the answer and its error bars.
+            primary_result = prepared.primary.fold.apply(primary_result, params)
+            estimate_columns.update(prepared.primary.estimate_columns)
+        else:
             # No mean-like part: promote the first secondary result to primary.
             primary_result, columns = secondary_results.pop(0)
             estimate_columns.update(columns)

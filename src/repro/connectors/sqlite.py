@@ -24,7 +24,12 @@ from repro.sqlengine.table import coerce_batch
 
 
 class _StddevAggregate:
-    """Sample standard deviation UDA (SQLite has no native stddev)."""
+    """Sample standard deviation UDA (SQLite has no native stddev).
+
+    Only a query that asks for a ``stddev`` itself calls it: approximation
+    needs nothing beyond ``GROUP BY`` / ``SUM`` / ``COUNT`` here, because the
+    middleware computes the error bars from the rows SQLite returns.
+    """
 
     def __init__(self) -> None:
         self.count = 0

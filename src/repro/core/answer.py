@@ -1,7 +1,8 @@
 """Answer Rewriter: turns raw rewritten-query results into approximate answers.
 
-The underlying database returns the outer query's raw result: grouping
-columns, one column per approximated aggregate and (when requested) one
+The middleware folds the rows the underlying database returns into the
+raw answer (:class:`~repro.core.rewriter.SubsampleFold`): grouping columns,
+one column per approximated aggregate and (when requested) one
 standard-error column per aggregate.  :class:`ApproximateResult` wraps that
 result with the paper's answer semantics: error columns are hidden unless the
 user asks for them (Section 2.4), confidence intervals are derived from the

@@ -203,7 +203,7 @@ def _check_supported(analysis: QueryAnalysis) -> None:
         return
 
     # Non-aggregate select items must be grouping expressions, otherwise the
-    # two-level rewrite cannot reproduce them.
+    # rewrite cannot reproduce them.
     group_sql = {expr.to_sql() for expr in statement.group_by}
     group_names = {
         expr.name.lower() for expr in statement.group_by if isinstance(expr, ast.ColumnRef)

@@ -1,9 +1,12 @@
 """AQP Rewriter: turns an exact aggregate query into its approximate form.
 
-The rewrite follows the two-level structure of Appendix G.  The *inner*
-query runs on the chosen sample tables and, for every (grouping keys,
-subsample id) combination, computes the Horvitz–Thompson building blocks of
-each aggregate plus the subsample's size.  The *outer* query combines them:
+The rewrite follows Appendix G, split between the backend and the
+middleware.  The backend runs one statement over the chosen sample tables
+that, for every (grouping keys, subsample id) combination, computes the
+Horvitz–Thompson building blocks of each aggregate plus the subsample's
+size: ``GROUP BY <keys>, vdb_sid``, nothing beyond ``SUM`` and ``COUNT``
+(and the statistic itself for ``stddev``-like aggregates).  The middleware
+folds the rows it returns (:class:`SubsampleFold`):
 
 * the **answer** is the full-sample estimate (the per-subsample partial sums
   added back together — for ``sum``/``count`` this is exactly the
@@ -12,35 +15,52 @@ each aggregate plus the subsample's size.  The *outer* query combines them:
   ``stddev(est_i) * sqrt(avg(sub_size)) / sqrt(sum(sub_size))`` where
   ``est_i`` is the i-th subsample's own estimate of the aggregate
   (Theorem 2).  For totals (``sum``/``count``) the subsample's partial sum is
-  scaled by the number of subsamples ``b`` to make it a full-group estimate.
+  scaled by the number of subsamples ``b`` to make it a full-group estimate;
+
+and then applies the statement's tail — select-list arithmetic over
+aggregates, HAVING, ORDER BY, LIMIT and OFFSET — to the folded groups.
 
 Joins of two sample tables combine their subsample ids with ``h(i, j)``
 (Theorem 4) and multiply their inclusion probabilities.  Nested aggregate
 queries (Section 5.2) first turn the derived table into its variational
 table — the original inner query grouped additionally by the subsample id,
-each aggregate replaced by its per-subsample full-group estimate — and then
-aggregate that variational table at the outer level.
+each aggregate replaced by its per-subsample full-group estimate — and the
+statement the backend runs aggregates that variational table per (group,
+subsample id); the fold combines those rows as for a flat query.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.query_info import QueryAnalysis
 from repro.core.sample_planner import SamplePlan
 from repro.errors import RewriteError
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import sqlast as ast
-from repro.sqlengine.expressions import contains_aggregate
-from repro.sqlengine.functions import is_aggregate_function
+from repro.sqlengine.encoding import encode_key, group_rows_encoded, sort_indices
+from repro.sqlengine.expressions import Frame, contains_aggregate, divide, evaluate
+from repro.sqlengine.functions import (
+    EvaluationContext,
+    aggregate,
+    group_dispersions,
+    group_sums,
+    is_aggregate_function,
+    is_nondeterministic_function,
+)
+from repro.sqlengine.resultset import ResultSet
 
 
-INNER_ALIAS = "vdb_inner"
 SID_ALIAS = "vdb_sid"
 SUB_SIZE_ALIAS = "vdb_sub_size"
 ROWS_ALIAS = "vdb_rows"
+#: The fold's name for the i-th aggregate's estimate in tail expressions.
+ESTIMATE_PREFIX = "vdb_est_"
 
 _TOTAL_AGGREGATES = frozenset({"count", "sum"})
 _MEAN_AGGREGATES = frozenset({"avg", "mean"})
@@ -54,13 +74,19 @@ _STATISTIC_AGGREGATES = frozenset(
 
 @dataclass
 class RewriteOutput:
-    """The rewritten statement plus the schema of its result."""
+    """The statement the backend runs plus the schema of the answer.
+
+    ``fold`` turns the statement's per-(group, sid) rows into the answer;
+    it is None when the statement's result already is the answer (the
+    count-distinct rewrite).
+    """
 
     statement: ast.SelectStatement
     group_columns: list[str] = field(default_factory=list)
     estimate_columns: dict[str, str | None] = field(default_factory=dict)
     plan: SamplePlan | None = None
     subsample_count: int = 100
+    fold: SubsampleFold | None = None
 
     @property
     def error_columns(self) -> list[str]:
@@ -199,13 +225,14 @@ class AqpRewriter:
             weighted=True,
         )
         inner = builder.build_inner(new_relation, statement.where)
-        outer = builder.build_outer(inner)
+        fold = builder.build_fold()
         return RewriteOutput(
-            statement=outer,
+            statement=inner,
             group_columns=builder.group_output_names,
             estimate_columns=builder.estimate_columns,
             plan=plan,
             subsample_count=subsample_count,
+            fold=fold,
         )
 
     # -- nested aggregate queries (Section 5.2) -------------------------------------
@@ -221,9 +248,9 @@ class AqpRewriter:
         )
         new_derived = ast.DerivedTable(query=variational_table, alias=derived.alias)
 
-        # The outer query now aggregates complete per-subsample group
+        # The statement now aggregates complete per-subsample group
         # estimates, so no Horvitz–Thompson scaling applies at this level.
-        outer_builder = _TwoLevelBuilder(
+        builder = _TwoLevelBuilder(
             original=statement,
             include_errors=self.include_errors,
             probability=ast.Literal(1.0),
@@ -232,14 +259,15 @@ class AqpRewriter:
             weighted=False,
             sub_size_source=ast.func("sum", ast.ColumnRef(ROWS_ALIAS, table=derived.alias)),
         )
-        inner = outer_builder.build_inner(new_derived, statement.where)
-        outer = outer_builder.build_outer(inner)
+        inner = builder.build_inner(new_derived, statement.where)
+        fold = builder.build_fold()
         return RewriteOutput(
-            statement=outer,
-            group_columns=outer_builder.group_output_names,
-            estimate_columns=outer_builder.estimate_columns,
+            statement=inner,
+            group_columns=builder.group_output_names,
+            estimate_columns=builder.estimate_columns,
             plan=plan,
             subsample_count=subsample_count,
+            fold=fold,
         )
 
 
@@ -408,22 +436,228 @@ def _subsample_estimate(
 
 
 # ---------------------------------------------------------------------------
-# the two-level (inner building blocks / outer combination) builder
+# the per-subsample statement and the fold that combines its rows
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _AggregatePlan:
-    """Inner-query columns and outer-query expressions for one aggregate."""
+    """Per-subsample columns of one aggregate and how the fold combines them."""
 
     node: ast.FunctionCall
     kind: str  # 'total' | 'mean' | 'statistic'
     value_alias: str
     extra_alias: str | None = None
 
+    @property
+    def is_count(self) -> bool:
+        return self.node.name.lower() == "count"
+
+
+@dataclass
+class SubsampleFold:
+    """Folds the per-(group, sid) rows of the rewritten statement into the answer.
+
+    The backend returns one row per (group, subsample) with the subsample's
+    size ``sub`` and each aggregate's building blocks ``v`` (and ``den`` for
+    a mean).  Per group, with ``f = sqrt(avg(sub)) / sqrt(sum(sub))``
+    (Theorem 2) and ``b`` subsamples:
+
+    * weighted total (``count``/``sum`` over sample tuples): ``sum(v)``, with
+      error ``(b * stddev(v)) * f`` — ``b * v`` is one subsample's own
+      estimate of the total;
+    * mean: ``sum(v) / sum(den)``, with error ``stddev(v / den) * f``;
+    * unweighted total (over a variational table) and statistic:
+      ``sum(v * sub) / sum(sub)``, with error ``stddev(v) * f``.
+
+    Then the statement's tail runs over the G folded rows: select-list
+    arithmetic over aggregates, HAVING, ORDER BY, LIMIT and OFFSET.  Groups
+    are numbered by first appearance through the engine's key codec, summed
+    and dispersed by its aggregate kernels and combined with its division
+    rule, operation for operation as a ``GROUP BY`` over these rows would
+    be, so on the built-in engine the answer is bit-identical to running
+    the combination as SQL.
+
+    With no row at all, a grouped query has no group and an ungrouped one
+    has one row: every ``count`` estimates 0, every other estimate and
+    every error is NULL (no sample row gives no spread).
+
+    ``outputs`` lists the answer's columns as ``(name, kind, source)``:
+    ``("group", alias)``, ``("estimate", i)``, ``("error", i)`` or
+    ``("expression", ast)`` where the expression reads the group aliases,
+    the estimates as ``vdb_est_<i>`` and the earlier output names.
+    """
+
+    group_aliases: list[str]
+    aggregates: list[_AggregatePlan]
+    weighted: bool
+    subsample_count: int
+    outputs: list[tuple[str, str, object]] = field(default_factory=list)
+    having: ast.Expression | None = None
+    order_by: list[tuple[ast.Expression, bool]] = field(default_factory=list)
+    limit: int | None = None
+    offset: int | None = None
+
+    def apply(
+        self, rows: ResultSet, params: Mapping[str, object] | Sequence | None = None
+    ) -> ResultSet:
+        """The answer (with error columns) from the backend's per-subsample rows."""
+        num_rows = rows.num_rows
+        # name -> column of the folded rows: group keys, estimates, outputs.
+        named: dict[str, np.ndarray] = {}
+        # What ORDER BY sorts a string key by: its key codes, which rank the
+        # normalized strings (the engine sorts a coded column the same way).
+        sort_codes: dict[str, np.ndarray] = {}
+        if self.group_aliases:
+            encodings = rows.encodings()
+            names = rows.column_names
+            keys = [rows.column(alias) for alias in self.group_aliases]
+            coded = []
+            for alias, values in zip(self.group_aliases, keys):
+                lazy = encodings[names.index(alias)] if encodings else None
+                coded.append(encode_key(values, lazy.resolve() if lazy is not None else None))
+            inverse, first = group_rows_encoded(coded, num_rows)
+            groups = len(first)
+            for alias, values, key in zip(self.group_aliases, keys, coded):
+                named[alias] = values[first]
+                if values.dtype == object:
+                    sort_codes[alias] = key.codes[first]
+        else:
+            inverse, groups = np.zeros(num_rows, dtype=np.int64), 1
+        if num_rows == 0 and not self.group_aliases:
+            estimates = [
+                np.full(1, 0.0 if plan.is_count else np.nan) for plan in self.aggregates
+            ]
+            errors = {index: np.full(1, np.nan) for index in self._error_indices()}
+        else:
+            estimates, errors = self._combine(rows, inverse, groups)
+        for index, estimate in enumerate(estimates):
+            named[f"{ESTIMATE_PREFIX}{index}"] = estimate
+
+        frame: Frame | None = None
+        context = EvaluationContext(groups, rng=None, params=params)
+
+        def column_of(expression: ast.Expression) -> np.ndarray:
+            nonlocal frame
+            if isinstance(expression, ast.ColumnRef) and expression.table is None:
+                found = named.get(expression.name)
+                if found is not None:
+                    return found
+            if frame is None:
+                frame = Frame(num_rows=groups)
+                for name, values in named.items():
+                    frame.add_column(None, name, values)
+            return evaluate(expression, frame, context)
+
+        output_names: list[str] = []
+        columns: list[np.ndarray] = []
+        for name, kind, source in self.outputs:
+            if kind == "group":
+                column = named[source]
+                if source in sort_codes:
+                    sort_codes[name] = sort_codes[source]
+            elif kind == "estimate":
+                column = estimates[source]
+            elif kind == "error":
+                column = errors[source]
+            else:
+                column = column_of(source)
+            output_names.append(name)
+            columns.append(column)
+            named[name] = column
+            if frame is not None:
+                frame.add_column(None, name, column)
+
+        order_keys = [
+            (
+                sort_codes[expression.name]
+                if isinstance(expression, ast.ColumnRef) and expression.name in sort_codes
+                else column_of(expression),
+                ascending,
+            )
+            for expression, ascending in self.order_by
+        ]
+        if self.having is not None:
+            keep = column_of(self.having).astype(bool)
+            columns = [column[keep] for column in columns]
+            order_keys = [(key[keep], ascending) for key, ascending in order_keys]
+        if order_keys:
+            order = sort_indices(order_keys)
+            columns = [column[order] for column in columns]
+        if self.limit is not None or self.offset is not None:
+            start = self.offset or 0
+            window = slice(start, None if self.limit is None else start + self.limit)
+            columns = [column[window] for column in columns]
+        return ResultSet(output_names, columns)
+
+    def _error_indices(self) -> set[int]:
+        return {source for _name, kind, source in self.outputs if kind == "error"}
+
+    def _combine(
+        self, rows: ResultSet, inverse: np.ndarray, groups: int
+    ) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
+        """Each aggregate's estimate, and the errors the outputs ask for.
+
+        Every ``sum`` is taken in one stacked pass and every ``stddev`` in
+        another (:func:`~repro.sqlengine.functions.group_sums`), each equal
+        bit for bit to its own aggregate.
+        """
+        sizes = _floats(rows.column(SUB_SIZE_ALIAS))
+        summed = [sizes]  # what to sum per group; [0] is sum(sub)
+        parts: list[tuple[_AggregatePlan, int, np.ndarray]] = []
+        for plan in self.aggregates:
+            value = _floats(rows.column(plan.value_alias))
+            parts.append((plan, len(summed), value))
+            if plan.kind == "mean":
+                summed += [value, _floats(rows.column(plan.extra_alias))]
+            elif plan.kind == "total" and self.weighted:
+                summed.append(value)
+            else:
+                summed.append(value * sizes)
+        sums = group_sums(summed, inverse, groups)
+        total_size = sums[0]
+
+        estimates: list[np.ndarray] = []
+        spread_inputs: list[np.ndarray] = []
+        wanted = self._error_indices()
+        for index, (plan, at, value) in enumerate(parts):
+            if plan.kind == "mean":
+                estimates.append(divide(sums[at], sums[at + 1]))
+                spread_of = divide(value, summed[at + 1])
+            elif plan.kind == "total" and self.weighted:
+                estimates.append(sums[at])
+                spread_of = value
+            else:
+                estimates.append(divide(sums[at], total_size))
+                spread_of = value
+            if index in wanted:
+                spread_inputs.append(spread_of)
+
+        errors: dict[int, np.ndarray] = {}
+        if wanted:
+            average_size = aggregate("avg", [sizes], inverse, groups)
+            factor = divide(np.sqrt(average_size), np.sqrt(total_size))
+            spreads = iter(group_dispersions("stddev", spread_inputs, inverse, groups))
+            for index, (plan, _at, _value) in enumerate(parts):
+                if index not in wanted:
+                    continue
+                spread = next(spreads)
+                if plan.kind == "total" and self.weighted:
+                    # b * v_i is subsample i's own estimate of the total.
+                    spread = float(self.subsample_count) * spread
+                errors[index] = spread * factor
+        return estimates, errors
+
+
+def _floats(column: np.ndarray) -> np.ndarray:
+    """A numeric result column as float64 (a NULL from another backend: NaN)."""
+    if column.dtype == object:
+        return np.array([np.nan if value is None else float(value) for value in column])
+    return column.astype(np.float64, copy=False)
+
 
 class _TwoLevelBuilder:
-    """Builds the inner per-subsample query and the outer combining query.
+    """Builds the per-(group, sid) statement and the fold of its rows.
 
     Args:
         original: the user's (decomposed) query.
@@ -500,7 +734,7 @@ class _TwoLevelBuilder:
                         node=node, kind=kind, value_alias=f"vdb_val_{index}", extra_alias=extra
                     )
 
-    # -- inner query -------------------------------------------------------------------
+    # -- the statement the backend runs ---------------------------------------------------
 
     def build_inner(
         self, from_relation: ast.Relation | None, where: ast.Expression | None
@@ -508,7 +742,7 @@ class _TwoLevelBuilder:
         select_items: list[ast.SelectItem] = []
         for expr in self.original.group_by:
             select_items.append(ast.SelectItem(expr, alias=self.group_aliases[expr.to_sql()]))
-        # The subsample id is a grouping key only: no outer query reads it.
+        # The subsample id is a grouping key only: the fold never reads it.
         select_items.append(ast.SelectItem(self.sub_size_source, alias=SUB_SIZE_ALIAS))
         inverse_probability = ast.BinaryOp("/", ast.Literal(1.0), self.probability)
         for plan in self._aggregates.values():
@@ -553,95 +787,53 @@ class _TwoLevelBuilder:
             group_by=list(self.original.group_by) + [self.sid],
         )
 
-    # -- outer query --------------------------------------------------------------------
+    # -- the fold of its rows ---------------------------------------------------------------
 
-    def build_outer(self, inner: ast.SelectStatement) -> ast.SelectStatement:
-        from_relation = ast.DerivedTable(query=inner, alias=INNER_ALIAS)
-        sub_size = ast.ColumnRef(SUB_SIZE_ALIAS)
-        total_size = ast.func("sum", sub_size)
-        average_size = ast.func("avg", sub_size)
-        size_factor = ast.BinaryOp(
-            "/", ast.func("sqrt", average_size), ast.func("sqrt", total_size)
+    def build_fold(self) -> SubsampleFold:
+        estimates: dict[str, ast.Expression] = {
+            key: ast.ColumnRef(f"{ESTIMATE_PREFIX}{index}")
+            for index, key in enumerate(self._aggregates)
+        }
+        positions = {key: index for index, key in enumerate(self._aggregates)}
+        fold = SubsampleFold(
+            group_aliases=[self.group_aliases[expr.to_sql()] for expr in self.original.group_by],
+            aggregates=list(self._aggregates.values()),
+            weighted=self.weighted,
+            subsample_count=self.subsample_count,
+            limit=self.original.limit,
+            offset=self.original.offset,
         )
-
-        combined: dict[str, ast.Expression] = {}
-        error_expressions: dict[str, ast.Expression] = {}
-        for key, plan in self._aggregates.items():
-            value = ast.ColumnRef(plan.value_alias)
-            if plan.kind == "total":
-                if self.weighted:
-                    # Answer: the full Horvitz–Thompson estimate (partial sums
-                    # added back together).  Error: each subsample's partial
-                    # sum times b is that subsample's own estimate of the
-                    # total, so stddev is scaled by b.
-                    combined[key] = ast.func("sum", value)
-                    spread = ast.BinaryOp(
-                        "*", ast.Literal(self.subsample_count), ast.func("stddev", value)
-                    )
-                else:
-                    combined[key] = ast.BinaryOp(
-                        "/", ast.func("sum", ast.BinaryOp("*", value, sub_size)), total_size
-                    )
-                    spread = ast.func("stddev", value)
-            elif plan.kind == "mean":
-                denominator = ast.ColumnRef(plan.extra_alias)
-                combined[key] = ast.BinaryOp(
-                    "/", ast.func("sum", value), ast.func("sum", denominator)
-                )
-                spread = ast.func("stddev", ast.BinaryOp("/", value, denominator))
-            else:  # statistic
-                combined[key] = ast.BinaryOp(
-                    "/", ast.func("sum", ast.BinaryOp("*", value, sub_size)), total_size
-                )
-                spread = ast.func("stddev", value)
-            error_expressions[key] = ast.BinaryOp("*", spread, size_factor)
-
-        select_items: list[ast.SelectItem] = []
         for index, item in enumerate(self.original.select_items):
             name = item.output_name(index)
             expression = item.expression
             key = expression.to_sql()
             if not contains_aggregate(expression):
-                select_items.append(
-                    ast.SelectItem(ast.ColumnRef(self._group_column_for(expression)), alias=name)
-                )
+                fold.outputs.append((name, "group", self._group_column_for(expression)))
                 self.group_output_names.append(name)
                 continue
-            substituted = _substitute_aggregates(expression, combined)
-            select_items.append(ast.SelectItem(substituted, alias=name))
+            if key in positions:
+                fold.outputs.append((name, "estimate", positions[key]))
+            else:
+                substituted = _substitute_aggregates(expression, estimates)
+                fold.outputs.append((name, "expression", _foldable(substituted)))
             error_name = None
-            if self.include_errors and key in error_expressions:
+            if self.include_errors and key in positions:
                 error_name = f"{name}_err"
-                select_items.append(ast.SelectItem(error_expressions[key], alias=error_name))
+                fold.outputs.append((error_name, "error", positions[key]))
             self.estimate_columns[name] = error_name
 
-        having = None
         if self.original.having is not None:
-            having = _substitute_aggregates(self.original.having, combined)
-
-        order_by: list[ast.OrderItem] = []
+            fold.having = _foldable(_substitute_aggregates(self.original.having, estimates))
         for order_item in self.original.order_by:
             expression = order_item.expression
             if contains_aggregate(expression):
-                expression = _substitute_aggregates(expression, combined)
+                expression = _substitute_aggregates(expression, estimates)
             elif expression.to_sql() in self.group_aliases:
                 expression = ast.ColumnRef(self.group_aliases[expression.to_sql()])
             elif isinstance(expression, ast.ColumnRef):
-                expression = self._resolve_outer_column(expression)
-            order_by.append(dataclasses.replace(order_item, expression=expression))
-
-        group_by = [
-            ast.ColumnRef(self.group_aliases[expr.to_sql()]) for expr in self.original.group_by
-        ]
-        return ast.SelectStatement(
-            select_items=select_items,
-            from_relation=from_relation,
-            group_by=group_by,
-            having=having,
-            order_by=order_by,
-            limit=self.original.limit,
-            offset=self.original.offset,
-        )
+                expression = self._resolve_order_column(expression)
+            fold.order_by.append((_foldable(expression), order_item.ascending))
+        return fold
 
     # -- helpers ------------------------------------------------------------------------
 
@@ -659,8 +851,8 @@ class _TwoLevelBuilder:
                     return alias
         raise RewriteError(f"select item {key!r} does not match any grouping expression")
 
-    def _resolve_outer_column(self, column: ast.ColumnRef) -> ast.Expression:
-        """Map an ORDER BY column reference onto the outer query's columns."""
+    def _resolve_order_column(self, column: ast.ColumnRef) -> ast.Expression:
+        """Map an ORDER BY column reference onto the folded rows' columns."""
         for position, item in enumerate(self.original.select_items):
             if item.output_name(position).lower() == column.name.lower():
                 return ast.ColumnRef(item.output_name(position))
@@ -674,6 +866,20 @@ class _TwoLevelBuilder:
         return ast.ColumnRef(column.name)
 
 
+def _foldable(expression: ast.Expression) -> ast.Expression:
+    """``expression`` when the fold can evaluate it over the folded rows.
+
+    A subquery would need the backend and ``rand()`` the engine's random
+    stream, so a tail holding either is left to exact execution.
+    """
+    for node in expression.walk():
+        if isinstance(node, ast.ScalarSubquery) or (
+            isinstance(node, ast.FunctionCall) and is_nondeterministic_function(node.name)
+        ):
+            raise RewriteError(f"cannot fold {expression.to_sql()!r} over aggregates")
+    return expression
+
+
 def _group_expr_by_sql(group_by: list[ast.Expression], sql: str) -> ast.Expression | None:
     for expr in group_by:
         if expr.to_sql() == sql:
@@ -684,7 +890,7 @@ def _group_expr_by_sql(group_by: list[ast.Expression], sql: str) -> ast.Expressi
 def _substitute_aggregates(
     expression: ast.Expression, combined: dict[str, ast.Expression]
 ) -> ast.Expression:
-    """Replace each aggregate call with its outer-level combination expression."""
+    """Replace each aggregate call with the fold's column for its estimate."""
     key = expression.to_sql()
     if key in combined:
         return combined[key]

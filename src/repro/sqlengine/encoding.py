@@ -23,8 +23,10 @@ jointly, :func:`pack_codes` is the one overflow-guarded packer of several
 coded columns, :func:`encode_join_keys` combines the two for an equi-join,
 :func:`group_rows_encoded` numbers the groups of coded rows by first
 appearance (``GROUP BY``, ``DISTINCT``, ``PARTITION BY`` and
-``COUNT(DISTINCT)`` all group through it), and :func:`compare_numeric`
-applies the same exactness to ``= <> < <= > >=``.
+``COUNT(DISTINCT)`` all group through it), :func:`sort_indices` orders rows
+by several keys (``ORDER BY``), and :func:`compare_numeric` applies the same
+exactness to ``= <> < <= > >=``.  The middleware's fold of per-subsample
+rows groups and sorts through the same functions.
 
 Coding and grouping sort only when the keys are sparse.  An int key whose
 value span (``max - min + 1``) is at most :data:`_DENSE_SPAN` times its row
@@ -284,6 +286,29 @@ def group_rows_encoded(keys: Sequence[KeyCodes], num_rows: int) -> tuple[Array, 
     group_at = np.cumsum(starts, dtype=np.int64) - 1
     inverse: Array = group_at[first_of_code[codes]]
     return inverse, np.flatnonzero(starts)
+
+
+def sort_indices(keys: Sequence[tuple[Array, bool]]) -> Array:
+    """Stable multi-key sort; each key is (values, ascending).
+
+    Object keys sort by their key codes, which rank the normalized strings.
+    Integer and boolean keys are sorted directly: casting them to float64
+    loses precision above 2**53, silently reordering or tying large keys.
+    Descending integer order uses the bitwise complement ``~x`` — a strictly
+    decreasing reflection with no overflow (negating ``int64 min`` would
+    wrap).
+    """
+    if not keys:
+        return np.arange(0)
+    sortable: list[Array] = []
+    for values, ascending in keys:
+        if values.dtype == object:
+            values = encode_key(values).codes
+        if not ascending:
+            values = ~values if values.dtype.kind in "iub" else -values
+        sortable.append(values)
+    # np.lexsort sorts by the last key first, so reverse the list.
+    return np.lexsort(tuple(reversed(sortable)))
 
 
 def encode_join_keys(

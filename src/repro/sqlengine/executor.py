@@ -31,7 +31,12 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.sqlengine import functions, planner as logical_planner, sqlast as ast
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.encoding import encode_join_keys, encode_key, group_rows_encoded
+from repro.sqlengine.encoding import (
+    encode_join_keys,
+    encode_key,
+    group_rows_encoded,
+    sort_indices,
+)
 from repro.sqlengine.expressions import (
     Frame,
     LazyCodes,
@@ -954,31 +959,8 @@ def _shareable(expression: ast.Expression) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sorting, distinct, limit
+# distinct, limit
 # ---------------------------------------------------------------------------
-
-
-def sort_indices(keys: list[tuple[np.ndarray, bool]]) -> np.ndarray:
-    """Stable multi-key sort; each key is (values, ascending).
-
-    Object keys sort by their key codes, which rank the normalized strings.
-    Integer and boolean keys are sorted directly: casting them to float64
-    loses precision above 2**53, silently reordering or tying large keys.
-    Descending integer order uses the bitwise complement ``~x`` — a strictly
-    decreasing reflection with no overflow (negating ``int64 min`` would
-    wrap).
-    """
-    if not keys:
-        return np.arange(0)
-    sortable: list[np.ndarray] = []
-    for values, ascending in keys:
-        if values.dtype == object:
-            values = encode_key(values).codes
-        if not ascending:
-            values = ~values if values.dtype.kind in "iub" else -values
-        sortable.append(values)
-    # np.lexsort sorts by the last key first, so reverse the list.
-    return np.lexsort(tuple(reversed(sortable)))
 
 
 def _distinct(

@@ -408,12 +408,17 @@ def _evaluate_binary(expression, frame, context, subquery_evaluator):
         if op == "*":
             return left_float * right_float
         if op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(right_float != 0, left_float / right_float, np.nan)
+            return divide(left_float, right_float)
         return np.mod(left_float, right_float)
     if op in _COMPARISON_OPS:
         return _compare(op, left, right)
     raise ExecutionError(f"unknown binary operator {expression.op!r}")
+
+
+def divide(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left / right`` over float64 columns; a division by zero is NULL."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(right != 0, left / right, np.nan)
 
 
 def _evaluate_scalar_via_dictionary(expression, frame, context) -> np.ndarray | None:

@@ -365,9 +365,20 @@ def is_aggregate_function(name: str) -> bool:
 
 
 def _group_sum(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.ndarray:
+    """Per-group sums of the non-NULL values; a group with none is NULL.
+
+    Non-NULL rows are counted only when a value is NULL or there are no rows
+    at all, so a column without NULLs costs one ``bincount``.
+    """
     floats = _as_float(values)
-    weights = np.where(np.isnan(floats), 0.0, floats)
-    return np.bincount(inverse, weights=weights, minlength=num_groups)
+    missing = np.isnan(floats)
+    if len(floats) and not missing.any():
+        return np.bincount(inverse, weights=floats, minlength=num_groups)
+    weights = np.where(missing, 0.0, floats)
+    # An empty ``bincount`` ignores its weights' dtype and returns ints.
+    sums = np.bincount(inverse, weights=weights, minlength=num_groups).astype(np.float64)
+    sums[np.bincount(inverse[~missing], minlength=num_groups) == 0] = np.nan
+    return sums
 
 
 def _group_count_non_null(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.ndarray:
@@ -412,6 +423,44 @@ def _group_values(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> l
     for group, piece in zip(present_groups, pieces):
         result[int(group)] = piece
     return result
+
+
+def group_sums(
+    columns: Sequence[np.ndarray], inverse: np.ndarray, num_groups: int
+) -> list[np.ndarray]:
+    """``sum`` of each column per group, all in one ``bincount``.
+
+    The columns are stacked and column ``k``'s group ``g`` is summed in bin
+    ``k * num_groups + g``.  ``bincount`` adds a bin's values in row order,
+    so every column's sums are bit-identical to its own ``sum`` aggregate.
+    """
+    floats, bins = _stacked(columns, inverse, num_groups)
+    sums = _group_sum(floats, bins, num_groups * len(columns))
+    return _unstacked(sums, len(columns), num_groups)
+
+
+def group_dispersions(
+    name: str, columns: Sequence[np.ndarray], inverse: np.ndarray, num_groups: int
+) -> list[np.ndarray]:
+    """A ``stddev``/``var`` aggregate of each column per group, stacked as
+    :func:`group_sums` stacks them (and as bit-identical per column)."""
+    floats, bins = _stacked(columns, inverse, num_groups)
+    dispersions = _group_dispersion(name, floats, bins, num_groups * len(columns))
+    return _unstacked(dispersions, len(columns), num_groups)
+
+
+def _stacked(
+    columns: Sequence[np.ndarray], inverse: np.ndarray, num_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    floats = [_as_float(column) for column in columns]
+    if len(floats) == 1:
+        return floats[0], inverse
+    offsets = np.arange(len(floats), dtype=np.int64) * num_groups
+    return np.concatenate(floats), (inverse[np.newaxis, :] + offsets[:, np.newaxis]).ravel()
+
+
+def _unstacked(stacked: np.ndarray, num_columns: int, num_groups: int) -> list[np.ndarray]:
+    return [stacked[k * num_groups : (k + 1) * num_groups] for k in range(num_columns)]
 
 
 def aggregate(
@@ -483,9 +532,11 @@ def _group_dispersion(
 ) -> np.ndarray:
     floats = _as_float(values)
     valid = ~np.isnan(floats)
-    counts = np.bincount(inverse[valid], minlength=num_groups).astype(np.float64)
-    sums = np.bincount(inverse[valid], weights=floats[valid], minlength=num_groups)
-    squares = np.bincount(inverse[valid], weights=floats[valid] ** 2, minlength=num_groups)
+    if not valid.all():
+        inverse, floats = inverse[valid], floats[valid]
+    counts = np.bincount(inverse, minlength=num_groups).astype(np.float64)
+    sums = np.bincount(inverse, weights=floats, minlength=num_groups)
+    squares = np.bincount(inverse, weights=floats**2, minlength=num_groups)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = np.where(counts > 0, sums / counts, np.nan)
         population_variance = np.where(counts > 0, squares / counts - means**2, np.nan)

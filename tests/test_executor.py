@@ -110,9 +110,33 @@ class TestAggregation:
         assert m == pytest.approx(5.5)
         assert p == pytest.approx(np.quantile(np.arange(1.0, 11.0), 0.9))
 
-    def test_aggregate_of_empty_group_returns_zero_count(self, db):
+    def test_aggregate_of_empty_group_returns_zero_count_and_null_sum(self, db):
         result = db.execute("SELECT count(*) AS c, sum(price) AS s FROM sales WHERE price > 100")
-        assert result.fetchall() == [(0.0, 0.0)]
+        [(count, total)] = result.fetchall()
+        assert count == 0.0
+        assert np.isnan(total)  # SQL: a sum over no value is NULL
+
+    @pytest.mark.parametrize("rows", [0, 1, 257])
+    def test_stacked_sums_and_dispersions_equal_each_aggregate_bit_for_bit(self, rows):
+        from repro.sqlengine import functions
+
+        rng = np.random.default_rng(rows)
+        inverse = rng.integers(0, 5, rows)
+        groups = len(np.unique(inverse)) if rows else 1
+        inverse = np.searchsorted(np.unique(inverse), inverse)
+        with_nulls = rng.normal(size=rows)
+        with_nulls[::3] = np.nan
+        columns = [rng.normal(size=rows) * 1e6, with_nulls, np.full(rows, np.nan)]
+        sums = functions.group_sums(columns, inverse, groups)
+        for name in ("stddev", "var_pop"):
+            dispersions = functions.group_dispersions(name, columns, inverse, groups)
+            for column, dispersion in zip(columns, dispersions):
+                expected = functions.aggregate(name, [column], inverse, groups)
+                assert np.array_equal(dispersion, expected, equal_nan=True)
+        for column, total in zip(columns, sums):
+            expected = functions.aggregate("sum", [column], inverse, groups)
+            assert np.array_equal(total, expected, equal_nan=True)
+            assert total.dtype == np.float64
 
     def test_window_function_over_groups(self, db):
         result = db.execute(

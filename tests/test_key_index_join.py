@@ -629,6 +629,9 @@ SEMANTIC_STATEMENTS = [
     ("SELECT rid FROM t WHERE k > -9223372036854775808", False),
     ("SELECT rid FROM t WHERE k IS NOT NULL ORDER BY k, rid", True),
     ("SELECT rid FROM t WHERE k IS NOT NULL ORDER BY k DESC, rid", True),
+    # A sum over no row, or over NULLs only, is NULL.
+    ("SELECT sum(rid) AS s FROM t WHERE rid < 0", False),
+    ("SELECT rid, sum(CASE WHEN rid < 0 THEN rid END) AS s FROM t GROUP BY rid", False),
 ]
 
 

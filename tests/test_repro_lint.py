@@ -426,6 +426,52 @@ class TestRep007GroupingCodec:
 
 
 # ---------------------------------------------------------------------------
+# REP008 — the middleware stays backend-agnostic
+# ---------------------------------------------------------------------------
+
+
+class TestRep008BackendAgnostic:
+    def test_fires_on_every_spelling_of_an_engine_import(self):
+        result = lint_one(
+            "src/repro/core/rewriter.py",
+            """
+            import repro.sqlengine.engine
+            from repro.sqlengine import executor, sqlast
+            from repro.sqlengine import planner as logical_planner
+            from repro.sqlengine.table import Table
+
+            def fold(rows):
+                return rows
+            """,
+            "REP008",
+        )
+        assert codes(result) == ["REP008"] * 4
+        assert {finding.line for finding in result.findings} == {2, 3, 4, 5}
+
+    def test_clean_backend_free_modules_and_out_of_scope_layers(self):
+        clean = lint_one(
+            "src/repro/core/rewriter.py",
+            """
+            from repro.sqlengine import sqlast as ast
+            from repro.sqlengine.encoding import encode_key, sort_indices
+            from repro.sqlengine.expressions import Frame, evaluate
+            from repro.sqlengine.functions import aggregate
+            from repro.sqlengine.resultset import ResultSet
+            import repro.sqlengine.tables_of_contents
+            """,
+            "REP008",
+        )
+        session = lint_one(
+            "src/repro/api/session.py",
+            """
+            from repro.sqlengine.engine import Database
+            """,
+            "REP008",
+        )
+        assert codes(clean) == codes(session) == []
+
+
+# ---------------------------------------------------------------------------
 # suppression mechanics
 # ---------------------------------------------------------------------------
 
@@ -614,7 +660,7 @@ class TestCli:
     def test_list_rules_names_all_four(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for code in ("REP002", "REP003", "REP004", "REP006", "REP007"):
+        for code in ("REP002", "REP003", "REP004", "REP006", "REP007", "REP008"):
             assert code in proc.stdout
 
     def test_write_baseline_then_gate_passes(self, tmp_path):
@@ -649,6 +695,7 @@ class TestRepoGate:
             "REP004",
             "REP006",
             "REP007",
+            "REP008",
         ]
 
     def test_repository_has_zero_unbaselined_findings(self):

@@ -31,6 +31,11 @@ def plan_for(*infos):
     return SamplePlan(assignments={info.original_table: info for info in infos}, score=1.0)
 
 
+def per_subsample_rows(columns: dict) -> ResultSet:
+    """A backend result of the per-(group, sid) statement, built by hand."""
+    return ResultSet(list(columns), [np.asarray(values) for values in columns.values()])
+
+
 class TestRewriterSqlShape:
     def test_flat_rewrite_structure(self):
         statement = parse_select(
@@ -39,33 +44,70 @@ class TestRewriterSqlShape:
         )
         output = AqpRewriter().rewrite(statement, analyze(statement), plan_for(sample_info()))
         sql = output.statement.to_sql()
-        # Inner query scans the sample table and groups by the subsample id,
-        # which it does not select: no outer query reads it.
+        # The one statement the backend runs scans the sample table and
+        # groups by the subsample id, which it does not select: the fold
+        # never reads it.
         assert "orders_sample" in sql
-        inner = output.statement.from_relation.query
-        assert "vdb_sid" in inner.group_by[-1].to_sql()
+        assert "vdb_sid" in output.statement.group_by[-1].to_sql()
         assert all(
             item.output_name(position) != "vdb_sid"
             and "vdb_sid" not in item.expression.to_sql()
-            for position, item in enumerate(inner.select_items)
+            for position, item in enumerate(output.statement.select_items)
         )
         assert "vdb_sampling_prob" in sql
-        # Outer query reports one error column per aggregate.
+        # No second SQL level: no derived table, no stddev or sqrt of its own.
+        assert "vdb_inner" not in sql and "stddev" not in sql and "sqrt" not in sql
+        # The fold reports one error column per aggregate.
         assert output.estimate_columns == {"c": "c_err", "s": "s_err", "a": "a_err"}
         assert output.group_columns == ["city"]
-        # The error expression is the Appendix G combination.
-        assert "stddev" in sql and "sqrt" in sql
+        rows = per_subsample_rows(
+            {
+                "vdb_g0": np.array(["nyc", "nyc", "nyc", "sf"], dtype=object),
+                "vdb_sub_size": [2.0, 3.0, 5.0, 4.0],
+                "vdb_val_0": [200.0, 300.0, 500.0, 400.0],
+                "vdb_val_1": [20.0, 60.0, 70.0, 8.0],
+                "vdb_val_2": [20.0, 60.0, 70.0, 8.0],
+                "vdb_den_2": [200.0, 300.0, 500.0, 400.0],
+            }
+        )
+        answer = output.fold.apply(rows)
+        assert answer.column_names == ["city", "c", "c_err", "s", "s_err", "a", "a_err"]
+        assert list(answer.column("city")) == ["nyc", "sf"]
+        assert list(answer.column("c")) == [1000.0, 400.0]
+        # The Appendix G combination: b * stddev(v) * sqrt(avg(sub)) / sqrt(sum(sub)).
+        factor = np.sqrt(np.mean([2.0, 3.0, 5.0])) / np.sqrt(10.0)
+        expected = 100 * np.std([20.0, 60.0, 70.0], ddof=1) * factor
+        assert answer.column("s_err")[0] == pytest.approx(expected)
+        assert answer.column("a")[0] == pytest.approx(150.0 / 1000.0)
+        ratios = [20.0 / 200.0, 60.0 / 300.0, 70.0 / 500.0]
+        assert answer.column("a_err")[0] == pytest.approx(np.std(ratios, ddof=1) * factor)
+        # One subsample gives no spread: the error is NULL, not 0.
+        assert np.isnan(answer.column("c_err")[1])
 
-    def test_order_limit_and_having_preserved_on_outer_query(self):
+    def test_order_limit_and_having_applied_by_the_fold(self):
         statement = parse_select(
             "SELECT city, count(*) AS c FROM orders GROUP BY city "
             "HAVING count(*) > 10 ORDER BY c DESC LIMIT 3"
         )
         output = AqpRewriter().rewrite(statement, analyze(statement), plan_for(sample_info()))
-        outer = output.statement
-        assert outer.limit == 3
-        assert outer.having is not None
-        assert outer.order_by and not outer.order_by[0].ascending
+        # The backend's statement has no tail: the fold applies it.
+        emitted = output.statement
+        assert emitted.having is None and not emitted.order_by
+        assert emitted.limit is None and emitted.offset is None
+        cities = ["a", "b", "c", "d", "e", "f"]
+        rows = per_subsample_rows(
+            {
+                "vdb_g0": np.array([city for city in cities for _ in range(2)], dtype=object),
+                "vdb_sub_size": np.ones(12),
+                # Per city, two subsamples whose estimates sum to 4, 30, 8, 20, 50, 11.
+                "vdb_val_0": [2, 2, 10, 20, 4, 4, 10, 10, 25, 25, 5, 6],
+            }
+        )
+        answer = output.fold.apply(rows)
+        # HAVING drops a and c, ORDER BY c DESC ranks e, b, d, f, LIMIT 3 keeps three.
+        assert answer.column_names == ["city", "c", "c_err"]
+        assert list(answer.column("city")) == ["e", "b", "d"]
+        assert list(answer.column("c")) == [50.0, 30.0, 20.0]
 
     def test_errors_can_be_disabled(self):
         statement = parse_select("SELECT count(*) AS c FROM orders")
@@ -106,14 +148,25 @@ class TestRewriterSqlShape:
         sql = output.statement.to_sql()
         # The derived table is grouped by (city, sid) in a single scan.
         assert "vdb_sid" in sql
-        assert sql.count("GROUP BY") >= 2
-        # The variational table selects its sid: the middle query groups on it.
-        inner = output.statement.from_relation.query
-        variational = inner.from_relation.query
+        assert sql.count("GROUP BY") == 2
+        assert "vdb_inner" not in sql and "stddev" not in sql and "sqrt" not in sql
+        # The variational table selects its sid: the emitted statement
+        # groups on it, and the fold combines its rows.
+        variational = output.statement.from_relation.query
         names = [item.output_name(i) for i, item in enumerate(variational.select_items)]
         assert "vdb_sid" in names
-        assert "t.vdb_sid" in inner.group_by[-1].to_sql()
+        assert "t.vdb_sid" in output.statement.group_by[-1].to_sql()
         assert output.estimate_columns == {"avg_sales": "avg_sales_err"}
+        rows = per_subsample_rows(
+            {"vdb_sub_size": [3.0, 1.0], "vdb_val_0": [10.0, 30.0], "vdb_den_0": [2.0, 1.0]}
+        )
+        answer = output.fold.apply(rows)
+        assert answer.column_names == ["avg_sales", "avg_sales_err"]
+        assert answer.column("avg_sales")[0] == pytest.approx(40.0 / 3.0)
+        factor = np.sqrt(2.0) / np.sqrt(4.0)
+        assert answer.column("avg_sales_err")[0] == pytest.approx(
+            np.std([5.0, 30.0], ddof=1) * factor
+        )
 
     def test_plan_without_samples_rejected(self):
         statement = parse_select("SELECT count(*) AS c FROM orders")

@@ -189,6 +189,53 @@ class TestOnlineStage:
         assert all(count > 100 for count in counts)
 
 
+class TestSamplePlanCache:
+    """A shape's sample plan is chosen once per backend version."""
+
+    @staticmethod
+    def counting_planner(session):
+        calls = []
+        plan = session.planner.plan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return plan(*args, **kwargs)
+
+        session.planner.plan = counted
+        return calls
+
+    def test_one_plan_per_shape_until_the_backend_changes(self):
+        session = VerdictSession(
+            planner_config=PlannerConfig(io_budget=0.2, large_table_rows=5_000)
+        )
+        session.load_table("orders", build_orders_columns(num_rows=20_000, seed=1))
+        session.create_sample("orders", SampleSpec("uniform", (), 0.05))
+        calls = self.counting_planner(session)
+        first = session.sql("SELECT count(*) AS c FROM orders WHERE price > 3")
+        plan = session.last_plan
+        # Another literal is the same shape: the cached plan serves it.
+        second = session.sql("SELECT count(*) AS c FROM orders WHERE price > 7")
+        assert not first.is_exact and not second.is_exact
+        assert len(calls) == 1
+        assert session.last_plan is plan
+        assert second.plan_description == first.plan_description
+        # A new sample moves the catalog token: the shape is planned again.
+        session.create_sample("orders", SampleSpec("stratified", ("city",), 0.05))
+        session.sql("SELECT count(*) AS c FROM orders WHERE price > 7")
+        assert len(calls) == 2
+
+    def test_no_feasible_plan_is_cached_too(self, orders_columns):
+        session = VerdictSession()
+        session.load_table("orders", orders_columns)
+        calls = self.counting_planner(session)
+        for _ in range(2):
+            answer = session.sql("SELECT count(*) AS c FROM orders")
+            assert answer.is_exact
+            assert "no feasible sample plan" in answer.plan_description
+            assert session.last_plan is None
+        assert len(calls) == 1
+
+
 class TestSqliteBackend:
     """The same middleware drives the stdlib sqlite3 engine (universality)."""
 

@@ -3,7 +3,8 @@
 Run as ``python -m tools.repro_lint src tests benchmarks``.  See
 ``tools/repro_lint/__main__.py`` for the CLI and the ``rules`` package for
 the REP rules enforcing the engine's concurrency, error-boundary,
-determinism and key-codec invariants.
+determinism and key-codec invariants, and the middleware's independence
+from the built-in engine.
 """
 
 from tools.repro_lint.core import (

@@ -6,4 +6,5 @@ from tools.repro_lint.rules import (  # noqa: F401
     rep004_error_boundary,
     rep006_determinism,
     rep007_grouping_codec,
+    rep008_backend_agnostic,
 )
