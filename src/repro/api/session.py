@@ -651,9 +651,13 @@ class VerdictSession:
         # data versions).
         with self.connector.consistent_read():
             if prepared.primary is not None:
-                primary_result = self.connector.execute(
-                    prepared.primary_sql, params, deadline=deadline
+                rows = self.connector.execute(prepared.primary_sql, params, deadline=deadline)
+                # The backend returned one row per (group, subsample): fold
+                # them into the answer and its error bars.
+                primary_result = prepared.primary.fold.apply(
+                    rows, params, partial(self._scalar_subquery, params, deadline)
                 )
+                estimate_columns.update(prepared.primary.estimate_columns)
 
             secondary_results: list[tuple[ResultSet, dict[str, str | None]]] = []
             if prepared.distinct is not None:
@@ -675,12 +679,7 @@ class VerdictSession:
                     )
                 )
 
-        if prepared.primary is not None:
-            # The backend returned one row per (group, subsample): fold them
-            # into the answer and its error bars.
-            primary_result = prepared.primary.fold.apply(primary_result, params)
-            estimate_columns.update(prepared.primary.estimate_columns)
-        else:
+        if primary_result is None:
             # No mean-like part: promote the first secondary result to primary.
             primary_result, columns = secondary_results.pop(0)
             estimate_columns.update(columns)
@@ -704,6 +703,15 @@ class VerdictSession:
             rewritten_sql=self.last_rewritten_sql,
             plan_description=plan.describe(),
         )
+
+    def _scalar_subquery(
+        self,
+        params: Mapping | None,
+        deadline: QueryDeadline | None,
+        statement: ast.SelectStatement,
+    ) -> object:
+        """A scalar subquery of an approximate statement's tail, run exactly."""
+        return self.connector.execute(statement, params, deadline=deadline).scalar()
 
     def _prepare_rewrite(
         self,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +44,13 @@ from repro.errors import RewriteError
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import sqlast as ast
 from repro.sqlengine.encoding import encode_key, group_rows_encoded, sort_indices
-from repro.sqlengine.expressions import Frame, contains_aggregate, divide, evaluate
+from repro.sqlengine.expressions import (
+    Frame,
+    as_float,
+    contains_aggregate,
+    divide,
+    evaluate,
+)
 from repro.sqlengine.functions import (
     EvaluationContext,
     aggregate,
@@ -224,10 +230,10 @@ class AqpRewriter:
             subsample_count=subsample_count,
             weighted=True,
         )
-        inner = builder.build_inner(new_relation, statement.where)
+        per_subsample = builder.build_statement(new_relation, statement.where)
         fold = builder.build_fold()
         return RewriteOutput(
-            statement=inner,
+            statement=per_subsample,
             group_columns=builder.group_output_names,
             estimate_columns=builder.estimate_columns,
             plan=plan,
@@ -259,10 +265,10 @@ class AqpRewriter:
             weighted=False,
             sub_size_source=ast.func("sum", ast.ColumnRef(ROWS_ALIAS, table=derived.alias)),
         )
-        inner = builder.build_inner(new_derived, statement.where)
+        per_subsample = builder.build_statement(new_derived, statement.where)
         fold = builder.build_fold()
         return RewriteOutput(
-            statement=inner,
+            statement=per_subsample,
             group_columns=builder.group_output_names,
             estimate_columns=builder.estimate_columns,
             plan=plan,
@@ -499,32 +505,22 @@ class SubsampleFold:
     offset: int | None = None
 
     def apply(
-        self, rows: ResultSet, params: Mapping[str, object] | Sequence | None = None
+        self,
+        rows: ResultSet,
+        params: Mapping[str, object] | Sequence | None = None,
+        subquery: Callable[[ast.SelectStatement], object] | None = None,
     ) -> ResultSet:
-        """The answer (with error columns) from the backend's per-subsample rows."""
-        num_rows = rows.num_rows
+        """The answer (with error columns) from the backend's per-subsample rows.
+
+        ``params`` binds the tail's placeholders; ``subquery`` answers a
+        scalar subquery in it (HAVING ``sum(x) > (SELECT ...)``).
+        """
         # name -> column of the folded rows: group keys, estimates, outputs.
         named: dict[str, np.ndarray] = {}
-        # What ORDER BY sorts a string key by: its key codes, which rank the
-        # normalized strings (the engine sorts a coded column the same way).
+        # What ORDER BY sorts an object key by (see _number_groups).
         sort_codes: dict[str, np.ndarray] = {}
-        if self.group_aliases:
-            encodings = rows.encodings()
-            names = rows.column_names
-            keys = [rows.column(alias) for alias in self.group_aliases]
-            coded = []
-            for alias, values in zip(self.group_aliases, keys):
-                lazy = encodings[names.index(alias)] if encodings else None
-                coded.append(encode_key(values, lazy.resolve() if lazy is not None else None))
-            inverse, first = group_rows_encoded(coded, num_rows)
-            groups = len(first)
-            for alias, values, key in zip(self.group_aliases, keys, coded):
-                named[alias] = values[first]
-                if values.dtype == object:
-                    sort_codes[alias] = key.codes[first]
-        else:
-            inverse, groups = np.zeros(num_rows, dtype=np.int64), 1
-        if num_rows == 0 and not self.group_aliases:
+        inverse, groups = self._number_groups(rows, named, sort_codes)
+        if rows.num_rows == 0 and not self.group_aliases:
             estimates = [
                 np.full(1, 0.0 if plan.is_count else np.nan) for plan in self.aggregates
             ]
@@ -547,7 +543,7 @@ class SubsampleFold:
                 frame = Frame(num_rows=groups)
                 for name, values in named.items():
                     frame.add_column(None, name, values)
-            return evaluate(expression, frame, context)
+            return evaluate(expression, frame, context, subquery)
 
         output_names: list[str] = []
         columns: list[np.ndarray] = []
@@ -590,6 +586,37 @@ class SubsampleFold:
             columns = [column[window] for column in columns]
         return ResultSet(output_names, columns)
 
+    def _number_groups(
+        self, rows: ResultSet, named: dict[str, np.ndarray], sort_codes: dict[str, np.ndarray]
+    ) -> tuple[np.ndarray, int]:
+        """Each row's group, numbered by first appearance, and the group count.
+
+        Fills ``named`` with each group's key and ``sort_codes`` with what
+        ORDER BY sorts an object key by: its key codes, which rank the
+        normalized strings as the engine sorts a coded column.  Keys come
+        pre-coded when the backend attached codes to them.
+        """
+        num_rows = rows.num_rows
+        if not self.group_aliases:
+            return np.zeros(num_rows, dtype=np.int64), 1
+        encodings = rows.encodings()
+        names = rows.column_names
+        keys = [rows.column(alias) for alias in self.group_aliases]
+        coded = []
+        for alias, values in zip(self.group_aliases, keys):
+            lazy = encodings[names.index(alias)] if encodings else None
+            coded.append(encode_key(values, lazy.resolve() if lazy is not None else None))
+        inverse, first = group_rows_encoded(coded, num_rows)
+        # A backend that returns untyped values (SQLite: even count(*)
+        # arrives as python objects) orders a column of numbers by value.
+        untyped = rows.column(SUB_SIZE_ALIAS).dtype == object
+        for alias, values, key in zip(self.group_aliases, keys, coded):
+            named[alias] = values[first]
+            if values.dtype == object:
+                ranks = _number_ranks(named[alias]) if untyped else None
+                sort_codes[alias] = key.codes[first] if ranks is None else ranks
+        return inverse, len(first)
+
     def _error_indices(self) -> set[int]:
         return {source for _name, kind, source in self.outputs if kind == "error"}
 
@@ -602,14 +629,14 @@ class SubsampleFold:
         another (:func:`~repro.sqlengine.functions.group_sums`), each equal
         bit for bit to its own aggregate.
         """
-        sizes = _floats(rows.column(SUB_SIZE_ALIAS))
+        sizes = as_float(rows.column(SUB_SIZE_ALIAS))
         summed = [sizes]  # what to sum per group; [0] is sum(sub)
         parts: list[tuple[_AggregatePlan, int, np.ndarray]] = []
         for plan in self.aggregates:
-            value = _floats(rows.column(plan.value_alias))
+            value = as_float(rows.column(plan.value_alias))
             parts.append((plan, len(summed), value))
             if plan.kind == "mean":
-                summed += [value, _floats(rows.column(plan.extra_alias))]
+                summed += [value, as_float(rows.column(plan.extra_alias))]
             elif plan.kind == "total" and self.weighted:
                 summed.append(value)
             else:
@@ -649,11 +676,18 @@ class SubsampleFold:
         return estimates, errors
 
 
-def _floats(column: np.ndarray) -> np.ndarray:
-    """A numeric result column as float64 (a NULL from another backend: NaN)."""
-    if column.dtype == object:
-        return np.array([np.nan if value is None else float(value) for value in column])
-    return column.astype(np.float64, copy=False)
+def _number_ranks(values: np.ndarray) -> np.ndarray | None:
+    """Sort codes of an object column holding only numbers and NULLs: the
+    numbers' ranks by value (as floats), NULL first, as SQL sorts them.
+    None when a value is not a number."""
+    if not all(
+        value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
+        for value in values
+    ):
+        return None
+    key = encode_key(np.array([np.nan if value is None else float(value) for value in values]))
+    ranks: np.ndarray = np.where(key.codes == key.null_code, -1, key.codes)
+    return ranks
 
 
 class _TwoLevelBuilder:
@@ -736,7 +770,7 @@ class _TwoLevelBuilder:
 
     # -- the statement the backend runs ---------------------------------------------------
 
-    def build_inner(
+    def build_statement(
         self, from_relation: ast.Relation | None, where: ast.Expression | None
     ) -> ast.SelectStatement:
         select_items: list[ast.SelectItem] = []
@@ -869,13 +903,11 @@ class _TwoLevelBuilder:
 def _foldable(expression: ast.Expression) -> ast.Expression:
     """``expression`` when the fold can evaluate it over the folded rows.
 
-    A subquery would need the backend and ``rand()`` the engine's random
-    stream, so a tail holding either is left to exact execution.
+    ``rand()`` would need the engine's random stream, so a tail holding it
+    is left to exact execution.
     """
     for node in expression.walk():
-        if isinstance(node, ast.ScalarSubquery) or (
-            isinstance(node, ast.FunctionCall) and is_nondeterministic_function(node.name)
-        ):
+        if isinstance(node, ast.FunctionCall) and is_nondeterministic_function(node.name):
             raise RewriteError(f"cannot fold {expression.to_sql()!r} over aggregates")
     return expression
 

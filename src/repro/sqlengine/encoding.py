@@ -308,7 +308,8 @@ def sort_indices(keys: Sequence[tuple[Array, bool]]) -> Array:
             values = ~values if values.dtype.kind in "iub" else -values
         sortable.append(values)
     # np.lexsort sorts by the last key first, so reverse the list.
-    return np.lexsort(tuple(reversed(sortable)))
+    order: Array = np.lexsort(tuple(reversed(sortable)))
+    return order
 
 
 def encode_join_keys(

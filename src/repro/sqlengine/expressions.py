@@ -343,7 +343,8 @@ def _broadcast_literal(value: object, num_rows: int) -> np.ndarray:
     return np.full(num_rows, value, dtype=object)
 
 
-def _as_float(array: np.ndarray) -> np.ndarray:
+def as_float(array: np.ndarray) -> np.ndarray:
+    """A numeric column as float64; a NULL (None) is NaN."""
     if array.dtype == object:
         return np.array(
             [np.nan if value is None else float(value) for value in array], dtype=np.float64
@@ -377,7 +378,7 @@ def _negate(operand: np.ndarray) -> np.ndarray:
         ints = operand.astype(np.int64)
         if not (ints == np.iinfo(np.int64).min).any():
             return -ints
-    return -_as_float(operand)
+    return -as_float(operand)
 
 
 _NUMERIC_OPS = {"+", "-", "*", "/", "%"}
@@ -399,8 +400,8 @@ def _evaluate_binary(expression, frame, context, subquery_evaluator):
     if op == "||":
         return functions.call_scalar("concat", context, [left, right])
     if op in _NUMERIC_OPS:
-        left_float = _as_float(left)
-        right_float = _as_float(right)
+        left_float = as_float(left)
+        right_float = as_float(right)
         if op == "+":
             return left_float + right_float
         if op == "-":
@@ -587,8 +588,8 @@ def _evaluate_case(expression, frame, context, subquery_evaluator):
         results = [r.astype(object) for r in results]
         default = default.astype(object)
     else:
-        results = [_as_float(r) for r in results]
-        default = _as_float(default)
+        results = [as_float(r) for r in results]
+        default = as_float(default)
     return np.select(masks, results, default=default)
 
 

@@ -367,8 +367,9 @@ def is_aggregate_function(name: str) -> bool:
 def _group_sum(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.ndarray:
     """Per-group sums of the non-NULL values; a group with none is NULL.
 
-    Non-NULL rows are counted only when a value is NULL or there are no rows
-    at all, so a column without NULLs costs one ``bincount``.
+    Grouping gives every group a row, so non-NULL rows need counting only
+    when a value is NULL or there is no row at all: a column without NULLs
+    costs one ``bincount``.
     """
     floats = _as_float(values)
     missing = np.isnan(floats)

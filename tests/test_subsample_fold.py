@@ -58,6 +58,12 @@ CORPUS: dict[str, tuple[str, list | None, dict]] = {
         None,
         {},
     ),
+    "having_scalar_subquery": (
+        "SELECT region, sum(price) AS s FROM sales GROUP BY region "
+        "HAVING sum(price) > (SELECT sum(price) / 4 FROM sales)",
+        None,
+        {},
+    ),
     "order_desc_limit_offset": (
         "SELECT qty, sum(price) AS s FROM sales GROUP BY qty "
         "ORDER BY sum(price) DESC LIMIT 3 OFFSET 1",
@@ -182,6 +188,10 @@ def test_fold_is_bit_identical_to_the_two_level_sql_on_the_engine(
 ):
     answer = run_corpus_statement(builtin_session, key)
     assert not answer.is_exact, answer.plan_description
+    # One statement on the backend: no combining level, no error arithmetic.
+    emitted = answer.rewritten_sql
+    assert "vdb_inner" not in emitted and "sqrt" not in emitted
+    assert ("stddev" in emitted) == ("stddev" in CORPUS[key][0])
     entry = recorded["builtin"][key]
     two_level = builtin_session.connector.execute(entry["sql"], entry["params"])
     assert answer.raw.equals(two_level), (answer.raw.fetchall(), two_level.fetchall())
@@ -235,6 +245,18 @@ def test_empty_selection_counts_zero_and_leaves_the_rest_null(
     assert grouped.num_rows == 0
 
 
+@pytest.mark.parametrize("direction", ["", " DESC"])
+def test_sqlite_group_keys_sort_as_sqlite_sorts_them(sqlite_session, direction):
+    """SQLite returns python objects; the fold orders a key of numbers by
+    value (10 after 9) and NULL first ascending, last descending, as SQLite."""
+    for column in ("store_id", "region"):
+        sql = f"SELECT {column}, count(*) AS c FROM sales GROUP BY {column} ORDER BY {column}"
+        answer = sqlite_session.sql(sql + direction)
+        assert not answer.is_exact, answer.plan_description
+        exact = sqlite_session.execute_exact(sql + direction)
+        assert list(answer.column(column)) == list(exact.column(column))
+
+
 def test_group_keys_are_numbered_from_the_backend_codes(builtin_session):
     """String group keys reuse the dictionary codes the engine attached to
     the per-subsample rows: the fold never re-encodes them."""
@@ -255,3 +277,12 @@ def test_group_keys_are_numbered_from_the_backend_codes(builtin_session):
     finally:
         encoding.encode_object_array = original
     assert calls == []
+
+
+def test_a_tail_with_rand_runs_exactly(builtin_session):
+    """The fold has no random stream of the engine's to draw ``rand()`` from."""
+    answer = builtin_session.sql(
+        "SELECT region, sum(price) * rand() AS s FROM sales GROUP BY region"
+    )
+    assert answer.is_exact
+    assert "cannot fold" in answer.plan_description
