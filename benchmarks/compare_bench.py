@@ -59,9 +59,10 @@ FLOORS: dict[str, dict[str, float]] = {
         "join": 2.0,
         "nested": 2.0,
     },
+    # Per-call budgets: ``speedup`` is budget ÷ measured, so 1.0 = in budget.
     "BENCH_api.json": {
-        "prepared_reexec": 3.0,
-        "adhoc_literals": 1.5,
+        "prepared_reexec": 1.0,
+        "adhoc_literals": 1.0,
     },
     # Resilience guard: deadline checkpoints must cost at most ~5% of a warm
     # grouped aggregation.

@@ -6,7 +6,10 @@ cluster and loading it into distributed storage.  We measure the actual
 stratified-sampling time on the generated dataset and model the two transfer
 times from the dataset's byte size and nominal link rates (the paper's
 25.8 h / 7.15 h / 0.59 h / 0.20 h bars).  A direct in-memory stratified
-sampler stands in for the tightly-integrated engine's sampling time.
+sampler stands in for the tightly-integrated engine's sampling time.  A
+hashed (universe) sample on ``l_orderkey`` is timed beside the stratified
+one: its cost is hashing the key column, where the stratified sample's is
+grouping and joining on the strata column.
 """
 
 from __future__ import annotations
@@ -45,6 +48,13 @@ def run(
         )
     )
 
+    # VerdictDB's SQL-only hashed (universe) sampling on the same table.
+    _, verdict_hashed_seconds = harness.timed(
+        lambda: verdict.create_sample(
+            "lineitem", SampleSpec("hashed", ("l_orderkey",), sample_ratio)
+        )
+    )
+
     # A tightly-integrated engine samples directly from its in-memory columns.
     integrated_seconds = _integrated_stratified_sampling_seconds(
         database.table("lineitem").columns(), "l_returnflag", sample_ratio, seed
@@ -62,6 +72,10 @@ def run(
         {
             "task": "verdictdb stratified sampling (measured)",
             "seconds": verdict_sampling_seconds,
+        },
+        {
+            "task": "verdictdb hashed sampling (measured)",
+            "seconds": verdict_hashed_seconds,
         },
         {
             "task": "integrated-engine stratified sampling (measured)",

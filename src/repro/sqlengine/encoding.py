@@ -12,9 +12,10 @@ dtype:
 * an int and a float are equal when they are the same number, exactly (as
   in SQLite): ``2**53 + 1`` never equals ``2.0**53``.
 * object (string) keys go through a sorted dictionary of normalized strings
-  (``str(value)``; NULL becomes a sentinel that sorts first), so ``1`` and
-  ``1.0`` in an object column are two keys, ``"1"`` and ``"1.0"``.  An object
-  key meets a numeric one in that same string form.
+  (``str(value)``, escaped NUL-free by :func:`escape_key`; NULL becomes a
+  sentinel that sorts before every non-empty string), so ``1`` and ``1.0``
+  in an object column are two keys, ``"1"`` and ``"1.0"``.  An object key
+  meets a numeric one in that same string form.
 
 :func:`encode_key` turns one column (plus a scan's dictionary codes, when
 they exist) into :class:`KeyCodes`: int64 codes, equal exactly when the keys
@@ -54,12 +55,13 @@ Array = NDArray[Any]
 #: ``(codes, dictionary)`` of a dictionary-encoded object column.
 Encoded = tuple[Array, Array]
 
-# NULLs normalize to a sentinel that sorts before every printable string.
-# Data values that could collide with it (anything starting with a NUL byte)
-# are escaped with a distinct prefix, so the sentinel is reserved for real
-# NULLs: ``"\0N"`` can only ever come from None, never from data.
+# NULLs normalize to a sentinel that sorts before every non-empty string.
+# Data strings are escaped so they hold no NUL character at all (each
+# ``"\0"`` becomes ``"\x01\x01"`` and each ``"\x01"`` becomes
+# ``"\x01\x02"``): the sentinel is reserved for real NULLs, and the
+# fixed-width unicode dictionary, which drops trailing NULs, cannot merge
+# ``"a"`` with ``"a\0"``.
 NULL_SENTINEL = "\0N"
-_ESCAPE_PREFIX = "\0S"
 
 # Packed multi-column codes stay below this bound; past it the packed prefix
 # is re-densified instead of silently wrapping around int64.
@@ -81,20 +83,50 @@ _COMPARE = {
 
 
 def escape_key(value: str) -> str:
-    """Escape a raw string so it can never collide with the NULL sentinel.
+    """Escape a raw string into its NUL-free dictionary form.
 
-    The escape is order- and equality-isomorphic to the raw strings: for any
-    raw ``x, y``, ``x < y`` iff ``escape_key(x) < escape_key(y)`` (both
-    prefixed strings keep their relative order, and a ``\\0``-prefixed string
-    still sorts before every unprefixed printable one).  Literals compared
-    against dictionary entries must be escaped the same way.
+    The escape maps ``"\\0"`` to ``"\\x01\\x01"`` and ``"\\x01"`` to
+    ``"\\x01\\x02"`` and leaves every other character alone.  Those two
+    sequences sort, among themselves and against every character above
+    ``"\\x01"``, as the characters they replace, and none is a prefix of
+    another, so the escape is injective and order-preserving: for any raw
+    ``x, y``, ``x < y`` iff ``escape_key(x) < escape_key(y)``.  Literals
+    compared against dictionary entries must be escaped the same way.
     """
-    return _ESCAPE_PREFIX + value if value.startswith("\0") else value
+    if "\0" in value or "\x01" in value:
+        return value.replace("\x01", "\x01\x02").replace("\0", "\x01\x01")
+    return value
 
 
 def unescape_key(entry: str) -> str:
     """Invert :func:`escape_key` for a non-sentinel dictionary entry."""
-    return entry[len(_ESCAPE_PREFIX):] if entry.startswith(_ESCAPE_PREFIX) else entry
+    if "\x01" in entry:
+        # Read left to right, each "\x01\x01" found is an escaped NUL: the
+        # only "\x01" that starts no escape is its second half, consumed
+        # by that same match.
+        return entry.replace("\x01\x01", "\0").replace("\x01\x02", "\x01")
+    return entry
+
+
+def distinct_strings(array: Array) -> tuple[Array, list[str | None]] | None:
+    """Codes by first appearance and the distinct values of an object column
+    of strings and NULLs; None when it holds anything else.
+
+    One dict pass groups the rows.  A dict merges values that compare equal,
+    which for strings (and ``None``) is exactly equal string forms; it would
+    also merge ``1``, ``1.0`` and ``True``, whose string forms differ, so a
+    column qualifies on its distinct values only.
+    """
+    rows = array.tolist()
+    try:
+        distinct = list(dict.fromkeys(rows))
+    except TypeError:  # an unhashable value
+        return None
+    if not all(value is None or isinstance(value, str) for value in distinct):
+        return None
+    position = {value: code for code, value in enumerate(distinct)}
+    codes = np.fromiter(map(position.__getitem__, rows), dtype=np.int64, count=len(rows))
+    return codes, distinct
 
 
 def encode_object_array(array: Array) -> Encoded:
@@ -102,14 +134,43 @@ def encode_object_array(array: Array) -> Encoded:
 
     Returns ``(codes, dictionary)`` where ``dictionary`` is the sorted array
     of distinct normalized values and ``codes[i]`` is the rank of row ``i``'s
-    normalized value in it.
+    normalized value in it.  A column of strings and NULLs is normalized and
+    sorted once per distinct value (:func:`distinct_strings`); any other
+    column, row by row.  Both give the same codes and dictionary.
     """
-    normalized = np.array(
-        [NULL_SENTINEL if value is None else escape_key(str(value)) for value in array],
-        dtype=str,  # an empty column must still normalize to a string array
+    grouped = distinct_strings(array)
+    if grouped is None:
+        normalized = np.array(
+            [NULL_SENTINEL if value is None else escape_key(str(value)) for value in array],
+            dtype=str,  # an empty column must still normalize to a string array
+        )
+        dictionary, codes = np.unique(normalized, return_inverse=True)
+        return codes.astype(np.int64, copy=False), dictionary
+    first_codes, distinct = grouped
+    entries = np.array(
+        [NULL_SENTINEL if value is None else escape_key(value) for value in distinct],
+        dtype=str,
     )
-    dictionary, codes = np.unique(normalized, return_inverse=True)
-    return codes.astype(np.int64, copy=False), dictionary
+    # Distinct strings escape to distinct entries, so the order is a ranking.
+    order = np.argsort(entries)
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order))
+    return ranks[first_codes], entries[order]
+
+
+def compact_encoding(codes: Array, dictionary: Array) -> Encoded:
+    """``(codes, dictionary)`` less the entries no code uses: for codes
+    selected from a larger column's encoding, exactly what
+    :func:`encode_object_array` gives for the selected rows."""
+    present = np.zeros(len(dictionary), dtype=bool)
+    present[codes] = True
+    if present.all():
+        return codes, dictionary
+    ranks = np.cumsum(present, dtype=np.int64) - 1
+    kept = dictionary[present]
+    # The narrowest width holding every kept entry, as a fresh encode has.
+    width = int(np.char.str_len(kept).max(initial=1))
+    return ranks[codes], kept.astype(f"<U{width}")
 
 
 def union_dictionaries(left: Array, right: Array) -> tuple[Array, Array | None, Array]:

@@ -330,6 +330,14 @@ class Database:
             table = Table(statement.table_name)
             for column_name, array in zip(result.column_names, result.columns()):
                 table.add_column(column_name, array)
+            # Adopt the codes the rows already have (at the source table or
+            # from this query); none is computed here.  A repeated name keeps
+            # its last column's, as add_column does.
+            encodings = dict(zip(result.column_names, result.encodings() or ()))
+            for column_name, codes in encodings.items():
+                encoded = codes.peek() if codes is not None else None
+                if encoded is not None:
+                    table.adopt_dictionary_codes(column_name, *encoded)
             self.catalog.register(table)
             return ResultSet.empty([])
         table = Table(statement.table_name)

@@ -189,7 +189,10 @@ class Executor:
                 array = table.column(column_name)
                 codes = None
                 if self._optimize and array.dtype == object:
-                    codes = LazyCodes(lambda t=table, n=column_name: t.dictionary_codes(n))
+                    codes = LazyCodes(
+                        lambda t=table, n=column_name: t.dictionary_codes(n),
+                        lambda t=table, n=column_name: t.cached_dictionary_codes(n),
+                    )
                 frame.add_column(relation.binding_name, column_name, array, codes=codes)
             if not frame.entries():
                 frame.num_rows = table.num_rows

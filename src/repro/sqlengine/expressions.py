@@ -38,20 +38,33 @@ class LazyCodes:
     Scans attach these instead of eagerly encoding every string column: the
     (memoized, table-level) encoding is only computed if an operator actually
     consumes codes.  Row selections compose lazily too, so a column that is
-    carried through joins but never used as a key costs nothing.
+    carried through joins but never used as a key costs nothing.  ``peek``
+    returns the encoding only when it already exists, here or at the source
+    table, and never encodes.
     """
 
-    __slots__ = ("_resolver", "_value")
+    __slots__ = ("_resolver", "_peek", "_value")
 
-    def __init__(self, resolver: Callable[[], tuple[np.ndarray, np.ndarray]]) -> None:
+    def __init__(
+        self,
+        resolver: Callable[[], tuple[np.ndarray, np.ndarray]],
+        peek: Callable[[], tuple[np.ndarray, np.ndarray] | None] | None = None,
+    ) -> None:
         self._resolver = resolver
+        self._peek = peek
         self._value: tuple[np.ndarray, np.ndarray] | None = None
 
     def resolve(self) -> tuple[np.ndarray, np.ndarray]:
         if self._value is None:
             self._value = self._resolver()
-            self._resolver = None
+            self._resolver = self._peek = None
         return self._value
+
+    def peek(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The encoding if computing it takes no encoding work, else None."""
+        if self._value is not None or self._peek is None:
+            return self._value
+        return self._peek()
 
     def sliced(self, indices) -> LazyCodes:
         """Lazily compose a row selection (index array, bool mask or slice)."""
@@ -60,12 +73,17 @@ class LazyCodes:
             codes, dictionary = self.resolve()
             return codes[indices], dictionary
 
-        return LazyCodes(resolver)
+        def peek() -> tuple[np.ndarray, np.ndarray] | None:
+            encoded = self.peek()
+            return None if encoded is None else (encoded[0][indices], encoded[1])
+
+        return LazyCodes(resolver, peek)
 
     @classmethod
     def presolved(cls, codes: np.ndarray, dictionary: np.ndarray) -> LazyCodes:
         """Wrap an already computed ``(codes, dictionary)`` pair."""
-        return cls(lambda: (codes, dictionary))
+        pair = (codes, dictionary)
+        return cls(lambda: pair, lambda: pair)
 
 
 class ScanSource:
@@ -340,7 +358,11 @@ def _broadcast_literal(value: object, num_rows: int) -> np.ndarray:
         return np.full(num_rows, int(value), dtype=np.int64)
     if isinstance(value, (float, np.floating)):
         return np.full(num_rows, float(value), dtype=np.float64)
-    return np.full(num_rows, value, dtype=object)
+    # Not np.full: it reads a str through a unicode array, which drops
+    # trailing NULs.
+    column = np.empty(num_rows, dtype=object)
+    column.fill(value)
+    return column
 
 
 def as_float(array: np.ndarray) -> np.ndarray:

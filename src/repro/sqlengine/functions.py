@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.errors import BindParameterError, ExecutionError
 from repro.sqlengine import sketches
-from repro.sqlengine.encoding import KeyCodes, encode_key, group_rows_encoded
+from repro.sqlengine.encoding import (
+    KeyCodes,
+    distinct_strings,
+    encode_key,
+    group_rows_encoded,
+)
 
 
 class EvaluationContext:
@@ -229,10 +234,29 @@ def _fn_concat(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
 
 
 def _crc32(values: np.ndarray) -> np.ndarray:
-    """CRC-32 of each value's string form; NULL hashes as the empty string."""
-    strings = _string_array(values)
+    """CRC-32 of each value's string form; NULL hashes as the empty string.
+
+    Each distinct value is hashed once where the key codec's equality
+    implies equal string forms: int and bool columns (a group's
+    representative comes from the column itself, as ``str(True)`` is
+    ``"True"``) and object columns of strings and NULLs.  Float columns are
+    hashed row by row, since the codec merges ``-0.0`` with ``0.0``, and so
+    is an object column holding anything but strings and NULLs.
+    """
+    if values.dtype.kind in "iub":
+        inverse, first = group_rows_encoded([encode_key(values)], len(values))
+        return _crc32_strings(values[first].tolist())[inverse]
+    if values.dtype == object and (grouped := distinct_strings(values)) is not None:
+        codes, distinct = grouped
+        return _crc32_strings(distinct)[codes]
+    return _crc32_strings(_string_array(values))
+
+
+def _crc32_strings(values: Sequence) -> np.ndarray:
+    """CRC-32 of each value's ``str`` form, None hashing as ``""``."""
     return np.array(
-        [zlib.crc32(("" if s is None else s).encode("utf-8")) for s in strings], dtype=np.int64
+        [zlib.crc32(("" if s is None else str(s)).encode("utf-8")) for s in values],
+        dtype=np.int64,
     )
 
 

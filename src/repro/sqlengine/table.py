@@ -13,7 +13,10 @@ joins the parts on the first read after an append and keeps the result as
 the only part.  What is derived from a column (the dictionary encoding, a
 "not a key" verdict) is extended by an append when it is current, at a cost
 proportional to the batch; any other mutation invalidates it through the
-table's version counter and it is rebuilt lazily on the next request.
+table's version counter and it is rebuilt lazily on the next request.  A
+table made by ``CREATE TABLE ... AS SELECT`` adopts the dictionary codes
+its rows already had (:meth:`Table.adopt_dictionary_codes`), so a copied
+string column is not encoded a second time.
 :meth:`Table.key_index` — a sorted index of a unique numeric column, built
 on a join's first request — lets joining a small input to a whole table
 cost the small input.
@@ -29,6 +32,8 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.sqlengine.encoding import (
+    Encoded,
+    compact_encoding,
     encode_key,
     encode_object_array,
     exact_cast,
@@ -252,12 +257,33 @@ class Table:
         """
         if self.column_dtype(name) != object:
             return None
-        cached = self._dictionary_cache.get(name)
-        if cached is not None and cached[0] == self._version:
-            return cached[1], cached[2]
+        cached = self.cached_dictionary_codes(name)
+        if cached is not None:
+            return cached
         codes, dictionary = encode_object_array(self.column(name))
         self._dictionary_cache[name] = (self._version, codes, dictionary)
         return codes, dictionary
+
+    def cached_dictionary_codes(self, name: str) -> Encoded | None:
+        """The column's current dictionary encoding if one is memoized, else
+        None; never encodes."""
+        cached = self._dictionary_cache.get(name)
+        if cached is None or cached[0] != self._version:
+            return None
+        return cached[1], cached[2]
+
+    def adopt_dictionary_codes(
+        self, name: str, codes: np.ndarray, dictionary: np.ndarray
+    ) -> None:
+        """Memoize an object column's encoding computed elsewhere.
+
+        ``codes`` are the column's rows against a sorted ``dictionary`` that
+        may hold more entries (the codes a ``SELECT`` carried from its source
+        table); the unused entries are dropped, so the result is exactly what
+        encoding the rows gives.
+        """
+        codes, dictionary = compact_encoding(codes, dictionary)
+        self._dictionary_cache[name] = (self._version, codes, dictionary)
 
     def distinct_count(self, name: str) -> int:
         """Number of distinct non-NULL values in a column.
@@ -425,9 +451,9 @@ class Table:
             # Widening changes the representation of every stored row.
             parts = [coerce_column(new.dtype, part) for part in parts]
         elif new.dtype == object:
-            encoded = self._dictionary_cache.get(name)
-            if encoded is not None and encoded[0] == self._version:
-                encoding = _extend_encoding(encoded[1], encoded[2], new)
+            current = self.cached_dictionary_codes(name)
+            if current is not None:
+                encoding = _extend_encoding(*current, new)
         self._parts[name] = [*parts, new]
         return encoding
 

@@ -108,6 +108,7 @@ class TestExperimentRuns:
         sampling = by_task["verdictdb stratified sampling (measured)"]
         transfer = by_task["data transfer to remote cluster (modelled)"]
         assert sampling > 0 and transfer > 0
+        assert by_task["verdictdb hashed sampling (measured)"] > 0
 
     def test_figure12_14(self):
         records = figure12_14_tradeoffs.run_subsample_size_sweep(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro
 from repro import ExecutionOptions
@@ -573,8 +573,13 @@ SEMANTIC_VALUES = {
     "int": st.one_of(st.sampled_from(EDGE_INTS), st.integers(-3, 3)),
     "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.integers(-3, 3).map(float)),
     "bool": st.booleans(),
-    "object": st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "B", "\x00a"])),
+    "object": st.one_of(
+        st.none(),
+        st.sampled_from(["", "a", "ab", "b", "B", "\x00a", "a\x00", "\x00", "\x00\x00", "\x01"]),
+    ),
 }
+# Strings that differ only by trailing NULs: five keys on both backends.
+NUL_STRINGS = ["a", "a\x00", "\x00", "\x00\x00", ""]
 SEMANTIC_DTYPES = {"int": np.int64, "float": np.float64, "bool": bool, "object": object}
 # An int column drawn from one of these nine-value ranges has a span of 9:
 # coded by offset from five rows on, sorted below that.
@@ -619,6 +624,8 @@ SEMANTIC_STATEMENTS = [
     ("SELECT DISTINCT k FROM t", False),
     ("SELECT count(DISTINCT k) AS n FROM t", True),
     ("SELECT count(DISTINCT j) AS n FROM u", True),
+    ("SELECT k, count(*) AS n FROM t WHERE k IS NOT NULL GROUP BY k ORDER BY k", True),
+    ("SELECT count(DISTINCT k) AS n, count(*) AS m FROM t WHERE k IS NOT NULL", True),
     ("SELECT rid FROM t WHERE k IN (?, ?)", False),
     ("SELECT rid FROM t WHERE k = ?", False),
     ("SELECT rid FROM t WHERE k < ?", False),
@@ -636,12 +643,22 @@ SEMANTIC_STATEMENTS = [
 
 
 @given(semantic_tables())
+@example(
+    (
+        {
+            "t": {"k": np.array(NUL_STRINGS, dtype=object), "rid": np.arange(5)},
+            "u": {"j": np.array(NUL_STRINGS[::-1], dtype=object), "rid": np.arange(5)},
+        },
+        ["a\x00", "\x00"],
+    )
+)
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_key_semantics_match_sqlite(both_backends, answers, case):
     """JOIN, GROUP BY, DISTINCT, COUNT(DISTINCT), IN, ``=``, ``<``, ``>`` and
     ORDER BY over int64 keys around ±2**53 and at int64 min/max, float64
-    keys with NaN, ±0.0 and ±inf, bool keys and string keys with None, as
-    SQLite answers them.
+    keys with NaN, ±0.0 and ±inf, bool keys and string keys with None and
+    NULs (the explicit example holds five strings that differ only by
+    trailing NULs), as SQLite answers them.
 
     Normalisation: a float NaN is the engine's NULL and SQLite stores it as
     NULL, so NaN in an answer reads as None; bool answers read as 0/1 and
