@@ -25,7 +25,16 @@ Each workload runs three ways — the full middleware over
 (the naive engine: no planner, no caches, no dictionary codes), and exact
 execution of the original query — and asserts that both middleware modes
 return identical rows (the samples are seeded identically, so the rewritten
-queries must agree bit for bit).
+queries must agree bit for bit).  Each mode's time is the median of its
+per-call seconds.
+
+``flat`` and ``join`` are floored on ``speedup``, naive ÷ optimized.
+``nested`` has a per-call budget instead, as ``BENCH_api.json`` does
+(``speedup`` = budget ÷ optimized median, floor 1.0): its naive baseline
+got 2–3.5× faster when scramble preparation went per distinct value, so a
+ratio against it measured the naive engine more than the hot path.  The
+budget, 4 ms, is about twice the optimized median on a 2-core box (1.8–2.0
+ms over three full runs), so a nested call slowed by ~2 ms fails its floor.
 
 Results are written to ``benchmarks/BENCH_verdict.json``.  Run standalone
 with ``PYTHONPATH=src python benchmarks/bench_verdict_hotpath.py`` — the
@@ -38,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -85,7 +95,8 @@ WORKLOADS = {
             "WHERE t.city <> 'la'"
         ),
         "repeats": 12,
-        "floor": 2.0,
+        "budget_ms": 4.0,
+        "floor": 1.0,
     },
 }
 
@@ -124,22 +135,26 @@ def _build_context(optimize: bool, quick: bool = False) -> VerdictSession:
     return context
 
 
+def _median_seconds(call, repeats: int):
+    """The median per-call seconds of ``call()`` and its last result."""
+    seconds = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = call()
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds), result
+
+
 def _time_middleware(context: VerdictSession, sql: str, repeats: int):
     result = context.sql(sql)  # warmup: fills analysis/rewrite/statement caches
     if result.is_exact:
         raise AssertionError(f"workload fell back to exact execution: {sql}")
-    started = time.perf_counter()
-    for _ in range(repeats):
-        result = context.sql(sql)
-    return (time.perf_counter() - started) / repeats, result
+    return _median_seconds(lambda: context.sql(sql), repeats)
 
 
 def _time_exact(context: VerdictSession, sql: str, repeats: int) -> float:
     context.execute_exact(sql)  # warmup
-    started = time.perf_counter()
-    for _ in range(repeats):
-        context.execute_exact(sql)
-    return (time.perf_counter() - started) / repeats
+    return _median_seconds(lambda: context.execute_exact(sql), repeats)[0]
 
 
 def run(quick: bool = False) -> dict:
@@ -168,7 +183,7 @@ def run(quick: bool = False) -> dict:
         if not optimized_result.raw.equals(baseline_result.raw):
             raise AssertionError(f"workload {name!r}: optimize=True changed the results")
         exact_seconds = _time_exact(optimized, spec["sql"], repeats)
-        report["workloads"][name] = {
+        entry = report["workloads"][name] = {
             "baseline_seconds": round(baseline_seconds, 6),
             "optimized_seconds": round(optimized_seconds, 6),
             "exact_seconds": round(exact_seconds, 6),
@@ -177,6 +192,11 @@ def run(quick: bool = False) -> dict:
             "floor": spec["floor"],
             "repeats": repeats,
         }
+        if "budget_ms" in spec:
+            budget = spec["budget_ms"] / 1000.0
+            entry["budget_seconds"] = budget
+            entry["naive_vs_optimized"] = entry["speedup"]
+            entry["speedup"] = round(budget / optimized_seconds, 2)
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -190,7 +210,7 @@ def test_verdict_hotpath_speedups(report):
     for name, metrics in records["workloads"].items():
         # Conservative floors (observed speedups are far higher; see
         # BENCH_verdict.json): the optimized engine must at least double
-        # throughput on the join and nested AQP shapes.
+        # throughput on the join shape, and a nested call stay in budget.
         assert metrics["speedup"] >= metrics["floor"], (name, metrics)
 
 

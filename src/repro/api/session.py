@@ -5,10 +5,12 @@ connector to the underlying database, the sample builder/maintainer, the
 sample planner, the rewriter and its caches (templates by text over analysed
 shapes, facts read from the backend, sample plans, prepared rewrites).  It
 mirrors the deployment picture of Figure 1: the application sends SQL to the
-session, the session plans samples, rewrites the query, sends the rewritten
-SQL to the underlying database through the connector, and folds the returned
-per-subsample rows into an approximate answer with error estimates.  Unsupported queries are
-passed through unchanged.
+session, the session plans samples, rewrites the query into its parts (one
+per aggregate kind, Section 2.2), runs them on the underlying database
+through the connector under one consistent read, and hands their rows to the
+rewrite's :class:`~repro.core.rewriter.SubsampleFold`, the one place an
+approximate answer with error estimates is put together.  Unsupported
+queries are passed through unchanged.
 
 Per-query settings — confidence, error columns, mode, accuracy contract —
 arrive as one :class:`~repro.api.options.ExecutionOptions` per call (the
@@ -55,7 +57,7 @@ from repro.api.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.cache import LRUCache
 from repro.connectors.base import Connector
 from repro.connectors.builtin import BuiltinConnector
-from repro.core.answer import ApproximateResult, merge_by_group
+from repro.core.answer import ApproximateResult
 from repro.core.flattener import flatten
 from repro.core.hac import AccuracyContract
 from repro.core.query_info import QueryAnalysis, analyze
@@ -81,7 +83,6 @@ from repro.sampling.metadata import MetadataStore
 from repro.sampling.params import SampleInfo, SampleSpec, SamplingPolicyConfig
 from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.engine import Database
-from repro.sqlengine.expressions import contains_aggregate
 from repro.sqlengine.resultset import ResultSet
 
 
@@ -632,72 +633,24 @@ class VerdictSession:
         prepared = self._prepare_rewrite(
             statement, analysis, plan, options.include_errors, shape_key, token
         )
-        if prepared is None:
-            result = self.connector.execute(statement, params, deadline=deadline)
-            answer = ApproximateResult(result, is_exact=True, confidence=options.confidence)
-            answer.plan_description = "exact execution (mixed aggregate kinds in one item)"
-            return answer
-
-        group_names = prepared.group_names
-        primary_result: ResultSet | None = None
-        estimate_columns: dict[str, str | None] = {}
-
+        output = prepared.output
         # Execute the pre-rendered SQL text: on cache hits this skips the
         # per-call AST-to-SQL rendering entirely, and because the text still
         # carries the (named) placeholders it is byte-identical across
         # parameter sets — the engine's statement/plan caches hit too.  The
         # parts run under one consistent-read block so a concurrent session's
-        # DML cannot land between them (a merged answer must not mix two
-        # data versions).
+        # DML cannot land between them (one answer must not mix two data
+        # versions); the fold then makes their rows one answer.
         with self.connector.consistent_read():
-            if prepared.primary is not None:
-                rows = self.connector.execute(prepared.primary_sql, params, deadline=deadline)
-                # The backend returned one row per (group, subsample): fold
-                # them into the answer and its error bars.
-                primary_result = prepared.primary.fold.apply(
-                    rows, params, partial(self._scalar_subquery, params, deadline)
-                )
-                estimate_columns.update(prepared.primary.estimate_columns)
-
-            secondary_results: list[tuple[ResultSet, dict[str, str | None]]] = []
-            if prepared.distinct is not None:
-                secondary_results.append(
-                    (
-                        self.connector.execute(
-                            prepared.distinct_sql, params, deadline=deadline
-                        ),
-                        prepared.distinct.estimate_columns,
-                    )
-                )
-            if prepared.extreme_statement is not None:
-                secondary_results.append(
-                    (
-                        self.connector.execute(
-                            prepared.extreme_sql, params, deadline=deadline
-                        ),
-                        prepared.extreme_columns,
-                    )
-                )
-
-        if primary_result is None:
-            # No mean-like part: promote the first secondary result to primary.
-            primary_result, columns = secondary_results.pop(0)
-            estimate_columns.update(columns)
-
-        merged = primary_result
-        for secondary, columns in secondary_results:
-            value_columns = list(columns) + [
-                error for error in columns.values() if error
-            ]
-            merged = merge_by_group(merged, secondary, group_names, value_columns)
-            estimate_columns.update(columns)
-
-        merged = _reorder_columns(merged, statement, estimate_columns)
-        self.last_rewritten_sql = ";\n".join(prepared.rewritten_sql_parts)
+            parts = [self.connector.execute(sql, params, deadline=deadline) for sql in prepared.sql]
+            answer = output.fold.apply(
+                *parts, params=params, subquery=partial(self._scalar_subquery, params, deadline)
+            )
+        self.last_rewritten_sql = ";\n".join(prepared.sql)
         return ApproximateResult(
-            merged,
-            group_columns=group_names,
-            estimate_columns=estimate_columns,
+            answer,
+            group_columns=output.group_columns,
+            estimate_columns=output.estimate_columns,
             confidence=options.confidence,
             is_exact=False,
             rewritten_sql=self.last_rewritten_sql,
@@ -721,13 +674,8 @@ class VerdictSession:
         include_errors: bool,
         shape_key: str | None,
         token: object,
-    ) -> PreparedRewrite | None:
-        """Decompose and rewrite a query, reusing the per-plan rewrite cache.
-
-        Returns None when a single select item mixes aggregate kinds (the
-        query must then run exactly; that verdict is cheap to recompute, so
-        it is not cached).
-        """
+    ) -> PreparedRewrite:
+        """Rewrite a query and render its parts, reusing the per-plan rewrite cache."""
         key: tuple | None = None
         if shape_key is not None:
             key = (shape_key, plan_signature(plan), include_errors)
@@ -736,122 +684,10 @@ class VerdictSession:
                 self.connector.record_stat("rewrite_cache_hits")
                 return cached
             self.connector.record_stat("rewrite_cache_misses")
-
-        parts = self._decompose(statement, analysis)
-        if parts is None:
-            return None
-        mean_statement, distinct_statement, extreme_statement, group_names = parts
-
-        rewriter = AqpRewriter(include_errors=include_errors)
-        prepared = PreparedRewrite(group_names=group_names)
-        if mean_statement is not None:
-            mean_analysis = analyze(mean_statement)
-            prepared.primary = rewriter.rewrite(mean_statement, mean_analysis, plan)
-            prepared.primary_sql = self.connector.syntax_changer.to_sql(
-                prepared.primary.statement
-            )
-            prepared.rewritten_sql_parts.append(prepared.primary_sql)
-        if distinct_statement is not None:
-            distinct_analysis = analyze(distinct_statement)
-            prepared.distinct = rewriter.rewrite_count_distinct(
-                distinct_statement, distinct_analysis, plan
-            )
-            prepared.distinct_sql = self.connector.syntax_changer.to_sql(
-                prepared.distinct.statement
-            )
-            prepared.rewritten_sql_parts.append(prepared.distinct_sql)
-        if extreme_statement is not None:
-            prepared.extreme_statement = extreme_statement
-            prepared.extreme_sql = self.connector.syntax_changer.to_sql(extreme_statement)
-            prepared.extreme_columns = {
-                item.output_name(index): None
-                for index, item in enumerate(extreme_statement.select_items)
-                if contains_aggregate(item.expression)
-            }
-            prepared.rewritten_sql_parts.append(prepared.extreme_sql)
-
+        output = AqpRewriter(include_errors=include_errors).rewrite(statement, analysis, plan)
+        prepared = PreparedRewrite(
+            output, [self.connector.syntax_changer.to_sql(part) for part in output.parts]
+        )
         if key is not None:
             self._rewrite_cache.put(key, prepared, token)
         return prepared
-
-    def _decompose(
-        self, statement: ast.SelectStatement, analysis: QueryAnalysis
-    ) -> tuple[
-        ast.SelectStatement | None,
-        ast.SelectStatement | None,
-        ast.SelectStatement | None,
-        list[str],
-    ] | None:
-        """Split the select list by aggregate kind (Section 2.2 decomposition).
-
-        Returns ``(mean_like, count_distinct, extreme, group_output_names)``;
-        any of the three statements may be None.  Returns None when a single
-        select item mixes aggregate kinds (the query then runs exactly).
-        """
-        kinds_per_item: dict[int, set[str]] = {}
-        for aggregate in analysis.aggregates:
-            kinds_per_item.setdefault(aggregate.item_index, set()).add(aggregate.kind)
-        if any(len(kinds) > 1 for kinds in kinds_per_item.values()):
-            return None
-
-        group_items: list[tuple[int, ast.SelectItem]] = []
-        items_by_kind: dict[str, list[tuple[int, ast.SelectItem]]] = {
-            "mean_like": [],
-            "count_distinct": [],
-            "extreme": [],
-        }
-        group_names: list[str] = []
-        for index, item in enumerate(statement.select_items):
-            if not contains_aggregate(item.expression):
-                named = ast.SelectItem(item.expression, alias=item.output_name(index))
-                group_items.append((index, named))
-                group_names.append(item.output_name(index))
-                continue
-            kind = kinds_per_item.get(index, {"mean_like"}).pop()
-            named = ast.SelectItem(item.expression, alias=item.output_name(index))
-            items_by_kind[kind].append((index, named))
-
-        def build(kind: str, keep_post_clauses: bool) -> ast.SelectStatement | None:
-            if not items_by_kind[kind]:
-                return None
-            chosen = sorted(group_items + items_by_kind[kind], key=lambda pair: pair[0])
-            replacement = dataclasses.replace(
-                statement, select_items=[item for _, item in chosen]
-            )
-            if not keep_post_clauses:
-                replacement = dataclasses.replace(
-                    replacement, having=None, order_by=[], limit=None, offset=None
-                )
-            return replacement
-
-        has_mean = bool(items_by_kind["mean_like"])
-        mean_statement = build("mean_like", keep_post_clauses=True)
-        distinct_statement = build("count_distinct", keep_post_clauses=not has_mean)
-        extreme_statement = build(
-            "extreme", keep_post_clauses=not has_mean and not items_by_kind["count_distinct"]
-        )
-        return mean_statement, distinct_statement, extreme_statement, group_names
-
-
-def _reorder_columns(
-    result: ResultSet,
-    statement: ast.SelectStatement,
-    estimate_columns: dict[str, str | None],
-) -> ResultSet:
-    """Put the merged result's columns back into the original select order.
-
-    Each estimate's error column (when present) immediately follows it, which
-    is also where users expect it when they opt into error reporting.
-    """
-    desired: list[str] = []
-    for index, item in enumerate(statement.select_items):
-        name = item.output_name(index)
-        if name in result.column_names and name not in desired:
-            desired.append(name)
-            error_name = estimate_columns.get(name)
-            if error_name and result.has_column(error_name):
-                desired.append(error_name)
-    for name in result.column_names:
-        if name not in desired:
-            desired.append(name)
-    return ResultSet(desired, [result.column(name) for name in desired])

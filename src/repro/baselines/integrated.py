@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.query_info import analyze
+from repro.core.query_info import MEAN_LIKE, analyze
 from repro.errors import UnsupportedQueryError
 from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.engine import Database
@@ -123,7 +123,7 @@ class IntegratedAqpEngine:
         analysis = analyze(statement)
         scale_columns = set()
         for aggregate in analysis.aggregates:
-            if aggregate.node.name.lower() in ("count", "sum") and not aggregate.node.distinct:
+            if aggregate.kind == "mean_like" and MEAN_LIKE[aggregate.node.name.lower()] == "total":
                 scale_columns.add(aggregate.output_name)
         columns = []
         for name, column in zip(raw.column_names, raw.columns()):

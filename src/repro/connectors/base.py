@@ -150,10 +150,10 @@ class Connector(abc.ABC):
     def consistent_read(self):
         """Context manager making several reads see one backend state.
 
-        The session wraps a decomposed approximate query's parts (primary /
-        count-distinct / extreme statements) in this so their results cannot
-        straddle another session's DML — one merged answer must not mix two
-        data versions.  Default: a no-op (backends without shared-engine
+        The session wraps a decomposed approximate query's parts (mean-like
+        / count-distinct / extreme statements) in this so their results
+        cannot straddle another session's DML — one stitched answer must not
+        mix two data versions.  Default: a no-op (backends without shared-engine
         concurrency have nothing to snapshot); the builtin connector holds
         the engine's shared read lock across the block.
         """

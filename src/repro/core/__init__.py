@@ -1,6 +1,6 @@
 """The VerdictDB middleware: planner, rewriter and answer rewriter."""
 
-from repro.core.answer import ApproximateResult, merge_by_group
+from repro.core.answer import ApproximateResult
 from repro.core.flattener import flatten
 from repro.core.hac import AccuracyContract
 from repro.core.query_info import QueryAnalysis, analyze
@@ -18,5 +18,4 @@ __all__ = [
     "SamplePlanner",
     "analyze",
     "flatten",
-    "merge_by_group",
 ]

@@ -143,46 +143,3 @@ class ApproximateResult:
             f"estimates={list(self.estimate_columns)})"
         )
 
-
-def merge_by_group(
-    primary: ResultSet,
-    secondary: ResultSet,
-    group_columns: list[str],
-    value_columns: list[str],
-) -> ResultSet:
-    """Attach ``value_columns`` of ``secondary`` to ``primary`` matched on group keys.
-
-    Used when a query is decomposed (mean-like vs. count-distinct vs. extreme
-    parts, Section 2.2): each part produces the same grouping keys, and their
-    aggregate columns are stitched back together here.  Groups missing from
-    the secondary result yield NaN.
-    """
-    if not group_columns:
-        # Single-row results: simple column concatenation.
-        columns = list(primary.columns())
-        names = list(primary.column_names)
-        for column in value_columns:
-            names.append(column)
-            if secondary.num_rows:
-                columns.append(np.asarray([secondary.column(column)[0]]))
-            else:
-                columns.append(np.array([np.nan]))
-        return ResultSet(names, columns)
-
-    secondary_index: dict[tuple, int] = {}
-    for row_index in range(secondary.num_rows):
-        key = tuple(str(secondary.column(name)[row_index]) for name in group_columns)
-        secondary_index[key] = row_index
-
-    names = list(primary.column_names)
-    columns = list(primary.columns())
-    for column in value_columns:
-        values = np.full(primary.num_rows, np.nan, dtype=object)
-        source = secondary.column(column)
-        for row_index in range(primary.num_rows):
-            key = tuple(str(primary.column(name)[row_index]) for name in group_columns)
-            if key in secondary_index:
-                values[row_index] = source[secondary_index[key]]
-        names.append(column)
-        columns.append(values)
-    return ResultSet(names, columns)

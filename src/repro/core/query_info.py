@@ -11,6 +11,12 @@ its aggregates should be decomposed (Section 2.2):
 * *count-distinct* aggregates are answered from a hashed (universe) sample;
 * *extreme* aggregates (min/max) are computed exactly on the base tables;
 * anything else makes the query unsupported.
+
+Every aggregate counts, wherever it stands: the select list, HAVING and
+ORDER BY.  So a ``count(DISTINCT)`` that only filters groups still asks the
+planner for a hashed sample, and an unsupported aggregate in the tail sends
+the query to exact execution.  :data:`MEAN_LIKE` is the one list of
+mean-like names; the rewriter reads from it how the fold combines each one.
 """
 
 from __future__ import annotations
@@ -22,23 +28,34 @@ from repro.sqlengine.expressions import contains_aggregate
 from repro.sqlengine.functions import is_aggregate_function
 
 
-MEAN_LIKE = frozenset(
-    {
-        "count", "sum", "avg", "mean", "stddev", "stddev_samp", "stddev_pop",
-        "var", "variance", "var_samp", "var_pop", "median", "percentile",
-        "quantile", "percentile_disc",
-    }
-)
+#: The mean-like aggregates, each with how the fold combines the estimates
+#: of its subsamples: a ``total`` adds them up, a ``mean`` divides summed
+#: numerators by summed denominators, a ``statistic`` averages them weighted
+#: by subsample size (see :class:`~repro.core.rewriter.SubsampleFold`).
+MEAN_LIKE: dict[str, str] = {
+    "count": "total", "sum": "total", "avg": "mean", "mean": "mean",
+    **dict.fromkeys(
+        (
+            "stddev", "stddev_samp", "stddev_pop", "var", "variance", "var_samp",
+            "var_pop", "median", "percentile", "quantile", "percentile_disc",
+        ),
+        "statistic",
+    ),
+}
 EXTREME = frozenset({"min", "max"})
 
 
 @dataclass(frozen=True)
 class AggregateRef:
-    """One aggregate call found in the select list (or HAVING / ORDER BY)."""
+    """One aggregate call found in the select list, HAVING or ORDER BY.
+
+    ``item_index`` / ``output_name`` name the select item holding it; both
+    are None for an aggregate of the tail.
+    """
 
     node: ast.FunctionCall
-    item_index: int
-    output_name: str
+    item_index: int | None
+    output_name: str | None
     kind: str  # 'mean_like' | 'count_distinct' | 'extreme' | 'unsupported'
 
     @property
@@ -105,18 +122,22 @@ def analyze(statement: ast.SelectStatement) -> QueryAnalysis:
         expr.name for expr in statement.group_by if isinstance(expr, ast.ColumnRef)
     ]
 
-    for index, item in enumerate(statement.select_items):
-        if isinstance(item.expression, ast.Star):
-            continue
-        for node in item.expression.walk():
+    places: list[tuple[ast.Expression, int | None, str | None]] = [
+        (item.expression, index, item.output_name(index))
+        for index, item in enumerate(statement.select_items)
+        if not isinstance(item.expression, ast.Star)
+    ]
+    if statement.having is not None:
+        places.append((statement.having, None, None))
+    places.extend((item.expression, None, None) for item in statement.order_by)
+    for expression, index, name in places:
+        for node in expression.walk():
             if isinstance(node, ast.FunctionCall) and is_aggregate_function(node.name):
                 if any(contains_aggregate(argument) for argument in node.args):
                     continue
                 analysis.aggregates.append(
                     AggregateRef(
-                        node=node,
-                        item_index=index,
-                        output_name=item.output_name(index),
+                        node=node, item_index=index, output_name=name,
                         kind=classify_aggregate(node),
                     )
                 )

@@ -1,24 +1,33 @@
 """AQP Rewriter: turns an exact aggregate query into its approximate form.
 
-The rewrite follows Appendix G, split between the backend and the
-middleware.  The backend runs one statement over the chosen sample tables
-that, for every (grouping keys, subsample id) combination, computes the
-Horvitz–Thompson building blocks of each aggregate plus the subsample's
-size: ``GROUP BY <keys>, vdb_sid``, nothing beyond ``SUM`` and ``COUNT``
-(and the statistic itself for ``stddev``-like aggregates).  The middleware
-folds the rows it returns (:class:`SubsampleFold`):
+A query is split by aggregate kind (Section 2.2) into at most three parts,
+none of which carries the statement's tail:
 
-* the **answer** is the full-sample estimate (the per-subsample partial sums
+* the **mean-like part** follows Appendix G, split between the backend and
+  the middleware.  The backend runs one statement over the chosen sample
+  tables that, for every (grouping keys, subsample id) combination, computes
+  the Horvitz–Thompson building blocks of each aggregate plus the
+  subsample's size: ``GROUP BY <keys>, vdb_sid``, nothing beyond ``SUM`` and
+  ``COUNT`` (and the statistic itself for ``stddev``-like aggregates).  The
+  **answer** is the full-sample estimate (the per-subsample partial sums
   added back together — for ``sum``/``count`` this is exactly the
-  Horvitz–Thompson estimator, for ``avg`` the ratio estimator);
-* the **error** is the variational-subsampling standard error
+  Horvitz–Thompson estimator, for ``avg`` the ratio estimator); the
+  **error** is the variational-subsampling standard error
   ``stddev(est_i) * sqrt(avg(sub_size)) / sqrt(sum(sub_size))`` where
   ``est_i`` is the i-th subsample's own estimate of the aggregate
-  (Theorem 2).  For totals (``sum``/``count``) the subsample's partial sum is
-  scaled by the number of subsamples ``b`` to make it a full-group estimate;
+  (Theorem 2).  For totals (``sum``/``count``) the subsample's partial sum
+  is scaled by the number of subsamples ``b`` to make it a full-group
+  estimate;
+* the **count-distinct part** runs per group over a hashed sample, scaled
+  by its ratio, with a binomial error (:meth:`AqpRewriter.rewrite_count_distinct`);
+* the **extreme part** runs min / max exactly, per group, over the base
+  tables.
 
-and then applies the statement's tail — select-list arithmetic over
-aggregates, HAVING, ORDER BY, LIMIT and OFFSET — to the folded groups.
+The middleware's :class:`SubsampleFold` is the one place the answer is put
+together: it folds the mean-like rows, stitches the other parts to their
+groups on the key codec, and then applies the statement's tail — select-list
+arithmetic over aggregates of any kind, HAVING, ORDER BY, LIMIT and OFFSET —
+once.
 
 Joins of two sample tables combine their subsample ids with ``h(i, j)``
 (Theorem 4) and multiply their inclusion probabilities.  Nested aggregate
@@ -38,12 +47,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.query_info import QueryAnalysis
+from repro.core.query_info import MEAN_LIKE, QueryAnalysis
 from repro.core.sample_planner import SamplePlan
 from repro.errors import RewriteError
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import sqlast as ast
-from repro.sqlengine.encoding import encode_key, group_rows_encoded, sort_indices
+from repro.sqlengine.encoding import (
+    encode_join_keys,
+    encode_key,
+    group_rows_encoded,
+    sort_indices,
+)
 from repro.sqlengine.expressions import (
     Frame,
     as_float,
@@ -56,7 +70,6 @@ from repro.sqlengine.functions import (
     aggregate,
     group_dispersions,
     group_sums,
-    is_aggregate_function,
     is_nondeterministic_function,
 )
 from repro.sqlengine.resultset import ResultSet
@@ -68,57 +81,37 @@ ROWS_ALIAS = "vdb_rows"
 #: The fold's name for the i-th aggregate's estimate in tail expressions.
 ESTIMATE_PREFIX = "vdb_est_"
 
-_TOTAL_AGGREGATES = frozenset({"count", "sum"})
-_MEAN_AGGREGATES = frozenset({"avg", "mean"})
-_STATISTIC_AGGREGATES = frozenset(
-    {
-        "stddev", "stddev_samp", "stddev_pop", "var", "variance", "var_samp", "var_pop",
-        "median", "percentile", "quantile", "percentile_disc",
-    }
-)
-
-
 @dataclass
 class RewriteOutput:
-    """The statement the backend runs plus the schema of the answer.
+    """The statements the backend runs and the fold that makes them one answer.
 
-    ``fold`` turns the statement's per-(group, sid) rows into the answer;
-    it is None when the statement's result already is the answer (the
-    count-distinct rewrite).
+    ``parts`` are the Section 2.2 parts, at most one per aggregate kind, in
+    the order the fold reads their rows (``fold.parts`` names each one's
+    kind); ``statement`` is the first of them.
     """
 
-    statement: ast.SelectStatement
+    parts: list[ast.SelectStatement]
+    fold: SubsampleFold
     group_columns: list[str] = field(default_factory=list)
     estimate_columns: dict[str, str | None] = field(default_factory=dict)
     plan: SamplePlan | None = None
-    subsample_count: int = 100
-    fold: SubsampleFold | None = None
 
     @property
-    def error_columns(self) -> list[str]:
-        return [name for name in self.estimate_columns.values() if name]
+    def statement(self) -> ast.SelectStatement:
+        return self.parts[0]
 
 
 @dataclass
 class PreparedRewrite:
-    """Everything the middleware derives from one (query, sample plan) pair.
+    """A rewrite and each part's SQL as the connector renders it.
 
-    Produced once by decomposition + rewriting and then reused verbatim for
-    every repetition of the query, so dashboards and repeated workloads only
-    pay execution cost — not parse/flatten/analyze/rewrite cost — per call.
-    The rendered SQL of each part is kept alongside its statement so cache
-    hits execute the stored text directly instead of re-rendering the AST.
+    Produced once per (query shape, sample plan) and then reused verbatim,
+    so repetitions only pay execution cost: cache hits execute the stored
+    text instead of re-rendering the AST.
     """
 
-    primary: RewriteOutput | None = None
-    primary_sql: str | None = None
-    distinct: RewriteOutput | None = None
-    distinct_sql: str | None = None
-    extreme_statement: ast.SelectStatement | None = None
-    extreme_sql: str | None = None
-    extreme_columns: dict[str, str | None] = field(default_factory=dict)
-    group_names: list[str] = field(default_factory=list)
-    rewritten_sql_parts: list[str] = field(default_factory=list)
+    output: RewriteOutput
+    sql: list[str]
 
 
 def plan_signature(plan: SamplePlan) -> tuple:
@@ -148,18 +141,49 @@ class AqpRewriter:
     def rewrite(
         self, statement: ast.SelectStatement, analysis: QueryAnalysis, plan: SamplePlan
     ) -> RewriteOutput:
-        """Rewrite a query whose aggregates are all mean-like.
+        """Split a supported query into its parts and the fold that joins them.
 
-        Queries whose only fact source is an aggregate derived table use the
-        nested rewrite (Section 5.2).  Queries that also reference base tables
-        at the outer level (e.g. flattened comparison subqueries) use the
-        flat/join rewrite: the base tables are replaced by samples while the
-        derived table — typically a small aggregate over a dimension-sized
-        group — is computed exactly.
+        Every aggregate — of the select list, HAVING or ORDER BY — goes to
+        the part of its kind (Section 2.2):
+
+        * mean-like ones to one per-(group, subsample) statement over the
+          samples.  Queries whose only fact source is an aggregate derived
+          table use the nested rewrite (Section 5.2).  Queries that also
+          reference base tables at the outer level (e.g. flattened comparison
+          subqueries) use the flat/join rewrite: the base tables are replaced
+          by samples while the derived table — typically a small aggregate
+          over a dimension-sized group — is computed exactly;
+        * ``count(DISTINCT)`` ones to one per-group statement over the hashed
+          sample (:meth:`rewrite_count_distinct`);
+        * min / max to one exact per-group statement over the base tables.
+
+        No part has HAVING, ORDER BY, LIMIT or OFFSET: the fold stitches the
+        parts' groups and applies the statement's tail once, over them all.
         """
-        if analysis.is_nested_aggregate and not analysis.outer_base_tables:
-            return self._rewrite_nested(statement, analysis, plan)
-        return self._rewrite_flat(statement, analysis, plan)
+        builder = _FoldBuilder(statement, analysis, self.include_errors)
+        fold = builder.build_fold()
+        parts: list[ast.SelectStatement] = []
+        if builder.plans_of("mean_like"):
+            part, fold.subsample_count, fold.weighted = self._mean_like_part(
+                builder, analysis, plan
+            )
+            parts.append(part)
+            fold.parts.append("mean_like")
+        distinct = builder.per_group_statement("count_distinct")
+        if distinct is not None:
+            parts.append(self.rewrite_count_distinct(distinct, analysis, plan).statement)
+            fold.parts.append("count_distinct")
+        extreme = builder.per_group_statement("extreme")
+        if extreme is not None:
+            parts.append(extreme)
+            fold.parts.append("extreme")
+        return RewriteOutput(
+            parts=parts,
+            fold=fold,
+            group_columns=builder.group_output_names,
+            estimate_columns=builder.estimate_columns,
+            plan=plan,
+        )
 
     def rewrite_count_distinct(
         self, statement: ast.SelectStatement, analysis: QueryAnalysis, plan: SamplePlan
@@ -177,13 +201,17 @@ class AqpRewriter:
         for _binding, info in sampled:
             if info.sample_type == "hashed":
                 ratio = min(ratio, info.effective_ratio)
-        output = RewriteOutput(statement=statement, plan=plan)
+        # The statement's own tail stays in it: its fold only reads its rows,
+        # one group per value of its grouping columns.
+        fold = SubsampleFold(group_aliases=[], aggregates=[], parts=["count_distinct"])
+        estimate_columns: dict[str, str | None] = {}
         select_items: list[ast.SelectItem] = []
         for index, item in enumerate(statement.select_items):
             name = item.output_name(index)
             if not contains_aggregate(item.expression):
                 select_items.append(ast.SelectItem(item.expression, alias=name))
-                output.group_columns.append(name)
+                fold.group_aliases.append(name)
+                fold.outputs.append((name, "group", name))
                 continue
             if not isinstance(item.expression, ast.FunctionCall):
                 raise RewriteError("count-distinct items must be bare aggregates")
@@ -191,6 +219,7 @@ class AqpRewriter:
             if ratio < 1.0:
                 scaled = ast.BinaryOp("/", item.expression, ast.Literal(float(ratio)))
             select_items.append(ast.SelectItem(scaled, alias=name))
+            fold.outputs.append((name, "estimate", len(fold.aggregates)))
             error_name = None
             if self.include_errors:
                 error_name = f"{name}_err"
@@ -205,76 +234,61 @@ class AqpRewriter:
                     ast.Literal(float(ratio)),
                 )
                 select_items.append(ast.SelectItem(error_expr, alias=error_name))
-            output.estimate_columns[name] = error_name
-        output.statement = dataclasses.replace(
+                fold.outputs.append((error_name, "error", len(fold.aggregates)))
+            fold.aggregates.append(
+                _AggregatePlan(item.expression, "count_distinct", name, error_name)
+            )
+            estimate_columns[name] = error_name
+        if len(fold.group_aliases) < len(statement.group_by):
+            raise RewriteError("a count-distinct statement must select its grouping columns")
+        rewritten = dataclasses.replace(
             statement, select_items=select_items, from_relation=new_relation
         )
-        return output
+        return RewriteOutput(
+            parts=[rewritten],
+            fold=fold,
+            group_columns=list(fold.group_aliases),
+            estimate_columns=estimate_columns,
+            plan=plan,
+        )
 
-    # -- flat and join queries ----------------------------------------------------
+    # -- the mean-like part -------------------------------------------------------
 
-    def _rewrite_flat(
-        self, statement: ast.SelectStatement, analysis: QueryAnalysis, plan: SamplePlan
-    ) -> RewriteOutput:
+    def _mean_like_part(
+        self, builder: _FoldBuilder, analysis: QueryAnalysis, plan: SamplePlan
+    ) -> tuple[ast.SelectStatement, int, bool]:
+        """The per-(group, sid) statement, its subsample count ``b`` and
+        whether its rows are weighted sample tuples (False for the outer
+        level of a nested query, whose rows are per-group estimates)."""
+        statement = builder.statement
+        if analysis.is_nested_aggregate and not analysis.outer_base_tables:
+            if len(analysis.derived_tables) != 1:
+                raise RewriteError("nested rewrite requires exactly one derived table")
+            derived = analysis.derived_tables[0]
+            variational_table, subsample_count = build_variational_derived_table(
+                derived.query, plan
+            )
+            # The statement now aggregates complete per-subsample group
+            # estimates, so no Horvitz–Thompson scaling applies at this level.
+            part = builder.subsample_statement(
+                ast.DerivedTable(query=variational_table, alias=derived.alias),
+                probability=ast.Literal(1.0),
+                sid=ast.ColumnRef(SID_ALIAS, table=derived.alias),
+                weighted=False,
+                sub_size=ast.func("sum", ast.ColumnRef(ROWS_ALIAS, table=derived.alias)),
+            )
+            return part, subsample_count, False
         new_relation, sampled = _substitute_relations(statement.from_relation, plan)
         if not sampled:
             raise RewriteError("the sample plan does not use any sample table")
         subsample_count = sampled[0][1].subsample_count
-        probability = _probability_expression(sampled)
-        sid = _sid_expression(sampled, subsample_count)
-        builder = _TwoLevelBuilder(
-            original=statement,
-            include_errors=self.include_errors,
-            probability=probability,
-            sid=sid,
-            subsample_count=subsample_count,
+        part = builder.subsample_statement(
+            new_relation,
+            probability=_probability_expression(sampled),
+            sid=_sid_expression(sampled, subsample_count),
             weighted=True,
         )
-        per_subsample = builder.build_statement(new_relation, statement.where)
-        fold = builder.build_fold()
-        return RewriteOutput(
-            statement=per_subsample,
-            group_columns=builder.group_output_names,
-            estimate_columns=builder.estimate_columns,
-            plan=plan,
-            subsample_count=subsample_count,
-            fold=fold,
-        )
-
-    # -- nested aggregate queries (Section 5.2) -------------------------------------
-
-    def _rewrite_nested(
-        self, statement: ast.SelectStatement, analysis: QueryAnalysis, plan: SamplePlan
-    ) -> RewriteOutput:
-        if len(analysis.derived_tables) != 1:
-            raise RewriteError("nested rewrite requires exactly one derived table")
-        derived = analysis.derived_tables[0]
-        variational_table, subsample_count = build_variational_derived_table(
-            derived.query, plan
-        )
-        new_derived = ast.DerivedTable(query=variational_table, alias=derived.alias)
-
-        # The statement now aggregates complete per-subsample group
-        # estimates, so no Horvitz–Thompson scaling applies at this level.
-        builder = _TwoLevelBuilder(
-            original=statement,
-            include_errors=self.include_errors,
-            probability=ast.Literal(1.0),
-            sid=ast.ColumnRef(SID_ALIAS, table=derived.alias),
-            subsample_count=subsample_count,
-            weighted=False,
-            sub_size_source=ast.func("sum", ast.ColumnRef(ROWS_ALIAS, table=derived.alias)),
-        )
-        per_subsample = builder.build_statement(new_derived, statement.where)
-        fold = builder.build_fold()
-        return RewriteOutput(
-            statement=per_subsample,
-            group_columns=builder.group_output_names,
-            estimate_columns=builder.estimate_columns,
-            plan=plan,
-            subsample_count=subsample_count,
-            fold=fold,
-        )
+        return part, subsample_count, True
 
 
 def build_variational_derived_table(
@@ -430,44 +444,56 @@ def _subsample_estimate(
         if not scaled:
             return ast.func("sum", argument)
         return ast.BinaryOp("*", b, ast.func("sum", scaled_argument))
-    if name in _MEAN_AGGREGATES:
+    kind = MEAN_LIKE.get(name)
+    if kind == "mean":
         if not scaled:
             return ast.func("avg", argument)
         return ast.BinaryOp(
             "/", ast.func("sum", scaled_argument), ast.func("sum", inverse_probability)
         )
-    if name in _STATISTIC_AGGREGATES:
+    if kind == "statistic":
         return dataclasses.replace(node)
     raise RewriteError(f"aggregate {name!r} is not mean-like")
 
 
 # ---------------------------------------------------------------------------
-# the per-subsample statement and the fold that combines its rows
+# the parts and the fold that makes them one answer
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _AggregatePlan:
-    """Per-subsample columns of one aggregate and how the fold combines them."""
+    """One aggregate of the statement and the columns its part returns for it.
+
+    ``kind`` is how the fold reads it: ``total`` / ``mean`` / ``statistic``
+    for a mean-like aggregate (:data:`~repro.core.query_info.MEAN_LIKE`),
+    else ``count_distinct`` or ``extreme``, the kind of its part.
+    ``extra_alias`` is a mean's denominator or a count-distinct's error.
+    """
 
     node: ast.FunctionCall
-    kind: str  # 'total' | 'mean' | 'statistic'
+    kind: str
     value_alias: str
     extra_alias: str | None = None
 
     @property
+    def part(self) -> str:
+        return self.kind if self.kind in ("count_distinct", "extreme") else "mean_like"
+
+    @property
     def is_count(self) -> bool:
-        return self.node.name.lower() == "count"
+        return self.kind == "total" and self.node.name.lower() == "count"
 
 
 @dataclass
 class SubsampleFold:
-    """Folds the per-(group, sid) rows of the rewritten statement into the answer.
+    """Makes the rows of a query's parts (Section 2.2) into its one answer.
 
-    The backend returns one row per (group, subsample) with the subsample's
-    size ``sub`` and each aggregate's building blocks ``v`` (and ``den`` for
-    a mean).  Per group, with ``f = sqrt(avg(sub)) / sqrt(sum(sub))``
-    (Theorem 2) and ``b`` subsamples:
+    ``parts`` names the kind of each part's rows, in the order they are
+    passed to :meth:`apply`.  The mean-like part returns one row per (group,
+    subsample) with the subsample's size ``sub`` and each aggregate's
+    building blocks ``v`` (and ``den`` for a mean).  Per group, with
+    ``f = sqrt(avg(sub)) / sqrt(sum(sub))`` (Theorem 2) and ``b`` subsamples:
 
     * weighted total (``count``/``sum`` over sample tuples): ``sum(v)``, with
       error ``(b * stddev(v)) * f`` — ``b * v`` is one subsample's own
@@ -476,17 +502,25 @@ class SubsampleFold:
     * unweighted total (over a variational table) and statistic:
       ``sum(v * sub) / sum(sub)``, with error ``stddev(v) * f``.
 
-    Then the statement's tail runs over the G folded rows: select-list
-    arithmetic over aggregates, HAVING, ORDER BY, LIMIT and OFFSET.  Groups
-    are numbered by first appearance through the engine's key codec, summed
-    and dispersed by its aggregate kernels and combined with its division
-    rule, operation for operation as a ``GROUP BY`` over these rows would
-    be, so on the built-in engine the answer is bit-identical to running
-    the combination as SQL.
+    The count-distinct part returns one row per group with each estimate
+    and its error; the extreme part one exact row per group.  Groups are
+    numbered by first appearance over the first part (mean-like, else
+    count-distinct); every other part is aligned to them on the key codec,
+    NULL meeting only NULL and 1 meeting 1.0, and a group it lacks reads
+    NULL there.
 
-    With no row at all, a grouped query has no group and an ungrouped one
-    has one row: every ``count`` estimates 0, every other estimate and
-    every error is NULL (no sample row gives no spread).
+    Then the statement's tail runs once over the G stitched rows:
+    select-list arithmetic over aggregates of any kind, HAVING, ORDER BY,
+    LIMIT and OFFSET.  Groups are numbered through the engine's key codec,
+    summed and dispersed by its aggregate kernels and combined with its
+    division rule, operation for operation as a ``GROUP BY`` over these rows
+    would be, so on the built-in engine a mean-like answer is bit-identical
+    to running the combination as SQL.
+
+    With no mean-like row at all, a grouped query has no group and an
+    ungrouped one has one row: every ``count`` estimates 0, every other
+    mean-like estimate and every mean-like error is NULL (no sample row
+    gives no spread).
 
     ``outputs`` lists the answer's columns as ``(name, kind, source)``:
     ``("group", alias)``, ``("estimate", i)``, ``("error", i)`` or
@@ -496,8 +530,9 @@ class SubsampleFold:
 
     group_aliases: list[str]
     aggregates: list[_AggregatePlan]
-    weighted: bool
-    subsample_count: int
+    weighted: bool = True
+    subsample_count: int = 1
+    parts: list[str] = field(default_factory=list)
     outputs: list[tuple[str, str, object]] = field(default_factory=list)
     having: ast.Expression | None = None
     order_by: list[tuple[ast.Expression, bool]] = field(default_factory=list)
@@ -506,28 +541,39 @@ class SubsampleFold:
 
     def apply(
         self,
-        rows: ResultSet,
+        *parts: ResultSet,
         params: Mapping[str, object] | Sequence | None = None,
         subquery: Callable[[ast.SelectStatement], object] | None = None,
     ) -> ResultSet:
-        """The answer (with error columns) from the backend's per-subsample rows.
+        """The answer (with error columns) from the rows of each part.
 
         ``params`` binds the tail's placeholders; ``subquery`` answers a
         scalar subquery in it (HAVING ``sum(x) > (SELECT ...)``).
         """
-        # name -> column of the folded rows: group keys, estimates, outputs.
+        # name -> column of the stitched rows: group keys, estimates, outputs.
         named: dict[str, np.ndarray] = {}
         # What ORDER BY sorts an object key by (see _number_groups).
         sort_codes: dict[str, np.ndarray] = {}
-        inverse, groups = self._number_groups(rows, named, sort_codes)
-        if rows.num_rows == 0 and not self.group_aliases:
-            estimates = [
-                np.full(1, 0.0 if plan.is_count else np.nan) for plan in self.aggregates
-            ]
-            errors = {index: np.full(1, np.nan) for index in self._error_indices()}
-        else:
-            estimates, errors = self._combine(rows, inverse, groups)
-        for index, estimate in enumerate(estimates):
+        inverse, groups, untyped = self._number_groups(parts[0], named, sort_codes)
+        wanted = self._error_indices()
+        estimates: dict[int, np.ndarray] = {}
+        errors: dict[int, np.ndarray] = {}
+        keys = [named[alias] for alias in self.group_aliases]
+        for position, (kind, rows) in enumerate(zip(self.parts, parts)):
+            if kind == "mean_like":
+                self._combine(rows, inverse, groups, wanted, estimates, errors)
+                continue
+            if position == 0:
+                at = np.full(groups, -1, dtype=np.int64)
+                at[inverse] = np.arange(rows.num_rows)
+            else:
+                at = self._align(rows, keys, groups)
+            for index, plan in enumerate(self.aggregates):
+                if plan.kind == kind:
+                    estimates[index] = _take(rows.column(plan.value_alias), at)
+                    if index in wanted:
+                        errors[index] = _take(rows.column(plan.extra_alias), at)
+        for index, estimate in estimates.items():
             named[f"{ESTIMATE_PREFIX}{index}"] = estimate
 
         frame: Frame | None = None
@@ -544,6 +590,13 @@ class SubsampleFold:
                 for name, values in named.items():
                     frame.add_column(None, name, values)
             return evaluate(expression, frame, context, subquery)
+
+        def order_key(expression: ast.Expression) -> np.ndarray:
+            if isinstance(expression, ast.ColumnRef) and expression.name in sort_codes:
+                return sort_codes[expression.name]
+            column = column_of(expression)
+            ranks = _number_ranks(column) if untyped and column.dtype == object else None
+            return column if ranks is None else ranks
 
         output_names: list[str] = []
         columns: list[np.ndarray] = []
@@ -565,13 +618,7 @@ class SubsampleFold:
                 frame.add_column(None, name, column)
 
         order_keys = [
-            (
-                sort_codes[expression.name]
-                if isinstance(expression, ast.ColumnRef) and expression.name in sort_codes
-                else column_of(expression),
-                ascending,
-            )
-            for expression, ascending in self.order_by
+            (order_key(expression), ascending) for expression, ascending in self.order_by
         ]
         if self.having is not None:
             keep = column_of(self.having).astype(bool)
@@ -588,8 +635,9 @@ class SubsampleFold:
 
     def _number_groups(
         self, rows: ResultSet, named: dict[str, np.ndarray], sort_codes: dict[str, np.ndarray]
-    ) -> tuple[np.ndarray, int]:
-        """Each row's group, numbered by first appearance, and the group count.
+    ) -> tuple[np.ndarray, int, bool]:
+        """Each row's group, numbered by first appearance, the group count,
+        and whether the backend returned untyped values.
 
         Fills ``named`` with each group's key and ``sort_codes`` with what
         ORDER BY sorts an object key by: its key codes, which rank the
@@ -597,8 +645,11 @@ class SubsampleFold:
         pre-coded when the backend attached codes to them.
         """
         num_rows = rows.num_rows
+        # A backend that returns untyped values (SQLite: even count(*)
+        # arrives as python objects) orders a column of numbers by value.
+        untyped = all(column.dtype == object for column in rows.columns())
         if not self.group_aliases:
-            return np.zeros(num_rows, dtype=np.int64), 1
+            return np.zeros(num_rows, dtype=np.int64), 1, untyped
         encodings = rows.encodings()
         names = rows.column_names
         keys = [rows.column(alias) for alias in self.group_aliases]
@@ -607,34 +658,72 @@ class SubsampleFold:
             lazy = encodings[names.index(alias)] if encodings else None
             coded.append(encode_key(values, lazy.resolve() if lazy is not None else None))
         inverse, first = group_rows_encoded(coded, num_rows)
-        # A backend that returns untyped values (SQLite: even count(*)
-        # arrives as python objects) orders a column of numbers by value.
-        untyped = rows.column(SUB_SIZE_ALIAS).dtype == object
         for alias, values, key in zip(self.group_aliases, keys, coded):
             named[alias] = values[first]
             if values.dtype == object:
                 ranks = _number_ranks(named[alias]) if untyped else None
                 sort_codes[alias] = key.codes[first] if ranks is None else ranks
-        return inverse, len(first)
+        return inverse, len(first), untyped
+
+    def _align(self, rows: ResultSet, keys: list[np.ndarray], groups: int) -> np.ndarray:
+        """For each group, the row of a per-group part that holds it, or -1.
+
+        The keys meet through the key codec with NULL as a key like any
+        other: NULL meets only NULL, never the string ``'None'``, and an int
+        meets a float of the same value.
+        """
+        at = np.full(groups, -1, dtype=np.int64)
+        if not self.group_aliases:
+            at[:] = 0 if rows.num_rows else -1
+            return at
+        if groups == 0 or rows.num_rows == 0:
+            return at
+        group_codes, row_codes = encode_join_keys(
+            keys,
+            [rows.column(alias) for alias in self.group_aliases],
+            null_safe=[True] * len(keys),
+        )
+        order = np.argsort(row_codes, kind="stable")
+        ranked = row_codes[order]
+        found = np.minimum(np.searchsorted(ranked, group_codes), len(ranked) - 1)
+        hit = ranked[found] == group_codes
+        at[hit] = order[found[hit]]
+        return at
 
     def _error_indices(self) -> set[int]:
         return {source for _name, kind, source in self.outputs if kind == "error"}
 
     def _combine(
-        self, rows: ResultSet, inverse: np.ndarray, groups: int
-    ) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
-        """Each aggregate's estimate, and the errors the outputs ask for.
+        self,
+        rows: ResultSet,
+        inverse: np.ndarray,
+        groups: int,
+        wanted: set[int],
+        estimates: dict[int, np.ndarray],
+        errors: dict[int, np.ndarray],
+    ) -> None:
+        """Each mean-like aggregate's estimate, and the errors in ``wanted``.
 
         Every ``sum`` is taken in one stacked pass and every ``stddev`` in
         another (:func:`~repro.sqlengine.functions.group_sums`), each equal
         bit for bit to its own aggregate.
         """
+        plans = [
+            (index, plan) for index, plan in enumerate(self.aggregates)
+            if plan.part == "mean_like"
+        ]
+        if rows.num_rows == 0 and not self.group_aliases:
+            for index, plan in plans:
+                estimates[index] = np.full(1, 0.0 if plan.is_count else np.nan)
+                if index in wanted:
+                    errors[index] = np.full(1, np.nan)
+            return
         sizes = as_float(rows.column(SUB_SIZE_ALIAS))
         summed = [sizes]  # what to sum per group; [0] is sum(sub)
-        parts: list[tuple[_AggregatePlan, int, np.ndarray]] = []
-        for plan in self.aggregates:
+        blocks: list[tuple[int, _AggregatePlan, int, np.ndarray]] = []
+        for index, plan in plans:
             value = as_float(rows.column(plan.value_alias))
-            parts.append((plan, len(summed), value))
+            blocks.append((index, plan, len(summed), value))
             if plan.kind == "mean":
                 summed += [value, as_float(rows.column(plan.extra_alias))]
             elif plan.kind == "total" and self.weighted:
@@ -644,28 +733,25 @@ class SubsampleFold:
         sums = group_sums(summed, inverse, groups)
         total_size = sums[0]
 
-        estimates: list[np.ndarray] = []
         spread_inputs: list[np.ndarray] = []
-        wanted = self._error_indices()
-        for index, (plan, at, value) in enumerate(parts):
+        for index, plan, at, value in blocks:
             if plan.kind == "mean":
-                estimates.append(divide(sums[at], sums[at + 1]))
+                estimates[index] = divide(sums[at], sums[at + 1])
                 spread_of = divide(value, summed[at + 1])
             elif plan.kind == "total" and self.weighted:
-                estimates.append(sums[at])
+                estimates[index] = sums[at]
                 spread_of = value
             else:
-                estimates.append(divide(sums[at], total_size))
+                estimates[index] = divide(sums[at], total_size)
                 spread_of = value
             if index in wanted:
                 spread_inputs.append(spread_of)
 
-        errors: dict[int, np.ndarray] = {}
-        if wanted:
+        if spread_inputs:
             average_size = aggregate("avg", [sizes], inverse, groups)
             factor = divide(np.sqrt(average_size), np.sqrt(total_size))
             spreads = iter(group_dispersions("stddev", spread_inputs, inverse, groups))
-            for index, (plan, _at, _value) in enumerate(parts):
+            for index, plan, _at, _value in blocks:
                 if index not in wanted:
                     continue
                 spread = next(spreads)
@@ -673,7 +759,21 @@ class SubsampleFold:
                     # b * v_i is subsample i's own estimate of the total.
                     spread = float(self.subsample_count) * spread
                 errors[index] = spread * factor
-        return estimates, errors
+
+
+def _take(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``values[at]``, NULL where ``at`` is -1: NaN in a numeric column
+    (an int column becomes float64), None in any other."""
+    missing = at < 0
+    if not missing.any():
+        taken: np.ndarray = values[at]
+        return taken
+    if values.dtype.kind in "iubf":
+        taken = np.full(len(at), np.nan)
+    else:
+        taken = np.full(len(at), None, dtype=object)
+    taken[~missing] = values[at[~missing]]
+    return taken
 
 
 def _number_ranks(values: np.ndarray) -> np.ndarray | None:
@@ -690,122 +790,118 @@ def _number_ranks(values: np.ndarray) -> np.ndarray | None:
     return ranks
 
 
-class _TwoLevelBuilder:
-    """Builds the per-(group, sid) statement and the fold of its rows.
+class _FoldBuilder:
+    """Builds a query's parts and the fold of their rows.
+
+    Every aggregate of the statement gets one :class:`_AggregatePlan`,
+    numbered in the order the analysis found them (select list, HAVING,
+    ORDER BY), and ``vdb_val_<i>`` names its column in its part.
 
     Args:
-        original: the user's (decomposed) query.
+        statement: the user's query.
+        analysis: its :func:`~repro.core.query_info.analyze` result, which
+            holds each aggregate's kind.
         include_errors: whether to emit ``*_err`` columns.
-        probability: SQL expression for the joint inclusion probability.
-        sid: SQL expression for the (combined) subsample id.
-        subsample_count: number of subsamples ``b``.
-        weighted: True for the flat/join rewrite (rows are sample tuples with
-            Horvitz–Thompson weights); False for the outer level of nested
-            queries (rows are already per-group estimates).
-        sub_size_source: expression for the subsample size column.
     """
 
     def __init__(
-        self,
-        original: ast.SelectStatement,
-        include_errors: bool,
-        probability: ast.Expression,
-        sid: ast.Expression,
-        subsample_count: int,
-        weighted: bool,
-        sub_size_source: ast.Expression | None = None,
+        self, statement: ast.SelectStatement, analysis: QueryAnalysis, include_errors: bool
     ) -> None:
-        self.original = original
+        self.statement = statement
         self.include_errors = include_errors
-        self.probability = probability
-        self.sid = sid
-        self.subsample_count = subsample_count
-        self.weighted = weighted
-        self.sub_size_source = sub_size_source or ast.func("count", ast.Star())
-
-        self.group_aliases: dict[str, str] = {}
+        self.group_aliases: dict[str, str] = {
+            expr.to_sql(): f"vdb_g{position}" for position, expr in enumerate(statement.group_by)
+        }
         self.group_output_names: list[str] = []
         self.estimate_columns: dict[str, str | None] = {}
         self._aggregates: dict[str, _AggregatePlan] = {}
-        self._collect_structure()
+        for found in analysis.aggregates:
+            key = found.sql_key
+            if key in self._aggregates:
+                continue
+            if found.kind == "unsupported":
+                raise RewriteError(f"aggregate {found.node.name!r} is not supported")
+            index = len(self._aggregates)
+            kind = MEAN_LIKE[found.node.name.lower()] if found.kind == "mean_like" else found.kind
+            extra = {"mean": f"vdb_den_{index}", "count_distinct": f"vdb_val_{index}_err"}
+            self._aggregates[key] = _AggregatePlan(
+                node=found.node, kind=kind, value_alias=f"vdb_val_{index}",
+                extra_alias=extra.get(kind),
+            )
 
-    # -- analysis -------------------------------------------------------------------
+    def plans_of(self, part: str) -> list[_AggregatePlan]:
+        return [plan for plan in self._aggregates.values() if plan.part == part]
 
-    def _collect_structure(self) -> None:
-        for position, expr in enumerate(self.original.group_by):
-            self.group_aliases[expr.to_sql()] = f"vdb_g{position}"
+    # -- the statements the backend runs ---------------------------------------------------
 
-        expressions: list[ast.Expression] = [
-            item.expression
-            for item in self.original.select_items
-            if not isinstance(item.expression, ast.Star)
+    def _group_items(self) -> list[ast.SelectItem]:
+        return [
+            ast.SelectItem(expr, alias=self.group_aliases[expr.to_sql()])
+            for expr in self.statement.group_by
         ]
-        if self.original.having is not None:
-            expressions.append(self.original.having)
-        expressions.extend(item.expression for item in self.original.order_by)
-        for expression in expressions:
-            for node in expression.walk():
-                if (
-                    isinstance(node, ast.FunctionCall)
-                    and is_aggregate_function(node.name)
-                    and not any(contains_aggregate(argument) for argument in node.args)
-                ):
-                    key = node.to_sql()
-                    if key in self._aggregates:
-                        continue
-                    index = len(self._aggregates)
-                    name = node.name.lower()
-                    if name in _TOTAL_AGGREGATES:
-                        kind = "total"
-                    elif name in _MEAN_AGGREGATES:
-                        kind = "mean"
-                    elif name in _STATISTIC_AGGREGATES:
-                        kind = "statistic"
-                    else:
-                        raise RewriteError(f"aggregate {name!r} is not mean-like")
-                    extra = f"vdb_den_{index}" if kind == "mean" else None
-                    self._aggregates[key] = _AggregatePlan(
-                        node=node, kind=kind, value_alias=f"vdb_val_{index}", extra_alias=extra
-                    )
 
-    # -- the statement the backend runs ---------------------------------------------------
+    def per_group_statement(self, part: str) -> ast.SelectStatement | None:
+        """The statement of a per-group part (count-distinct or extreme):
+        the group keys and the part's aggregates, with no tail."""
+        plans = self.plans_of(part)
+        if not plans:
+            return None
+        items = self._group_items() + [
+            ast.SelectItem(dataclasses.replace(plan.node), alias=plan.value_alias)
+            for plan in plans
+        ]
+        return dataclasses.replace(
+            self.statement, select_items=items, having=None, order_by=[], limit=None, offset=None
+        )
 
-    def build_statement(
-        self, from_relation: ast.Relation | None, where: ast.Expression | None
+    def subsample_statement(
+        self,
+        from_relation: ast.Relation | None,
+        probability: ast.Expression,
+        sid: ast.Expression,
+        weighted: bool,
+        sub_size: ast.Expression | None = None,
     ) -> ast.SelectStatement:
-        select_items: list[ast.SelectItem] = []
-        for expr in self.original.group_by:
-            select_items.append(ast.SelectItem(expr, alias=self.group_aliases[expr.to_sql()]))
+        """The mean-like part: one row per (group, sid).
+
+        ``weighted`` rows are sample tuples with Horvitz–Thompson weights
+        ``1 / probability``; unweighted ones (the outer level of a nested
+        query) are already per-group estimates.  ``sub_size`` is the
+        subsample size column, ``count(*)`` by default.
+        """
+        select_items = self._group_items()
         # The subsample id is a grouping key only: the fold never reads it.
-        select_items.append(ast.SelectItem(self.sub_size_source, alias=SUB_SIZE_ALIAS))
-        inverse_probability = ast.BinaryOp("/", ast.Literal(1.0), self.probability)
-        for plan in self._aggregates.values():
+        select_items.append(
+            ast.SelectItem(sub_size or ast.func("count", ast.Star()), alias=SUB_SIZE_ALIAS)
+        )
+        inverse_probability = ast.BinaryOp("/", ast.Literal(1.0), probability)
+        for plan in self.plans_of("mean_like"):
             name = plan.node.name.lower()
             if plan.kind == "total":
                 if name == "count":
                     value = (
                         ast.func("sum", inverse_probability)
-                        if self.weighted
+                        if weighted
                         else ast.func("count", ast.Star())
                     )
                 else:
                     argument = plan.node.args[0]
                     value = (
-                        ast.func("sum", ast.BinaryOp("/", argument, self.probability))
-                        if self.weighted
+                        ast.func("sum", ast.BinaryOp("/", argument, probability))
+                        if weighted
                         else ast.func("sum", argument)
                     )
                 select_items.append(ast.SelectItem(value, alias=plan.value_alias))
             elif plan.kind == "mean":
                 argument = plan.node.args[0]
                 numerator = (
-                    ast.func("sum", ast.BinaryOp("/", argument, self.probability))
-                    if self.weighted
+                    ast.func("sum", ast.BinaryOp("/", argument, probability))
+                    if weighted
                     else ast.func("sum", argument)
                 )
                 denominator = (
                     ast.func("sum", inverse_probability)
-                    if self.weighted
+                    if weighted
                     else ast.func("count", argument)
                 )
                 select_items.append(ast.SelectItem(numerator, alias=plan.value_alias))
@@ -817,27 +913,34 @@ class _TwoLevelBuilder:
         return ast.SelectStatement(
             select_items=select_items,
             from_relation=from_relation,
-            where=where,
-            group_by=list(self.original.group_by) + [self.sid],
+            where=self.statement.where,
+            group_by=list(self.statement.group_by) + [sid],
         )
 
-    # -- the fold of its rows ---------------------------------------------------------------
+    # -- the fold of their rows ---------------------------------------------------------------
 
     def build_fold(self) -> SubsampleFold:
+        """The fold, its ``parts`` left for the caller to fill in."""
         estimates: dict[str, ast.Expression] = {
             key: ast.ColumnRef(f"{ESTIMATE_PREFIX}{index}")
             for index, key in enumerate(self._aggregates)
         }
         positions = {key: index for index, key in enumerate(self._aggregates)}
+        # What a tail expression reads: estimates, and each grouping
+        # expression as its key column (a bare column also by its name).
+        columns = dict(estimates)
+        for expr in self.statement.group_by:
+            alias = ast.ColumnRef(self.group_aliases[expr.to_sql()])
+            columns[expr.to_sql()] = alias
+            if isinstance(expr, ast.ColumnRef):
+                columns.setdefault(ast.ColumnRef(expr.name).to_sql(), alias)
         fold = SubsampleFold(
-            group_aliases=[self.group_aliases[expr.to_sql()] for expr in self.original.group_by],
+            group_aliases=[self.group_aliases[expr.to_sql()] for expr in self.statement.group_by],
             aggregates=list(self._aggregates.values()),
-            weighted=self.weighted,
-            subsample_count=self.subsample_count,
-            limit=self.original.limit,
-            offset=self.original.offset,
+            limit=self.statement.limit,
+            offset=self.statement.offset,
         )
-        for index, item in enumerate(self.original.select_items):
+        for index, item in enumerate(self.statement.select_items):
             name = item.output_name(index)
             expression = item.expression
             key = expression.to_sql()
@@ -845,23 +948,23 @@ class _TwoLevelBuilder:
                 fold.outputs.append((name, "group", self._group_column_for(expression)))
                 self.group_output_names.append(name)
                 continue
+            error_name = None
             if key in positions:
                 fold.outputs.append((name, "estimate", positions[key]))
+                if self.include_errors and self._aggregates[key].kind != "extreme":
+                    error_name = f"{name}_err"
+                    fold.outputs.append((error_name, "error", positions[key]))
             else:
-                substituted = _substitute_aggregates(expression, estimates)
+                substituted = _substitute_aggregates(expression, columns)
                 fold.outputs.append((name, "expression", _foldable(substituted)))
-            error_name = None
-            if self.include_errors and key in positions:
-                error_name = f"{name}_err"
-                fold.outputs.append((error_name, "error", positions[key]))
             self.estimate_columns[name] = error_name
 
-        if self.original.having is not None:
-            fold.having = _foldable(_substitute_aggregates(self.original.having, estimates))
-        for order_item in self.original.order_by:
+        if self.statement.having is not None:
+            fold.having = _foldable(_substitute_aggregates(self.statement.having, columns))
+        for order_item in self.statement.order_by:
             expression = order_item.expression
             if contains_aggregate(expression):
-                expression = _substitute_aggregates(expression, estimates)
+                expression = _substitute_aggregates(expression, columns)
             elif expression.to_sql() in self.group_aliases:
                 expression = ast.ColumnRef(self.group_aliases[expression.to_sql()])
             elif isinstance(expression, ast.ColumnRef):
@@ -877,7 +980,7 @@ class _TwoLevelBuilder:
             return self.group_aliases[key]
         if isinstance(expression, ast.ColumnRef):
             for group_sql, alias in self.group_aliases.items():
-                group_expr = _group_expr_by_sql(self.original.group_by, group_sql)
+                group_expr = _group_expr_by_sql(self.statement.group_by, group_sql)
                 if (
                     isinstance(group_expr, ast.ColumnRef)
                     and group_expr.name.lower() == expression.name.lower()
@@ -887,11 +990,11 @@ class _TwoLevelBuilder:
 
     def _resolve_order_column(self, column: ast.ColumnRef) -> ast.Expression:
         """Map an ORDER BY column reference onto the folded rows' columns."""
-        for position, item in enumerate(self.original.select_items):
+        for position, item in enumerate(self.statement.select_items):
             if item.output_name(position).lower() == column.name.lower():
                 return ast.ColumnRef(item.output_name(position))
         for group_sql, alias in self.group_aliases.items():
-            group_expr = _group_expr_by_sql(self.original.group_by, group_sql)
+            group_expr = _group_expr_by_sql(self.statement.group_by, group_sql)
             if (
                 isinstance(group_expr, ast.ColumnRef)
                 and group_expr.name.lower() == column.name.lower()
@@ -922,7 +1025,8 @@ def _group_expr_by_sql(group_by: list[ast.Expression], sql: str) -> ast.Expressi
 def _substitute_aggregates(
     expression: ast.Expression, combined: dict[str, ast.Expression]
 ) -> ast.Expression:
-    """Replace each aggregate call with the fold's column for its estimate."""
+    """Replace each aggregate call (and each grouping expression) in
+    ``expression`` with the fold's column for it."""
     key = expression.to_sql()
     if key in combined:
         return combined[key]

@@ -424,16 +424,18 @@ def compare_numeric(op: str, left: Array, right: Array) -> Array:
 
     int64 (and bool) against int64 compares as int64; an int against a
     float compares their exact values, never a rounded ``float64`` copy of
-    the int.  A NaN operand follows IEEE rules: every operator is False
-    except ``<>``, which is True.
+    the int.  A NaN operand is NULL: every operator is False, ``<>`` too.
     """
     left, right = numeric_key(left), numeric_key(right)
+    nulls = [np.isnan(side) for side in (left, right) if op == "<>" and side.dtype.kind == "f"]
     if left.dtype != right.dtype:
         # Python compares an int with a float by exact value.
         dtype = np.float64 if _fits_float(left if left.dtype.kind == "i" else right) else object
         left, right = left.astype(dtype, copy=False), right.astype(dtype, copy=False)
     with np.errstate(invalid="ignore"):  # NaN in an object comparison
         result: Array = _COMPARE[op](left, right)
+    for null in nulls:
+        result &= ~null
     return result
 
 

@@ -313,8 +313,9 @@ def evaluate(
         operand = evaluate(expression.operand, frame, context, subquery_evaluator)
         low = evaluate(expression.low, frame, context, subquery_evaluator)
         high = evaluate(expression.high, frame, context, subquery_evaluator)
-        mask = _compare(">=", operand, low) & _compare("<=", operand, high)
-        return ~mask if expression.negated else mask
+        if expression.negated:  # true iff one side is: a NULL is outside no range
+            return _compare("<", operand, low) | _compare(">", operand, high)
+        return _compare(">=", operand, low) & _compare("<=", operand, high)
     if isinstance(expression, ast.LikePredicate):
         return _evaluate_like(expression, frame, context, subquery_evaluator)
     if isinstance(expression, ast.IsNull):
@@ -386,6 +387,9 @@ def null_mask(array: np.ndarray) -> np.ndarray:
 def _evaluate_unary(expression, frame, context, subquery_evaluator):
     operand = evaluate(expression.operand, frame, context, subquery_evaluator)
     if expression.op.upper() == "NOT":
+        # Two-valued: a predicate is True or False per row, never NULL, so
+        # NOT (k IN (1, NULL)) holds where SQLite's is NULL.  Only the
+        # negated forms (NOT IN, NOT BETWEEN, NOT LIKE, <>) keep NULL out.
         return ~operand.astype(bool)
     if expression.op == "-":
         return _negate(operand)
@@ -572,7 +576,7 @@ def _compare(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _compare_scalar(op: str, a: object, b: object) -> bool:
-    if a is None or b is None:
+    if a is None or b is None or a != a or b != b:  # NULL, or a NaN: NULL too
         return False
     if isinstance(a, (int, float, np.integer, np.floating)) and isinstance(
         b, (int, float, np.integer, np.floating)
@@ -624,15 +628,19 @@ def _evaluate_in_list(expression, frame, context, subquery_evaluator):
         encoded = column_codes(expression.operand, frame)
         if encoded is not None:
             codes, dictionary = encoded
-            scalars = [_broadcast_literal(value, 1)[0] for value in constants]
+            scalars = [
+                _broadcast_literal(value, 1)[0] for value in constants if value is not None
+            ]
             # code_for_value escapes the literal, so the NULL sentinel's code
             # can never end up in the wanted set.
-            wanted_codes = [
-                code_for_value(dictionary, str(s)) for s in scalars if s is not None
-            ]
+            wanted_codes = [code_for_value(dictionary, str(s)) for s in scalars]
             wanted_codes = [code for code in wanted_codes if code >= 0]
             mask = np.isin(codes, np.array(wanted_codes, dtype=np.int64))
-            return ~mask if expression.negated else mask
+            if not expression.negated:
+                return mask
+            if len(scalars) < len(constants):  # a NULL member
+                return np.zeros(len(codes), dtype=bool)
+            return ~mask & (codes != null_code(dictionary))
 
     operand = evaluate(expression.operand, frame, context, subquery_evaluator)
     values = [
@@ -640,7 +648,7 @@ def _evaluate_in_list(expression, frame, context, subquery_evaluator):
     ]
     scalars = [value[0] if len(value) else None for value in values]
     if operand.dtype == object or any(isinstance(s, str) for s in scalars):
-        wanted = {str(s) for s in scalars if s is not None}
+        wanted = {str(s) for s in scalars if s is not None and s == s}  # NULL is NaN
         mask = np.array(
             [value is not None and str(value) in wanted for value in operand.astype(object)],
             dtype=bool,
@@ -649,7 +657,14 @@ def _evaluate_in_list(expression, frame, context, subquery_evaluator):
         mask = np.zeros(len(operand), dtype=bool)
         for value in values:  # a NULL member is NaN, equal to nothing
             mask |= _compare("=", operand, value)
-    return ~mask if expression.negated else mask
+    if not expression.negated:
+        return mask
+    # NOT IN holds for no NULL operand, and for no row at all once a member
+    # is NULL: the row might equal it.
+    excluded = null_mask(operand)
+    for value in values:
+        excluded = excluded | null_mask(value)
+    return ~mask & ~excluded
 
 
 @_functools.lru_cache(maxsize=512)
@@ -688,22 +703,22 @@ def _evaluate_like(expression, frame, context, subquery_evaluator):
     encoded = column_codes(expression.operand, frame)
     if encoded is not None:
         codes, dictionary = encoded
+        # A NULL entry satisfies neither LIKE nor NOT LIKE.
         matched = np.array(
             [
-                entry != NULL_SENTINEL and bool(regex.match(unescape_key(entry)))
+                entry != NULL_SENTINEL
+                and bool(regex.match(unescape_key(entry))) != expression.negated
                 for entry in dictionary
             ],
             dtype=bool,
         )
-        mask = matched[codes]
-        return ~mask if expression.negated else mask
+        return matched[codes]
 
     operand = evaluate(expression.operand, frame, context, subquery_evaluator)
-    mask = np.array(
-        [value is not None and bool(regex.match(str(value))) for value in operand.astype(object)],
-        dtype=bool,
+    matched = np.array(
+        [bool(regex.match(str(value))) for value in operand.astype(object)], dtype=bool
     )
-    return ~mask if expression.negated else mask
+    return (matched != expression.negated) & ~null_mask(operand)
 
 
 def _evaluate_window(expression, frame, context, subquery_evaluator):

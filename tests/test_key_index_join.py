@@ -639,6 +639,13 @@ SEMANTIC_STATEMENTS = [
     # A sum over no row, or over NULLs only, is NULL.
     ("SELECT sum(rid) AS s FROM t WHERE rid < 0", False),
     ("SELECT rid, sum(CASE WHEN rid < 0 THEN rid END) AS s FROM t GROUP BY rid", False),
+    # A NULL (or NaN) operand satisfies no negated predicate, and a NULL
+    # member leaves NOT IN true for no row.
+    ("SELECT rid FROM t WHERE k <> ?", False),
+    ("SELECT rid FROM t WHERE k NOT IN (?, ?)", False),
+    ("SELECT rid FROM t WHERE k NOT IN (?, NULL)", False),
+    ("SELECT rid FROM t WHERE k NOT BETWEEN ? AND ?", False),
+    ("SELECT rid FROM t WHERE k NOT LIKE 'a%'", False),
 ]
 
 
@@ -652,10 +659,28 @@ SEMANTIC_STATEMENTS = [
         ["a\x00", "\x00"],
     )
 )
+@example(
+    (
+        {
+            "t": {"k": np.array([1.0, 2.0, math.nan, 4.0]), "rid": np.arange(4)},
+            "u": {"j": np.array([1.0, math.nan, 3.0]), "rid": np.arange(3)},
+        },
+        [0, 1],
+    )
+)
+@example(
+    (
+        {
+            "t": {"k": np.array(["ab", None, "cd", "ax"], dtype=object), "rid": np.arange(4)},
+            "u": {"j": np.array(["zz", None], dtype=object), "rid": np.arange(2)},
+        },
+        ["ab", "zz"],
+    )
+)
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_key_semantics_match_sqlite(both_backends, answers, case):
-    """JOIN, GROUP BY, DISTINCT, COUNT(DISTINCT), IN, ``=``, ``<``, ``>`` and
-    ORDER BY over int64 keys around ±2**53 and at int64 min/max, float64
+    """JOIN, GROUP BY, DISTINCT, COUNT(DISTINCT), IN, ``=``, ``<``, ``>``,
+    ``<>``, NOT IN, NOT BETWEEN, NOT LIKE and ORDER BY over int64 keys around ±2**53 and at int64 min/max, float64
     keys with NaN, ±0.0 and ±inf, bool keys and string keys with None and
     NULs (the explicit example holds five strings that differ only by
     trailing NULs), as SQLite answers them.
@@ -664,8 +689,11 @@ def test_key_semantics_match_sqlite(both_backends, answers, case):
     NULL, so NaN in an answer reads as None; bool answers read as 0/1 and
     counts compare as numbers.  Answers without ORDER BY compare as sorted
     row lists.  ORDER BY drops NULL keys: SQLite sorts NULL first, the
-    engine sorts a float NaN last.  ``<>`` is left out: the engine's float
-    path makes ``NaN <> x`` true.
+    engine sorts a float NaN last.
+
+    A predicate stays two-valued in the engine: ``NOT (k IN (1, NULL))``
+    holds for the non-NULL keys where SQLite's is NULL, so no statement here
+    negates a predicate with ``NOT (...)``.
 
     Object columns mixing numbers and strings are left out on purpose: the
     engine compares an object column as the normalized strings of its

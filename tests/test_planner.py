@@ -378,12 +378,12 @@ def test_derived_tables_match_sqlite(sqlite_pair, answers, query):
     unless the statement's ORDER BY fixes the order, and floats compare with
     ``math.isclose(rel_tol=1e-9)`` (the backends sum in different orders).
 
-    Left out: statements that draw ``rand()``, and the three known
-    divergences of the engine from SQLite, none of which a derived-table
-    statement here reaches: a negative literal evaluates as ``float64``
-    (``k = -9007199254740993`` rounds), ``NaN <> x`` and ``NULL NOT IN
-    (...)`` are true where SQLite's are NULL, and a float NaN sorts last
-    where SQLite sorts NULL first.
+    Left out: statements that draw ``rand()``, and the known divergences
+    of the engine from SQLite, none of which a derived-table statement here
+    reaches: a negative literal evaluates as ``float64``
+    (``k = -9007199254740993`` rounds), ``NOT (p)`` over a predicate that is
+    NULL for some rows is true there (the engine's predicates are
+    two-valued), and a float NaN sorts last where SQLite sorts NULL first.
     """
     engine, sqlite = sqlite_pair
     ours, theirs = answers(engine, sqlite, query, ordered=bool(parse_select(query).order_by))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.answer import ApproximateResult, merge_by_group
+from repro.core.answer import ApproximateResult
 from repro.core.hac import AccuracyContract
 from repro.core.query_info import analyze
 from repro.core.rewriter import AqpRewriter
@@ -294,26 +294,100 @@ class TestApproximateResultAndMerge:
         result = ApproximateResult(raw, estimate_columns={"c": "c_err"})
         assert result.scalar() == 10.0
 
-    def test_merge_by_group_alignment_and_missing_groups(self):
-        primary = ResultSet(
-            ["city", "c"],
-            [np.array(["a", "b"], dtype=object), np.array([1.0, 2.0])],
-        )
-        secondary = ResultSet(
-            ["city", "m"],
-            [np.array(["b"], dtype=object), np.array([9.0])],
-        )
-        merged = merge_by_group(primary, secondary, ["city"], ["m"])
-        assert merged.column_names == ["city", "c", "m"]
-        rows = merged.fetchall()
-        assert rows[1] == ("b", 2.0, 9.0)
-        assert np.isnan(float(rows[0][2]))
 
-    def test_merge_without_group_columns(self):
-        primary = ResultSet(["c"], [np.array([1.0])])
-        secondary = ResultSet(["m"], [np.array([7.0])])
-        merged = merge_by_group(primary, secondary, [], ["m"])
-        assert merged.fetchall() == [(1.0, 7.0)]
+class TestFoldStitchesParts:
+    """One fold makes the mean-like, count-distinct and min/max parts one answer."""
+
+    def _mixed(self, sql):
+        statement = parse_select(sql)
+        info = sample_info("orders", "hashed", ("order_id",))
+        return AqpRewriter().rewrite(statement, analyze(statement), plan_for(info))
+
+    def test_parts_align_on_the_key_codec_and_missing_groups_read_null(self):
+        output = self._mixed(
+            "SELECT city, avg(price) AS a, count(DISTINCT order_id) AS d, max(price) AS m "
+            "FROM orders GROUP BY city"
+        )
+        assert output.fold.parts == ["mean_like", "count_distinct", "extreme"]
+        assert [part.having or part.order_by or part.limit for part in output.parts] == [
+            None, None, None
+        ]
+        cities = np.array([None, "None", "a"], dtype=object)
+        mean_rows = per_subsample_rows(
+            {
+                "vdb_g0": cities,
+                "vdb_sub_size": [1.0, 1.0, 1.0],
+                "vdb_val_0": [1.0, 2.0, 3.0],
+                "vdb_den_0": [1.0, 1.0, 1.0],
+            }
+        )
+        # The other parts list their groups in another order, and "a" has no
+        # count-distinct row.
+        distinct_rows = per_subsample_rows(
+            {
+                "vdb_g0": np.array(["None", None], dtype=object),
+                "vdb_val_1": [20.0, 10.0],
+                "vdb_val_1_err": [2.0, 1.0],
+            }
+        )
+        extreme_rows = per_subsample_rows(
+            {"vdb_g0": np.array(["a", "None", None], dtype=object), "vdb_val_2": [7.5, 6.5, 5.5]}
+        )
+        answer = output.fold.apply(mean_rows, distinct_rows, extreme_rows)
+        assert answer.column_names == ["city", "a", "a_err", "d", "d_err", "m"]
+        assert list(answer.column("city")) == [None, "None", "a"]
+        assert answer.column("d").tolist()[:2] == [10.0, 20.0]
+        assert np.isnan(answer.column("d")[2]) and np.isnan(answer.column("d_err")[2])
+        assert answer.column("m").dtype == np.float64
+        assert answer.column("m").tolist() == [5.5, 6.5, 7.5]
+
+    def test_an_int_key_meets_the_same_float_key(self):
+        output = self._mixed("SELECT qty, avg(price) AS a, min(price) AS m FROM orders GROUP BY qty")
+        mean_rows = per_subsample_rows(
+            {"vdb_g0": [1, 2], "vdb_sub_size": [1.0, 1.0], "vdb_val_0": [1.0, 2.0],
+             "vdb_den_0": [1.0, 1.0]}
+        )
+        extreme_rows = per_subsample_rows({"vdb_g0": [2.0, 1.0], "vdb_val_1": [4, 3]})
+        answer = output.fold.apply(mean_rows, extreme_rows)
+        assert answer.column("m").tolist() == [3, 4]
+        assert answer.column("m").dtype == np.int64
+
+    def test_ungrouped_parts_are_one_row(self):
+        output = self._mixed(
+            "SELECT count(*) AS c, max(price) / avg(price) AS spread FROM orders"
+        )
+        mean_rows = per_subsample_rows(
+            {"vdb_sub_size": [2.0, 2.0], "vdb_val_0": [1.0, 1.0], "vdb_val_2": [4.0, 6.0],
+             "vdb_den_2": [2.0, 2.0]}
+        )
+        extreme_rows = per_subsample_rows({"vdb_val_1": [10.0]})
+        answer = output.fold.apply(mean_rows, extreme_rows)
+        assert answer.column_names == ["c", "c_err", "spread"]
+        assert answer.column("spread").tolist() == [4.0]
+        # No extreme row (an empty backend answer) reads NULL.
+        empty = per_subsample_rows({"vdb_val_1": np.zeros(0)})
+        assert np.isnan(output.fold.apply(mean_rows, empty).column("spread")[0])
+
+    def test_the_tail_runs_over_every_kind(self):
+        output = self._mixed(
+            "SELECT city, avg(price) AS a FROM orders GROUP BY city "
+            "HAVING count(DISTINCT order_id) > 15 ORDER BY max(price) DESC"
+        )
+        assert output.estimate_columns == {"a": "a_err"}
+        mean_rows = per_subsample_rows(
+            {"vdb_g0": np.array(["x", "y", "z"], dtype=object), "vdb_sub_size": [1.0] * 3,
+             "vdb_val_0": [1.0, 2.0, 3.0], "vdb_den_0": [1.0] * 3}
+        )
+        distinct_rows = per_subsample_rows(
+            {"vdb_g0": np.array(["x", "y", "z"], dtype=object), "vdb_val_1": [10.0, 20.0, 30.0],
+             "vdb_val_1_err": [1.0] * 3}
+        )
+        extreme_rows = per_subsample_rows(
+            {"vdb_g0": np.array(["x", "y", "z"], dtype=object), "vdb_val_2": [5.0, 6.0, 9.0]}
+        )
+        answer = output.fold.apply(mean_rows, distinct_rows, extreme_rows)
+        assert answer.column_names == ["city", "a", "a_err"]
+        assert list(answer.column("city")) == ["z", "y"]
 
 
 class TestAccuracyContract:

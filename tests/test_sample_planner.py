@@ -3,14 +3,19 @@
 A join reads its largest base table from a sample whenever any feasible plan
 samples it; only when none does is the best-scoring plan kept.  The unit
 tests use synthetic ``SampleInfo`` records with the shapes of the e2e
-benchmark's samples (scale factor 5: lineitem 300 k rows, orders 75 k); three
-tests run the benchmark's own data and statements.
+benchmark's samples (scale factor 5: lineitem 300 k rows, orders 75 k); the
+rest run the benchmark's own data and statements, among them the interval
+calibration gate of every approximately answered shape.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import stats
 
 from repro import ExecutionOptions
 from repro.core.query_info import analyze
@@ -256,3 +261,102 @@ def test_replanned_queries_keep_every_group_and_their_interval_coverage():
         share = covered[name] / intervals[name]
         assert share >= parent_covered / parent_intervals, (name, covered[name], intervals[name])
 
+
+
+#: Interval calibration per approximately answered shape, every ``tq-*``
+#: statement and every dashboard template, summed over seeds 1-5 at scale
+#: factor 1: (covered, intervals, median relative half-width), where a
+#: relative half-width is an interval's 95 % margin over its estimate.
+CALIBRATION = {
+    "tq-1": (202, 210, 0.108),
+    "tq-5": (125, 125, 4.03),
+    "tq-6": (5, 5, 0.831),
+    "tq-7": (248, 250, 4.11),
+    "tq-8": (20, 20, 0.516),
+    "tq-9": (52, 258, 0.0),
+    "tq-12": (50, 50, 0.789),
+    "tq-14": (10, 10, 3.27),
+    "tq-17": (10, 10, 1.27),
+    "tq-19": (5, 5, 0.510),
+    "tq-20": (56, 60, 0.350),
+    "pricing_summary": (117, 120, 0.173),
+    "revenue_forecast": (5, 5, 0.883),
+    "shipmode_priority": (50, 50, 0.751),
+    "promo_effect": (10, 10, 0.758),
+    "priority_mix": (41, 50, 0.345),
+    "order_volume": (10, 10, 0.156),
+}
+#: Shapes whose intervals are known not to be calibrated yet.
+MISCALIBRATED = {
+    "tq-9": "returns 258 of 859 groups; covers 52/258 = 0.20 at median relative "
+    "half-width 0.0 (one-subsample groups report no spread)",
+    "priority_mix": "covers 41/50 = 0.82 at median relative half-width 0.345, "
+    "below the band's 43",
+}
+
+
+@pytest.fixture(scope="module")
+def calibration() -> dict[str, dict]:
+    """Each shape's approximate answers against exact mode, seeds 1-5, SF 1."""
+    found: dict[str, dict] = {}
+    for seed in range(1, 6):
+        database, connection = build.build_engine(build.generate(seed, 1.0))
+        try:
+            client = loadgen.LocalClient(connection)
+            dash = queries.dash_ops(seed)[: len(queries.DASH_TEMPLATES)]
+            for op in queries.tpch_ops() + dash:
+                exact, _seconds = client.run(op, ExecutionOptions(mode="exact"))
+                answer, _seconds = client.run(op)
+                if not answer.approximate:
+                    continue
+                shape = found.setdefault(
+                    op.group, {"runs": 0, "accuracy": [], "widths": []}
+                )
+                shape["runs"] += 1
+                shape["accuracy"].append(
+                    check.accuracy(op, answer, check.make_reference(op, exact))
+                )
+                for name in answer.names[op.group_cols :]:
+                    estimates = np.asarray(answer.result.column(name), dtype=np.float64)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        widths = np.abs(answer.result.margins(name) / estimates)
+                    shape["widths"].extend(widths[np.isfinite(widths)].tolist())
+        finally:
+            connection.close()
+            database.close()
+    return found
+
+
+def test_every_approximated_shape_is_calibrated(calibration):
+    assert set(calibration) == set(CALIBRATION)
+    assert all(shape["runs"] == 5 for shape in calibration.values())
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.xfail(strict=True, reason=MISCALIBRATED[name])
+            if name in MISCALIBRATED
+            else (),
+        )
+        for name in CALIBRATION
+    ],
+)
+def test_intervals_cover_within_a_binomial_band(calibration, shape):
+    """A shape's 95 % intervals cover at least the 1 % quantile of
+    Binomial(intervals, 0.95) — the lower end of a 98 % band, treating the
+    intervals as independent — and it returns exactly the exact answer's
+    groups.  Its median relative half-width stays within 25 % of the
+    recorded one, so coverage cannot be bought with wider intervals."""
+    found = calibration[shape]
+    accuracies = found["accuracy"]
+    covered = sum(a.covered for a in accuracies)
+    intervals = sum(a.intervals for a in accuracies)
+    width = float(np.median(found["widths"])) if found["widths"] else 0.0
+    _covered, _intervals, recorded_width = CALIBRATION[shape]
+    assert intervals > 0
+    assert all(a.groups_returned == a.groups_exact for a in accuracies), shape
+    assert covered >= stats.binom.ppf(0.01, intervals, 0.95), (covered, intervals, width)
+    assert width <= 1.25 * recorded_width, (width, recorded_width)

@@ -60,7 +60,7 @@ SCAN_AB_CORPUS = [
     "SELECT count(*) FROM orders WHERE order_id IN (3, 700, 5000)",
     "SELECT count(*) FROM orders WHERE price IS NULL",
     "SELECT count(*) FROM orders WHERE price IS NOT NULL AND order_id < 100",
-    # float column with NaN NULLs: <> must keep NaN rows (engine semantics)
+    # float column with NaN NULLs: <> must drop NaN rows (a NaN is NULL)
     "SELECT count(*) FROM orders WHERE price <> 10.5",
     "SELECT count(*) FROM orders WHERE price > 25",
     # clustered string column: equality and ranges
@@ -174,12 +174,11 @@ def test_bound_null_and_nan_rules():
         engines.append(engine)
     optimized, naive = engines
     for query in [
-        # NULL rows satisfy no comparison but <>
+        # NULL rows satisfy no comparison, <> included
         "SELECT sum(x) AS s FROM t WHERE x = 3",
         "SELECT sum(x) AS s FROM t WHERE x < 50",
         "SELECT sum(x) AS s FROM t WHERE x BETWEEN 101 AND 500",
         "SELECT sum(x) AS s FROM t WHERE x IN (2, 104)",
-        # NaN <> x is True under the engine's float semantics
         "SELECT sum(x) AS s FROM t WHERE x <> 3",
     ]:
         _assert_bound_answers_like_literal(optimized, naive, query)
@@ -312,14 +311,16 @@ def test_all_null_float_column_matches_only_is_null():
             "x IN (1, 2)": 0,
             "x IS NULL": 6,
             "x IS NOT NULL": 0,
-            # NaN <> x is True under the engine's float semantics
-            "x <> 1": 6,
+            # A NaN is NULL: it satisfies no comparison, <> included.
+            "x <> 1": 0,
+            "x NOT IN (1, 2)": 0,
+            "x NOT BETWEEN 0 AND 9": 0,
         },
     )
 
 
 def test_all_null_string_column_matches_only_is_null():
-    # An object NULL satisfies no comparison, <> included (unlike float NaN).
+    # An object NULL satisfies no comparison, <> included, as a float NaN.
     _assert_counts(
         {"s": np.array([None] * 5, dtype=object)},
         {
@@ -366,10 +367,9 @@ def test_comparison_with_a_null_literal():
         "x": np.array([1.0, np.nan, 3.0]),
         "s": np.array(["a", None, "b"], dtype=object),
     }
-    # = NULL is never true; <> NULL follows each type's NULL rule (float NaN
-    # <> anything is True, where SQLite says NULL; an object NULL is never
-    # <> anything).
-    _assert_counts(columns, {"x = NULL": 0, "s = NULL": 0, "x <> NULL": 3, "s <> NULL": 2})
+    # = NULL and <> NULL are never true, as in SQLite: a NULL (a float NaN
+    # or an object None) satisfies no comparison.
+    _assert_counts(columns, {"x = NULL": 0, "s = NULL": 0, "x <> NULL": 0, "s <> NULL": 0})
 
 
 def test_predicate_column_names_resolve_case_insensitively():
