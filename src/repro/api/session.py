@@ -61,11 +61,7 @@ from repro.core.answer import ApproximateResult
 from repro.core.flattener import flatten
 from repro.core.hac import AccuracyContract
 from repro.core.query_info import QueryAnalysis, analyze
-from repro.core.rewriter import (
-    AqpRewriter,
-    PreparedRewrite,
-    plan_signature,
-)
+from repro.core.rewriter import AqpRewriter, PreparedRewrite
 from repro.core.sample_planner import PlannerConfig, SamplePlan, SamplePlanner
 from repro.errors import (
     AccuracyContractError,
@@ -646,7 +642,7 @@ class VerdictSession:
             answer = output.fold.apply(
                 *parts, params=params, subquery=partial(self._scalar_subquery, params, deadline)
             )
-        self.last_rewritten_sql = ";\n".join(prepared.sql)
+        self.last_rewritten_sql = prepared.text
         return ApproximateResult(
             answer,
             group_columns=output.group_columns,
@@ -678,7 +674,7 @@ class VerdictSession:
         """Rewrite a query and render its parts, reusing the per-plan rewrite cache."""
         key: tuple | None = None
         if shape_key is not None:
-            key = (shape_key, plan_signature(plan), include_errors)
+            key = (shape_key, plan.signature, include_errors)
             cached = self._rewrite_cache.get(key, token)
             if cached is not None:
                 self.connector.record_stat("rewrite_cache_hits")

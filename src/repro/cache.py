@@ -21,9 +21,10 @@ critical sections are a handful of dict operations, so the lock is
 uncontended in practice; values are returned by reference and must be
 treated as immutable by callers.  All current uses cache parsed statements,
 plans and prepared rewrites, which are never mutated after construction —
-with one deliberate exception: the executor lazily fills
-``SelectPlan.grouped_memo`` on a cached plan.  That write is monotonic and
-idempotent (the memo is a pure function of the plan's statement), so
+except for memos filled lazily on first use: the executor's
+``SelectPlan.grouped_memo``, a ``SamplePlan``'s ``signature`` and
+description, and a prepared rewrite's joined text and fold constants.  Each
+write is monotonic and idempotent (a pure function of the cached value), so
 concurrent fillers at worst duplicate the computation; last write wins with
 an identical value.
 """

@@ -44,12 +44,13 @@ import dataclasses
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.query_info import MEAN_LIKE, QueryAnalysis
 from repro.core.sample_planner import SamplePlan
-from repro.errors import RewriteError
+from repro.errors import ExecutionError, RewriteError
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import sqlast as ast
 from repro.sqlengine.encoding import (
@@ -64,10 +65,11 @@ from repro.sqlengine.expressions import (
     contains_aggregate,
     divide,
     evaluate,
+    ordinal,
 )
 from repro.sqlengine.functions import (
     EvaluationContext,
-    aggregate,
+    group_counts,
     group_dispersions,
     group_sums,
     is_nondeterministic_function,
@@ -113,21 +115,10 @@ class PreparedRewrite:
     output: RewriteOutput
     sql: list[str]
 
-
-def plan_signature(plan: SamplePlan) -> tuple:
-    """Stable identity of a sample plan, for rewrite-cache keys.
-
-    Two plans that assign the same sample table (or lack of one) to every
-    base table produce the same rewritten SQL, so the assignment map is the
-    whole identity.  Sample *metadata* changes (ratios after an append) move
-    the backend version token the cached rewrite is filed under.
-    """
-    return tuple(
-        sorted(
-            (table, info.sample_table if info is not None else None)
-            for table, info in plan.assignments.items()
-        )
-    )
+    @cached_property
+    def text(self) -> str:
+        """The parts' SQL as one text (``rewritten_sql``), joined once."""
+        return ";\n".join(self.sql)
 
 
 class AqpRewriter:
@@ -535,7 +526,9 @@ class SubsampleFold:
     parts: list[str] = field(default_factory=list)
     outputs: list[tuple[str, str, object]] = field(default_factory=list)
     having: ast.Expression | None = None
-    order_by: list[tuple[ast.Expression, bool]] = field(default_factory=list)
+    # (expression, ascending), or (position in ``outputs``, ascending) for
+    # an ORDER BY ordinal.
+    order_by: list[tuple[ast.Expression | int, bool]] = field(default_factory=list)
     limit: int | None = None
     offset: int | None = None
 
@@ -555,7 +548,7 @@ class SubsampleFold:
         # What ORDER BY sorts an object key by (see _number_groups).
         sort_codes: dict[str, np.ndarray] = {}
         inverse, groups, untyped = self._number_groups(parts[0], named, sort_codes)
-        wanted = self._error_indices()
+        wanted = self._error_indices
         estimates: dict[int, np.ndarray] = {}
         errors: dict[int, np.ndarray] = {}
         keys = [named[alias] for alias in self.group_aliases]
@@ -617,8 +610,17 @@ class SubsampleFold:
             if frame is not None:
                 frame.add_column(None, name, column)
 
+        def output_key(position: int) -> np.ndarray:
+            _name, kind, source = self.outputs[position]
+            if kind == "group" and source in sort_codes:
+                return sort_codes[source]
+            column = columns[position]
+            ranks = _number_ranks(column) if untyped and column.dtype == object else None
+            return column if ranks is None else ranks
+
         order_keys = [
-            (order_key(expression), ascending) for expression, ascending in self.order_by
+            (output_key(term) if isinstance(term, int) else order_key(term), ascending)
+            for term, ascending in self.order_by
         ]
         if self.having is not None:
             keep = column_of(self.having).astype(bool)
@@ -690,8 +692,17 @@ class SubsampleFold:
         at[hit] = order[found[hit]]
         return at
 
+    # Computed on the first apply(), once the builder has filled the fold.
+    @cached_property
     def _error_indices(self) -> set[int]:
         return {source for _name, kind, source in self.outputs if kind == "error"}
+
+    @cached_property
+    def _mean_like(self) -> list[tuple[int, _AggregatePlan]]:
+        return [
+            (index, plan) for index, plan in enumerate(self.aggregates)
+            if plan.part == "mean_like"
+        ]
 
     def _combine(
         self,
@@ -704,14 +715,11 @@ class SubsampleFold:
     ) -> None:
         """Each mean-like aggregate's estimate, and the errors in ``wanted``.
 
-        Every ``sum`` is taken in one stacked pass and every ``stddev`` in
-        another (:func:`~repro.sqlengine.functions.group_sums`), each equal
-        bit for bit to its own aggregate.
+        Every ``sum`` and every ``stddev`` is equal bit for bit to its own
+        aggregate (:func:`~repro.sqlengine.functions.group_sums`,
+        :func:`~repro.sqlengine.functions.group_dispersions`).
         """
-        plans = [
-            (index, plan) for index, plan in enumerate(self.aggregates)
-            if plan.part == "mean_like"
-        ]
+        plans = self._mean_like
         if rows.num_rows == 0 and not self.group_aliases:
             for index, plan in plans:
                 estimates[index] = np.full(1, 0.0 if plan.is_count else np.nan)
@@ -720,38 +728,40 @@ class SubsampleFold:
             return
         sizes = as_float(rows.column(SUB_SIZE_ALIAS))
         summed = [sizes]  # what to sum per group; [0] is sum(sub)
-        blocks: list[tuple[int, _AggregatePlan, int, np.ndarray]] = []
+        blocks: list[tuple[int, _AggregatePlan, int]] = []
+        spread_inputs: list[np.ndarray] = []
         for index, plan in plans:
             value = as_float(rows.column(plan.value_alias))
-            blocks.append((index, plan, len(summed), value))
+            blocks.append((index, plan, len(summed)))
             if plan.kind == "mean":
-                summed += [value, as_float(rows.column(plan.extra_alias))]
+                denominator = as_float(rows.column(plan.extra_alias))
+                summed += [value, denominator]
+                spread_of = divide(value, denominator)
             elif plan.kind == "total" and self.weighted:
                 summed.append(value)
-            else:
-                summed.append(value * sizes)
-        sums = group_sums(summed, inverse, groups)
-        total_size = sums[0]
-
-        spread_inputs: list[np.ndarray] = []
-        for index, plan, at, value in blocks:
-            if plan.kind == "mean":
-                estimates[index] = divide(sums[at], sums[at + 1])
-                spread_of = divide(value, summed[at + 1])
-            elif plan.kind == "total" and self.weighted:
-                estimates[index] = sums[at]
                 spread_of = value
             else:
-                estimates[index] = divide(sums[at], total_size)
+                summed.append(value * sizes)
                 spread_of = value
             if index in wanted:
                 spread_inputs.append(spread_of)
+        sums = group_sums(summed, inverse, groups)
+        total_size = sums[0]
+
+        for index, plan, at in blocks:
+            if plan.kind == "mean":
+                estimates[index] = divide(sums[at], sums[at + 1])
+            elif plan.kind == "total" and self.weighted:
+                estimates[index] = sums[at]
+            else:
+                estimates[index] = divide(sums[at], total_size)
 
         if spread_inputs:
-            average_size = aggregate("avg", [sizes], inverse, groups)
+            # avg(sub), as the aggregate computes it from sum(sub).
+            average_size = divide(total_size, group_counts(sizes, inverse, groups))
             factor = divide(np.sqrt(average_size), np.sqrt(total_size))
             spreads = iter(group_dispersions("stddev", spread_inputs, inverse, groups))
-            for index, plan, _at, _value in blocks:
+            for index, plan, _at in blocks:
                 if index not in wanted:
                     continue
                 spread = next(spreads)
@@ -940,10 +950,12 @@ class _FoldBuilder:
             limit=self.statement.limit,
             offset=self.statement.offset,
         )
+        item_outputs: list[int] = []  # select item -> its column in fold.outputs
         for index, item in enumerate(self.statement.select_items):
             name = item.output_name(index)
             expression = item.expression
             key = expression.to_sql()
+            item_outputs.append(len(fold.outputs))
             if not contains_aggregate(expression):
                 fold.outputs.append((name, "group", self._group_column_for(expression)))
                 self.group_output_names.append(name)
@@ -963,6 +975,13 @@ class _FoldBuilder:
             fold.having = _foldable(_substitute_aggregates(self.statement.having, columns))
         for order_item in self.statement.order_by:
             expression = order_item.expression
+            try:
+                position = ordinal(expression, len(item_outputs))
+            except ExecutionError as error:
+                raise RewriteError(str(error)) from error
+            if position is not None:
+                fold.order_by.append((item_outputs[position], order_item.ascending))
+                continue
             if contains_aggregate(expression):
                 expression = _substitute_aggregates(expression, columns)
             elif expression.to_sql() in self.group_aliases:

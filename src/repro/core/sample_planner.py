@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.query_info import QueryAnalysis
 from repro.sampling.params import SampleInfo
@@ -82,8 +83,29 @@ class SamplePlan:
     def sampled_tables(self) -> list[SampleInfo]:
         return [info for info in self.assignments.values() if info is not None]
 
+    @cached_property
+    def signature(self) -> tuple:
+        """Stable identity of the plan, for rewrite-cache keys.
+
+        Two plans that assign the same sample table (or lack of one) to every
+        base table produce the same rewritten SQL, so the assignment map is
+        the whole identity.  Sample *metadata* changes (ratios after an
+        append) move the backend version token the cached rewrite is filed
+        under.  Computed once: a plan is not changed after planning.
+        """
+        return tuple(
+            sorted(
+                (table, info.sample_table if info is not None else None)
+                for table, info in self.assignments.items()
+            )
+        )
+
     def describe(self) -> str:
         """The per-table assignments, then the planner's notes after ``" | "``."""
+        return self._description
+
+    @cached_property
+    def _description(self) -> str:
         parts = []
         for table, info in self.assignments.items():
             if info is None:

@@ -13,8 +13,10 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        # Schema version: bumped whenever a table is registered or dropped so
-        # cached query plans (which bake in column sets) can be invalidated.
+        # Schema version: bumped whenever the set of tables or a table's
+        # column names change, so cached query plans (which bake in column
+        # names and nothing else of a table) can be invalidated.  Replacing a
+        # table by one with the same column names keeps it: the plans stand.
         self.version = 0
 
     @staticmethod
@@ -24,10 +26,12 @@ class Catalog:
     def register(self, table: Table, replace: bool = False) -> None:
         """Register ``table`` under its own name."""
         key = self._key(table.name)
-        if key in self._tables and not replace:
+        replaced = self._tables.get(key)
+        if replaced is not None and not replace:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
-        self.version += 1
+        if replaced is None or replaced.column_names != table.column_names:
+            self.version += 1
 
     def drop(self, name: str, if_exists: bool = False) -> None:
         key = self._key(name)

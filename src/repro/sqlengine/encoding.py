@@ -29,12 +29,14 @@ by several keys (``ORDER BY``), and :func:`compare_numeric` applies the same
 exactness to ``= <> < <= > >=``.  The middleware's fold of per-subsample
 rows groups and sorts through the same functions.
 
-Coding and grouping sort only when the keys are sparse.  An int key whose
-value span (``max - min + 1``) is at most :data:`_DENSE_SPAN` times its row
-count is coded by offset, and packed codes that dense are numbered without a
-sort; float keys and sparse ones go through ``np.unique``.  Either way the
-codes are the ranks of the distinct values, so the route never shows in an
-answer.
+Coding and grouping sort only when the keys are sparse or fractional.  An
+int key whose value span (``max - min + 1``) is at most :data:`_DENSE_SPAN`
+times its row count, or at most :data:`_DENSE_FLOOR`, is coded by offset,
+and so is a float key whose values are integral and below ``2**52`` in
+magnitude with a span that dense (every sample's float64 ``vdb_sid``), NaN
+coded last as NULL; packed codes that dense are numbered without a sort.  Other float keys and sparse ones go
+through ``np.unique``.  Either way the codes are the ranks of the distinct
+values, so the route never shows in an answer.
 
 The dictionary is always sorted, so codes are rank-preserving: sorting or
 comparing codes is equivalent to sorting or comparing the normalized string
@@ -67,10 +69,17 @@ NULL_SENTINEL = "\0N"
 # is re-densified instead of silently wrapping around int64.
 _MAX_PACKED_CODE = 1 << 62
 
-# An int key whose value span is at most this many times its row count is
-# coded by offset, and packed codes this dense are grouped, without a sort.
-# Either route allocates arrays of at most this many times the rows.
+# An int key whose value span is at most this many times its row count (or
+# at most _DENSE_FLOOR) is coded by offset, and packed codes this dense are
+# grouped, without a sort.  Either route allocates arrays of at most this
+# many times the rows, or of _DENSE_FLOOR entries: a span that small costs
+# less to walk than sorting even a few rows.
 _DENSE_SPAN = 2
+_DENSE_FLOOR = 1024
+
+# Float keys are coded by offset only below this magnitude, where every
+# integral value and every difference of two is exact.
+_MAX_DENSE_FLOAT = float(2**52)
 
 _COMPARE = {
     "=": np.equal,
@@ -202,10 +211,14 @@ def union_dictionaries(left: Array, right: Array) -> tuple[Array, Array | None, 
 
 
 def null_code(dictionary: Array) -> int:
-    """Position of the NULL sentinel in ``dictionary`` (-1 when absent)."""
-    position = int(np.searchsorted(dictionary, NULL_SENTINEL))
-    if position < len(dictionary) and dictionary[position] == NULL_SENTINEL:
-        return position
+    """Position of the NULL sentinel in ``dictionary`` (-1 when absent).
+
+    Escaped data holds no NUL, so only the empty string sorts before the
+    sentinel: it is entry 0 or 1 when present.
+    """
+    for position in range(min(2, len(dictionary))):
+        if dictionary[position] == NULL_SENTINEL:
+            return position
     return -1
 
 
@@ -232,7 +245,8 @@ class KeyCodes(NamedTuple):
     or one side of a pair, may leave some unused.  ``null_code`` is the code
     NULL rows carry (-1: no row can be NULL).  A code is the rank of its key
     among the distinct keys, whether it came from a sort or, for an int
-    column whose span is at most ``_DENSE_SPAN`` times its rows, from the
+    column (or an integral float one) whose span is dense (at most
+    ``_DENSE_SPAN`` times its rows, or at most ``_DENSE_FLOOR``), from the
     key's offset above the minimum.
     """
 
@@ -253,8 +267,10 @@ def encode_key(values: Array, encoded: Encoded | None = None) -> KeyCodes:
 
     ``encoded`` is the column's ``(codes, dictionary)`` when a scan attached
     one: those codes are used as they are, never re-encoded.  An int64 or
-    bool column whose value span (``max - min + 1``) is at most
-    ``_DENSE_SPAN`` times its row count is coded in O(rows + span) by offset
+    bool column, or a float64 one of integral values below ``2**52`` in
+    magnitude, whose value span (``max - min + 1``) is at most
+    ``_DENSE_SPAN`` times its row count (or at most ``_DENSE_FLOOR``) is
+    coded in O(rows + span) by offset
     and a prefix sum of the values present; any other numeric column by
     ``np.unique``.  Both give the same codes, cardinality and NULL code.
     """
@@ -328,16 +344,17 @@ def group_rows_encoded(keys: Sequence[KeyCodes], num_rows: int) -> tuple[Array, 
     ``first[g]`` is the first row of group ``g``, so ``first`` increases and
     ``len(first)`` is the number of groups.  The columns are packed by
     :func:`pack_codes`.  Packed codes at most ``_DENSE_SPAN`` times the rows
-    are numbered in O(rows + cardinality) without a sort: ``np.minimum.at``
-    finds each code's first row and a cumulative sum over those rows numbers
-    them.  Sparser codes are first densified by one ``np.unique``.
+    (or at most ``_DENSE_FLOOR``) are numbered in O(rows + cardinality)
+    without a sort: ``np.minimum.at`` finds each code's first row and a
+    cumulative sum over those rows numbers them.  Sparser codes are first
+    densified by one ``np.unique``.
     """
     if num_rows == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     packed = pack_codes(keys)
     codes, cardinality = packed.codes, packed.cardinality
-    if cardinality > _DENSE_SPAN * num_rows:
+    if not _dense(cardinality, num_rows):
         uniques, codes = np.unique(codes, return_inverse=True)
         cardinality = len(uniques)
     first_of_code = np.full(cardinality, num_rows, dtype=np.int64)
@@ -432,8 +449,11 @@ def compare_numeric(op: str, left: Array, right: Array) -> Array:
         # Python compares an int with a float by exact value.
         dtype = np.float64 if _fits_float(left if left.dtype.kind == "i" else right) else object
         left, right = left.astype(dtype, copy=False), right.astype(dtype, copy=False)
-    with np.errstate(invalid="ignore"):  # NaN in an object comparison
-        result: Array = _COMPARE[op](left, right)
+    if left.dtype == object:
+        with np.errstate(invalid="ignore"):  # NaN in an object comparison
+            result: Array = _COMPARE[op](left, right)
+    else:
+        result = _COMPARE[op](left, right)
     for null in nulls:
         result &= ~null
     return result
@@ -475,18 +495,64 @@ def _unique_codes(values: Array) -> KeyCodes:
     """Codes of a numeric column by its sorted distinct values (NaN: NULL)."""
     if values.dtype.kind == "i" and len(values):
         low, high = int(values.min()), int(values.max())
-        if high - low < _DENSE_SPAN * len(values):
+        if _dense(high - low + 1, len(values)):
             # ``values - low`` wraps nowhere it matters: the true offsets all
             # lie in [0, span), and int64 subtraction is exact modulo 2**64.
-            offsets = values - low
-            present = np.zeros(high - low + 1, dtype=bool)
-            present[offsets] = True
-            ranks = np.cumsum(present, dtype=np.int64) - 1
-            return KeyCodes(ranks[offsets], int(ranks[-1]) + 1)
+            return _dense_codes(values - low, high - low + 1)
+    elif values.dtype.kind == "f" and len(values):
+        dense = _dense_float_codes(values)
+        if dense is not None:
+            return dense
     uniques, codes = np.unique(values, return_inverse=True)
     # np.unique folds every NaN into one trailing entry and -0.0 into 0.0.
     null = len(uniques) - 1 if values.dtype.kind == "f" and np.isnan(uniques[-1:]).any() else -1
     return KeyCodes(codes.astype(np.int64, copy=False), len(uniques), null)
+
+
+def _dense(span: float, rows: int) -> bool:
+    """Whether keys spanning ``span`` values over ``rows`` rows are coded
+    (or grouped) by offset rather than by a sort."""
+    return span <= max(_DENSE_SPAN * rows, _DENSE_FLOOR)
+
+
+def _dense_codes(offsets: Array, span: int) -> KeyCodes:
+    """Rank codes of non-negative int offsets below ``span``, by a prefix sum
+    of the offsets present: O(rows + span), no sort."""
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    ranks = np.cumsum(present, dtype=np.int64) - 1
+    return KeyCodes(ranks[offsets], int(ranks[-1]) + 1)
+
+
+def _dense_float_codes(values: Array) -> KeyCodes | None:
+    """:func:`_dense_codes` of a float64 column whose non-NaN values are
+    integral, of magnitude at most ``2**52`` and dense in span (see
+    :func:`_dense`); None for any other column.  NaN rows are NULL and get
+    the code after every value, as ``np.unique`` sorts NaN last, and ``-0.0``
+    is offset as ``0.0``, so the codes are ``np.unique``'s."""
+    present, nulls = values, None
+    low, high = float(values.min()), float(values.max())
+    if low != low:  # min() is NaN iff a row is
+        nulls = np.isnan(values)
+        present = values[~nulls]
+        if not len(present):
+            return None
+        low, high = float(present.min()), float(present.max())
+    # Infinities fail the range test.  Within it an integral value converts
+    # to int64 exactly, and a fractional one is caught by the round trip.
+    if not (-_MAX_DENSE_FLOAT <= low and high <= _MAX_DENSE_FLOAT):
+        return None
+    if not _dense(high - low + 1, len(values)):
+        return None
+    ints = present.astype(np.int64)  # exact for every integral value here
+    if not (ints == present).all():
+        return None
+    key = _dense_codes(ints - int(low), int(high - low) + 1)
+    if nulls is None:
+        return key
+    codes = np.full(len(values), key.cardinality, dtype=np.int64)
+    codes[~nulls] = key.codes
+    return KeyCodes(codes, key.cardinality + 1, key.cardinality)
 
 
 def _split(joint: KeyCodes, left_rows: int) -> tuple[KeyCodes, KeyCodes]:

@@ -44,6 +44,7 @@ from repro.sqlengine.expressions import (
     column_codes,
     contains_aggregate,
     evaluate,
+    ordinal,
 )
 from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
@@ -146,15 +147,8 @@ class Executor:
             frame = frame.filter(mask)
             context = self._context(frame.num_rows)
 
-        has_aggregates = bool(statement.group_by) or any(
-            contains_aggregate(item.expression)
-            for item in statement.select_items
-            if not isinstance(item.expression, ast.Star)
-        )
-        if statement.having is not None and not has_aggregates:
-            has_aggregates = True
-
-        if has_aggregates:
+        grouped = plan.grouped if plan is not None else logical_planner.is_grouped(statement)
+        if grouped:
             return self._execute_grouped(statement, frame, context, plan)
         return self._execute_plain(statement, frame, context)
 
@@ -179,12 +173,11 @@ class Executor:
             return frame
         if isinstance(relation, ast.TableRef):
             table = self._catalog.get(relation.name)
-            scan = plan.scan_for(relation.binding_name) if plan is not None else None
-            wanted = scan.columns if scan is not None else None
+            binding = relation.binding_name
+            scan = plan.scan_for(binding) if plan is not None else None
+            names = scan.names if scan is not None else None
             frame = Frame()
-            for column_name in table.column_names:
-                if wanted is not None and column_name.lower() not in wanted:
-                    continue
+            for column_name in table.column_names if names is None else names:
                 self._checkpoint()  # per-column scan materialization
                 array = table.column(column_name)
                 codes = None
@@ -193,8 +186,8 @@ class Executor:
                         lambda t=table, n=column_name: t.dictionary_codes(n),
                         lambda t=table, n=column_name: t.cached_dictionary_codes(n),
                     )
-                frame.add_column(relation.binding_name, column_name, array, codes=codes)
-            if not frame.entries():
+                frame.add_column(binding, column_name, array, codes=codes)
+            if not frame.num_columns:
                 frame.num_rows = table.num_rows
             mask = self._scan_mask(frame, scan)
             if mask is not None:
@@ -217,7 +210,7 @@ class Executor:
             ):
                 codes = encodings[position] if encodings is not None else None
                 frame.add_column(relation.alias, column_name, array, codes=codes)
-            if not frame.entries():
+            if not frame.num_columns:
                 frame.num_rows = result.num_rows
             scan = plan.scan_for(relation.binding_name) if plan is not None else None
             mask = self._scan_mask(frame, scan)
@@ -228,12 +221,11 @@ class Executor:
 
     def _scan_mask(self, frame: Frame, scan) -> np.ndarray | None:
         """Row mask of a scan's pushed-down WHERE conjuncts (None: keep all)."""
-        if scan is None or not scan.predicates:
+        if scan is None or scan.predicate is None:
             return None
         self._checkpoint()
-        predicate = ast.conjunction(scan.predicates)
         context = self._context(frame.num_rows)
-        return evaluate(predicate, frame, context, self._scalar_subquery)
+        return evaluate(scan.predicate, frame, context, self._scalar_subquery)
 
     def _build_join(
         self,
@@ -419,7 +411,7 @@ class Executor:
                 encodings.append(_lazy_key_encoding(item.expression, frame))
             alias_frame.add_column(None, name, array)
 
-        order_indices = self._order_indices(statement, alias_frame, context)
+        order_indices = self._order_indices(statement, alias_frame, context, columns)
         if order_indices is not None:
             columns = [column[order_indices] for column in columns]
             if encodings is not None:
@@ -443,23 +435,24 @@ class Executor:
     def _grouped_memo(
         self, statement: ast.SelectStatement, plan: SelectPlan | None
     ) -> _GroupedMemo:
-        """The statement's substitution memo, cached on its plan when possible.
+        """The statement's grouped-execution memo, cached on its plan when
+        possible.
 
         Building the memo walks every select/HAVING/ORDER BY expression and
-        renders SQL keys for the aggregate/group substitutions — pure
-        functions of the statement, re-derived identically on every call
-        before this cache existed.  Plans are cached per SQL text alongside
-        their statements, so repeated executions reuse the memo; the identity
-        check guards against callers pairing a plan with a foreign statement.
+        aggregate argument and renders SQL keys for the substitutions — pure
+        functions of the statement.  Plans are cached per SQL text alongside
+        their statements, so repeated executions reuse the memo and render
+        nothing; the identity check guards against callers pairing a plan
+        with a foreign statement.
         """
         if plan is not None:
             memo = plan.grouped_memo
             if memo is not None and memo.statement is statement:
                 return memo
-            memo = _GroupedMemo.build(statement, self._collect_aggregates)
+            memo = _GroupedMemo.build(statement, share=self._optimize)
             plan.grouped_memo = memo
             return memo
-        return _GroupedMemo.build(statement, self._collect_aggregates)
+        return _GroupedMemo.build(statement, share=self._optimize)
 
     def _execute_grouped(
         self,
@@ -468,9 +461,6 @@ class Executor:
         context: functions.EvaluationContext,
         plan: SelectPlan | None = None,
     ) -> ResultSet:
-        for item in statement.select_items:
-            if isinstance(item.expression, ast.Star):
-                raise ExecutionError("'*' cannot be used together with aggregates")
         memo = self._grouped_memo(statement, plan)
 
         if statement.group_by:
@@ -496,10 +486,8 @@ class Executor:
             num_groups = 1
             representative = np.zeros(min(1, frame.num_rows), dtype=np.int64)
 
-        post_frame = Frame(num_rows=num_groups)
-
-        for position, (_expr, key_array) in enumerate(zip(statement.group_by, keys)):
-            column_name = f"__group_{position}"
+        group_columns: list[tuple[np.ndarray, LazyCodes | None]] = []
+        for position, key_array in enumerate(keys):
             values = key_array[representative]
             # Carry the key's dictionary codes onto the per-group column
             # (codes of each group's representative row): HAVING/ORDER BY
@@ -511,50 +499,79 @@ class Executor:
                 codes = LazyCodes.presolved(encoded[0][representative], encoded[1])
             if num_groups and len(values) != num_groups:
                 values = np.resize(values, num_groups)
-            post_frame.add_column(None, column_name, values, codes=codes)
+            group_columns.append((values, codes))
 
-        aggregate_nodes = memo.aggregate_nodes
-        argument_substitutions: dict[str, str] = {}
-        if self._optimize and aggregate_nodes:
-            argument_substitutions = self._materialize_shared_arguments(
-                statement, aggregate_nodes, frame, keys, context
+        # Subexpressions shared by several aggregate arguments are evaluated
+        # once, as hidden columns the arguments read (see _GroupedMemo).
+        for position, name in memo.seeded_keys:
+            frame.add_column(None, name, keys[position])
+        for name, expression in memo.shared:
+            frame.add_column(
+                None, name, evaluate(expression, frame, context, self._scalar_subquery)
             )
-        for position, node in enumerate(aggregate_nodes.values()):
+        aggregate_columns: list[np.ndarray] = []
+        for node, arguments, is_star, _name in memo.aggregates:
             self._checkpoint()  # per-aggregate checkpoint in grouped evaluation
-            post_frame.add_column(
-                None,
-                f"__agg_{position}",
-                self._compute_aggregate(
-                    node, frame, context, inverse, num_groups, argument_substitutions
-                ),
+            args = [
+                evaluate(argument, frame, context, self._scalar_subquery)
+                for argument in arguments
+            ]
+            aggregate_columns.append(
+                functions.aggregate(
+                    node.name, args, inverse, num_groups, distinct=node.distinct,
+                    is_star=is_star,
+                )
             )
 
-        return self._finish_grouped(statement, memo, post_frame, num_groups)
+        return self._finish_grouped(
+            statement, memo, group_columns, aggregate_columns, num_groups
+        )
 
     def _finish_grouped(
         self,
         statement: ast.SelectStatement,
         memo: _GroupedMemo,
-        post_frame: Frame,
+        group_columns: list[tuple[np.ndarray, LazyCodes | None]],
+        aggregate_columns: list[np.ndarray],
         num_groups: int,
     ) -> ResultSet:
         """Evaluate select items, HAVING, ORDER BY, DISTINCT and LIMIT over
-        the per-group frame (``__group_<i>`` / ``__agg_<i>`` columns).
-        """
-        post_context = self._context(num_groups)
+        the per-group columns.
 
-        column_names: list[str] = []
+        An item that is a grouping key or an aggregate is that column as it
+        stands.  Only when some item, HAVING or ORDER BY term needs
+        evaluating are the columns put in a per-group frame (``__group_<i>``
+        / ``__agg_<i>``, then each output name).
+        """
+        post_frame: Frame | None = None
+        post_context = None
+        if memo.needs_frame:
+            post_frame = Frame(num_rows=num_groups)
+            for name, (values, codes) in zip(memo.group_names, group_columns):
+                post_frame.add_column(None, name, values, codes=codes)
+            for aggregate, values in zip(memo.aggregates, aggregate_columns):
+                post_frame.add_column(None, aggregate[3], values)
+            post_context = self._context(num_groups)
+
+        column_names = memo.output_names
         columns: list[np.ndarray] = []
         output_encodings: list[LazyCodes | None] | None = [] if self._optimize else None
-        for position, item in enumerate(statement.select_items):
-            substituted = memo.substituted_items[position]
-            array = evaluate(substituted, post_frame, post_context, self._scalar_subquery)
-            name = item.output_name(position)
-            column_names.append(name)
+        for name, substituted, source in zip(
+            column_names, memo.substituted_items, memo.item_sources
+        ):
+            encoding = None
+            if source is None:
+                array = evaluate(substituted, post_frame, post_context, self._scalar_subquery)
+                encoding = _lazy_key_encoding(substituted, post_frame)
+            elif source[0] == "group":
+                array, encoding = group_columns[source[1]]
+            else:
+                array = aggregate_columns[source[1]]
             columns.append(array)
             if output_encodings is not None:
-                output_encodings.append(_lazy_key_encoding(substituted, post_frame))
-            post_frame.add_column(None, name, array)
+                output_encodings.append(encoding)
+            if post_frame is not None:
+                post_frame.add_column(None, name, array)
 
         keep_mask: np.ndarray | None = None
         if memo.substituted_having is not None:
@@ -563,7 +580,12 @@ class Executor:
             keep_mask = keep_mask.astype(bool)
 
         order_keys = [
-            (self._sort_key(substituted, post_frame, post_context), ascending)
+            (
+                columns[substituted]
+                if isinstance(substituted, int)
+                else self._sort_key(substituted, post_frame, post_context),
+                ascending,
+            )
             for substituted, ascending in memo.substituted_order
         ]
 
@@ -590,131 +612,23 @@ class Executor:
             result = _distinct(result)
         return _apply_limit(result, statement.limit, statement.offset)
 
-    def _collect_aggregates(
-        self, statement: ast.SelectStatement
-    ) -> dict[str, ast.FunctionCall]:
-        """Find the innermost aggregate calls referenced anywhere in the query."""
-        nodes: dict[str, ast.FunctionCall] = {}
-        expressions: list[ast.Expression] = [item.expression for item in statement.select_items]
-        if statement.having is not None:
-            expressions.append(statement.having)
-        expressions.extend(order_item.expression for order_item in statement.order_by)
-        for expression in expressions:
-            if isinstance(expression, ast.Star):
-                continue
-            for node in expression.walk():
-                if not isinstance(node, ast.FunctionCall):
-                    continue
-                if not functions.is_aggregate_function(node.name):
-                    continue
-                if any(contains_aggregate(argument) for argument in node.args):
-                    continue
-                nodes.setdefault(node.to_sql(), node)
-        return nodes
-
-    def _materialize_shared_arguments(
-        self,
-        statement: ast.SelectStatement,
-        aggregate_nodes: dict[str, ast.FunctionCall],
-        frame: Frame,
-        keys: list[np.ndarray],
-        context: functions.EvaluationContext,
-    ) -> dict[str, str]:
-        """Evaluate subexpressions shared by several aggregate arguments once.
-
-        The rewritten AQP inner query computes several Horvitz–Thompson
-        building blocks per subsample id whose arguments share subexpressions
-        (``x / prob``, ``1.0 / prob``, non-trivial grouping expressions); the
-        naive path re-evaluates each occurrence.  This fuses the aggregation
-        input into a single pass: every repeated, deterministic subexpression
-        is evaluated once, materialized as a hidden frame column, and the
-        aggregate arguments are rewritten to reference it.  Grouping-key
-        expressions are seeded for free — their arrays are already computed.
-        Expressions containing ``rand()`` or scalar subqueries never
-        participate (each occurrence must keep its own evaluation so the RNG
-        stream matches the naive path).
-        """
-        substitutions: dict[str, str] = {}
-
-        def materialize(sql: str, array: np.ndarray) -> None:
-            name = f"\x00shared_{len(substitutions)}"
-            frame.add_column(None, name, array)
-            substitutions[sql] = name
-
-        for expression, key_array in zip(statement.group_by, keys):
-            if isinstance(expression, (ast.Literal, ast.ColumnRef, ast.Star)):
-                continue  # resolving a column (or broadcasting) is already free
-            sql = expression.to_sql()
-            if sql not in substitutions and _shareable(expression):
-                materialize(sql, key_array)
-
-        counts: dict[str, int] = {}
-        nodes_by_sql: dict[str, ast.Expression] = {}
-        for node in aggregate_nodes.values():
-            for argument in node.args:
-                if isinstance(argument, ast.Star):
-                    continue
-                for sub in argument.walk():
-                    if isinstance(sub, (ast.Literal, ast.ColumnRef, ast.Star)):
-                        continue
-                    sql = sub.to_sql()
-                    counts[sql] = counts.get(sql, 0) + 1
-                    nodes_by_sql.setdefault(sql, sub)
-
-        # Inner-most first (a contained subexpression renders strictly
-        # shorter), so outer shared expressions evaluate through the already
-        # materialized columns of their inner ones.
-        for sql in sorted(nodes_by_sql, key=len):
-            if counts[sql] < 2 or sql in substitutions:
-                continue
-            expression = nodes_by_sql[sql]
-            if not _shareable(expression):
-                continue
-            substituted = _substitute(expression, substitutions, {})
-            materialize(sql, evaluate(substituted, frame, context, self._scalar_subquery))
-        return substitutions
-
-    def _compute_aggregate(
-        self,
-        node: ast.FunctionCall,
-        frame: Frame,
-        context: functions.EvaluationContext,
-        inverse: np.ndarray,
-        num_groups: int,
-        argument_substitutions: dict[str, str] | None = None,
-    ) -> np.ndarray:
-        is_star = bool(node.args) and isinstance(node.args[0], ast.Star)
-        if is_star or not node.args:
-            args: list[np.ndarray] = []
-        else:
-            arguments = node.args
-            if argument_substitutions:
-                arguments = [
-                    _substitute(argument, argument_substitutions, {})
-                    for argument in arguments
-                ]
-            args = [
-                evaluate(argument, frame, context, self._scalar_subquery)
-                for argument in arguments
-            ]
-        return functions.aggregate(
-            node.name, args, inverse, num_groups, distinct=node.distinct, is_star=is_star
-        )
-
     def _order_indices(
         self,
         statement: ast.SelectStatement,
         frame: Frame,
         context: functions.EvaluationContext,
+        columns: list[np.ndarray],
     ) -> np.ndarray | None:
         if not statement.order_by:
             return None
-        return sort_indices(
-            [
-                (self._sort_key(item.expression, frame, context), item.ascending)
-                for item in statement.order_by
-            ]
-        )
+        keys = []
+        for item in statement.order_by:
+            position = ordinal(item.expression, len(columns))
+            if position is not None:
+                keys.append((columns[position], item.ascending))
+            else:
+                keys.append((self._sort_key(item.expression, frame, context), item.ascending))
+        return sort_indices(keys)
 
     def _sort_key(
         self,
@@ -869,32 +783,73 @@ def _probe_build_join(
 
 
 class _GroupedMemo:
-    """Statement-pure precomputation for grouped execution.
+    """Every statement-pure decision of grouped execution.
 
     Grouped execution rewrites every select/HAVING/ORDER BY expression onto
     the post-aggregation frame, using rendered-SQL keys to recognize the
     grouping expressions and aggregate calls (``__group_<i>`` /
-    ``__agg_<i>`` columns) and earlier output aliases.  All of that depends
-    only on the statement, so it is computed once here and cached on the
-    statement's (equally cached) :class:`~repro.sqlengine.planner.SelectPlan`
-    — repeated executions of one statement skip the per-call expression
-    walking and SQL rendering entirely.  The construction mirrors the
-    historical per-call loop exactly (including the order in which aliases
-    become visible to later items), so results are bit-identical.
+    ``__agg_<i>`` columns) and earlier output aliases; an ORDER BY ordinal
+    becomes the position of the select item it names.
+
+    With ``share`` (the optimized engine) it also fuses the aggregation
+    input.  The rewritten AQP inner query computes several Horvitz–Thompson
+    building blocks per subsample id whose arguments share subexpressions
+    (``x / prob``, ``1.0 / prob``, non-trivial grouping expressions), which
+    the naive path evaluates once per occurrence.  Every repeated,
+    deterministic subexpression is instead evaluated once per call, in
+    ``shared`` order (inner-most first), as a hidden input-frame column, and
+    the aggregate arguments read it.  A non-trivial grouping key seeds its
+    hidden column (``seeded_keys``) from the key array already computed.
+    Expressions holding ``rand()`` or a scalar subquery never take part:
+    each occurrence keeps its own evaluation, so the RNG stream matches the
+    naive path.
+
+    All of that depends only on the statement, so it is computed once here
+    and cached on the statement's (equally cached)
+    :class:`~repro.sqlengine.planner.SelectPlan`: a repeated execution walks
+    no expression and renders no SQL, it only evaluates.  Aliases become
+    visible to later items in select-list order, so results are
+    bit-identical to evaluating each expression where it stands.
     """
 
-    __slots__ = ("statement", "aggregate_nodes", "substituted_items",
-                 "substituted_having", "substituted_order")
+    __slots__ = ("statement", "group_names", "seeded_keys", "shared", "aggregates",
+                 "output_names", "substituted_items", "item_sources", "substituted_having",
+                 "substituted_order", "needs_frame")
 
-    def __init__(self, statement, aggregate_nodes, items, having, order) -> None:
+    def __init__(
+        self,
+        statement: ast.SelectStatement,
+        seeded_keys: list[tuple[int, str]],
+        shared: list[tuple[str, ast.Expression]],
+        aggregates: list[tuple[ast.FunctionCall, list[ast.Expression], bool, str]],
+        items: list[ast.Expression],
+        having: ast.Expression | None,
+        order: list[tuple[ast.Expression | int, bool]],
+    ) -> None:
         self.statement = statement
-        self.aggregate_nodes = aggregate_nodes
+        self.group_names = [f"__group_{position}" for position in range(len(statement.group_by))]
+        self.seeded_keys = seeded_keys
+        self.shared = shared
+        # (call, its arguments over the shared columns, count(*)?, column name)
+        self.aggregates = aggregates
+        self.output_names = [
+            item.output_name(position) for position, item in enumerate(statement.select_items)
+        ]
         self.substituted_items = items
         self.substituted_having = having
+        # (expression, ascending), or (select-item position, ascending)
         self.substituted_order = order
+        # Per item: ("group", i) or ("agg", i) when it is that per-group
+        # column as it stands, else None (evaluated over the frame).
+        self.item_sources = _item_sources(items, self.group_names, aggregates, self.output_names)
+        self.needs_frame = (
+            having is not None
+            or any(source is None for source in self.item_sources)
+            or any(not isinstance(term, int) for term, _ascending in order)
+        )
 
     @classmethod
-    def build(cls, statement: ast.SelectStatement, collect_aggregates) -> _GroupedMemo:
+    def build(cls, statement: ast.SelectStatement, share: bool) -> _GroupedMemo:
         substitutions: dict[str, str] = {}
         name_substitutions: dict[str, str] = {}
         for position, expr in enumerate(statement.group_by):
@@ -902,25 +857,139 @@ class _GroupedMemo:
             substitutions[expr.to_sql()] = column_name
             if isinstance(expr, ast.ColumnRef):
                 name_substitutions[expr.name.lower()] = column_name
-        aggregate_nodes = collect_aggregates(statement)
+        aggregate_nodes = _collect_aggregates(statement)
         for position, sql_key in enumerate(aggregate_nodes):
             substitutions[sql_key] = f"__agg_{position}"
         items: list[ast.Expression] = []
         for position, item in enumerate(statement.select_items):
+            if isinstance(item.expression, ast.Star):
+                raise ExecutionError("'*' cannot be used together with aggregates")
             items.append(_substitute(item.expression, substitutions, name_substitutions))
             name = item.output_name(position)
             substitutions[ast.ColumnRef(name).to_sql()] = name
         having = None
         if statement.having is not None:
             having = _substitute(statement.having, substitutions, name_substitutions)
-        order = [
-            (
-                _substitute(order_item.expression, substitutions, name_substitutions),
+        order: list[tuple[ast.Expression | int, bool]] = []
+        for order_item in statement.order_by:
+            position = ordinal(order_item.expression, len(items))
+            order.append((
+                position if position is not None
+                else _substitute(order_item.expression, substitutions, name_substitutions),
                 order_item.ascending,
-            )
-            for order_item in statement.order_by
-        ]
-        return cls(statement, aggregate_nodes, items, having, order)
+            ))
+        seeded_keys: list[tuple[int, str]] = []
+        shared: list[tuple[str, ast.Expression]] = []
+        hidden: dict[str, str] = {}
+        if share and aggregate_nodes:
+            seeded_keys, shared, hidden = _shared_arguments(statement, aggregate_nodes)
+        aggregates = []
+        for position, node in enumerate(aggregate_nodes.values()):
+            is_star = bool(node.args) and isinstance(node.args[0], ast.Star)
+            arguments = [] if is_star else [
+                _substitute(argument, hidden, {}) if hidden else argument
+                for argument in node.args
+            ]
+            aggregates.append((node, arguments, is_star, f"__agg_{position}"))
+        return cls(statement, seeded_keys, shared, aggregates, items, having, order)
+
+
+def _item_sources(
+    items: list[ast.Expression],
+    group_names: list[str],
+    aggregates: list[tuple[ast.FunctionCall, list[ast.Expression], bool, str]],
+    output_names: list[str],
+) -> list[tuple[str, int] | None]:
+    """Which per-group column each substituted select item is, if any.
+
+    An output name that spells a per-group column's name would shadow it in
+    the frame, so then every item is evaluated there.
+    """
+    columns = {name: ("group", position) for position, name in enumerate(group_names)}
+    columns.update(
+        (aggregate[3], ("agg", position)) for position, aggregate in enumerate(aggregates)
+    )
+    if any(name.lower() in columns for name in output_names):
+        return [None] * len(items)
+    return [
+        columns.get(item.name) if isinstance(item, ast.ColumnRef) and item.table is None
+        else None
+        for item in items
+    ]
+
+
+def _collect_aggregates(statement: ast.SelectStatement) -> dict[str, ast.FunctionCall]:
+    """The innermost aggregate calls referenced anywhere in the query, by SQL."""
+    nodes: dict[str, ast.FunctionCall] = {}
+    expressions: list[ast.Expression] = [item.expression for item in statement.select_items]
+    if statement.having is not None:
+        expressions.append(statement.having)
+    expressions.extend(order_item.expression for order_item in statement.order_by)
+    for expression in expressions:
+        if isinstance(expression, ast.Star):
+            continue
+        for node in expression.walk():
+            if not isinstance(node, ast.FunctionCall):
+                continue
+            if not functions.is_aggregate_function(node.name):
+                continue
+            if any(contains_aggregate(argument) for argument in node.args):
+                continue
+            nodes.setdefault(node.to_sql(), node)
+    return nodes
+
+
+def _shared_arguments(
+    statement: ast.SelectStatement, aggregate_nodes: dict[str, ast.FunctionCall]
+) -> tuple[list[tuple[int, str]], list[tuple[str, ast.Expression]], dict[str, str]]:
+    """Which subexpressions of the aggregate arguments to evaluate once.
+
+    Returns ``(seeded_keys, shared, substitutions)``: the grouping keys that
+    seed a hidden column (key position, column name), the shared
+    subexpressions to evaluate in that order (column name, expression over
+    the earlier hidden columns), and rendered SQL -> hidden column name.
+    """
+    substitutions: dict[str, str] = {}
+    seeded_keys: list[tuple[int, str]] = []
+    shared: list[tuple[str, ast.Expression]] = []
+
+    def hidden_name(sql: str) -> str:
+        name = f"\x00shared_{len(substitutions)}"
+        substitutions[sql] = name
+        return name
+
+    for position, expression in enumerate(statement.group_by):
+        if isinstance(expression, (ast.Literal, ast.ColumnRef, ast.Star)):
+            continue  # resolving a column (or broadcasting) is already free
+        sql = expression.to_sql()
+        if sql not in substitutions and _shareable(expression):
+            seeded_keys.append((position, hidden_name(sql)))
+
+    counts: dict[str, int] = {}
+    nodes_by_sql: dict[str, ast.Expression] = {}
+    for node in aggregate_nodes.values():
+        for argument in node.args:
+            if isinstance(argument, ast.Star):
+                continue
+            for sub in argument.walk():
+                if isinstance(sub, (ast.Literal, ast.ColumnRef, ast.Star)):
+                    continue
+                sql = sub.to_sql()
+                counts[sql] = counts.get(sql, 0) + 1
+                nodes_by_sql.setdefault(sql, sub)
+
+    # Inner-most first (a contained subexpression renders strictly shorter),
+    # so outer shared expressions evaluate through the hidden columns of
+    # their inner ones.
+    for sql in sorted(nodes_by_sql, key=len):
+        if counts[sql] < 2 or sql in substitutions:
+            continue
+        expression = nodes_by_sql[sql]
+        if not _shareable(expression):
+            continue
+        substituted = _substitute(expression, substitutions, {})
+        shared.append((hidden_name(sql), substituted))
+    return seeded_keys, shared, substitutions
 
 
 def _substitute(

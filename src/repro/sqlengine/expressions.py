@@ -126,7 +126,8 @@ class Frame:
         self._entries: list[tuple[str | None, str, np.ndarray]] = []
         self._codes: list[LazyCodes | None] = []
         self._qualified: dict[tuple[str, str], int] = {}
-        self._unqualified: dict[str, list[int]] = {}
+        # Tuples, so a derived frame can share the map and extend its own.
+        self._unqualified: dict[str, tuple[int, ...]] = {}
         self._ambiguity_checked: dict[str, bool] = {}
         # Set only on a base-table scan's frame (the join's key-index path
         # reads it); every derived frame — take, filter, concat — has none.
@@ -139,22 +140,29 @@ class Frame:
         array: np.ndarray,
         codes: LazyCodes | None = None,
     ) -> None:
-        array = np.asarray(array)
-        if self._entries and len(array) != self.num_rows:
+        if not isinstance(array, np.ndarray):
+            array = np.asarray(array)
+        index = len(self._entries)
+        if index and len(array) != self.num_rows:
             raise ExecutionError(
                 f"column {name!r} has {len(array)} rows, expected {self.num_rows}"
             )
-        if not self._entries:
+        if not index:
             self.num_rows = len(array)
-        index = len(self._entries)
         self._entries.append((binding, name, array))
         self._codes.append(codes)
+        lowered = name.lower()
         if binding is not None:
-            self._qualified[(binding.lower(), name.lower())] = index
-        self._unqualified.setdefault(name.lower(), []).append(index)
+            self._qualified[(binding.lower(), lowered)] = index
+        self._unqualified[lowered] = self._unqualified.get(lowered, ()) + (index,)
         # A new same-named column changes the candidate set, so any cached
         # ambiguity verdict for the name is stale.
-        self._ambiguity_checked.pop(name.lower(), None)
+        if self._ambiguity_checked:
+            self._ambiguity_checked.pop(lowered, None)
+
+    @property
+    def num_columns(self) -> int:
+        return len(self._entries)
 
     def entries(self) -> Iterable[tuple[str | None, str, np.ndarray]]:
         return list(self._entries)
@@ -181,7 +189,7 @@ class Frame:
                 return self._qualified[key]
             raise ExecutionError(f"unknown column {table}.{name}")
         lowered = name.lower()
-        indexes = self._unqualified.get(lowered, [])
+        indexes = self._unqualified.get(lowered, ())
         if not indexes:
             raise ExecutionError(f"unknown column {name!r}")
         if len(indexes) > 1:
@@ -221,11 +229,18 @@ class Frame:
             return None
 
     def take(self, indices: np.ndarray) -> Frame:
-        """Return a new frame with rows selected (and repeated) by ``indices``."""
+        """Return a new frame with rows selected (and repeated) by ``indices``.
+
+        The name maps are copied, not rebuilt; ambiguity verdicts are not,
+        as a selection can make two same-named columns equal.
+        """
         result = Frame(num_rows=len(indices))
-        for (binding, name, array), codes in zip(self._entries, self._codes):
-            sliced = codes.sliced(indices) if codes is not None else None
-            result.add_column(binding, name, array[indices], codes=sliced)
+        result._entries = [(binding, name, array[indices]) for binding, name, array in self._entries]
+        result._codes = [
+            None if codes is None else codes.sliced(indices) for codes in self._codes
+        ]
+        result._qualified = dict(self._qualified)
+        result._unqualified = dict(self._unqualified)
         return result
 
     def filter(self, mask: np.ndarray) -> Frame:
@@ -244,9 +259,17 @@ class Frame:
         if left.num_rows != right.num_rows:
             raise ExecutionError("cannot concatenate frames of different lengths")
         result = cls(num_rows=left.num_rows)
-        for source in (left, right):
-            for (binding, name, array), codes in zip(source._entries, source._codes):
-                result.add_column(binding, name, array, codes=codes)
+        result._entries = left._entries + right._entries
+        result._codes = left._codes + right._codes
+        result._qualified = dict(left._qualified)
+        result._unqualified = dict(left._unqualified)
+        shift = len(left._entries)
+        for key, index in right._qualified.items():
+            result._qualified[key] = index + shift
+        for name, indexes in right._unqualified.items():
+            result._unqualified[name] = result._unqualified.get(name, ()) + tuple(
+                index + shift for index in indexes
+            )
         return result
 
 
@@ -276,6 +299,11 @@ def evaluate(
     subquery_evaluator: SubqueryEvaluator | None = None,
 ) -> np.ndarray:
     """Evaluate ``expression`` over every row of ``frame``."""
+    # The most frequent node types first.
+    if isinstance(expression, ast.ColumnRef):
+        return frame.resolve(expression.name, expression.table)
+    if isinstance(expression, ast.BinaryOp):
+        return _evaluate_binary(expression, frame, context, subquery_evaluator)
     if isinstance(expression, ast.Literal):
         return _broadcast_literal(expression.value, frame.num_rows)
     if isinstance(expression, ast.Placeholder):
@@ -283,14 +311,10 @@ def evaluate(
         # parsed/planned statement serves every parameter set; from here on
         # it is read exactly as a literal of that value would be.
         return _broadcast_literal(context.param_value(expression), frame.num_rows)
-    if isinstance(expression, ast.ColumnRef):
-        return frame.resolve(expression.name, expression.table)
     if isinstance(expression, ast.Star):
         raise ExecutionError("'*' is only valid in a select list or inside count(*)")
     if isinstance(expression, ast.UnaryOp):
         return _evaluate_unary(expression, frame, context, subquery_evaluator)
-    if isinstance(expression, ast.BinaryOp):
-        return _evaluate_binary(expression, frame, context, subquery_evaluator)
     if isinstance(expression, ast.FunctionCall):
         if functions.is_aggregate_function(expression.name):
             raise ExecutionError(
@@ -336,6 +360,22 @@ def contains_aggregate(expression: ast.Expression) -> bool:
         if isinstance(node, ast.FunctionCall) and functions.is_aggregate_function(node.name):
             return True
     return False
+
+
+def ordinal(expression: ast.Expression, items: int) -> int | None:
+    """The output column an ORDER BY term names by position, or None.
+
+    An integer literal ``k`` names the ``k``-th output column (1-based), as
+    in SQLite; one outside ``1..items`` raises :class:`ExecutionError`.
+    Any other expression, a bound parameter included, sorts by its value.
+    """
+    if not isinstance(expression, ast.Literal) or type(expression.value) is not int:
+        return None
+    if not 1 <= expression.value <= items:
+        raise ExecutionError(
+            f"ORDER BY term {expression.value} out of range - should be between 1 and {items}"
+        )
+    return expression.value - 1
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +485,9 @@ def _evaluate_binary(expression, frame, context, subquery_evaluator):
 def divide(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left / right`` over float64 columns; a division by zero is NULL."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(right != 0, left / right, np.nan)
+        quotient = left / right
+    quotient[right == 0] = np.nan
+    return quotient
 
 
 def _evaluate_scalar_via_dictionary(expression, frame, context) -> np.ndarray | None:
@@ -537,15 +579,15 @@ def _compare_coded(expression, frame, context) -> np.ndarray | None:
     if encoded is None:
         return None
     codes, dictionary = encoded
-    not_null = np.ones(len(codes), dtype=bool)
-    sentinel = null_code(dictionary)
-    if sentinel >= 0:
-        not_null = codes != sentinel
     if op == "=":
         position = code_for_value(dictionary, literal)
         if position < 0:
             return np.zeros(len(codes), dtype=bool)
         return codes == position
+    not_null = np.ones(len(codes), dtype=bool)
+    sentinel = null_code(dictionary)
+    if sentinel >= 0:
+        not_null = codes != sentinel
     if op == "<>":
         position = code_for_value(dictionary, literal)
         if position < 0:

@@ -406,7 +406,8 @@ def _group_sum(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.n
     return sums
 
 
-def _group_count_non_null(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.ndarray:
+def group_counts(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.ndarray:
+    """Per-group count of the non-NULL values, as float64 (``count(x)``)."""
     if values.dtype == object:
         mask = np.array([value is not None for value in values])
     else:
@@ -512,7 +513,7 @@ def aggregate(
             return np.bincount(inverse, minlength=num_groups).astype(np.float64)
         if distinct:
             return _count_distinct(args[0], inverse, num_groups)
-        return _group_count_non_null(args[0], inverse, num_groups)
+        return group_counts(args[0], inverse, num_groups)
     if not args:
         raise ExecutionError(f"aggregate {name!r} requires an argument")
     values = args[0]
@@ -522,7 +523,7 @@ def aggregate(
         return _group_sum(values, inverse, num_groups)
     if name in ("avg", "mean"):
         totals = _group_sum(values, inverse, num_groups)
-        counts = _group_count_non_null(values, inverse, num_groups)
+        counts = group_counts(values, inverse, num_groups)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(counts > 0, totals / counts, np.nan)
     if name == "min":
@@ -563,9 +564,10 @@ def _group_dispersion(
     sums = np.bincount(inverse, weights=floats, minlength=num_groups)
     squares = np.bincount(inverse, weights=floats**2, minlength=num_groups)
     with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(counts > 0, sums / counts, np.nan)
-        population_variance = np.where(counts > 0, squares / counts - means**2, np.nan)
-        population_variance = np.maximum(population_variance, 0.0)
+        # An empty group sums to 0.0, so 0.0 / 0 makes its mean and
+        # variance NaN (NULL), and np.maximum keeps a NaN.
+        means = sums / counts
+        population_variance = np.maximum(squares / counts - means**2, 0.0)
         if name in ("var_pop", "stddev_pop"):
             variance = population_variance
         else:

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from repro.errors import CatalogError
 from repro.sqlengine import functions, sqlast as ast
 from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.expressions import contains_aggregate
 
 # Derived tables nested deeper than this are planned per execution by the
 # executor; a backstop against pathological nesting.
@@ -55,9 +56,15 @@ class ScanPlan:
 
     # Conjuncts to evaluate and apply right after the scan, before any join.
     predicates: list[ast.Expression] = field(default_factory=list)
+    # Their conjunction, built once with the plan (None: keep every row).
+    predicate: ast.Expression | None = None
     # Lower-cased column names to materialize; None means "all columns"
     # (unknown schema, or a ``*`` projection that needs everything).
     columns: set[str] | None = None
+    # A base table's columns to materialize, as named and ordered in the
+    # table when planned (None: read the table's own list).  Plans are
+    # re-made whenever a table's column names change.
+    names: list[str] | None = None
 
 
 @dataclass
@@ -72,9 +79,13 @@ class SelectPlan:
     # Pre-order join-node index -> ON condition minus the pushed conjuncts.
     # None (the default) means "leave every join condition untouched".
     join_residuals: dict[int, ast.Expression | None] | None = None
-    # Lazily filled by the executor on the first grouped execution: the
-    # statement-pure substitution memo (see ``executor._GroupedMemo``).
-    # Plans are cached 1:1 with their statements, so this rides along.
+    # Whether the statement aggregates (GROUP BY, HAVING or an aggregate
+    # call in the select list): it then runs the grouped path.
+    grouped: bool = False
+    # Lazily filled by the executor on the first grouped execution: every
+    # statement-pure decision of grouped execution (see
+    # ``executor._GroupedMemo``).  Plans are cached 1:1 with their
+    # statements, so this rides along.
     grouped_memo: object | None = None
 
     def scan_for(self, binding: str) -> ScanPlan | None:
@@ -88,19 +99,38 @@ def plan_select(
     statement: ast.SelectStatement, catalog: Catalog, _depth: int = 0
 ) -> SelectPlan:
     """Analyze ``statement`` and return pushdown/pruning advice for it."""
-    schemas = _binding_schemas(statement.from_relation, catalog)
+    table_columns: dict[str, list[str]] = {}
+    schemas = _binding_schemas(statement.from_relation, catalog, table_columns)
     plan = SelectPlan(
         scans={binding: ScanPlan() for binding in schemas},
         residual_where=statement.where,
+        grouped=is_grouped(statement),
     )
     if schemas is _UNPLANNABLE:
         return plan
     _plan_pushdown(statement, schemas, plan)
     _plan_pruning(statement, schemas, plan)
+    for binding, names in table_columns.items():
+        wanted = plan.scans[binding].columns
+        plan.scans[binding].names = [
+            name for name in names if wanted is None or name.lower() in wanted
+        ]
     if _depth < _MAX_DERIVED_DEPTH:
         for binding, node in _derived_nodes(statement.from_relation).items():
             plan.deriveds[binding] = plan_select(node.query, catalog, _depth + 1)
     return plan
+
+
+def is_grouped(statement: ast.SelectStatement) -> bool:
+    """Whether ``statement`` aggregates: it has a GROUP BY or a HAVING, or
+    a select item calls an aggregate."""
+    if statement.group_by or statement.having is not None:
+        return True
+    return any(
+        contains_aggregate(item.expression)
+        for item in statement.select_items
+        if not isinstance(item.expression, ast.Star)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +143,13 @@ _UNPLANNABLE: dict[str, set[str] | None] = {}
 
 
 def _binding_schemas(
-    relation: ast.Relation | None, catalog: Catalog
+    relation: ast.Relation | None, catalog: Catalog, table_columns: dict[str, list[str]]
 ) -> dict[str, set[str] | None]:
-    """Map each FROM binding to its lower-cased column set (None = unknown)."""
+    """Map each FROM binding to its lower-cased column set (None = unknown).
+
+    ``table_columns`` receives each base-table binding's column names in
+    table order.
+    """
     schemas: dict[str, set[str] | None] = {}
 
     def visit(node: ast.Relation | None) -> bool:
@@ -130,7 +164,8 @@ def _binding_schemas(
             except CatalogError:
                 schemas[binding] = None
                 return True
-            schemas[binding] = {name.lower() for name in table.column_names}
+            table_columns[binding] = table.column_names
+            schemas[binding] = {name.lower() for name in table_columns[binding]}
             return True
         if isinstance(node, ast.DerivedTable):
             binding = node.binding_name.lower()
@@ -232,6 +267,8 @@ def _plan_pushdown(
             condition = ast.conjunction(kept)
         join_residuals[index] = condition
     plan.join_residuals = join_residuals
+    for scan in plan.scans.values():
+        scan.predicate = ast.conjunction(scan.predicates)
 
 
 def _pushdown_target(

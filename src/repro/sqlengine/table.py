@@ -37,6 +37,7 @@ from repro.sqlengine.encoding import (
     encode_key,
     encode_object_array,
     exact_cast,
+    null_code,
     numeric_key,
     union_dictionaries,
 )
@@ -290,15 +291,22 @@ class Table:
 
         The key codec's cardinality less its NULL code: the number of
         non-NULL groups ``GROUP BY`` forms and what ``COUNT(DISTINCT)``
-        counts.  An object column reads its memoized dictionary, so after an
-        append it costs what extending the dictionary cost; a numeric column
+        counts.  An object column counts its memoized dictionary, which
+        holds exactly the values present (encoding, extending and adopting
+        all keep it compact), so after an append it costs what extending the
+        dictionary cost and never joins the column's parts; a numeric column
         is encoded once per table version.
         """
         cached = self._distinct_cache.get(name)
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        key = encode_key(self.column(name), self.dictionary_codes(name))
-        count = key.cardinality - (key.null_code >= 0)
+        encoded = self.dictionary_codes(name)
+        if encoded is not None:
+            dictionary = encoded[1]
+            count = len(dictionary) - (null_code(dictionary) >= 0)
+        else:
+            key = encode_key(self.column(name))
+            count = key.cardinality - (key.null_code >= 0)
         self._distinct_cache[name] = (self._version, count)
         return count
 

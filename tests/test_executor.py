@@ -313,3 +313,102 @@ class TestDictionaryScalarFunctions:
         result = engine.execute("SELECT upper(s) AS u FROM t")
         assert result.num_rows == 1000
         assert seen["rows"] == 2  # dictionary entries, not rows
+
+
+class TestOrderByOrdinals:
+    """An integer literal in ORDER BY names that output column, as in SQLite."""
+
+    TABLES = {
+        "t": {
+            "id": np.arange(8),
+            "city": np.array(["d", "a", "c", "b", "a", "d", "b", "c"], dtype=object),
+            "price": np.array([4.5, 1.25, 9.0, 3.5, 2.0, 7.75, 6.0, 0.75]),
+            "qty": np.array([3, 8, 1, 6, 2, 7, 5, 4]),
+        }
+    }
+
+    STATEMENTS = [
+        # grouped
+        "SELECT city, sum(price) AS s FROM t GROUP BY city ORDER BY 2",
+        "SELECT city, sum(price) AS s FROM t GROUP BY city ORDER BY 2 DESC",
+        "SELECT city, max(qty) AS m FROM t GROUP BY city ORDER BY 1 DESC",
+        "SELECT city, sum(qty) AS q, min(price) AS p FROM t GROUP BY city ORDER BY 3 DESC, city",
+        "SELECT city, count(*) AS n, sum(price) AS s FROM t GROUP BY city ORDER BY n, 3 DESC",
+        # plain
+        "SELECT id, price FROM t ORDER BY 2",
+        "SELECT id, price FROM t ORDER BY 2 DESC",
+        "SELECT city, qty FROM t ORDER BY 1, 2 DESC",
+        "SELECT city, qty FROM t ORDER BY city DESC, 2",
+        "SELECT * FROM t ORDER BY 4 DESC",
+        "SELECT price * 2 AS doubled, id FROM t WHERE qty > 2 ORDER BY 1 DESC",
+    ]
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_ordinals_match_sqlite(self, both_backends, answers, sql):
+        engine, sqlite = both_backends(self.TABLES)
+        try:
+            ours, theirs = answers(engine, sqlite, sql)
+        finally:
+            sqlite.close()
+        assert ours == theirs
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT city, sum(price) AS s FROM t GROUP BY city ORDER BY 3",
+            "SELECT id, price FROM t ORDER BY 0",
+            "SELECT * FROM t ORDER BY 5",
+        ],
+    )
+    def test_an_ordinal_out_of_range_raises(self, sql):
+        engine = Database(seed=0)
+        engine.register_table("t", self.TABLES["t"])
+        with pytest.raises(ExecutionError, match="out of range"):
+            engine.execute(sql)
+
+
+def _count_renders(monkeypatch) -> list[str]:
+    """Record every ``to_sql()`` call on any AST node class."""
+    from repro.sqlengine import sqlast as ast
+
+    calls: list[str] = []
+    for node_class in vars(ast).values():
+        if isinstance(node_class, type) and "to_sql" in vars(node_class):
+            def counted(self, *args, _render=node_class.to_sql, **kwargs):
+                calls.append(type(self).__name__)
+                return _render(self, *args, **kwargs)
+
+            monkeypatch.setattr(node_class, "to_sql", counted)
+    return calls
+
+
+def test_a_cached_grouped_statement_renders_no_sql(db, monkeypatch):
+    """Every statement-pure decision of grouped execution lives on the cached
+    plan: a repeated statement walks no AST into SQL text."""
+    sql = (
+        "SELECT city, qty % 2 AS parity, count(*) AS n, sum(price / qty) AS a, "
+        "sum(1.0 / qty) AS b, sum(price * (1.0 / qty)) AS c FROM sales "
+        "WHERE price > ? GROUP BY city, qty % 2 HAVING count(*) > 0 ORDER BY 3 DESC, city"
+    )
+    first = db.execute(sql, (2.0,))
+    calls = _count_renders(monkeypatch)
+    again = db.execute(sql, (2.0,))
+    assert calls == []
+    assert again.equals(first)
+
+
+def test_a_repeated_approximate_statement_renders_no_sql(monkeypatch):
+    from repro import SampleSpec, VerdictSession
+    from repro.core.sample_planner import PlannerConfig
+
+    session = VerdictSession(planner_config=PlannerConfig(io_budget=0.5, large_table_rows=1_000))
+    session.load_table("orders", build_orders_columns(num_rows=5_000, seed=3))
+    session.create_sample("orders", SampleSpec("uniform", (), 0.1))
+    sql = "SELECT city, count(*) AS n, avg(price) AS a FROM orders WHERE qty > ? GROUP BY city"
+    first = session.sql(sql, params=(1,))
+    assert not first.is_exact
+    calls = _count_renders(monkeypatch)
+    again = session.sql(sql, params=(1,))
+    assert calls == []
+    assert again.raw.equals(first.raw)
+    session.close()

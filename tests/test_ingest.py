@@ -527,3 +527,44 @@ def test_append_data_issues_no_insert_and_parses_almost_nothing(monkeypatch):
     assert len(parses) <= 1 + stratified
     assert all(sql.lstrip().upper().startswith("SELECT") for sql in log)
     session.close()
+
+
+# ---------------------------------------------------------------------------
+# what an append leaves standing
+# ---------------------------------------------------------------------------
+
+
+def _stratified_session() -> VerdictSession:
+    session = VerdictSession(planner_config=PLANNER)
+    session.load_table("orders", build_orders_columns(num_rows=5_000, seed=1))
+    session.create_sample("orders", SampleSpec("stratified", ("city",), 0.05))
+    return session
+
+
+def test_distinct_count_after_append_reads_the_dictionary_not_the_parts():
+    session = _stratified_session()
+    query = "SELECT city, count(*) AS n FROM orders GROUP BY city"
+    assert not session.sql(query).is_exact
+    session.append_data("orders", build_orders_columns(num_rows=500, seed=2))
+    # The sample planner counts the base table's distinct cities.
+    assert not session.sql(query).is_exact
+    table = session.connector.database.table("orders")
+    assert len(table._column_parts("city")) > 1
+    rebuilt = Table("rebuilt", {"city": table.column("city")})
+    assert table.distinct_count("city") == rebuilt.distinct_count("city")
+    session.close()
+
+
+def test_append_data_keeps_the_engines_cached_plans():
+    session = _stratified_session()
+    database = session.connector.database
+    query = "SELECT city, count(*) AS n FROM orders GROUP BY city"
+    session.sql(query)
+    state = session.connector.catalog_state()
+    session.append_data("orders", build_orders_columns(num_rows=500, seed=2))
+    misses = database.stats["plan_cache_misses"]
+    session.sql(query)
+    # Data moved (so every session cache re-reads), the schema did not.
+    assert session.connector.catalog_state() != state
+    assert database.stats["plan_cache_misses"] == misses
+    session.close()

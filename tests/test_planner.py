@@ -771,6 +771,21 @@ class TestCacheInvalidation:
         engine.register_table("t", {"a": [9, 10], "b": [5, 0]})
         assert engine.execute(query).column("a").tolist() == [9]
 
+    def test_replace_with_the_same_columns_keeps_the_plan(self):
+        engine = Database(optimize=True)
+        engine.register_table("t", {"a": [1, 2], "b": [3, 4]})
+        query = "SELECT a, sum(b) AS s FROM t WHERE b > 3 GROUP BY a"
+        assert engine.execute(query).fetchall() == [(2, 4.0)]
+        engine.register_table("t", {"a": [9, 10], "b": [5, 0]})
+        assert engine.execute(query).fetchall() == [(9, 5.0)]
+        assert engine.stats["plan_cache_misses"] == 1
+        # New column names (or order) re-plan, as a new table would.
+        engine.register_table("t", {"b": [5, 6], "a": [7, 8]})
+        assert engine.execute(query).fetchall() == [(7, 5.0), (8, 6.0)]
+        engine.register_table("t", {"a": [1, 2], "b": [4, 4], "c": [0, 0]})
+        assert engine.execute(query).fetchall() == [(1, 4.0), (2, 4.0)]
+        assert engine.stats["plan_cache_misses"] == 3
+
     def test_prepared_reexecution_reuses_one_plan(self):
         optimized, naive = _pair()
         query = (

@@ -286,3 +286,17 @@ def test_a_tail_with_rand_runs_exactly(builtin_session):
     )
     assert answer.is_exact
     assert "cannot fold" in answer.plan_description
+
+
+@pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+@pytest.mark.parametrize("mode", ["approximate", "exact"])
+def test_an_order_by_ordinal_sorts_by_that_column(builtin_session, sqlite_session, backend, mode):
+    session = builtin_session if backend == "builtin" else sqlite_session
+    result = session.execute(
+        "SELECT region, avg(price) AS a FROM sales GROUP BY region ORDER BY 2 DESC",
+        options=ExecutionOptions(mode=mode),
+    )
+    assert result.is_exact == (mode == "exact")
+    averages = [float(a) for a in result.column("a")]
+    assert averages == sorted(averages, reverse=True)
+    assert len(averages) == 4  # east, north, west and the NULL region
