@@ -41,12 +41,13 @@ got 2–3.5× faster when scramble preparation went per distinct value, so a
 ratio against it measured the naive engine more than the hot path.  The
 budget, 4 ms, is about twice the optimized median on a 2-core box (1.8–2.0
 ms over three full runs), so a nested call slowed by ~2 ms fails its floor.
-``fixed_cost`` has a budget too, 1.2 ms: 0.8 times the sum of the three
-medians (1.5 ms on a 2-core box) when grouped execution still re-derived
-its statement-pure decisions (shared aggregate arguments, aggregate
-detection, scan conjunctions) on every call instead of reading them from
-the cached plan.  That code reads about 0.8x and fails the 1.0 floor, and
-so does re-rendering the shared arguments alone on every call (0.87x).
+``fixed_cost`` has a budget too, 2 ms: about twice the sum of its three
+medians (0.74–1.27 ms between runs on a shared 2-core box), so it fails
+only when an approximate statement's fixed cost roughly doubles.  It does
+not catch smaller regressions: grouped execution that re-derives its
+statement-pure decisions on every call (1.1–1.5 ms on the same box) passes
+it.  That regression is caught by the executor tests that count ``to_sql()``
+renders of a repeated statement, which repeat exactly.
 
 Results are written to ``benchmarks/BENCH_verdict.json``.  Run standalone
 with ``PYTHONPATH=src python benchmarks/bench_verdict_hotpath.py`` — the
@@ -124,7 +125,7 @@ FIXED_COST = {
     },
     "sample_rows": 20,
     "repeats": 400,
-    "budget_ms": 1.2,
+    "budget_ms": 2.0,
     "floor": 1.0,
 }
 
@@ -277,7 +278,8 @@ def test_verdict_hotpath_speedups(report):
     for name, metrics in records["workloads"].items():
         # Conservative floors (observed speedups are far higher; see
         # BENCH_verdict.json): the optimized engine must at least double
-        # throughput on the join shape, and a nested call stay in budget.
+        # throughput on the join shape, and the per-call budgets (nested,
+        # fixed_cost) hold.
         assert metrics["speedup"] >= metrics["floor"], (name, metrics)
 
 

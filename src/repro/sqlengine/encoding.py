@@ -31,10 +31,10 @@ rows groups and sorts through the same functions.
 
 Coding and grouping sort only when the keys are sparse or fractional.  An
 int key whose value span (``max - min + 1``) is at most :data:`_DENSE_SPAN`
-times its row count, or at most :data:`_DENSE_FLOOR`, is coded by offset,
-and so is a float key whose values are integral and below ``2**52`` in
-magnitude with a span that dense (every sample's float64 ``vdb_sid``), NaN
-coded last as NULL; packed codes that dense are numbered without a sort.  Other float keys and sparse ones go
+times its row count is coded by offset, and so is a float key whose values
+are integral and below ``2**52`` in magnitude with a span that dense (every
+sample's float64 ``vdb_sid``), NaN coded last as NULL; packed codes that
+dense are numbered without a sort.  Other float keys and sparse ones go
 through ``np.unique``.  Either way the codes are the ranks of the distinct
 values, so the route never shows in an answer.
 
@@ -69,13 +69,10 @@ NULL_SENTINEL = "\0N"
 # is re-densified instead of silently wrapping around int64.
 _MAX_PACKED_CODE = 1 << 62
 
-# An int key whose value span is at most this many times its row count (or
-# at most _DENSE_FLOOR) is coded by offset, and packed codes this dense are
-# grouped, without a sort.  Either route allocates arrays of at most this
-# many times the rows, or of _DENSE_FLOOR entries: a span that small costs
-# less to walk than sorting even a few rows.
+# An int key whose value span is at most this many times its row count is
+# coded by offset, and packed codes this dense are grouped, without a sort.
+# Either route allocates arrays of at most this many times the rows.
 _DENSE_SPAN = 2
-_DENSE_FLOOR = 1024
 
 # Float keys are coded by offset only below this magnitude, where every
 # integral value and every difference of two is exact.
@@ -245,9 +242,8 @@ class KeyCodes(NamedTuple):
     or one side of a pair, may leave some unused.  ``null_code`` is the code
     NULL rows carry (-1: no row can be NULL).  A code is the rank of its key
     among the distinct keys, whether it came from a sort or, for an int
-    column (or an integral float one) whose span is dense (at most
-    ``_DENSE_SPAN`` times its rows, or at most ``_DENSE_FLOOR``), from the
-    key's offset above the minimum.
+    column (or an integral float one) whose span is at most ``_DENSE_SPAN``
+    times its rows, from the key's offset above the minimum.
     """
 
     codes: Array
@@ -269,8 +265,7 @@ def encode_key(values: Array, encoded: Encoded | None = None) -> KeyCodes:
     one: those codes are used as they are, never re-encoded.  An int64 or
     bool column, or a float64 one of integral values below ``2**52`` in
     magnitude, whose value span (``max - min + 1``) is at most
-    ``_DENSE_SPAN`` times its row count (or at most ``_DENSE_FLOOR``) is
-    coded in O(rows + span) by offset
+    ``_DENSE_SPAN`` times its row count is coded in O(rows + span) by offset
     and a prefix sum of the values present; any other numeric column by
     ``np.unique``.  Both give the same codes, cardinality and NULL code.
     """
@@ -344,9 +339,9 @@ def group_rows_encoded(keys: Sequence[KeyCodes], num_rows: int) -> tuple[Array, 
     ``first[g]`` is the first row of group ``g``, so ``first`` increases and
     ``len(first)`` is the number of groups.  The columns are packed by
     :func:`pack_codes`.  Packed codes at most ``_DENSE_SPAN`` times the rows
-    (or at most ``_DENSE_FLOOR``) are numbered in O(rows + cardinality)
-    without a sort: ``np.minimum.at`` finds each code's first row and a
-    cumulative sum over those rows numbers them.  Sparser codes are first
+    are numbered in O(rows + cardinality) without a sort: ``np.minimum.at``
+    finds each code's first row and a cumulative sum over those rows numbers
+    them.  Sparser codes are first
     densified by one ``np.unique``.
     """
     if num_rows == 0:
@@ -354,7 +349,7 @@ def group_rows_encoded(keys: Sequence[KeyCodes], num_rows: int) -> tuple[Array, 
         return empty, empty
     packed = pack_codes(keys)
     codes, cardinality = packed.codes, packed.cardinality
-    if not _dense(cardinality, num_rows):
+    if cardinality > _DENSE_SPAN * num_rows:
         uniques, codes = np.unique(codes, return_inverse=True)
         cardinality = len(uniques)
     first_of_code = np.full(cardinality, num_rows, dtype=np.int64)
@@ -495,7 +490,7 @@ def _unique_codes(values: Array) -> KeyCodes:
     """Codes of a numeric column by its sorted distinct values (NaN: NULL)."""
     if values.dtype.kind == "i" and len(values):
         low, high = int(values.min()), int(values.max())
-        if _dense(high - low + 1, len(values)):
+        if high - low < _DENSE_SPAN * len(values):
             # ``values - low`` wraps nowhere it matters: the true offsets all
             # lie in [0, span), and int64 subtraction is exact modulo 2**64.
             return _dense_codes(values - low, high - low + 1)
@@ -509,12 +504,6 @@ def _unique_codes(values: Array) -> KeyCodes:
     return KeyCodes(codes.astype(np.int64, copy=False), len(uniques), null)
 
 
-def _dense(span: float, rows: int) -> bool:
-    """Whether keys spanning ``span`` values over ``rows`` rows are coded
-    (or grouped) by offset rather than by a sort."""
-    return span <= max(_DENSE_SPAN * rows, _DENSE_FLOOR)
-
-
 def _dense_codes(offsets: Array, span: int) -> KeyCodes:
     """Rank codes of non-negative int offsets below ``span``, by a prefix sum
     of the offsets present: O(rows + span), no sort."""
@@ -526,8 +515,8 @@ def _dense_codes(offsets: Array, span: int) -> KeyCodes:
 
 def _dense_float_codes(values: Array) -> KeyCodes | None:
     """:func:`_dense_codes` of a float64 column whose non-NaN values are
-    integral, of magnitude at most ``2**52`` and dense in span (see
-    :func:`_dense`); None for any other column.  NaN rows are NULL and get
+    integral, of magnitude at most ``2**52`` and of a span at most
+    ``_DENSE_SPAN`` times the rows; None for any other column.  NaN rows are NULL and get
     the code after every value, as ``np.unique`` sorts NaN last, and ``-0.0``
     is offset as ``0.0``, so the codes are ``np.unique``'s."""
     present, nulls = values, None
@@ -542,7 +531,7 @@ def _dense_float_codes(values: Array) -> KeyCodes | None:
     # to int64 exactly, and a fractional one is caught by the round trip.
     if not (-_MAX_DENSE_FLOAT <= low and high <= _MAX_DENSE_FLOAT):
         return None
-    if not _dense(high - low + 1, len(values)):
+    if high - low >= _DENSE_SPAN * len(values):
         return None
     ints = present.astype(np.int64)  # exact for every integral value here
     if not (ints == present).all():

@@ -54,16 +54,13 @@ _MAX_DERIVED_DEPTH = 8
 class ScanPlan:
     """Per-relation instructions applied when its scan frame is built."""
 
-    # Conjuncts to evaluate and apply right after the scan, before any join.
-    predicates: list[ast.Expression] = field(default_factory=list)
-    # Their conjunction, built once with the plan (None: keep every row).
+    # The conjunction of the WHERE / ON conjuncts to apply right after the
+    # scan, before any join (None: keep every row).
     predicate: ast.Expression | None = None
-    # Lower-cased column names to materialize; None means "all columns"
-    # (unknown schema, or a ``*`` projection that needs everything).
-    columns: set[str] | None = None
     # A base table's columns to materialize, as named and ordered in the
-    # table when planned (None: read the table's own list).  Plans are
-    # re-made whenever a table's column names change.
+    # table when planned; None means "all columns" (a derived table, or an
+    # unknown schema).  Plans are re-made whenever a table's column names
+    # change.
     names: list[str] | None = None
 
 
@@ -101,20 +98,17 @@ def plan_select(
     """Analyze ``statement`` and return pushdown/pruning advice for it."""
     table_columns: dict[str, list[str]] = {}
     schemas = _binding_schemas(statement.from_relation, catalog, table_columns)
-    plan = SelectPlan(
-        scans={binding: ScanPlan() for binding in schemas},
-        residual_where=statement.where,
-        grouped=is_grouped(statement),
-    )
+    plan = SelectPlan(residual_where=statement.where, grouped=is_grouped(statement))
     if schemas is _UNPLANNABLE:
         return plan
-    _plan_pushdown(statement, schemas, plan)
-    _plan_pruning(statement, schemas, plan)
-    for binding, names in table_columns.items():
-        wanted = plan.scans[binding].columns
-        plan.scans[binding].names = [
-            name for name in names if wanted is None or name.lower() in wanted
-        ]
+    pushed = _plan_pushdown(statement, schemas, plan)
+    required = _plan_pruning(statement, schemas)
+    for binding in schemas:
+        names = table_columns.get(binding)
+        wanted = required[binding]
+        if names is not None and wanted is not None:
+            names = [name for name in names if name.lower() in wanted]
+        plan.scans[binding] = ScanPlan(ast.conjunction(pushed[binding]), names)
     if _depth < _MAX_DERIVED_DEPTH:
         for binding, node in _derived_nodes(statement.from_relation).items():
             plan.deriveds[binding] = plan_select(node.query, catalog, _depth + 1)
@@ -234,10 +228,12 @@ def _plan_pushdown(
     statement: ast.SelectStatement,
     schemas: dict[str, set[str] | None],
     plan: SelectPlan,
-) -> None:
-    """Push WHERE and single-side ON conjuncts to their relations' scans."""
+) -> dict[str, list[ast.Expression]]:
+    """Push WHERE and single-side ON conjuncts to their relations' scans:
+    return each binding's pushed conjuncts and set the plan's residuals."""
+    pushed: dict[str, list[ast.Expression]] = {binding: [] for binding in schemas}
     if not schemas:
-        return
+        return pushed
     # Moving a predicate below the join changes how many rows later
     # expressions are evaluated over; if the statement draws random numbers
     # anywhere that could move, the RNG stream (and thus seeded results)
@@ -245,14 +241,14 @@ def _plan_pushdown(
     if (
         statement.where is not None and _uses_nondeterminism(statement.where)
     ) or _from_tree_uses_nondeterminism(statement.from_relation):
-        return
+        return pushed
 
     def assign(conjunct: ast.Expression) -> bool:
         """Push one conjunct to its single-binding target; False = keep."""
         target = _pushdown_target(conjunct, schemas)
         if target is None:
             return False
-        plan.scans[target].predicates.append(conjunct)
+        pushed[target].append(conjunct)
         return True
 
     if statement.where is not None:
@@ -267,8 +263,7 @@ def _plan_pushdown(
             condition = ast.conjunction(kept)
         join_residuals[index] = condition
     plan.join_residuals = join_residuals
-    for scan in plan.scans.values():
-        scan.predicate = ast.conjunction(scan.predicates)
+    return pushed
 
 
 def _pushdown_target(
@@ -378,8 +373,8 @@ def _relation_uses_nondeterminism(relation: ast.Relation | None) -> bool:
 def _plan_pruning(
     statement: ast.SelectStatement,
     schemas: dict[str, set[str] | None],
-    plan: SelectPlan,
-) -> None:
+) -> dict[str, set[str] | None]:
+    """Each binding's lower-cased referenced columns (None: all of them)."""
     required: dict[str, set[str] | None] = {
         binding: (set() if columns is not None else None)
         for binding, columns in schemas.items()
@@ -439,8 +434,7 @@ def _plan_pruning(
         collect(order_item.expression)
     _collect_join_conditions(statement.from_relation, collect)
 
-    for binding, columns in required.items():
-        plan.scans[binding].columns = columns
+    return required
 
 
 def _collect_join_conditions(

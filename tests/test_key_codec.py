@@ -1,22 +1,19 @@
 """The key codec's sort-free routes against a plain ``np.unique`` reference.
 
 ``encode_key`` codes an int column whose value span is at most
-``_DENSE_SPAN`` times its rows (or at most ``_DENSE_FLOOR``) by offset, and
-so an integral float column below ``2**52`` in magnitude (NaN last, as
-NULL), and ``group_rows_encoded`` numbers packed codes that dense without a
-sort.  Both must give exactly what sorting
-gives: the same codes, cardinality and NULL code, and the same
+``_DENSE_SPAN`` times its rows by offset, and so an integral float column
+below ``2**52`` in magnitude (NaN last, as NULL), and ``group_rows_encoded``
+numbers packed codes that dense without a sort.  Both must give exactly what
+sorting gives: the same codes, cardinality and NULL code, and the same
 first-appearance group ids, on either side of the span rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine.encoding import (
-    _DENSE_FLOOR,
     _DENSE_SPAN,
     KeyCodes,
     encode_key,
@@ -52,10 +49,10 @@ def reference_groups(keys: list[KeyCodes], num_rows: int) -> tuple[list[int], li
 
 @st.composite
 def spanned_ints(draw) -> np.ndarray:
-    """n int64 rows whose span is exactly n, 2n, 2n + 1, _DENSE_FLOOR or one
-    more, based at 0, 2**53 or either end of int64."""
+    """n int64 rows whose span is exactly n, 2n or 2n + 1, based at 0, 2**53
+    or either end of int64."""
     rows = draw(st.integers(2, 40))
-    span = draw(st.sampled_from([rows, 2 * rows, 2 * rows + 1, _DENSE_FLOOR, _DENSE_FLOOR + 1]))
+    span = draw(st.sampled_from([rows, 2 * rows, 2 * rows + 1]))
     low = draw(st.sampled_from([0, -(2**53), INT64.min, INT64.max - span + 1]))
     middle = draw(st.lists(st.integers(0, span - 1), min_size=rows - 2, max_size=rows - 2))
     offsets = draw(st.permutations([0, span - 1, *middle]))
@@ -64,12 +61,11 @@ def spanned_ints(draw) -> np.ndarray:
 
 @st.composite
 def spanned_floats(draw) -> np.ndarray:
-    """n integral float64 rows whose span is n, 2n, 2n + 1, _DENSE_FLOOR or
-    one more, based at 0, at either 2**52 edge or just past it, with NaN and
-    -0.0 mixed in and, sometimes, a fractional value or an infinity (which
-    must be sorted)."""
+    """n integral float64 rows whose span is n, 2n or 2n + 1, based at 0, at
+    either 2**52 edge or just past it, with NaN and -0.0 mixed in and,
+    sometimes, a fractional value or an infinity (which must be sorted)."""
     rows = draw(st.integers(2, 40))
-    span = draw(st.sampled_from([rows, 2 * rows, 2 * rows + 1, _DENSE_FLOOR, _DENSE_FLOOR + 1]))
+    span = draw(st.sampled_from([rows, 2 * rows, 2 * rows + 1]))
     low = draw(
         st.sampled_from(
             [0.0, -float(span // 2), -(2.0**52), 2.0**52 - span + 1, 2.0**52 - span + 2]
@@ -159,27 +155,17 @@ def test_group_rows_encoded_numbers_by_first_appearance(columns):
     assert first.tolist() == expected_first
 
 
-@pytest.mark.parametrize("rows", [4, _DENSE_FLOOR])
-def test_span_rule_boundary_gives_ranks(rows, monkeypatch):
-    """The span rule's boundary, max(2n, _DENSE_FLOOR): a span that wide is
-    coded by offset (np.unique is never called), one wider is sorted, and
-    both give the ranks."""
-    widest = max(_DENSE_SPAN * rows, _DENSE_FLOOR)
-    middle = np.arange(1, rows - 1, dtype=np.int64)
-    dense = np.concatenate([[0, widest - 1], middle])
-    sparse = np.concatenate([[0, widest], middle])
-    expected = reference_codes(dense).codes.tolist()
-    assert reference_codes(sparse).codes.tolist() == expected
-    assert encode_key(sparse).codes.tolist() == expected
-    # Packed codes sparser than the rule are densified first; the numbering agrees.
-    wide = KeyCodes(np.array([900, 5, 900, 17] * (rows // 4), dtype=np.int64), widest + 1)
+def test_span_rule_boundary_gives_ranks():
+    """The span rule's boundary: 2n is coded by offset, 2n + 1 is sorted,
+    and both give the ranks."""
+    rows = 4
+    dense = np.array([0, 7, 3, 7], dtype=np.int64)  # span 8 = 2n
+    sparse = np.array([0, 8, 3, 8], dtype=np.int64)  # span 9 = 2n + 1
+    assert 7 < _DENSE_SPAN * rows < 9
+    assert encode_key(dense).codes.tolist() == [0, 2, 1, 2]
+    assert encode_key(sparse).codes.tolist() == [0, 2, 1, 2]
+    # Packed codes sparser than 2n are densified first; the numbering agrees.
+    wide = KeyCodes(np.array([900, 5, 900, 17], dtype=np.int64), 1000)
     inverse, first = group_rows_encoded([wide], rows)
-    assert inverse.tolist()[:4] == [0, 1, 0, 2]
+    assert inverse.tolist() == [0, 1, 0, 2]
     assert first.tolist() == [0, 1, 3]
-
-    def no_sort(*args, **kwargs):
-        raise AssertionError("np.unique called")
-
-    monkeypatch.setattr(np, "unique", no_sort)
-    assert encode_key(dense).codes.tolist() == expected
-    assert group_rows_encoded([wide._replace(cardinality=widest)], rows)[1].tolist() == [0, 1, 3]

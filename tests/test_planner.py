@@ -570,6 +570,13 @@ def test_health_counts_plan_cache_and_key_index_use():
 # ---------------------------------------------------------------------------
 
 
+def _pushed(scan: ScanPlan) -> list[str]:
+    """The conjuncts a scan applies, as SQL."""
+    if scan.predicate is None:
+        return []
+    return [conjunct.to_sql() for conjunct in ast.flatten_and(scan.predicate)]
+
+
 class TestPlanAnalysis:
     def _plan(self, engine: Database, sql: str):
         return plan_select(parse_select(sql), engine.catalog)
@@ -582,8 +589,8 @@ class TestPlanAnalysis:
             "ON o.customer_id = c.customer_id "
             "WHERE o.price > 5 AND c.segment = 'home' AND o.order_id > c.customer_id",
         )
-        assert len(plan.scan_for("o").predicates) == 1
-        assert len(plan.scan_for("c").predicates) == 1
+        assert _pushed(plan.scan_for("o")) == ["(o.price > 5)"]
+        assert _pushed(plan.scan_for("c")) == ["(c.segment = 'home')"]
         # the cross-table conjunct stays in the residual WHERE
         assert plan.residual_where is not None
         assert "order_id" in plan.residual_where.to_sql()
@@ -595,13 +602,13 @@ class TestPlanAnalysis:
             "SELECT o.price FROM orders AS o INNER JOIN customers AS c "
             "ON o.customer_id = c.customer_id WHERE c.segment = 'home'",
         )
-        assert plan.scan_for("o").columns == {"price", "customer_id"}
-        assert plan.scan_for("c").columns == {"segment", "customer_id"}
+        assert plan.scan_for("o").names == ["customer_id", "price"]
+        assert plan.scan_for("c").names == ["customer_id", "segment"]
 
     def test_star_disables_pruning(self):
         engine, _ = _pair()
         plan = self._plan(engine, "SELECT * FROM orders AS o WHERE o.price > 5")
-        assert plan.scan_for("o").columns is None
+        assert plan.scan_for("o").names == engine.table("orders").column_names
 
     def test_qualified_star_prunes_other_relations(self):
         engine, _ = _pair()
@@ -610,13 +617,13 @@ class TestPlanAnalysis:
             "SELECT o.* FROM orders AS o INNER JOIN customers AS c "
             "ON o.customer_id = c.customer_id",
         )
-        assert plan.scan_for("o").columns is None
-        assert plan.scan_for("c").columns == {"customer_id"}
+        assert plan.scan_for("o").names == engine.table("orders").column_names
+        assert plan.scan_for("c").names == ["customer_id"]
 
     def test_count_star_needs_no_columns(self):
         engine, _ = _pair()
         plan = self._plan(engine, "SELECT count(*) FROM orders")
-        assert plan.scan_for("orders").columns == set()
+        assert plan.scan_for("orders").names == []
 
     def test_nondeterministic_predicates_are_not_pushed(self):
         engine, _ = _pair()
@@ -625,7 +632,7 @@ class TestPlanAnalysis:
             "SELECT o.order_id FROM orders AS o INNER JOIN customers AS c "
             "ON o.customer_id = c.customer_id WHERE o.price > 5 AND rand() < 0.5",
         )
-        assert plan.scan_for("o").predicates == []
+        assert plan.scan_for("o").predicate is None
         assert plan.residual_where is not None
 
     def test_subquery_predicates_are_not_pushed(self):
@@ -636,7 +643,7 @@ class TestPlanAnalysis:
             "ON o.customer_id = c.customer_id "
             "WHERE o.price > (SELECT avg(price) FROM orders)",
         )
-        assert plan.scan_for("o").predicates == []
+        assert plan.scan_for("o").predicate is None
 
     def test_ambiguous_unqualified_column_is_not_pushed(self):
         engine, _ = _pair()
@@ -646,8 +653,8 @@ class TestPlanAnalysis:
             "SELECT count(*) FROM orders AS o INNER JOIN regions AS r "
             "ON o.city = r.city WHERE city = 'detroit'",
         )
-        assert plan.scan_for("o").predicates == []
-        assert plan.scan_for("r").predicates == []
+        assert plan.scan_for("o").predicate is None
+        assert plan.scan_for("r").predicate is None
         assert plan.residual_where is not None
 
 
@@ -669,11 +676,13 @@ class TestDerivedTablePlanning:
             "SELECT t.city, t.n FROM (SELECT city, count(*) AS n FROM orders "
             "WHERE qty > 2 GROUP BY city) AS t WHERE t.city = 'detroit'",
         )
-        assert [c.to_sql() for c in plan.scan_for("t").predicates] == ["(t.city = 'detroit')"]
+        assert _pushed(plan.scan_for("t")) == ["(t.city = 'detroit')"]
         assert plan.residual_where is None
         derived = plan.derived_for("t")
-        assert [c.to_sql() for c in derived.scan_for("orders").predicates] == ["(qty > 2)"]
-        assert derived.scan_for("orders").columns == {"city", "qty"}
+        assert _pushed(derived.scan_for("orders")) == ["(qty > 2)"]
+        assert derived.scan_for("orders").names == ["qty", "city"]
+        # A derived table's own scan reads every column of its result.
+        assert plan.scan_for("t").names is None
 
     def test_single_side_on_conjuncts_move_to_the_scans(self):
         engine, _ = _pair()
@@ -683,8 +692,8 @@ class TestDerivedTablePlanning:
             "ON o.customer_id = c.customer_id AND c.segment = 'corporate' "
             "AND o.price > 10 AND o.order_id > c.customer_id",
         )
-        assert len(plan.scan_for("c").predicates) == 1
-        assert len(plan.scan_for("o").predicates) == 1
+        assert _pushed(plan.scan_for("c")) == ["(c.segment = 'corporate')"]
+        assert _pushed(plan.scan_for("o")) == ["(o.price > 10)"]
         residual = plan.join_residuals[0]
         assert residual is not None
         residual_sql = residual.to_sql()
@@ -720,7 +729,7 @@ class TestDerivedTablePlanning:
             "WHERE o.price > 10",
         )
         assert plan.join_residuals is None
-        assert plan.scan_for("o").predicates == []
+        assert plan.scan_for("o").predicate is None
         assert plan.residual_where is not None
 
 
@@ -1142,5 +1151,5 @@ class TestRewriteCache:
 
     def test_scan_plan_defaults(self):
         scan = ScanPlan()
-        assert scan.predicates == []
-        assert scan.columns is None
+        assert scan.predicate is None
+        assert scan.names is None
