@@ -128,7 +128,7 @@ def canonicalize_placeholders(statement: ast.Statement) -> ast.Statement:
 
 
 def lift_literals(
-    statement: ast.SelectStatement,
+    statement: ast.SelectStatement, lifted: list[ast.Literal] | None = None
 ) -> tuple[ast.SelectStatement, dict[str, object]]:
     """Replace predicate literals with reserved placeholders; return both halves.
 
@@ -153,35 +153,40 @@ def lift_literals(
     syntactic order), holding the values exactly as parsed.  The engine reads
     a literal and a bound placeholder through the same code, so executing
     the lifted statement with the constants bound is the original statement.
+    ``lifted``, when given (empty), receives the replaced :class:`Literal`
+    nodes of ``statement`` in placeholder order.
     """
-    constants: dict[str, object] = {}
-    return _lift_select(statement, constants), constants
+    lifted = [] if lifted is None else lifted
+    statement = _lift_select(statement, lifted)
+    return statement, {
+        f"{LIFTED_PREFIX}{number}": literal.value for number, literal in enumerate(lifted)
+    }
 
 
 def _lift_select(
-    statement: ast.SelectStatement, constants: dict[str, object]
+    statement: ast.SelectStatement, lifted: list[ast.Literal]
 ) -> ast.SelectStatement:
     # Clause order is syntactic order, which is what numbers the placeholders.
-    relation = _lift_relation(statement.from_relation, constants)
-    where = _lift_predicate(statement.where, constants)
-    having = _lift_predicate(statement.having, constants)
+    relation = _lift_relation(statement.from_relation, lifted)
+    where = _lift_predicate(statement.where, lifted)
+    having = _lift_predicate(statement.having, lifted)
     return dataclasses.replace(
         statement, from_relation=relation, where=where, having=having
     )
 
 
 def _lift_relation(
-    relation: ast.Relation | None, constants: dict[str, object]
+    relation: ast.Relation | None, lifted: list[ast.Literal]
 ) -> ast.Relation | None:
     if isinstance(relation, ast.Join):
         return dataclasses.replace(
             relation,
-            left=_lift_relation(relation.left, constants),
-            right=_lift_relation(relation.right, constants),
-            condition=_lift_predicate(relation.condition, constants),
+            left=_lift_relation(relation.left, lifted),
+            right=_lift_relation(relation.right, lifted),
+            condition=_lift_predicate(relation.condition, lifted),
         )
     if isinstance(relation, ast.DerivedTable):
-        return dataclasses.replace(relation, query=_lift_select(relation.query, constants))
+        return dataclasses.replace(relation, query=_lift_select(relation.query, lifted))
     return relation
 
 
@@ -195,25 +200,24 @@ def _is_liftable(expression: ast.Expression) -> TypeGuard[ast.Literal]:
 
 
 def _lift_predicate(
-    predicate: ast.Expression | None, constants: dict[str, object]
+    predicate: ast.Expression | None, lifted: list[ast.Literal]
 ) -> ast.Expression | None:
     if predicate is None:
         return None
 
-    def lifted(literal: ast.Literal) -> ast.Placeholder:
-        name = f"{LIFTED_PREFIX}{len(constants)}"
-        constants[name] = literal.value
-        return ast.Placeholder(name=name)
+    def lift(literal: ast.Literal) -> ast.Placeholder:
+        lifted.append(literal)
+        return ast.Placeholder(name=f"{LIFTED_PREFIX}{len(lifted) - 1}")
 
     def operand(expression: ast.Expression) -> ast.Expression:
         if _is_liftable(expression):
-            return lifted(expression)
+            return lift(expression)
         if (
             isinstance(expression, ast.UnaryOp)
             and expression.op == "-"
             and _is_liftable(expression.operand)
         ):
-            return ast.UnaryOp("-", lifted(expression.operand))
+            return ast.UnaryOp("-", lift(expression.operand))
         return ast.transform_expression(expression, visit)
 
     def visit(node: ast.Expression) -> ast.Expression | None:
@@ -238,7 +242,7 @@ def _lift_predicate(
                 values=[operand(value) for value in node.values],
             )
         if isinstance(node, ast.ScalarSubquery):
-            return ast.ScalarSubquery(_lift_select(node.query, constants))
+            return ast.ScalarSubquery(_lift_select(node.query, lifted))
         return node  # opaque: functions, CASE, LIKE, IS NULL, bare literals
 
     return ast.transform_expression(predicate, visit)

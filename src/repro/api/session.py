@@ -2,15 +2,17 @@
 
 A :class:`VerdictSession` owns everything one logical client needs — a
 connector to the underlying database, the sample builder/maintainer, the
-sample planner, the rewriter and its caches (templates by text over analysed
-shapes, facts read from the backend, sample plans, prepared rewrites).  It
-mirrors the deployment picture of Figure 1: the application sends SQL to the
-session, the session plans samples, rewrites the query into its parts (one
-per aggregate kind, Section 2.2), runs them on the underlying database
-through the connector under one consistent read, and hands their rows to the
-rewrite's :class:`~repro.core.rewriter.SubsampleFold`, the one place an
-approximate answer with error estimates is put together.  Unsupported
-queries are passed through unchanged.
+sample planner, the rewriter and its caches (templates by raw text, by
+token stream and by analysed shape — the three levels of
+:meth:`~VerdictSession.prepare` — facts read from the backend, sample plans,
+prepared rewrites).  It mirrors the deployment picture of Figure 1: the
+application sends SQL to the session, the session plans samples, rewrites
+the query into its parts (one per aggregate kind, Section 2.2), runs them on
+the underlying database through the connector under one consistent read,
+and hands their rows to the rewrite's
+:class:`~repro.core.rewriter.SubsampleFold`, the one place an approximate
+answer with error estimates is put together.  Unsupported queries are
+passed through unchanged.
 
 Per-query settings — confidence, error columns, mode, accuracy contract —
 arrive as one :class:`~repro.api.options.ExecutionOptions` per call (the
@@ -27,8 +29,10 @@ Two properties shape it:
   template, so every cache (and the engine's statement/plan caches, which
   see the same placeholder-preserving rewritten text each call) hits across
   parameter values.  A text that inlines its literals instead is turned into
-  such a template on first sight (:func:`repro.api.binding.lift_literals`):
-  a query's *shape*, not its text, keys everything derived from it;
+  such a template on first sight (:func:`repro.api.binding.lift_literals`),
+  and a later text of the same shape is recognised by its token stream
+  without being parsed at all: a query's *shape*, not its text, keys
+  everything derived from it;
 * **multi-session safety** — several sessions may share one backend engine.
   Sample builds and metadata rebuilds serialize on the connector's
   cross-session lock, and everything the session derives from backend state
@@ -45,7 +49,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from collections.abc import Callable, Mapping, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.api.binding import (
     bind_parameters,
@@ -79,7 +83,9 @@ from repro.sampling.metadata import MetadataStore
 from repro.sampling.params import SampleInfo, SampleSpec, SamplingPolicyConfig
 from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.engine import Database
+from repro.sqlengine.parser import literal_value
 from repro.sqlengine.resultset import ResultSet
+from repro.sqlengine.tokens import scan
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,21 @@ class PreparedTemplate:
         return {**self.constants, **bound}
 
 
+class _LiftPattern(NamedTuple):
+    """Which literal tokens a parse of one masked token stream lifts.
+
+    ``lifted`` pairs each placeholder name (``__lit0`` …) with the literal
+    slot — the index into :func:`~repro.sqlengine.tokens.scan`'s literals —
+    whose value it takes; ``kept`` lists the other slots, whose
+    ``(type, value)`` completes the shape-index key.  A function of the
+    stream alone: the parser never branches on a literal's value, and
+    every number or string literal in a lifted position is lifted.
+    """
+
+    lifted: tuple[tuple[str, int], ...]
+    kept: tuple[int, ...]
+
+
 class VerdictSession:
     """Database-agnostic AQP middleware session.
 
@@ -160,10 +181,14 @@ class VerdictSession:
         self.sample_builder = SampleBuilder(connector, self.metadata, subsample_count)
         self.sample_maintainer = SampleMaintainer(connector, self.metadata)
         self.planner = SamplePlanner(planner_config)
-        # Two levels, both pure functions of the SQL (no version token; the
-        # LRU bounds cap memory): raw text -> (shape, this text's constants),
-        # over shape key -> the parsed / flattened / analysed shape.
+        # Three levels, all pure functions of the SQL (no version token; the
+        # LRU bounds cap memory): raw text -> (shape, this text's constants);
+        # the shape index — masked token stream -> its lift pattern, and
+        # (stream, kept literals) -> the shape (see prepare); shape key ->
+        # the parsed / flattened / analysed shape.
         self._template_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
+        self._lift_patterns: LRUCache[tuple, _LiftPattern] = LRUCache(maxsize=128)
+        self._token_index: LRUCache[tuple, PreparedTemplate] = LRUCache(maxsize=128)
         self._shape_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
         # Facts read from the backend — ("rows", table), ("cardinality",
         # table, column) and ("samples",) — sample plans keyed on (shape key,
@@ -272,22 +297,49 @@ class VerdictSession:
     # -- online stage: query processing -----------------------------------------------
 
     def prepare(self, query: str) -> PreparedTemplate:
-        """Parse, canonicalize, lift and analyze a SQL text (memoized twice).
+        """Parse, canonicalize, lift and analyze a SQL text, memoized at three levels.
 
-        First by raw text: a repeated text costs one dictionary lookup.  On a
-        miss the text is parsed once and its predicate literals are lifted;
-        the lifted statement's rendering is the *shape key* under which the
-        flattened / analysed statement is filed, so a text that differs from
-        an earlier one only in those literals re-uses all of it — and, being
-        executed as the same placeholder-carrying statement, every cache
-        below (rewrites, the engine's statements and plans) as well.
+        1. By raw text: a repeated text costs one dictionary lookup.
+        2. By token stream: a text is scanned (not parsed) and looked up in
+           the shape index by its stream, literal values masked, plus the
+           literals it keeps in place.  A hit — the same tokens, the same
+           kept literals, only the lifted literals differ — takes the shape
+           and converts this text's lifted literal tokens into its
+           constants.  Nothing is parsed.
+        3. By shape key: otherwise the text is parsed once and its predicate
+           literals are lifted; the lifted statement's rendering is the
+           *shape key* under which the flattened / analysed statement is
+           filed, and the text's stream joins the index.
+
+        A text that differs from an earlier one only in its lifted literals
+        therefore re-uses all of it — and, being executed as the same
+        placeholder-carrying statement, every cache below (rewrites, the
+        engine's statements and plans) as well.  Texts with their own ``?`` /
+        ``:name`` placeholders and non-SELECT statements skip the index.
         """
         self._check_open()
         cached = self._template_cache.get(query)
         if cached is not None:
             self.connector.record_stat("analysis_cache_hits")
             return cached
-        statement = canonicalize_placeholders(parser.parse(query))
+        stream, literals = scan(query)
+        pattern = self._lift_patterns.get(stream)
+        if pattern is not None:
+            key = (stream, tuple(literals[slot][:2] for slot in pattern.kept))
+            shape = self._token_index.get(key)
+            if shape is not None:
+                self.connector.record_stat("analysis_cache_hits")
+                constants = {
+                    name: literal_value(literals[slot]) for name, slot in pattern.lifted
+                }
+                template = PreparedTemplate(
+                    query, shape.statement, shape.flattened, shape.analysis,
+                    shape_key=shape.shape_key, constants=constants,
+                )
+                self._template_cache.put(query, template)
+                return template
+        positions: dict[int, int] = {}
+        statement = canonicalize_placeholders(parser.parse(query, positions))
         placeholders = tuple(collect_placeholders(statement))
         style = None
         if placeholders:
@@ -300,7 +352,8 @@ class VerdictSession:
             self.connector.record_stat("analysis_cache_misses")
             template = PreparedTemplate(query, statement, None, None, placeholders, style)
         else:
-            statement, constants = lift_literals(statement)
+            lifted: list[ast.Literal] = []
+            statement, constants = lift_literals(statement, lifted)
             shape_key = statement.to_sql()
             shape = self._shape_cache.get(shape_key)
             if shape is None:
@@ -318,6 +371,18 @@ class VerdictSession:
                 query, shape.statement, shape.flattened, shape.analysis,
                 placeholders, style, shape_key, constants,
             )
+            if not placeholders:
+                # The lift pattern, by literal token: never inferred from
+                # values, since one value can stand both lifted and kept.
+                slot = {token.position: n for n, token in enumerate(literals)}
+                lifted_slots = [slot[positions[id(literal)]] for literal in lifted]
+                kept = tuple(n for n in range(len(literals)) if n not in lifted_slots)
+                self._lift_patterns.put(
+                    stream, _LiftPattern(tuple(zip(constants, lifted_slots)), kept)
+                )
+                self._token_index.put(
+                    (stream, tuple(literals[n][:2] for n in kept)), shape
+                )
         self._template_cache.put(query, template)
         return template
 

@@ -13,9 +13,17 @@ from repro.sqlengine import sqlast as ast
 from repro.sqlengine.tokens import Token, TokenType, tokenize
 
 
-def parse(sql: str) -> ast.Statement:
-    """Parse one SQL statement and return its AST."""
-    return Parser(sql).parse_statement()
+def parse(sql: str, literal_positions: dict[int, int] | None = None) -> ast.Statement:
+    """Parse one SQL statement and return its AST.
+
+    ``literal_positions``, when given, receives ``id(literal) -> position``
+    of the NUMBER / STRING token each such :class:`~ast.Literal` of the AST
+    was parsed from.
+    """
+    try:
+        return Parser(sql, literal_positions).parse_statement()
+    except RecursionError:
+        raise ParseError("statement nests too deeply") from None
 
 
 def parse_select(sql: str) -> ast.SelectStatement:
@@ -26,12 +34,21 @@ def parse_select(sql: str) -> ast.SelectStatement:
     return statement
 
 
+def literal_value(token: Token) -> object:
+    """The value of a NUMBER (int, or float when written with ``.`` / an
+    exponent) or STRING token: the one literal conversion there is."""
+    text = token.value
+    if token.type is TokenType.STRING:
+        return text
+    return float(text) if ("." in text or "e" in text or "E" in text) else int(text)
+
+
 class Parser:
     """Single-statement recursive-descent parser."""
 
-    def __init__(self, sql: str) -> None:
-        self._sql = sql
+    def __init__(self, sql: str, literal_positions: dict[int, int] | None = None) -> None:
         self._tokens = tokenize(sql)
+        self._literal_positions = {} if literal_positions is None else literal_positions
         self._index = 0
         # Number of positional ('?') placeholders seen so far; gives each its
         # 0-based position in order of appearance.
@@ -214,9 +231,9 @@ class Parser:
         limit = None
         offset = None
         if self._accept(TokenType.KEYWORD, "LIMIT"):
-            limit = int(self._expect(TokenType.NUMBER).value)
+            limit = self._parse_count()
             if self._accept(TokenType.KEYWORD, "OFFSET"):
-                offset = int(self._expect(TokenType.NUMBER).value)
+                offset = self._parse_count()
 
         return ast.SelectStatement(
             select_items=select_items,
@@ -229,6 +246,13 @@ class Parser:
             offset=offset,
             distinct=distinct,
         )
+
+    def _parse_count(self) -> int:
+        token = self._expect(TokenType.NUMBER)
+        value = literal_value(token)
+        if not isinstance(value, int):
+            raise ParseError(f"expected an integer but found {token.value!r}", token=token)
+        return value
 
     def _parse_select_item(self) -> ast.SelectItem:
         expression = self._parse_expression()
@@ -389,14 +413,11 @@ class Parser:
     def _parse_primary(self) -> ast.Expression:
         token = self._current
 
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
             self._advance()
-            text = token.value
-            value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
-            return ast.Literal(value)
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.value)
+            literal = ast.Literal(literal_value(token))
+            self._literal_positions[id(literal)] = token.position
+            return literal
         if token.type is TokenType.KEYWORD and token.value in ("TRUE", "FALSE"):
             self._advance()
             return ast.Literal(token.value == "TRUE")

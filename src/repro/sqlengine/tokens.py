@@ -1,15 +1,27 @@
 """SQL tokenizer for the built-in relational engine.
 
-The tokenizer converts SQL text into a flat list of :class:`Token` objects.
+One compiled master regular expression, a named group per lexical category,
+drives both entry points:
+
+* :func:`tokenize` — the flat list of :class:`Token` objects the parser
+  reads, terminated by an EOF token;
+* :func:`scan` — the same stream as bare ``(type, value)`` pairs with every
+  literal's value masked, plus the literal tokens: what a text's *shape* is
+  looked up by before anything is parsed.
+
 It understands the lexical subset needed by the middleware and by the
 benchmark workloads: identifiers (optionally quoted with backticks or double
-quotes), numeric and string literals, operators, punctuation and keywords.
+quotes), numeric literals (ASCII digits only) and string literals,
+operators, punctuation, keywords, ``?`` / ``:name`` parameters and
+``--`` / ``/* */`` comments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections.abc import Iterator
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.errors import TokenizeError
 
@@ -26,6 +38,11 @@ class TokenType(Enum):
     PARAMETER = auto()
     EOF = auto()
 
+    # Members are singletons, so identity is their hash.  Enum's own
+    # ``__hash__`` is a Python call, which would dominate hashing a
+    # token-stream key of :func:`scan`.
+    __hash__ = object.__hash__
+
 
 # Keywords are upper-cased during tokenization, so membership checks are
 # case-insensitive for the parser.
@@ -41,13 +58,43 @@ KEYWORDS = frozenset(
     }
 )
 
-_TWO_CHAR_OPERATORS = ("<=", ">=", "<>", "!=", "||")
-_ONE_CHAR_OPERATORS = "+-*/%<>=!"
-_PUNCTUATION = "(),.;"
+# One match per token, whitespace before it included.  Alternatives are
+# tried in order: comments before the ``-`` / ``/`` operators, numbers
+# before the ``.`` punctuation.  A word or ``:name`` must start with a
+# letter or ``_`` (checked in :func:`_lex`: ``\w`` also matches digits
+# beyond ASCII).  The string body is possessive, so an unterminated string
+# fails at its opening quote.  Whatever no category takes is an error,
+# reported at its position.
+_MASTER = re.compile(
+    r"""
+    \s*+
+    (?:
+      (?P<skip>--[^\n]*|/\*.*?\*/|\Z)
+    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<string>'[^']*+(?:''[^']*+)*+')
+    | (?P<quoted>"[^"]*"|`[^`]*`)
+    | (?P<unterminated>/\*|['"`])
+    | (?P<word>\w+)
+    | (?P<named>:\w+)
+    | (?P<qmark>\?)
+    | (?P<operator><=|>=|<>|!=|\|\||[-+*/%<>=!])
+    | (?P<punctuation>[(),.;])
+    | (?P<error>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_LITERALS = (TokenType.NUMBER, TokenType.STRING)
+_UNTERMINATED = {
+    "/*": "block comment",
+    "'": "string literal",
+    '"': "quoted identifier",
+    "`": "quoted identifier",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     Attributes:
@@ -77,131 +124,66 @@ def tokenize(sql: str) -> list[Token]:
         TokenizeError: when an unexpected character or unterminated literal is
             encountered.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise TokenizeError("unterminated block comment", position=i)
-            i = end + 2
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            tokens.append(_read_number(sql, i))
-            i += len(tokens[-1].value)
-            continue
-        if ch == "'":
-            token, i = _read_string(sql, i)
-            tokens.append(token)
-            continue
-        if ch in ('"', "`"):
-            token, i = _read_quoted_identifier(sql, i, ch)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            token = _read_word(sql, i)
-            tokens.append(token)
-            i += len(token.value)
-            continue
-        if ch == "?":
-            # Positional query parameter (DB-API "qmark" style).  The token
-            # value is empty; the parser assigns the 0-based position.
-            tokens.append(Token(TokenType.PARAMETER, "", i))
-            i += 1
-            continue
-        if ch == ":" and i + 1 < n and (sql[i + 1].isalpha() or sql[i + 1] == "_"):
-            # Named query parameter (":name" style); value is the bare name.
-            word = _read_word(sql, i + 1)
-            tokens.append(Token(TokenType.PARAMETER, sql[i + 1 : i + 1 + len(word.value)], i))
-            i += 1 + len(word.value)
-            continue
-        two = sql[i : i + 2]
-        if two in _TWO_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, two, i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, ch, i))
-            i += 1
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCTUATION, ch, i))
-            i += 1
-            continue
-        raise TokenizeError(f"unexpected character {ch!r}", position=i)
-    tokens.append(Token(TokenType.EOF, "", n))
+    tokens = [Token(*lexeme) for lexeme in _lex(sql)]
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
     return tokens
 
 
-def _read_number(sql: str, start: int) -> Token:
-    """Read an integer or decimal literal (optionally with an exponent)."""
-    i = start
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            # Only treat as exponent when followed by a digit or sign+digit.
-            nxt = sql[i + 1 : i + 3]
-            if nxt[:1].isdigit() or (nxt[:1] in "+-" and nxt[1:2].isdigit()):
-                seen_exp = True
-                i += 2 if nxt[:1] in "+-" else 1
-            else:
-                break
+def scan(sql: str) -> tuple[tuple, list[Token]]:
+    """The token stream of ``sql`` with its literals masked, and the literals.
+
+    The stream holds one ``(type, value)`` pair per token (no EOF), except
+    that a NUMBER or STRING token stands as its bare type; the literal
+    tokens follow separately, in order.  Two texts that differ only in
+    literal values, whitespace, comments or keyword case scan to equal
+    streams.  Raises :class:`TokenizeError` exactly as :func:`tokenize`.
+    """
+    stream: list = []
+    literals: list[Token] = []
+    for token_type, value, position in _lex(sql):
+        if token_type in _LITERALS:
+            stream.append(token_type)
+            literals.append(Token(token_type, value, position))
         else:
-            break
-    return Token(TokenType.NUMBER, sql[start:i], start)
+            stream.append((token_type, value))
+    return tuple(stream), literals
 
 
-def _read_string(sql: str, start: int) -> tuple[Token, int]:
-    """Read a single-quoted string literal; '' escapes a quote."""
-    i = start + 1
-    n = len(sql)
-    parts: list[str] = []
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return Token(TokenType.STRING, "".join(parts), start), i + 1
-        parts.append(ch)
-        i += 1
-    raise TokenizeError("unterminated string literal", position=start)
-
-
-def _read_quoted_identifier(sql: str, start: int, quote: str) -> tuple[Token, int]:
-    """Read an identifier quoted with backticks or double quotes."""
-    end = sql.find(quote, start + 1)
-    if end == -1:
-        raise TokenizeError("unterminated quoted identifier", position=start)
-    return Token(TokenType.IDENTIFIER, sql[start + 1 : end], start), end + 1
-
-
-def _read_word(sql: str, start: int) -> Token:
-    """Read an unquoted word and classify it as keyword or identifier."""
-    i = start
-    n = len(sql)
-    while i < n and (sql[i].isalnum() or sql[i] == "_"):
-        i += 1
-    word = sql[start:i]
-    upper = word.upper()
-    if upper in KEYWORDS:
-        return Token(TokenType.KEYWORD, upper, start)
-    return Token(TokenType.IDENTIFIER, word, start)
+def _lex(sql: str) -> Iterator[tuple[TokenType, str, int]]:
+    for match in _MASTER.finditer(sql):
+        group = match.lastgroup
+        if group == "skip":
+            continue
+        value = match[group]
+        position = match.start(group)
+        if group == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise TokenizeError(f"unexpected character {value[0]!r}", position=position)
+            upper = value.upper()
+            if upper in KEYWORDS:
+                yield TokenType.KEYWORD, upper, position
+            else:
+                yield TokenType.IDENTIFIER, value, position
+        elif group == "punctuation":
+            yield TokenType.PUNCTUATION, value, position
+        elif group == "operator":
+            yield TokenType.OPERATOR, value, position
+        elif group == "number":
+            yield TokenType.NUMBER, value, position
+        elif group == "string":
+            yield TokenType.STRING, value[1:-1].replace("''", "'"), position
+        elif group == "quoted":
+            yield TokenType.IDENTIFIER, value[1:-1], position
+        elif group == "qmark":
+            # Positional query parameter (DB-API "qmark" style).  The token
+            # value is empty; the parser assigns the 0-based position.
+            yield TokenType.PARAMETER, "", position
+        elif group == "named":
+            # Named query parameter (":name" style); value is the bare name.
+            if not (value[1].isalpha() or value[1] == "_"):
+                raise TokenizeError("unexpected character ':'", position=position)
+            yield TokenType.PARAMETER, value[1:], position
+        elif group == "unterminated":
+            raise TokenizeError(f"unterminated {_UNTERMINATED[value]}", position=position)
+        else:
+            raise TokenizeError(f"unexpected character {value!r}", position=position)

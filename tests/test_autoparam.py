@@ -15,6 +15,7 @@ Rows *and* error columns are compared bit for bit (``ResultSet.equals``).
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -29,7 +30,9 @@ from repro.core.flattener import flatten
 from repro.core.query_info import analyze
 from repro.errors import BindParameterError
 from repro.experiments.harness import build_instacart_workbench, build_tpch_workbench
+from repro.api.session import VerdictSession
 from repro.sqlengine import Database, parser
+from repro.sqlengine.tokens import KEYWORDS, TokenType, scan, tokenize
 from repro.workloads import INSTACART_QUERIES, TPCH_QUERIES
 
 EXACT = ExecutionOptions(mode="exact")
@@ -427,10 +430,19 @@ def test_two_hundred_texts_of_one_shape_miss_once():
     }
     assert len(texts) == 200
     parts = set()
-    for text in texts:
-        answer = session.execute(text)
-        assert not answer.is_exact
-        parts.add(answer.rewritten_sql)
+    parses = []
+    original_parse = parser.parse
+    parser.parse = lambda *args: parses.append(args[0]) or original_parse(*args)
+    try:
+        for text in texts:
+            answer = session.execute(text)
+            assert not answer.is_exact
+            parts.add(answer.rewritten_sql)
+    finally:
+        parser.parse = original_parse
+    # Only the first text is parsed; the other 199 are found by token stream.
+    # (The rest of the parses are the engine's, of the three rewritten parts.)
+    assert len([text for text in parses if text in texts]) == 1
     delta = {key: database.stats.get(key, 0) - before[key] for key in _CACHE_KEYS}
     (rewritten,) = parts  # byte-identical rewritten SQL for all 200 texts
     num_parts = len(rewritten.split(";\n"))
@@ -469,3 +481,193 @@ def test_prepared_statement_describes_only_the_callers_parameters():
     results = mixed.executemany([(3, "b"), (10, "it's")], options=EXACT)
     assert results[0].raw.equals(PROPERTY_ENGINES[1].execute(text))
     assert results[1].raw.equals(PROPERTY_ENGINES[1].execute(template, (10, "it's")))
+
+
+# ---------------------------------------------------------------------------
+# (vi) the token-stream shape index: a text of a known shape is not parsed,
+#      and prepare through the index equals prepare with an empty index
+# ---------------------------------------------------------------------------
+
+
+def _prepare_counting_parses(session, text):
+    parses = []
+    original_parse = parser.parse
+    parser.parse = lambda *args: parses.append(args[0]) or original_parse(*args)
+    try:
+        return session.prepare(text), len(parses)
+    finally:
+        parser.parse = original_parse
+
+
+def _prepare_or_error(session, text):
+    try:
+        return _prepare_counting_parses(session, text)
+    except repro.errors.ReproError as error:
+        return (type(error), str(error)), 1
+
+
+def assert_same_template(got, expected):
+    """``expected`` comes from a session whose index never held the shape."""
+    assert got.text == expected.text
+    assert got.statement == expected.statement
+    assert got.statement.to_sql() == expected.statement.to_sql()
+    assert got.shape_key == expected.shape_key
+    assert list(got.constants.items()) == list(expected.constants.items())
+    assert [type(v) for v in got.constants.values()] == [
+        type(v) for v in expected.constants.values()
+    ]
+    assert got.placeholders == expected.placeholders
+    assert got.param_style == expected.param_style
+    assert (got.flattened is None) == (expected.flattened is None)
+
+
+def _corpus():
+    texts = [TPCH_QUERIES[name] for name in sorted(TPCH_QUERIES)]
+    texts += [inlined for _name, _template, _params, inlined in _dashboard_draws(11, 1)]
+    texts += [
+        "SELECT count(*) AS n FROM t WHERE i > 3 AND s IN ('a', 'b')",
+        "SELECT s, count(*) AS n FROM (SELECT s, i FROM t WHERE k >= 10) AS d "
+        "INNER JOIN u ON d.i = u.i AND u.flag = 'y' "
+        "WHERE d.i > (SELECT min(i) FROM t WHERE k < 20) AND 30 > d.i "
+        "GROUP BY s HAVING count(*) > 40",
+        "SELECT 1 - i FROM t WHERE i > 45 ORDER BY k LIMIT 5 OFFSET 3",
+        "SELECT sum(CASE WHEN s = 'a' THEN 1 ELSE 0 END) AS n FROM t WHERE f < 1e-3",
+        "SELECT i + 5 AS x FROM t WHERE i = 5 AND f BETWEEN -2.5 AND 5",
+    ]
+    return texts
+
+
+CORPUS = _corpus()
+_PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SEPARATORS = [" ", "\n\t", " /* c */ ", " -- c\n", "  "]
+_number_texts = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(2**63, 2**70).map(str),
+    st.sampled_from(["1e-3", "2.5E+2", "1.e5", ".5e-3", "3.", "0.0", "7", "-7", "-1.5e3"]),
+    st.floats(0, 1e9, allow_nan=False, allow_infinity=False).map(repr),
+)
+_string_values = st.text(alphabet="ab' %_-", max_size=6)
+
+
+def _render(tokens, replacements, rng):
+    """``tokens`` as text again: literals replaced, keywords in any case,
+    any whitespace or comment between tokens."""
+    parts = []
+    for index, token in enumerate(tokens):
+        value = replacements.get(index, token.value)
+        if token.type is TokenType.KEYWORD:
+            parts.append(rng.choice([value, value.lower(), value.capitalize()]))
+        elif token.type is TokenType.STRING:
+            parts.append(_quote(value))
+        elif token.type is TokenType.IDENTIFIER and (
+            value.upper() in KEYWORDS or not _PLAIN.fullmatch(value)
+        ):
+            parts.append(f'"{value}"')
+        else:
+            parts.append(value)
+        parts.append(rng.choice(_SEPARATORS))
+    return "".join(parts)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.sampled_from(CORPUS), _statements()), st.data())
+def test_prepare_through_the_index_equals_an_empty_index(base, data):
+    fast = VerdictSession()
+    seeded, parses = _prepare_counting_parses(fast, base)
+    assert parses == 1
+    stream, literals = scan(base)
+    lifted_slots = {slot for _name, slot in fast._lift_patterns.get(stream).lifted}
+    tokens = tokenize(base)[:-1]
+    slots = [
+        i for i, token in enumerate(tokens)
+        if token.type in (TokenType.NUMBER, TokenType.STRING)
+    ]
+    assert [tokens[i].value for i in slots] == [token.value for token in literals]
+    replacements = {}
+    for slot, index in enumerate(slots):
+        if data.draw(st.booleans(), label=f"replace literal {slot}"):
+            strategy = _number_texts if tokens[index].type is TokenType.NUMBER else _string_values
+            replacements[index] = data.draw(strategy, label=f"literal {slot}")
+    text = _render(tokens, replacements, data.draw(st.randoms(use_true_random=False)))
+
+    got, parses = _prepare_or_error(fast, text)
+    expected, _ = _prepare_or_error(VerdictSession(), text)
+    if isinstance(expected, tuple):
+        assert got == expected  # the same typed error, on both paths
+        return
+    assert_same_template(got, expected)
+    changed = {
+        slots.index(index) for index, value in replacements.items()
+        if value != tokens[index].value
+    }
+    signs_changed = any(replacements[slots[slot]].startswith("-") for slot in changed)
+    if not (changed - lifted_slots) and not signs_changed:
+        # Whitespace, comments, keyword case and lifted literals: one stream.
+        assert parses == 0
+        assert got.statement is seeded.statement
+    elif changed - lifted_slots:
+        assert parses == 1  # a kept literal differs: the text misses
+
+
+@pytest.mark.parametrize(
+    "first, second, hit, constants",
+    [
+        # negative numbers: the sign is a token, the lifted value positive
+        ("SELECT k FROM t WHERE i = -7", "SELECT k FROM t WHERE i = -8", True, [8]),
+        ("SELECT k FROM t WHERE i = 7", "SELECT k FROM t WHERE i = -7", False, [7]),
+        # exponent floats and ints past int64 keep their python types
+        ("SELECT k FROM t WHERE f < 1", "SELECT k FROM t WHERE f < 2.5E+2", True, [250.0]),
+        ("SELECT k FROM t WHERE k = 1", f"SELECT k FROM t WHERE k = {2**64}", True, [2**64]),
+        # '' escapes
+        ("SELECT k FROM t WHERE s = 'a'", "SELECT k FROM t WHERE s = 'it''s'", True, ["it's"]),
+        # whitespace, comments and keyword case: the same key
+        (
+            "SELECT k FROM t WHERE i > 1 ORDER BY k",
+            "select k\n  from t /* x */ where i > 2 -- y\n order by k",
+            True,
+            [2],
+        ),
+        # a kept literal that differs must miss
+        ("SELECT k FROM t WHERE i > 1 LIMIT 5", "SELECT k FROM t WHERE i > 1 LIMIT 6", False, [1]),
+        ("SELECT i - 1 AS d FROM t WHERE i > 1", "SELECT i - 2 AS d FROM t WHERE i > 1", False,
+         [1]),
+        # one value standing both kept and lifted
+        ("SELECT i + 5 AS x FROM t WHERE i = 5", "SELECT i + 5 AS x FROM t WHERE i = 6", True, [6]),
+        ("SELECT i + 5 AS x FROM t WHERE i = 5", "SELECT i + 6 AS x FROM t WHERE i = 5", False,
+         [5]),
+    ],
+)
+def test_shape_index_hits_only_on_lifted_literals(first, second, hit, constants):
+    session = VerdictSession()
+    session.prepare(first)
+    got, parses = _prepare_counting_parses(session, second)
+    assert parses == (0 if hit else 1)
+    assert list(got.constants.values()) == constants
+    assert [type(v) for v in got.constants.values()] == [type(v) for v in constants]
+    assert_same_template(got, VerdictSession().prepare(second))
+
+
+def test_kept_literal_variants_of_one_stream_each_keep_their_shape():
+    session = VerdictSession()
+    text = "SELECT k FROM t WHERE i > {} ORDER BY k LIMIT {}"
+    session.prepare(text.format(0, 10))
+    session.prepare(text.format(0, 20))
+    for low in range(1, 20):
+        template, parses = _prepare_counting_parses(session, text.format(low, 10 + 10 * (low % 2)))
+        assert parses == 0
+        assert template.statement.limit == 10 + 10 * (low % 2)
+        assert template.constants == {"__lit0": low}
+
+
+def test_texts_with_placeholders_and_dml_skip_the_index():
+    session = VerdictSession()
+    for text in (
+        "SELECT k FROM t WHERE i > ? AND s = 'a'",
+        "SELECT k FROM t WHERE i > :low AND s = 'a'",
+        "INSERT INTO t (k) VALUES (1)",
+    ):
+        session.prepare(text)
+        assert session._lift_patterns.get(scan(text)[0]) is None
+        other = text.replace("'a'", "'b'").replace("(1)", "(2)")
+        _template, parses = _prepare_counting_parses(session, other)
+        assert parses == 1

@@ -1,9 +1,11 @@
 """Tests for the SQL parser and AST rendering."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ParseError
-from repro.sqlengine import sqlast as ast
+import repro
+from repro.errors import ParseError, ReproError, TokenizeError
+from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.parser import parse, parse_select
 
 
@@ -182,3 +184,72 @@ class TestSqlRendering:
         assert isinstance(single, ast.Literal)
         double = ast.conjunction([ast.Literal(True), ast.Literal(False)])
         assert isinstance(double, ast.BinaryOp) and double.op == "AND"
+
+
+class TestTypedErrors:
+    """Bad numbers end in a ``repro.errors`` exception, never a bare ValueError."""
+
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
+            ("SELECT a FROM t LIMIT 1.5", ParseError),
+            ("SELECT a FROM t LIMIT 1e3", ParseError),
+            ("SELECT a FROM t LIMIT 2 OFFSET .5", ParseError),
+            ("SELECT a FROM t WHERE a = ²", TokenizeError),
+            ("SELECT ١٢", TokenizeError),
+        ],
+    )
+    def test_through_a_cursor(self, sql, error):
+        connection = repro.connect()
+        connection.session.load_table("t", {"a": [1, 2, 3]})
+        with pytest.raises(error):
+            connection.cursor().execute(sql)
+        connection.close()
+
+    def test_limit_and_offset_take_integers(self):
+        stmt = parse_select("SELECT a FROM t LIMIT 10 OFFSET 0")
+        assert (stmt.limit, stmt.offset) == (10, 0)
+        with pytest.raises(ParseError, match="expected an integer but found '1.5'"):
+            parse("SELECT a FROM t LIMIT 1.5")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse("SELECT " + "(" * 400 + "1" + ")" * 400)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: whatever the text, parse returns an AST or raises a repro.errors
+# exception — nothing else.
+# ---------------------------------------------------------------------------
+
+_FRAGMENTS = [
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT", "OFFSET",
+    "AS", "AND", "OR", "NOT", "IN", "LIKE", "BETWEEN", "IS", "NULL", "TRUE", "JOIN",
+    "INNER", "LEFT", "OUTER", "CROSS", "ON", "DISTINCT", "CASE", "WHEN", "THEN",
+    "ELSE", "END", "DESC", "CREATE", "TABLE", "DROP", "INSERT", "INTO", "VALUES",
+    "IF", "EXISTS", "OVER", "PARTITION", "CAST", "DECIMAL", "t", "a", "b.c", "count",
+    "sum", "*", "(", ")", ",", ".", ";", "=", "<>", "<", "-", "+", "/", "%", "||",
+    "?", ":p", ":__lit0", "1", "0", "1.5", "1e3", ".5", "9223372036854775808",
+    "'x'", "''", "'it''s'", "²", "١", "'", '"q"', "`", "--", "/*", "*/", "@",
+]
+_fragment_texts = st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map(" ".join)
+
+
+def _parses_or_raises_typed(sql):
+    try:
+        statement = parser.parse(sql)
+    except ReproError:
+        return
+    assert isinstance(statement, ast.Statement)
+
+
+@settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.text(max_size=60), _fragment_texts))
+def test_parse_returns_an_ast_or_a_typed_error(sql):
+    _parses_or_raises_typed(sql)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fragment_texts)
+def test_select_prefixed_fuzz_reaches_the_expression_grammar(tail):
+    _parses_or_raises_typed("SELECT " + tail)
