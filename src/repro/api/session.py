@@ -85,7 +85,7 @@ from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.engine import Database
 from repro.sqlengine.parser import literal_value
 from repro.sqlengine.resultset import ResultSet
-from repro.sqlengine.tokens import scan
+from repro.sqlengine.tokens import Token, TokenType, tokenize
 
 
 @dataclass(frozen=True)
@@ -133,19 +133,32 @@ class PreparedTemplate:
         return {**self.constants, **bound}
 
 
-class _LiftPattern(NamedTuple):
-    """Which literal tokens a parse of one masked token stream lifts.
+class _IndexedShape(NamedTuple):
+    """A parameter-free SELECT's shape, filed under its text's token stream.
 
-    ``lifted`` pairs each placeholder name (``__lit0`` …) with the literal
-    slot — the index into :func:`~repro.sqlengine.tokens.scan`'s literals —
-    whose value it takes; ``kept`` lists the other slots, whose
-    ``(type, value)`` completes the shape-index key.  A function of the
-    stream alone: the parser never branches on a literal's value, and
-    every number or string literal in a lifted position is lifted.
+    ``lifted`` pairs each placeholder name (``__lit0`` …) with the index of
+    the literal token whose value it takes; ``kept`` pairs every other
+    literal token's index with its value, which a later text of the stream
+    must repeat to re-use ``shape``.  Both come from the parser's literal
+    token indices and the nodes lifting replaced, never from values: one
+    value can stand both lifted and kept.
     """
 
     lifted: tuple[tuple[str, int], ...]
-    kept: tuple[int, ...]
+    kept: tuple[tuple[int, str], ...]
+    shape: PreparedTemplate
+
+
+_LITERAL_TYPES = (TokenType.NUMBER, TokenType.STRING)
+
+
+def _token_stream(tokens: list[Token]) -> tuple:
+    """``tokens`` as ``(type, value)`` pairs with each literal's value masked
+    (a NUMBER or STRING token stands as its bare type): equal for texts that
+    differ only in literal values, whitespace, comments or keyword case."""
+    return tuple(
+        [token.type if token.type in _LITERAL_TYPES else token[:2] for token in tokens]
+    )
 
 
 class VerdictSession:
@@ -183,12 +196,11 @@ class VerdictSession:
         self.planner = SamplePlanner(planner_config)
         # Three levels, all pure functions of the SQL (no version token; the
         # LRU bounds cap memory): raw text -> (shape, this text's constants);
-        # the shape index — masked token stream -> its lift pattern, and
-        # (stream, kept literals) -> the shape (see prepare); shape key ->
-        # the parsed / flattened / analysed shape.
+        # the shape index, masked token stream -> the last shape parsed from
+        # it (see prepare); shape key -> the parsed / flattened / analysed
+        # shape.
         self._template_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
-        self._lift_patterns: LRUCache[tuple, _LiftPattern] = LRUCache(maxsize=128)
-        self._token_index: LRUCache[tuple, PreparedTemplate] = LRUCache(maxsize=128)
+        self._shape_index: LRUCache[tuple, _IndexedShape] = LRUCache(maxsize=128)
         self._shape_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
         # Facts read from the backend — ("rows", table), ("cardinality",
         # table, column) and ("samples",) — sample plans keyed on (shape key,
@@ -300,16 +312,16 @@ class VerdictSession:
         """Parse, canonicalize, lift and analyze a SQL text, memoized at three levels.
 
         1. By raw text: a repeated text costs one dictionary lookup.
-        2. By token stream: a text is scanned (not parsed) and looked up in
-           the shape index by its stream, literal values masked, plus the
-           literals it keeps in place.  A hit — the same tokens, the same
-           kept literals, only the lifted literals differ — takes the shape
-           and converts this text's lifted literal tokens into its
-           constants.  Nothing is parsed.
-        3. By shape key: otherwise the text is parsed once and its predicate
-           literals are lifted; the lifted statement's rendering is the
-           *shape key* under which the flattened / analysed statement is
-           filed, and the text's stream joins the index.
+        2. By token stream: a text is tokenized (not parsed) and looked up
+           in the shape index by its stream, literal values masked.  A hit
+           whose kept literals equal the entry's — only the lifted literals
+           differ — takes the shape and converts this text's lifted literal
+           tokens into its constants.  Nothing is parsed.
+        3. By shape key: otherwise the tokens are parsed once and their
+           predicate literals are lifted; the lifted statement's rendering
+           is the *shape key* under which the flattened / analysed statement
+           is filed, and the text's stream enters the index (replacing an
+           entry with other kept literals).
 
         A text that differs from an earlier one only in its lifted literals
         therefore re-uses all of it — and, being executed as the same
@@ -322,24 +334,21 @@ class VerdictSession:
         if cached is not None:
             self.connector.record_stat("analysis_cache_hits")
             return cached
-        stream, literals = scan(query)
-        pattern = self._lift_patterns.get(stream)
-        if pattern is not None:
-            key = (stream, tuple(literals[slot][:2] for slot in pattern.kept))
-            shape = self._token_index.get(key)
-            if shape is not None:
-                self.connector.record_stat("analysis_cache_hits")
-                constants = {
-                    name: literal_value(literals[slot]) for name, slot in pattern.lifted
-                }
-                template = PreparedTemplate(
-                    query, shape.statement, shape.flattened, shape.analysis,
-                    shape_key=shape.shape_key, constants=constants,
-                )
-                self._template_cache.put(query, template)
-                return template
-        positions: dict[int, int] = {}
-        statement = canonicalize_placeholders(parser.parse(query, positions))
+        tokens = tokenize(query)
+        stream = _token_stream(tokens)
+        indexed = self._shape_index.get(stream)
+        if indexed is not None and all(tokens[i].value == value for i, value in indexed.kept):
+            self.connector.record_stat("analysis_cache_hits")
+            shape = indexed.shape
+            template = PreparedTemplate(
+                query, shape.statement, shape.flattened, shape.analysis,
+                shape_key=shape.shape_key,
+                constants={name: literal_value(tokens[i]) for name, i in indexed.lifted},
+            )
+            self._template_cache.put(query, template)
+            return template
+        literal_indices: dict[int, int] = {}
+        statement = canonicalize_placeholders(parser.parse(tokens, literal_indices))
         placeholders = tuple(collect_placeholders(statement))
         style = None
         if placeholders:
@@ -372,16 +381,13 @@ class VerdictSession:
                 placeholders, style, shape_key, constants,
             )
             if not placeholders:
-                # The lift pattern, by literal token: never inferred from
-                # values, since one value can stand both lifted and kept.
-                slot = {token.position: n for n, token in enumerate(literals)}
-                lifted_slots = [slot[positions[id(literal)]] for literal in lifted]
-                kept = tuple(n for n in range(len(literals)) if n not in lifted_slots)
-                self._lift_patterns.put(
-                    stream, _LiftPattern(tuple(zip(constants, lifted_slots)), kept)
+                lifted_at = [literal_indices[id(literal)] for literal in lifted]
+                kept = tuple(
+                    (i, token.value) for i, token in enumerate(tokens)
+                    if token.type in _LITERAL_TYPES and i not in lifted_at
                 )
-                self._token_index.put(
-                    (stream, tuple(literals[n][:2] for n in kept)), shape
+                self._shape_index.put(
+                    stream, _IndexedShape(tuple(zip(constants, lifted_at)), kept, shape)
                 )
         self._template_cache.put(query, template)
         return template

@@ -13,15 +13,17 @@ from repro.sqlengine import sqlast as ast
 from repro.sqlengine.tokens import Token, TokenType, tokenize
 
 
-def parse(sql: str, literal_positions: dict[int, int] | None = None) -> ast.Statement:
-    """Parse one SQL statement and return its AST.
+def parse(
+    sql: str | list[Token], literal_indices: dict[int, int] | None = None
+) -> ast.Statement:
+    """Parse one SQL statement, given as text or as its :func:`tokenize` list.
 
-    ``literal_positions``, when given, receives ``id(literal) -> position``
-    of the NUMBER / STRING token each such :class:`~ast.Literal` of the AST
-    was parsed from.
+    ``literal_indices``, when given, receives ``id(literal) -> index`` of the
+    NUMBER / STRING token each such :class:`~ast.Literal` of the AST was
+    parsed from.
     """
     try:
-        return Parser(sql, literal_positions).parse_statement()
+        return Parser(sql, literal_indices).parse_statement()
     except RecursionError:
         raise ParseError("statement nests too deeply") from None
 
@@ -46,9 +48,11 @@ def literal_value(token: Token) -> object:
 class Parser:
     """Single-statement recursive-descent parser."""
 
-    def __init__(self, sql: str, literal_positions: dict[int, int] | None = None) -> None:
-        self._tokens = tokenize(sql)
-        self._literal_positions = {} if literal_positions is None else literal_positions
+    def __init__(
+        self, sql: str | list[Token], literal_indices: dict[int, int] | None = None
+    ) -> None:
+        self._tokens = tokenize(sql) if isinstance(sql, str) else sql
+        self._literal_indices = {} if literal_indices is None else literal_indices
         self._index = 0
         # Number of positional ('?') placeholders seen so far; gives each its
         # 0-based position in order of appearance.
@@ -414,9 +418,9 @@ class Parser:
         token = self._current
 
         if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
-            self._advance()
             literal = ast.Literal(literal_value(token))
-            self._literal_positions[id(literal)] = token.position
+            self._literal_indices[id(literal)] = self._index
+            self._advance()
             return literal
         if token.type is TokenType.KEYWORD and token.value in ("TRUE", "FALSE"):
             self._advance()

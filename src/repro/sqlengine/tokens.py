@@ -1,13 +1,8 @@
 """SQL tokenizer for the built-in relational engine.
 
 One compiled master regular expression, a named group per lexical category,
-drives both entry points:
-
-* :func:`tokenize` — the flat list of :class:`Token` objects the parser
-  reads, terminated by an EOF token;
-* :func:`scan` — the same stream as bare ``(type, value)`` pairs with every
-  literal's value masked, plus the literal tokens: what a text's *shape* is
-  looked up by before anything is parsed.
+drives :func:`tokenize`, which returns the flat list of :class:`Token`
+objects the parser reads, terminated by an EOF token.
 
 It understands the lexical subset needed by the middleware and by the
 benchmark workloads: identifiers (optionally quoted with backticks or double
@@ -19,7 +14,6 @@ operators, punctuation, keywords, ``?`` / ``:name`` parameters and
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -39,8 +33,8 @@ class TokenType(Enum):
     EOF = auto()
 
     # Members are singletons, so identity is their hash.  Enum's own
-    # ``__hash__`` is a Python call, which would dominate hashing a
-    # token-stream key of :func:`scan`.
+    # ``__hash__`` is a Python call, which would dominate hashing a token
+    # stream (the session's shape index is keyed on one).
     __hash__ = object.__hash__
 
 
@@ -61,17 +55,20 @@ KEYWORDS = frozenset(
 # One match per token, whitespace before it included.  Alternatives are
 # tried in order: comments before the ``-`` / ``/`` operators, numbers
 # before the ``.`` punctuation.  A word or ``:name`` must start with a
-# letter or ``_`` (checked in :func:`_lex`: ``\w`` also matches digits
-# beyond ASCII).  The string body is possessive, so an unterminated string
-# fails at its opening quote.  Whatever no category takes is an error,
-# reported at its position.
+# letter or ``_`` (checked in :func:`tokenize`: ``\w`` also matches digits
+# beyond ASCII).  A string ends at a quote not followed by another, so an
+# unterminated one (``'a''b``) cannot backtrack to a shorter string and fails
+# at its opening quote.  Whatever no category takes is an error, reported at
+# its position; since ``error`` takes any character, the leading ``\s*``
+# never backtracks either.  (No possessive quantifiers: they need Python
+# 3.11.)
 _MASTER = re.compile(
     r"""
-    \s*+
+    \s*
     (?:
       (?P<skip>--[^\n]*|/\*.*?\*/|\Z)
     | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-    | (?P<string>'[^']*+(?:''[^']*+)*+')
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))
     | (?P<quoted>"[^"]*"|`[^`]*`)
     | (?P<unterminated>/\*|['"`])
     | (?P<word>\w+)
@@ -85,7 +82,6 @@ _MASTER = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_LITERALS = (TokenType.NUMBER, TokenType.STRING)
 _UNTERMINATED = {
     "/*": "block comment",
     "'": "string literal",
@@ -124,32 +120,7 @@ def tokenize(sql: str) -> list[Token]:
         TokenizeError: when an unexpected character or unterminated literal is
             encountered.
     """
-    tokens = [Token(*lexeme) for lexeme in _lex(sql)]
-    tokens.append(Token(TokenType.EOF, "", len(sql)))
-    return tokens
-
-
-def scan(sql: str) -> tuple[tuple, list[Token]]:
-    """The token stream of ``sql`` with its literals masked, and the literals.
-
-    The stream holds one ``(type, value)`` pair per token (no EOF), except
-    that a NUMBER or STRING token stands as its bare type; the literal
-    tokens follow separately, in order.  Two texts that differ only in
-    literal values, whitespace, comments or keyword case scan to equal
-    streams.  Raises :class:`TokenizeError` exactly as :func:`tokenize`.
-    """
-    stream: list = []
-    literals: list[Token] = []
-    for token_type, value, position in _lex(sql):
-        if token_type in _LITERALS:
-            stream.append(token_type)
-            literals.append(Token(token_type, value, position))
-        else:
-            stream.append((token_type, value))
-    return tuple(stream), literals
-
-
-def _lex(sql: str) -> Iterator[tuple[TokenType, str, int]]:
+    tokens: list[Token] = []
     for match in _MASTER.finditer(sql):
         group = match.lastgroup
         if group == "skip":
@@ -161,29 +132,31 @@ def _lex(sql: str) -> Iterator[tuple[TokenType, str, int]]:
                 raise TokenizeError(f"unexpected character {value[0]!r}", position=position)
             upper = value.upper()
             if upper in KEYWORDS:
-                yield TokenType.KEYWORD, upper, position
+                tokens.append(Token(TokenType.KEYWORD, upper, position))
             else:
-                yield TokenType.IDENTIFIER, value, position
+                tokens.append(Token(TokenType.IDENTIFIER, value, position))
         elif group == "punctuation":
-            yield TokenType.PUNCTUATION, value, position
+            tokens.append(Token(TokenType.PUNCTUATION, value, position))
         elif group == "operator":
-            yield TokenType.OPERATOR, value, position
+            tokens.append(Token(TokenType.OPERATOR, value, position))
         elif group == "number":
-            yield TokenType.NUMBER, value, position
+            tokens.append(Token(TokenType.NUMBER, value, position))
         elif group == "string":
-            yield TokenType.STRING, value[1:-1].replace("''", "'"), position
+            tokens.append(Token(TokenType.STRING, value[1:-1].replace("''", "'"), position))
         elif group == "quoted":
-            yield TokenType.IDENTIFIER, value[1:-1], position
+            tokens.append(Token(TokenType.IDENTIFIER, value[1:-1], position))
         elif group == "qmark":
             # Positional query parameter (DB-API "qmark" style).  The token
             # value is empty; the parser assigns the 0-based position.
-            yield TokenType.PARAMETER, "", position
+            tokens.append(Token(TokenType.PARAMETER, "", position))
         elif group == "named":
             # Named query parameter (":name" style); value is the bare name.
             if not (value[1].isalpha() or value[1] == "_"):
                 raise TokenizeError("unexpected character ':'", position=position)
-            yield TokenType.PARAMETER, value[1:], position
+            tokens.append(Token(TokenType.PARAMETER, value[1:], position))
         elif group == "unterminated":
             raise TokenizeError(f"unterminated {_UNTERMINATED[value]}", position=position)
         else:
             raise TokenizeError(f"unexpected character {value!r}", position=position)
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
+    return tokens

@@ -30,9 +30,10 @@ from repro.core.flattener import flatten
 from repro.core.query_info import analyze
 from repro.errors import BindParameterError
 from repro.experiments.harness import build_instacart_workbench, build_tpch_workbench
-from repro.api.session import VerdictSession
+from repro.api import session as session_module
+from repro.api.session import VerdictSession, _token_stream
 from repro.sqlengine import Database, parser
-from repro.sqlengine.tokens import KEYWORDS, TokenType, scan, tokenize
+from repro.sqlengine.tokens import KEYWORDS, TokenType, tokenize
 from repro.workloads import INSTACART_QUERIES, TPCH_QUERIES
 
 EXACT = ExecutionOptions(mode="exact")
@@ -440,9 +441,11 @@ def test_two_hundred_texts_of_one_shape_miss_once():
             parts.add(answer.rewritten_sql)
     finally:
         parser.parse = original_parse
-    # Only the first text is parsed; the other 199 are found by token stream.
-    # (The rest of the parses are the engine's, of the three rewritten parts.)
-    assert len([text for text in parses if text in texts]) == 1
+    # Only the first text is parsed (the session parses its token list); the
+    # other 199 are found by token stream.  The rest of the parses are the
+    # engine's, of the three rewritten parts' texts.
+    assert sum(not isinstance(source, str) for source in parses) == 1
+    assert not texts & {source for source in parses if isinstance(source, str)}
     delta = {key: database.stats.get(key, 0) - before[key] for key in _CACHE_KEYS}
     (rewritten,) = parts  # byte-identical rewritten SQL for all 200 texts
     num_parts = len(rewritten.split(";\n"))
@@ -575,14 +578,13 @@ def test_prepare_through_the_index_equals_an_empty_index(base, data):
     fast = VerdictSession()
     seeded, parses = _prepare_counting_parses(fast, base)
     assert parses == 1
-    stream, literals = scan(base)
-    lifted_slots = {slot for _name, slot in fast._lift_patterns.get(stream).lifted}
-    tokens = tokenize(base)[:-1]
+    tokens = tokenize(base)
+    lifted_at = {i for _name, i in fast._shape_index.get(_token_stream(tokens)).lifted}
+    tokens = tokens[:-1]
     slots = [
         i for i, token in enumerate(tokens)
         if token.type in (TokenType.NUMBER, TokenType.STRING)
     ]
-    assert [tokens[i].value for i in slots] == [token.value for token in literals]
     replacements = {}
     for slot, index in enumerate(slots):
         if data.draw(st.booleans(), label=f"replace literal {slot}"):
@@ -596,16 +598,13 @@ def test_prepare_through_the_index_equals_an_empty_index(base, data):
         assert got == expected  # the same typed error, on both paths
         return
     assert_same_template(got, expected)
-    changed = {
-        slots.index(index) for index, value in replacements.items()
-        if value != tokens[index].value
-    }
-    signs_changed = any(replacements[slots[slot]].startswith("-") for slot in changed)
-    if not (changed - lifted_slots) and not signs_changed:
+    changed = {index for index, value in replacements.items() if value != tokens[index].value}
+    signs_changed = any(replacements[index].startswith("-") for index in changed)
+    if not (changed - lifted_at) and not signs_changed:
         # Whitespace, comments, keyword case and lifted literals: one stream.
         assert parses == 0
         assert got.statement is seeded.statement
-    elif changed - lifted_slots:
+    elif changed - lifted_at:
         assert parses == 1  # a kept literal differs: the text misses
 
 
@@ -647,16 +646,42 @@ def test_shape_index_hits_only_on_lifted_literals(first, second, hit, constants)
     assert_same_template(got, VerdictSession().prepare(second))
 
 
-def test_kept_literal_variants_of_one_stream_each_keep_their_shape():
+def test_a_kept_literal_that_differs_replaces_the_streams_entry():
     session = VerdictSession()
     text = "SELECT k FROM t WHERE i > {} ORDER BY k LIMIT {}"
     session.prepare(text.format(0, 10))
-    session.prepare(text.format(0, 20))
-    for low in range(1, 20):
-        template, parses = _prepare_counting_parses(session, text.format(low, 10 + 10 * (low % 2)))
+    _template, parses = _prepare_counting_parses(session, text.format(1, 20))
+    assert parses == 1
+    for low in range(2, 20):
+        template, parses = _prepare_counting_parses(session, text.format(low, 20))
         assert parses == 0
-        assert template.statement.limit == 10 + 10 * (low % 2)
+        assert template.statement.limit == 20
         assert template.constants == {"__lit0": low}
+    template, parses = _prepare_counting_parses(session, text.format(30, 10))
+    assert parses == 1
+    assert template.statement.limit == 10
+
+
+def test_a_text_that_misses_the_index_is_lexed_once(monkeypatch):
+    lexed = []
+    original = tokenize
+    monkeypatch.setattr(session_module, "tokenize", lambda sql: lexed.append(sql) or original(sql))
+    monkeypatch.setattr(parser, "tokenize", lambda sql: lexed.append(sql) or original(sql))
+    text = "SELECT k FROM t WHERE i > 1"
+    VerdictSession().prepare(text)
+    assert lexed == [text]
+
+
+def test_whitespace_comments_case_and_literal_values_do_not_change_the_stream():
+    one = _token_stream(tokenize("SELECT a FROM t WHERE b = 1 AND s = 'x'"))
+    two = _token_stream(
+        tokenize("select  a\n from t -- note\n where /* c */ b = 2.5 and s = 'it''s'")
+    )
+    assert one == two
+    # A literal's type stays in the stream; only its value is masked.
+    assert _token_stream(tokenize("SELECT a FROM t WHERE b = 1")) != _token_stream(
+        tokenize("SELECT a FROM t WHERE b = '1'")
+    )
 
 
 def test_texts_with_placeholders_and_dml_skip_the_index():
@@ -667,7 +692,7 @@ def test_texts_with_placeholders_and_dml_skip_the_index():
         "INSERT INTO t (k) VALUES (1)",
     ):
         session.prepare(text)
-        assert session._lift_patterns.get(scan(text)[0]) is None
+        assert session._shape_index.get(_token_stream(tokenize(text))) is None
         other = text.replace("'a'", "'b'").replace("(1)", "(2)")
         _template, parses = _prepare_counting_parses(session, other)
         assert parses == 1
