@@ -64,13 +64,14 @@ from repro.connectors.builtin import BuiltinConnector
 from repro.core.answer import ApproximateResult
 from repro.core.flattener import flatten
 from repro.core.hac import AccuracyContract
-from repro.core.query_info import QueryAnalysis, analyze
+from repro.core.query_info import ColumnOwners, QueryAnalysis, analyze, bind_columns
 from repro.core.rewriter import AqpRewriter, PreparedRewrite
 from repro.core.sample_planner import PlannerConfig, SamplePlan, SamplePlanner
 from repro.errors import (
     AccuracyContractError,
     InterfaceError,
     OperationalError,
+    ParseError,
     QueryCancelledError,
     QueryTimeoutError,
     ReproError,
@@ -348,47 +349,51 @@ class VerdictSession:
             self._template_cache.put(query, template)
             return template
         literal_indices: dict[int, int] = {}
-        statement = canonicalize_placeholders(parser.parse(tokens, literal_indices))
-        placeholders = tuple(collect_placeholders(statement))
-        style = None
-        if placeholders:
-            # canonicalize_placeholders rejected mixed styles, so the first
-            # placeholder's origin decides: canonical names p<i> come from
-            # positional '?' templates (index is set), others were named.
-            style = "qmark" if placeholders[0].index is not None else "named"
-        if not isinstance(statement, ast.SelectStatement):
-            # DDL/DML has no shape worth sharing: filed under its text only.
-            self.connector.record_stat("analysis_cache_misses")
-            template = PreparedTemplate(query, statement, None, None, placeholders, style)
-        else:
-            lifted: list[ast.Literal] = []
-            statement, constants = lift_literals(statement, lifted)
-            shape_key = statement.to_sql()
-            shape = self._shape_cache.get(shape_key)
-            if shape is None:
+        try:
+            statement = canonicalize_placeholders(parser.parse(tokens, literal_indices))
+            placeholders = tuple(collect_placeholders(statement))
+            style = None
+            if placeholders:
+                # canonicalize_placeholders rejected mixed styles, so the first
+                # placeholder's origin decides: canonical names p<i> come from
+                # positional '?' templates (index is set), others were named.
+                style = "qmark" if placeholders[0].index is not None else "named"
+            if not isinstance(statement, ast.SelectStatement):
+                # DDL/DML has no shape worth sharing: filed under its text only.
                 self.connector.record_stat("analysis_cache_misses")
-                flattened = flatten(statement)
-                shape = PreparedTemplate(
-                    shape_key, statement, flattened, analyze(flattened), shape_key=shape_key
-                )
-                self._shape_cache.put(shape_key, shape)
+                template = PreparedTemplate(query, statement, None, None, placeholders, style)
             else:
-                self.connector.record_stat("analysis_cache_hits")
-            # The caller's placeholders come from this text's own parse: two
-            # texts may share a shape yet spell a parameter ``?`` and ``:p0``.
-            template = PreparedTemplate(
-                query, shape.statement, shape.flattened, shape.analysis,
-                placeholders, style, shape_key, constants,
-            )
-            if not placeholders:
-                lifted_at = [literal_indices[id(literal)] for literal in lifted]
-                kept = tuple(
-                    (i, token.value) for i, token in enumerate(tokens)
-                    if token.type in _LITERAL_TYPES and i not in lifted_at
+                lifted: list[ast.Literal] = []
+                statement, constants = lift_literals(statement, lifted)
+                shape_key = statement.to_sql()
+                shape = self._shape_cache.get(shape_key)
+                if shape is None:
+                    self.connector.record_stat("analysis_cache_misses")
+                    flattened = flatten(statement)
+                    shape = PreparedTemplate(
+                        shape_key, statement, flattened, analyze(flattened), shape_key=shape_key
+                    )
+                    self._shape_cache.put(shape_key, shape)
+                else:
+                    self.connector.record_stat("analysis_cache_hits")
+                # The caller's placeholders come from this text's own parse: two
+                # texts may share a shape yet spell a parameter ``?`` and ``:p0``.
+                template = PreparedTemplate(
+                    query, shape.statement, shape.flattened, shape.analysis,
+                    placeholders, style, shape_key, constants,
                 )
-                self._shape_index.put(
-                    stream, _IndexedShape(tuple(zip(constants, lifted_at)), kept, shape)
-                )
+                if not placeholders:
+                    lifted_at = [literal_indices[id(literal)] for literal in lifted]
+                    kept = tuple(
+                        (i, token.value) for i, token in enumerate(tokens)
+                        if token.type in _LITERAL_TYPES and i not in lifted_at
+                    )
+                    self._shape_index.put(
+                        stream, _IndexedShape(tuple(zip(constants, lifted_at)), kept, shape)
+                    )
+        except RecursionError:
+            # The parser loops over a long AND/OR chain; the walks here recurse per term.
+            raise ParseError("statement nests too deeply") from None
         self._template_cache.put(query, template)
         return template
 
@@ -618,6 +623,7 @@ class VerdictSession:
         samples = self._fact(("samples",), token, self.metadata.all_samples)
         samples_by_table: dict[str, list[SampleInfo]] = {}
         table_rows: dict[str, int] = {}
+        columns: dict[str, list[str]] = {}
         for table in analysis.base_tables:
             key = table.name.lower()
             if key in samples_by_table:
@@ -634,12 +640,18 @@ class VerdictSession:
             table_rows[key] = self._fact(
                 ("rows", key), token, partial(self.connector.row_count, table.name)
             )
-        expected_groups = self._estimate_groups(analysis, token)
-        plan = self.planner.plan(analysis, samples_by_table, table_rows, expected_groups)
-        self.last_plan = plan
-        return plan
+            columns[key] = self._fact(
+                ("columns", key), token, partial(self.connector.column_names, table.name)
+            )
+        owners = bind_columns(analysis.statement, columns)
+        expected_groups = self._estimate_groups(analysis, owners, token)
+        return self.planner.plan(
+            analysis, samples_by_table, table_rows, expected_groups, owners=owners
+        )
 
-    def _estimate_groups(self, analysis: QueryAnalysis, token: object) -> int | None:
+    def _estimate_groups(
+        self, analysis: QueryAnalysis, owners: ColumnOwners, token: object
+    ) -> int:
         """Estimate the number of output groups from column cardinalities.
 
         For nested aggregate queries the *derived table's* grouping columns
@@ -651,28 +663,14 @@ class VerdictSession:
         group_exprs = list(analysis.statement.group_by)
         for derived in analysis.derived_tables:
             group_exprs.extend(derived.query.group_by)
-        if not group_exprs:
-            return 1
         estimate = 1
-        binding_to_table = {
-            table.binding_name.lower(): table.name for table in analysis.base_tables
-        }
         for expr in group_exprs:
-            if not isinstance(expr, ast.ColumnRef):
-                continue
-            owner = None
-            if expr.table is not None:
-                owner = binding_to_table.get(expr.table.lower())
-            else:
-                for table in analysis.base_tables:
-                    if expr.name in self.connector.column_names(table.name):
-                        owner = table.name
-                        break
+            owner = owners.get(id(expr)) if isinstance(expr, ast.ColumnRef) else None
             if owner is None:
                 continue
             try:
                 cardinality = self._fact(
-                    ("cardinality", owner.lower(), expr.name.lower()),
+                    ("cardinality", owner, expr.name.lower()),
                     token,
                     partial(self.connector.column_cardinality, owner, expr.name),
                 )

@@ -33,7 +33,7 @@ def flatten(statement: ast.SelectStatement) -> ast.SelectStatement:
     """
     if statement.where is None or statement.from_relation is None:
         return statement
-    conjuncts = _split_and(statement.where)
+    conjuncts = ast.flatten_and(statement.where)
     new_conjuncts: list[ast.Expression] = []
     new_relation = statement.from_relation
     changed = False
@@ -60,12 +60,6 @@ def flatten(statement: ast.SelectStatement) -> ast.SelectStatement:
         from_relation=new_relation,
         where=ast.conjunction(new_conjuncts),
     )
-
-
-def _split_and(expression: ast.Expression) -> list[ast.Expression]:
-    if isinstance(expression, ast.BinaryOp) and expression.op.upper() == "AND":
-        return _split_and(expression.left) + _split_and(expression.right)
-    return [expression]
 
 
 def _flatten_conjunct(
@@ -140,7 +134,7 @@ def _extract_correlation(
     if subquery.where is None:
         return None
     inner_bindings = {table.binding_name.lower() for table in ast.base_tables(subquery.from_relation)}
-    conjuncts = _split_and(subquery.where)
+    conjuncts = ast.flatten_and(subquery.where)
     for index, conjunct in enumerate(conjuncts):
         if not (
             isinstance(conjunct, ast.BinaryOp)

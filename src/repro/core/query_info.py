@@ -21,6 +21,7 @@ mean-like names; the rewriter reads from it how the fold combines each one.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
 from repro.sqlengine import sqlast as ast
@@ -49,12 +50,11 @@ EXTREME = frozenset({"min", "max"})
 class AggregateRef:
     """One aggregate call found in the select list, HAVING or ORDER BY.
 
-    ``item_index`` / ``output_name`` name the select item holding it; both
-    are None for an aggregate of the tail.
+    ``output_name`` names the select item holding it; None for an aggregate
+    of the tail.
     """
 
     node: ast.FunctionCall
-    item_index: int | None
     output_name: str | None
     kind: str  # 'mean_like' | 'count_distinct' | 'extreme' | 'unsupported'
 
@@ -70,10 +70,7 @@ class QueryAnalysis:
     statement: ast.SelectStatement
     aggregates: list[AggregateRef] = field(default_factory=list)
     base_tables: list[ast.TableRef] = field(default_factory=list)
-    outer_base_tables: list[ast.TableRef] = field(default_factory=list)
     derived_tables: list[ast.DerivedTable] = field(default_factory=list)
-    group_by_columns: list[str] = field(default_factory=list)
-    has_join: bool = False
     is_nested_aggregate: bool = False
     supported: bool = True
     unsupported_reason: str = ""
@@ -85,14 +82,6 @@ class QueryAnalysis:
     @property
     def count_distinct(self) -> list[AggregateRef]:
         return [agg for agg in self.aggregates if agg.kind == "count_distinct"]
-
-    @property
-    def extreme(self) -> list[AggregateRef]:
-        return [agg for agg in self.aggregates if agg.kind == "extreme"]
-
-    def table_names(self) -> list[str]:
-        """Names of the base tables referenced anywhere in the FROM clause."""
-        return [table.name for table in self.base_tables]
 
 
 def classify_aggregate(node: ast.FunctionCall) -> str:
@@ -116,58 +105,91 @@ def analyze(statement: ast.SelectStatement) -> QueryAnalysis:
     """
     analysis = QueryAnalysis(statement=statement)
     analysis.base_tables = ast.base_tables(statement.from_relation)
-    analysis.outer_base_tables = _outer_base_tables(statement.from_relation)
     _collect_relations(statement.from_relation, analysis)
-    analysis.group_by_columns = [
-        expr.name for expr in statement.group_by if isinstance(expr, ast.ColumnRef)
-    ]
 
-    places: list[tuple[ast.Expression, int | None, str | None]] = [
-        (item.expression, index, item.output_name(index))
+    places: list[tuple[ast.Expression, str | None]] = [
+        (item.expression, item.output_name(index))
         for index, item in enumerate(statement.select_items)
         if not isinstance(item.expression, ast.Star)
     ]
     if statement.having is not None:
-        places.append((statement.having, None, None))
-    places.extend((item.expression, None, None) for item in statement.order_by)
-    for expression, index, name in places:
+        places.append((statement.having, None))
+    places.extend((item.expression, None) for item in statement.order_by)
+    for expression, name in places:
         for node in expression.walk():
             if isinstance(node, ast.FunctionCall) and is_aggregate_function(node.name):
                 if any(contains_aggregate(argument) for argument in node.args):
                     continue
                 analysis.aggregates.append(
-                    AggregateRef(
-                        node=node, item_index=index, output_name=name,
-                        kind=classify_aggregate(node),
-                    )
+                    AggregateRef(node=node, output_name=name, kind=classify_aggregate(node))
                 )
 
     _check_supported(analysis)
     return analysis
 
 
-def _outer_base_tables(relation: ast.Relation | None) -> list[ast.TableRef]:
-    """Base tables reachable without descending into derived tables."""
-    tables: list[ast.TableRef] = []
+#: The owning base table (lower-cased) of each bound column reference, keyed
+#: by the ``id()`` of its ``ColumnRef`` node in the bound statement.
+ColumnOwners = dict[int, str]
 
-    def visit(node: ast.Relation | None) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.TableRef):
-            tables.append(node)
-        elif isinstance(node, ast.Join):
-            visit(node.left)
-            visit(node.right)
 
-    visit(relation)
-    return tables
+def bind_columns(
+    statement: ast.SelectStatement, columns: Mapping[str, Collection[str]]
+) -> ColumnOwners:
+    """Bind each column reference of ``statement`` to the base table owning it.
+
+    ``columns`` is the catalog: each base table's column names, keyed by
+    lower-cased table name.  Each SELECT scope (the statement, each derived
+    table's query) binds its own clauses: a qualifier through the scope's
+    FROM aliases, an unqualified name through the catalog columns of the
+    scope's tables.  A derived table's output, a name that two relations of
+    the scope have (as in a self-join) or that none has, and a column of a
+    scalar subquery get no owner.
+    """
+    owners: ColumnOwners = {}
+    scopes = [statement]
+    while scopes:
+        query = scopes.pop()
+        # Each relation's binding name -> its base table (None: a derived
+        # table) and the names it exposes (None: any, a derived SELECT *).
+        relations: dict[str, tuple[str | None, set[str] | None]] = {}
+        expressions = [query.where, query.having, *query.group_by]
+        expressions += [item.expression for item in (*query.select_items, *query.order_by)]
+        pending = [query.from_relation]
+        while pending:
+            relation = pending.pop()
+            if isinstance(relation, ast.Join):
+                pending += [relation.left, relation.right]
+                expressions.append(relation.condition)
+            elif isinstance(relation, ast.TableRef):
+                table = relation.name.lower()
+                names = {name.lower() for name in columns.get(table, ())}
+                relations[relation.binding_name.lower()] = (table, names)
+            elif isinstance(relation, ast.DerivedTable):
+                scopes.append(relation.query)
+                items = relation.query.select_items
+                names = {item.output_name(i).lower() for i, item in enumerate(items)}
+                relations[relation.alias.lower()] = (None, None if "*" in names else names)
+        for expression in filter(None, expressions):
+            for node in expression.walk():
+                if not isinstance(node, ast.ColumnRef):
+                    continue
+                if node.table is not None:
+                    owner = relations.get(node.table.lower(), (None, None))[0]
+                else:
+                    name = node.name.lower()
+                    matches = [
+                        table for table, names in relations.values()
+                        if names is None or name in names
+                    ]
+                    owner = matches[0] if len(matches) == 1 else None
+                if owner is not None:
+                    owners[id(node)] = owner
+    return owners
 
 
 def _collect_relations(relation: ast.Relation | None, analysis: QueryAnalysis) -> None:
-    if relation is None:
-        return
     if isinstance(relation, ast.Join):
-        analysis.has_join = True
         _collect_relations(relation.left, analysis)
         _collect_relations(relation.right, analysis)
     elif isinstance(relation, ast.DerivedTable):

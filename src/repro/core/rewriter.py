@@ -252,10 +252,8 @@ class AqpRewriter:
         whether its rows are weighted sample tuples (False for the outer
         level of a nested query, whose rows are per-group estimates)."""
         statement = builder.statement
-        if analysis.is_nested_aggregate and not analysis.outer_base_tables:
-            if len(analysis.derived_tables) != 1:
-                raise RewriteError("nested rewrite requires exactly one derived table")
-            derived = analysis.derived_tables[0]
+        derived = statement.from_relation
+        if analysis.is_nested_aggregate and isinstance(derived, ast.DerivedTable):
             variational_table, subsample_count = build_variational_derived_table(
                 derived.query, plan
             )

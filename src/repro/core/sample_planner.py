@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.core.query_info import QueryAnalysis
+from repro.core.query_info import ColumnOwners, QueryAnalysis
 from repro.sampling.params import SampleInfo
 from repro.sqlengine import sqlast as ast
 
@@ -69,7 +70,6 @@ class SamplePlan:
     assignments: dict[str, SampleInfo | None]
     score: float = 0.0
     io_rows: int = 0
-    candidate_count: int = 0
     notes: list[str] = field(default_factory=list)
 
     def sample_for(self, table_name: str) -> SampleInfo | None:
@@ -141,6 +141,8 @@ class SamplePlanner:
         samples_by_table: dict[str, list[SampleInfo]],
         table_rows: dict[str, int],
         expected_groups: int | None = None,
+        *,
+        owners: ColumnOwners,
     ) -> SamplePlan | None:
         """Return the best feasible plan, or None when AQP should not be used.
 
@@ -154,12 +156,15 @@ class SamplePlanner:
             table_rows: base-table row counts keyed by lower-cased table name.
             expected_groups: estimated number of output groups (used to decline
                 AQP for very high-cardinality group-bys, as in tq-3/8/15).
+            owners: the owning base table of each column of the analysed
+                statement (:func:`repro.core.query_info.bind_columns`).
         """
         tables = sorted({table.name.lower() for table in analysis.base_tables})
-        if not tables:
-            return None
-        join_edges = _join_edges(analysis)
-        distinct_columns = _count_distinct_columns(analysis)
+        join_edges = _join_edges(analysis, owners)
+        distinct_columns = _owned(
+            owners, [(agg.node.args or [None])[0] for agg in analysis.count_distinct]
+        )
+        group_keys = _owned(owners, analysis.statement.group_by)
 
         candidates: dict[str, list[SampleInfo | None]] = {}
         for table in tables:
@@ -171,7 +176,6 @@ class SamplePlanner:
         if combination_count > self.config.max_candidate_plans:
             for table in tables:
                 candidates[table] = self._k_best(candidates[table])
-            combination_count = math.prod(len(options) for options in candidates.values())
 
         # The fact table: the largest base table of a join (ties go to the
         # first name in sorted order).  A single-table query has none.
@@ -185,13 +189,12 @@ class SamplePlanner:
             assignment = dict(zip(tables, combination))
             samples_fact = fact_table is not None and assignment[fact_table] is not None
             plan = self._evaluate(
-                assignment, table_rows, join_edges, distinct_columns, analysis, expected_groups
+                assignment, table_rows, join_edges, distinct_columns, group_keys, expected_groups
             )
             if isinstance(plan, str):
                 if samples_fact and plan not in fact_rejections:
                     fact_rejections.append(plan)
                 continue
-            plan.candidate_count = combination_count
             if not plan.uses_sampling:
                 continue
             if best is None or plan.score > best.score:
@@ -226,8 +229,8 @@ class SamplePlanner:
         assignment: dict[str, SampleInfo | None],
         table_rows: dict[str, int],
         join_edges: list[_JoinEdge],
-        distinct_columns: dict[str | None, list[str]],
-        analysis: QueryAnalysis,
+        distinct_columns: list[tuple[str | None, str]],
+        group_keys: list[tuple[str | None, str]],
         expected_groups: int | None,
     ) -> SamplePlan | str:
         """The scored plan of one assignment, or why the assignment is infeasible."""
@@ -267,8 +270,9 @@ class SamplePlanner:
 
         # Sampling more than one relation of a join is only sound when every
         # pair of sampled relations is joined through matching hashed
-        # (universe) samples; without a certified edge (e.g. unqualified join
-        # columns) the combination is rejected and a single-sample plan wins.
+        # (universe) samples; without a certified edge (``_join_edges``
+        # certifies qualified column pairs only) the combination is rejected
+        # and a single-sample plan wins.
         sampled_names = [table for table, info in assignment.items() if info is not None]
         if len(sampled_names) > 1:
             certified = {
@@ -278,32 +282,28 @@ class SamplePlanner:
                 if frozenset((left_name, right_name)) not in certified:
                     return "samples joined without a universe join"
 
-        # count-distinct aggregates need a hashed sample on the distinct column
-        # (or the base table).
-        for table, columns in distinct_columns.items():
-            for column in columns:
-                owners = [table] if table is not None else list(assignment)
-                for owner in owners:
-                    info = assignment.get(owner)
-                    if info is None:
-                        continue
-                    if owner == table or table is None:
-                        if info.sample_type != "hashed" or not info.matches_columns((column,)):
-                            if table is not None or len(assignment) == 1:
-                                return "count(DISTINCT) needs a hashed sample on its column"
+        # count(DISTINCT) is scaled by a hashed sample's ratio: a sampled plan
+        # reads the column's owner from a sample hashed on that column, and a
+        # column without an owner allows no sampled plan.
+        for owner, column in distinct_columns:
+            info = assignment.get(owner) if owner is not None else None
+            if info is None or info.sample_type != "hashed" or not info.matches_columns((column,)):
+                return "count(DISTINCT) needs a hashed sample on its column"
 
         # Score: sqrt of the effective sampling ratio, with advantage factors.
         ratios = []
         advantage = join_bonus
-        group_columns = tuple(analysis.group_by_columns)
         for table, info in assignment.items():
             if info is None:
                 continue
             ratios.append(info.effective_ratio)
+            # A stratified sample covers the group-by when every grouping
+            # column is bound to its own table and is one of its strata.
             if (
                 info.sample_type == "stratified"
-                and group_columns
-                and info.covers_columns(group_columns)
+                and group_keys
+                and all(owner == table for owner, _name in group_keys)
+                and info.covers_columns(tuple(name for _owner, name in group_keys))
             ):
                 advantage *= self.config.stratified_advantage
                 plan.notes.append(f"stratified sample covers group-by on {table}")
@@ -331,71 +331,46 @@ class SamplePlanner:
 # ---------------------------------------------------------------------------
 
 
-def _join_edges(analysis: QueryAnalysis) -> list[_JoinEdge]:
+def _join_edges(analysis: QueryAnalysis, owners: ColumnOwners) -> list[_JoinEdge]:
     """Extract equi-join edges between base tables from the FROM tree."""
-    binding_to_table = {
-        table.binding_name.lower(): table.name.lower() for table in analysis.base_tables
-    }
     edges: list[_JoinEdge] = []
 
     def visit(relation: ast.Relation | None) -> None:
-        if relation is None:
+        if not isinstance(relation, ast.Join):
             return
-        if isinstance(relation, ast.Join):
-            visit(relation.left)
-            visit(relation.right)
-            if relation.condition is None:
-                return
-            pairs: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
-            for conjunct in _split_and(relation.condition):
-                if not (
-                    isinstance(conjunct, ast.BinaryOp)
-                    and conjunct.op == "="
-                    and isinstance(conjunct.left, ast.ColumnRef)
-                    and isinstance(conjunct.right, ast.ColumnRef)
-                ):
-                    continue
-                left, right = conjunct.left, conjunct.right
-                if left.table is None or right.table is None:
-                    continue
-                left_table = binding_to_table.get(left.table.lower())
-                right_table = binding_to_table.get(right.table.lower())
-                if left_table is None or right_table is None or left_table == right_table:
-                    continue
-                key = (left_table, right_table)
-                columns = pairs.setdefault(key, ([], []))
-                columns[0].append(left.name)
-                columns[1].append(right.name)
-            for (left_table, right_table), (left_columns, right_columns) in pairs.items():
-                edges.append(
-                    _JoinEdge(
-                        left_table=left_table,
-                        right_table=right_table,
-                        left_columns=tuple(left_columns),
-                        right_columns=tuple(right_columns),
-                    )
-                )
+        visit(relation.left)
+        visit(relation.right)
+        pairs: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
+        for conjunct in ast.flatten_and(relation.condition) if relation.condition else ():
+            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+                continue
+            left, right = conjunct.left, conjunct.right
+            if not (isinstance(left, ast.ColumnRef) and isinstance(right, ast.ColumnRef)):
+                continue
+            # Unqualified pairs stay uncertified: certified, tq-8's intervals widen past their gate.
+            if left.table is None or right.table is None:
+                continue
+            left_table, right_table = owners.get(id(left)), owners.get(id(right))
+            if left_table is None or right_table is None or left_table == right_table:
+                continue
+            columns = pairs.setdefault((left_table, right_table), ([], []))
+            columns[0].append(left.name)
+            columns[1].append(right.name)
+        edges.extend(
+            _JoinEdge(left_table, right_table, tuple(left_columns), tuple(right_columns))
+            for (left_table, right_table), (left_columns, right_columns) in pairs.items()
+        )
 
     visit(analysis.statement.from_relation)
     return edges
 
 
-def _count_distinct_columns(analysis: QueryAnalysis) -> dict[str | None, list[str]]:
-    """Columns referenced by count(DISTINCT ...), keyed by owning base table."""
-    binding_to_table = {
-        table.binding_name.lower(): table.name.lower() for table in analysis.base_tables
-    }
-    result: dict[str | None, list[str]] = {}
-    for aggregate in analysis.count_distinct:
-        if not aggregate.node.args or not isinstance(aggregate.node.args[0], ast.ColumnRef):
-            continue
-        column = aggregate.node.args[0]
-        owner = binding_to_table.get(column.table.lower()) if column.table else None
-        result.setdefault(owner, []).append(column.name)
-    return result
-
-
-def _split_and(expression: ast.Expression) -> list[ast.Expression]:
-    if isinstance(expression, ast.BinaryOp) and expression.op.upper() == "AND":
-        return _split_and(expression.left) + _split_and(expression.right)
-    return [expression]
+def _owned(
+    owners: ColumnOwners, expressions: Sequence[ast.Expression | None]
+) -> list[tuple[str | None, str]]:
+    """Each expression as (owning base table, column name); anything but a
+    column has no owner."""
+    return [
+        (owners.get(id(expr)), expr.name) if isinstance(expr, ast.ColumnRef) else (None, "")
+        for expr in expressions
+    ]

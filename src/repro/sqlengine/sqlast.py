@@ -181,7 +181,18 @@ class BinaryOp(Expression):
         return (self.left, self.right)
 
     def to_sql(self, dialect=DEFAULT_DIALECT) -> str:
-        return f"({self.left.to_sql(dialect)} {self.op} {self.right.to_sql(dialect)})"
+        op = self.op.upper()
+        if op not in ("AND", "OR"):
+            return f"({self.left.to_sql(dialect)} {self.op} {self.right.to_sql(dialect)})"
+        # A left-nested chain of one AND / OR renders flat, ``(a OR b OR c)``:
+        # the parser reads that back as the same tree, and a long chain
+        # neither recurses here nor nests one parenthesis per term.
+        terms, left = [self.right], self.left
+        while isinstance(left, BinaryOp) and left.op.upper() == op:
+            terms.append(left.right)
+            left = left.left
+        terms.append(left)
+        return "(" + f" {self.op} ".join([term.to_sql(dialect) for term in reversed(terms)]) + ")"
 
 
 @dataclass

@@ -1,12 +1,40 @@
 """Tests for query analysis, subquery flattening and the sample planner."""
 
+import pytest
 
+from repro.api.binding import iter_statement_expressions
 from repro.core.flattener import flatten
-from repro.core.query_info import analyze, classify_aggregate
+from repro.core.query_info import analyze, bind_columns, classify_aggregate
 from repro.core.sample_planner import PlannerConfig, SamplePlanner
 from repro.sampling.params import SampleInfo
 from repro.sqlengine import sqlast as ast
 from repro.sqlengine.parser import parse_select
+
+
+#: The catalog the binder and planner tests bind against.
+CATALOG = {
+    "orders": ["order_id", "user_id", "city", "price"],
+    "items": ["order_id", "item_id", "qty"],
+    "t": ["x", "g", "k"],
+    "u": ["g", "y", "k"],
+    "v": ["z"],
+}
+
+
+def column_refs(statement: ast.SelectStatement) -> list[ast.ColumnRef]:
+    """Every column reference of ``statement``, derived tables' included."""
+    return [
+        node
+        for expression in iter_statement_expressions(statement)
+        for node in expression.walk()
+        if isinstance(node, ast.ColumnRef)
+    ]
+
+
+def analysed(text: str):
+    """``text``'s analysis and the binding of its columns against CATALOG."""
+    analysis = analyze(parse_select(text))
+    return analysis, bind_columns(analysis.statement, CATALOG)
 
 
 class TestQueryAnalysis:
@@ -14,7 +42,8 @@ class TestQueryAnalysis:
         analysis = analyze(parse_select("SELECT city, count(*) c FROM orders GROUP BY city"))
         assert analysis.supported
         assert [a.kind for a in analysis.aggregates] == ["mean_like"]
-        assert analysis.group_by_columns == ["city"]
+        (city,) = analysis.statement.group_by
+        assert bind_columns(analysis.statement, CATALOG)[id(city)] == "orders"
 
     def test_aggregate_kinds(self):
         analysis = analyze(
@@ -58,20 +87,83 @@ class TestQueryAnalysis:
         assert analysis.supported
         assert analysis.is_nested_aggregate
 
-    def test_join_detected_and_tables_listed(self):
+    def test_join_tables_listed_and_their_columns_bound(self):
         analysis = analyze(
             parse_select(
                 "SELECT count(*) FROM a INNER JOIN b ON a.x = b.x INNER JOIN c ON b.y = c.y"
             )
         )
-        assert analysis.has_join
-        assert analysis.table_names() == ["a", "b", "c"]
+        assert [table.name for table in analysis.base_tables] == ["a", "b", "c"]
+        owners = bind_columns(analysis.statement, {})
+        assert {
+            column.to_sql(): owners.get(id(column)) for column in column_refs(analysis.statement)
+        } == {"a.x": "a", "b.x": "b", "b.y": "b", "c.y": "c"}
 
     def test_classify_aggregate(self):
         assert classify_aggregate(ast.func("count", ast.Star())) == "mean_like"
         assert classify_aggregate(ast.func("count", ast.column("x"), distinct=True)) == "count_distinct"
         assert classify_aggregate(ast.func("max", ast.column("x"))) == "extreme"
         assert classify_aggregate(ast.func("array_agg", ast.column("x"))) == "unsupported"
+
+
+JOIN_TU = "FROM t INNER JOIN u ON t.k = u.k"
+
+
+class TestBindColumns:
+    @pytest.mark.parametrize(
+        ("text", "spelling", "owner"),
+        [
+            pytest.param(f"SELECT count(*) {JOIN_TU} GROUP BY t.g", "t.g", "t", id="qualified"),
+            pytest.param(
+                "SELECT count(*) FROM t AS a INNER JOIN u AS b ON a.k = b.k GROUP BY b.y",
+                "b.y", "u", id="aliased",
+            ),
+            pytest.param(
+                "SELECT count(*) FROM t AS a INNER JOIN t AS b ON a.k = b.x GROUP BY b.g",
+                "b.g", "t", id="self-join-alias",
+            ),
+            pytest.param(
+                "SELECT count(*) FROM t AS a INNER JOIN t AS b ON a.k = b.x GROUP BY g",
+                "g", None, id="self-join-unqualified",
+            ),
+            pytest.param(f"SELECT y, count(*) {JOIN_TU} GROUP BY y", "y", "u", id="unqualified"),
+            pytest.param(
+                "SELECT count(DISTINCT x) FROM t", "x", "t", id="unqualified-single-table"
+            ),
+            pytest.param(f"SELECT g, count(*) {JOIN_TU} GROUP BY g", "g", None, id="shared"),
+            pytest.param("SELECT count(DISTINCT w) FROM t", "w", None, id="unknown-name"),
+            pytest.param(
+                "SELECT count(DISTINCT s.x) FROM t", "s.x", None, id="unknown-qualifier"
+            ),
+            pytest.param(
+                "SELECT k, count(*) FROM (SELECT t.k, x FROM t) AS sub "
+                "INNER JOIN v ON x = z GROUP BY k",
+                "k", None, id="derived-output",
+            ),
+            pytest.param(
+                "SELECT count(*) FROM (SELECT t.k, x FROM t) AS sub "
+                "INNER JOIN v ON sub.x = z GROUP BY sub.k",
+                "sub.k", None, id="derived-qualifier",
+            ),
+            pytest.param(
+                "SELECT count(*) FROM (SELECT t.k, x FROM t) AS sub "
+                "INNER JOIN v ON sub.x = z GROUP BY sub.k",
+                "t.k", "t", id="derived-table-scope",
+            ),
+            pytest.param(
+                "SELECT count(*) FROM (SELECT * FROM u) AS sub "
+                "INNER JOIN v ON sub.y = z GROUP BY z",
+                "z", None, id="derived-star-may-hold-any-name",
+            ),
+        ],
+    )
+    def test_owner(self, text, spelling, owner):
+        analysis, owners = analysed(text)
+        found = [
+            column for column in column_refs(analysis.statement) if column.to_sql() == spelling
+        ]
+        assert found
+        assert [owners.get(id(column)) for column in found] == [owner] * len(found)
 
 
 class TestFlattener:
@@ -139,29 +231,29 @@ class TestSamplePlanner:
         self.planner = SamplePlanner(PlannerConfig(io_budget=0.02, large_table_rows=100_000))
 
     def test_single_table_prefers_stratified_covering_group_by(self):
-        analysis = analyze(parse_select("SELECT city, count(*) FROM orders GROUP BY city"))
+        analysis, owners = analysed("SELECT city, count(*) FROM orders GROUP BY city")
         samples = {
             "orders": [
                 make_sample("orders", "uniform"),
                 make_sample("orders", "stratified", ("city",)),
             ]
         }
-        plan = self.planner.plan(analysis, samples, {"orders": 1_000_000}, expected_groups=10)
+        plan = self.planner.plan(
+            analysis, samples, {"orders": 1_000_000}, expected_groups=10, owners=owners
+        )
         assert plan is not None
         assert plan.sample_for("orders").sample_type == "stratified"
 
     def test_join_of_two_samples_requires_universe_samples(self):
-        analysis = analyze(
-            parse_select(
-                "SELECT count(*) FROM orders o INNER JOIN items i ON o.order_id = i.order_id"
-            )
+        analysis, owners = analysed(
+            "SELECT count(*) FROM orders o INNER JOIN items i ON o.order_id = i.order_id"
         )
         samples = {
             "orders": [make_sample("orders", "uniform"), make_sample("orders", "hashed", ("order_id",))],
             "items": [make_sample("items", "uniform"), make_sample("items", "hashed", ("order_id",))],
         }
         rows = {"orders": 1_000_000, "items": 1_000_000}
-        plan = self.planner.plan(analysis, samples, rows, expected_groups=1)
+        plan = self.planner.plan(analysis, samples, rows, expected_groups=1, owners=owners)
         assert plan is not None
         chosen = {plan.sample_for("orders").sample_type, plan.sample_for("items").sample_type}
         # Either a single sampled relation, or both hashed on the join key.
@@ -169,61 +261,97 @@ class TestSamplePlanner:
             assert chosen == {"hashed"}
 
     def test_mismatched_hash_columns_rejected_for_two_sample_join(self):
-        analysis = analyze(
-            parse_select(
-                "SELECT count(*) FROM orders o INNER JOIN items i ON o.order_id = i.order_id"
-            )
+        analysis, owners = analysed(
+            "SELECT count(*) FROM orders o INNER JOIN items i ON o.order_id = i.order_id"
         )
         samples = {
             "orders": [make_sample("orders", "hashed", ("other_column",))],
             "items": [make_sample("items", "hashed", ("order_id",))],
         }
         plan = self.planner.plan(
-            analysis, samples, {"orders": 1_000_000, "items": 1_000_000}, expected_groups=1
+            analysis, samples, {"orders": 1_000_000, "items": 1_000_000}, expected_groups=1,
+            owners=owners,
         )
         # A plan may still exist (sampling only one side), but never both.
         if plan is not None:
             assert len(plan.sampled_tables) <= 1
 
     def test_high_cardinality_group_by_declines_aqp(self):
-        analysis = analyze(parse_select("SELECT user_id, count(*) FROM orders GROUP BY user_id"))
+        analysis, owners = analysed("SELECT user_id, count(*) FROM orders GROUP BY user_id")
         samples = {"orders": [make_sample("orders", "uniform", sample_rows=5_000)]}
         plan = self.planner.plan(
-            analysis, samples, {"orders": 1_000_000}, expected_groups=200_000
+            analysis, samples, {"orders": 1_000_000}, expected_groups=200_000, owners=owners
         )
         assert plan is None
 
     def test_no_samples_means_no_plan(self):
-        analysis = analyze(parse_select("SELECT count(*) FROM orders"))
-        assert self.planner.plan(analysis, {"orders": []}, {"orders": 10_000}, 1) is None
+        analysis, owners = analysed("SELECT count(*) FROM orders")
+        plan = self.planner.plan(analysis, {"orders": []}, {"orders": 10_000}, 1, owners=owners)
+        assert plan is None
 
     def test_count_distinct_requires_hashed_sample_on_column(self):
-        analysis = analyze(
-            parse_select("SELECT count(DISTINCT order_id) FROM orders")
-        )
+        analysis, owners = analysed("SELECT count(DISTINCT order_id) FROM orders")
         hashed = make_sample("orders", "hashed", ("order_id",))
         uniform = make_sample("orders", "uniform")
         plan = self.planner.plan(
-            analysis, {"orders": [uniform, hashed]}, {"orders": 1_000_000}, expected_groups=1
+            analysis, {"orders": [uniform, hashed]}, {"orders": 1_000_000}, expected_groups=1,
+            owners=owners,
         )
         assert plan is not None
         assert plan.sample_for("orders").sample_type == "hashed"
 
+    def test_a_stratified_sample_covers_only_group_keys_bound_to_its_own_table(self):
+        analysis = analyze(
+            parse_select(
+                "SELECT i.city, count(*) AS n "
+                "FROM orders o INNER JOIN items i ON o.order_id = i.order_id GROUP BY i.city"
+            )
+        )
+        owners = bind_columns(analysis.statement, {**CATALOG, "items": ["order_id", "city"]})
+        uniform = make_sample("orders", "uniform", sample_rows=10_000)
+        stratified = make_sample("orders", "stratified", ("city",), sample_rows=8_000)
+        rows = {"orders": 1_000_000, "items": 10_000}
+        plan = self.planner.plan(
+            analysis, {"orders": [uniform, stratified], "items": []}, rows, 10, owners=owners
+        )
+        # orders' city is not the grouping column, so no advantage lifts the
+        # smaller stratified sample above the uniform one.
+        assert plan.sample_for("orders") is uniform
+        assert not any(note.startswith("stratified sample covers") for note in plan.notes)
+
+    def test_unqualified_count_distinct_needs_a_hashed_sample_on_its_owners_column(self):
+        analysis, owners = analysed(
+            "SELECT city, count(DISTINCT item_id) AS n "
+            "FROM orders o INNER JOIN items i ON o.order_id = i.order_id GROUP BY city"
+        )
+        rows = {"orders": 1_000_000, "items": 1_000_000}
+        samples = {
+            "orders": [make_sample("orders", "uniform")],
+            "items": [make_sample("items", "hashed", ("order_id",))],
+        }
+        # Neither sample can scale items' distinct item_id values.
+        assert self.planner.plan(analysis, samples, rows, 10, owners=owners) is None
+        on_owner = make_sample("items", "hashed", ("item_id",))
+        samples["items"].append(on_owner)
+        plan = self.planner.plan(analysis, samples, rows, 10, owners=owners)
+        assert plan.sampled_tables == [on_owner]
+
     def test_io_budget_rejects_oversized_uniform_sample(self):
-        analysis = analyze(parse_select("SELECT count(*) FROM orders"))
+        analysis, owners = analysed("SELECT count(*) FROM orders")
         big = make_sample("orders", "uniform", ratio=0.5, sample_rows=500_000)
         plan = self.planner.plan(
-            analysis, {"orders": [big]}, {"orders": 1_000_000}, expected_groups=1
+            analysis, {"orders": [big]}, {"orders": 1_000_000}, expected_groups=1, owners=owners
         )
         assert plan is None
 
     def test_plan_describe_mentions_sample_type(self):
-        analysis = analyze(parse_select("SELECT count(*) FROM orders"))
+        analysis, owners = analysed("SELECT count(*) FROM orders")
         plan = self.planner.plan(
             analysis,
             {"orders": [make_sample("orders", "uniform")]},
             {"orders": 1_000_000},
             expected_groups=1,
+            owners=owners,
         )
         assert "uniform" in plan.describe()
         assert plan.uses_sampling

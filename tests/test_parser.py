@@ -1,9 +1,11 @@
 """Tests for the SQL parser and AST rendering."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+from repro import ExecutionOptions
 from repro.errors import ParseError, ReproError, TokenizeError
 from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.parser import parse, parse_select
@@ -215,6 +217,42 @@ class TestTypedErrors:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nests too deeply"):
             parse("SELECT " + "(" * 400 + "1" + ")" * 400)
+
+
+class TestLongLogicalChains:
+    """A left-nested AND/OR chain renders flat, so a long one runs."""
+
+    def test_a_chain_renders_flat_and_parses_back_to_the_same_tree(self):
+        stmt = parse_select(
+            "SELECT a FROM t WHERE a = 1 OR a = 2 OR (a = 3 OR a = 4) AND b = 1 OR b = 2"
+        )
+        rendered = stmt.where.to_sql()
+        assert rendered == (
+            "((a = 1) OR (a = 2) OR (((a = 3) OR (a = 4)) AND (b = 1)) OR (b = 2))"
+        )
+        assert parse_select(stmt.to_sql()) == stmt
+
+    @pytest.mark.parametrize(
+        ("op", "term", "count"), [("OR", "a = {}", 800), ("AND", "a <> {}", 200)]
+    )
+    def test_400_terms_through_a_cursor_return_exact_modes_count(self, op, term, count):
+        connection = repro.connect()
+        connection.session.load_table("t", {"a": np.arange(1000) % 500})
+        where = f" {op} ".join(term.format(i) for i in range(400))
+        sql = f"SELECT count(*) AS c FROM t WHERE {where}"
+        cursor = connection.cursor()
+        cursor.execute(sql)
+        exact = connection.session.execute(sql, options=ExecutionOptions(mode="exact"))
+        assert cursor.fetchall() == exact.fetchall() == [(count,)]
+        connection.close()
+
+    def test_2000_terms_raise_a_parse_error(self):
+        connection = repro.connect()
+        connection.session.load_table("t", {"a": [1, 2, 3]})
+        where = " OR ".join(f"a = {i}" for i in range(2000))
+        with pytest.raises(ParseError, match="nests too deeply"):
+            connection.cursor().execute(f"SELECT count(*) AS c FROM t WHERE {where}")
+        connection.close()
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,9 @@ class TestChangeDuringComputation:
         seen: list[int] = []
         plan = SamplePlanner.plan
 
-        def recording(self, analysis, samples, table_rows, expected_groups=None):
+        def recording(self, analysis, samples, table_rows, expected_groups=None, *, owners):
             seen.append(table_rows["orders"])
-            return plan(self, analysis, samples, table_rows, expected_groups)
+            return plan(self, analysis, samples, table_rows, expected_groups, owners=owners)
 
         monkeypatch.setattr(SamplePlanner, "plan", recording)
         racing_session.connector.race_after = "rows"
