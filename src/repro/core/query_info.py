@@ -10,7 +10,8 @@ its aggregates should be decomposed (Section 2.2):
   the variational-subsampling rewrite;
 * *count-distinct* aggregates are answered from a hashed (universe) sample;
 * *extreme* aggregates (min/max) are computed exactly on the base tables;
-* anything else makes the query unsupported.
+* anything else, another DISTINCT aggregate included, makes the query
+  unsupported.
 
 Every aggregate counts, wherever it stands: the select list, HAVING and
 ORDER BY.  So a ``count(DISTINCT)`` that only filters groups still asks the
@@ -85,10 +86,14 @@ class QueryAnalysis:
 
 
 def classify_aggregate(node: ast.FunctionCall) -> str:
-    """Classify an aggregate call into the paper's decomposition categories."""
+    """Classify an aggregate call into the paper's decomposition categories.
+
+    Of the DISTINCT aggregates only ``count`` is estimated; any other, such
+    as ``sum(DISTINCT x)``, is unsupported and runs exactly.
+    """
     name = node.name.lower()
-    if name == "count" and node.distinct:
-        return "count_distinct"
+    if node.distinct:
+        return "count_distinct" if name == "count" else "unsupported"
     if name in MEAN_LIKE:
         return "mean_like"
     if name in EXTREME:

@@ -8,7 +8,9 @@ none of which carries the statement's tail:
   tables that, for every (grouping keys, subsample id) combination, computes
   the Horvitz–Thompson building blocks of each aggregate plus the
   subsample's size: ``GROUP BY <keys>, vdb_sid``, nothing beyond ``SUM`` and
-  ``COUNT`` (and the statistic itself for ``stddev``-like aggregates).  The
+  ``COUNT`` (and the statistic itself for ``stddev``-like aggregates).  One
+  function, :func:`_building_blocks`, renders them, for this statement and
+  for the variational table of a nested query alike.  The
   **answer** is the full-sample estimate (the per-subsample partial sums
   added back together — for ``sum``/``count`` this is exactly the
   Horvitz–Thompson estimator, for ``avg`` the ratio estimator); the
@@ -18,19 +20,22 @@ none of which carries the statement's tail:
   (Theorem 2).  For totals (``sum``/``count``) the subsample's partial sum
   is scaled by the number of subsamples ``b`` to make it a full-group
   estimate;
-* the **count-distinct part** runs per group over a hashed sample, scaled
-  by its ratio, with a binomial error (:meth:`AqpRewriter.rewrite_count_distinct`);
+* the **count-distinct part** counts the distinct values per group over a
+  hashed sample;
 * the **extreme part** runs min / max exactly, per group, over the base
   tables.
 
-The middleware's :class:`SubsampleFold` is the one place the answer is put
-together: it folds the mean-like rows, stitches the other parts to their
-groups on the key codec, and then applies the statement's tail — select-list
-arithmetic over aggregates of any kind, HAVING, ORDER BY, LIMIT and OFFSET —
-once.
+Every part returns sufficient statistics only: no estimate and no error is
+computed in SQL.  The middleware's :class:`SubsampleFold` is the one place
+the answer is put together: it folds the mean-like rows, scales the distinct
+counts by the hashed sample's ratio and gives them their binomial error,
+stitches the parts to their groups on the key codec, and then applies the
+statement's tail — select-list arithmetic over aggregates of any kind,
+HAVING, ORDER BY, LIMIT and OFFSET — once.
 
 Joins of two sample tables combine their subsample ids with ``h(i, j)``
-(Theorem 4) and multiply their inclusion probabilities.  Nested aggregate
+(Theorem 4) and take the smaller of their inclusion probabilities (universe
+samples joined on their hash key, Appendix E).  Nested aggregate
 queries (Section 5.2) first turn the derived table into its variational
 table — the original inner query grouped additionally by the subsample id,
 each aggregate replaced by its per-subsample full-group estimate — and the
@@ -48,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.query_info import MEAN_LIKE, QueryAnalysis
+from repro.core.query_info import MEAN_LIKE, QueryAnalysis, classify_aggregate
 from repro.core.sample_planner import SamplePlan
 from repro.errors import ExecutionError, RewriteError
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
@@ -96,7 +101,6 @@ class RewriteOutput:
     fold: SubsampleFold
     group_columns: list[str] = field(default_factory=list)
     estimate_columns: dict[str, str | None] = field(default_factory=dict)
-    plan: SamplePlan | None = None
 
     @property
     def statement(self) -> ast.SelectStatement:
@@ -145,7 +149,8 @@ class AqpRewriter:
           by samples while the derived table — typically a small aggregate
           over a dimension-sized group — is computed exactly;
         * ``count(DISTINCT)`` ones to one per-group statement over the hashed
-          sample (:meth:`rewrite_count_distinct`);
+          sample, which counts and does not scale: the fold divides by the
+          sample's ratio;
         * min / max to one exact per-group statement over the base tables.
 
         No part has HAVING, ORDER BY, LIMIT or OFFSET: the fold stitches the
@@ -162,8 +167,11 @@ class AqpRewriter:
             fold.parts.append("mean_like")
         distinct = builder.per_group_statement("count_distinct")
         if distinct is not None:
-            parts.append(self.rewrite_count_distinct(distinct, analysis, plan).statement)
+            relation, sampled = _substitute_relations(distinct.from_relation, plan)
+            parts.append(dataclasses.replace(distinct, from_relation=relation))
             fold.parts.append("count_distinct")
+            hashed = [info.effective_ratio for _, info in sampled if info.sample_type == "hashed"]
+            fold.distinct_ratio = min([1.0, *hashed])
         extreme = builder.per_group_statement("extreme")
         if extreme is not None:
             parts.append(extreme)
@@ -173,7 +181,6 @@ class AqpRewriter:
             fold=fold,
             group_columns=builder.group_output_names,
             estimate_columns=builder.estimate_columns,
-            plan=plan,
         )
 
     def rewrite_count_distinct(
@@ -181,67 +188,11 @@ class AqpRewriter:
     ) -> RewriteOutput:
         """Rewrite a query whose aggregates are all count(DISTINCT ...).
 
-        Count-distinct is answered from a hashed (universe) sample: the hash
-        partitions the value domain, so the distinct values present in the
-        sample are a ``tau`` fraction of the domain and the answer is scaled
-        by ``1 / tau``.  The error comes from the binomial variance of the
-        observed-domain size.
+        This is :meth:`rewrite`: the query's one part counts each group's
+        distinct values in the hashed (universe) sample and the fold scales
+        them.  Kept by name for callers that time this kind of query.
         """
-        new_relation, sampled = _substitute_relations(statement.from_relation, plan)
-        ratio = 1.0
-        for _binding, info in sampled:
-            if info.sample_type == "hashed":
-                ratio = min(ratio, info.effective_ratio)
-        # The statement's own tail stays in it: its fold only reads its rows,
-        # one group per value of its grouping columns.
-        fold = SubsampleFold(group_aliases=[], aggregates=[], parts=["count_distinct"])
-        estimate_columns: dict[str, str | None] = {}
-        select_items: list[ast.SelectItem] = []
-        for index, item in enumerate(statement.select_items):
-            name = item.output_name(index)
-            if not contains_aggregate(item.expression):
-                select_items.append(ast.SelectItem(item.expression, alias=name))
-                fold.group_aliases.append(name)
-                fold.outputs.append((name, "group", name))
-                continue
-            if not isinstance(item.expression, ast.FunctionCall):
-                raise RewriteError("count-distinct items must be bare aggregates")
-            scaled: ast.Expression = item.expression
-            if ratio < 1.0:
-                scaled = ast.BinaryOp("/", item.expression, ast.Literal(float(ratio)))
-            select_items.append(ast.SelectItem(scaled, alias=name))
-            fold.outputs.append((name, "estimate", len(fold.aggregates)))
-            error_name = None
-            if self.include_errors:
-                error_name = f"{name}_err"
-                error_expr = ast.BinaryOp(
-                    "/",
-                    ast.func(
-                        "sqrt",
-                        ast.BinaryOp(
-                            "*", item.expression, ast.Literal(max(0.0, 1.0 - ratio))
-                        ),
-                    ),
-                    ast.Literal(float(ratio)),
-                )
-                select_items.append(ast.SelectItem(error_expr, alias=error_name))
-                fold.outputs.append((error_name, "error", len(fold.aggregates)))
-            fold.aggregates.append(
-                _AggregatePlan(item.expression, "count_distinct", name, error_name)
-            )
-            estimate_columns[name] = error_name
-        if len(fold.group_aliases) < len(statement.group_by):
-            raise RewriteError("a count-distinct statement must select its grouping columns")
-        rewritten = dataclasses.replace(
-            statement, select_items=select_items, from_relation=new_relation
-        )
-        return RewriteOutput(
-            parts=[rewritten],
-            fold=fold,
-            group_columns=list(fold.group_aliases),
-            estimate_columns=estimate_columns,
-            plan=plan,
-        )
+        return self.rewrite(statement, analysis, plan)
 
     # -- the mean-like part -------------------------------------------------------
 
@@ -261,9 +212,8 @@ class AqpRewriter:
             # estimates, so no Horvitz–Thompson scaling applies at this level.
             part = builder.subsample_statement(
                 ast.DerivedTable(query=variational_table, alias=derived.alias),
-                probability=ast.Literal(1.0),
+                probability=None,
                 sid=ast.ColumnRef(SID_ALIAS, table=derived.alias),
-                weighted=False,
                 sub_size=ast.func("sum", ast.ColumnRef(ROWS_ALIAS, table=derived.alias)),
             )
             return part, subsample_count, False
@@ -275,7 +225,6 @@ class AqpRewriter:
             new_relation,
             probability=_probability_expression(sampled),
             sid=_sid_expression(sampled, subsample_count),
-            weighted=True,
         )
         return part, subsample_count, True
 
@@ -307,10 +256,16 @@ def build_variational_derived_table(
                 raise RewriteError(
                     "derived-table select items must be bare aggregates or grouping columns"
                 )
-            estimator = _subsample_estimate(
-                expression, probability, subsample_count, scaled=True
-            )
-            select_items.append(ast.SelectItem(estimator, alias=name))
+            # The subsample's own estimate of the full group: a total's
+            # partial sum times b (each subsample holds about 1/b of the
+            # sample rows), a mean's ratio, a statistic as it is.
+            value, *denominator = _building_blocks(expression, probability)
+            kind = MEAN_LIKE[expression.name.lower()]
+            if kind == "total":
+                value = ast.BinaryOp("*", ast.Literal(subsample_count), value)
+            elif kind == "mean":
+                value = ast.BinaryOp("/", value, denominator[0])
+            select_items.append(ast.SelectItem(value, alias=name))
         else:
             select_items.append(ast.SelectItem(expression, alias=name))
     select_items.append(ast.SelectItem(sid, alias=SID_ALIAS))
@@ -404,45 +359,39 @@ def _h_expression(left: ast.Expression, right: ast.Expression, subsample_count: 
     )
 
 
-def _subsample_estimate(
-    node: ast.FunctionCall,
-    probability: ast.Expression,
-    subsample_count: int,
-    scaled: bool,
-) -> ast.Expression:
-    """A single subsample's estimate of the full-group aggregate.
+def _building_blocks(
+    node: ast.FunctionCall, probability: ast.Expression | None
+) -> list[ast.Expression]:
+    """A mean-like aggregate's building blocks over one subsample's rows.
 
-    With ``scaled=True`` the partial Horvitz–Thompson sums are multiplied by
-    the number of subsamples ``b`` (each subsample holds roughly ``1/b`` of
-    the sample rows); with ``scaled=False`` the aggregate is taken as is
-    (used at the outer level of nested queries where rows are already
-    per-group estimates).
+    Over sample tuples, with ``probability`` each row's inclusion
+    probability ``p``, they are Horvitz–Thompson sums: a total's
+    ``sum(x / p)`` (``sum(1.0 / p)`` for a count), a mean's numerator
+    ``sum(x / p)`` and denominator ``sum(1.0 / p)``.  With ``probability``
+    None the rows are already per-group estimates (the outer level of a
+    nested query) and the blocks are plain: ``sum(x)`` (``count(*)``), or
+    ``sum(x)`` and ``count(x)``.  A statistic is its own block.  Any other
+    aggregate, a DISTINCT one included, raises :class:`RewriteError`.
     """
     name = node.name.lower()
-    inverse_probability = ast.BinaryOp("/", ast.Literal(1.0), probability)
-    b = ast.Literal(subsample_count)
-    if name == "count":
-        if not scaled:
-            return ast.func("count", ast.Star())
-        return ast.BinaryOp("*", b, ast.func("sum", inverse_probability))
-    if not node.args:
-        raise RewriteError(f"aggregate {name!r} requires an argument")
-    argument = node.args[0]
-    scaled_argument = ast.BinaryOp("/", argument, probability)
-    if name == "sum":
-        if not scaled:
-            return ast.func("sum", argument)
-        return ast.BinaryOp("*", b, ast.func("sum", scaled_argument))
-    kind = MEAN_LIKE.get(name)
-    if kind == "mean":
-        if not scaled:
-            return ast.func("avg", argument)
-        return ast.BinaryOp(
-            "/", ast.func("sum", scaled_argument), ast.func("sum", inverse_probability)
-        )
+    if classify_aggregate(node) != "mean_like":
+        raise RewriteError(f"aggregate {node.to_sql()!r} is not mean-like")
+    kind = MEAN_LIKE[name]
     if kind == "statistic":
-        return dataclasses.replace(node)
-    raise RewriteError(f"aggregate {name!r} is not mean-like")
+        return [dataclasses.replace(node)]
+    if name != "count" and not node.args:
+        raise RewriteError(f"aggregate {name!r} requires an argument")
+    if probability is None:
+        if name == "count":
+            return [ast.func("count", ast.Star())]
+        argument = node.args[0]
+        blocks = [ast.func("sum", argument), ast.func("count", argument)]
+    else:
+        weight = ast.func("sum", ast.BinaryOp("/", ast.Literal(1.0), probability))
+        if name == "count":
+            return [weight]
+        blocks = [ast.func("sum", ast.BinaryOp("/", node.args[0], probability)), weight]
+    return blocks[:1] if kind == "total" else blocks
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +406,13 @@ class _AggregatePlan:
     ``kind`` is how the fold reads it: ``total`` / ``mean`` / ``statistic``
     for a mean-like aggregate (:data:`~repro.core.query_info.MEAN_LIKE`),
     else ``count_distinct`` or ``extreme``, the kind of its part.
-    ``extra_alias`` is a mean's denominator or a count-distinct's error.
+    ``denominator_alias`` names a mean's denominator.
     """
 
     node: ast.FunctionCall
     kind: str
     value_alias: str
-    extra_alias: str | None = None
+    denominator_alias: str | None = None
 
     @property
     def part(self) -> str:
@@ -491,8 +440,14 @@ class SubsampleFold:
     * unweighted total (over a variational table) and statistic:
       ``sum(v * sub) / sum(sub)``, with error ``stddev(v) * f``.
 
-    The count-distinct part returns one row per group with each estimate
-    and its error; the extreme part one exact row per group.  Groups are
+    The count-distinct part returns one row per group with each aggregate's
+    distinct count ``v`` in a hashed sample that keeps each value with
+    probability ``tau`` (``distinct_ratio``).  Its estimate is ``v / tau``,
+    and its error ``sqrt(v * (1 - tau)) / tau`` is the binomial spread of the
+    kept share of the domain; with ``tau = 1`` the count is the answer as it
+    is.  Divided in float64, as the engine and SQLite divide by a literal
+    ``tau``, these are bit for bit what the SQL would compute.  The extreme
+    part returns one exact row per group.  Groups are
     numbered by first appearance over the first part (mean-like, else
     count-distinct); every other part is aligned to them on the key codec,
     NULL meeting only NULL and 1 meeting 1.0, and a group it lacks reads
@@ -521,6 +476,7 @@ class SubsampleFold:
     aggregates: list[_AggregatePlan]
     weighted: bool = True
     subsample_count: int = 1
+    distinct_ratio: float = 1.0
     parts: list[str] = field(default_factory=list)
     outputs: list[tuple[str, str, object]] = field(default_factory=list)
     having: ast.Expression | None = None
@@ -560,10 +516,14 @@ class SubsampleFold:
             else:
                 at = self._align(rows, keys, groups)
             for index, plan in enumerate(self.aggregates):
-                if plan.kind == kind:
-                    estimates[index] = _take(rows.column(plan.value_alias), at)
+                if plan.kind != kind:
+                    continue
+                value = rows.column(plan.value_alias)
+                if kind == "count_distinct":
+                    value, error = self._scale_distinct(value)
                     if index in wanted:
-                        errors[index] = _take(rows.column(plan.extra_alias), at)
+                        errors[index] = _take(error, at)
+                estimates[index] = _take(value, at)
         for index, estimate in estimates.items():
             named[f"{ESTIMATE_PREFIX}{index}"] = estimate
 
@@ -702,6 +662,13 @@ class SubsampleFold:
             if plan.part == "mean_like"
         ]
 
+    def _scale_distinct(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A distinct count's estimate ``v / tau`` and its binomial error."""
+        ratio = self.distinct_ratio
+        values = as_float(counts)
+        error = np.sqrt(values * (1.0 - ratio)) / ratio
+        return (values / ratio if ratio < 1.0 else counts), error
+
     def _combine(
         self,
         rows: ResultSet,
@@ -732,7 +699,7 @@ class SubsampleFold:
             value = as_float(rows.column(plan.value_alias))
             blocks.append((index, plan, len(summed)))
             if plan.kind == "mean":
-                denominator = as_float(rows.column(plan.extra_alias))
+                denominator = as_float(rows.column(plan.denominator_alias))
                 summed += [value, denominator]
                 spread_of = divide(value, denominator)
             elif plan.kind == "total" and self.weighted:
@@ -831,10 +798,9 @@ class _FoldBuilder:
                 raise RewriteError(f"aggregate {found.node.name!r} is not supported")
             index = len(self._aggregates)
             kind = MEAN_LIKE[found.node.name.lower()] if found.kind == "mean_like" else found.kind
-            extra = {"mean": f"vdb_den_{index}", "count_distinct": f"vdb_val_{index}_err"}
             self._aggregates[key] = _AggregatePlan(
                 node=found.node, kind=kind, value_alias=f"vdb_val_{index}",
-                extra_alias=extra.get(kind),
+                denominator_alias=f"vdb_den_{index}" if kind == "mean" else None,
             )
 
     def plans_of(self, part: str) -> list[_AggregatePlan]:
@@ -865,59 +831,28 @@ class _FoldBuilder:
     def subsample_statement(
         self,
         from_relation: ast.Relation | None,
-        probability: ast.Expression,
+        probability: ast.Expression | None,
         sid: ast.Expression,
-        weighted: bool,
         sub_size: ast.Expression | None = None,
     ) -> ast.SelectStatement:
         """The mean-like part: one row per (group, sid).
 
-        ``weighted`` rows are sample tuples with Horvitz–Thompson weights
-        ``1 / probability``; unweighted ones (the outer level of a nested
-        query) are already per-group estimates.  ``sub_size`` is the
-        subsample size column, ``count(*)`` by default.
+        With a ``probability`` the rows are sample tuples with
+        Horvitz–Thompson weights ``1 / probability``; without, they are
+        already per-group estimates (the outer level of a nested query).
+        ``sub_size`` is the subsample size column, ``count(*)`` by default.
         """
         select_items = self._group_items()
         # The subsample id is a grouping key only: the fold never reads it.
         select_items.append(
             ast.SelectItem(sub_size or ast.func("count", ast.Star()), alias=SUB_SIZE_ALIAS)
         )
-        inverse_probability = ast.BinaryOp("/", ast.Literal(1.0), probability)
         for plan in self.plans_of("mean_like"):
-            name = plan.node.name.lower()
-            if plan.kind == "total":
-                if name == "count":
-                    value = (
-                        ast.func("sum", inverse_probability)
-                        if weighted
-                        else ast.func("count", ast.Star())
-                    )
-                else:
-                    argument = plan.node.args[0]
-                    value = (
-                        ast.func("sum", ast.BinaryOp("/", argument, probability))
-                        if weighted
-                        else ast.func("sum", argument)
-                    )
-                select_items.append(ast.SelectItem(value, alias=plan.value_alias))
-            elif plan.kind == "mean":
-                argument = plan.node.args[0]
-                numerator = (
-                    ast.func("sum", ast.BinaryOp("/", argument, probability))
-                    if weighted
-                    else ast.func("sum", argument)
-                )
-                denominator = (
-                    ast.func("sum", inverse_probability)
-                    if weighted
-                    else ast.func("count", argument)
-                )
-                select_items.append(ast.SelectItem(numerator, alias=plan.value_alias))
-                select_items.append(ast.SelectItem(denominator, alias=plan.extra_alias))
-            else:  # statistic
-                select_items.append(
-                    ast.SelectItem(dataclasses.replace(plan.node), alias=plan.value_alias)
-                )
+            aliases = (plan.value_alias, plan.denominator_alias)
+            select_items += [
+                ast.SelectItem(block, alias=alias)
+                for block, alias in zip(_building_blocks(plan.node, probability), aliases)
+            ]
         return ast.SelectStatement(
             select_items=select_items,
             from_relation=from_relation,
@@ -942,6 +877,10 @@ class _FoldBuilder:
             columns[expr.to_sql()] = alias
             if isinstance(expr, ast.ColumnRef):
                 columns.setdefault(ast.ColumnRef(expr.name).to_sql(), alias)
+
+        def substitute(expression: ast.Expression) -> ast.Expression:
+            """Each aggregate call and grouping expression as its fold column."""
+            return ast.transform_expression(expression, lambda node: columns.get(node.to_sql()))
         fold = SubsampleFold(
             group_aliases=[self.group_aliases[expr.to_sql()] for expr in self.statement.group_by],
             aggregates=list(self._aggregates.values()),
@@ -965,12 +904,11 @@ class _FoldBuilder:
                     error_name = f"{name}_err"
                     fold.outputs.append((error_name, "error", positions[key]))
             else:
-                substituted = _substitute_aggregates(expression, columns)
-                fold.outputs.append((name, "expression", _foldable(substituted)))
+                fold.outputs.append((name, "expression", _foldable(substitute(expression))))
             self.estimate_columns[name] = error_name
 
         if self.statement.having is not None:
-            fold.having = _foldable(_substitute_aggregates(self.statement.having, columns))
+            fold.having = _foldable(substitute(self.statement.having))
         for order_item in self.statement.order_by:
             expression = order_item.expression
             try:
@@ -981,7 +919,7 @@ class _FoldBuilder:
                 fold.order_by.append((item_outputs[position], order_item.ascending))
                 continue
             if contains_aggregate(expression):
-                expression = _substitute_aggregates(expression, columns)
+                expression = substitute(expression)
             elif expression.to_sql() in self.group_aliases:
                 expression = ast.ColumnRef(self.group_aliases[expression.to_sql()])
             elif isinstance(expression, ast.ColumnRef):
@@ -1037,47 +975,3 @@ def _group_expr_by_sql(group_by: list[ast.Expression], sql: str) -> ast.Expressi
         if expr.to_sql() == sql:
             return expr
     return None
-
-
-def _substitute_aggregates(
-    expression: ast.Expression, combined: dict[str, ast.Expression]
-) -> ast.Expression:
-    """Replace each aggregate call (and each grouping expression) in
-    ``expression`` with the fold's column for it."""
-    key = expression.to_sql()
-    if key in combined:
-        return combined[key]
-    if isinstance(expression, (ast.Literal, ast.ColumnRef, ast.Star)):
-        return expression
-    if isinstance(expression, ast.UnaryOp):
-        return dataclasses.replace(
-            expression, operand=_substitute_aggregates(expression.operand, combined)
-        )
-    if isinstance(expression, ast.BinaryOp):
-        return dataclasses.replace(
-            expression,
-            left=_substitute_aggregates(expression.left, combined),
-            right=_substitute_aggregates(expression.right, combined),
-        )
-    if isinstance(expression, ast.FunctionCall):
-        return dataclasses.replace(
-            expression,
-            args=[_substitute_aggregates(argument, combined) for argument in expression.args],
-        )
-    if isinstance(expression, ast.CaseWhen):
-        return dataclasses.replace(
-            expression,
-            whens=[
-                (
-                    _substitute_aggregates(condition, combined),
-                    _substitute_aggregates(result, combined),
-                )
-                for condition, result in expression.whens
-            ],
-            else_result=(
-                None
-                if expression.else_result is None
-                else _substitute_aggregates(expression.else_result, combined)
-            ),
-        )
-    return expression

@@ -424,6 +424,21 @@ def null_mask(array: np.ndarray) -> np.ndarray:
     return np.zeros(len(array), dtype=bool)
 
 
+def _evaluate_logical(expression, op, frame, context, subquery_evaluator):
+    """An AND / OR chain, its left spine of one operator folded in a loop,
+    left to right: a chain of n terms takes one stack frame, not 2n."""
+    terms = []
+    node = expression
+    while isinstance(node, ast.BinaryOp) and node.op.upper() == op:
+        terms.append(node.right)
+        node = node.left
+    result = evaluate(node, frame, context, subquery_evaluator).astype(bool)
+    for term in reversed(terms):
+        value = evaluate(term, frame, context, subquery_evaluator).astype(bool)
+        result = (result & value) if op == "AND" else (result | value)
+    return result
+
+
 def _evaluate_unary(expression, frame, context, subquery_evaluator):
     operand = evaluate(expression.operand, frame, context, subquery_evaluator)
     if expression.op.upper() == "NOT":
@@ -457,12 +472,10 @@ def _evaluate_binary(expression, frame, context, subquery_evaluator):
         fast = _compare_coded(expression, frame, context)
         if fast is not None:
             return fast
+    if op in ("AND", "OR"):
+        return _evaluate_logical(expression, op, frame, context, subquery_evaluator)
     left = evaluate(expression.left, frame, context, subquery_evaluator)
     right = evaluate(expression.right, frame, context, subquery_evaluator)
-    if op in ("AND", "OR"):
-        left_bool = left.astype(bool)
-        right_bool = right.astype(bool)
-        return (left_bool & right_bool) if op == "AND" else (left_bool | right_bool)
     if op == "||":
         return functions.call_scalar("concat", context, [left, right])
     if op in _NUMERIC_OPS:

@@ -516,6 +516,10 @@ class Parser:
             args.append(self._parse_expression())
             while self._accept(TokenType.PUNCTUATION, ","):
                 args.append(self._parse_expression())
+        if distinct and len(args) != 1:
+            raise ParseError(
+                "DISTINCT aggregates must have exactly one argument", self._current
+            )
         self._expect(TokenType.PUNCTUATION, ")")
         call = ast.FunctionCall(name=name.lower(), args=args, distinct=distinct)
 

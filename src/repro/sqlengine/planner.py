@@ -402,25 +402,22 @@ def _plan_pruning(
                 wanted.add(name)
 
     def collect(expression: ast.Expression) -> None:
-        if isinstance(expression, ast.Star):
-            keep_all(expression.table.lower() if expression.table else None)
-            return
-        if isinstance(expression, ast.ColumnRef):
-            add_ref(expression)
-            return
-        if isinstance(expression, ast.FunctionCall):
-            for argument in expression.args:
-                if isinstance(argument, ast.Star):
-                    continue  # count(*) needs no columns
-                collect(argument)
-            return
-        if isinstance(expression, ast.ScalarSubquery):
-            # The subquery executes against the catalog, not this frame, but
-            # it may be *correlated* in spirit via unqualified names — the
-            # engine only supports uncorrelated subqueries, so nothing to do.
-            return
-        for child in expression.children():
-            collect(child)
+        pending = [expression]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.Star):
+                keep_all(node.table.lower() if node.table else None)
+            elif isinstance(node, ast.ColumnRef):
+                add_ref(node)
+            elif isinstance(node, ast.FunctionCall):
+                # count(*) needs no columns
+                pending += [arg for arg in node.args if not isinstance(arg, ast.Star)]
+            elif not isinstance(node, ast.ScalarSubquery):
+                # A subquery executes against the catalog, not this frame,
+                # but it may be *correlated* in spirit via unqualified names
+                # — the engine only supports uncorrelated subqueries, so
+                # nothing to do.
+                pending += node.children()
 
     for item in statement.select_items:
         collect(item.expression)

@@ -59,15 +59,21 @@ class SqlNode:
 class Expression(SqlNode):
     """Base class for scalar expressions."""
 
-    def children(self) -> Iterable[Expression]:
-        """Yield direct sub-expressions (used by analysis passes)."""
+    def children(self) -> tuple[Expression, ...]:
+        """The direct sub-expressions (used by analysis passes)."""
         return ()
 
     def walk(self) -> Iterable[Expression]:
-        """Yield this expression and every nested sub-expression."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this expression and every nested sub-expression, depth
+        first with each node before its children, from an explicit stack (a
+        chain of a thousand ORs is a thousand levels deep)."""
+        pending: list[Expression] = [self]
+        while pending:
+            node = pending.pop()
+            yield node
+            children = node.children()
+            if children:
+                pending += reversed(children)
 
 
 @dataclass
@@ -240,11 +246,8 @@ class CaseWhen(Expression):
     else_result: Expression | None = None
 
     def children(self):
-        for condition, result in self.whens:
-            yield condition
-            yield result
-        if self.else_result is not None:
-            yield self.else_result
+        pairs = tuple(node for pair in self.whens for node in pair)
+        return pairs if self.else_result is None else (*pairs, self.else_result)
 
     def to_sql(self, dialect=DEFAULT_DIALECT) -> str:
         parts = ["CASE"]
@@ -566,9 +569,15 @@ def conjunction(predicates: Sequence[Expression]) -> Expression | None:
 
 def flatten_and(expression: Expression) -> list[Expression]:
     """Split nested ``AND``s into a flat list of conjuncts (conjunction's inverse)."""
-    if isinstance(expression, BinaryOp) and expression.op.upper() == "AND":
-        return flatten_and(expression.left) + flatten_and(expression.right)
-    return [expression]
+    conjuncts: list[Expression] = []
+    pending = [expression]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, BinaryOp) and node.op.upper() == "AND":
+            pending += (node.right, node.left)
+        else:
+            conjuncts.append(node)
+    return conjuncts
 
 
 def null_safe_equal(left: Expression, right: Expression) -> Expression:

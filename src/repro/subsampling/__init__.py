@@ -16,7 +16,6 @@ from repro.subsampling.sid import (
     combine_sids,
     default_subsample_count,
     default_subsample_size,
-    h_function_sql,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "default_subsample_count",
     "default_subsample_size",
     "empirical_interval",
-    "h_function_sql",
     "normal_interval",
     "relative_error",
     "traditional",

@@ -5,7 +5,7 @@ rows each carry a subsample id between 0 and ``b``; 0 means "not used by any
 subsample".  This module provides sid assignment, the default choice of the
 number of subsamples, and the ``h(i, j)`` function (Theorem 4) that combines
 the sids of two joined variational tables into the sid of the join's
-variational table.
+variational table (the rewriter renders it as SQL, ``_h_expression``).
 """
 
 from __future__ import annotations
@@ -98,16 +98,3 @@ def combine_sids(left_sids: np.ndarray, right_sids: np.ndarray, subsample_count:
     combined = ((left - 1) // root) * root + ((right - 1) // root) + 1
     combined[(left == 0) | (right == 0)] = 0
     return combined
-
-
-def h_function_sql(left_sid_sql: str, right_sid_sql: str, subsample_count: int) -> str:
-    """Render ``h(i, j)`` as a SQL expression over two sid columns."""
-    root = int(round(math.sqrt(subsample_count)))
-    if root * root != subsample_count:
-        raise ConfigurationError(
-            f"subsample_count must be a perfect square for joins, got {subsample_count}"
-        )
-    return (
-        f"(floor(({left_sid_sql} - 1) / {root}) * {root} "
-        f"+ floor(({right_sid_sql} - 1) / {root}) + 1)"
-    )

@@ -9,7 +9,9 @@ answer must
 * be answered, or fall back to exact execution with a reason — never raise
   where exact mode answers;
 * satisfy its own HAVING, ORDER BY and LIMIT over the values it returns (an
-  approximate answer is one of the exact answers the data could have given);
+  approximate answer is one of the exact answers the data could have given),
+  where an aggregate of the tail may stand in a comparison, BETWEEN, IN,
+  IS [NOT] NULL or NOT;
 * hold, in every min / max cell, exact mode's value for that group.
 
 The statements run over ``keys``, a table whose group key holds both NULL
@@ -20,6 +22,7 @@ the examples are statements that once broke one of these rules.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import ExecutionOptions, SampleSpec
+from repro.errors import ReproError
 from tests.test_subsample_fold import fold_session
 
 KEY_ROWS = 12_000
@@ -45,19 +49,42 @@ MIXED = "max(x) / avg(x)"
 EXACT = ExecutionOptions(mode="exact")
 
 
+#: Predicate operators over one aggregate, each with how many thresholds it
+#: takes.
+OPERATORS = {
+    ">": 1, "<": 1, "NOT >": 1, "BETWEEN": 2, "NOT BETWEEN": 2, "IN": 2,
+    "IS NULL": 0, "IS NOT NULL": 0,
+}
+
+#: (aggregate, operator, thresholds)
+Predicate = tuple[str, str, tuple[float, ...]]
+
+
+def _render(predicate: Predicate) -> str:
+    aggregate, operator, thresholds = predicate
+    if operator == "NOT >":
+        return f"NOT ({aggregate} > {thresholds[0]})"
+    if operator.endswith("BETWEEN"):
+        return f"{aggregate} {operator} {min(thresholds)} AND {max(thresholds)}"
+    if operator == "IN":
+        return f"{aggregate} IN ({', '.join(map(str, thresholds))})"
+    return " ".join([aggregate, operator, *map(str, thresholds)])
+
+
 @dataclass(frozen=True)
 class Probe:
     """A statement over one table grouped by at most one key.
 
-    ``items`` are (aggregate expression, alias); ``having`` is (aggregate,
-    operator, threshold); ``order`` is (alias, key or aggregate, descending).
+    ``items`` are (aggregate expression, alias); ``having`` is a predicate
+    over one aggregate; ``order`` is (term, descending), the term an alias,
+    the key, an aggregate or a predicate.
     """
 
     table: str
     group: str | None
     items: tuple[tuple[str, str], ...]
-    having: tuple[str, str, float] | None = None
-    order: tuple[str, bool] | None = None
+    having: Predicate | None = None
+    order: tuple[str | Predicate, bool] | None = None
     limit: int | None = None
     offset: int | None = None
 
@@ -68,9 +95,11 @@ class Probe:
         if self.group:
             text += f" GROUP BY {self.group}"
         if self.having:
-            text += " HAVING {} {} {}".format(*self.having)
+            text += f" HAVING {_render(self.having)}"
         if self.order:
-            text += f" ORDER BY {self.order[0]}{' DESC' if self.order[1] else ''}"
+            term = self.order[0]
+            text += f" ORDER BY {term if isinstance(term, str) else _render(term)}"
+            text += " DESC" if self.order[1] else ""
         if self.limit is not None:
             text += f" LIMIT {self.limit}"
             if self.offset is not None:
@@ -88,24 +117,27 @@ class Probe:
 
 
 @st.composite
+def predicates(draw) -> Predicate:
+    aggregate = draw(st.sampled_from(list(AGGREGATES)))
+    operator = draw(st.sampled_from(list(OPERATORS)))
+    thresholds = AGGREGATES[aggregate]
+    if OPERATORS[operator] == 1:
+        thresholds = (draw(st.sampled_from(thresholds)),)
+    return aggregate, operator, thresholds[: OPERATORS[operator]]
+
+
+@st.composite
 def probes(draw) -> Probe:
     grouped = draw(st.booleans())
     chosen = draw(
         st.lists(st.sampled_from([*AGGREGATES, MIXED]), min_size=1, max_size=3, unique=True)
     )
     items = tuple((expression, f"a{index}") for index, expression in enumerate(chosen))
-    having = None
-    if grouped and draw(st.booleans()):
-        aggregate = draw(st.sampled_from(list(AGGREGATES)))
-        having = (
-            aggregate,
-            draw(st.sampled_from([">", "<"])),
-            draw(st.sampled_from(AGGREGATES[aggregate])),
-        )
+    having = draw(predicates()) if grouped and draw(st.booleans()) else None
     order = None
     if grouped and draw(st.booleans()):
-        key = draw(st.sampled_from(["k", *[alias for _item, alias in items], *AGGREGATES]))
-        order = (key, draw(st.booleans()))
+        keys = st.sampled_from(["k", *[alias for _item, alias in items], *AGGREGATES])
+        order = (draw(st.one_of(keys, predicates())), draw(st.booleans()))
     limit = draw(st.one_of(st.none(), st.integers(1, 3))) if grouped else None
     offset = draw(st.one_of(st.none(), st.integers(0, 1))) if limit is not None else None
     return Probe("keys", "k" if grouped else None, items, having, order, limit, offset)
@@ -138,8 +170,24 @@ def _key(value):
     return None if _null(value) else value
 
 
-def _holds(value, operator: str, threshold: float) -> bool:
-    return not _null(value) and (value > threshold if operator == ">" else value < threshold)
+def _holds(value, predicate: Predicate) -> bool:
+    """Whether a returned value meets the predicate, two-valued: a NULL
+    meets only IS NULL and, as the engine evaluates NOT, a negation."""
+    _aggregate, operator, thresholds = predicate
+    if _null(value):
+        return operator in ("IS NULL", "NOT >")
+    if operator.startswith("IS"):
+        return operator == "IS NOT NULL"
+    if operator == "IN":
+        return value in thresholds
+    low, high = min(thresholds), max(thresholds)
+    if operator == ">":
+        return value > low
+    if operator == "<":
+        return value < low
+    if operator == "NOT >":
+        return not value > low
+    return (low <= value <= high) == (operator == "BETWEEN")
 
 
 SALES_DISTINCT = (("avg(price)", "a"), ("count(DISTINCT sale_id)", "d"))
@@ -147,9 +195,17 @@ SALES_DISTINCT = (("avg(price)", "a"), ("count(DISTINCT sale_id)", "d"))
 
 @given(probe=probes())
 @example(probe=Probe("sales", "region", (("avg(price)", "a"),),
-                     having=("count(DISTINCT store_id)", ">", 1000)))
+                     having=("count(DISTINCT store_id)", ">", (1000,))))
 @example(probe=Probe("sales", "region", SALES_DISTINCT,
-                     having=("count(DISTINCT sale_id)", ">", 5000)))
+                     having=("count(DISTINCT sale_id)", ">", (5000,))))
+@example(probe=Probe("keys", "k", (("sum(x)", "s"),),
+                     having=("sum(x)", "BETWEEN", AGGREGATES["sum(x)"])))
+@example(probe=Probe("keys", "k", (("count(*)", "c"), ("avg(x)", "a")),
+                     having=("avg(x)", "NOT BETWEEN", AGGREGATES["avg(x)"]),
+                     order=(("count(*)", "IN", AGGREGATES["count(*)"]), True)))
+@example(probe=Probe("keys", "k", (("max(x)", "m"), ("count(DISTINCT h)", "d")),
+                     having=("count(DISTINCT h)", "IS NOT NULL", ()),
+                     order=(("max(x)", "NOT >", (60.0,)), False)))
 @example(probe=Probe("sales", "region", SALES_DISTINCT, order=("d", True), limit=2))
 @example(probe=Probe("sales", "region", (("avg(price)", "a"), ("max(price)", "m")),
                      order=("m", False)))
@@ -172,14 +228,18 @@ def test_an_approximate_answer_answers_its_own_statement(session, probe):
     if probe.limit is not None:
         assert len(rows) <= probe.limit, sql
     if probe.having and (column := probe.column_for(probe.having[0])):
-        _aggregate, operator, threshold = probe.having
         at = names.index(column)
-        assert all(_holds(row[at], operator, threshold) for row in rows), (sql, rows)
-    if probe.order and (column := probe.column_for(probe.order[0])):
-        at = names.index(column)
-        values = [row[at] for row in rows if not _null(row[at])]
-        ordered = sorted(values, reverse=probe.order[1])
-        assert values == ordered, (sql, rows)
+        assert all(_holds(row[at], probe.having) for row in rows), (sql, rows)
+    if probe.order:
+        term, descending = probe.order
+        if isinstance(term, str) and (column := probe.column_for(term)):
+            at = names.index(column)
+            values = [row[at] for row in rows if not _null(row[at])]
+            assert values == sorted(values, reverse=descending), (sql, rows)
+        elif not isinstance(term, str) and (column := probe.column_for(term[0])):
+            at = names.index(column)
+            values = [_holds(row[at], term) for row in rows]
+            assert values == sorted(values, reverse=descending), (sql, rows)
 
     for expression, alias in probe.items:
         if expression.split("(")[0] not in ("max", "min") or "/" in expression:
@@ -211,3 +271,27 @@ def test_a_tail_reads_grouping_columns(session, sql):
     assert not answer.is_exact, answer.plan_description
     assert answer.column_names() == exact.column_names()
     assert answer.num_rows == exact.num_rows == 2
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        # A derived table's count(DISTINCT) has no per-subsample estimate.
+        "SELECT avg(d) AS a FROM "
+        "(SELECT store_id, count(DISTINCT sale_id) AS d FROM sales GROUP BY store_id) AS q",
+        # Of the DISTINCT aggregates only count is estimated.
+        "SELECT sum(DISTINCT qty) AS s FROM sales",
+        "SELECT region, avg(DISTINCT qty) AS a FROM sales GROUP BY region ORDER BY region",
+    ],
+)
+def test_a_distinct_aggregate_without_an_estimator_answers_as_exact_mode(session, sql):
+    """Exact mode's answer, or exact mode's typed error."""
+    try:
+        exact = session.sql(sql, options=EXACT).fetchall()
+    except ReproError as error:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            session.sql(sql)
+        return
+    answer = session.sql(sql)
+    assert answer.is_exact, answer.plan_description
+    assert answer.fetchall() == exact

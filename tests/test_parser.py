@@ -5,10 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
-from repro import ExecutionOptions
+from repro import ExecutionOptions, SampleSpec
+from repro.core.sample_planner import PlannerConfig
 from repro.errors import ParseError, ReproError, TokenizeError
 from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.parser import parse, parse_select
+from tests.test_autoparam import CORPUS as PARSER_CORPUS
 
 
 class TestSelectParsing:
@@ -70,6 +72,17 @@ class TestSelectParsing:
         call = stmt.select_items[0].expression
         assert isinstance(call, ast.FunctionCall)
         assert call.distinct
+
+    @pytest.mark.parametrize("arguments", ["", "a, b"])
+    def test_a_distinct_aggregate_takes_exactly_one_argument(self, arguments):
+        """As in SQLite: ``count(DISTINCT)`` is not ``count(*)``."""
+        with pytest.raises(ParseError, match="must have exactly one argument"):
+            parse_select(f"SELECT count(DISTINCT {arguments}) FROM t")
+        connection = repro.connect()
+        connection.session.load_table("t", {"a": [1, 2, 2], "b": [1, 1, 1]})
+        with pytest.raises(ParseError, match="must have exactly one argument"):
+            connection.cursor().execute(f"SELECT count(DISTINCT {arguments}) AS n FROM t")
+        connection.close()
 
     def test_window_function(self):
         stmt = parse_select("SELECT sum(count(*)) OVER (PARTITION BY city) FROM t GROUP BY city")
@@ -246,6 +259,29 @@ class TestLongLogicalChains:
         assert cursor.fetchall() == exact.fetchall() == [(count,)]
         connection.close()
 
+    @pytest.mark.parametrize("terms", [700, 950])
+    @pytest.mark.parametrize(("op", "term"), [("OR", "a = {}"), ("AND", "a <> {}")])
+    def test_a_long_chain_runs_in_exact_and_approximate_mode(self, op, term, terms):
+        """An AND/OR chain is evaluated in a loop, not one call per term."""
+        a = np.arange(20_000) % 1000
+        connection = repro.connect(
+            planner_config=PlannerConfig(io_budget=0.5, large_table_rows=5_000)
+        )
+        session = connection.session
+        session.load_table("t", {"a": a})
+        session.create_sample("t", SampleSpec("uniform", (), 0.2))
+        where = f" {op} ".join(term.format(i) for i in range(terms))
+        sql = f"SELECT count(*) AS c FROM t WHERE {where}"
+        truth = int(np.isin(a, np.arange(terms), invert=op == "AND").sum())
+        exact = session.execute(sql, options=ExecutionOptions(mode="exact"))
+        assert exact.fetchall() == [(truth,)]
+        cursor = connection.cursor()
+        cursor.execute(sql)
+        assert not cursor.last_result.is_exact, cursor.last_result.plan_description
+        [(estimate,)] = cursor.fetchall()
+        assert estimate == pytest.approx(truth, rel=0.1)
+        connection.close()
+
     def test_2000_terms_raise_a_parse_error(self):
         connection = repro.connect()
         connection.session.load_table("t", {"a": [1, 2, 3]})
@@ -291,3 +327,52 @@ def test_parse_returns_an_ast_or_a_typed_error(sql):
 @given(_fragment_texts)
 def test_select_prefixed_fuzz_reaches_the_expression_grammar(tail):
     _parses_or_raises_typed("SELECT " + tail)
+
+
+# ---------------------------------------------------------------------------
+# transform_expression reaches what walk() yields
+# ---------------------------------------------------------------------------
+
+
+def _expressions(statement: ast.SelectStatement):
+    """Every expression of a SELECT, of its derived tables and of its scalar
+    subqueries."""
+    pending = [statement]
+    while pending:
+        query = pending.pop()
+        expressions = [item.expression for item in (*query.select_items, *query.order_by)]
+        expressions += [query.where, query.having, *query.group_by]
+        relations = [query.from_relation]
+        while relations:
+            relation = relations.pop()
+            if isinstance(relation, ast.Join):
+                relations += [relation.left, relation.right]
+                expressions.append(relation.condition)
+            elif isinstance(relation, ast.DerivedTable):
+                pending.append(relation.query)
+        for expression in filter(None, expressions):
+            pending += [
+                node.query for node in expression.walk() if isinstance(node, ast.ScalarSubquery)
+            ]
+            yield expression
+
+
+@pytest.mark.parametrize("sql", PARSER_CORPUS)
+def test_transform_expression_visits_every_node_walk_yields(sql):
+    """A visit that replaces every column reference meets each node that
+    ``walk()`` yields, in the same order, and leaves no column unreplaced."""
+    visited = []
+
+    def visit(node):
+        visited.append(node)
+        return ast.ColumnRef(f"{node.name}_x") if isinstance(node, ast.ColumnRef) else None
+
+    for expression in _expressions(parse_select(sql)):
+        visited.clear()
+        transformed = ast.transform_expression(expression, visit)
+        assert [id(node) for node in visited] == [id(node) for node in expression.walk()]
+        assert all(
+            node.name.endswith("_x")
+            for node in transformed.walk()
+            if isinstance(node, ast.ColumnRef)
+        )

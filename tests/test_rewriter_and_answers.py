@@ -1,5 +1,7 @@
 """Tests for the AQP rewriter, the answer rewriter and the accuracy contract."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -180,10 +182,15 @@ class TestRewriterSqlShape:
         output = AqpRewriter().rewrite_count_distinct(
             statement, analyze(statement), plan_for(info)
         )
-        sql = output.statement.to_sql()
-        assert "orders_sample" in sql
-        assert "/ 0.01" in sql
+        # The backend only counts; the fold divides by the sample's ratio
+        # (10,000 of 1,000,000 rows) and adds the binomial error.
+        assert output.statement.to_sql() == (
+            "SELECT count(DISTINCT order_id) AS vdb_val_0 FROM orders_sample AS orders"
+        )
         assert output.estimate_columns == {"d": "d_err"}
+        answer = output.fold.apply(per_subsample_rows({"vdb_val_0": [250]}))
+        assert answer.column("d").tolist() == [250 / 0.01]
+        assert answer.column("d_err").tolist() == [math.sqrt(250 * 0.99) / 0.01]
 
 
 class TestRewrittenQueryCorrectness:
@@ -324,11 +331,7 @@ class TestFoldStitchesParts:
         # The other parts list their groups in another order, and "a" has no
         # count-distinct row.
         distinct_rows = per_subsample_rows(
-            {
-                "vdb_g0": np.array(["None", None], dtype=object),
-                "vdb_val_1": [20.0, 10.0],
-                "vdb_val_1_err": [2.0, 1.0],
-            }
+            {"vdb_g0": np.array(["None", None], dtype=object), "vdb_val_1": [20, 10]}
         )
         extreme_rows = per_subsample_rows(
             {"vdb_g0": np.array(["a", "None", None], dtype=object), "vdb_val_2": [7.5, 6.5, 5.5]}
@@ -336,7 +339,7 @@ class TestFoldStitchesParts:
         answer = output.fold.apply(mean_rows, distinct_rows, extreme_rows)
         assert answer.column_names == ["city", "a", "a_err", "d", "d_err", "m"]
         assert list(answer.column("city")) == [None, "None", "a"]
-        assert answer.column("d").tolist()[:2] == [10.0, 20.0]
+        assert answer.column("d").tolist()[:2] == [10 / 0.01, 20 / 0.01]
         assert np.isnan(answer.column("d")[2]) and np.isnan(answer.column("d_err")[2])
         assert answer.column("m").dtype == np.float64
         assert answer.column("m").tolist() == [5.5, 6.5, 7.5]
@@ -371,7 +374,7 @@ class TestFoldStitchesParts:
     def test_the_tail_runs_over_every_kind(self):
         output = self._mixed(
             "SELECT city, avg(price) AS a FROM orders GROUP BY city "
-            "HAVING count(DISTINCT order_id) > 15 ORDER BY max(price) DESC"
+            "HAVING count(DISTINCT order_id) > 1500 ORDER BY max(price) DESC"
         )
         assert output.estimate_columns == {"a": "a_err"}
         mean_rows = per_subsample_rows(
@@ -379,8 +382,7 @@ class TestFoldStitchesParts:
              "vdb_val_0": [1.0, 2.0, 3.0], "vdb_den_0": [1.0] * 3}
         )
         distinct_rows = per_subsample_rows(
-            {"vdb_g0": np.array(["x", "y", "z"], dtype=object), "vdb_val_1": [10.0, 20.0, 30.0],
-             "vdb_val_1_err": [1.0] * 3}
+            {"vdb_g0": np.array(["x", "y", "z"], dtype=object), "vdb_val_1": [10, 20, 30]}
         )
         extreme_rows = per_subsample_rows(
             {"vdb_g0": np.array(["x", "y", "z"], dtype=object), "vdb_val_2": [5.0, 6.0, 9.0]}

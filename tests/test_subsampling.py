@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.connectors import BuiltinConnector, SqliteConnector
+from repro.core.rewriter import _h_expression
+from repro.sqlengine import sqlast as ast
 from repro.subsampling import (
     assign_sids,
     bootstrap,
@@ -12,7 +15,6 @@ from repro.subsampling import (
     combine_sids,
     default_subsample_count,
     default_subsample_size,
-    h_function_sql,
     relative_error,
     traditional,
     variational,
@@ -61,9 +63,19 @@ class TestSidMachinery:
         with pytest.raises(ValueError):
             combine_sids(np.array([1]), np.array([1]), 50)
 
-    def test_h_function_sql_renders(self):
-        sql = h_function_sql("a.sid", "b.sid", 100)
-        assert "floor" in sql and "10" in sql
+    @pytest.mark.parametrize("connector", [BuiltinConnector, SqliteConnector])
+    def test_the_rewriters_h_is_combine_sids_on_every_pair(self, connector):
+        """The SQL the rewriter joins two samples' sids with, run by the
+        backend over every (i, j) in 1..b, is the reference h(i, j)."""
+        b = 100
+        sids = np.arange(1, b + 1)
+        left, right = (pair.ravel() for pair in np.meshgrid(sids, sids))
+        backend = connector()
+        backend.load_table("pairs", {"i": left, "j": right})
+        h = _h_expression(ast.ColumnRef("i"), ast.ColumnRef("j"), b)
+        combined = backend.execute(f"SELECT {h.to_sql()} AS h FROM pairs").column("h")
+        assert [int(value) for value in combined] == combine_sids(left, right, b).tolist()
+        backend.close()
 
 
 class TestIntervals:
