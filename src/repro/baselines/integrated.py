@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.query_info import MEAN_LIKE, analyze
-from repro.errors import UnsupportedQueryError
 from repro.sqlengine import parser, sqlast as ast
 from repro.sqlengine.engine import Database
 from repro.sqlengine.resultset import ResultSet
@@ -58,9 +57,6 @@ class IntegratedAqpEngine:
         self._samples[original_table.lower()] = IntegratedSample(
             original_table=original_table, sample_table=sample_table, ratio=ratio
         )
-
-    def has_sample(self, table: str) -> bool:
-        return table.lower() in self._samples
 
     # -- query execution -------------------------------------------------------------
 
@@ -136,7 +132,3 @@ class IntegratedAqpEngine:
     def supports_sample_joins(self) -> bool:
         """Integrated baseline limitation exercised by Figure 6."""
         return False
-
-
-class UnsupportedSampleJoin(UnsupportedQueryError):
-    """Raised when a caller explicitly requests a sample-sample join."""

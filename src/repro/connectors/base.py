@@ -210,13 +210,6 @@ class Connector(abc.ABC):
         )
         return int(float(result.scalar()))
 
-    def column_cardinalities(self, table: str) -> dict[str, int]:
-        """Return the distinct-value count of every column in ``table``."""
-        return {
-            column: self.column_cardinality(table, column)
-            for column in self.column_names(table)
-        }
-
     # -- data loading ------------------------------------------------------------
 
     @abc.abstractmethod

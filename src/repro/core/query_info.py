@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.sqlengine import sqlast as ast
 from repro.sqlengine.expressions import contains_aggregate
 from repro.sqlengine.functions import is_aggregate_function
+from repro.sqlengine.tail import group_reference
 
 
 #: The mean-like aggregates, each with how the fold combines the estimates
@@ -250,12 +251,8 @@ def _check_supported(analysis: QueryAnalysis) -> None:
         analysis.unsupported_reason = "window functions are not approximated"
         return
 
-    # Non-aggregate select items must be grouping expressions, otherwise the
+    # Non-aggregate select items must name grouping keys, otherwise the
     # rewrite cannot reproduce them.
-    group_sql = {expr.to_sql() for expr in statement.group_by}
-    group_names = {
-        expr.name.lower() for expr in statement.group_by if isinstance(expr, ast.ColumnRef)
-    }
     for item in statement.select_items:
         expression = item.expression
         if isinstance(expression, ast.Star):
@@ -264,9 +261,7 @@ def _check_supported(analysis: QueryAnalysis) -> None:
             return
         if contains_aggregate(expression):
             continue
-        if expression.to_sql() in group_sql:
-            continue
-        if isinstance(expression, ast.ColumnRef) and expression.name.lower() in group_names:
+        if group_reference(expression, statement.group_by) is not None:
             continue
         analysis.supported = False
         analysis.unsupported_reason = (

@@ -29,9 +29,10 @@ Every part returns sufficient statistics only: no estimate and no error is
 computed in SQL.  The middleware's :class:`SubsampleFold` is the one place
 the answer is put together: it folds the mean-like rows, scales the distinct
 counts by the hashed sample's ratio and gives them their binomial error,
-stitches the parts to their groups on the key codec, and then applies the
+stitches the parts to their groups on the key codec, and then runs the
 statement's tail — select-list arithmetic over aggregates of any kind,
-HAVING, ORDER BY, LIMIT and OFFSET — once.
+HAVING, ORDER BY, LIMIT and OFFSET — once, through the engine's own
+:func:`~repro.sqlengine.tail.run_tail`.
 
 Joins of two sample tables combine their subsample ids with ``h(i, j)``
 (Theorem 4) and take the smaller of their inclusion probabilities (universe
@@ -61,32 +62,25 @@ from repro.sqlengine import sqlast as ast
 from repro.sqlengine.encoding import (
     encode_join_keys,
     encode_key,
+    encode_object_array,
     group_rows_encoded,
-    sort_indices,
 )
-from repro.sqlengine.expressions import (
-    Frame,
-    as_float,
-    contains_aggregate,
-    divide,
-    evaluate,
-    ordinal,
-)
+from repro.sqlengine.expressions import LazyCodes, contains_aggregate, divide
 from repro.sqlengine.functions import (
     EvaluationContext,
+    as_float,
     group_counts,
     group_dispersions,
     group_sums,
     is_nondeterministic_function,
 )
 from repro.sqlengine.resultset import ResultSet
+from repro.sqlengine.tail import TailPlan, run_tail
 
 
 SID_ALIAS = "vdb_sid"
 SUB_SIZE_ALIAS = "vdb_sub_size"
 ROWS_ALIAS = "vdb_rows"
-#: The fold's name for the i-th aggregate's estimate in tail expressions.
-ESTIMATE_PREFIX = "vdb_est_"
 
 @dataclass
 class RewriteOutput:
@@ -240,6 +234,12 @@ def build_variational_derived_table(
     contributing to the row).  It is obtained in a single scan by grouping
     the original inner query additionally by the subsample id (Equation 6).
     """
+    if inner_statement.having is not None or inner_statement.limit is not None or (
+        inner_statement.offset is not None
+    ):
+        # Each keeps or drops whole groups, which a table of per-(group,
+        # subsample) rows cannot decide.
+        raise RewriteError("a derived table's HAVING, LIMIT or OFFSET is not approximated")
     new_relation, sampled = _substitute_relations(inner_statement.from_relation, plan)
     if not sampled:
         raise RewriteError("the sample plan does not use any sample table")
@@ -276,7 +276,6 @@ def build_variational_derived_table(
         from_relation=new_relation,
         where=inner_statement.where,
         group_by=list(inner_statement.group_by) + [sid],
-        having=inner_statement.having,
     )
     return variational, subsample_count
 
@@ -366,11 +365,13 @@ def _building_blocks(
 
     Over sample tuples, with ``probability`` each row's inclusion
     probability ``p``, they are Horvitz–Thompson sums: a total's
-    ``sum(x / p)`` (``sum(1.0 / p)`` for a count), a mean's numerator
-    ``sum(x / p)`` and denominator ``sum(1.0 / p)``.  With ``probability``
+    ``sum(x / p)`` (a count's weight ``sum(1.0 / p)``), a mean's numerator
+    ``sum(x / p)`` and the weight as its denominator.  With ``probability``
     None the rows are already per-group estimates (the outer level of a
-    nested query) and the blocks are plain: ``sum(x)`` (``count(*)``), or
-    ``sum(x)`` and ``count(x)``.  A statistic is its own block.  Any other
+    nested query) and the blocks are plain: ``sum(x)`` (``count(x)``), or
+    ``sum(x)`` and ``count(x)``.  A weight counts only the rows whose ``x``
+    is not NULL, ``sum(CASE WHEN x IS NOT NULL THEN 1.0 / p END)``, unless
+    the count is ``count(*)``.  A statistic is its own block.  Any other
     aggregate, a DISTINCT one included, raises :class:`RewriteError`.
     """
     name = node.name.lower()
@@ -379,18 +380,23 @@ def _building_blocks(
     kind = MEAN_LIKE[name]
     if kind == "statistic":
         return [dataclasses.replace(node)]
-    if name != "count" and not node.args:
-        raise RewriteError(f"aggregate {name!r} requires an argument")
+    if not node.args:
+        if name != "count":
+            raise RewriteError(f"aggregate {name!r} requires an argument")
+        node = ast.func("count", ast.Star())
+    argument = node.args[0]
     if probability is None:
         if name == "count":
-            return [ast.func("count", ast.Star())]
-        argument = node.args[0]
+            return [ast.func("count", argument)]
         blocks = [ast.func("sum", argument), ast.func("count", argument)]
     else:
-        weight = ast.func("sum", ast.BinaryOp("/", ast.Literal(1.0), probability))
+        weight: ast.Expression = ast.BinaryOp("/", ast.Literal(1.0), probability)
+        if not isinstance(argument, ast.Star):
+            weight = ast.CaseWhen([(ast.IsNull(argument, negated=True), weight)])
         if name == "count":
-            return [weight]
-        blocks = [ast.func("sum", ast.BinaryOp("/", node.args[0], probability)), weight]
+            return [ast.func("sum", weight)]
+        numerator = ast.func("sum", ast.BinaryOp("/", argument, probability))
+        blocks = [numerator, ast.func("sum", weight)]
     return blocks[:1] if kind == "total" else blocks
 
 
@@ -453,38 +459,34 @@ class SubsampleFold:
     NULL meeting only NULL and 1 meeting 1.0, and a group it lacks reads
     NULL there.
 
-    Then the statement's tail runs once over the G stitched rows:
-    select-list arithmetic over aggregates of any kind, HAVING, ORDER BY,
-    LIMIT and OFFSET.  Groups are numbered through the engine's key codec,
-    summed and dispersed by its aggregate kernels and combined with its
-    division rule, operation for operation as a ``GROUP BY`` over these rows
-    would be, so on the built-in engine a mean-like answer is bit-identical
-    to running the combination as SQL.
+    Then the statement's tail runs once over the G stitched rows, the
+    engine's own :func:`~repro.sqlengine.tail.run_tail`: select-list
+    arithmetic over aggregates of any kind, HAVING, ORDER BY, LIMIT and
+    OFFSET, with each requested error column passed through after its
+    estimate.  Groups are numbered through the engine's key codec, summed
+    and dispersed by its aggregate kernels and combined with its division
+    rule, operation for operation as a ``GROUP BY`` over these rows would
+    be, so on the built-in engine a mean-like answer is bit-identical to
+    running the combination as SQL.
 
     With no mean-like row at all, a grouped query has no group and an
     ungrouped one has one row: every ``count`` estimates 0, every other
     mean-like estimate and every mean-like error is NULL (no sample row
     gives no spread).
 
-    ``outputs`` lists the answer's columns as ``(name, kind, source)``:
-    ``("group", alias)``, ``("estimate", i)``, ``("error", i)`` or
-    ``("expression", ast)`` where the expression reads the group aliases,
-    the estimates as ``vdb_est_<i>`` and the earlier output names.
+    ``tail`` is the statement's tail plan, its aggregate columns numbered
+    as ``aggregates``; ``errors`` names the aggregate behind each of its
+    pass-through (error) columns.
     """
 
     group_aliases: list[str]
     aggregates: list[_AggregatePlan]
+    tail: TailPlan
+    errors: list[int] = field(default_factory=list)
     weighted: bool = True
     subsample_count: int = 1
     distinct_ratio: float = 1.0
     parts: list[str] = field(default_factory=list)
-    outputs: list[tuple[str, str, object]] = field(default_factory=list)
-    having: ast.Expression | None = None
-    # (expression, ascending), or (position in ``outputs``, ascending) for
-    # an ORDER BY ordinal.
-    order_by: list[tuple[ast.Expression | int, bool]] = field(default_factory=list)
-    limit: int | None = None
-    offset: int | None = None
 
     def apply(
         self,
@@ -497,15 +499,11 @@ class SubsampleFold:
         ``params`` binds the tail's placeholders; ``subquery`` answers a
         scalar subquery in it (HAVING ``sum(x) > (SELECT ...)``).
         """
-        # name -> column of the stitched rows: group keys, estimates, outputs.
-        named: dict[str, np.ndarray] = {}
-        # What ORDER BY sorts an object key by (see _number_groups).
-        sort_codes: dict[str, np.ndarray] = {}
-        inverse, groups, untyped = self._number_groups(parts[0], named, sort_codes)
-        wanted = self._error_indices
+        inverse, groups, keys, untyped = self._number_groups(parts[0])
+        wanted = set(self.errors)
         estimates: dict[int, np.ndarray] = {}
         errors: dict[int, np.ndarray] = {}
-        keys = [named[alias] for alias in self.group_aliases]
+        key_values = [values for values, _codes in keys]
         for position, (kind, rows) in enumerate(zip(self.parts, parts)):
             if kind == "mean_like":
                 self._combine(rows, inverse, groups, wanted, estimates, errors)
@@ -514,7 +512,7 @@ class SubsampleFold:
                 at = np.full(groups, -1, dtype=np.int64)
                 at[inverse] = np.arange(rows.num_rows)
             else:
-                at = self._align(rows, keys, groups)
+                at = self._align(rows, key_values, groups)
             for index, plan in enumerate(self.aggregates):
                 if plan.kind != kind:
                     continue
@@ -524,106 +522,52 @@ class SubsampleFold:
                     if index in wanted:
                         errors[index] = _take(error, at)
                 estimates[index] = _take(value, at)
-        for index, estimate in estimates.items():
-            named[f"{ESTIMATE_PREFIX}{index}"] = estimate
-
-        frame: Frame | None = None
+        columns = [estimates[index] for index in range(len(self.aggregates))]
+        columns += [errors[index] for index in self.errors]
         context = EvaluationContext(groups, rng=None, params=params)
-
-        def column_of(expression: ast.Expression) -> np.ndarray:
-            nonlocal frame
-            if isinstance(expression, ast.ColumnRef) and expression.table is None:
-                found = named.get(expression.name)
-                if found is not None:
-                    return found
-            if frame is None:
-                frame = Frame(num_rows=groups)
-                for name, values in named.items():
-                    frame.add_column(None, name, values)
-            return evaluate(expression, frame, context, subquery)
-
-        def order_key(expression: ast.Expression) -> np.ndarray:
-            if isinstance(expression, ast.ColumnRef) and expression.name in sort_codes:
-                return sort_codes[expression.name]
-            column = column_of(expression)
-            ranks = _number_ranks(column) if untyped and column.dtype == object else None
-            return column if ranks is None else ranks
-
-        output_names: list[str] = []
-        columns: list[np.ndarray] = []
-        for name, kind, source in self.outputs:
-            if kind == "group":
-                column = named[source]
-                if source in sort_codes:
-                    sort_codes[name] = sort_codes[source]
-            elif kind == "estimate":
-                column = estimates[source]
-            elif kind == "error":
-                column = errors[source]
-            else:
-                column = column_of(source)
-            output_names.append(name)
-            columns.append(column)
-            named[name] = column
-            if frame is not None:
-                frame.add_column(None, name, column)
-
-        def output_key(position: int) -> np.ndarray:
-            _name, kind, source = self.outputs[position]
-            if kind == "group" and source in sort_codes:
-                return sort_codes[source]
-            column = columns[position]
-            ranks = _number_ranks(column) if untyped and column.dtype == object else None
-            return column if ranks is None else ranks
-
-        order_keys = [
-            (output_key(term) if isinstance(term, int) else order_key(term), ascending)
-            for term, ascending in self.order_by
-        ]
-        if self.having is not None:
-            keep = column_of(self.having).astype(bool)
-            columns = [column[keep] for column in columns]
-            order_keys = [(key[keep], ascending) for key, ascending in order_keys]
-        if order_keys:
-            order = sort_indices(order_keys)
-            columns = [column[order] for column in columns]
-        if self.limit is not None or self.offset is not None:
-            start = self.offset or 0
-            window = slice(start, None if self.limit is None else start + self.limit)
-            columns = [column[window] for column in columns]
-        return ResultSet(output_names, columns)
+        return run_tail(
+            self.tail, keys, columns, context, subquery,
+            rank=_number_ranks if untyped else None,
+        )
 
     def _number_groups(
-        self, rows: ResultSet, named: dict[str, np.ndarray], sort_codes: dict[str, np.ndarray]
-    ) -> tuple[np.ndarray, int, bool]:
+        self, rows: ResultSet
+    ) -> tuple[np.ndarray, int, list[tuple[np.ndarray, LazyCodes | None]], bool]:
         """Each row's group, numbered by first appearance, the group count,
-        and whether the backend returned untyped values.
+        each group's keys with their codes, and whether the backend returned
+        untyped values.
 
-        Fills ``named`` with each group's key and ``sort_codes`` with what
-        ORDER BY sorts an object key by: its key codes, which rank the
-        normalized strings as the engine sorts a coded column.  Keys come
-        pre-coded when the backend attached codes to them.
+        A key's codes rank the normalized strings as the engine ranks a
+        coded column; they come from the backend when it attached them.  A
+        backend that returns untyped values (SQLite: even count(*) arrives
+        as python objects) orders a column of numbers by value, so such a
+        key gets no codes and the tail ranks it with :func:`_number_ranks`.
         """
         num_rows = rows.num_rows
-        # A backend that returns untyped values (SQLite: even count(*)
-        # arrives as python objects) orders a column of numbers by value.
         untyped = all(column.dtype == object for column in rows.columns())
         if not self.group_aliases:
-            return np.zeros(num_rows, dtype=np.int64), 1, untyped
+            return np.zeros(num_rows, dtype=np.int64), 1, [], untyped
         encodings = rows.encodings()
         names = rows.column_names
         keys = [rows.column(alias) for alias in self.group_aliases]
+        dictionaries = []
         coded = []
         for alias, values in zip(self.group_aliases, keys):
             lazy = encodings[names.index(alias)] if encodings else None
-            coded.append(encode_key(values, lazy.resolve() if lazy is not None else None))
+            encoded = lazy.resolve() if lazy is not None else None
+            if encoded is None and values.dtype == object:
+                encoded = encode_object_array(values)
+            dictionaries.append(encoded)
+            coded.append(encode_key(values, encoded))
         inverse, first = group_rows_encoded(coded, num_rows)
-        for alias, values, key in zip(self.group_aliases, keys, coded):
-            named[alias] = values[first]
-            if values.dtype == object:
-                ranks = _number_ranks(named[alias]) if untyped else None
-                sort_codes[alias] = key.codes[first] if ranks is None else ranks
-        return inverse, len(first), untyped
+        columns: list[tuple[np.ndarray, LazyCodes | None]] = []
+        for values, encoded in zip(keys, dictionaries):
+            values = values[first]
+            codes = None
+            if encoded is not None and not (untyped and _number_ranks(values) is not None):
+                codes = LazyCodes.presolved(encoded[0][first], encoded[1])
+            columns.append((values, codes))
+        return inverse, len(first), columns, untyped
 
     def _align(self, rows: ResultSet, keys: list[np.ndarray], groups: int) -> np.ndarray:
         """For each group, the row of a per-group part that holds it, or -1.
@@ -649,11 +593,6 @@ class SubsampleFold:
         hit = ranked[found] == group_codes
         at[hit] = order[found[hit]]
         return at
-
-    # Computed on the first apply(), once the builder has filled the fold.
-    @cached_property
-    def _error_indices(self) -> set[int]:
-        return {source for _name, kind, source in self.outputs if kind == "error"}
 
     @cached_property
     def _mean_like(self) -> list[tuple[int, _AggregatePlan]]:
@@ -863,115 +802,50 @@ class _FoldBuilder:
     # -- the fold of their rows ---------------------------------------------------------------
 
     def build_fold(self) -> SubsampleFold:
-        """The fold, its ``parts`` left for the caller to fill in."""
-        estimates: dict[str, ast.Expression] = {
-            key: ast.ColumnRef(f"{ESTIMATE_PREFIX}{index}")
-            for index, key in enumerate(self._aggregates)
-        }
-        positions = {key: index for index, key in enumerate(self._aggregates)}
-        # What a tail expression reads: estimates, and each grouping
-        # expression as its key column (a bare column also by its name).
-        columns = dict(estimates)
-        for expr in self.statement.group_by:
-            alias = ast.ColumnRef(self.group_aliases[expr.to_sql()])
-            columns[expr.to_sql()] = alias
-            if isinstance(expr, ast.ColumnRef):
-                columns.setdefault(ast.ColumnRef(expr.name).to_sql(), alias)
+        """The fold, its ``parts`` left for the caller to fill in.
 
-        def substitute(expression: ast.Expression) -> ast.Expression:
-            """Each aggregate call and grouping expression as its fold column."""
-            return ast.transform_expression(expression, lambda node: columns.get(node.to_sql()))
-        fold = SubsampleFold(
-            group_aliases=[self.group_aliases[expr.to_sql()] for expr in self.statement.group_by],
-            aggregates=list(self._aggregates.values()),
-            limit=self.statement.limit,
-            offset=self.statement.offset,
-        )
-        item_outputs: list[int] = []  # select item -> its column in fold.outputs
+        Its tail is the statement's, with an error column passed through
+        after each select item that is a mean-like or count-distinct
+        aggregate as it stands.
+        """
+        passthrough: list[tuple[int, str]] = []
+        error_keys: list[str] = []
         for index, item in enumerate(self.statement.select_items):
             name = item.output_name(index)
-            expression = item.expression
-            key = expression.to_sql()
-            item_outputs.append(len(fold.outputs))
-            if not contains_aggregate(expression):
-                fold.outputs.append((name, "group", self._group_column_for(expression)))
+            if not contains_aggregate(item.expression):
                 self.group_output_names.append(name)
                 continue
+            key = item.expression.to_sql()
             error_name = None
-            if key in positions:
-                fold.outputs.append((name, "estimate", positions[key]))
-                if self.include_errors and self._aggregates[key].kind != "extreme":
-                    error_name = f"{name}_err"
-                    fold.outputs.append((error_name, "error", positions[key]))
-            else:
-                fold.outputs.append((name, "expression", _foldable(substitute(expression))))
+            plan = self._aggregates.get(key)
+            if plan is not None and self.include_errors and plan.kind != "extreme":
+                error_name = f"{name}_err"
+                passthrough.append((index, error_name))
+                error_keys.append(key)
             self.estimate_columns[name] = error_name
-
-        if self.statement.having is not None:
-            fold.having = _foldable(substitute(self.statement.having))
-        for order_item in self.statement.order_by:
-            expression = order_item.expression
-            try:
-                position = ordinal(expression, len(item_outputs))
-            except ExecutionError as error:
-                raise RewriteError(str(error)) from error
-            if position is not None:
-                fold.order_by.append((item_outputs[position], order_item.ascending))
-                continue
-            if contains_aggregate(expression):
-                expression = substitute(expression)
-            elif expression.to_sql() in self.group_aliases:
-                expression = ast.ColumnRef(self.group_aliases[expression.to_sql()])
-            elif isinstance(expression, ast.ColumnRef):
-                expression = self._resolve_order_column(expression)
-            fold.order_by.append((_foldable(expression), order_item.ascending))
-        return fold
-
-    # -- helpers ------------------------------------------------------------------------
-
-    def _group_column_for(self, expression: ast.Expression) -> str:
-        key = expression.to_sql()
-        if key in self.group_aliases:
-            return self.group_aliases[key]
-        if isinstance(expression, ast.ColumnRef):
-            for group_sql, alias in self.group_aliases.items():
-                group_expr = _group_expr_by_sql(self.statement.group_by, group_sql)
-                if (
-                    isinstance(group_expr, ast.ColumnRef)
-                    and group_expr.name.lower() == expression.name.lower()
-                ):
-                    return alias
-        raise RewriteError(f"select item {key!r} does not match any grouping expression")
-
-    def _resolve_order_column(self, column: ast.ColumnRef) -> ast.Expression:
-        """Map an ORDER BY column reference onto the folded rows' columns."""
-        for position, item in enumerate(self.statement.select_items):
-            if item.output_name(position).lower() == column.name.lower():
-                return ast.ColumnRef(item.output_name(position))
-        for group_sql, alias in self.group_aliases.items():
-            group_expr = _group_expr_by_sql(self.statement.group_by, group_sql)
-            if (
-                isinstance(group_expr, ast.ColumnRef)
-                and group_expr.name.lower() == column.name.lower()
-            ):
-                return ast.ColumnRef(alias)
-        return ast.ColumnRef(column.name)
+        try:
+            tail = TailPlan(self.statement, passthrough)
+        except ExecutionError as error:
+            raise RewriteError(str(error)) from error
+        _check_foldable(tail)
+        numbered = [node.to_sql() for node in tail.aggregates]
+        return SubsampleFold(
+            group_aliases=[self.group_aliases[expr.to_sql()] for expr in self.statement.group_by],
+            aggregates=[self._aggregates[key] for key in numbered],
+            tail=tail,
+            errors=[numbered.index(key) for key in error_keys],
+        )
 
 
-def _foldable(expression: ast.Expression) -> ast.Expression:
-    """``expression`` when the fold can evaluate it over the folded rows.
+def _check_foldable(tail: TailPlan) -> None:
+    """Raise :class:`RewriteError` unless the fold can run ``tail``.
 
     ``rand()`` would need the engine's random stream, so a tail holding it
     is left to exact execution.
     """
-    for node in expression.walk():
-        if isinstance(node, ast.FunctionCall) and is_nondeterministic_function(node.name):
-            raise RewriteError(f"cannot fold {expression.to_sql()!r} over aggregates")
-    return expression
-
-
-def _group_expr_by_sql(group_by: list[ast.Expression], sql: str) -> ast.Expression | None:
-    for expr in group_by:
-        if expr.to_sql() == sql:
-            return expr
-    return None
+    expressions = [term for term, _ascending in tail.order if not isinstance(term, int)]
+    expressions += [*tail.items, *filter(None, [tail.having])]
+    for expression in expressions:
+        for node in expression.walk():
+            if isinstance(node, ast.FunctionCall) and is_nondeterministic_function(node.name):
+                raise RewriteError(f"cannot fold {expression.to_sql()!r} over aggregates")

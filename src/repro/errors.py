@@ -152,10 +152,6 @@ class ConnectorError(OperationalError):
     """A backend driver failed or does not support the requested feature."""
 
 
-class UnsupportedDialectFeature(ConnectorError):
-    """The target dialect cannot express the requested SQL construct."""
-
-
 # ---------------------------------------------------------------------------
 # sampling subsystem
 # ---------------------------------------------------------------------------
@@ -163,10 +159,6 @@ class UnsupportedDialectFeature(ConnectorError):
 
 class SamplingError(OperationalError):
     """Sample creation or maintenance failed."""
-
-
-class SamplePlanningError(OperationalError):
-    """No feasible sample plan exists for the requested I/O budget."""
 
 
 # ---------------------------------------------------------------------------

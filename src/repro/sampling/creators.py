@@ -54,17 +54,21 @@ def hashed_sample_statement(
     A tuple is kept when the uniform hash of its key columns falls below the
     sampling ratio; two hashed samples built with the same ratio on the same
     join key therefore keep *matching* tuples, which is what makes
-    sample-sample joins possible (Section 5.1).
+    sample-sample joins possible (Section 5.1).  A key of NULLs only hashes
+    as the empty string, below every ratio, so those tuples are all kept:
+    they are a census, with probability 1.
     """
     key: ast.Expression
     if len(columns) == 1:
         key = ast.ColumnRef(columns[0])
     else:
         key = ast.func("concat", *[ast.ColumnRef(column) for column in columns])
+    null_key = ast.conjunction([ast.IsNull(ast.ColumnRef(column)) for column in columns])
+    probability = ast.CaseWhen([(null_key, ast.Literal(1.0))], ast.Literal(float(ratio)))
     select = ast.SelectStatement(
         select_items=[
             ast.SelectItem(ast.Star()),
-            ast.SelectItem(ast.Literal(float(ratio)), alias=PROBABILITY_COLUMN),
+            ast.SelectItem(probability, alias=PROBABILITY_COLUMN),
             ast.SelectItem(sid_expression(subsample_count), alias=SID_COLUMN),
         ],
         from_relation=ast.TableRef(source_table),

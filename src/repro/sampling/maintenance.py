@@ -27,6 +27,7 @@ from repro.sampling.metadata import MetadataStore
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import functions
 from repro.sqlengine.encoding import encode_join_keys
+from repro.sqlengine.expressions import null_mask
 from repro.sqlengine.table import coerce_batch, find_sorted
 
 Array = NDArray[Any]
@@ -114,7 +115,11 @@ class SampleMaintainer:
             probabilities = np.full(batch_size, info.ratio)
             keep = self._rng.random(batch_size) < info.ratio
         elif info.sample_type == "hashed":
-            probabilities = np.full(batch_size, info.ratio)
+            # A key of NULLs only is always kept (see hashed_sample_statement).
+            null_key = np.logical_and.reduce(
+                [null_mask(batch[name]) for name in info.columns]
+            )
+            probabilities = np.where(null_key, 1.0, info.ratio)
             keep = _hash_keys(batch, info.columns) < info.ratio
         elif info.sample_type == "stratified":
             probabilities = self._stratified_probabilities(info, batch, batch_size)

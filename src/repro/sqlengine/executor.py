@@ -2,8 +2,10 @@
 
 The executor is deliberately a straightforward, vectorised implementation of
 relational semantics: build a frame from the FROM clause (scans, derived
-tables and hash joins), filter it with WHERE, group and aggregate, evaluate
-the select list, then apply HAVING / ORDER BY / DISTINCT / LIMIT.  It exists
+tables and hash joins), filter it with WHERE, then either evaluate the select
+list and apply ORDER BY / DISTINCT / LIMIT, or group, aggregate and run the
+statement's tail over the per-group columns (:mod:`repro.sqlengine.tail`,
+which the middleware's fold runs too).  It exists
 so the middleware has a realistic "underlying database" that executes the
 rewritten SQL text exactly as written.
 
@@ -42,13 +44,14 @@ from repro.sqlengine.expressions import (
     LazyCodes,
     ScanSource,
     column_codes,
-    contains_aggregate,
     evaluate,
     ordinal,
+    sort_key,
 )
 from repro.sqlengine.planner import SelectPlan
 from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.table import KeyIndex, find_sorted
+from repro.sqlengine.tail import TailPlan, distinct_rows, limit_rows, run_tail
 
 
 class _JoinCounter:
@@ -427,8 +430,8 @@ class Executor:
                 if encodings is not None
                 else None
             )
-            result = _distinct(result, resolved)
-        return _apply_limit(result, statement.limit, statement.offset)
+            result = distinct_rows(result, resolved)
+        return limit_rows(result, statement.limit, statement.offset)
 
     # -- grouped / aggregate SELECT --------------------------------------------
 
@@ -438,9 +441,10 @@ class Executor:
         """The statement's grouped-execution memo, cached on its plan when
         possible.
 
-        Building the memo walks every select/HAVING/ORDER BY expression and
-        aggregate argument and renders SQL keys for the substitutions — pure
-        functions of the statement.  Plans are cached per SQL text alongside
+        Building the memo (the tail plan and the aggregate-argument fusion)
+        walks every select/HAVING/ORDER BY expression and aggregate argument
+        and renders SQL keys for the substitutions — pure functions of the
+        statement.  Plans are cached per SQL text alongside
         their statements, so repeated executions reuse the memo and render
         nothing; the identity check guards against callers pairing a plan
         with a foreign statement.
@@ -449,10 +453,10 @@ class Executor:
             memo = plan.grouped_memo
             if memo is not None and memo.statement is statement:
                 return memo
-            memo = _GroupedMemo.build(statement, share=self._optimize)
+            memo = _GroupedMemo(statement, share=self._optimize)
             plan.grouped_memo = memo
             return memo
-        return _GroupedMemo.build(statement, share=self._optimize)
+        return _GroupedMemo(statement, share=self._optimize)
 
     def _execute_grouped(
         self,
@@ -510,7 +514,7 @@ class Executor:
                 None, name, evaluate(expression, frame, context, self._scalar_subquery)
             )
         aggregate_columns: list[np.ndarray] = []
-        for node, arguments, is_star, _name in memo.aggregates:
+        for node, arguments, is_star in memo.aggregates:
             self._checkpoint()  # per-aggregate checkpoint in grouped evaluation
             args = [
                 evaluate(argument, frame, context, self._scalar_subquery)
@@ -523,94 +527,10 @@ class Executor:
                 )
             )
 
-        return self._finish_grouped(
-            statement, memo, group_columns, aggregate_columns, num_groups
+        return run_tail(
+            memo.tail, group_columns, aggregate_columns, self._context(num_groups),
+            self._scalar_subquery,
         )
-
-    def _finish_grouped(
-        self,
-        statement: ast.SelectStatement,
-        memo: _GroupedMemo,
-        group_columns: list[tuple[np.ndarray, LazyCodes | None]],
-        aggregate_columns: list[np.ndarray],
-        num_groups: int,
-    ) -> ResultSet:
-        """Evaluate select items, HAVING, ORDER BY, DISTINCT and LIMIT over
-        the per-group columns.
-
-        An item that is a grouping key or an aggregate is that column as it
-        stands.  Only when some item, HAVING or ORDER BY term needs
-        evaluating are the columns put in a per-group frame (``__group_<i>``
-        / ``__agg_<i>``, then each output name).
-        """
-        post_frame: Frame | None = None
-        post_context = None
-        if memo.needs_frame:
-            post_frame = Frame(num_rows=num_groups)
-            for name, (values, codes) in zip(memo.group_names, group_columns):
-                post_frame.add_column(None, name, values, codes=codes)
-            for aggregate, values in zip(memo.aggregates, aggregate_columns):
-                post_frame.add_column(None, aggregate[3], values)
-            post_context = self._context(num_groups)
-
-        column_names = memo.output_names
-        columns: list[np.ndarray] = []
-        output_encodings: list[LazyCodes | None] | None = [] if self._optimize else None
-        for name, substituted, source in zip(
-            column_names, memo.substituted_items, memo.item_sources
-        ):
-            encoding = None
-            if source is None:
-                array = evaluate(substituted, post_frame, post_context, self._scalar_subquery)
-                encoding = _lazy_key_encoding(substituted, post_frame)
-            elif source[0] == "group":
-                array, encoding = group_columns[source[1]]
-            else:
-                array = aggregate_columns[source[1]]
-            columns.append(array)
-            if output_encodings is not None:
-                output_encodings.append(encoding)
-            if post_frame is not None:
-                post_frame.add_column(None, name, array)
-
-        keep_mask: np.ndarray | None = None
-        if memo.substituted_having is not None:
-            having = memo.substituted_having
-            keep_mask = evaluate(having, post_frame, post_context, self._scalar_subquery)
-            keep_mask = keep_mask.astype(bool)
-
-        order_keys = [
-            (
-                columns[substituted]
-                if isinstance(substituted, int)
-                else self._sort_key(substituted, post_frame, post_context),
-                ascending,
-            )
-            for substituted, ascending in memo.substituted_order
-        ]
-
-        if keep_mask is not None:
-            columns = [column[keep_mask] for column in columns]
-            order_keys = [(key[keep_mask], ascending) for key, ascending in order_keys]
-            if output_encodings is not None:
-                output_encodings = [
-                    None if encoded is None else encoded.sliced(keep_mask)
-                    for encoded in output_encodings
-                ]
-
-        if order_keys:
-            order_indices = sort_indices(order_keys)
-            columns = [column[order_indices] for column in columns]
-            if output_encodings is not None:
-                output_encodings = [
-                    None if encoded is None else encoded.sliced(order_indices)
-                    for encoded in output_encodings
-                ]
-
-        result = ResultSet(column_names, columns, encodings=output_encodings)
-        if statement.distinct:
-            result = _distinct(result)
-        return _apply_limit(result, statement.limit, statement.offset)
 
     def _order_indices(
         self,
@@ -627,22 +547,11 @@ class Executor:
             if position is not None:
                 keys.append((columns[position], item.ascending))
             else:
-                keys.append((self._sort_key(item.expression, frame, context), item.ascending))
+                keys.append(
+                    (sort_key(item.expression, frame, context, self._scalar_subquery),
+                     item.ascending)
+                )
         return sort_indices(keys)
-
-    def _sort_key(
-        self,
-        expression: ast.Expression,
-        frame: Frame,
-        context: functions.EvaluationContext,
-    ) -> np.ndarray:
-        """What ORDER BY sorts an expression's rows by: a coded column's
-        dictionary codes (rank-preserving, so sorting on them is sorting on
-        the normalized strings), else its values."""
-        encoded = column_codes(expression, frame)
-        if encoded is not None:
-            return encoded[0]
-        return evaluate(expression, frame, context, self._scalar_subquery)
 
 
 def _scan_rows(mask: np.ndarray | None) -> Callable[[], np.ndarray] | None:
@@ -783,16 +692,12 @@ def _probe_build_join(
 
 
 class _GroupedMemo:
-    """Every statement-pure decision of grouped execution.
+    """Every statement-pure decision of grouped execution: the statement's
+    :class:`~repro.sqlengine.tail.TailPlan` and the fusion of its aggregates'
+    arguments.
 
-    Grouped execution rewrites every select/HAVING/ORDER BY expression onto
-    the post-aggregation frame, using rendered-SQL keys to recognize the
-    grouping expressions and aggregate calls (``__group_<i>`` /
-    ``__agg_<i>`` columns) and earlier output aliases; an ORDER BY ordinal
-    becomes the position of the select item it names.
-
-    With ``share`` (the optimized engine) it also fuses the aggregation
-    input.  The rewritten AQP inner query computes several Horvitz–Thompson
+    With ``share`` (the optimized engine) the aggregation input is fused.
+    The rewritten AQP inner query computes several Horvitz–Thompson
     building blocks per subsample id whose arguments share subexpressions
     (``x / prob``, ``1.0 / prob``, non-trivial grouping expressions), which
     the naive path evaluates once per occurrence.  Every repeated,
@@ -807,140 +712,34 @@ class _GroupedMemo:
     All of that depends only on the statement, so it is computed once here
     and cached on the statement's (equally cached)
     :class:`~repro.sqlengine.planner.SelectPlan`: a repeated execution walks
-    no expression and renders no SQL, it only evaluates.  Aliases become
-    visible to later items in select-list order, so results are
-    bit-identical to evaluating each expression where it stands.
+    no expression and renders no SQL, it only evaluates.
     """
 
-    __slots__ = ("statement", "group_names", "seeded_keys", "shared", "aggregates",
-                 "output_names", "substituted_items", "item_sources", "substituted_having",
-                 "substituted_order", "needs_frame")
+    __slots__ = ("statement", "tail", "seeded_keys", "shared", "aggregates")
 
-    def __init__(
-        self,
-        statement: ast.SelectStatement,
-        seeded_keys: list[tuple[int, str]],
-        shared: list[tuple[str, ast.Expression]],
-        aggregates: list[tuple[ast.FunctionCall, list[ast.Expression], bool, str]],
-        items: list[ast.Expression],
-        having: ast.Expression | None,
-        order: list[tuple[ast.Expression | int, bool]],
-    ) -> None:
+    def __init__(self, statement: ast.SelectStatement, share: bool) -> None:
         self.statement = statement
-        self.group_names = [f"__group_{position}" for position in range(len(statement.group_by))]
-        self.seeded_keys = seeded_keys
-        self.shared = shared
-        # (call, its arguments over the shared columns, count(*)?, column name)
-        self.aggregates = aggregates
-        self.output_names = [
-            item.output_name(position) for position, item in enumerate(statement.select_items)
-        ]
-        self.substituted_items = items
-        self.substituted_having = having
-        # (expression, ascending), or (select-item position, ascending)
-        self.substituted_order = order
-        # Per item: ("group", i) or ("agg", i) when it is that per-group
-        # column as it stands, else None (evaluated over the frame).
-        self.item_sources = _item_sources(items, self.group_names, aggregates, self.output_names)
-        self.needs_frame = (
-            having is not None
-            or any(source is None for source in self.item_sources)
-            or any(not isinstance(term, int) for term, _ascending in order)
-        )
-
-    @classmethod
-    def build(cls, statement: ast.SelectStatement, share: bool) -> _GroupedMemo:
-        substitutions: dict[str, str] = {}
-        name_substitutions: dict[str, str] = {}
-        for position, expr in enumerate(statement.group_by):
-            column_name = f"__group_{position}"
-            substitutions[expr.to_sql()] = column_name
-            if isinstance(expr, ast.ColumnRef):
-                name_substitutions[expr.name.lower()] = column_name
-        aggregate_nodes = _collect_aggregates(statement)
-        for position, sql_key in enumerate(aggregate_nodes):
-            substitutions[sql_key] = f"__agg_{position}"
-        items: list[ast.Expression] = []
-        for position, item in enumerate(statement.select_items):
-            if isinstance(item.expression, ast.Star):
-                raise ExecutionError("'*' cannot be used together with aggregates")
-            items.append(_substitute(item.expression, substitutions, name_substitutions))
-            name = item.output_name(position)
-            substitutions[ast.ColumnRef(name).to_sql()] = name
-        having = None
-        if statement.having is not None:
-            having = _substitute(statement.having, substitutions, name_substitutions)
-        order: list[tuple[ast.Expression | int, bool]] = []
-        for order_item in statement.order_by:
-            position = ordinal(order_item.expression, len(items))
-            order.append((
-                position if position is not None
-                else _substitute(order_item.expression, substitutions, name_substitutions),
-                order_item.ascending,
-            ))
-        seeded_keys: list[tuple[int, str]] = []
-        shared: list[tuple[str, ast.Expression]] = []
+        self.tail = TailPlan(statement)
+        self.seeded_keys: list[tuple[int, str]] = []
+        self.shared: list[tuple[str, ast.Expression]] = []
         hidden: dict[str, str] = {}
-        if share and aggregate_nodes:
-            seeded_keys, shared, hidden = _shared_arguments(statement, aggregate_nodes)
-        aggregates = []
-        for position, node in enumerate(aggregate_nodes.values()):
+        if share and self.tail.aggregates:
+            self.seeded_keys, self.shared, hidden = _shared_arguments(
+                statement, self.tail.aggregates
+            )
+        # (call, its arguments over the shared columns, count(*)?)
+        self.aggregates: list[tuple[ast.FunctionCall, list[ast.Expression], bool]] = []
+        for node in self.tail.aggregates:
             is_star = bool(node.args) and isinstance(node.args[0], ast.Star)
             arguments = [] if is_star else [
-                _substitute(argument, hidden, {}) if hidden else argument
+                _substitute(argument, hidden) if hidden else argument
                 for argument in node.args
             ]
-            aggregates.append((node, arguments, is_star, f"__agg_{position}"))
-        return cls(statement, seeded_keys, shared, aggregates, items, having, order)
-
-
-def _item_sources(
-    items: list[ast.Expression],
-    group_names: list[str],
-    aggregates: list[tuple[ast.FunctionCall, list[ast.Expression], bool, str]],
-    output_names: list[str],
-) -> list[tuple[str, int] | None]:
-    """Which per-group column each substituted select item is, if any.
-
-    An output name that spells a per-group column's name would shadow it in
-    the frame, so then every item is evaluated there.
-    """
-    columns = {name: ("group", position) for position, name in enumerate(group_names)}
-    columns.update(
-        (aggregate[3], ("agg", position)) for position, aggregate in enumerate(aggregates)
-    )
-    if any(name.lower() in columns for name in output_names):
-        return [None] * len(items)
-    return [
-        columns.get(item.name) if isinstance(item, ast.ColumnRef) and item.table is None
-        else None
-        for item in items
-    ]
-
-
-def _collect_aggregates(statement: ast.SelectStatement) -> dict[str, ast.FunctionCall]:
-    """The innermost aggregate calls referenced anywhere in the query, by SQL."""
-    nodes: dict[str, ast.FunctionCall] = {}
-    expressions: list[ast.Expression] = [item.expression for item in statement.select_items]
-    if statement.having is not None:
-        expressions.append(statement.having)
-    expressions.extend(order_item.expression for order_item in statement.order_by)
-    for expression in expressions:
-        if isinstance(expression, ast.Star):
-            continue
-        for node in expression.walk():
-            if not isinstance(node, ast.FunctionCall):
-                continue
-            if not functions.is_aggregate_function(node.name):
-                continue
-            if any(contains_aggregate(argument) for argument in node.args):
-                continue
-            nodes.setdefault(node.to_sql(), node)
-    return nodes
+            self.aggregates.append((node, arguments, is_star))
 
 
 def _shared_arguments(
-    statement: ast.SelectStatement, aggregate_nodes: dict[str, ast.FunctionCall]
+    statement: ast.SelectStatement, aggregate_nodes: list[ast.FunctionCall]
 ) -> tuple[list[tuple[int, str]], list[tuple[str, ast.Expression]], dict[str, str]]:
     """Which subexpressions of the aggregate arguments to evaluate once.
 
@@ -967,7 +766,7 @@ def _shared_arguments(
 
     counts: dict[str, int] = {}
     nodes_by_sql: dict[str, ast.Expression] = {}
-    for node in aggregate_nodes.values():
+    for node in aggregate_nodes:
         for argument in node.args:
             if isinstance(argument, ast.Star):
                 continue
@@ -987,28 +786,18 @@ def _shared_arguments(
         expression = nodes_by_sql[sql]
         if not _shareable(expression):
             continue
-        substituted = _substitute(expression, substitutions, {})
+        substituted = _substitute(expression, substitutions)
         shared.append((hidden_name(sql), substituted))
     return seeded_keys, shared, substitutions
 
 
-def _substitute(
-    expression: ast.Expression,
-    substitutions: dict[str, str],
-    name_substitutions: dict[str, str],
-) -> ast.Expression:
-    """Replace aggregate calls and grouping keys with post-aggregation columns."""
+def _substitute(expression: ast.Expression, substitutions: dict[str, str]) -> ast.Expression:
+    """Replace each subexpression rendered as a key of ``substitutions`` with
+    the hidden column it names."""
 
     def visit(node: ast.Expression) -> ast.Expression | None:
-        sql_key = node.to_sql()
-        if sql_key in substitutions:
-            return ast.ColumnRef(substitutions[sql_key])
-        if isinstance(node, ast.ColumnRef):
-            replacement = name_substitutions.get(node.name.lower())
-            if replacement is not None:
-                return ast.ColumnRef(replacement)
-            return node
-        return None
+        column = substitutions.get(node.to_sql())
+        return None if column is None else ast.ColumnRef(column)
 
     return ast.transform_expression(expression, visit)
 
@@ -1028,50 +817,3 @@ def _shareable(expression: ast.Expression) -> bool:
         ):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# distinct, limit
-# ---------------------------------------------------------------------------
-
-
-def _distinct(
-    result: ResultSet,
-    encodings: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
-) -> ResultSet:
-    """Keep the first occurrence of every distinct row.
-
-    ``encodings`` optionally carries the scan-attached ``(codes,
-    dictionary)`` pair of each result column: coded columns group on their
-    existing rank codes instead of re-running ``np.unique`` over object
-    arrays (the codes are injective over the dictionary, so the row
-    partition is identical).
-    """
-    if result.num_rows == 0 or not result.column_names:
-        return result
-    encoded_keys = [
-        encode_key(column, encodings[position] if encodings is not None else None)
-        for position, column in enumerate(result.columns())
-    ]
-    _, representative = group_rows_encoded(encoded_keys, result.num_rows)
-    return ResultSet(
-        result.column_names, [column[representative] for column in result.columns()]
-    )
-
-
-def _apply_limit(result: ResultSet, limit: int | None, offset: int | None) -> ResultSet:
-    if limit is None and offset is None:
-        return result
-    start = offset or 0
-    stop = result.num_rows if limit is None else start + limit
-    window = slice(start, stop)
-    encodings = result.encodings()
-    if encodings is not None:
-        encodings = [
-            None if encoded is None else encoded.sliced(window) for encoded in encodings
-        ]
-    return ResultSet(
-        result.column_names,
-        [column[window] for column in result.columns()],
-        encodings=encodings,
-    )

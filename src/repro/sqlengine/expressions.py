@@ -27,6 +27,7 @@ from repro.sqlengine.encoding import (
     null_code,
     unescape_key,
 )
+from repro.sqlengine.functions import as_float
 
 if TYPE_CHECKING:
     from repro.sqlengine.table import Table
@@ -247,13 +248,6 @@ class Frame:
         return self.take(np.flatnonzero(np.asarray(mask, dtype=bool)))
 
     @classmethod
-    def from_columns(cls, binding: str | None, columns: dict[str, np.ndarray]) -> Frame:
-        frame = cls()
-        for name, array in columns.items():
-            frame.add_column(binding, name, array)
-        return frame
-
-    @classmethod
     def concat(cls, left: Frame, right: Frame) -> Frame:
         """Concatenate two frames column-wise (they must have equal row counts)."""
         if left.num_rows != right.num_rows:
@@ -406,15 +400,6 @@ def _broadcast_literal(value: object, num_rows: int) -> np.ndarray:
     return column
 
 
-def as_float(array: np.ndarray) -> np.ndarray:
-    """A numeric column as float64; a NULL (None) is NaN."""
-    if array.dtype == object:
-        return np.array(
-            [np.nan if value is None else float(value) for value in array], dtype=np.float64
-        )
-    return array.astype(np.float64, copy=False)
-
-
 def null_mask(array: np.ndarray) -> np.ndarray:
     """Rows that are SQL NULL (what ``IS NULL`` tests): None or a float NaN."""
     if array.dtype == object:
@@ -535,6 +520,21 @@ def _evaluate_scalar_via_dictionary(expression, frame, context) -> np.ndarray | 
     ]
     per_entry = functions.call_scalar(expression.name, entry_context, args)
     return per_entry[codes]
+
+
+def sort_key(
+    expression: ast.Expression,
+    frame: Frame,
+    context: functions.EvaluationContext,
+    subquery_evaluator: SubqueryEvaluator | None = None,
+) -> np.ndarray:
+    """What ORDER BY sorts an expression's rows by: a coded column's
+    dictionary codes (rank-preserving, so sorting on them is sorting on the
+    normalized strings), else its values."""
+    encoded = column_codes(expression, frame)
+    if encoded is not None:
+        return encoded[0]
+    return evaluate(expression, frame, context, subquery_evaluator)
 
 
 def column_codes(expression, frame) -> tuple[np.ndarray, np.ndarray] | None:

@@ -1,30 +1,8 @@
-"""Pretty-printing helpers for result sets (used by examples and experiments)."""
+"""Pretty-printing of result rows as an aligned text table (used by the experiments)."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-from repro.sqlengine.resultset import ResultSet
-
-
-def format_value(value: object, float_digits: int = 4) -> str:
-    """Render a single cell value."""
-    if value is None:
-        return "NULL"
-    if isinstance(value, float):
-        return f"{value:.{float_digits}f}"
-    return str(value)
-
-
-def format_result(result: ResultSet, max_rows: int = 50, float_digits: int = 4) -> str:
-    """Render a result set as an aligned text table."""
-    header = result.column_names
-    rows = [
-        [format_value(value, float_digits) for value in row]
-        for index, row in enumerate(result.rows())
-        if index < max_rows
-    ]
-    return format_table(header, rows, truncated=result.num_rows > max_rows)
 
 
 def format_table(

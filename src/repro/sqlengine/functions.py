@@ -95,9 +95,12 @@ class EvaluationContext:
 ScalarFunction = Callable[..., np.ndarray]
 
 
-def _as_float(array: np.ndarray) -> np.ndarray:
+def as_float(array: np.ndarray) -> np.ndarray:
+    """A numeric column as float64; a NULL (None) is NaN."""
     if array.dtype == object:
-        return np.array([float(value) for value in array], dtype=np.float64)
+        return np.array(
+            [np.nan if value is None else float(value) for value in array], dtype=np.float64
+        )
     return array.astype(np.float64, copy=False)
 
 
@@ -111,7 +114,7 @@ def _fn_rand(context: EvaluationContext) -> np.ndarray:
 
 
 def _fn_round(context: EvaluationContext, values: np.ndarray, digits=None) -> np.ndarray:
-    floats = _as_float(values)
+    floats = as_float(values)
     if digits is None:
         return np.round(floats)
     digit_count = int(np.asarray(digits).flat[0])
@@ -119,48 +122,48 @@ def _fn_round(context: EvaluationContext, values: np.ndarray, digits=None) -> np
 
 
 def _fn_floor(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return np.floor(_as_float(values))
+    return np.floor(as_float(values))
 
 
 def _fn_ceil(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return np.ceil(_as_float(values))
+    return np.ceil(as_float(values))
 
 
 def _fn_abs(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return np.abs(_as_float(values))
+    return np.abs(as_float(values))
 
 
 def _fn_sqrt(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return np.sqrt(_as_float(values))
+    return np.sqrt(as_float(values))
 
 
 def _fn_ln(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return np.log(_as_float(values))
+    return np.log(as_float(values))
 
 
 def _fn_exp(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return np.exp(_as_float(values))
+    return np.exp(as_float(values))
 
 
 def _fn_power(context: EvaluationContext, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    return np.power(_as_float(base), _as_float(exponent))
+    return np.power(as_float(base), as_float(exponent))
 
 
 def _fn_mod(context: EvaluationContext, values: np.ndarray, divisor: np.ndarray) -> np.ndarray:
-    return np.mod(_as_float(values), _as_float(divisor))
+    return np.mod(as_float(values), as_float(divisor))
 
 
 def _fn_greatest(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
-    result = _as_float(args[0])
+    result = as_float(args[0])
     for other in args[1:]:
-        result = np.maximum(result, _as_float(other))
+        result = np.maximum(result, as_float(other))
     return result
 
 
 def _fn_least(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
-    result = _as_float(args[0])
+    result = as_float(args[0])
     for other in args[1:]:
-        result = np.minimum(result, _as_float(other))
+        result = np.minimum(result, as_float(other))
     return result
 
 
@@ -280,11 +283,11 @@ def _fn_vdb_hash(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
 
 
 def _fn_cast_int(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return _as_float(values).astype(np.int64)
+    return as_float(values).astype(np.int64)
 
 
 def _fn_cast_float(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    return _as_float(values)
+    return as_float(values)
 
 
 def _fn_cast_varchar(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
@@ -351,10 +354,6 @@ def is_dictionary_scalar_function(name: str) -> bool:
     return name.lower() in DICTIONARY_SCALAR_FUNCTIONS
 
 
-def is_scalar_function(name: str) -> bool:
-    return name.lower() in SCALAR_FUNCTIONS
-
-
 def call_scalar(
     name: str, context: EvaluationContext, args: Sequence[np.ndarray | None]
 ) -> np.ndarray:
@@ -395,7 +394,7 @@ def _group_sum(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.n
     when a value is NULL or there is no row at all: a column without NULLs
     costs one ``bincount``.
     """
-    floats = _as_float(values)
+    floats = as_float(values)
     missing = np.isnan(floats)
     if len(floats) and not missing.any():
         return np.bincount(inverse, weights=floats, minlength=num_groups)
@@ -428,7 +427,7 @@ def _group_extreme(
             if current is None or (value > current if take_max else value < current):
                 result[group] = value
         return np.array(result, dtype=object)
-    floats = _as_float(values)
+    floats = as_float(values)
     fill = -np.inf if take_max else np.inf
     result_array = np.full(num_groups, fill, dtype=np.float64)
     operator = np.maximum if take_max else np.minimum
@@ -478,7 +477,7 @@ def group_dispersions(
 def _stacked(
     columns: Sequence[np.ndarray], inverse: np.ndarray, num_groups: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    floats = [_as_float(column) for column in columns]
+    floats = [as_float(column) for column in columns]
     if len(floats) == 1:
         return floats[0], inverse
     offsets = np.arange(len(floats), dtype=np.int64) * num_groups
@@ -556,7 +555,7 @@ def _count_distinct(values: np.ndarray, inverse: np.ndarray, num_groups: int) ->
 def _group_dispersion(
     name: str, values: np.ndarray, inverse: np.ndarray, num_groups: int
 ) -> np.ndarray:
-    floats = _as_float(values)
+    floats = as_float(values)
     valid = ~np.isnan(floats)
     if not valid.all():
         inverse, floats = inverse[valid], floats[valid]
@@ -595,7 +594,7 @@ def _group_percentile(
         if approximate:
             results.append(sketches.approx_percentile(group, fraction))
         else:
-            floats = _as_float(group)
+            floats = as_float(group)
             floats = floats[~np.isnan(floats)]
             results.append(float(np.quantile(floats, fraction)) if floats.size else np.nan)
     return np.array(results, dtype=np.float64)

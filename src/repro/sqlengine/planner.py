@@ -80,9 +80,9 @@ class SelectPlan:
     # call in the select list): it then runs the grouped path.
     grouped: bool = False
     # Lazily filled by the executor on the first grouped execution: every
-    # statement-pure decision of grouped execution (see
-    # ``executor._GroupedMemo``).  Plans are cached 1:1 with their
-    # statements, so this rides along.
+    # statement-pure decision of grouped execution, the statement's tail
+    # plan included (see ``executor._GroupedMemo``).  Plans are cached 1:1
+    # with their statements, so this rides along.
     grouped_memo: object | None = None
 
     def scan_for(self, binding: str) -> ScanPlan | None:

@@ -465,10 +465,6 @@ class Table:
         self._parts[name] = [*parts, new]
         return encoding
 
-    def append_table(self, other: Table) -> None:
-        """Append all rows of ``other`` (columns matched by name)."""
-        self.append_columns(other.columns())
-
     # -- sizing ---------------------------------------------------------------
 
     def estimated_bytes(self) -> int:

@@ -92,17 +92,3 @@ def relative_error(approximate: float, exact: float) -> float:
     if exact == 0:
         return 0.0 if approximate == 0 else float("inf")
     return abs(approximate - exact) / abs(exact)
-
-
-def interval_error_vs_truth(
-    interval: ConfidenceInterval, true_bound: float, true_value: float
-) -> float:
-    """Error of an estimated bound relative to the true value (Appendix B.3).
-
-    Example from the paper: if the true mean is 100, the estimated upper bound
-    110.1 and the true upper bound 110.0, the relative error of the estimated
-    error bound is ``|110.1 - 110.0| / 100 = 0.1%``.
-    """
-    if true_value == 0:
-        return float("inf")
-    return abs(interval.upper - true_bound) / abs(true_value)

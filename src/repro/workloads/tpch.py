@@ -46,10 +46,6 @@ PART_TYPES = ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"]
 PART_BRANDS = [f"Brand#{i}" for i in range(1, 26)]
 
 
-def _date_int(year: int, month: int, day: int) -> int:
-    return year * 10_000 + month * 100 + day
-
-
 def _random_dates(rng: np.random.Generator, size: int, start_year: int = 1992,
                   end_year: int = 1998) -> np.ndarray:
     years = rng.integers(start_year, end_year + 1, size)

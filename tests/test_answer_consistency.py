@@ -30,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import ExecutionOptions, SampleSpec
+from repro.connectors import BuiltinConnector
 from repro.errors import ReproError
 from tests.test_subsample_fold import fold_session
 
@@ -152,12 +153,25 @@ def key_table(seed: int = 5) -> dict[str, np.ndarray]:
     }
 
 
+def joined_tables(seed: int = 9) -> dict[str, dict[str, np.ndarray]]:
+    """``t`` and ``u`` both have a column ``g``: 0–2 in ``t``, 10–13 in ``u``."""
+    rng = np.random.default_rng(seed)
+    return {
+        "t": {"k": rng.integers(0, 4, KEY_ROWS), "g": rng.integers(0, 3, KEY_ROWS),
+              "y": rng.gamma(2.0, 5.0, KEY_ROWS)},
+        "u": {"k": np.arange(4), "g": np.arange(10, 14)},
+    }
+
+
 @pytest.fixture(scope="module", params=["builtin", "sqlite"])
 def session(request):
     session = fold_session(request.param)
     session.load_table("keys", key_table())
     session.create_sample("keys", SampleSpec("uniform", (), 0.1))
     session.create_sample("keys", SampleSpec("hashed", ("h",), 0.1))
+    for name, columns in joined_tables().items():
+        session.load_table(name, columns)
+    session.create_sample("t", SampleSpec("uniform", (), 0.1))
     yield session
     session.close()
 
@@ -295,3 +309,49 @@ def test_a_distinct_aggregate_without_an_estimator_answers_as_exact_mode(session
     answer = session.sql(sql)
     assert answer.is_exact, answer.plan_description
     assert answer.fetchall() == exact
+
+
+def test_a_column_names_no_grouping_key_of_another_table(session):
+    """``t.g`` is not ``u.g``: the engine raises, SQLite answers with some
+    ``t.g`` of each group, and approximate mode says what exact mode says."""
+    sql = "SELECT t.g, count(*) AS c FROM t INNER JOIN u ON t.k = u.k GROUP BY u.g"
+    if isinstance(session.connector, BuiltinConnector):
+        for options in (EXACT, None):
+            with pytest.raises(ReproError, match="t.g"):
+                session.sql(sql, options=options)
+        return
+    exact = session.sql(sql, options=EXACT).fetchall()
+    answer = session.sql(sql)
+    assert answer.is_exact, answer.plan_description
+    assert answer.fetchall() == exact
+    assert {g for g, _count in exact} <= {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT t.g, count(*) AS c FROM t GROUP BY g ORDER BY t.g",
+        "SELECT g, count(*) AS c FROM t GROUP BY t.g ORDER BY g",
+    ],
+)
+def test_a_qualifier_that_fits_the_grouping_key_names_it(session, sql):
+    exact = session.sql(sql, options=EXACT)
+    answer = session.sql(sql)
+    assert not answer.is_exact, answer.plan_description
+    assert answer.column_names() == exact.column_names()
+    assert [int(g) for g in answer.column("g")] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "tail", ["HAVING count(*) > 500", "ORDER BY total DESC LIMIT 5", "LIMIT 5 OFFSET 2"]
+)
+def test_a_derived_tables_group_filter_runs_exactly(session, tail):
+    """HAVING, LIMIT and OFFSET keep or drop whole groups of the derived
+    table, which its per-(group, subsample) rows cannot decide."""
+    sql = (
+        "SELECT avg(total) AS a FROM "
+        f"(SELECT store_id, sum(price) AS total FROM sales GROUP BY store_id {tail}) AS q"
+    )
+    answer = session.sql(sql)
+    assert answer.is_exact, answer.plan_description
+    assert answer.fetchall() == session.sql(sql, options=EXACT).fetchall()

@@ -367,6 +367,22 @@ class TestOrderByOrdinals:
             engine.execute(sql)
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT g, sum(x) AS s, avg(x) AS a FROM u GROUP BY g ORDER BY g",
+        "SELECT g, abs(x) AS a FROM u",
+    ],
+)
+def test_a_null_in_an_object_column_of_numbers_is_null(both_backends, answers, sql):
+    engine, sqlite = both_backends({"u": {"g": [1, 1, 2], "x": [2.5, None, 4.0]}})
+    try:
+        ours, theirs = answers(engine, sqlite, sql, ordered=False)
+    finally:
+        sqlite.close()
+    assert ours == theirs
+
+
 def _count_renders(monkeypatch) -> list[str]:
     """Record every ``to_sql()`` call on any AST node class."""
     from repro.sqlengine import sqlast as ast

@@ -328,9 +328,12 @@ class TestRep004ErrorBoundary:
 
 
 class TestRep006Determinism:
-    def test_fires_on_unseeded_rng_wall_clock_and_global_random(self):
+    @pytest.mark.parametrize(
+        "path", ["src/repro/sqlengine/executor.py", "src/repro/sqlengine/tail.py"]
+    )
+    def test_fires_on_unseeded_rng_wall_clock_and_global_random(self, path):
         result = lint_one(
-            "src/repro/sqlengine/executor.py",
+            path,
             """
             import random
             import time

@@ -3,8 +3,8 @@
 The optimized executor is only admissible because its results are
 *provably bit-identical* to the naive path (``optimize=False``) for a fixed
 seed; any unseeded randomness or wall-clock dependence inside
-``executor.py`` silently breaks that proof (and makes the chaos suite's
-replayed schedules meaningless).  Randomness is allowed only through
+``executor.py``, or the grouped tail it runs (``tail.py``), silently breaks
+that proof (and makes the chaos suite's replayed schedules meaningless).  Randomness is allowed only through
 explicitly seeded generators; timing is allowed only via the monotonic
 clock (deadlines, backoff), never the wall clock.
 
@@ -57,7 +57,9 @@ class DeterminismRule(Rule):
     description = (
         "the executor uses only seeded randomness and the monotonic clock"
     )
-    scope = ("src/repro/sqlengine/executor.py",)
+    # The grouped tail (select arithmetic, HAVING, ORDER BY, LIMIT) runs in
+    # tail.py for the executor and the middleware's fold alike.
+    scope = ("src/repro/sqlengine/executor.py", "src/repro/sqlengine/tail.py")
 
     def check_module(self, module: ModuleSource) -> list[Finding]:
         stdlib_random_aliases = self._stdlib_random_aliases(module)
