@@ -144,7 +144,7 @@ class AqpRewriter:
           over a dimension-sized group — is computed exactly;
         * ``count(DISTINCT)`` ones to one per-group statement over the hashed
           sample, which counts and does not scale: the fold divides by the
-          sample's ratio;
+          sample's kept share of non-NULL keys (:attr:`SampleInfo.key_ratio`);
         * min / max to one exact per-group statement over the base tables.
 
         No part has HAVING, ORDER BY, LIMIT or OFFSET: the fold stitches the
@@ -164,7 +164,7 @@ class AqpRewriter:
             relation, sampled = _substitute_relations(distinct.from_relation, plan)
             parts.append(dataclasses.replace(distinct, from_relation=relation))
             fold.parts.append("count_distinct")
-            hashed = [info.effective_ratio for _, info in sampled if info.sample_type == "hashed"]
+            hashed = [info.key_ratio for _, info in sampled if info.sample_type == "hashed"]
             fold.distinct_ratio = min([1.0, *hashed])
         extreme = builder.per_group_statement("extreme")
         if extreme is not None:

@@ -22,7 +22,12 @@ from repro.errors import (
 )
 from repro.sampling import creators, policy
 from repro.sampling.metadata import MetadataStore
-from repro.sampling.params import SampleInfo, SampleSpec, SamplingPolicyConfig
+from repro.sampling.params import (
+    PROBABILITY_COLUMN,
+    SampleInfo,
+    SampleSpec,
+    SamplingPolicyConfig,
+)
 from repro.subsampling.sid import default_subsample_count
 
 
@@ -98,8 +103,9 @@ class SampleBuilder:
         """One build attempt (see :meth:`create_sample` for the public docs).
 
         The sample is written straight into its final table by one
-        ``CREATE TABLE AS SELECT`` (two passes plus a randomized copy for a
-        stratified sample), in the order the backend produces the rows.
+        ``CREATE TABLE AS SELECT`` (for a stratified sample, the last of
+        four: strata sizes, a randomized copy, per-stratum probabilities),
+        in the order the backend produces the rows.
         """
         if not self._connector.has_table(original_table):
             raise SamplingError(f"table {original_table!r} does not exist")
@@ -121,7 +127,9 @@ class SampleBuilder:
             )
             self._connector.execute(statement)
         elif spec.sample_type == "stratified":
-            self._create_stratified(original_table, sample_table, spec, subsample_count)
+            self._create_stratified(
+                original_table, original_rows, sample_table, spec, subsample_count
+            )
         else:
             raise SamplingError(f"cannot build sample of type {spec.sample_type!r}")
 
@@ -142,47 +150,66 @@ class SampleBuilder:
     def _create_stratified(
         self,
         original_table: str,
+        original_rows: int,
         sample_table: str,
         spec: SampleSpec,
         subsample_count: int,
     ) -> None:
-        """Two-pass probabilistic stratified sampling (Section 3.2)."""
-        temp_table = f"{sample_table}_sizes"
+        """Two-pass probabilistic stratified sampling (Section 3.2).
+
+        The first pass counts each stratum's rows; one statement over those
+        counts evaluates the Lemma 1 staircase once per stratum; the second
+        pass draws every row of a randomized copy against its stratum's
+        probability.  An empty table has no strata and yields an empty
+        sample.  Every helper table is dropped, whether or not the build
+        succeeds.
+        """
+        sizes_table = f"{sample_table}_sizes"
+        probability_table = f"{sample_table}_probs"
         randomized_table = f"{sample_table}_rand"
-        self._connector.drop_table(temp_table, if_exists=True)
-        self._connector.drop_table(randomized_table, if_exists=True)
-        self._connector.execute(
-            creators.strata_size_statement(original_table, temp_table, spec.columns)
-        )
-        self._connector.execute(
-            creators.randomized_copy_statement(original_table, randomized_table)
-        )
+        helpers = (sizes_table, probability_table, randomized_table)
         try:
-            strata_count = max(1, self._connector.row_count(temp_table))
-            original_rows = self._connector.row_count(original_table)
-            max_strata_size = int(
-                float(
-                    self._connector.execute(
-                        f"SELECT max(vdb_strata_size) AS m FROM {temp_table}"
-                    ).scalar()
-                )
+            for table in helpers:
+                self._connector.drop_table(table, if_exists=True)
+            self._connector.execute(
+                creators.strata_size_statement(original_table, sizes_table, spec.columns)
             )
+            self._connector.execute(
+                creators.randomized_copy_statement(original_table, randomized_table)
+            )
+            strata_count = max(1, self._connector.row_count(sizes_table))
+            max_strata_size = int(self._max_of(sizes_table, "vdb_strata_size"))
             # Equation 1: each stratum needs at least |T| * tau / d tuples.
             min_rows = max(1, int(math.ceil(original_rows * spec.ratio / strata_count)))
+            self._connector.execute(
+                creators.strata_probability_statement(
+                    sizes_table,
+                    probability_table,
+                    spec.columns,
+                    min_rows_per_stratum=min_rows,
+                    max_strata_size=max_strata_size,
+                )
+            )
             statement = creators.stratified_sample_statement(
                 randomized_table,
                 sample_table,
-                temp_table,
+                probability_table,
                 spec.columns,
                 source_columns=self._connector.column_names(original_table),
-                min_rows_per_stratum=min_rows,
-                max_strata_size=max_strata_size,
+                max_probability=self._max_of(probability_table, PROBABILITY_COLUMN),
                 subsample_count=subsample_count,
             )
             self._connector.execute(statement)
         finally:
-            self._connector.drop_table(temp_table, if_exists=True)
-            self._connector.drop_table(randomized_table, if_exists=True)
+            for table in helpers:
+                self._connector.drop_table(table, if_exists=True)
+
+    def _max_of(self, table: str, column: str) -> float:
+        """``max(column)`` of ``table``; 0 when the table has no rows."""
+        value = self._connector.execute(f"SELECT max({column}) AS m FROM {table}").scalar()
+        if value is None or math.isnan(float(value)):
+            return 0.0
+        return float(value)
 
     def create_samples(
         self, original_table: str, specs: list[SampleSpec] | None = None,

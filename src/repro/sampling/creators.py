@@ -8,6 +8,14 @@ Each sample table carries two bookkeeping columns:
   Horvitz–Thompson estimators in the rewritten queries;
 * ``vdb_sid`` — the tuple's subsample id in ``1..b``, used by variational
   subsampling.
+
+A uniform or hashed sample is one statement.  A stratified sample is four,
+each O(1) in the number of strata: the strata sizes
+(:func:`strata_size_statement`), a copy of the table with one random draw per
+row (:func:`randomized_copy_statement`), one row per stratum with its Lemma 1
+probability (:func:`strata_probability_statement`), and the sample
+(:func:`stratified_sample_statement`), which bounds the draw by the largest
+probability before it joins each row to its stratum's.
 """
 
 from __future__ import annotations
@@ -63,8 +71,7 @@ def hashed_sample_statement(
         key = ast.ColumnRef(columns[0])
     else:
         key = ast.func("concat", *[ast.ColumnRef(column) for column in columns])
-    null_key = ast.conjunction([ast.IsNull(ast.ColumnRef(column)) for column in columns])
-    probability = ast.CaseWhen([(null_key, ast.Literal(1.0))], ast.Literal(float(ratio)))
+    probability = ast.CaseWhen([(_null_key(columns), ast.Literal(1.0))], ast.Literal(float(ratio)))
     select = ast.SelectStatement(
         select_items=[
             ast.SelectItem(ast.Star()),
@@ -75,6 +82,26 @@ def hashed_sample_statement(
         where=ast.BinaryOp("<", ast.func("vdb_hash", key), ast.Literal(float(ratio))),
     )
     return ast.CreateTableStatement(table_name=sample_table, as_select=select)
+
+
+def null_key_count_statement(sample_table: str, columns: tuple[str, ...]) -> ast.SelectStatement:
+    """``count(*)`` of a hashed sample's rows whose key columns are all NULL.
+
+    Those rows are the census :func:`hashed_sample_statement` keeps with
+    probability 1, so the count is also the base table's.
+    """
+    return ast.SelectStatement(
+        select_items=[ast.SelectItem(ast.func("count", ast.Star()), alias="n")],
+        from_relation=ast.TableRef(sample_table),
+        where=_null_key(columns),
+    )
+
+
+def _null_key(columns: tuple[str, ...]) -> ast.Expression:
+    """``c1 IS NULL AND c2 IS NULL ...``: a key of NULLs only."""
+    condition = ast.conjunction([ast.IsNull(ast.ColumnRef(column)) for column in columns])
+    assert condition is not None, "a hashed sample has a key column"
+    return condition
 
 
 def strata_size_statement(
@@ -115,23 +142,58 @@ def randomized_copy_statement(source_table: str, target_table: str) -> ast.Creat
     return ast.CreateTableStatement(table_name=target_table, as_select=select)
 
 
+def strata_probability_statement(
+    sizes_table: str,
+    target_table: str,
+    columns: tuple[str, ...],
+    min_rows_per_stratum: int,
+    max_strata_size: int,
+    delta: float = bernoulli.DEFAULT_DELTA,
+) -> ast.CreateTableStatement:
+    """CTAS of one row per stratum: its key and its sampling probability.
+
+    The probability is the Lemma 1 staircase evaluated on the stratum size
+    of the first pass (:func:`strata_size_statement`), once per stratum, so
+    the per-row pass only reads it.
+    """
+    staircase = bernoulli.staircase_case_expression(
+        ast.ColumnRef("vdb_strata_size"),
+        min_rows=min_rows_per_stratum,
+        max_strata_size=max_strata_size,
+        delta=delta,
+    )
+    select = ast.SelectStatement(
+        select_items=[
+            *[ast.SelectItem(ast.ColumnRef(column), alias=column) for column in columns],
+            ast.SelectItem(staircase, alias=PROBABILITY_COLUMN),
+        ],
+        from_relation=ast.TableRef(sizes_table),
+    )
+    return ast.CreateTableStatement(table_name=target_table, as_select=select)
+
+
 def stratified_sample_statement(
     randomized_table: str,
     sample_table: str,
-    temp_table: str,
+    probability_table: str,
     columns: tuple[str, ...],
     source_columns: list[str],
-    min_rows_per_stratum: int,
-    max_strata_size: int,
+    max_probability: float,
     subsample_count: int,
-    delta: float = bernoulli.DEFAULT_DELTA,
 ) -> ast.CreateTableStatement:
     """Second pass of stratified sampling: probabilistic per-stratum Bernoulli.
 
-    ``randomized_table`` is the output of :func:`randomized_copy_statement`.
-    The per-tuple sampling probability is the Lemma 1 staircase evaluated on
-    the stratum size computed in the first pass; the same CASE expression is
-    stored as the tuple's ``vdb_sampling_prob`` so the estimators can invert it.
+    ``randomized_table`` is the output of :func:`randomized_copy_statement`
+    and ``probability_table`` that of :func:`strata_probability_statement`.
+    A tuple is kept when its draw falls below its stratum's probability,
+    which is stored as the tuple's ``vdb_sampling_prob`` so the estimators
+    can invert it.
+
+    No stratum's probability exceeds ``max_probability``, the largest one in
+    ``probability_table``, so the single-table conjunct ``draw <
+    max_probability`` keeps every tuple the per-stratum comparison keeps.  A
+    backend applies it to the scan of the randomized copy: only about a
+    ``max_probability`` share of the rows reaches the join.
 
     The join matches NULL strata keys to each other: ``GROUP BY`` in the first
     pass keeps a NULL stratum, and its rows must stay in the sample (as they
@@ -139,12 +201,8 @@ def stratified_sample_statement(
     """
     source_alias = "vdb_src"
     temp_alias = "vdb_sizes"
-    staircase = bernoulli.staircase_case_expression(
-        ast.ColumnRef("vdb_strata_size", table=temp_alias),
-        min_rows=min_rows_per_stratum,
-        max_strata_size=max_strata_size,
-        delta=delta,
-    )
+    draw = ast.ColumnRef(RANDOM_DRAW_COLUMN, table=source_alias)
+    probability = ast.ColumnRef(PROBABILITY_COLUMN, table=temp_alias)
     join_condition = ast.conjunction(
         [
             ast.null_safe_equal(
@@ -160,17 +218,20 @@ def stratified_sample_statement(
                 ast.SelectItem(ast.ColumnRef(column, table=source_alias), alias=column)
                 for column in source_columns
             ],
-            ast.SelectItem(staircase, alias=PROBABILITY_COLUMN),
+            ast.SelectItem(probability, alias=PROBABILITY_COLUMN),
             ast.SelectItem(sid_expression(subsample_count), alias=SID_COLUMN),
         ],
         from_relation=ast.Join(
             left=ast.TableRef(randomized_table, alias=source_alias),
-            right=ast.TableRef(temp_table, alias=temp_alias),
+            right=ast.TableRef(probability_table, alias=temp_alias),
             condition=join_condition,
             join_type="INNER",
         ),
-        where=ast.BinaryOp(
-            "<", ast.ColumnRef(RANDOM_DRAW_COLUMN, table=source_alias), staircase
+        where=ast.conjunction(
+            [
+                ast.BinaryOp("<", draw, ast.Literal(float(max_probability))),
+                ast.BinaryOp("<", draw, probability),
+            ]
         ),
     )
     return ast.CreateTableStatement(table_name=sample_table, as_select=select)

@@ -39,7 +39,12 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class SampleInfo:
-    """Metadata describing one sample table stored in the underlying database."""
+    """Metadata describing one sample table stored in the underlying database.
+
+    ``null_key_rows`` counts a hashed sample's rows whose key columns are all
+    NULL.  It is not stored in the metadata table: a session reads it from
+    the sample table, as a fact, when it plans a query (0 until then).
+    """
 
     original_table: str
     sample_table: str
@@ -49,6 +54,7 @@ class SampleInfo:
     original_rows: int = 0
     sample_rows: int = 0
     subsample_count: int = 100
+    null_key_rows: int = 0
 
     @property
     def effective_ratio(self) -> float:
@@ -56,6 +62,20 @@ class SampleInfo:
         if self.original_rows <= 0:
             return self.ratio
         return self.sample_rows / self.original_rows
+
+    @property
+    def key_ratio(self) -> float:
+        """Kept share of the rows whose key is not all NULL.
+
+        A hashed sample keeps each key with probability ``tau`` and every row
+        of a NULL-only key with probability 1 (a census of ``null_key_rows``
+        rows); ``tau`` is estimated from the other rows, so the census does
+        not inflate it.  With no such row it is :attr:`effective_ratio`.
+        """
+        keyed_rows = self.original_rows - self.null_key_rows
+        if self.null_key_rows <= 0 or keyed_rows <= 0:
+            return self.effective_ratio
+        return (self.sample_rows - self.null_key_rows) / keyed_rows
 
     def matches_columns(self, needed: tuple[str, ...]) -> bool:
         """True when this sample is keyed on exactly the needed column set."""

@@ -3,9 +3,10 @@
 A hashed (universe) sample keeps a row when its key hashes below the
 sampling ratio.  A key of NULLs only hashes as the empty string, below every
 ratio, so every such row is kept: those rows are a census and carry
-probability 1, in the built sample and in every appended batch alike.  And
+probability 1, in the built sample and in every appended batch alike.  So a
+``count(DISTINCT x)`` is scaled by the kept share of the other rows only.  And
 ``count(x)`` and ``avg(x)`` weigh only the rows whose ``x`` is not NULL, as
-exact mode counts them.  Both hold on both connectors.
+exact mode counts them.  All hold on both connectors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro import ExecutionOptions, VerdictSession
 from repro.connectors import BuiltinConnector, SqliteConnector
 from repro.core.sample_planner import PlannerConfig
+from repro.sampling import SampleSpec
 from repro.sqlengine import Database
 
 ROWS = 40_000
@@ -81,3 +83,31 @@ def test_count_and_avg_weigh_only_rows_whose_argument_is_not_null(session, sql):
         ours = answer.column(column).astype(float)
         truth = exact.column(column).astype(float)
         np.testing.assert_allclose(ours, truth, rtol=0.3)
+
+
+@pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+def test_count_distinct_scales_by_the_kept_share_of_non_null_keys(backend):
+    # Half of x is NULL: the census of NULL keys makes the x-hashed sample's
+    # row share 0.55, and dividing by it read 5,675 distinct values of 31,404.
+    def table(rows: int, seed: int) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 50_000, rows).astype(np.float64)
+        x[rng.random(rows) < 0.5] = np.nan
+        return {"x": x}
+
+    connector = BuiltinConnector(seed=3) if backend == "builtin" else SqliteConnector(seed=3)
+    session = VerdictSession(connector)
+    try:
+        session.load_table("t", table(100_000, seed=9))
+        session.create_sample("t", SampleSpec("hashed", ("x",), 0.1))
+        sql = "SELECT count(DISTINCT x) AS d FROM t"
+        for _ in range(2):  # as built, then after an append of NULLs and keys
+            answer = session.sql(sql)
+            assert not answer.is_exact, answer.plan_description
+            exact = float(session.sql(sql, options=EXACT).fetchall()[0][0])
+            assert float(answer.fetchall()[0][0]) == pytest.approx(exact, rel=0.05)
+            interval = answer.confidence_interval("d")
+            assert interval.lower <= exact <= interval.upper, interval
+            session.append_data("t", table(20_000, seed=10))
+    finally:
+        session.close()

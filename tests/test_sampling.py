@@ -1,5 +1,7 @@
 """Tests for sample preparation: Lemma 1, builders, policy, metadata, maintenance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from repro.sampling import (
     required_sampling_probability,
     staircase_probabilities,
 )
-from repro.sampling import bernoulli
+from repro.faults import InjectedFault
+from repro.sampling import bernoulli, creators
 from repro.sqlengine import Database, sqlast as ast
 from tests.conftest import build_orders_columns
 
@@ -184,6 +187,207 @@ class TestSampleBuilder:
             SampleSpec("hashed", (), 0.1)
 
 
+def _stratified_tables() -> dict[str, dict[str, np.ndarray]]:
+    rng = np.random.default_rng(8)
+    rows = 20_000
+    return {
+        # A NULL stratum among two large ones and a thin one.
+        "nulls": {
+            "id": np.arange(rows),
+            "price": rng.normal(10.0, 2.0, rows),
+            "city": rng.choice(
+                np.array(["a", "b", None, "d"], dtype=object), rows, p=[0.6, 0.3, 0.07, 0.03]
+            ),
+        },
+        # One stratum of five rows: below Equation 1's minimum, so it is kept
+        # with probability 1, the largest probability of the build.
+        "skewed": {
+            "id": np.arange(rows),
+            "price": rng.normal(10.0, 2.0, rows),
+            "city": np.where(np.arange(rows) < 5, "tiny", "big").astype(object),
+        },
+    }
+
+
+def _connector(backend: str, tables: dict[str, dict[str, np.ndarray]]):
+    connector = BuiltinConnector(seed=3) if backend == "builtin" else SqliteConnector(seed=3)
+    for name, columns in tables.items():
+        connector.load_table(name, columns)
+    return connector
+
+
+def _previous_stratified_build(connector, table: str, spec: SampleSpec, subsample_count: int):
+    """The build before strata probabilities had their own table: the
+    staircase CASE over every row of the randomized copy joined to the
+    strata sizes, in the select list and in the WHERE."""
+    sample_table = SampleBuilder.sample_table_name(table, spec)
+    sizes_table, randomized_table = f"{sample_table}_sizes", f"{sample_table}_rand"
+    connector.execute(creators.strata_size_statement(table, sizes_table, spec.columns))
+    connector.execute(creators.randomized_copy_statement(table, randomized_table))
+    strata = connector.row_count(sizes_table)
+    max_size = int(
+        float(connector.execute(f"SELECT max(vdb_strata_size) AS m FROM {sizes_table}").scalar())
+    )
+    min_rows = max(1, math.ceil(connector.row_count(table) * spec.ratio / strata))
+    staircase = bernoulli.staircase_case_expression(
+        ast.ColumnRef("vdb_strata_size", table="z"), min_rows, max_size
+    )
+    select = ast.SelectStatement(
+        select_items=[
+            *[
+                ast.SelectItem(ast.ColumnRef(column, table="r"), alias=column)
+                for column in connector.column_names(table)
+            ],
+            ast.SelectItem(staircase, alias=PROBABILITY_COLUMN),
+            ast.SelectItem(creators.sid_expression(subsample_count), alias=SID_COLUMN),
+        ],
+        from_relation=ast.Join(
+            left=ast.TableRef(randomized_table, alias="r"),
+            right=ast.TableRef(sizes_table, alias="z"),
+            condition=ast.conjunction(
+                [
+                    ast.null_safe_equal(ast.ColumnRef(c, table="r"), ast.ColumnRef(c, table="z"))
+                    for c in spec.columns
+                ]
+            ),
+            join_type="INNER",
+        ),
+        where=ast.BinaryOp(
+            "<", ast.ColumnRef(creators.RANDOM_DRAW_COLUMN, table="r"), staircase
+        ),
+    )
+    connector.execute(ast.CreateTableStatement(table_name=sample_table, as_select=select))
+    return sample_table
+
+
+class TestStratifiedBuild:
+    """The staircase is evaluated once per stratum, and the per-row pass
+    draws against a bound before it joins; the sample is the same."""
+
+    @pytest.mark.parametrize("table", ["nulls", "skewed"])
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_sample_equals_the_previous_builds(self, backend, table):
+        spec = SampleSpec("stratified", ("city",), 0.05)
+        tables = _stratified_tables()
+        built, previous = _connector(backend, tables), _connector(backend, tables)
+        try:
+            info = SampleBuilder(built, subsample_count=50).create_sample(table, spec)
+            reference = _previous_stratified_build(previous, table, spec, subsample_count=50)
+            rows = built.execute(f"SELECT * FROM {info.sample_table}").fetchall()
+            expected = previous.execute(f"SELECT * FROM {reference}").fetchall()
+            assert len(rows) == info.sample_rows > 0
+            assert repr(rows) == repr(expected)
+            largest = float(
+                built.execute(f"SELECT max({PROBABILITY_COLUMN}) AS p FROM {info.sample_table}")
+                .scalar()
+            )
+            assert (largest == 1.0) == (table == "skewed")
+        finally:
+            built.close()
+            previous.close()
+
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_every_probability_is_its_strata_staircase_step(self, backend):
+        columns = _stratified_tables()["nulls"]
+        connector = _connector(backend, {"t": columns})
+        try:
+            info = SampleBuilder(connector, subsample_count=50).create_sample(
+                "t", SampleSpec("stratified", ("city",), 0.05)
+            )
+            keys, sizes = np.unique(columns["city"].astype(str), return_counts=True)
+            size_of = dict(zip(keys.tolist(), sizes.tolist()))
+            min_rows = math.ceil(len(columns["id"]) * 0.05 / len(size_of))
+            steps = bernoulli.staircase_probabilities(min_rows, int(sizes.max()))
+
+            def staircase(size: int) -> float:
+                threshold, probability = max(step for step in steps if step[0] <= size)
+                return 1.0 if threshold == 0 else round(probability, 8)
+
+            result = connector.execute(
+                f"SELECT city, {PROBABILITY_COLUMN} FROM {info.sample_table}"
+            )
+            seen = set()
+            for city, probability in result.rows():
+                key = "None" if _is_null(city) else city
+                seen.add(key)
+                assert float(probability) == staircase(size_of[key]), key
+            assert seen == set(size_of) and "None" in seen
+        finally:
+            connector.close()
+
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_no_per_row_statement_evaluates_the_staircase(self, backend, monkeypatch):
+        connector = _connector(backend, _stratified_tables())
+        issued: list[str] = []
+        execute = connector.execute
+
+        def recording(statement, *args, **kwargs):
+            if not isinstance(statement, str):
+                issued.append(connector.syntax_changer.to_sql(statement))
+            return execute(statement, *args, **kwargs)
+
+        monkeypatch.setattr(connector, "execute", recording)
+        try:
+            info = SampleBuilder(connector, subsample_count=50).create_sample(
+                "nulls", SampleSpec("stratified", ("city",), 0.05)
+            )
+            with_case = [sql for sql in issued if "CASE" in sql.upper()]
+            assert len(with_case) == 1
+            assert f"FROM {info.sample_table}_sizes" in with_case[0]
+            assert any(sql.startswith(f"CREATE TABLE {info.sample_table} AS") for sql in issued)
+        finally:
+            connector.close()
+
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_an_empty_table_gives_an_empty_sample(self, backend):
+        empty = {
+            "id": np.arange(0),
+            "city": np.array([], dtype=object),
+            "grade": np.array([], dtype=np.float64),
+        }
+        connector = _connector(backend, {"e": empty})
+        try:
+            builder = SampleBuilder(connector, subsample_count=50)
+            uniform = builder.create_sample("e", SampleSpec("uniform", (), 0.1))
+            before = set(connector.table_names())
+            for columns in (("city",), ("city", "grade")):
+                info = builder.create_sample("e", SampleSpec("stratified", columns, 0.1))
+                assert info.sample_rows == 0 == connector.row_count(info.sample_table)
+                assert connector.column_names(info.sample_table) == connector.column_names(
+                    uniform.sample_table
+                )
+                before.add(info.sample_table)
+            assert set(connector.table_names()) == before
+        finally:
+            connector.close()
+
+    @pytest.mark.parametrize("failing_suffix", ["", "_probs", "_rand"])
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_a_failed_pass_leaves_no_helper_table(self, backend, failing_suffix, monkeypatch):
+        # "" is the final pass, the others are helper tables' CTAS.
+        connector = _connector(backend, _stratified_tables())
+        spec = SampleSpec("stratified", ("city",), 0.05)
+        failing_table = SampleBuilder.sample_table_name("nulls", spec) + failing_suffix
+        execute = connector.execute
+
+        def failing(statement, *args, **kwargs):
+            if (
+                isinstance(statement, ast.CreateTableStatement)
+                and statement.table_name == failing_table
+            ):
+                raise InjectedFault(f"injected fault creating {failing_table}")
+            return execute(statement, *args, **kwargs)
+
+        monkeypatch.setattr(connector, "execute", failing)
+        try:
+            before = set(connector.table_names())
+            with pytest.raises(SamplingError):
+                SampleBuilder(connector, subsample_count=50).create_sample("nulls", spec)
+            assert set(connector.table_names()) == before
+        finally:
+            connector.close()
+
+
 class TestDefaultPolicy:
     def test_policy_proposes_uniform_hashed_and_stratified(self):
         connector = BuiltinConnector(seed=0)
@@ -330,6 +534,10 @@ class TestMetadataStore:
 
         info = SampleInfo("t", "t_s", "stratified", ("a", "b"), 0.01, 1000, 25, 100)
         assert info.effective_ratio == pytest.approx(0.025)
+        assert info.key_ratio == info.effective_ratio
+        # 400 rows of a NULL-only key, all kept: tau is 60 of the other 600 rows.
+        hashed = SampleInfo("t", "t_h", "hashed", ("a",), 0.1, 1000, 460, 100, 400)
+        assert hashed.key_ratio == pytest.approx(60 / 600)
         assert info.covers_columns(("A",))
         assert not info.covers_columns(("c",))
         assert info.matches_columns(("a", "b"))
