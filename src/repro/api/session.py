@@ -637,7 +637,7 @@ class VerdictSession:
                 candidates = [
                     info for info in candidates if info.sample_table.lower() == hinted
                 ]
-            samples_by_table[key] = [self._with_null_keys(info, token) for info in candidates]
+            samples_by_table[key] = [self._with_census(info, token) for info in candidates]
             table_rows[key] = self._fact(
                 ("rows", key), token, partial(self.connector.row_count, table.name)
             )
@@ -683,17 +683,17 @@ class VerdictSession:
                 continue
         return estimate
 
-    def _with_null_keys(self, info: SampleInfo, token: object) -> SampleInfo:
-        """A hashed sample's info with its ``null_key_rows`` read (a fact)."""
+    def _with_census(self, info: SampleInfo, token: object) -> SampleInfo:
+        """A hashed sample's info with its ``census_rows`` read (a fact)."""
         if info.sample_type != "hashed":
             return info
 
         def read() -> int:
-            statement = creators.null_key_count_statement(info.sample_table, info.columns)
+            statement = creators.census_count_statement(info.sample_table)
             return int(float(self.connector.execute(statement).scalar()))
 
-        null_key_rows = self._fact(("null_keys", info.sample_table.lower()), token, read)
-        return dataclasses.replace(info, null_key_rows=null_key_rows) if null_key_rows else info
+        census_rows = self._fact(("census", info.sample_table.lower()), token, read)
+        return dataclasses.replace(info, census_rows=census_rows) if census_rows else info
 
     # -- approximate execution -----------------------------------------------------------
 

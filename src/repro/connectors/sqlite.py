@@ -92,6 +92,11 @@ class SqliteConnector(Connector):
             / 4294967296.0,
         )
         connection.create_function("crc32", 1, lambda value: zlib.crc32(str(value).encode("utf-8")))
+        # The engine's concat, which a compound hashed-sample key is built
+        # with (SQLite 3.40 has none): a NULL part adds nothing.
+        connection.create_function(
+            "concat", -1, lambda *parts: "".join("" if part is None else str(part) for part in parts)
+        )
         connection.create_function("sqrt", 1, lambda value: None if value is None else math.sqrt(value))
         connection.create_function("floor", 1, lambda value: None if value is None else math.floor(value))
         connection.create_function("ceil", 1, lambda value: None if value is None else math.ceil(value))

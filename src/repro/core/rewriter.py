@@ -144,7 +144,8 @@ class AqpRewriter:
           over a dimension-sized group — is computed exactly;
         * ``count(DISTINCT)`` ones to one per-group statement over the hashed
           sample, which counts and does not scale: the fold divides by the
-          sample's kept share of non-NULL keys (:attr:`SampleInfo.key_ratio`);
+          sample's kept share of the rows outside its census
+          (:attr:`SampleInfo.key_ratio`);
         * min / max to one exact per-group statement over the base tables.
 
         No part has HAVING, ORDER BY, LIMIT or OFFSET: the fold stitches the

@@ -30,13 +30,18 @@ from repro.sampling.params import (
 )
 from repro.subsampling.sid import default_subsample_count
 
+#: Retries of a failed build, and the seconds before the first (doubled for
+#: each further one, plus up to as much again of jitter).
+_RETRIES = 1
+_RETRY_BACKOFF = 0.05
+
 
 class SampleBuilder:
     """Creates and drops sample tables for one connector.
 
     Sample builds issue many statements against the backend, so a transient
     backend failure mid-build is the common case, not the exception.  Each
-    build is retried ``retries`` times with exponential backoff + jitter
+    build is retried once with exponential backoff + jitter
     (the build's DROP-first preamble makes a retry safe); once retries are
     exhausted a :class:`~repro.errors.SamplingError` surfaces so the caller
     can fall back to exact execution.
@@ -47,14 +52,10 @@ class SampleBuilder:
         connector: Connector,
         metadata: MetadataStore | None = None,
         subsample_count: int | None = None,
-        retries: int = 1,
-        retry_backoff: float = 0.05,
     ) -> None:
         self._connector = connector
         self.metadata = metadata if metadata is not None else MetadataStore(connector)
         self._subsample_count = subsample_count
-        self._retries = max(0, int(retries))
-        self._retry_backoff = retry_backoff
         self._rng = np.random.default_rng(0)
 
     # -- naming -----------------------------------------------------------------
@@ -77,12 +78,12 @@ class SampleBuilder:
         deadline expiry or cancellation is never retried.  See the class
         docstring.
         """
-        attempts = self._retries + 1
+        attempts = _RETRIES + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
             if attempt:
-                base = self._retry_backoff * (2 ** (attempt - 1))
-                time.sleep(base + float(self._rng.random()) * self._retry_backoff)
+                base = _RETRY_BACKOFF * (2 ** (attempt - 1))
+                time.sleep(base + float(self._rng.random()) * _RETRY_BACKOFF)
                 self._connector.record_stat("sample_build_retries")
             injector = self._connector.fault_injector
             try:
@@ -116,22 +117,13 @@ class SampleBuilder:
         sample_table = self.sample_table_name(original_table, spec)
         self._connector.drop_table(sample_table, if_exists=True)
 
-        if spec.sample_type == "uniform":
-            statement = creators.uniform_sample_statement(
-                original_table, sample_table, spec.ratio, subsample_count
-            )
-            self._connector.execute(statement)
-        elif spec.sample_type == "hashed":
-            statement = creators.hashed_sample_statement(
-                original_table, sample_table, spec.columns, spec.ratio, subsample_count
-            )
-            self._connector.execute(statement)
-        elif spec.sample_type == "stratified":
+        if spec.sample_type == "stratified":
             self._create_stratified(
                 original_table, original_rows, sample_table, spec, subsample_count
             )
         else:
-            raise SamplingError(f"cannot build sample of type {spec.sample_type!r}")
+            rule = creators.membership(spec, subsample_count)
+            self._connector.execute(creators.sample_statement(original_table, sample_table, rule))
 
         sample_rows = self._connector.row_count(sample_table)
         info = SampleInfo(
@@ -194,7 +186,7 @@ class SampleBuilder:
                 randomized_table,
                 sample_table,
                 probability_table,
-                spec.columns,
+                spec,
                 source_columns=self._connector.column_names(original_table),
                 max_probability=self._max_of(probability_table, PROBABILITY_COLUMN),
                 subsample_count=subsample_count,

@@ -1,4 +1,4 @@
-"""SQL generation for sample creation (Section 3).
+"""SQL generation for sample creation (Section 3), and the membership rule.
 
 Every sample is created through ``CREATE TABLE ... AS SELECT`` statements
 issued to the underlying database; no data flows through the middleware.
@@ -9,99 +9,118 @@ Each sample table carries two bookkeeping columns:
 * ``vdb_sid`` — the tuple's subsample id in ``1..b``, used by variational
   subsampling.
 
-A uniform or hashed sample is one statement.  A stratified sample is four,
-each O(1) in the number of strata: the strata sizes
-(:func:`strata_size_statement`), a copy of the table with one random draw per
-row (:func:`randomized_copy_statement`), one row per stratum with its Lemma 1
-probability (:func:`strata_probability_statement`), and the sample
-(:func:`stratified_sample_statement`), which bounds the draw by the largest
-probability before it joins each row to its stratum's.
+Which rows a sample keeps, with what probability and in which subsample is
+decided once per sample type, by :func:`membership`: three expressions over
+a source row.  The build selects them in its CTAS; maintenance evaluates the
+same three over an appended batch (:mod:`repro.sampling.maintenance`).
+
+A uniform or hashed sample is one statement (:func:`sample_statement`).  A
+stratified sample is four, each O(1) in the number of strata: the strata
+sizes (:func:`strata_size_statement`), a copy of the table with one random
+draw per row (:func:`randomized_copy_statement`), one row per stratum with
+its Lemma 1 probability (:func:`strata_probability_statement`), and the
+sample (:func:`stratified_sample_statement`), which bounds the draw by the
+largest probability before it joins each row to its stratum's.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from repro.errors import SamplingError
 from repro.sampling import bernoulli
-from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN
+from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo, SampleSpec
 from repro.sqlengine import sqlast as ast
+
+
+class Membership(NamedTuple):
+    """A sample type's rule over a source row: the predicate that keeps it,
+    its inclusion probability (``vdb_sampling_prob``) and its subsample id
+    in ``1..b`` (``vdb_sid``)."""
+
+    keep: ast.Expression
+    probability: ast.Expression
+    sid: ast.Expression
+
+
+def membership(
+    sample: SampleSpec | SampleInfo,
+    subsample_count: int,
+    draw: ast.Expression | None = None,
+    stratum_probability: ast.Expression | None = None,
+) -> Membership:
+    """The rule deciding which rows a sample keeps, by its type and ratio τ.
+
+    * uniform: a row whose ``draw`` (``rand()`` by default) falls below τ,
+      with probability τ;
+    * hashed: a row whose key hashes below τ, so hashed samples of
+      one ratio on one join key keep *matching* tuples (Section 5.1).  A key
+      hashing to 0 (all NULL or empty-string parts hash as ``""``) is kept
+      at every ratio: those rows are a census, with probability 1;
+    * stratified: a row whose draw falls below ``stratum_probability`` (the
+      column ``vdb_sampling_prob`` by default), with that probability.
+
+    Each row's subsample id is uniform on ``1..b``.  A type with no rule
+    raises :class:`SamplingError`: it can come from the metadata table.
+    """
+    draw = ast.func("rand") if draw is None else draw
+    sid = sid_expression(subsample_count)
+    tau = ast.Literal(float(sample.ratio))
+    if sample.sample_type == "uniform":
+        return Membership(ast.BinaryOp("<", draw, tau), tau, sid)
+    if sample.sample_type == "hashed":
+        census = ast.BinaryOp("=", _key_hash(sample.columns), ast.Literal(0.0))
+        return Membership(
+            ast.BinaryOp("<", _key_hash(sample.columns), tau),
+            ast.CaseWhen([(census, ast.Literal(1.0))], tau),
+            sid,
+        )
+    if sample.sample_type == "stratified":
+        probability = stratum_probability or ast.ColumnRef(PROBABILITY_COLUMN)
+        return Membership(ast.BinaryOp("<", draw, probability), probability, sid)
+    raise SamplingError(f"no membership rule for sample type {sample.sample_type!r}")
+
+
+def _key_hash(columns: tuple[str, ...]) -> ast.Expression:
+    """``vdb_hash(c)``, or ``vdb_hash(concat(c1, c2, ...))`` for a compound key."""
+    if len(columns) == 1:
+        return ast.func("vdb_hash", ast.ColumnRef(columns[0]))
+    return ast.func("vdb_hash", ast.func("concat", *[ast.ColumnRef(column) for column in columns]))
 
 
 def sid_expression(subsample_count: int) -> ast.Expression:
     """``1 + floor(rand() * b)`` — a uniformly random subsample id."""
-    return ast.BinaryOp(
-        "+",
-        ast.Literal(1),
-        ast.func("floor", ast.BinaryOp("*", ast.func("rand"), ast.Literal(subsample_count))),
-    )
+    scaled = ast.BinaryOp("*", ast.func("rand"), ast.Literal(subsample_count))
+    return ast.BinaryOp("+", ast.Literal(1), ast.func("floor", scaled))
 
 
-def uniform_sample_statement(
-    source_table: str, sample_table: str, ratio: float, subsample_count: int
+def sample_statement(
+    source_table: str, sample_table: str, rule: Membership
 ) -> ast.CreateTableStatement:
-    """CTAS statement building a uniform (Bernoulli) sample."""
+    """CTAS building a sample in one pass: the source rows ``rule`` keeps."""
     select = ast.SelectStatement(
         select_items=[
             ast.SelectItem(ast.Star()),
-            ast.SelectItem(ast.Literal(float(ratio)), alias=PROBABILITY_COLUMN),
-            ast.SelectItem(sid_expression(subsample_count), alias=SID_COLUMN),
+            ast.SelectItem(rule.probability, alias=PROBABILITY_COLUMN),
+            ast.SelectItem(rule.sid, alias=SID_COLUMN),
         ],
         from_relation=ast.TableRef(source_table),
-        where=ast.BinaryOp("<", ast.func("rand"), ast.Literal(float(ratio))),
+        where=rule.keep,
     )
     return ast.CreateTableStatement(table_name=sample_table, as_select=select)
 
 
-def hashed_sample_statement(
-    source_table: str,
-    sample_table: str,
-    columns: tuple[str, ...],
-    ratio: float,
-    subsample_count: int,
-) -> ast.CreateTableStatement:
-    """CTAS statement building a hashed (universe) sample on a column set.
+def census_count_statement(sample_table: str) -> ast.SelectStatement:
+    """``count(*)`` of a hashed sample's census, the rows stored with probability 1.
 
-    A tuple is kept when the uniform hash of its key columns falls below the
-    sampling ratio; two hashed samples built with the same ratio on the same
-    join key therefore keep *matching* tuples, which is what makes
-    sample-sample joins possible (Section 5.1).  A key of NULLs only hashes
-    as the empty string, below every ratio, so those tuples are all kept:
-    they are a census, with probability 1.
-    """
-    key: ast.Expression
-    if len(columns) == 1:
-        key = ast.ColumnRef(columns[0])
-    else:
-        key = ast.func("concat", *[ast.ColumnRef(column) for column in columns])
-    probability = ast.CaseWhen([(_null_key(columns), ast.Literal(1.0))], ast.Literal(float(ratio)))
-    select = ast.SelectStatement(
-        select_items=[
-            ast.SelectItem(ast.Star()),
-            ast.SelectItem(probability, alias=PROBABILITY_COLUMN),
-            ast.SelectItem(sid_expression(subsample_count), alias=SID_COLUMN),
-        ],
-        from_relation=ast.TableRef(source_table),
-        where=ast.BinaryOp("<", ast.func("vdb_hash", key), ast.Literal(float(ratio))),
-    )
-    return ast.CreateTableStatement(table_name=sample_table, as_select=select)
-
-
-def null_key_count_statement(sample_table: str, columns: tuple[str, ...]) -> ast.SelectStatement:
-    """``count(*)`` of a hashed sample's rows whose key columns are all NULL.
-
-    Those rows are the census :func:`hashed_sample_statement` keeps with
-    probability 1, so the count is also the base table's.
+    :func:`membership` stores 1 for exactly the rows whose key hashes to 0
+    (every row at ratio 1), and keeps them all: the count is the base table's.
     """
     return ast.SelectStatement(
         select_items=[ast.SelectItem(ast.func("count", ast.Star()), alias="n")],
         from_relation=ast.TableRef(sample_table),
-        where=_null_key(columns),
+        where=ast.BinaryOp("=", ast.ColumnRef(PROBABILITY_COLUMN), ast.Literal(1.0)),
     )
-
-
-def _null_key(columns: tuple[str, ...]) -> ast.Expression:
-    """``c1 IS NULL AND c2 IS NULL ...``: a key of NULLs only."""
-    condition = ast.conjunction([ast.IsNull(ast.ColumnRef(column)) for column in columns])
-    assert condition is not None, "a hashed sample has a key column"
-    return condition
 
 
 def strata_size_statement(
@@ -176,7 +195,7 @@ def stratified_sample_statement(
     randomized_table: str,
     sample_table: str,
     probability_table: str,
-    columns: tuple[str, ...],
+    spec: SampleSpec,
     source_columns: list[str],
     max_probability: float,
     subsample_count: int,
@@ -185,9 +204,9 @@ def stratified_sample_statement(
 
     ``randomized_table`` is the output of :func:`randomized_copy_statement`
     and ``probability_table`` that of :func:`strata_probability_statement`.
-    A tuple is kept when its draw falls below its stratum's probability,
-    which is stored as the tuple's ``vdb_sampling_prob`` so the estimators
-    can invert it.
+    A tuple is kept, with its stratum's probability and a subsample id, by
+    the stratified :func:`membership` rule over the materialised draw and
+    the joined per-stratum probability.
 
     No stratum's probability exceeds ``max_probability``, the largest one in
     ``probability_table``, so the single-table conjunct ``draw <
@@ -203,13 +222,14 @@ def stratified_sample_statement(
     temp_alias = "vdb_sizes"
     draw = ast.ColumnRef(RANDOM_DRAW_COLUMN, table=source_alias)
     probability = ast.ColumnRef(PROBABILITY_COLUMN, table=temp_alias)
+    rule = membership(spec, subsample_count, draw, probability)
     join_condition = ast.conjunction(
         [
             ast.null_safe_equal(
                 ast.ColumnRef(column, table=source_alias),
                 ast.ColumnRef(column, table=temp_alias),
             )
-            for column in columns
+            for column in spec.columns
         ]
     )
     select = ast.SelectStatement(
@@ -218,8 +238,8 @@ def stratified_sample_statement(
                 ast.SelectItem(ast.ColumnRef(column, table=source_alias), alias=column)
                 for column in source_columns
             ],
-            ast.SelectItem(probability, alias=PROBABILITY_COLUMN),
-            ast.SelectItem(sid_expression(subsample_count), alias=SID_COLUMN),
+            ast.SelectItem(rule.probability, alias=PROBABILITY_COLUMN),
+            ast.SelectItem(rule.sid, alias=SID_COLUMN),
         ],
         from_relation=ast.Join(
             left=ast.TableRef(randomized_table, alias=source_alias),
@@ -228,10 +248,7 @@ def stratified_sample_statement(
             join_type="INNER",
         ),
         where=ast.conjunction(
-            [
-                ast.BinaryOp("<", draw, ast.Literal(float(max_probability))),
-                ast.BinaryOp("<", draw, probability),
-            ]
+            [ast.BinaryOp("<", draw, ast.Literal(float(max_probability))), rule.keep]
         ),
     )
     return ast.CreateTableStatement(table_name=sample_table, as_select=select)

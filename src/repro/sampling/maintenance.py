@@ -1,11 +1,12 @@
 """Incremental sample maintenance for data appends (Appendix D).
 
 When a new batch of rows is appended to a base table, every existing sample
-of that table is updated in place: the batch is sampled with the same
-parameters the sample was built with and the selected rows are appended to
-the sample table.  Stratified samples reuse the per-stratum probabilities
-already stored in the sample; strata that appear for the first time are kept
-in full (probability 1) until the sample is rebuilt.
+of that table is updated in place: the membership rule its build selected
+(:func:`repro.sampling.creators.membership`) is evaluated over the batch and
+the kept rows are appended to the sample table.  Stratified samples reuse the
+per-stratum probabilities already stored in the sample; strata that appear
+for the first time are kept in full (probability 1) until the sample is
+rebuilt.
 
 The batch stays columnar from the caller to the backend
 (:meth:`~repro.connectors.base.Connector.append_columns`): each sample's
@@ -23,11 +24,12 @@ from numpy.typing import NDArray
 
 from repro.connectors.base import Columns, Connector
 from repro.errors import ExecutionError, SamplingError
+from repro.sampling import creators
 from repro.sampling.metadata import MetadataStore
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
-from repro.sqlengine import functions
 from repro.sqlengine.encoding import encode_join_keys
-from repro.sqlengine.expressions import null_mask
+from repro.sqlengine.expressions import Frame, evaluate
+from repro.sqlengine.functions import EvaluationContext
 from repro.sqlengine.table import coerce_batch, find_sorted
 
 Array = NDArray[Any]
@@ -38,24 +40,19 @@ Batch = dict[str, Array]
 class SampleMaintainer:
     """Appends data to a base table and keeps its samples consistent."""
 
-    def __init__(
-        self,
-        connector: Connector,
-        metadata: MetadataStore,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, connector: Connector, metadata: MetadataStore) -> None:
         self._connector = connector
         self._metadata = metadata
-        # Fixed seed by default (as SampleBuilder does): one seed, one data
-        # set and one sequence of appends must give one set of sample tables.
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        # A fixed seed (as SampleBuilder's): one data set and one sequence of
+        # appends must give one set of sample tables.
+        self._rng = np.random.default_rng(0)
 
     def append(self, table: str, columns: Columns) -> dict[str, int]:
         """Append a batch to ``table`` and update its samples.
 
-        The whole batch is validated before anything changes: a batch that
-        raises :class:`~repro.errors.SamplingError` leaves the base table,
-        its samples and the metadata as they were.
+        The batch and each sample's rule are checked before anything
+        changes: a :class:`~repro.errors.SamplingError` leaves the base
+        table, its samples and the metadata as they were.
 
         Args:
             table: base table name.
@@ -70,12 +67,14 @@ class SampleMaintainer:
             raise SamplingError(f"table {table!r} does not exist")
         batch = self._validated_batch(table, columns)
         batch_size = len(next(iter(batch.values())))
+        samples = self._metadata.samples_for(table)
+        rules = [creators.membership(info, info.subsample_count) for info in samples]
         self._connector.append_columns(table, batch)
 
         inserted: dict[str, int] = {}
         changed: list[SampleInfo] = []
-        for info in self._metadata.samples_for(table):
-            count = self._update_sample(info, batch, batch_size)
+        for info, rule in zip(samples, rules):
+            count = self._update_sample(info, rule, batch)
             inserted[info.sample_table] = count
             changed.append(
                 dataclasses.replace(
@@ -110,37 +109,32 @@ class SampleMaintainer:
 
     # -- per-sample update -------------------------------------------------------
 
-    def _update_sample(self, info: SampleInfo, batch: Batch, batch_size: int) -> int:
-        if info.sample_type == "uniform":
-            probabilities = np.full(batch_size, info.ratio)
-            keep = self._rng.random(batch_size) < info.ratio
-        elif info.sample_type == "hashed":
-            # A key of NULLs only is always kept (see hashed_sample_statement).
-            null_key = np.logical_and.reduce(
-                [null_mask(batch[name]) for name in info.columns]
-            )
-            probabilities = np.where(null_key, 1.0, info.ratio)
-            keep = _hash_keys(batch, info.columns) < info.ratio
-        elif info.sample_type == "stratified":
-            probabilities = self._stratified_probabilities(info, batch, batch_size)
-            keep = self._rng.random(batch_size) < probabilities
-        else:
-            raise SamplingError(f"cannot maintain sample of type {info.sample_type!r}")
+    def _update_sample(self, info: SampleInfo, rule: creators.Membership, batch: Batch) -> int:
+        """Append the batch rows ``rule`` keeps; returns their count.
 
+        The rule is evaluated as the engine runs the build's CTAS: ``keep``
+        over the batch first, then ``probability`` and ``sid`` over the kept
+        rows, with the draws in that order.
+        """
+        frame = Frame()
+        for name, array in batch.items():
+            frame.add_column(None, name, array)
+        if info.sample_type == "stratified":
+            frame.add_column(None, PROBABILITY_COLUMN, self._stratified_probabilities(info, batch))
+        keep = evaluate(rule.keep, frame, EvaluationContext(frame.num_rows, self._rng))
         indices = np.flatnonzero(keep)
         if indices.size == 0:
             return 0
-        sample_batch = {name: array[indices] for name, array in batch.items()}
-        sample_batch[PROBABILITY_COLUMN] = probabilities[indices]
-        sample_batch[SID_COLUMN] = self._rng.integers(
-            1, info.subsample_count + 1, size=indices.size
-        )
+        kept = frame.take(indices)
+        context = EvaluationContext(kept.num_rows, self._rng)
+        sample_batch = {name: kept.resolve(name) for name in batch}
+        sample_batch[PROBABILITY_COLUMN] = evaluate(rule.probability, kept, context)
+        # Integers, as SQLite's floor() gives them in the build.
+        sample_batch[SID_COLUMN] = evaluate(rule.sid, kept, context).astype(np.int64)
         self._connector.append_columns(info.sample_table, sample_batch)
         return int(indices.size)
 
-    def _stratified_probabilities(
-        self, info: SampleInfo, batch: Batch, batch_size: int
-    ) -> Array:
+    def _stratified_probabilities(self, info: SampleInfo, batch: Batch) -> Array:
         """Reuse the per-stratum probabilities stored in the existing sample.
 
         Strata and batch rows are matched by the engine's key codec, as a
@@ -161,15 +155,7 @@ class SampleMaintainer:
         )
         order = np.argsort(strata_keys)
         seen, positions = find_sorted(strata_keys[order], batch_keys)
-        probabilities = np.ones(batch_size, dtype=np.float64)
+        probabilities = np.ones(len(batch_keys), dtype=np.float64)
         probabilities[seen] = result.column("p").astype(np.float64)[order[positions]]
         return probabilities
 
-
-def _hash_keys(batch: Batch, columns: tuple[str, ...]) -> Array:
-    """Uniform [0, 1) hash of the key columns: the builder's
-    ``vdb_hash(concat(...))``, computed by the same functions over the batch
-    as stored."""
-    if len(columns) == 1:
-        return functions.hash_unit_interval(batch[columns[0]])
-    return functions.hash_unit_interval(functions.concat(*[batch[name] for name in columns]))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 
 
-SAMPLE_TYPES = ("uniform", "hashed", "stratified", "irregular")
+SAMPLE_TYPES = ("uniform", "hashed", "stratified")
 
 # Names of the bookkeeping columns added to every sample table.
 PROBABILITY_COLUMN = "vdb_sampling_prob"
@@ -41,9 +41,9 @@ class SampleSpec:
 class SampleInfo:
     """Metadata describing one sample table stored in the underlying database.
 
-    ``null_key_rows`` counts a hashed sample's rows whose key columns are all
-    NULL.  It is not stored in the metadata table: a session reads it from
-    the sample table, as a fact, when it plans a query (0 until then).
+    ``census_rows`` counts a hashed sample's rows whose key hashes to 0 (its
+    census).  A session reads it from the sample table, as a fact, when it
+    plans a query (0 until then); the metadata table does not store it.
     """
 
     original_table: str
@@ -54,7 +54,7 @@ class SampleInfo:
     original_rows: int = 0
     sample_rows: int = 0
     subsample_count: int = 100
-    null_key_rows: int = 0
+    census_rows: int = 0
 
     @property
     def effective_ratio(self) -> float:
@@ -65,17 +65,17 @@ class SampleInfo:
 
     @property
     def key_ratio(self) -> float:
-        """Kept share of the rows whose key is not all NULL.
+        """Kept share of the rows outside the census.
 
         A hashed sample keeps each key with probability ``tau`` and every row
-        of a NULL-only key with probability 1 (a census of ``null_key_rows``
-        rows); ``tau`` is estimated from the other rows, so the census does
-        not inflate it.  With no such row it is :attr:`effective_ratio`.
+        of a key hashing to 0 with probability 1 (``census_rows`` rows);
+        ``tau`` is estimated from the other rows, so the census does not
+        inflate it.  With no census it is :attr:`effective_ratio`.
         """
-        keyed_rows = self.original_rows - self.null_key_rows
-        if self.null_key_rows <= 0 or keyed_rows <= 0:
+        keyed_rows = self.original_rows - self.census_rows
+        if self.census_rows <= 0 or keyed_rows <= 0:
             return self.effective_ratio
-        return (self.sample_rows - self.null_key_rows) / keyed_rows
+        return (self.sample_rows - self.census_rows) / keyed_rows
 
     def matches_columns(self, needed: tuple[str, ...]) -> bool:
         """True when this sample is keyed on exactly the needed column set."""

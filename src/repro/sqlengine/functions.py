@@ -223,17 +223,13 @@ def _fn_substr(
     )
 
 
-def concat(*args: np.ndarray) -> np.ndarray:
+def _fn_concat(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
     """``concat(a, b, ...)`` row by row; NULL parts contribute nothing."""
     string_args = [_string_array(np.asarray(arg, dtype=object)) for arg in args]
     return np.array(
         ["".join("" if part is None else part for part in parts) for parts in zip(*string_args)],
         dtype=object,
     )
-
-
-def _fn_concat(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
-    return concat(*args)
 
 
 def _crc32(values: np.ndarray) -> np.ndarray:
@@ -270,9 +266,11 @@ def _fn_crc32(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
 def hash_unit_interval(values: np.ndarray) -> np.ndarray:
     """Uniform hash of each value's string form into [0, 1); NULL hashes as ``""``.
 
-    The one definition of the universe-sample hash: ``vdb_hash`` and sample
-    maintenance both keep a row when this falls below the sampling ratio, so
-    a key is in or out of every hashed sample alike.
+    The one definition of the universe-sample hash, reached through
+    ``vdb_hash``: the hashed membership rule keeps a row when this falls
+    below the sampling ratio, in the built sample and, evaluated over the
+    batch, in every append, so a key is in or out of every hashed sample
+    alike.  A value whose string form is empty hashes to 0.
     """
     return _crc32(values) / 4294967296.0
 

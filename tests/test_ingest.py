@@ -10,6 +10,7 @@ indexes and "not a key" verdicts.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -197,29 +198,36 @@ def test_columnar_sql_text_and_sqlite_appends_agree():
 #: the rows as a multiset (row order is not part of a table).  Recorded at
 #: the commit before samples stopped being rewritten in subsample-id order,
 #: where the order-sensitive digests recorded before the columnar path (the
-#: metadata one re-recorded without ``sid_clustered``) still held.
+#: metadata one re-recorded without ``sid_clustered``) still held.  The five
+#: ``lineitem`` samples and the metadata were re-recorded when maintenance
+#: began to evaluate the build's membership rule: appended subsample ids are
+#: ``1 + floor(rand() * b)`` from the maintainer's generator, no longer
+#: ``integers(1, b + 1)``, so the generator's stream, and with it the
+#: uniform and stratified draws of later samples, shifted.
 GOLDEN = {
-    "lineitem_vdb_uniform_0p0200": "989f7a76e674b3ce0923dc3074ef4a93387fbd82b8d6055e6426101d8d1c9512",
-    "lineitem_vdb_hashed_l_orderkey_0p0200": "1db8bec9f2a978a7e04540e6d3e3a9ac1bc2d24025c90075d09cd0f0a7fe721a",
-    "lineitem_vdb_hashed_l_partkey_0p0200": "9cca4d6ab154b3361cfbac4cea923c7b88c717785087c86f8135b94a1a227c62",
-    "lineitem_vdb_stratified_l_returnflag_0p0200": "45571a4080841ee45323b9b80495953f0e7b9f87b8c431f39bdbb35f8b10c679",
-    "lineitem_vdb_stratified_l_shipmode_0p0200": "17084f728fe694211185fcdb83096383d748df726ae57465ea6a022f017e8dbc",
+    "lineitem_vdb_uniform_0p0200": "b6bc984f58280f9d4369d2ac416aeb21f88d95aeacbb7908c40ed0a19afd36d8",
+    "lineitem_vdb_hashed_l_orderkey_0p0200": "4155c0e2d0f36cc1a0da4f84c1265f371404bee2b4668a374ffe80b6454421a8",
+    "lineitem_vdb_hashed_l_partkey_0p0200": "f8ac4688d6e1f8e32b1110e32df61b4ed8d55e41ca0895aa4375a3ad9e76f813",
+    "lineitem_vdb_stratified_l_returnflag_0p0200": "e0b03a449e2880c2e523b0bed2afde2f0dceccf9b5fb588630a798535124b426",
+    "lineitem_vdb_stratified_l_shipmode_0p0200": "8a860ff15921fc304b6c5dd4e06f292a1a828ecead277589e8dc667a0c748b6e",
     "orders_vdb_uniform_0p0200": "f310fecf22853054916e1cf936fba0b3f589a35ee544098a37f4a8b157cd2930",
     "orders_vdb_hashed_o_orderkey_0p0200": "22c60cad52154f18f2a0c11fe90a86feb94f670e968f14818c7276d0345f0501",
     "orders_vdb_stratified_o_orderpriority_0p0200": "785eed6152287bfed9b8d01bbc2376bc93d5bd3c116167202031f81d591d08ff",
     "lineitem": "06ef4256043ed41df0234faebc2897c5a9fd51da03821ddab1603a343e523910",
-    METADATA_TABLE: "532c26586256dbb0a023f7a464b0753d44a7935a3f67521a97dc33dcbba1b914",
+    METADATA_TABLE: "ecbd3e3e877e88314954198efcbd351caa69a2750def6c9024fc408c8ad14263",
 }
 
 
 #: The same hash with ``vdb_sid`` left out, per sample table: which rows a
-#: sample holds and with what probability, whatever subsample they drew.
+#: sample holds and with what probability, whatever subsample they drew.  It
+#: held across that change for the hashed and the ``orders`` samples; the
+#: uniform and stratified ``lineitem`` ones were re-recorded with GOLDEN.
 GOLDEN_WITHOUT_SID = {
-    "lineitem_vdb_uniform_0p0200": "ebac5c825d736605f1da21c08c8476f5444c36142ff33fd96573a7110a6a7ff4",
+    "lineitem_vdb_uniform_0p0200": "5ed7843b77c7cf56ce47ef7dc00e77d493680ed96dc91c39c2cf3c74416455db",
     "lineitem_vdb_hashed_l_orderkey_0p0200": "f18b33b5dd945bed72732e10116b26674ee3673da244aeef38593c22fd1632cc",
     "lineitem_vdb_hashed_l_partkey_0p0200": "18dca47e4db0023b8fbb2c234d326634adff7aea19097b43c0408c764a510f95",
-    "lineitem_vdb_stratified_l_returnflag_0p0200": "91de31ab3033943733ae976847652f0d270c1f5555c567a23e7ad77854350d5c",
-    "lineitem_vdb_stratified_l_shipmode_0p0200": "3ad2b647ebc2b60accc2f4832de99f4e74931b617ba1a47bd195e220321070ed",
+    "lineitem_vdb_stratified_l_returnflag_0p0200": "d65826fdcbdcfb15df3df4356a07ae01ff2cbe5f613ba5ec2183e3a5616c944d",
+    "lineitem_vdb_stratified_l_shipmode_0p0200": "2360bc78f5faa25e17c780bb2799bcd96613eff8a26c5d6d2c88455c96852713",
     "orders_vdb_uniform_0p0200": "3b05c6c59d0506c5e708aa243160cf0f171fa209e89cbc7b36f267560e96c7cc",
     "orders_vdb_hashed_o_orderkey_0p0200": "05050b89eba2f17d7d7c88d39f14c547072385bf6d0ce31679621f197f27ac7d",
     "orders_vdb_stratified_o_orderpriority_0p0200": "e93445d09f729d0e239c38a14a43568e9579c381bbe2643df8be2b370b6539be",
@@ -276,8 +284,10 @@ def test_sample_tables_after_appends_match_the_parent_commit():
 # ---------------------------------------------------------------------------
 
 
-def test_hashed_sample_appended_equals_hashed_sample_built():
-    """Built on all rows ≡ built on a prefix, then appended with the rest.
+@pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+def test_hashed_sample_appended_equals_hashed_sample_built(backend):
+    """Built on all rows ≡ built on a prefix, then appended with the rest:
+    the same (key, probability) rows, census rows included.
 
     At the parent commit the batch was hashed in the caller's dtype (``5.0``
     hashed as ``"5.0"``, the stored ``5`` as ``"5"``) and a NULL key as
@@ -288,6 +298,7 @@ def test_hashed_sample_appended_equals_hashed_sample_built():
     rows = 6_000
     code = np.array([f"c{value}" for value in rng.integers(0, 400, rows)], dtype=object)
     code[rng.random(rows) < 0.05] = None  # NULL keys: hash("") == 0.0, always kept
+    code[rng.random(rows) < 0.02] = ""  # and so are empty strings
     columns = {
         "k": rng.integers(0, 2_000, rows),
         "code": code,
@@ -295,13 +306,24 @@ def test_hashed_sample_appended_equals_hashed_sample_built():
     }
     prefix = 4_000
 
-    def key_sets(session: VerdictSession) -> dict[str, set]:
-        database = session.connector.database
+    def session() -> VerdictSession:
+        connector = (
+            BuiltinConnector(database=Database(seed=0))
+            if backend == "builtin"
+            else SqliteConnector(seed=0)
+        )
+        return VerdictSession(connector, planner_config=PLANNER)
+
+    def kept_rows(session: VerdictSession) -> dict[str, Counter]:
         found = {}
         for info in session.samples("t"):
-            sample = database.table(info.sample_table)
-            keys = zip(*[sample.column(name).tolist() for name in info.columns])
-            found[info.sample_table] = set(keys)
+            result = session.connector.execute(
+                f"SELECT {', '.join(info.columns)}, vdb_sampling_prob FROM {info.sample_table}"
+            )
+            found[info.sample_table] = Counter(
+                tuple(None if value is None or value != value else value for value in row)
+                for row in result.fetchall()
+            )
         return found
 
     specs = [
@@ -309,9 +331,9 @@ def test_hashed_sample_appended_equals_hashed_sample_built():
         SampleSpec("hashed", ("code",), 0.1),
         SampleSpec("hashed", ("k", "code"), 0.1),
     ]
-    built = VerdictSession(planner_config=PLANNER)
+    built = session()
     built.load_table("t", columns)
-    appended = VerdictSession(planner_config=PLANNER)
+    appended = session()
     appended.load_table("t", {name: values[:prefix] for name, values in columns.items()})
     for spec in specs:
         built.create_sample("t", spec)
@@ -320,10 +342,15 @@ def test_hashed_sample_appended_equals_hashed_sample_built():
     rest["k"] = rest["k"].astype(np.float64)  # the caller's dtype is not the stored one
     appended.append_data("t", rest)
 
-    expected, observed = key_sets(built), key_sets(appended)
+    expected, observed = kept_rows(built), kept_rows(appended)
     assert observed == expected
-    assert any(key == (None,) for key in expected["t_vdb_hashed_code_0p1000"])
-    assert appended.connector.database.table("t").column("k").dtype == np.int64
+    census = expected["t_vdb_hashed_code_0p1000"]
+    assert census[(None, 1.0)] == np.sum([value is None for value in code])
+    assert census[("", 1.0)] == np.sum([value == "" for value in code])
+    if backend == "builtin":
+        assert appended.connector.database.table("t").column("k").dtype == np.int64
+    built.close()
+    appended.close()
 
 
 def test_hashed_sample_on_real_key_with_nulls_agrees_across_backends():

@@ -1,10 +1,11 @@
 """NULLs in a hashed sample's key and in an aggregate's argument.
 
 A hashed (universe) sample keeps a row when its key hashes below the
-sampling ratio.  A key of NULLs only hashes as the empty string, below every
-ratio, so every such row is kept: those rows are a census and carry
-probability 1, in the built sample and in every appended batch alike.  So a
-``count(DISTINCT x)`` is scaled by the kept share of the other rows only.  And
+sampling ratio.  A key of NULLs or empty strings only hashes as the empty
+string, to 0, below every ratio, so every such row is kept: those rows are a
+census and carry probability 1, in the built sample and in every appended
+batch alike.  So a ``count(DISTINCT x)`` is scaled by the kept share of the
+other rows only.  And
 ``count(x)`` and ``avg(x)`` weigh only the rows whose ``x`` is not NULL, as
 exact mode counts them.  All hold on both connectors.
 """
@@ -109,5 +110,34 @@ def test_count_distinct_scales_by_the_kept_share_of_non_null_keys(backend):
             interval = answer.confidence_interval("d")
             assert interval.lower <= exact <= interval.upper, interval
             session.append_data("t", table(20_000, seed=10))
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+def test_an_empty_string_key_is_a_census(backend):
+    # crc32(b"") == 0: the empty string was kept always, like a NULL key, but
+    # weighted 1/tau, so count(*) read 562,310 and count(DISTINCT) 7,199.
+    def table(rows: int, seed: int) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        code = np.array([f"k{v}" for v in rng.integers(0, 20_000, rows)], dtype=object)
+        code[rng.random(rows) < 0.2] = ""
+        return {"code": code, "v": rng.normal(size=rows)}
+
+    connector = BuiltinConnector(seed=3) if backend == "builtin" else SqliteConnector(seed=3)
+    session = VerdictSession(connector)
+    try:
+        session.load_table("t", table(200_000, seed=1))
+        session.create_sample("t", SampleSpec("hashed", ("code",), 0.1))
+        for _ in range(2):  # as built, then after an append
+            for sql in (
+                "SELECT count(*) AS c FROM t",
+                "SELECT count(DISTINCT code) AS c FROM t",
+            ):
+                answer = session.sql(sql)
+                assert not answer.is_exact, answer.plan_description
+                exact = float(session.sql(sql, options=EXACT).fetchall()[0][0])
+                assert float(answer.fetchall()[0][0]) == pytest.approx(exact, rel=0.1), sql
+            session.append_data("t", table(20_000, seed=2))
     finally:
         session.close()

@@ -475,6 +475,70 @@ class TestRep008BackendAgnostic:
 
 
 # ---------------------------------------------------------------------------
+# REP009 — sample membership is the rule's decision
+# ---------------------------------------------------------------------------
+
+
+class TestRep009SampleMembership:
+    def test_fires_on_a_private_copy_of_the_rule(self):
+        # The shape of SampleMaintainer._update_sample before it evaluated
+        # creators.membership: its own draws, sids and key hash.
+        result = lint_one(
+            "src/repro/sampling/maintenance.py",
+            """
+            import numpy as np
+            from repro.sqlengine import functions
+
+            def update(rng, batch, info, size):
+                if info.sample_type == "uniform":
+                    keep = rng.random(size) < info.ratio
+                else:
+                    key = functions.concat(*[batch[name] for name in info.columns])
+                    keep = functions.hash_unit_interval(key) < info.ratio
+                sids = rng.integers(1, info.subsample_count + 1, size=int(keep.sum()))
+                return keep, sids, np.random.default_rng(0).choice(sids, 3)
+            """,
+            "REP009",
+        )
+        assert codes(result) == ["REP009"] * 5
+        assert {finding.line for finding in result.findings} == {7, 9, 10, 11, 12}
+
+    def test_clean_through_the_rule_and_inside_it(self):
+        clean = lint_one(
+            "src/repro/sampling/maintenance.py",
+            """
+            from repro.sampling import creators
+            from repro.sqlengine.expressions import evaluate
+
+            def update(rng, frame, info, context):
+                rule = creators.membership(info.sample_type, info.columns, info.ratio, 10)
+                jitter = float(rng.random())
+                return evaluate(rule.keep, frame, context), jitter
+            """,
+            "REP009",
+        )
+        rule_module = lint_one(
+            "src/repro/sampling/creators.py",
+            """
+            def sids(rng, size, b):
+                return rng.integers(1, b + 1, size=size)
+            """,
+            "REP009",
+        )
+        engine = lint_one(
+            "src/repro/sqlengine/functions.py",
+            """
+            import zlib
+
+            def crc(value):
+                return zlib.crc32(value)
+            """,
+            "REP009",
+        )
+        assert codes(clean) == codes(rule_module) == codes(engine) == []
+
+
+# ---------------------------------------------------------------------------
 # suppression mechanics
 # ---------------------------------------------------------------------------
 
@@ -699,6 +763,7 @@ class TestRepoGate:
             "REP006",
             "REP007",
             "REP008",
+            "REP009",
         ]
 
     def test_repository_has_zero_unbaselined_findings(self):

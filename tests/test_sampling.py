@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.api.session import VerdictSession
 from repro.connectors import BuiltinConnector, SqliteConnector
-from repro.errors import SamplingError
+from repro.errors import ConfigurationError, SamplingError
 from repro.sampling import (
     MetadataStore,
     SampleInfo,
@@ -185,6 +186,8 @@ class TestSampleBuilder:
             SampleSpec("uniform", (), 0.0)
         with pytest.raises(ValueError):
             SampleSpec("hashed", (), 0.1)
+        with pytest.raises(ConfigurationError):
+            SampleSpec("irregular", ("k",))
 
 
 def _stratified_tables() -> dict[str, dict[str, np.ndarray]]:
@@ -418,7 +421,7 @@ class TestMaintenance:
         uniform = builder.create_sample("orders", SampleSpec("uniform", (), 0.05))
         stratified = builder.create_sample("orders", SampleSpec("stratified", ("city",), 0.01))
 
-        maintainer = SampleMaintainer(connector, metadata, rng=np.random.default_rng(1))
+        maintainer = SampleMaintainer(connector, metadata)
         batch = build_orders_columns(num_rows=5_000, seed=77)
         inserted = maintainer.append("orders", batch)
 
@@ -436,7 +439,7 @@ class TestMaintenance:
         metadata = MetadataStore(connector)
         builder = SampleBuilder(connector, metadata, subsample_count=100)
         stratified = builder.create_sample("orders", SampleSpec("stratified", ("city",), 0.01))
-        maintainer = SampleMaintainer(connector, metadata, rng=np.random.default_rng(1))
+        maintainer = SampleMaintainer(connector, metadata)
         batch = {
             "order_id": np.arange(100) + 1_000_000,
             "price": np.full(100, 5.0),
@@ -452,6 +455,100 @@ class TestMaintenance:
         maintainer = SampleMaintainer(connector, MetadataStore(connector))
         with pytest.raises(SamplingError):
             maintainer.append("orders", {"order_id": np.arange(5), "price": np.arange(4)})
+
+    def test_a_type_without_a_rule_changes_nothing(self):
+        # The type comes back from the metadata table, where anything may stand.
+        connector = BuiltinConnector(seed=3)
+        connector.load_table("orders", build_orders_columns(num_rows=1_000, seed=5))
+        metadata = MetadataStore(connector)
+        metadata.record(SampleInfo("orders", "orders_s", "irregular", ("city",), 0.1, 1_000, 0))
+        with pytest.raises(SamplingError, match="irregular"):
+            SampleMaintainer(connector, metadata).append(
+                "orders", build_orders_columns(num_rows=10, seed=6)
+            )
+        assert connector.row_count("orders") == 1_000
+
+
+def _appended_rows(connector, info: SampleInfo, first_id: int) -> dict[str, np.ndarray]:
+    """The sample's rows that came from the batch whose ids start at ``first_id``."""
+    result = connector.execute(
+        f"SELECT city, {PROBABILITY_COLUMN} AS p, {SID_COLUMN} AS sid "
+        f"FROM {info.sample_table} WHERE order_id >= {first_id}"
+    )
+    return {
+        "city": result.column("city"),
+        "p": result.column("p").astype(np.float64),
+        "sid": result.column("sid").astype(np.float64),
+    }
+
+
+class TestAppendedRowsFollowTheRule:
+    """Maintenance evaluates the build's rule over the batch (both connectors)."""
+
+    ROWS, BATCH, SUBSAMPLES = 20_000, 20_000, 10
+
+    def _maintained(self, backend: str, spec: SampleSpec, batch: dict[str, np.ndarray]):
+        connector = BuiltinConnector(seed=3) if backend == "builtin" else SqliteConnector(seed=3)
+        connector.load_table("orders", build_orders_columns(num_rows=self.ROWS, seed=5))
+        metadata = MetadataStore(connector)
+        builder = SampleBuilder(connector, metadata, subsample_count=self.SUBSAMPLES)
+        info = builder.create_sample("orders", spec)
+        inserted = SampleMaintainer(connector, metadata).append("orders", batch)
+        return connector, info, inserted[info.sample_table]
+
+    def _batch(self) -> dict[str, np.ndarray]:
+        batch = build_orders_columns(num_rows=self.BATCH, seed=77)
+        batch["order_id"] = batch["order_id"] + self.ROWS
+        return batch
+
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SampleSpec("uniform", (), 0.2),
+            SampleSpec("hashed", ("order_id",), 0.2),
+            SampleSpec("stratified", ("city",), 0.1),
+        ],
+        ids=lambda spec: spec.sample_type,
+    )
+    def test_appended_sids_are_uniform_on_one_to_b(self, backend, spec):
+        connector, info, inserted = self._maintained(backend, spec, self._batch())
+        sids = _appended_rows(connector, info, self.ROWS)["sid"]
+        assert len(sids) == inserted > 1_000
+        assert set(np.unique(sids)) == set(range(1, self.SUBSAMPLES + 1))
+        counts = np.bincount(sids.astype(np.int64), minlength=self.SUBSAMPLES + 1)[1:]
+        assert stats.chisquare(counts).pvalue > 0.001, counts
+
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_a_uniform_samples_appended_share_is_binomial_around_tau(self, backend):
+        tau = 0.2
+        connector, info, inserted = self._maintained(
+            backend, SampleSpec("uniform", (), tau), self._batch()
+        )
+        band = 4 * math.sqrt(self.BATCH * tau * (1 - tau))
+        assert abs(inserted - self.BATCH * tau) < band, inserted
+        assert set(_appended_rows(connector, info, self.ROWS)["p"].tolist()) == {tau}
+
+    @pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+    def test_stratified_appended_rows_carry_their_strata_probability(self, backend):
+        batch = self._batch()
+        batch["city"][: self.BATCH // 10] = "brand new city"
+        connector, info, _ = self._maintained(
+            backend, SampleSpec("stratified", ("city",), 0.01), batch
+        )
+        stored = dict(
+            connector.execute(
+                f"SELECT city, max({PROBABILITY_COLUMN}) AS p FROM {info.sample_table} "
+                f"WHERE order_id < {self.ROWS} GROUP BY city"
+            ).fetchall()
+        )
+        appended = _appended_rows(connector, info, self.ROWS)
+        new_city = appended["city"] == "brand new city"
+        assert new_city.sum() == self.BATCH // 10
+        assert set(appended["p"][new_city].tolist()) == {1.0}
+        for city, probability in zip(appended["city"][~new_city], appended["p"][~new_city]):
+            assert probability == float(stored[city])
+        assert set(appended["city"][~new_city].tolist()) == set(stored)
 
 
 def _is_null(value) -> bool:
@@ -631,7 +728,7 @@ class TestSampleTables:
         metadata = MetadataStore(connector)
         builder = SampleBuilder(connector, metadata, subsample_count=100)
         info = builder.create_sample("orders", SampleSpec("uniform", (), 0.05))
-        maintainer = SampleMaintainer(connector, metadata, rng=np.random.default_rng(1))
+        maintainer = SampleMaintainer(connector, metadata)
         inserted = maintainer.append("orders", batch(20_000, 5_000))
         assert inserted[info.sample_table] > 0
         # Appended rows carry random sids; reads by sid must find every row.

@@ -7,4 +7,5 @@ from tools.repro_lint.rules import (  # noqa: F401
     rep006_determinism,
     rep007_grouping_codec,
     rep008_backend_agnostic,
+    rep009_sample_membership,
 )
