@@ -19,8 +19,15 @@ import numpy as np
 from repro.connectors.base import Connector
 from repro.connectors.dialects import SQLITE
 from repro.errors import ConnectorError
+from repro.sqlengine.functions import hash_text
 from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.table import coerce_batch
+
+
+def _crc32(value) -> int:
+    """CRC-32 of the string the engine's hash reads ``value`` as
+    (``functions.hash_text``: NULL as ``""``, ``2.0`` as ``"2"``)."""
+    return zlib.crc32(hash_text(value).encode("utf-8"))
 
 
 class _StddevAggregate:
@@ -82,16 +89,10 @@ class SqliteConnector(Connector):
         rng = self._rng
         connection.create_function("vdb_rand", 0, lambda: float(rng.random()))
         connection.create_function("rand", 0, lambda: float(rng.random()))
-        # The rule of ``functions.hash_unit_interval`` (NULL hashes as the
-        # empty string), so hashed samples built here keep the keys sample
-        # maintenance keeps.
-        connection.create_function(
-            "vdb_hash",
-            1,
-            lambda value: zlib.crc32(("" if value is None else str(value)).encode("utf-8"))
-            / 4294967296.0,
-        )
-        connection.create_function("crc32", 1, lambda value: zlib.crc32(str(value).encode("utf-8")))
+        # The engine's hashes, so hashed samples built here keep the keys
+        # sample maintenance keeps.
+        connection.create_function("vdb_hash", 1, lambda value: _crc32(value) / 4294967296.0)
+        connection.create_function("crc32", 1, _crc32)
         # The engine's concat, which a compound hashed-sample key is built
         # with (SQLite 3.40 has none): a NULL part adds nothing.
         connection.create_function(

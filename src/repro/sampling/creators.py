@@ -54,9 +54,12 @@ def membership(
     * uniform: a row whose ``draw`` (``rand()`` by default) falls below τ,
       with probability τ;
     * hashed: a row whose key hashes below τ, so hashed samples of
-      one ratio on one join key keep *matching* tuples (Section 5.1).  A key
-      hashing to 0 (all NULL or empty-string parts hash as ``""``) is kept
-      at every ratio: those rows are a census, with probability 1;
+      one ratio on one join key keep *matching* tuples (Section 5.1).  The
+      hash reads a key by value (``functions.hash_text``): ``87.0`` as
+      ``87``, so an int key column that gains a NULL, and is stored as
+      floats, keeps its keys in or out.  A key hashing to 0 (all NULL or
+      empty-string parts hash as ``""``) is kept at every ratio: those rows
+      are a census, with probability 1;
     * stratified: a row whose draw falls below ``stratum_probability`` (the
       column ``vdb_sampling_prob`` by default), with that probability.
 

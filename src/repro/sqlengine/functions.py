@@ -181,10 +181,10 @@ def _fn_coalesce(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
 def _string_array(values: np.ndarray) -> np.ndarray:
     """Each value's string form; NULL — ``None`` or a float NaN — stays None.
 
-    The one string-form rule behind ``vdb_hash``, ``crc32``, ``concat`` and
-    the string functions.  Numeric columns store NULL as NaN, so a NaN must
-    read as NULL, like the SQL NULL another backend passes in, never as
-    ``"nan"``.
+    The string-form rule behind ``concat``, ``cast_varchar`` and the string
+    functions (a hash reads values by :func:`hash_text`).  Numeric columns
+    store NULL as NaN, so a NaN must read as NULL, like the SQL NULL another
+    backend passes in, never as ``"nan"``.
     """
     return np.array(
         [None if value is None or value != value else str(value) for value in values],
@@ -232,31 +232,156 @@ def _fn_concat(context: EvaluationContext, *args: np.ndarray) -> np.ndarray:
     )
 
 
-def _crc32(values: np.ndarray) -> np.ndarray:
-    """CRC-32 of each value's string form; NULL hashes as the empty string.
+_EXACT_FLOAT = 2.0**53  # floats below this in magnitude are exact integers
 
-    Each distinct value is hashed once where the key codec's equality
-    implies equal string forms: int and bool columns (a group's
-    representative comes from the column itself, as ``str(True)`` is
-    ``"True"``) and object columns of strings and NULLs.  Float columns are
-    hashed row by row, since the codec merges ``-0.0`` with ``0.0``, and so
-    is an object column holding anything but strings and NULLs.
+
+def hash_text(value) -> str:
+    """The string a hash reads for one value.
+
+    NULL (``None`` or a NaN) reads as ``""``, and a finite integral float
+    below ``2**53`` in magnitude as its integer's digits (``-0.0`` as
+    ``"0"``), since the key codec and ``=`` hold ``87.0`` and ``87`` to be
+    one key; anything else reads as ``str(value)``.  The rule is per value,
+    never per column: an int key column that gains a NULL is stored as
+    floats and must hash its keys as before.  ``vdb_hash`` and ``crc32``
+    read values this way on every backend (``SqliteConnector`` calls this).
     """
-    if values.dtype.kind in "iub":
-        inverse, first = group_rows_encoded([encode_key(values)], len(values))
-        return _crc32_strings(values[first].tolist())[inverse]
-    if values.dtype == object and (grouped := distinct_strings(values)) is not None:
+    if value is None or value != value:
+        return ""
+    if isinstance(value, (float, np.floating)) and abs(value) < _EXACT_FLOAT:
+        if float(value).is_integer():
+            return str(int(value))
+    return str(value)
+
+
+def _crc32(values: np.ndarray) -> np.ndarray:
+    """CRC-32 of the string each value reads as (:func:`hash_text`), as int64.
+
+    Int and uint columns, and the integral values of a float column, go
+    through the vectorised kernel (:func:`_crc32_integers`); a bool column
+    is two constants; an object column of strings and NULLs hashes each
+    distinct string once; any other value is read one by one.
+    """
+    kind = values.dtype.kind
+    if kind in "iu":
+        return _crc32_integers(values)
+    if kind == "b":
+        return np.where(values, _CRC32_TRUE, _CRC32_FALSE)
+    if kind == "f":
+        wide = values.astype(np.float64, copy=False)
+        integral = (np.abs(wide) < _EXACT_FLOAT) & (np.floor(wide) == wide)
+        other = ~integral & ~np.isnan(wide)
+        hashes = np.zeros(len(values), dtype=np.int64)  # NaN reads as "": CRC-32 0
+        hashes[integral] = _crc32_integers(wide[integral].astype(np.int64))
+        hashes[other] = _crc32_strings([hash_text(value) for value in values[other]])
+        return hashes
+    if kind == "O" and (grouped := distinct_strings(values)) is not None:
         codes, distinct = grouped
         return _crc32_strings(distinct)[codes]
-    return _crc32_strings(_string_array(values))
+    return _crc32_strings([hash_text(value) for value in values])
 
 
 def _crc32_strings(values: Sequence) -> np.ndarray:
-    """CRC-32 of each value's ``str`` form, None hashing as ``""``."""
+    """CRC-32 of each string, None hashing as ``""``."""
     return np.array(
-        [zlib.crc32(("" if s is None else str(s)).encode("utf-8")) for s in values],
+        [zlib.crc32(("" if s is None else s).encode("utf-8")) for s in values],
         dtype=np.int64,
     )
+
+
+# The integer kernel.  zlib's CRC-32 is affine over messages of one length:
+# crc32(m) = crc32(b"\0" * len(m)) ^ raw(m), where raw is the CRC with a zero
+# initial value and no final XOR, which is linear (XOR) in m and unchanged by
+# leading NUL bytes.  So raw of a decimal string, its digits right-aligned in
+# 3-digit chunks, is an XOR of one table entry per chunk, corrected for the
+# '0's the chunks put above the leading digit and for a '-' sign.
+_CHUNKS = 7  # 21 digits; 2**64 - 1 has 20
+_WIDTH = 3 * _CHUNKS
+_POWERS = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_BLOCK = 1 << 16  # rows per pass: a block's temporaries stay in cache
+
+
+def _crc32_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's ``uint32`` lookup tables, built once.
+
+    ``chunk[j][c]`` is raw(``b"%03d" % c + b"\\0" * 3j``).  Indexed by a
+    position n counted from a string's end (0 is its last byte):
+    ``zeros[n]`` is crc32(``b"\\0" * n``), ``pad[n]`` raw of ``'0'`` at
+    positions n to 20 and ``sign[n]`` raw of ``'-'`` at position n.
+    """
+
+    def raw(message: bytes) -> int:
+        return zlib.crc32(message, 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+    digit = np.array(
+        [[raw(b"%d" % d + b"\0" * p) for d in range(10)] for p in range(_WIDTH)], dtype=np.uint32
+    )
+    c = np.arange(1000)
+    chunk = np.stack(
+        [digit[3 * j + 2][c // 100] ^ digit[3 * j + 1][c // 10 % 10] ^ digit[3 * j][c % 10]
+         for j in range(_CHUNKS)]
+    )
+    positions = range(_WIDTH + 1)
+    zeros = np.array([zlib.crc32(b"\0" * n) for n in positions], dtype=np.uint32)
+    pad = np.array([raw(b"0" * (_WIDTH - n) + b"\0" * n) for n in positions], dtype=np.uint32)
+    sign = np.array([raw(b"-" + b"\0" * n) for n in positions], dtype=np.uint32)
+    return chunk, zeros, pad, sign
+
+
+_CRC32_CHUNK, _CRC32_ZEROS, _CRC32_PAD, _CRC32_SIGN = _crc32_tables()
+_CRC32_TRUE, _CRC32_FALSE = _crc32_strings(["True", "False"])
+
+
+def _crc32_integers(values: np.ndarray) -> np.ndarray:
+    """``zlib.crc32(str(v).encode())`` of each value of an int or uint
+    column of any width, as int64, with no Python call per value.
+
+    A dense column (span at most its row count, so ``hi - lo + 1 <= rows``)
+    hashes each value of its span once and gathers by offset.
+    """
+    values = values.astype(np.uint64 if values.dtype.kind == "u" else np.int64, copy=False)
+    if len(values) == 0:
+        return np.zeros(0, dtype=np.int64)
+    low, high = int(values.min()), int(values.max())
+    if high - low < len(values):
+        start = values.dtype.type(low)
+        span = start + np.arange(high - low + 1, dtype=values.dtype)
+        return _crc32_blocks(span).take((values - start).view(np.int64))
+    return _crc32_blocks(values)
+
+
+def _crc32_blocks(values: np.ndarray) -> np.ndarray:
+    hashes = np.empty(len(values), dtype=np.int64)
+    for start in range(0, len(values), _BLOCK):
+        hashes[start : start + _BLOCK] = _crc32_block(values[start : start + _BLOCK])
+    return hashes
+
+
+def _crc32_block(values: np.ndarray) -> np.ndarray:
+    """The kernel over one block of an int64 or uint64 column."""
+    if values.dtype.kind == "i":
+        negative = values < 0
+        magnitude = np.abs(values).view(np.uint64)  # abs(-2**63) wraps to 2**63
+    else:
+        negative = None
+        magnitude = values
+    top = int(magnitude.max())
+    digits = np.ones(len(values), dtype=np.intp)
+    for power in _POWERS[_POWERS <= top]:
+        digits += magnitude >= power
+    chunks = -(-len(str(top)) // 3)
+    crc = _CRC32_PAD.take(digits)
+    crc ^= _CRC32_PAD[3 * chunks]
+    if negative is not None and negative.any():
+        crc ^= np.where(negative, _CRC32_SIGN.take(digits), np.uint32(0))
+        digits += negative
+    crc ^= _CRC32_ZEROS.take(digits)
+    rest = magnitude
+    for table in _CRC32_CHUNK[:chunks]:
+        quotient = rest // np.uint64(1000)
+        crc ^= table.take((rest - quotient * np.uint64(1000)).view(np.int64))
+        rest = quotient
+    return crc.astype(np.int64)
 
 
 def _fn_crc32(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
@@ -264,13 +389,16 @@ def _fn_crc32(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
 
 
 def hash_unit_interval(values: np.ndarray) -> np.ndarray:
-    """Uniform hash of each value's string form into [0, 1); NULL hashes as ``""``.
+    """Uniform hash of each value into [0, 1): the CRC-32 of the string it
+    reads as, by value (:func:`hash_text`), over ``2**32``.
 
     The one definition of the universe-sample hash, reached through
     ``vdb_hash``: the hashed membership rule keeps a row when this falls
     below the sampling ratio, in the built sample and, evaluated over the
     batch, in every append, so a key is in or out of every hashed sample
-    alike.  A value whose string form is empty hashes to 0.
+    alike.  A number is read by value, so ``87``, ``87.0`` and an int key
+    column that gained a NULL (stored as floats) hash alike; NULL (``None``
+    or NaN) and the empty string read as ``""`` and hash to 0.
     """
     return _crc32(values) / 4294967296.0
 

@@ -1,10 +1,13 @@
 """Tests for dialects, the syntax changer and the two backend connectors."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.connectors import (
     BuiltinConnector,
+    SqliteConnector,
     GENERIC,
     IMPALA_LIKE,
     REDSHIFT_LIKE,
@@ -135,6 +138,24 @@ class TestBuiltinConnector:
     def test_queries_are_recorded(self, builtin_connector):
         builtin_connector.execute("SELECT 1 AS x")
         assert any("SELECT 1" in sql for sql in builtin_connector.queries_issued)
+
+
+@pytest.mark.parametrize("connector_type", [BuiltinConnector, SqliteConnector])
+def test_hashes_read_a_number_by_value_and_null_as_empty(connector_type):
+    """``crc32`` and ``vdb_hash`` agree on both backends: ``2.0`` reads as
+    ``"2"`` and NULL as ``""``.  SQLite's ``crc32(NULL)`` read ``"None"``
+    (3,751,981,041) where the engine gives 0."""
+    connector = connector_type(seed=0)
+    try:
+        connector.load_table("t", {"i": np.arange(4), "x": np.array([1, 2.0, 2.5, np.nan])})
+        rows = connector.execute("SELECT crc32(x) AS c, vdb_hash(x) AS h FROM t ORDER BY i")
+        expected = [zlib.crc32(text) for text in (b"1", b"2", b"2.5", b"")]
+        assert [int(c) for c, _ in rows.fetchall()] == expected == [
+            2212294583, 450215437, 2233083363, 0
+        ]
+        assert [float(h) for _, h in rows.fetchall()] == [c / 2**32 for c in expected]
+    finally:
+        connector.close()
 
 
 class TestSqliteConnector:

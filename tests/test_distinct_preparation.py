@@ -1,10 +1,11 @@
 """Scramble preparation per distinct value equals the per-row work it replaced.
 
 ``encode_object_array`` normalizes, escapes and sorts each distinct value
-once, and the CRC-32 behind ``vdb_hash`` hashes each distinct value once
-where the codec's equality implies equal string forms.  The per-row
-references below are the implementations they replaced: codes, dictionaries
-and hashes must match them exactly.  The samples of a small TPC-H build must
+once; the CRC-32 behind ``vdb_hash`` hashes each distinct string once and
+integers (and integral floats) by a vectorised kernel.  The per-row
+references below are the oracles: codes, dictionaries and hashes (one
+``zlib.crc32`` per row of the string the value reads as) must match them
+exactly.  The samples of a small TPC-H build must
 match checksums recorded with the per-row implementations
 (``tests/data/sample_checksums.json``; ``python
 tests/test_distinct_preparation.py`` prints them), and a ``CREATE TABLE ...
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import SampleSpec
 from repro.sqlengine import Database
-from repro.sqlengine import table as table_module
+from repro.sqlengine import functions, table as table_module
 from repro.sqlengine.encoding import (
     NULL_SENTINEL,
     encode_object_array,
@@ -57,11 +58,19 @@ def reference_encode_object_array(array: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def reference_crc32(values: np.ndarray) -> np.ndarray:
-    """CRC-32 of every row's string form; NULL (None or NaN) hashes as ``""``."""
-    strings = [None if value is None or value != value else str(value) for value in values]
-    return np.array(
-        [zlib.crc32(("" if s is None else s).encode("utf-8")) for s in strings], dtype=np.int64
-    )
+    """CRC-32 of every row read by value: NULL (None or NaN) as ``""``, a
+    finite integral float below ``2**53`` in magnitude as its integer's
+    digits, anything else as its ``str``."""
+
+    def text(value) -> str:
+        if value is None or value != value:
+            return ""
+        if isinstance(value, (float, np.floating)) and math.isfinite(value):
+            if abs(value) < 2**53 and value == math.floor(value):
+                return "%d" % value
+        return str(value)
+
+    return np.array([zlib.crc32(text(value).encode("utf-8")) for value in values], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +99,41 @@ def object_columns(draw) -> np.ndarray:
     return np.array(draw(st.lists(values, max_size=30)), dtype=object)
 
 
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
 @st.composite
 def int_columns(draw) -> np.ndarray:
-    """int64 columns dense around a base, sparse over all of int64, or
-    negative; each may hold the int64 extremes."""
-    shape = draw(st.sampled_from(["dense", "sparse", "negative"]))
-    if shape == "dense":
-        low = draw(st.sampled_from([0, -(2**53), INT64.min, INT64.max - 10]))
-        values = st.integers(low, low + 10)
-    elif shape == "sparse":
-        values = st.integers(INT64.min, INT64.max)
-    else:
-        values = st.integers(-1000, -1)
-    rows = draw(st.lists(values, max_size=40))
+    """Columns of every int and uint width, 0 to 40 rows: dense (span at
+    most the rows, hashed once per value of the span) or sparse over the
+    dtype's range; each may hold the dtype's extremes (``-2**63`` next to
+    ``2**63 - 1``, ``2**64 - 1``)."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    rows = draw(st.integers(0, 40))
     if draw(st.booleans()):
-        rows += [INT64.min, INT64.max]
-    return np.array(draw(st.permutations(rows)), dtype=np.int64)
+        low = draw(st.integers(int(info.min), int(info.max)))
+        values = st.integers(low, min(low + max(rows, 1) - 1, int(info.max)))
+    else:
+        values = st.integers(int(info.min), int(info.max))
+    column = draw(st.lists(values, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        column += [int(info.min), int(info.max)]
+    return np.array(draw(st.permutations(column)), dtype=dtype)
+
+
+@st.composite
+def digit_columns(draw) -> np.ndarray:
+    """int64 columns whose largest magnitude has 1, 3, 4, 19 (or, unsigned,
+    20) digits: the kernel runs as many 3-digit chunks as that maximum
+    needs."""
+    digits = draw(st.sampled_from([1, 3, 4, 19, 20]))
+    unsigned = digits == 20 or draw(st.booleans())
+    top = min(10**digits - 1, 2**64 - 1 if unsigned else 2**63 - 1)
+    floor = 0 if unsigned else -top - (digits == 19)
+    widest = top if unsigned else draw(st.sampled_from([top, floor]))
+    rows = draw(st.lists(st.integers(floor, top), max_size=30)) + [widest]
+    return np.array(draw(st.permutations(rows)), dtype=np.uint64 if unsigned else np.int64)
 
 
 def _same_encoding(actual, expected) -> bool:
@@ -131,9 +159,36 @@ def test_object_codes_dictionary_and_hashes_match_per_row(column):
 
 
 @given(int_columns())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_int_hashes_match_per_row(column):
     assert _same_hashes(column)
+
+
+@given(digit_columns())
+@settings(max_examples=200, deadline=None)
+def test_int_hashes_match_per_row_at_every_chunk_count(column):
+    assert _same_hashes(column)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_int_kernel_hashes_a_dense_span_once_across_blocks(monkeypatch, dense):
+    """A dense column hashes each value of its span once; a sparse one
+    hashes every row; both across several blocks of rows."""
+    rng = np.random.default_rng(3)
+    rows = 2 * functions._BLOCK + 3
+    low, high = (-1_000, rows - 1_000) if dense else (INT64.min, INT64.max)
+    column = rng.integers(low, high, rows)
+    hashed: list[int] = []
+    blocks = functions._crc32_blocks
+
+    def counting(values):
+        hashed.append(len(values))
+        return blocks(values)
+
+    monkeypatch.setattr(functions, "_crc32_blocks", counting)
+    assert _same_hashes(column)
+    span = int(column.max()) - int(column.min()) + 1
+    assert hashed == ([span] if dense else [rows])
 
 
 @given(st.lists(st.booleans(), max_size=20))
@@ -142,12 +197,27 @@ def test_bool_hashes_match_per_row(values):
     assert _same_hashes(np.array(values, dtype=bool))
 
 
-@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan])), max_size=30))
-@settings(max_examples=100, deadline=None)
+FLOATS = st.one_of(
+    st.floats(),
+    st.integers(-(10**6), 10**6).map(float),
+    st.sampled_from([0.0, -0.0, math.nan, 2.0**53, -(2.0**53), 2.0**53 - 1, 1e300, -1e-300]),
+)
+
+
+@given(st.lists(FLOATS, max_size=30))
+@settings(max_examples=200, deadline=None)
 def test_float_hashes_match_per_row(values):
-    """Floats are hashed row by row: ``-0.0`` and ``0.0`` are one key but two
-    string forms, and NaN is NULL."""
-    assert _same_hashes(np.array(values, dtype=np.float64))
+    """Floats are read by value: an integral float below ``2**53`` hashes
+    as its integer does (``87.0`` as ``87``, ``-0.0`` as ``0``), since the
+    key codec and ``=`` hold them one key and an int key column that gains
+    a NULL is stored as floats; NaN is NULL; other floats hash their
+    ``str``."""
+    column = np.array(values, dtype=np.float64)
+    assert _same_hashes(column)
+    integral = column[(np.abs(column) < 2**53) & (np.floor(column) == column)]
+    assert np.array_equal(
+        hash_unit_interval(integral), hash_unit_interval(integral.astype(np.int64))
+    )
 
 
 def test_trailing_nuls_are_distinct_keys():

@@ -396,6 +396,33 @@ def test_hashed_sample_on_real_key_with_nulls_agrees_across_backends():
         session.connector.close()
 
 
+@pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+def test_a_null_in_an_appended_int_key_keeps_every_key_in_or_out(backend):
+    """A NULL in a batch stores the int key column as floats; the hash reads
+    ``87.0`` as ``87``, so each key's appended rows follow its built ones.
+
+    When the hash read ``"87.0"``, 178 keys the build had left out gained
+    rows and the appended rows of the 236 kept keys were all dropped.
+    """
+    rows, keys = 20_000, 2_000
+    connector = BuiltinConnector(seed=2) if backend == "builtin" else SqliteConnector(seed=2)
+    session = VerdictSession(connector=connector, planner_config=PLANNER)
+    try:
+        session.load_table("t", {"k": np.arange(rows) % keys, "v": np.ones(rows)})
+        session.create_sample("t", SampleSpec("hashed", ("k",), 0.1))
+        (info,) = session.samples("t")
+        batch = np.append(np.arange(keys, dtype=np.float64), np.nan)
+        session.append_data("t", {"k": batch, "v": np.ones(keys + 1)})
+        sampled = session.connector.execute(
+            f"SELECT k, count(*) AS n FROM {info.sample_table} WHERE k IS NOT NULL GROUP BY k"
+        ).fetchall()
+        counts = {int(float(key)): int(n) for key, n in sampled}
+        assert 150 < len(counts) < 300
+        assert set(counts.values()) == {rows // keys + 1}
+    finally:
+        session.close()
+
+
 # ---------------------------------------------------------------------------
 # a rejected batch changes nothing
 # ---------------------------------------------------------------------------

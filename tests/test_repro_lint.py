@@ -539,6 +539,88 @@ class TestRep009SampleMembership:
 
 
 # ---------------------------------------------------------------------------
+# REP010 — one string form per hash
+# ---------------------------------------------------------------------------
+
+
+class TestRep010OneHashString:
+    def test_fires_on_a_backend_with_its_own_string_form(self):
+        # SqliteConnector's registrations before they shared one helper:
+        # crc32 read NULL as "None" where vdb_hash read "".
+        result = lint_one(
+            "src/repro/connectors/sqlite.py",
+            """
+            import zlib
+
+            def register(connection):
+                connection.create_function(
+                    "vdb_hash", 1, lambda v: zlib.crc32(("" if v is None else str(v)).encode())
+                )
+                connection.create_function("crc32", 1, lambda v: zlib.crc32(str(v).encode()))
+            """,
+            "REP010",
+        )
+        assert codes(result) == ["REP010"] * 2
+        assert {finding.line for finding in result.findings} == {6, 8}
+
+    def test_fires_through_an_alias_or_an_imported_name(self):
+        result = lint_one(
+            "src/repro/sampling/keys.py",
+            """
+            import zlib as z
+            from zlib import crc32 as checksum
+
+            def key_hash(text):
+                return z.crc32(text.encode()) ^ checksum(text.encode())
+            """,
+            "REP010",
+        )
+        assert codes(result) == ["REP010"] * 2
+
+    def test_clean_in_the_three_hashing_functions_and_outside_src(self):
+        engine = lint_one(
+            "src/repro/sqlengine/functions.py",
+            """
+            import zlib
+
+            def _crc32_strings(values):
+                return [zlib.crc32(s.encode()) for s in values]
+
+            def _crc32_tables():
+                def raw(message):
+                    return zlib.crc32(message, 0xFFFFFFFF) ^ 0xFFFFFFFF
+                return [raw(b"%d" % d) for d in range(10)]
+            """,
+            "REP010",
+        )
+        sqlite = lint_one(
+            "src/repro/connectors/sqlite.py",
+            """
+            import zlib
+            from repro.sqlengine.functions import hash_text
+
+            def _crc32(value):
+                return zlib.crc32(hash_text(value).encode("utf-8"))
+
+            def register(connection):
+                connection.create_function("crc32", 1, _crc32)
+            """,
+            "REP010",
+        )
+        oracle = lint_one(
+            "tests/test_hashes.py",
+            """
+            import zlib
+
+            def reference(values):
+                return [zlib.crc32(str(v).encode()) for v in values]
+            """,
+            "REP010",
+        )
+        assert codes(engine) == codes(sqlite) == codes(oracle) == []
+
+
+# ---------------------------------------------------------------------------
 # suppression mechanics
 # ---------------------------------------------------------------------------
 
@@ -764,6 +846,7 @@ class TestRepoGate:
             "REP007",
             "REP008",
             "REP009",
+            "REP010",
         ]
 
     def test_repository_has_zero_unbaselined_findings(self):

@@ -8,4 +8,5 @@ from tools.repro_lint.rules import (  # noqa: F401
     rep007_grouping_codec,
     rep008_backend_agnostic,
     rep009_sample_membership,
+    rep010_one_hash_string,
 )
