@@ -11,8 +11,9 @@ the query into its parts (one per aggregate kind, Section 2.2), runs them on
 the underlying database through the connector under one consistent read,
 and hands their rows to the rewrite's
 :class:`~repro.core.rewriter.SubsampleFold`, the one place an approximate
-answer with error estimates is put together.  Unsupported queries are
-passed through unchanged.
+answer with error estimates is put together.  A statement the analysis or
+the sample planner refuses is passed through unchanged, with their reason;
+the rewriter only ever sees statements that approximate.
 
 Per-query settings — confidence, error columns, mode, accuracy contract —
 arrive as one :class:`~repro.api.options.ExecutionOptions` per call (the
@@ -75,7 +76,6 @@ from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
     ReproError,
-    RewriteError,
 )
 from repro.faults import QueryDeadline
 from repro.sampling import creators
@@ -206,13 +206,13 @@ class VerdictSession:
         self._shape_cache: LRUCache[str, PreparedTemplate] = LRUCache(maxsize=128)
         # Facts read from the backend — ("rows", table), ("cardinality",
         # table, column) and ("samples",) — sample plans keyed on (shape key,
-        # sample hint), held as a 1-tuple so "no feasible plan" is cached
-        # too, and prepared rewrites keyed on (shape key, sample plan,
+        # sample hint), a refusal's reason in place of a plan so "no
+        # feasible plan" is cached too, and prepared rewrites keyed on (shape key, sample plan,
         # include_errors).  All are filed under the connector.catalog_state()
         # token of the execute() call that computed them, which is their
         # whole staleness story.
         self._fact_cache: LRUCache[tuple, Any] = LRUCache(maxsize=512)
-        self._plan_cache: LRUCache[tuple, tuple[SamplePlan | None]] = LRUCache(maxsize=128)
+        self._plan_cache: LRUCache[tuple, SamplePlan | str] = LRUCache(maxsize=128)
         self._rewrite_cache: LRUCache[tuple, PreparedRewrite] = LRUCache(maxsize=128)
         self._closed = False
         self.last_rewritten_sql: str | None = None
@@ -447,27 +447,16 @@ class VerdictSession:
                 statement, started, "exact mode requested", bound, deadline
             )
 
+        # Refused by the statement (analysis) or by the samples (planner).
         analysis = template.analysis
-        if not analysis.supported:
-            return self._execute_exact_select(
-                statement, started, analysis.unsupported_reason, bound, deadline
-            )
-
-        plan = self._shape_plan(template, token, sample_hint=options.sample_hint)
-        if plan is None:
-            reason = "no feasible sample plan within the I/O budget"
-            if options.sample_hint is not None:
-                reason = f"no feasible plan using sample hint {options.sample_hint!r}"
-            return self._execute_exact_select(statement, started, reason, bound, deadline)
+        plan = analysis.refusal or self._shape_plan(template, token, options.sample_hint)
+        if isinstance(plan, str):
+            return self._execute_exact_select(statement, started, plan, bound, deadline)
 
         try:
             result = self._execute_approximate(
                 template.flattened, analysis, plan, options, token,
                 template.shape_key, bound, deadline,
-            )
-        except RewriteError as error:
-            return self._execute_exact_select(
-                statement, started, str(error), bound, deadline
             )
         except (QueryTimeoutError, QueryCancelledError):
             raise  # a dead deadline must not trigger a second, exact attempt
@@ -603,24 +592,25 @@ class VerdictSession:
 
     def _shape_plan(
         self, template: PreparedTemplate, token: object, sample_hint: str | None = None
-    ) -> SamplePlan | None:
+    ) -> SamplePlan | str:
         """The shape's sample plan, chosen at most once per backend version.
 
         Everything the planner reads — samples, row counts, cardinalities —
         is a fact filed under the same token, so the plan is too; a shape
-        with no feasible plan caches that verdict as well.
+        with no feasible plan caches that verdict, its reason, as well.
         """
         key = (template.shape_key, sample_hint)
-        cached = self._plan_cache.get(key, token)
-        if cached is None:
-            cached = (self._plan(template.analysis, token, sample_hint),)
-            self._plan_cache.put(key, cached, token)
-        self.last_plan = cached[0]
-        return cached[0]
+        plan = self._plan_cache.get(key, token)
+        if plan is None:
+            plan = self._plan(template.analysis, token, sample_hint)
+            self._plan_cache.put(key, plan, token)
+        self.last_plan = plan if isinstance(plan, SamplePlan) else None
+        return plan
 
     def _plan(
         self, analysis: QueryAnalysis, token: object, sample_hint: str | None = None
-    ) -> SamplePlan | None:
+    ) -> SamplePlan | str:
+        """The sample plan, or why there is none (``no feasible sample plan: ...``)."""
         samples = self._fact(("samples",), token, self.metadata.all_samples)
         samples_by_table: dict[str, list[SampleInfo]] = {}
         table_rows: dict[str, int] = {}
@@ -646,9 +636,13 @@ class VerdictSession:
             )
         owners = bind_columns(analysis.statement, columns)
         expected_groups = self._estimate_groups(analysis, owners, token)
-        return self.planner.plan(
+        plan = self.planner.plan(
             analysis, samples_by_table, table_rows, expected_groups, owners=owners
         )
+        if plan is None:
+            hint = "" if sample_hint is None else f" using sample hint {sample_hint!r}"
+            return f"no feasible sample plan{hint}: {self.planner.refusal()}"
+        return plan
 
     def _estimate_groups(
         self, analysis: QueryAnalysis, owners: ColumnOwners, token: object

@@ -73,7 +73,7 @@ class IntegratedAqpEngine:
         if not isinstance(statement, ast.SelectStatement):
             return self.database.execute_statement(statement)
         analysis = analyze(statement)
-        if not analysis.supported:
+        if analysis.refusal is not None:
             return self.database.execute_statement(statement)
 
         substituted, ratio = self._substitute_first_sample(statement.from_relation)
@@ -116,11 +116,15 @@ class IntegratedAqpEngine:
         self, raw: ResultSet, statement: ast.SelectStatement, ratio: float
     ) -> ResultSet:
         """Scale count/sum columns by 1/ratio (avg and statistics are unchanged)."""
-        analysis = analyze(statement)
-        scale_columns = set()
-        for aggregate in analysis.aggregates:
-            if aggregate.kind == "mean_like" and MEAN_LIKE[aggregate.node.name.lower()] == "total":
-                scale_columns.add(aggregate.output_name)
+        totals = {
+            aggregate.sql_key for aggregate in analyze(statement).mean_like
+            if MEAN_LIKE[aggregate.node.name.lower()] == "total"
+        }
+        scale_columns = {
+            item.output_name(index)
+            for index, item in enumerate(statement.select_items)
+            if any(node.to_sql() in totals for node in item.expression.walk())
+        }
         columns = []
         for name, column in zip(raw.column_names, raw.columns()):
             if name in scale_columns:

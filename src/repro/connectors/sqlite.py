@@ -24,10 +24,10 @@ from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.table import coerce_batch
 
 
-def _crc32(value) -> int:
-    """CRC-32 of the string the engine's hash reads ``value`` as
-    (``functions.hash_text``: NULL as ``""``, ``2.0`` as ``"2"``)."""
-    return zlib.crc32(hash_text(value).encode("utf-8"))
+def _crc32(*parts) -> int:
+    """CRC-32 of the string the engine's hash reads ``parts`` as, each by
+    ``functions.hash_text`` (NULL as ``""``, ``2.0`` as ``"2"``), end to end."""
+    return zlib.crc32("".join(map(hash_text, parts)).encode("utf-8"))
 
 
 class _StddevAggregate:
@@ -91,10 +91,9 @@ class SqliteConnector(Connector):
         connection.create_function("rand", 0, lambda: float(rng.random()))
         # The engine's hashes, so hashed samples built here keep the keys
         # sample maintenance keeps.
-        connection.create_function("vdb_hash", 1, lambda value: _crc32(value) / 4294967296.0)
+        connection.create_function("vdb_hash", -1, lambda *parts: _crc32(*parts) / 4294967296.0)
         connection.create_function("crc32", 1, _crc32)
-        # The engine's concat, which a compound hashed-sample key is built
-        # with (SQLite 3.40 has none): a NULL part adds nothing.
+        # The engine's concat (SQLite 3.40 has none): a NULL part adds nothing.
         connection.create_function(
             "concat", -1, lambda *parts: "".join("" if part is None else str(part) for part in parts)
         )

@@ -1,23 +1,33 @@
 """Query analysis: which aggregates a query computes and whether AQP applies.
 
-The middleware only speeds up the query class of Table 1 (mean-like
-aggregates over equi-joined base/derived tables).  Everything else is passed
-through to the underlying database unchanged, so the analysis step must
-decide — without executing anything — whether the query is supported and how
-its aggregates should be decomposed (Section 2.2):
-
-* *mean-like* aggregates (count, sum, avg, stddev, var, quantile) go through
-  the variational-subsampling rewrite;
-* *count-distinct* aggregates are answered from a hashed (universe) sample;
-* *extreme* aggregates (min/max) are computed exactly on the base tables;
-* anything else, another DISTINCT aggregate included, makes the query
-  unsupported.
-
+The middleware only speeds up the query class of Table 1; everything else is
+passed through to the underlying database unchanged.  So the analysis
+decides, without executing anything, how a query's aggregates decompose
+(Section 2.2) — *mean-like* ones (:data:`MEAN_LIKE`, the one list of them)
+through variational subsampling, ``count(DISTINCT)`` from a hashed
+(universe) sample, min / max exactly — and whether it approximates at all.
 Every aggregate counts, wherever it stands: the select list, HAVING and
-ORDER BY.  So a ``count(DISTINCT)`` that only filters groups still asks the
-planner for a hashed sample, and an unsupported aggregate in the tail sends
-the query to exact execution.  :data:`MEAN_LIKE` is the one list of
-mean-like names; the rewriter reads from it how the fold combines each one.
+ORDER BY.
+
+**The approximable fragment**, stated once: :func:`analyze` sets
+``refusal`` to the first rule a statement breaks, the reason its
+``plan_description`` gives (``exact execution (<refusal>)``).
+
+* Table 1: a FROM clause; a mean-like or count-distinct aggregate, and
+  besides them only min / max (no other DISTINCT aggregate); no ``SELECT
+  DISTINCT``, window function, ``*`` or scalar subquery left after
+  flattening; at most one derived table, and a base table beside it or in
+  it (the nested rewrite's); each non-aggregate select item a grouping
+  column; each mean-like aggregate but ``count`` with an argument.
+* Derived table, when the FROM clause is one that aggregates (the nested
+  rewrite, Section 5.2): no HAVING, LIMIT or OFFSET in it, and each of its
+  items a bare mean-like aggregate or a grouping column.
+* Tail: the statement has a :class:`~repro.sqlengine.tail.TailPlan` (each
+  ORDER BY ordinal names a select item), and no ``rand()`` stands outside
+  its aggregates, where the fold would need the engine's random stream.
+
+Whether the chosen samples fit the rewrite is the sample planner's
+decision; the rewriter only asserts both.
 """
 
 from __future__ import annotations
@@ -25,10 +35,11 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
+from repro.errors import ExecutionError
 from repro.sqlengine import sqlast as ast
 from repro.sqlengine.expressions import contains_aggregate
-from repro.sqlengine.functions import is_aggregate_function
-from repro.sqlengine.tail import group_reference
+from repro.sqlengine.functions import is_aggregate_function, is_nondeterministic_function
+from repro.sqlengine.tail import TailPlan, collect_aggregates, group_reference
 
 
 #: The mean-like aggregates, each with how the fold combines the estimates
@@ -50,14 +61,9 @@ EXTREME = frozenset({"min", "max"})
 
 @dataclass(frozen=True)
 class AggregateRef:
-    """One aggregate call found in the select list, HAVING or ORDER BY.
-
-    ``output_name`` names the select item holding it; None for an aggregate
-    of the tail.
-    """
+    """One distinct aggregate call of the select list, HAVING or ORDER BY."""
 
     node: ast.FunctionCall
-    output_name: str | None
     kind: str  # 'mean_like' | 'count_distinct' | 'extreme' | 'unsupported'
 
     @property
@@ -67,15 +73,22 @@ class AggregateRef:
 
 @dataclass
 class QueryAnalysis:
-    """Everything the planner and rewriter need to know about a query."""
+    """Everything the planner and rewriter need to know about a query.
+
+    ``base_tables`` holds every base table of the statement, derived tables'
+    included; ``substituted_tables`` only those the rewrite may replace by
+    samples, the planner's tables: the derived table's for a nested query,
+    else the outer level's.  ``refusal`` says why the statement is outside
+    the approximable fragment, None when it is inside.
+    """
 
     statement: ast.SelectStatement
     aggregates: list[AggregateRef] = field(default_factory=list)
     base_tables: list[ast.TableRef] = field(default_factory=list)
+    substituted_tables: list[ast.TableRef] = field(default_factory=list)
     derived_tables: list[ast.DerivedTable] = field(default_factory=list)
     is_nested_aggregate: bool = False
-    supported: bool = True
-    unsupported_reason: str = ""
+    refusal: str | None = None
 
     @property
     def mean_like(self) -> list[AggregateRef]:
@@ -105,32 +118,26 @@ def classify_aggregate(node: ast.FunctionCall) -> str:
 def analyze(statement: ast.SelectStatement) -> QueryAnalysis:
     """Analyse a parsed SELECT statement.
 
-    The returned analysis marks the query unsupported (rather than raising)
-    when it falls outside the Table 1 class, so the caller can pass it
-    through to the underlying database unchanged.
+    The returned analysis carries a ``refusal`` (rather than raising) when
+    the statement falls outside the approximable fragment, so the caller can
+    pass it through to the underlying database unchanged.
     """
     analysis = QueryAnalysis(statement=statement)
     analysis.base_tables = ast.base_tables(statement.from_relation)
-    _collect_relations(statement.from_relation, analysis)
-
-    places: list[tuple[ast.Expression, str | None]] = [
-        (item.expression, item.output_name(index))
-        for index, item in enumerate(statement.select_items)
-        if not isinstance(item.expression, ast.Star)
+    relations = _top_level(statement.from_relation)
+    analysis.derived_tables = [node for node in relations if isinstance(node, ast.DerivedTable)]
+    derived = statement.from_relation
+    if isinstance(derived, ast.DerivedTable) and (derived.query.group_by or any(
+        contains_aggregate(item.expression) for item in derived.query.select_items
+    )):
+        analysis.is_nested_aggregate = True
+        relations = _top_level(derived.query.from_relation)
+    analysis.substituted_tables = [node for node in relations if isinstance(node, ast.TableRef)]
+    analysis.aggregates = [
+        AggregateRef(node=node, kind=classify_aggregate(node))
+        for node in collect_aggregates(statement).values()
     ]
-    if statement.having is not None:
-        places.append((statement.having, None))
-    places.extend((item.expression, None) for item in statement.order_by)
-    for expression, name in places:
-        for node in expression.walk():
-            if isinstance(node, ast.FunctionCall) and is_aggregate_function(node.name):
-                if any(contains_aggregate(argument) for argument in node.args):
-                    continue
-                analysis.aggregates.append(
-                    AggregateRef(node=node, output_name=name, kind=classify_aggregate(node))
-                )
-
-    _check_supported(analysis)
+    analysis.refusal = _refusal(analysis)
     return analysis
 
 
@@ -194,98 +201,109 @@ def bind_columns(
     return owners
 
 
-def _collect_relations(relation: ast.Relation | None, analysis: QueryAnalysis) -> None:
+def _top_level(relation: ast.Relation | None) -> list[ast.Relation]:
+    """The tables and derived tables a FROM tree joins, not looking inside
+    a derived table."""
     if isinstance(relation, ast.Join):
-        _collect_relations(relation.left, analysis)
-        _collect_relations(relation.right, analysis)
-    elif isinstance(relation, ast.DerivedTable):
-        analysis.derived_tables.append(relation)
-        if relation.query.group_by or any(
-            not isinstance(item.expression, ast.Star) and contains_aggregate(item.expression)
-            for item in relation.query.select_items
-        ):
-            analysis.is_nested_aggregate = True
+        return _top_level(relation.left) + _top_level(relation.right)
+    return [] if relation is None else [relation]
 
 
-def _check_supported(analysis: QueryAnalysis) -> None:
+def _refusal(analysis: QueryAnalysis) -> str | None:
+    """The first rule of the approximable fragment (module docstring) the
+    statement breaks, or None."""
     statement = analysis.statement
-
     if statement.from_relation is None:
-        analysis.supported = False
-        analysis.unsupported_reason = "query has no FROM clause"
-        return
+        return "query has no FROM clause"
     if not analysis.aggregates:
-        analysis.supported = False
-        analysis.unsupported_reason = "query has no aggregate functions"
-        return
-    if any(agg.kind == "unsupported" for agg in analysis.aggregates):
-        names = {agg.node.name for agg in analysis.aggregates if agg.kind == "unsupported"}
-        analysis.supported = False
-        analysis.unsupported_reason = f"unsupported aggregate functions: {sorted(names)}"
-        return
+        return "query has no aggregate functions"
+    unsupported = {agg.node.name for agg in analysis.aggregates if agg.kind == "unsupported"}
+    if unsupported:
+        return f"unsupported aggregate functions: {sorted(unsupported)}"
     if not analysis.mean_like and not analysis.count_distinct:
-        analysis.supported = False
-        analysis.unsupported_reason = "only extreme statistics (min/max) requested"
-        return
+        return "only extreme statistics (min/max) requested"
     if statement.distinct:
-        analysis.supported = False
-        analysis.unsupported_reason = "SELECT DISTINCT is not approximated"
-        return
+        return "SELECT DISTINCT is not approximated"
     if _has_remaining_subquery(statement):
-        analysis.supported = False
-        analysis.unsupported_reason = (
-            "non-comparison subqueries (IN/EXISTS/select-clause) are not approximated"
-        )
-        return
+        return "non-comparison subqueries (IN/EXISTS/select-clause) are not approximated"
     if len(analysis.derived_tables) > 1:
-        analysis.supported = False
-        analysis.unsupported_reason = "queries with multiple derived tables are not approximated"
-        return
-    if any(
-        isinstance(expr, ast.WindowFunction)
-        for item in statement.select_items
-        if not isinstance(item.expression, ast.Star)
-        for expr in item.expression.walk()
-    ):
-        analysis.supported = False
-        analysis.unsupported_reason = "window functions are not approximated"
-        return
-
+        return "queries with multiple derived tables are not approximated"
+    if not analysis.substituted_tables:
+        return "no base table the rewrite could read from a sample"
     # Non-aggregate select items must name grouping keys, otherwise the
     # rewrite cannot reproduce them.
     for item in statement.select_items:
         expression = item.expression
         if isinstance(expression, ast.Star):
-            analysis.supported = False
-            analysis.unsupported_reason = "SELECT * cannot be combined with approximation"
-            return
-        if contains_aggregate(expression):
-            continue
-        if group_reference(expression, statement.group_by) is not None:
-            continue
-        analysis.supported = False
-        analysis.unsupported_reason = (
-            f"select item {expression.to_sql()!r} is neither an aggregate nor a grouping column"
-        )
-        return
+            return "SELECT * cannot be combined with approximation"
+        if any(isinstance(node, ast.WindowFunction) for node in expression.walk()):
+            return "window functions are not approximated"
+        if not contains_aggregate(expression) and (
+            group_reference(expression, statement.group_by) is None
+        ):
+            sql = expression.to_sql()
+            return f"select item {sql!r} is neither an aggregate nor a grouping column"
+    for agg in analysis.mean_like:
+        if reason := _argument_refusal(agg.node):
+            return reason
+    derived = statement.from_relation
+    if analysis.is_nested_aggregate and isinstance(derived, ast.DerivedTable):
+        if reason := _derived_refusal(derived.query):
+            return reason
+    return _tail_refusal(statement)
+
+
+def _argument_refusal(node: ast.FunctionCall) -> str | None:
+    if node.args or node.name.lower() == "count":
+        return None
+    return f"aggregate {node.to_sql()!r} requires an argument"
+
+
+def _derived_refusal(query: ast.SelectStatement) -> str | None:
+    """Why the nested rewrite cannot make a derived table's variational table
+    (per group and subsample, each aggregate that subsample's estimate)."""
+    if query.having is not None or query.limit is not None or query.offset is not None:
+        # Each keeps or drops whole groups, which a table of per-(group,
+        # subsample) rows cannot decide.
+        return "a derived table's HAVING, LIMIT or OFFSET is not approximated"
+    for item in query.select_items:
+        expression = item.expression
+        if isinstance(expression, ast.FunctionCall) and is_aggregate_function(expression.name):
+            if classify_aggregate(expression) != "mean_like":
+                return f"a derived table's aggregate {expression.to_sql()!r} is not mean-like"
+            if reason := _argument_refusal(expression):
+                return reason
+        elif contains_aggregate(expression) or group_reference(expression, query.group_by) is None:
+            sql = expression.to_sql()
+            return f"derived-table item {sql!r} is neither a bare aggregate nor a grouping column"
+    return None
+
+
+def _tail_refusal(statement: ast.SelectStatement) -> str | None:
+    """Why the fold cannot run the statement's :class:`TailPlan` over its
+    per-group columns, as it does without the engine's random stream."""
+    try:
+        tail = TailPlan(statement)
+    except ExecutionError as error:
+        return str(error)
+    terms = [*tail.items, *(term for term, _ascending in tail.order), tail.having]
+    written = [item.expression for item in (*statement.select_items, *statement.order_by)]
+    for term, expression in zip(terms, [*written, statement.having]):
+        if isinstance(term, ast.Expression) and any(
+            isinstance(node, ast.FunctionCall) and is_nondeterministic_function(node.name)
+            for node in term.walk()
+        ):
+            return f"cannot fold {expression.to_sql()!r} over aggregates"
+    return None
 
 
 def _has_remaining_subquery(statement: ast.SelectStatement) -> bool:
-    """True when a scalar subquery is still present in WHERE or the select list.
-
-    Comparison subqueries should already have been flattened into joins by the
-    flattener; anything left is unsupported.
-    """
-    expressions: list[ast.Expression] = []
-    if statement.where is not None:
-        expressions.append(statement.where)
-    expressions.extend(
-        item.expression
-        for item in statement.select_items
-        if not isinstance(item.expression, ast.Star)
+    """True when a scalar subquery is still in WHERE or the select list: the
+    flattener turns comparison subqueries into joins, and no other kind is
+    approximated."""
+    expressions = [statement.where, *(item.expression for item in statement.select_items)]
+    return any(
+        isinstance(node, ast.ScalarSubquery)
+        for expression in expressions if expression is not None
+        for node in expression.walk()
     )
-    for expression in expressions:
-        for node in expression.walk():
-            if isinstance(node, ast.ScalarSubquery):
-                return True
-    return False

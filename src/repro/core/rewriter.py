@@ -3,23 +3,16 @@
 A query is split by aggregate kind (Section 2.2) into at most three parts,
 none of which carries the statement's tail:
 
-* the **mean-like part** follows Appendix G, split between the backend and
-  the middleware.  The backend runs one statement over the chosen sample
-  tables that, for every (grouping keys, subsample id) combination, computes
-  the Horvitz–Thompson building blocks of each aggregate plus the
-  subsample's size: ``GROUP BY <keys>, vdb_sid``, nothing beyond ``SUM`` and
-  ``COUNT`` (and the statistic itself for ``stddev``-like aggregates).  One
-  function, :func:`_building_blocks`, renders them, for this statement and
-  for the variational table of a nested query alike.  The
-  **answer** is the full-sample estimate (the per-subsample partial sums
-  added back together — for ``sum``/``count`` this is exactly the
-  Horvitz–Thompson estimator, for ``avg`` the ratio estimator); the
-  **error** is the variational-subsampling standard error
-  ``stddev(est_i) * sqrt(avg(sub_size)) / sqrt(sum(sub_size))`` where
-  ``est_i`` is the i-th subsample's own estimate of the aggregate
-  (Theorem 2).  For totals (``sum``/``count``) the subsample's partial sum
-  is scaled by the number of subsamples ``b`` to make it a full-group
-  estimate;
+* the **mean-like part** (Appendix G): one statement over the chosen
+  sample tables that returns, per (grouping keys, subsample id), the
+  subsample's size and each aggregate's Horvitz–Thompson building blocks,
+  nothing beyond ``SUM`` and ``COUNT`` (or the statistic itself for
+  ``stddev``-like aggregates), rendered by :func:`_building_blocks` for this
+  statement and a nested query's variational table alike.  The **answer**
+  is the full-sample estimate (for ``sum``/``count`` the Horvitz–Thompson
+  estimator, for ``avg`` the ratio estimator), the **error** the
+  variational-subsampling standard error of the subsamples' own estimates
+  (Theorem 2; see :class:`SubsampleFold`);
 * the **count-distinct part** counts the distinct values per group over a
   hashed sample;
 * the **extreme part** runs min / max exactly, per group, over the base
@@ -42,6 +35,11 @@ table — the original inner query grouped additionally by the subsample id,
 each aggregate replaced by its per-subsample full-group estimate — and the
 statement the backend runs aggregates that variational table per (group,
 subsample id); the fold combines those rows as for a flat query.
+
+Whether a statement approximates is decided before the rewriter runs: by
+:func:`~repro.core.query_info.analyze` for what the statement alone decides,
+by the sample planner for what the chosen samples decide.  The rewriter
+only checks that precondition on entry (:meth:`AqpRewriter.rewrite`).
 """
 
 from __future__ import annotations
@@ -54,9 +52,9 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.query_info import MEAN_LIKE, QueryAnalysis, classify_aggregate
-from repro.core.sample_planner import SamplePlan
-from repro.errors import ExecutionError, RewriteError
+from repro.core.query_info import MEAN_LIKE, QueryAnalysis
+from repro.core.sample_planner import SamplePlan, shared_subsample_count
+from repro.errors import RewriteError
 from repro.sampling.params import PROBABILITY_COLUMN, SID_COLUMN, SampleInfo
 from repro.sqlengine import sqlast as ast
 from repro.sqlengine.encoding import (
@@ -72,7 +70,6 @@ from repro.sqlengine.functions import (
     group_counts,
     group_dispersions,
     group_sums,
-    is_nondeterministic_function,
 )
 from repro.sqlengine.resultset import ResultSet
 from repro.sqlengine.tail import TailPlan, run_tail
@@ -130,34 +127,40 @@ class AqpRewriter:
     def rewrite(
         self, statement: ast.SelectStatement, analysis: QueryAnalysis, plan: SamplePlan
     ) -> RewriteOutput:
-        """Split a supported query into its parts and the fold that joins them.
+        """Split a statement into its parts (module docstring) and the fold
+        that joins them.
 
-        Every aggregate — of the select list, HAVING or ORDER BY — goes to
-        the part of its kind (Section 2.2):
+        Every aggregate, of the select list, HAVING or ORDER BY, goes to the
+        part of its kind.  A nested query aggregates its derived table's
+        variational table; any other has its outer-level base tables
+        replaced by their samples and runs a derived table as written.  The
+        count-distinct part counts, and the fold divides by the hashed
+        sample's kept share (:attr:`SampleInfo.key_ratio`).  No part has
+        HAVING, ORDER BY, LIMIT or OFFSET: the fold applies the tail once.
 
-        * mean-like ones to one per-(group, subsample) statement over the
-          samples.  Queries whose only fact source is an aggregate derived
-          table use the nested rewrite (Section 5.2).  Queries that also
-          reference base tables at the outer level (e.g. flattened comparison
-          subqueries) use the flat/join rewrite: the base tables are replaced
-          by samples while the derived table — typically a small aggregate
-          over a dimension-sized group — is computed exactly;
-        * ``count(DISTINCT)`` ones to one per-group statement over the hashed
-          sample, which counts and does not scale: the fold divides by the
-          sample's kept share of the rows outside its census
-          (:attr:`SampleInfo.key_ratio`);
-        * min / max to one exact per-group statement over the base tables.
-
-        No part has HAVING, ORDER BY, LIMIT or OFFSET: the fold stitches the
-        parts' groups and applies the statement's tail once, over them all.
+        The precondition, checked once here: the analysis accepted the
+        statement (its ``refusal`` is None) and the plan samples a table the
+        rewrite substitutes, all such samples sharing one subsample count
+        ``b`` (a perfect square when there are several), as the sample
+        planner's plans do.  A caller that breaks it gets
+        :class:`~repro.errors.RewriteError`.
         """
+        samples = [
+            info for table in analysis.substituted_tables
+            if (info := plan.sample_for(table.name)) is not None
+        ]
+        subsample_count = shared_subsample_count(samples)
+        if analysis.refusal is not None or subsample_count is None:
+            raise RewriteError(analysis.refusal or (
+                "the sample plan samples no table the rewrite substitutes, "
+                "or its samples share no subsample count the rewrite can combine"
+            ))
         builder = _FoldBuilder(statement, analysis, self.include_errors)
         fold = builder.build_fold()
+        fold.subsample_count = subsample_count
         parts: list[ast.SelectStatement] = []
         if builder.plans_of("mean_like"):
-            part, fold.subsample_count, fold.weighted = self._mean_like_part(
-                builder, analysis, plan
-            )
+            part, fold.weighted = self._mean_like_part(builder, analysis, plan, subsample_count)
             parts.append(part)
             fold.parts.append("mean_like")
         distinct = builder.per_group_statement("count_distinct")
@@ -181,27 +184,24 @@ class AqpRewriter:
     def rewrite_count_distinct(
         self, statement: ast.SelectStatement, analysis: QueryAnalysis, plan: SamplePlan
     ) -> RewriteOutput:
-        """Rewrite a query whose aggregates are all count(DISTINCT ...).
-
-        This is :meth:`rewrite`: the query's one part counts each group's
-        distinct values in the hashed (universe) sample and the fold scales
-        them.  Kept by name for callers that time this kind of query.
-        """
+        """:meth:`rewrite`, kept by name for callers that time a query whose
+        aggregates are all count(DISTINCT ...)."""
         return self.rewrite(statement, analysis, plan)
 
     # -- the mean-like part -------------------------------------------------------
 
     def _mean_like_part(
-        self, builder: _FoldBuilder, analysis: QueryAnalysis, plan: SamplePlan
-    ) -> tuple[ast.SelectStatement, int, bool]:
-        """The per-(group, sid) statement, its subsample count ``b`` and
-        whether its rows are weighted sample tuples (False for the outer
-        level of a nested query, whose rows are per-group estimates)."""
+        self, builder: _FoldBuilder, analysis: QueryAnalysis, plan: SamplePlan,
+        subsample_count: int,
+    ) -> tuple[ast.SelectStatement, bool]:
+        """The per-(group, sid) statement and whether its rows are weighted
+        sample tuples (False for the outer level of a nested query, whose
+        rows are per-group estimates)."""
         statement = builder.statement
         derived = statement.from_relation
         if analysis.is_nested_aggregate and isinstance(derived, ast.DerivedTable):
-            variational_table, subsample_count = build_variational_derived_table(
-                derived.query, plan
+            variational_table = build_variational_derived_table(
+                derived.query, plan, subsample_count
             )
             # The statement now aggregates complete per-subsample group
             # estimates, so no Horvitz–Thompson scaling applies at this level.
@@ -211,22 +211,19 @@ class AqpRewriter:
                 sid=ast.ColumnRef(SID_ALIAS, table=derived.alias),
                 sub_size=ast.func("sum", ast.ColumnRef(ROWS_ALIAS, table=derived.alias)),
             )
-            return part, subsample_count, False
+            return part, False
         new_relation, sampled = _substitute_relations(statement.from_relation, plan)
-        if not sampled:
-            raise RewriteError("the sample plan does not use any sample table")
-        subsample_count = sampled[0][1].subsample_count
         part = builder.subsample_statement(
             new_relation,
             probability=_probability_expression(sampled),
             sid=_sid_expression(sampled, subsample_count),
         )
-        return part, subsample_count, True
+        return part, True
 
 
 def build_variational_derived_table(
-    inner_statement: ast.SelectStatement, plan: SamplePlan
-) -> tuple[ast.SelectStatement, int]:
+    inner_statement: ast.SelectStatement, plan: SamplePlan, subsample_count: int
+) -> ast.SelectStatement:
     """Build the variational table of an aggregate derived table (Section 5.2).
 
     The result selects the derived table's original output columns (each
@@ -234,17 +231,10 @@ def build_variational_derived_table(
     ``vdb_sid`` (the subsample id) and ``vdb_rows`` (the number of sample rows
     contributing to the row).  It is obtained in a single scan by grouping
     the original inner query additionally by the subsample id (Equation 6).
+    The analysis has checked the inner query (no HAVING, LIMIT or OFFSET;
+    each item a bare mean-like aggregate or a grouping column).
     """
-    if inner_statement.having is not None or inner_statement.limit is not None or (
-        inner_statement.offset is not None
-    ):
-        # Each keeps or drops whole groups, which a table of per-(group,
-        # subsample) rows cannot decide.
-        raise RewriteError("a derived table's HAVING, LIMIT or OFFSET is not approximated")
     new_relation, sampled = _substitute_relations(inner_statement.from_relation, plan)
-    if not sampled:
-        raise RewriteError("the sample plan does not use any sample table")
-    subsample_count = sampled[0][1].subsample_count
     probability = _probability_expression(sampled)
     sid = _sid_expression(sampled, subsample_count)
 
@@ -252,11 +242,7 @@ def build_variational_derived_table(
     for index, item in enumerate(inner_statement.select_items):
         name = item.output_name(index)
         expression = item.expression
-        if contains_aggregate(expression):
-            if not isinstance(expression, ast.FunctionCall):
-                raise RewriteError(
-                    "derived-table select items must be bare aggregates or grouping columns"
-                )
+        if isinstance(expression, ast.FunctionCall) and contains_aggregate(expression):
             # The subsample's own estimate of the full group: a total's
             # partial sum times b (each subsample holds about 1/b of the
             # sample rows), a mean's ratio, a statistic as it is.
@@ -272,13 +258,12 @@ def build_variational_derived_table(
     select_items.append(ast.SelectItem(sid, alias=SID_ALIAS))
     select_items.append(ast.SelectItem(ast.func("count", ast.Star()), alias=ROWS_ALIAS))
 
-    variational = ast.SelectStatement(
+    return ast.SelectStatement(
         select_items=select_items,
         from_relation=new_relation,
         where=inner_statement.where,
         group_by=list(inner_statement.group_by) + [sid],
     )
-    return variational, subsample_count
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +289,7 @@ def _substitute_relations(
             return ast.TableRef(name=info.sample_table, alias=binding)
         if isinstance(node, ast.Join):
             return dataclasses.replace(node, left=visit(node.left), right=visit(node.right))
-        if isinstance(node, ast.DerivedTable):
-            return node
-        raise RewriteError(f"cannot substitute relation of type {type(node).__name__}")
+        return node  # a derived table runs as written
 
     return visit(relation), sampled
 
@@ -329,34 +312,24 @@ def _probability_expression(sampled: list[tuple[str, SampleInfo]]) -> ast.Expres
 
 def _sid_expression(sampled: list[tuple[str, SampleInfo]], subsample_count: int) -> ast.Expression:
     """Combine the subsample ids of the sampled relations with h(i, j) (Theorem 4)."""
-    expression: ast.Expression | None = None
-    for binding, _info in sampled:
-        column: ast.Expression = ast.ColumnRef(SID_COLUMN, table=binding)
-        if expression is None:
-            expression = column
-        else:
-            expression = _h_expression(expression, column, subsample_count)
-    assert expression is not None
+    columns = [ast.ColumnRef(SID_COLUMN, table=binding) for binding, _info in sampled]
+    expression: ast.Expression = columns[0]
+    for column in columns[1:]:
+        expression = _h_expression(expression, column, subsample_count)
     return expression
 
 
 def _h_expression(left: ast.Expression, right: ast.Expression, subsample_count: int) -> ast.Expression:
-    root = int(round(math.sqrt(subsample_count)))
-    if root * root != subsample_count:
-        raise RewriteError(
-            f"joining samples requires a perfect-square subsample count, got {subsample_count}"
+    """``floor((i - 1) / r) * r + floor((j - 1) / r) + 1``, with ``r = sqrt(b)``."""
+    root = math.isqrt(subsample_count)
+
+    def bucket(sid: ast.Expression) -> ast.Expression:
+        return ast.func(
+            "floor", ast.BinaryOp("/", ast.BinaryOp("-", sid, ast.Literal(1)), ast.Literal(root))
         )
-    left_bucket = ast.func(
-        "floor", ast.BinaryOp("/", ast.BinaryOp("-", left, ast.Literal(1)), ast.Literal(root))
-    )
-    right_bucket = ast.func(
-        "floor", ast.BinaryOp("/", ast.BinaryOp("-", right, ast.Literal(1)), ast.Literal(root))
-    )
-    return ast.BinaryOp(
-        "+",
-        ast.BinaryOp("+", ast.BinaryOp("*", left_bucket, ast.Literal(root)), right_bucket),
-        ast.Literal(1),
-    )
+
+    scaled = ast.BinaryOp("*", bucket(left), ast.Literal(root))
+    return ast.BinaryOp("+", ast.BinaryOp("+", scaled, bucket(right)), ast.Literal(1))
 
 
 def _building_blocks(
@@ -372,18 +345,13 @@ def _building_blocks(
     nested query) and the blocks are plain: ``sum(x)`` (``count(x)``), or
     ``sum(x)`` and ``count(x)``.  A weight counts only the rows whose ``x``
     is not NULL, ``sum(CASE WHEN x IS NOT NULL THEN 1.0 / p END)``, unless
-    the count is ``count(*)``.  A statistic is its own block.  Any other
-    aggregate, a DISTINCT one included, raises :class:`RewriteError`.
+    the count is ``count(*)``.  A statistic is its own block.
     """
     name = node.name.lower()
-    if classify_aggregate(node) != "mean_like":
-        raise RewriteError(f"aggregate {node.to_sql()!r} is not mean-like")
     kind = MEAN_LIKE[name]
     if kind == "statistic":
         return [dataclasses.replace(node)]
     if not node.args:
-        if name != "count":
-            raise RewriteError(f"aggregate {name!r} requires an argument")
         node = ast.func("count", ast.Star())
     argument = node.args[0]
     if probability is None:
@@ -734,8 +702,6 @@ class _FoldBuilder:
             key = found.sql_key
             if key in self._aggregates:
                 continue
-            if found.kind == "unsupported":
-                raise RewriteError(f"aggregate {found.node.name!r} is not supported")
             index = len(self._aggregates)
             kind = MEAN_LIKE[found.node.name.lower()] if found.kind == "mean_like" else found.kind
             self._aggregates[key] = _AggregatePlan(
@@ -824,11 +790,7 @@ class _FoldBuilder:
                 passthrough.append((index, error_name))
                 error_keys.append(key)
             self.estimate_columns[name] = error_name
-        try:
-            tail = TailPlan(self.statement, passthrough)
-        except ExecutionError as error:
-            raise RewriteError(str(error)) from error
-        _check_foldable(tail)
+        tail = TailPlan(self.statement, passthrough)
         numbered = [node.to_sql() for node in tail.aggregates]
         return SubsampleFold(
             group_aliases=[self.group_aliases[expr.to_sql()] for expr in self.statement.group_by],
@@ -837,16 +799,3 @@ class _FoldBuilder:
             errors=[numbered.index(key) for key in error_keys],
         )
 
-
-def _check_foldable(tail: TailPlan) -> None:
-    """Raise :class:`RewriteError` unless the fold can run ``tail``.
-
-    ``rand()`` would need the engine's random stream, so a tail holding it
-    is left to exact execution.
-    """
-    expressions = [term for term, _ascending in tail.order if not isinstance(term, int)]
-    expressions += [*tail.items, *filter(None, [tail.having])]
-    for expression in expressions:
-        for node in expression.walk():
-            if isinstance(node, ast.FunctionCall) and is_nondeterministic_function(node.name):
-                raise RewriteError(f"cannot fold {expression.to_sql()!r} over aggregates")

@@ -2,10 +2,12 @@
 
 A *sample plan* maps every base table of a query either to one of its sample
 tables or to the base table itself.  The planner enumerates candidate plans,
-discards the infeasible ones (I/O budget, join compatibility, count-distinct
-support, rows per group), scores the rest and returns the best one.  When no
-plan with sampling is feasible the planner returns ``None`` and the
-middleware falls back to exact execution.
+discards the infeasible ones (I/O budget, join compatibility, subsample
+counts the rewrite can combine, count-distinct support, rows per group),
+scores the rest and returns the best one.  It plans the tables the rewrite
+substitutes (``QueryAnalysis.substituted_tables``).  When no plan with
+sampling is feasible it returns ``None`` and the middleware falls back to
+exact execution, with :meth:`SamplePlanner.refusal` as the reason.
 
 The score alone does not pick the plan of a join.  The query's *fact table*
 — its largest base table by row count — is read from a sample whenever any
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -134,6 +137,12 @@ class SamplePlanner:
 
     def __init__(self, config: PlannerConfig | None = None) -> None:
         self.config = config or PlannerConfig()
+        self._last = threading.local()  # a session's cursors may plan on several threads
+
+    def refusal(self) -> str:
+        """Why this thread's last :meth:`plan` returned None: the distinct
+        reasons its assignments were rejected for, in the order first seen."""
+        return str(getattr(self._last, "refusal", ""))
 
     def plan(
         self,
@@ -159,7 +168,8 @@ class SamplePlanner:
             owners: the owning base table of each column of the analysed
                 statement (:func:`repro.core.query_info.bind_columns`).
         """
-        tables = sorted({table.name.lower() for table in analysis.base_tables})
+        substituted = [table.name.lower() for table in analysis.substituted_tables]
+        tables = sorted(set(substituted))
         join_edges = _join_edges(analysis, owners)
         distinct_columns = _owned(
             owners, [(agg.node.args or [None])[0] for agg in analysis.count_distinct]
@@ -184,14 +194,18 @@ class SamplePlanner:
         )
         best: SamplePlan | None = None
         best_fact: SamplePlan | None = None
+        rejections: list[str] = []
         fact_rejections: list[str] = []
         for combination in itertools.product(*(candidates[table] for table in tables)):
             assignment = dict(zip(tables, combination))
             samples_fact = fact_table is not None and assignment[fact_table] is not None
             plan = self._evaluate(
-                assignment, table_rows, join_edges, distinct_columns, group_keys, expected_groups
+                assignment, substituted, table_rows, join_edges, distinct_columns, group_keys,
+                expected_groups,
             )
             if isinstance(plan, str):
+                if plan not in rejections:
+                    rejections.append(plan)
                 if samples_fact and plan not in fact_rejections:
                     fact_rejections.append(plan)
                 continue
@@ -201,6 +215,8 @@ class SamplePlanner:
                 best = plan
             if samples_fact and (best_fact is None or plan.score > best_fact.score):
                 best_fact = plan
+        if best is None:
+            self._last.refusal = "; ".join(rejections) or f"no sample of {', '.join(tables)}"
         if fact_table is None or best is None:
             return best
         if best_fact is not None:
@@ -227,13 +243,15 @@ class SamplePlanner:
     def _evaluate(
         self,
         assignment: dict[str, SampleInfo | None],
+        substituted: list[str],
         table_rows: dict[str, int],
         join_edges: list[_JoinEdge],
         distinct_columns: list[tuple[str | None, str]],
         group_keys: list[tuple[str | None, str]],
         expected_groups: int | None,
     ) -> SamplePlan | str:
-        """The scored plan of one assignment, or why the assignment is infeasible."""
+        """The scored plan of one assignment, or why the assignment is
+        infeasible.  ``substituted`` has a self-joined table once per reference."""
         plan = SamplePlan(assignments=dict(assignment))
 
         # Per-table I/O budget for large tables.
@@ -282,6 +300,10 @@ class SamplePlanner:
                 if frozenset((left_name, right_name)) not in certified:
                     return "samples joined without a universe join"
 
+        sampled = [info for table in substituted if (info := assignment[table]) is not None]
+        if sampled and shared_subsample_count(sampled) is None:
+            return "sampled tables share no perfect-square subsample count"
+
         # count(DISTINCT) is scaled by a hashed sample's ratio: a sampled plan
         # reads the column's owner from a sample hashed on that column, and a
         # column without an owner allows no sampled plan.
@@ -324,6 +346,19 @@ class SamplePlanner:
                     "per expected group"
                 )
         return plan
+
+
+def shared_subsample_count(samples: Sequence[SampleInfo]) -> int | None:
+    """The subsample count ``b`` the rewrite uses over ``samples``: one
+    sample's own, or, for several combined by ``h(i, j)`` (Theorem 4), the
+    perfect square they all share.  None when there is no such ``b``."""
+    counts = {info.subsample_count for info in samples}
+    if len(counts) != 1:
+        return None
+    (count,) = counts
+    if len(samples) > 1 and math.isqrt(count) ** 2 != count:
+        return None
+    return count
 
 
 # ---------------------------------------------------------------------------

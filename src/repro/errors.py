@@ -167,15 +167,14 @@ class SamplingError(OperationalError):
 
 
 class RewriteError(ReproError):
-    """The AQP rewriter could not produce an approximate form of the query."""
+    """A caller broke the AQP rewriter's precondition (``AqpRewriter.rewrite``)."""
 
 
 class UnsupportedQueryError(RewriteError, NotSupportedError):
     """The query is outside the class of queries VerdictDB can approximate.
 
-    Such queries are not an application failure: the middleware passes them
-    through to the underlying database unchanged.  The exception exists so the
-    rewriting pipeline can signal "pass through" explicitly.
+    The middleware itself raises none: the analysis refuses such a query and
+    passes it through to the underlying database unchanged.
     """
 
 

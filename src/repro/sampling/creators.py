@@ -85,10 +85,8 @@ def membership(
 
 
 def _key_hash(columns: tuple[str, ...]) -> ast.Expression:
-    """``vdb_hash(c)``, or ``vdb_hash(concat(c1, c2, ...))`` for a compound key."""
-    if len(columns) == 1:
-        return ast.func("vdb_hash", ast.ColumnRef(columns[0]))
-    return ast.func("vdb_hash", ast.func("concat", *[ast.ColumnRef(column) for column in columns]))
+    """``vdb_hash(c1, c2, ...)``: each part read by value, as one key."""
+    return ast.func("vdb_hash", *[ast.ColumnRef(column) for column in columns])
 
 
 def sid_expression(subsample_count: int) -> ast.Expression:

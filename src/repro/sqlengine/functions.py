@@ -403,9 +403,13 @@ def hash_unit_interval(values: np.ndarray) -> np.ndarray:
     return _crc32(values) / 4294967296.0
 
 
-def _fn_vdb_hash(context: EvaluationContext, values: np.ndarray) -> np.ndarray:
-    """``vdb_hash(x)``: the hash hashed (universe) samples are built with."""
-    return hash_unit_interval(values)
+def _fn_vdb_hash(context: EvaluationContext, *parts: np.ndarray) -> np.ndarray:
+    """``vdb_hash(x)``: the hash hashed (universe) samples are built with;
+    ``vdb_hash(a, b, ...)`` reads each part by :func:`hash_text`, end to end."""
+    if len(parts) == 1:
+        return hash_unit_interval(parts[0])
+    keys = ["".join(map(hash_text, row)) for row in zip(*parts)]
+    return _crc32_strings(keys) / 4294967296.0
 
 
 def _fn_cast_int(context: EvaluationContext, values: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ class TailPlan:
         passthrough: Sequence[tuple[int, str]] = (),
     ) -> None:
         group_by = statement.group_by
-        nodes = _collect_aggregates(statement)
+        nodes = collect_aggregates(statement)
         self.aggregates = list(nodes.values())
         substitutions = {
             key.to_sql(): f"{_GROUP}{position}" for position, key in enumerate(group_by)
@@ -175,7 +175,7 @@ def _sources(
     ]
 
 
-def _collect_aggregates(statement: ast.SelectStatement) -> dict[str, ast.FunctionCall]:
+def collect_aggregates(statement: ast.SelectStatement) -> dict[str, ast.FunctionCall]:
     """The innermost aggregate calls referenced anywhere in the query, by SQL."""
     nodes: dict[str, ast.FunctionCall] = {}
     expressions: list[ast.Expression] = [item.expression for item in statement.select_items]

@@ -6,13 +6,18 @@ HAVING and ORDER BY.  Whatever the mix, on both connectors, the approximate
 answer must
 
 * carry exact mode's column names in exact mode's order;
-* be answered, or fall back to exact execution with a reason — never raise
-  where exact mode answers;
+* be answered, or fall back to exact execution with the reason the
+  analysis or the sample planner gave — never raise where exact mode
+  answers;
 * satisfy its own HAVING, ORDER BY and LIMIT over the values it returns (an
   approximate answer is one of the exact answers the data could have given),
   where an aggregate of the tail may stand in a comparison, BETWEEN, IN,
   IS [NOT] NULL or NOT;
 * hold, in every min / max cell, exact mode's value for that group.
+
+A statement outside the approximable fragment (``repro.core.query_info``)
+answers with exact mode's rows, or raises exact mode's error, and says why
+in the analysis's own words.
 
 The statements run over ``keys``, a table whose group key holds both NULL
 and the string ``'None'``, and over the ``sales`` table of the fold tests;
@@ -117,6 +122,34 @@ class Probe:
         return None
 
 
+#: Statements outside the approximable fragment, one per kind of rule: the
+#: derived-table rules, the tail rules, SELECT DISTINCT and a window function.
+OUTSIDE = (
+    "SELECT avg(m) AS a FROM (SELECT k, max(x) AS m FROM keys GROUP BY k) AS q",
+    "SELECT avg(s) AS a FROM (SELECT k, sum(x) + {number} AS s FROM keys GROUP BY k) AS q",
+    "SELECT avg(s) AS a FROM (SELECT k, sum(x) AS s FROM keys GROUP BY k {group_filter}) AS q",
+    "SELECT k, count(*) AS c FROM keys GROUP BY k ORDER BY {number}",
+    "SELECT k, sum(x) AS s FROM keys GROUP BY k ORDER BY rand() * sum(x)",
+    "SELECT DISTINCT k, count(*) AS c FROM keys GROUP BY k",
+    "SELECT k, count(*) AS c, sum(count(*)) OVER () AS t FROM keys GROUP BY k",
+)
+GROUP_FILTERS = ("HAVING count(*) > 2500", "LIMIT 2", "LIMIT 2 OFFSET 1")
+
+
+@dataclass(frozen=True)
+class Outside:
+    """A statement outside the approximable fragment."""
+
+    text: str
+
+    def sql(self) -> str:
+        return self.text
+
+
+def outside(template: str, number: int = 3, group_filter: str = GROUP_FILTERS[0]) -> Outside:
+    return Outside(template.format(number=number, group_filter=group_filter))
+
+
 @st.composite
 def predicates(draw) -> Predicate:
     aggregate = draw(st.sampled_from(list(AGGREGATES)))
@@ -128,7 +161,13 @@ def predicates(draw) -> Predicate:
 
 
 @st.composite
-def probes(draw) -> Probe:
+def probes(draw) -> Probe | Outside:
+    if draw(st.integers(0, 3)) == 0:
+        return outside(
+            draw(st.sampled_from(OUTSIDE)),
+            draw(st.integers(3, 5)),
+            draw(st.sampled_from(GROUP_FILTERS)),
+        )
     grouped = draw(st.booleans())
     chosen = draw(
         st.lists(st.sampled_from([*AGGREGATES, MIXED]), min_size=1, max_size=3, unique=True)
@@ -226,15 +265,30 @@ SALES_DISTINCT = (("avg(price)", "a"), ("count(DISTINCT sale_id)", "d"))
 @example(probe=Probe("keys", "k", (("avg(x)", "a"), ("max(x)", "m"))))
 @example(probe=Probe("keys", "k", (("avg(x)", "a"), ("count(DISTINCT h)", "d"))))
 @example(probe=Probe("keys", "k", ((MIXED, "r"), ("min(x)", "m")), order=("r", True)))
-@settings(max_examples=30, deadline=None,
+@example(probe=outside(OUTSIDE[0]))
+@example(probe=outside(OUTSIDE[1]))
+@example(probe=outside(OUTSIDE[2], group_filter=GROUP_FILTERS[0]))
+@example(probe=outside(OUTSIDE[2], group_filter=GROUP_FILTERS[2]))
+@example(probe=outside(OUTSIDE[3]))
+@example(probe=outside(OUTSIDE[4]))
+@example(probe=outside(OUTSIDE[5]))
+@example(probe=outside(OUTSIDE[6]))
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_an_approximate_answer_answers_its_own_statement(session, probe):
     sql = probe.sql()
+    refusal = session.prepare(sql).analysis.refusal
+    if isinstance(probe, Outside):
+        assert refusal is not None, sql
+        answers_as_exact_mode(session, sql, f"exact execution ({refusal})")
+        return
     exact = session.sql(sql, options=EXACT)
     answer = session.sql(sql)
     assert answer.column_names() == exact.column_names(), sql
     if answer.is_exact:
-        assert answer.plan_description.startswith("exact execution ("), sql
+        # Refused before the rewriter: by the analysis or by the planner.
+        reason = refusal if refusal is not None else "no feasible sample plan: "
+        assert answer.plan_description.startswith(f"exact execution ({reason}"), sql
         return
     names = answer.column_names()
     rows = answer.fetchall()
@@ -268,6 +322,20 @@ def test_an_approximate_answer_answers_its_own_statement(session, probe):
         at = names.index(alias)
         for row in rows:
             assert row[at] == by_group[_key(row[0]) if probe.group else None], (sql, row)
+
+
+def answers_as_exact_mode(session, sql: str, description: str) -> None:
+    """``sql`` answers with exact mode's rows (in any order: ``rand()`` may
+    order them) and ``description``, or raises exact mode's error."""
+    try:
+        exact = session.sql(sql, options=EXACT).fetchall()
+    except ReproError as error:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            session.sql(sql)
+        return
+    answer = session.sql(sql)
+    assert answer.plan_description == description, sql
+    assert sorted(answer.fetchall(), key=repr) == sorted(exact, key=repr), sql
 
 
 @pytest.mark.parametrize(

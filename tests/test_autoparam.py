@@ -60,11 +60,11 @@ def unlifted_default_answer(session, text: str):
     """
     flattened = flatten(parser.parse(text))
     analysis = analyze(flattened)
-    if not analysis.supported:
+    if analysis.refusal is not None:
         return None
     token = session.connector.catalog_state()
     plan = session._plan(analysis, token)
-    if plan is None:
+    if isinstance(plan, str):
         return None
     return session._execute_approximate(flattened, analysis, plan, ExecutionOptions(), token)
 

@@ -40,7 +40,7 @@ def analysed(text: str):
 class TestQueryAnalysis:
     def test_supported_group_by_aggregate(self):
         analysis = analyze(parse_select("SELECT city, count(*) c FROM orders GROUP BY city"))
-        assert analysis.supported
+        assert analysis.refusal is None
         assert [a.kind for a in analysis.aggregates] == ["mean_like"]
         (city,) = analysis.statement.group_by
         assert bind_columns(analysis.statement, CATALOG)[id(city)] == "orders"
@@ -56,27 +56,28 @@ class TestQueryAnalysis:
 
     def test_no_aggregate_unsupported(self):
         analysis = analyze(parse_select("SELECT city FROM orders"))
-        assert not analysis.supported
-        assert "no aggregate" in analysis.unsupported_reason
+        assert analysis.refusal is not None
+        assert "no aggregate" in analysis.refusal
 
     def test_only_extreme_unsupported(self):
-        assert not analyze(parse_select("SELECT min(x), max(x) FROM t")).supported
+        assert analyze(parse_select("SELECT min(x), max(x) FROM t")).refusal is not None
 
     def test_select_star_unsupported(self):
-        assert not analyze(parse_select("SELECT * FROM t")).supported
+        assert analyze(parse_select("SELECT * FROM t")).refusal is not None
 
     def test_distinct_unsupported(self):
-        assert not analyze(parse_select("SELECT DISTINCT count(*) FROM t GROUP BY x")).supported
+        analysis = analyze(parse_select("SELECT DISTINCT count(*) FROM t GROUP BY x"))
+        assert analysis.refusal is not None
 
     def test_non_grouping_plain_column_unsupported(self):
         analysis = analyze(parse_select("SELECT city, count(*) FROM t GROUP BY state"))
-        assert not analysis.supported
+        assert analysis.refusal is not None
 
     def test_unflattened_scalar_subquery_unsupported(self):
         analysis = analyze(
             parse_select("SELECT count(*) FROM t WHERE x > (SELECT avg(x) FROM t)")
         )
-        assert not analysis.supported
+        assert analysis.refusal is not None
 
     def test_nested_aggregate_detected(self):
         analysis = analyze(
@@ -84,7 +85,7 @@ class TestQueryAnalysis:
                 "SELECT avg(s) FROM (SELECT g, sum(x) AS s FROM t GROUP BY g) AS sub"
             )
         )
-        assert analysis.supported
+        assert analysis.refusal is None
         assert analysis.is_nested_aggregate
 
     def test_join_tables_listed_and_their_columns_bound(self):
@@ -189,7 +190,7 @@ class TestFlattener:
         join = flattened.from_relation
         assert isinstance(join, ast.Join)
         assert join.join_type == "CROSS"
-        assert analyze(flattened).supported
+        assert analyze(flattened).refusal is None
 
     def test_statement_without_subquery_unchanged(self):
         statement = parse_select("SELECT count(*) FROM t WHERE price > 10")

@@ -423,6 +423,35 @@ def test_a_null_in_an_appended_int_key_keeps_every_key_in_or_out(backend):
         session.close()
 
 
+@pytest.mark.parametrize("backend", ["builtin", "sqlite"])
+def test_a_null_in_an_appended_compound_key_keeps_every_key_in_or_out(backend):
+    """Each part of a compound key is read by value too: ``vdb_hash(a, b)``
+    reads ``5.0`` as ``"5"``, so a batch whose NULL stores both key columns
+    as floats hashes its keys as the build did."""
+    rows, keys = 20_000, 2_000
+    connector = BuiltinConnector(seed=2) if backend == "builtin" else SqliteConnector(seed=2)
+    session = VerdictSession(connector=connector, planner_config=PLANNER)
+    try:
+        i = np.arange(rows)
+        session.load_table("t", {"a": i % keys, "b": i % 7, "v": np.ones(rows)})
+        session.create_sample("t", SampleSpec("hashed", ("a", "b"), 0.1))
+        (info,) = session.samples("t")
+        a = np.append(np.arange(keys, dtype=np.float64), np.nan)
+        session.append_data("t", {"a": a, "b": a % 7, "v": np.ones(keys + 1)})
+
+        def counts(table: str) -> dict[tuple[int, int], int]:
+            found = session.connector.execute(
+                f"SELECT a, b, count(*) AS n FROM {table} WHERE a IS NOT NULL GROUP BY a, b"
+            ).fetchall()
+            return {(int(float(a)), int(float(b))): int(n) for a, b, n in found}
+
+        sampled, full = counts(info.sample_table), counts("t")
+        assert 1_000 < len(sampled) < 1_800
+        assert {key: full[key] for key in sampled} == sampled
+    finally:
+        session.close()
+
+
 # ---------------------------------------------------------------------------
 # a rejected batch changes nothing
 # ---------------------------------------------------------------------------

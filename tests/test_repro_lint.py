@@ -621,6 +621,89 @@ class TestRep010OneHashString:
 
 
 # ---------------------------------------------------------------------------
+# REP011 — one owner for the decision to approximate
+# ---------------------------------------------------------------------------
+
+
+class TestRep011OneDecisionOwner:
+    def test_fires_on_the_sessions_old_fallback(self):
+        # VerdictSession.execute before analysis and planner owned every refusal.
+        result = lint_one(
+            "src/repro/api/session.py",
+            """
+            from repro import errors
+            from repro.errors import RewriteError, UnsupportedQueryError
+
+            def execute(self, statement, plan):
+                try:
+                    return self._execute_approximate(statement, plan)
+                except RewriteError as error:
+                    return self._execute_exact_select(statement, str(error))
+
+            def other(self, statement):
+                try:
+                    return self.run(statement)
+                except (KeyError, errors.UnsupportedQueryError):
+                    return None
+            """,
+            "REP011",
+        )
+        assert codes(result) == ["REP011"] * 2
+        assert {finding.line for finding in result.findings} == {8, 14}
+
+    def test_fires_on_repro_error_around_a_rewrite(self):
+        result = lint_one(
+            "src/repro/api/pool.py",
+            """
+            from repro.errors import ReproError
+
+            def answer(rewriter, statement, analysis, plan):
+                try:
+                    return rewriter.rewrite(statement, analysis, plan)
+                except ReproError:
+                    return None
+            """,
+            "REP011",
+        )
+        assert codes(result) == ["REP011"]
+
+    def test_clean_elsewhere_and_outside_src(self):
+        session = lint_one(
+            "src/repro/api/session.py",
+            """
+            from repro.errors import OperationalError, ReproError
+
+            def execute(self, statement, plan):
+                try:
+                    return self._execute_approximate(statement, plan)
+                except OperationalError:
+                    return self._execute_exact_select(statement)
+
+            def cardinality(self, table, column):
+                try:
+                    return self.connector.column_cardinality(table, column)
+                except (ReproError, KeyError):
+                    return 1
+            """,
+            "REP011",
+        )
+        probe = lint_one(
+            "benchmarks/e2e/probe.py",
+            """
+            from repro.errors import ReproError, RewriteError
+
+            def probe(rewriter, statement, analysis, plan):
+                try:
+                    return rewriter.rewrite(statement, analysis, plan)
+                except (ReproError, RewriteError):
+                    return None
+            """,
+            "REP011",
+        )
+        assert codes(session) == codes(probe) == []
+
+
+# ---------------------------------------------------------------------------
 # suppression mechanics
 # ---------------------------------------------------------------------------
 
@@ -847,6 +930,7 @@ class TestRepoGate:
             "REP008",
             "REP009",
             "REP010",
+            "REP011",
         ]
 
     def test_repository_has_zero_unbaselined_findings(self):

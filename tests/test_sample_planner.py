@@ -162,6 +162,8 @@ class TestFactTableRule:
 #: factor 5 (``build.FULL``), recorded at the commit before the fact-table rule;
 #: tq-16's is exact since its unqualified ``count(DISTINCT ps_suppkey)`` is
 #: bound to partsupp, which has no sample hashed on that column.
+#: The exact shapes' reasons are the planner's own, re-recorded when it
+#: began to report them (they read "within the I/O budget" before).
 PARENT_PLANS = {
     "order_volume": "orders: stratified sample (o_orderpriority, ratio=0.0284)",
     "pricing_summary": "lineitem: stratified sample (l_shipmode, ratio=0.0257)",
@@ -172,7 +174,10 @@ PARENT_PLANS = {
         "lineitem: stratified sample (l_shipmode, ratio=0.0257); orders: base table"
     ),
     "tq-1": "lineitem: stratified sample (l_shipmode, ratio=0.0257)",
-    "tq-3": "exact execution (no feasible sample plan within the I/O budget)",
+    "tq-3": (
+        "exact execution (no feasible sample plan: "
+        "fewer than 20 sample rows per expected group; samples joined without a universe join)"
+    ),
     "tq-5": (
         "customer: base table; lineitem: base table; nation: base table; "
         "orders: stratified sample (o_orderpriority, ratio=0.0284)"
@@ -191,18 +196,33 @@ PARENT_PLANS = {
         "orders: stratified sample (o_orderpriority, ratio=0.0284); partsupp: base table; "
         "supplier: base table"
     ),
-    "tq-10": "exact execution (no feasible sample plan within the I/O budget)",
+    "tq-10": (
+        "exact execution (no feasible sample plan: "
+        "fewer than 20 sample rows per expected group; samples joined without a universe join)"
+    ),
     "tq-11": (
         "nation: base table; partsupp: hashed sample (ps_partkey, ratio=0.0209); "
         "supplier: base table"
     ),
     "tq-12": "lineitem: stratified sample (l_shipmode, ratio=0.0257); orders: base table",
-    "tq-13": "exact execution (no feasible sample plan within the I/O budget)",
+    "tq-13": (
+        "exact execution (no feasible sample plan: "
+        "fewer than 20 sample rows per expected group)"
+    ),
     "tq-14": "lineitem: stratified sample (l_shipmode, ratio=0.0257); part: base table",
-    "tq-15": "exact execution (no feasible sample plan within the I/O budget)",
-    "tq-16": "exact execution (no feasible sample plan within the I/O budget)",
+    "tq-15": (
+        "exact execution (no feasible sample plan: "
+        "fewer than 20 sample rows per expected group)"
+    ),
+    "tq-16": (
+        "exact execution (no feasible sample plan: "
+        "count(DISTINCT) needs a hashed sample on its column)"
+    ),
     "tq-17": "lineitem: stratified sample (l_shipmode, ratio=0.0257); part: base table",
-    "tq-18": "exact execution (no feasible sample plan within the I/O budget)",
+    "tq-18": (
+        "exact execution (no feasible sample plan: "
+        "fewer than 20 sample rows per expected group)"
+    ),
     "tq-19": "lineitem: stratified sample (l_shipmode, ratio=0.0257); part: base table",
     "tq-20": "part: base table; partsupp: hashed sample (ps_partkey, ratio=0.0209)",
 }

@@ -231,7 +231,9 @@ class TestSamplePlanCache:
         for _ in range(2):
             answer = session.sql("SELECT count(*) AS c FROM orders")
             assert answer.is_exact
-            assert "no feasible sample plan" in answer.plan_description
+            assert answer.plan_description == (
+                "exact execution (no feasible sample plan: no sample of orders)"
+            )
             assert session.last_plan is None
         assert len(calls) == 1
 

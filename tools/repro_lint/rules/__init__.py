@@ -9,4 +9,5 @@ from tools.repro_lint.rules import (  # noqa: F401
     rep008_backend_agnostic,
     rep009_sample_membership,
     rep010_one_hash_string,
+    rep011_one_decision_owner,
 )
